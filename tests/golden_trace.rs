@@ -44,7 +44,12 @@ fn golden(protocol: ProtocolKind) -> Scenario {
     }
 }
 
-const GOLDEN_PROTOCOLS: [ProtocolKind; 3] = [ProtocolKind::Ecgrid, ProtocolKind::Grid, ProtocolKind::Gaf];
+const GOLDEN_PROTOCOLS: [ProtocolKind; 4] = [
+    ProtocolKind::Ecgrid,
+    ProtocolKind::Grid,
+    ProtocolKind::Gaf,
+    ProtocolKind::Span,
+];
 
 fn fixture_path(p: ProtocolKind) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
