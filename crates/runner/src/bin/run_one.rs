@@ -9,8 +9,8 @@
 
 use manet::trace::TraceMode;
 use manet::{Backend, FaultPlan, GatherFallback, NeighborIndex};
-use runner::supervisor::{run_point, SupervisorConfig};
-use runner::{run_scenario_probed, run_scenario_with, sweep_supervised, ProtocolKind, RunOptions, Scenario};
+use runner::supervisor::{run_point, sweep_keyed, SupervisorConfig};
+use runner::{FleetJob, ProtocolKind, RunOptions, Scenario};
 use std::fmt::Display;
 use std::fs::File;
 use std::io::BufWriter;
@@ -36,7 +36,8 @@ pause 0, 10 flows x 1 pkt/s, 2000 s, seed 42).
                groups; see examples/*.scn and DESIGN.md §15) instead of
                the homogeneous knobs; --hosts/--speed/--pause/--flows/
                --rate/--duration/--seed are ignored, --protocol still
-               picks the protocol.  Prints a per-group metrics table.
+               picks the protocol.  Adds a per-group metrics table to
+               the summary; every other flag applies unchanged.
 --groups-json FILE  with --scenario: also write the per-group metrics
                as a JSON array (the CI artifact format)
 
@@ -279,69 +280,103 @@ fn print_groups(r: &runner::ScenarioResult) {
     }
 }
 
-fn main() {
-    let cli = parse_args();
-    let (sc, opts) = (cli.sc, cli.opts);
+/// `x` through `f`, or `none` when absent.
+fn opt_or<T>(x: Option<T>, none: &str, f: impl Fn(T) -> String) -> String {
+    x.map(f).unwrap_or_else(|| none.into())
+}
 
-    // scenario-file mode: heterogeneous groups through run_spec
-    if let Some(path) = &cli.scenario_path {
-        if cli.journal.is_some() || cli.max_retries.is_some() {
-            fail("--scenario does not combine with --journal/--max-retries");
-        }
-        let text = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| fail(format!("--scenario: cannot read {path:?}: {e}")));
-        let spec = scenario::parse(&text).unwrap_or_else(|e| fail(format!("--scenario: {path}: {e}")));
-        eprintln!(
-            "running scenario file: {} ({} hosts in {} groups, {} on {})",
-            spec.name,
-            spec.total_hosts(),
-            spec.groups.len(),
-            sc.protocol.name(),
-            opts.backend.name(),
-        );
-        let start = std::time::Instant::now();
-        let r = runner::run_spec(&spec, sc.protocol, opts);
-        let wall = start.elapsed().as_secs_f64();
-        eprintln!("({} s simulated in {wall:.1} s wall)", spec.duration_s);
-        println!("protocol:        {}", sc.protocol.name());
-        match r.engine {
-            Some((k, t)) => println!("engine:          sharded (shards {k}, threads {t})"),
-            None => println!("engine:          serial"),
-        }
-        println!("packets sent:    {}", r.ledger.sent_count());
+/// The one result printer: every run — classic or scenario file, plain
+/// or supervised — reports the same block.
+fn print_result(cli: &Cli, r: &runner::ScenarioResult, wall: f64) {
+    let protocol = cli.sc.protocol.name();
+    println!("protocol:        {protocol}");
+    match r.engine {
+        Some((k, t)) => println!("engine:          sharded (shards {k}, threads {t})"),
+        None => println!("engine:          serial"),
+    }
+    println!("packets sent:    {}", r.ledger.sent_count());
+    println!(
+        "delivered:       {} ({:.2}%)",
+        r.ledger.delivered_count(),
+        100.0 * r.pdr.unwrap_or(0.0)
+    );
+    println!(
+        "mean latency:    {} ms",
+        opt_or(r.latency_ms, "-", |x| format!("{x:.2}"))
+    );
+    println!(
+        "pdr (<590s):     {}",
+        opt_or(r.pdr_590, "-", |x| format!("{:.2}%", 100.0 * x))
+    );
+    println!("alive at end:    {:.2}", r.alive.last_value().unwrap_or(1.0));
+    println!("aen at end:      {:.4}", r.aen.last_value().unwrap_or(0.0));
+    println!(
+        "network death:   {}",
+        opt_or(r.network_death_s, "none", |t| format!("{t:.0} s"))
+    );
+    println!("world stats:     {:?}", r.stats);
+    if cli.opts.faults.is_active() {
         println!(
-            "delivered:       {} ({:.2}%)",
-            r.ledger.delivered_count(),
-            100.0 * r.pdr.unwrap_or(0.0)
+            "faults:          {} frames lost, {} pages lost, {} crashes, {} rejoins, {} drains",
+            r.stats.frames_lost_fault,
+            r.stats.pages_lost_fault,
+            r.stats.crashes,
+            r.stats.rejoins,
+            r.stats.fault_drains
         );
-        println!("alive at end:    {:.2}", r.alive.last_value().unwrap_or(1.0));
-        println!("aen at end:      {:.4}", r.aen.last_value().unwrap_or(0.0));
-        print_groups(&r);
-        if let Some(rec) = &r.recorder {
-            println!("trace digest:    {}", rec.digest());
-            if let Some(path) = &cli.trace_path {
-                let f = File::create(path)
-                    .unwrap_or_else(|e| fail(format!("--trace: cannot create {path:?}: {e}")));
-                let mut w = BufWriter::new(f);
-                let n = rec
-                    .write_jsonl(sc.protocol.name(), &mut w)
-                    .unwrap_or_else(|e| fail(format!("--trace: writing {path:?} failed: {e}")));
-                eprintln!("wrote {n} events to {path}");
-            }
-        }
-        if let Some(path) = &cli.groups_json {
-            std::fs::write(path, groups_json_doc(&r.groups))
-                .unwrap_or_else(|e| fail(format!("--groups-json: cannot write {path:?}: {e}")));
-            eprintln!("wrote per-group metrics to {path}");
-        }
-        if let Some(b) = r.budget_exceeded {
-            eprintln!("run_one: {b}");
-            std::process::exit(2);
-        }
-        return;
+    }
+    print_groups(r);
+    if let Some(path) = &cli.groups_json {
+        std::fs::write(path, groups_json_doc(&r.groups))
+            .unwrap_or_else(|e| fail(format!("--groups-json: cannot write {path:?}: {e}")));
+        eprintln!("wrote per-group metrics to {path}");
     }
 
-    // journaled mode: a one-scenario supervised sweep, so a rerun with the
+    if let Some(rec) = &r.recorder {
+        println!("trace digest:    {}", rec.digest());
+        println!("trace events:    {}", rec.count());
+        let prof = rec.profile();
+        println!(
+            "sched profile:   {} events dispatched, {:.0} events/s wall, max queue depth {}",
+            prof.dispatched,
+            prof.events_per_sec(wall),
+            prof.max_queue_depth
+        );
+        for (domain, n) in prof.by_domain() {
+            println!("    {domain:<14} {n}");
+        }
+        if let Some(path) = &cli.trace_path {
+            let f =
+                File::create(path).unwrap_or_else(|e| fail(format!("--trace: cannot create {path:?}: {e}")));
+            let mut w = BufWriter::new(f);
+            let n = rec
+                .write_jsonl(protocol, &mut w)
+                .unwrap_or_else(|e| fail(format!("--trace: writing {path:?} failed: {e}")));
+            eprintln!("wrote {n} events to {path}");
+        }
+    }
+}
+
+fn main() {
+    let cli = parse_args();
+    let opts = cli.opts;
+
+    // either input is one fleet by the time it runs: a scenario file
+    // parsed, the homogeneous knobs lowered (DESIGN.md §15)
+    let job = match &cli.scenario_path {
+        Some(path) => {
+            let text = std::fs::read_to_string(path)
+                .unwrap_or_else(|e| fail(format!("--scenario: cannot read {path:?}: {e}")));
+            let spec = scenario::parse(&text).unwrap_or_else(|e| fail(format!("--scenario: {path}: {e}")));
+            eprintln!("scenario file: {spec}");
+            FleetJob::from_file(spec, cli.sc.protocol)
+        }
+        None => FleetJob::classic(cli.sc),
+    };
+    let sc = job.echo;
+    let runner = |s: &Scenario, o: RunOptions, p| job.run(s, o, p, None);
+
+    // journaled mode: a one-point supervised sweep, so a rerun with the
     // same journal skips the completed run and replays its metrics
     if let Some(journal) = &cli.journal {
         let sup = SupervisorConfig::default()
@@ -349,20 +384,14 @@ fn main() {
             .with_event_budget(opts.event_budget)
             .with_journal(journal);
         eprintln!("running supervised: {} (journal {journal})", sc.label());
-        let report = sweep_supervised(&[sc], 1, opts, &sup);
+        let report = sweep_keyed(&[(job.config_hash(&opts), sc)], 1, opts, &sup, &runner);
         print!("{}", report.render());
         if let Some(avg) = report.averaged.first() {
             println!(
                 "pdr: {}   latency: {} ms   death: {}",
-                avg.pdr
-                    .map(|x| format!("{:.2}%", 100.0 * x))
-                    .unwrap_or_else(|| "-".into()),
-                avg.latency_ms
-                    .map(|x| format!("{x:.2}"))
-                    .unwrap_or_else(|| "-".into()),
-                avg.network_death_s
-                    .map(|t| format!("{t:.0} s"))
-                    .unwrap_or_else(|| "none".into()),
+                opt_or(avg.pdr, "-", |x| format!("{:.2}%", 100.0 * x)),
+                opt_or(avg.latency_ms, "-", |x| format!("{x:.2}")),
+                opt_or(avg.network_death_s, "none", |t| format!("{t:.0} s")),
             );
         }
         if !report.quarantined.is_empty() {
@@ -394,7 +423,7 @@ fn main() {
         let sup = SupervisorConfig::default()
             .with_max_retries(retries)
             .with_event_budget(opts.event_budget);
-        let out = run_point(&|s, o, p| run_scenario_probed(s, o, p), &sc, opts, &sup);
+        let out = run_point(&runner, &sc, opts, &sup);
         for f in &out.failures {
             eprintln!("attempt failed: {f}");
         }
@@ -409,77 +438,12 @@ fn main() {
             }
         }
     } else {
-        run_scenario_with(&sc, opts)
+        runner(&sc, opts, None)
     };
     let wall = start.elapsed().as_secs_f64();
     eprintln!("({} s simulated in {wall:.1} s wall)", sc.duration_secs);
 
-    println!("protocol:        {}", sc.protocol.name());
-    match r.engine {
-        Some((k, t)) => println!("engine:          sharded (shards {k}, threads {t})"),
-        None => println!("engine:          serial"),
-    }
-    println!("packets sent:    {}", r.ledger.sent_count());
-    println!(
-        "delivered:       {} ({:.2}%)",
-        r.ledger.delivered_count(),
-        100.0 * r.pdr.unwrap_or(0.0)
-    );
-    println!(
-        "mean latency:    {} ms",
-        r.latency_ms
-            .map(|x| format!("{x:.2}"))
-            .unwrap_or_else(|| "-".into())
-    );
-    println!(
-        "pdr (<590s):     {}",
-        r.pdr_590
-            .map(|x| format!("{:.2}%", 100.0 * x))
-            .unwrap_or_else(|| "-".into())
-    );
-    println!("alive at end:    {:.2}", r.alive.last_value().unwrap_or(1.0));
-    println!("aen at end:      {:.4}", r.aen.last_value().unwrap_or(0.0));
-    println!(
-        "network death:   {}",
-        r.network_death_s
-            .map(|t| format!("{t:.0} s"))
-            .unwrap_or_else(|| "none".into())
-    );
-    println!("world stats:     {:?}", r.stats);
-    if opts.faults.is_active() {
-        println!(
-            "faults:          {} frames lost, {} pages lost, {} crashes, {} rejoins, {} drains",
-            r.stats.frames_lost_fault,
-            r.stats.pages_lost_fault,
-            r.stats.crashes,
-            r.stats.rejoins,
-            r.stats.fault_drains
-        );
-    }
-
-    if let Some(rec) = &r.recorder {
-        println!("trace digest:    {}", rec.digest());
-        println!("trace events:    {}", rec.count());
-        let prof = rec.profile();
-        println!(
-            "sched profile:   {} events dispatched, {:.0} events/s wall, max queue depth {}",
-            prof.dispatched,
-            prof.events_per_sec(wall),
-            prof.max_queue_depth
-        );
-        for (domain, n) in prof.by_domain() {
-            println!("    {domain:<14} {n}");
-        }
-        if let Some(path) = cli.trace_path {
-            let f =
-                File::create(&path).unwrap_or_else(|e| fail(format!("--trace: cannot create {path:?}: {e}")));
-            let mut w = BufWriter::new(f);
-            let n = rec
-                .write_jsonl(sc.protocol.name(), &mut w)
-                .unwrap_or_else(|e| fail(format!("--trace: writing {path:?} failed: {e}")));
-            eprintln!("wrote {n} events to {path}");
-        }
-    }
+    print_result(&cli, &r, wall);
 
     // the watchdog tripped: the metrics above describe a truncated run
     if let Some(b) = r.budget_exceeded {

@@ -29,8 +29,8 @@ pub use run::{
     ScenarioResult,
 };
 pub use scenario::{ProtocolKind, Scenario};
-pub use serve::EcgridJobHandler;
-pub use spec_run::{run_spec, run_spec_probed, GroupReport};
+pub use serve::{EcgridJobHandler, FleetJob};
+pub use spec_run::{run_fleet, run_spec, GroupReport};
 pub use supervisor::{
     sweep_resumable, sweep_supervised, sweep_supervised_with, FailureKind, QuarantinedPoint, ReplicaRecord,
     RunFailure, SupervisorConfig, SweepReport,

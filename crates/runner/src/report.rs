@@ -2,8 +2,6 @@
 
 use metrics::TimeSeries;
 use std::fmt::Write as _;
-use std::fs;
-use std::io::Write as _;
 use std::path::Path;
 
 /// Render several labelled series (sharing sample times) as a table whose
@@ -34,39 +32,12 @@ pub fn render_series_table(title: &str, labelled: &[(&str, &TimeSeries)], every:
     out
 }
 
-/// Crash-safe file write: the contents land in `<path>.tmp` first and are
-/// renamed over `path` only once fully flushed, so a sweep killed mid-write
-/// never leaves a truncated result file — readers see either the old
-/// complete file or the new complete file.  Durable against power loss,
-/// not just process death: the temp file is fsynced before the rename and
-/// the parent directory after it (the rename itself lives in the
-/// directory, so without the second fsync a crash can forget it).
-pub fn write_atomic(path: &Path, contents: &[u8]) -> std::io::Result<()> {
-    if let Some(dir) = path.parent() {
-        fs::create_dir_all(dir)?;
-    }
-    let tmp = tmp_sibling(path);
-    {
-        let mut f = fs::File::create(&tmp)?;
-        f.write_all(contents)?;
-        f.sync_all()?;
-    }
-    fs::rename(&tmp, path)?;
-    #[cfg(unix)]
-    if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-        fs::File::open(dir)?.sync_all()?;
-    }
-    Ok(())
-}
-
-/// `<path>.tmp`, appended to the full file name (not swapping the
-/// extension, so `a.csv` and `a.jsonl` in one directory cannot collide on
-/// the same temp name).
-fn tmp_sibling(path: &Path) -> std::path::PathBuf {
-    let mut name = path.file_name().map(|n| n.to_os_string()).unwrap_or_default();
-    name.push(".tmp");
-    path.with_file_name(name)
-}
+/// Crash-safe file write, durable against power loss and not just
+/// process death — the service's manifest writer under the name the
+/// sweep tooling has always used: temp sibling, fsync, rename, fsync of
+/// the parent directory, so readers see either the old complete file or
+/// the new complete file.
+pub use service::fsutil::write_atomic_durable as write_atomic;
 
 /// Write rows as CSV under `results/`.  The first row should be a header.
 /// Atomic: see [`write_atomic`].

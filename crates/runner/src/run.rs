@@ -1,20 +1,18 @@
-//! Building and running one scenario.
+//! Run options, the result type, and the classic entry points.
+//!
+//! The paper's homogeneous [`Scenario`] has no world builder of its own:
+//! every entry point here lowers it with [`Scenario::to_spec`] and runs
+//! the fleet through [`crate::spec_run::run_fleet`], the one pipeline
+//! scenario files also take (DESIGN.md §15).
 
-use crate::scenario::{ProtocolKind, Scenario};
-use ecgrid::{Ecgrid, EcgridConfig};
-use gaf::{GafConfig, GafProto};
-use grid_routing::{GridConfig, GridProto};
+use crate::scenario::Scenario;
+use crate::spec_run::run_fleet;
 use manet::progress::ProgressProbe;
 use manet::trace::{Recorder, TraceDigest, TraceMode};
-use manet::{
-    Backend, Battery, FaultPlan, FlowSet, FlowSpec, GatherFallback, HostSetup, NeighborIndex, NodeId,
-    PowerProfile, SimTime, World, WorldConfig,
-};
+use manet::{Backend, FaultPlan, GatherFallback, NeighborIndex};
 use metrics::{PacketLedger, TimeSeries};
-use mobility::{MobilityModel, RandomWaypoint};
 use rayon::prelude::*;
-use sim_engine::{derive_seed, BudgetExceeded, RngFactory, RunBudget};
-use span::{SpanConfig, SpanProto};
+use sim_engine::{derive_seed, BudgetExceeded};
 use std::sync::Arc;
 
 /// Knobs orthogonal to the scenario itself: which scheduler backend the
@@ -202,68 +200,17 @@ pub struct ScenarioResult {
     pub groups: Vec<crate::spec_run::GroupReport>,
 }
 
-/// Build the mobility traces for `count` hosts, identical across protocols
-/// for a given seed.
-fn build_traces(sc: &Scenario, count: usize, horizon: SimTime) -> Vec<mobility::MobilityTrace> {
-    let rngs = RngFactory::new(sc.seed);
-    let model = RandomWaypoint::paper(sc.max_speed, sc.pause_secs);
-    (0..count)
-        .map(|i| model.build_trace(&mut rngs.stream("mobility", i as u64), horizon))
-        .collect()
-}
-
-/// Build the flow set.  Endpoints are chosen among `endpoint_ids`,
-/// identically across protocols for a given seed.
-fn build_flows(sc: &Scenario, endpoint_ids: &[NodeId], stop: SimTime) -> FlowSet {
-    let rngs = RngFactory::new(sc.seed);
-    let spec = FlowSpec {
-        n_flows: sc.n_flows,
-        packet_bytes: 512,
-        rate_pps: sc.flow_rate_pps,
-        start: SimTime::from_secs(5),
-        stop,
-        stagger: true,
-    };
-    FlowSet::random(&mut rngs.stream("traffic", 0), endpoint_ids, &spec)
-}
-
-pub(crate) fn finish<P: manet::Protocol>(
-    sc: &Scenario,
-    opts: RunOptions,
-    probe: Option<Arc<ProgressProbe>>,
-    sink: Option<manet::trace::EventSink>,
-    mut world: World<P>,
-    end: SimTime,
-) -> ScenarioResult {
-    match (opts.trace, sink) {
-        (Some(mode), Some(s)) => world.enable_trace_with_sink(mode, s),
-        (Some(mode), None) => world.enable_trace(mode),
-        (None, _) => {}
-    }
-    if let Some(p) = probe {
-        world.attach_probe(p);
-    }
-    let engine = world.shard_stats().map(|s| (s.shards, s.threads));
-    let out = world.run_until(end);
-    let recorder = world.take_recorder();
-    let cutoff = SimTime::from_secs(590);
-    let early = out.ledger.before(cutoff);
-    ScenarioResult {
-        scenario: *sc,
-        pdr: out.ledger.delivery_rate(),
-        latency_ms: out.ledger.mean_latency_ms(),
-        pdr_590: early.delivery_rate(),
-        latency_ms_590: early.mean_latency_ms(),
-        network_death_s: out.alive.first_time_at_or_below(0.0),
-        alive: out.alive,
-        aen: out.aen,
-        ledger: out.ledger,
-        stats: out.stats,
-        trace_digest: recorder.as_ref().map(|r| r.digest()),
-        recorder,
-        budget_exceeded: out.budget_exceeded,
-        engine,
-        groups: Vec::new(),
+impl ScenarioResult {
+    /// The result of a lowered classic scenario as its callers know it:
+    /// echoing `sc` itself rather than the fleet's representative shape,
+    /// and without the per-group rollup the lowering's synthetic groups
+    /// would add to journals and service frames.
+    pub(crate) fn into_classic(self, sc: &Scenario) -> ScenarioResult {
+        ScenarioResult {
+            scenario: *sc,
+            groups: Vec::new(),
+            ..self
+        }
     }
 }
 
@@ -286,126 +233,7 @@ pub fn run_scenario_probed(
     opts: RunOptions,
     probe: Option<Arc<ProgressProbe>>,
 ) -> ScenarioResult {
-    run_scenario_inner(sc, opts, probe, None)
-}
-
-/// [`run_scenario_probed`] with a live event sink: every recorded trace
-/// event is also handed to `sink` as it is recorded — the sweep
-/// service's streaming path.  Digest-neutral by construction: the sink
-/// observes recording, it cannot alter it.
-pub fn run_scenario_streamed(
-    sc: &Scenario,
-    opts: RunOptions,
-    probe: Option<Arc<ProgressProbe>>,
-    sink: manet::trace::EventSink,
-) -> ScenarioResult {
-    run_scenario_inner(sc, opts, probe, Some(sink))
-}
-
-fn run_scenario_inner(
-    sc: &Scenario,
-    opts: RunOptions,
-    probe: Option<Arc<ProgressProbe>>,
-    sink: Option<manet::trace::EventSink>,
-) -> ScenarioResult {
-    let end = SimTime::from_secs_f64(sc.duration_secs);
-    // traces must outlive the run comfortably
-    let horizon = end + sim_engine::SimDuration::from_secs(10);
-    // the effective fault seed folds the scenario seed in, so replicas of
-    // the same plan see different (but each fully deterministic) faults
-    let faults = opts
-        .faults
-        .with_seed(derive_seed(sc.seed, "fault", opts.faults.seed));
-    let mut budget = RunBudget::UNLIMITED;
-    if let Some(n) = opts.event_budget {
-        budget = budget.with_max_events(n);
-    }
-    if let Some(ms) = opts.wall_budget_ms {
-        budget = budget.with_max_wall_ms(ms);
-    }
-    let mut cfg = WorldConfig::paper_default(sc.seed)
-        .with_backend(opts.backend)
-        .with_faults(faults)
-        .with_budget(budget)
-        .with_neighbor_index(opts.neighbor_index)
-        .with_gather_fallback(opts.gather_fallback);
-    if opts.parallel_world {
-        cfg = cfg.with_parallel_world(opts.shards).with_threads(opts.threads);
-    } else if let Some((k, t)) = parallel_override() {
-        cfg = cfg.with_parallel_world(k).with_threads(t);
-    }
-
-    match sc.protocol {
-        ProtocolKind::Grid | ProtocolKind::Ecgrid => {
-            // Model 2: endpoints are ordinary finite-battery hosts
-            let traces = build_traces(sc, sc.n_hosts, horizon);
-            let hosts: Vec<HostSetup> = traces.into_iter().map(HostSetup::paper).collect();
-            let all_ids: Vec<NodeId> = (0..sc.n_hosts as u32).map(NodeId).collect();
-            let flows = build_flows(sc, &all_ids, end);
-            match sc.protocol {
-                ProtocolKind::Grid => {
-                    let world = World::new(cfg, hosts, flows, |id| GridProto::new(GridConfig::default(), id));
-                    finish(sc, opts, probe, sink, world, end)
-                }
-                ProtocolKind::Ecgrid => {
-                    let world = World::new(cfg, hosts, flows, |id| Ecgrid::new(EcgridConfig::default(), id));
-                    finish(sc, opts, probe, sink, world, end)
-                }
-                ProtocolKind::Gaf | ProtocolKind::Span => unreachable!(),
-            }
-        }
-        ProtocolKind::Gaf | ProtocolKind::Span => {
-            // Model 1: n_hosts duty-cycling hosts (metered) + endpoints
-            // with infinite energy that neither duty-cycle nor forward.
-            // Span is not location-aware, so its hosts carry no GPS.
-            let total = sc.n_hosts + sc.model1_endpoints;
-            let traces = build_traces(sc, total, horizon);
-            let n = sc.n_hosts;
-            let profile = if sc.protocol == ProtocolKind::Span {
-                PowerProfile::paper_no_gps()
-            } else {
-                PowerProfile::paper_default()
-            };
-            let hosts: Vec<HostSetup> = traces
-                .into_iter()
-                .enumerate()
-                .map(|(i, trace)| HostSetup {
-                    profile,
-                    battery: if i < n {
-                        Battery::paper_default()
-                    } else {
-                        Battery::infinite()
-                    },
-                    ..HostSetup::paper(trace)
-                })
-                .collect();
-            let endpoint_ids: Vec<NodeId> = (n as u32..total as u32).map(NodeId).collect();
-            let flows = build_flows(sc, &endpoint_ids, end);
-            match sc.protocol {
-                ProtocolKind::Gaf => {
-                    let world = World::new(cfg, hosts, flows, move |id| {
-                        if id.index() < n {
-                            GafProto::new(GafConfig::default(), id)
-                        } else {
-                            GafProto::endpoint(GafConfig::default(), id)
-                        }
-                    });
-                    finish(sc, opts, probe, sink, world, end)
-                }
-                ProtocolKind::Span => {
-                    let world = World::new(cfg, hosts, flows, move |id| {
-                        if id.index() < n {
-                            SpanProto::new(SpanConfig::default(), id)
-                        } else {
-                            SpanProto::endpoint(SpanConfig::default(), id)
-                        }
-                    });
-                    finish(sc, opts, probe, sink, world, end)
-                }
-                _ => unreachable!(),
-            }
-        }
-    }
+    run_fleet(&sc.to_spec(), sc.protocol, opts, probe, None).into_classic(sc)
 }
 
 /// Seed for replica `k` of a base seed.  Replica 0 keeps the base seed
@@ -443,6 +271,7 @@ pub fn run_replicas(sc: &Scenario, replicas: usize, opts: RunOptions, parallel: 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::ProtocolKind;
 
     fn tiny(protocol: ProtocolKind) -> Scenario {
         Scenario {
@@ -484,23 +313,5 @@ mod tests {
         assert_eq!(a.stats, b.stats);
         assert_eq!(a.pdr, b.pdr);
         assert_eq!(a.latency_ms, b.latency_ms);
-    }
-
-    #[test]
-    fn protocols_share_the_same_mobility_per_seed() {
-        let sc = tiny(ProtocolKind::Grid);
-        let horizon = SimTime::from_secs(70);
-        let a = build_traces(&sc, 20, horizon);
-        let sc2 = Scenario {
-            protocol: ProtocolKind::Ecgrid,
-            ..sc
-        };
-        let b = build_traces(&sc2, 20, horizon);
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(
-                x.position_at(SimTime::from_secs(33)),
-                y.position_at(SimTime::from_secs(33))
-            );
-        }
     }
 }

@@ -1,5 +1,7 @@
 //! Scenario definitions mirroring §4's simulation environment.
 
+use ::scenario::{GroupSpec, MobilitySpec, Role, ScenarioSpec, TrafficPattern, TrafficSpec};
+
 /// Which protocol a scenario runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum ProtocolKind {
@@ -77,6 +79,52 @@ impl Scenario {
         }
     }
 
+    /// Lower onto the declarative fleet description every run is built
+    /// from (DESIGN.md §15): the §4 field, radio and traffic constants
+    /// spelled out, Model 2 as one `peer` group, Model 1 (GAF/Span) as a
+    /// metered `relay` group plus an infinite-energy `endpoint` group
+    /// that terminates every flow.
+    pub fn to_spec(&self) -> ScenarioSpec {
+        let group = |name: &str, count, role, battery_j| GroupSpec {
+            name: name.into(),
+            count,
+            battery_j,
+            battery_var: 0.0,
+            range_m: 250.0,
+            gps_sigma_m: 0.0,
+            role,
+            mobility: MobilitySpec::Waypoint {
+                max_speed: self.max_speed,
+                pause_s: self.pause_secs,
+            },
+        };
+        let groups = match self.protocol {
+            ProtocolKind::Grid | ProtocolKind::Ecgrid => {
+                vec![group("peer", self.n_hosts, Role::Peer, Some(500.0))]
+            }
+            ProtocolKind::Gaf | ProtocolKind::Span => vec![
+                group("relay", self.n_hosts, Role::Relay, Some(500.0)),
+                group("endpoint", self.model1_endpoints, Role::Endpoint, None),
+            ],
+        };
+        ScenarioSpec {
+            name: "paper".into(),
+            field_w: 1000.0,
+            field_h: 1000.0,
+            cell_side: 100.0,
+            duration_s: self.duration_secs,
+            seed: self.seed,
+            groups,
+            traffic: TrafficSpec {
+                pattern: TrafficPattern::Cbr,
+                flows: self.n_flows,
+                rate_pps: self.flow_rate_pps,
+                packet_bytes: 512,
+                start_s: 5.0,
+            },
+        }
+    }
+
     /// Short label for tables.
     pub fn label(&self) -> String {
         format!(
@@ -102,6 +150,45 @@ mod tests {
         assert_eq!(s.pause_secs, 0.0);
         assert_eq!(s.duration_secs, 2000.0);
         assert_eq!(s.model1_endpoints, 10);
+    }
+
+    #[test]
+    fn lowered_scenarios_roundtrip_through_the_scn_codec() {
+        // the paper setup is expressible as a scenario file: the lowering
+        // survives emit + parse, bounds checks included
+        for p in ProtocolKind::ALL_EXT {
+            let golden = Scenario {
+                n_hosts: 30,
+                n_flows: 3,
+                duration_secs: 40.0,
+                model1_endpoints: 4,
+                ..Scenario::paper_base(p, 1.0, 11)
+            };
+            let paused = Scenario {
+                pause_secs: 600.0,
+                ..Scenario::paper_base(p, 10.0, 42)
+            };
+            for sc in [Scenario::paper_base(p, 1.0, 42), paused, golden] {
+                let spec = sc.to_spec();
+                let back = ::scenario::parse(&spec.to_text())
+                    .unwrap_or_else(|e| panic!("{}: lowering does not parse: {e}", sc.label()));
+                assert_eq!(back, spec, "{}", sc.label());
+            }
+        }
+    }
+
+    #[test]
+    fn model1_protocols_lower_to_relays_plus_unmetered_endpoints() {
+        let grid = Scenario::paper_base(ProtocolKind::Ecgrid, 1.0, 42).to_spec();
+        assert_eq!(grid.groups.len(), 1);
+        assert_eq!((grid.groups[0].role, grid.total_hosts()), (Role::Peer, 100));
+        let gaf = Scenario::paper_base(ProtocolKind::Gaf, 1.0, 42).to_spec();
+        assert_eq!(gaf.groups.len(), 2);
+        assert_eq!((gaf.groups[0].role, gaf.groups[0].count), (Role::Relay, 100));
+        assert_eq!((gaf.groups[1].role, gaf.groups[1].count), (Role::Endpoint, 10));
+        assert_eq!(gaf.groups[1].battery_j, None);
+        // every flow terminates at endpoints only
+        assert_eq!((gaf.source_hosts(), gaf.sink_hosts()), (10, 10));
     }
 
     #[test]

@@ -11,9 +11,9 @@
 //! crashed service resumes bit for bit: journal-loaded replicas are
 //! folded into the average in replica order exactly as fresh ones are.
 
-use crate::run::{replica_seed, run_scenario_streamed, RunOptions, ScenarioResult};
+use crate::run::{replica_seed, RunOptions, ScenarioResult};
 use crate::scenario::{ProtocolKind, Scenario};
-use crate::spec_run::{representative, run_spec_streamed};
+use crate::spec_run::{representative, run_fleet};
 use crate::supervisor::{
     config_hash, encode_line, load_journal_indexed, run_point, ReplicaRecord, SupervisorConfig,
 };
@@ -61,18 +61,18 @@ impl EcgridJobHandler {
         state_dir.join("journal.jsonl")
     }
 
-    fn kind_of(spec: &JobSpec) -> Result<JobKind, String> {
+    fn job_of(spec: &JobSpec) -> Result<FleetJob, String> {
         let protocol = parse_protocol(&spec.protocol)
             .ok_or_else(|| format!("unknown protocol \"{}\" (grid|ecgrid|gaf|span)", spec.protocol))?;
         if !spec.scenario.is_empty() {
             let text = scenario_hex_decode(&spec.scenario)?;
             let parsed = scenario::parse(&text).map_err(|e| format!("scenario: {e}"))?;
-            return Ok(JobKind::Spec(Box::new(parsed), protocol));
+            return Ok(FleetJob::from_file(parsed, protocol));
         }
         if spec.n_hosts == 0 || spec.duration_secs <= 0.0 {
             return Err("n_hosts and duration_secs must be positive".into());
         }
-        Ok(JobKind::Classic(Scenario {
+        Ok(FleetJob::classic(Scenario {
             protocol,
             n_hosts: spec.n_hosts as usize,
             max_speed: spec.max_speed,
@@ -101,22 +101,80 @@ impl EcgridJobHandler {
         Ok(opts)
     }
 
-    fn key_of(&self, spec: &JobSpec) -> Result<(JobKind, RunOptions, u64), String> {
-        let kind = Self::kind_of(spec)?;
+    fn key_of(&self, spec: &JobSpec) -> Result<(FleetJob, RunOptions, u64), String> {
+        let job = Self::job_of(spec)?;
         let opts = self.opts_of(spec)?;
-        let cfg = match &kind {
-            JobKind::Classic(sc) => config_hash(sc, &opts),
-            JobKind::Spec(sp, protocol) => spec_config_hash(sp, *protocol, &opts),
-        };
-        Ok((kind, opts, cfg))
+        let cfg = job.config_hash(&opts);
+        Ok((job, opts, cfg))
     }
 }
 
-/// How a job describes its fleet: the classic scalar shape, or a parsed
-/// scenario file (heterogeneous groups, protocol still from the spec).
-enum JobKind {
-    Classic(Scenario),
-    Spec(Box<ScenarioSpec>, ProtocolKind),
+/// One fleet bound to a protocol, in the supervisor's vocabulary.  Every
+/// job — the classic scalar shape or a parsed scenario file — is a
+/// [`ScenarioSpec`] by the time it runs; what differs is only how its
+/// results are labelled and how its journal key is derived.
+pub struct FleetJob {
+    fleet: ScenarioSpec,
+    protocol: ProtocolKind,
+    /// The `Scenario` point the supervisor, failure records and results
+    /// echo: the classic scenario itself, or a scenario file's
+    /// representative shape.
+    pub echo: Scenario,
+    /// Lowered from a classic `Scenario` (results carry no per-group
+    /// rollup, the journal key is [`config_hash`]).
+    classic: bool,
+}
+
+impl FleetJob {
+    pub fn classic(sc: Scenario) -> Self {
+        FleetJob {
+            fleet: sc.to_spec(),
+            protocol: sc.protocol,
+            echo: sc,
+            classic: true,
+        }
+    }
+
+    pub fn from_file(fleet: ScenarioSpec, protocol: ProtocolKind) -> Self {
+        FleetJob {
+            echo: representative(&fleet, protocol),
+            fleet,
+            protocol,
+            classic: false,
+        }
+    }
+
+    /// The journal config key (with a seed, the resume key).
+    pub fn config_hash(&self, opts: &RunOptions) -> u64 {
+        if self.classic {
+            config_hash(&self.echo, opts)
+        } else {
+            spec_config_hash(&self.fleet, self.protocol, opts)
+        }
+    }
+
+    /// Run the fleet at `point`'s seed — the supervisor varies only the
+    /// seed between replicas and retries, so that is all that is bound
+    /// back onto the fleet.  Shaped to sit inside a
+    /// [`crate::supervisor::ScenarioRunner`] closure.
+    pub fn run(
+        &self,
+        point: &Scenario,
+        opts: RunOptions,
+        probe: Option<Arc<ProgressProbe>>,
+        sink: Option<manet::trace::EventSink>,
+    ) -> ScenarioResult {
+        let fleet = ScenarioSpec {
+            seed: point.seed,
+            ..self.fleet.clone()
+        };
+        let res = run_fleet(&fleet, self.protocol, opts, probe, sink);
+        if self.classic {
+            res.into_classic(point)
+        } else {
+            res
+        }
+    }
 }
 
 /// [`config_hash`] analogue for scenario-file jobs: the canonical
@@ -188,7 +246,7 @@ impl JobHandler for EcgridJobHandler {
     }
 
     fn run(&self, spec: &JobSpec, ctx: &JobCtx<'_>) -> JobOutcome {
-        let (kind, opts, cfg) = match self.key_of(spec) {
+        let (job, opts, cfg) = match self.key_of(spec) {
             Ok(k) => k,
             Err(e) => {
                 // submit validated the spec already; a failure here means
@@ -202,13 +260,8 @@ impl JobHandler for EcgridJobHandler {
             }
         };
         // the supervisor and the replica loop speak classic `Scenario`
-        // points; a scenario-file job runs through a representative shape
-        // (host count, duration) whose per-replica seed the runner binds
-        // back onto the parsed spec
-        let (sc, pname) = match &kind {
-            JobKind::Classic(sc) => (*sc, sc.protocol.name()),
-            JobKind::Spec(sp, protocol) => (representative(sp, *protocol), protocol.name()),
-        };
+        // points: the job's echo shape, reseeded per replica
+        let (sc, pname) = (job.echo, job.protocol.name());
         let journal = Self::journal_path(ctx.state_dir);
         let (mut journaled, malformed) = load_journal_indexed(&journal);
         if let Some(dir) = journal.parent() {
@@ -256,34 +309,13 @@ impl JobHandler for EcgridJobHandler {
             }
             // fresh replica: run under full supervision, streaming each
             // recorded event to this job's subscribers as it happens
-            let hub = ctx.hub.clone();
-            let job_id = ctx.job;
-            let out = match &kind {
-                JobKind::Classic(_) => {
-                    let runner = move |s: &Scenario, o: RunOptions, p: Option<Arc<ProgressProbe>>| {
-                        let hub = hub.clone();
-                        let sink: manet::trace::EventSink =
-                            Arc::new(move |ev| hub.publish_event(job_id, k, pname, ev));
-                        run_scenario_streamed(s, o, p, sink)
-                    };
-                    run_point(&runner, &point, opts, &self.sup)
-                }
-                JobKind::Spec(sp, protocol) => {
-                    let sp = sp.clone();
-                    let protocol = *protocol;
-                    let runner = move |s: &Scenario, o: RunOptions, p: Option<Arc<ProgressProbe>>| {
-                        let hub = hub.clone();
-                        let sink: manet::trace::EventSink =
-                            Arc::new(move |ev| hub.publish_event(job_id, k, pname, ev));
-                        // the supervisor varies only the seed between
-                        // replicas; rebind it onto the parsed spec
-                        let mut sp = (*sp).clone();
-                        sp.seed = s.seed;
-                        run_spec_streamed(&sp, protocol, o, p, sink)
-                    };
-                    run_point(&runner, &point, opts, &self.sup)
-                }
+            let runner = |s: &Scenario, o: RunOptions, p: Option<Arc<ProgressProbe>>| {
+                let (hub, job_id) = (ctx.hub.clone(), ctx.job);
+                let sink: manet::trace::EventSink =
+                    Arc::new(move |ev| hub.publish_event(job_id, k, pname, ev));
+                job.run(s, o, p, Some(sink))
             };
+            let out = run_point(&runner, &point, opts, &self.sup);
             for f in &out.failures {
                 ctx.hub
                     .publish_frame(ctx.job, &frame_failure(ctx.job, k, f.attempt, &f.to_string()));

@@ -1,21 +1,24 @@
-//! Running a declarative scenario file (the `scenario` crate's
-//! [`ScenarioSpec`]): heterogeneous groups of hosts — per-group battery,
-//! radio range, GPS error, mobility model, and traffic role — executed
-//! through exactly the same deterministic plumbing as the classic
-//! homogeneous scenarios.
+//! The one fleet pipeline: [`run_fleet`] turns a [`ScenarioSpec`] —
+//! heterogeneous groups of hosts with per-group battery, radio range, GPS
+//! error, mobility model, and traffic role — into a world config, a
+//! fleet, a flow set, and a [`ScenarioResult`].  Scenario files arrive
+//! here parsed ([`run_spec`]); the paper's homogeneous `Scenario` arrives
+//! lowered by `Scenario::to_spec` (the `crate::run` entry points), as the
+//! one- or two-group degenerate case it is.  Nothing else in this
+//! library builds a world (the ablation/probe bins that pass custom
+//! protocol configs assemble their own).
 //!
-//! Determinism contract: every random artifact is keyed the same way the
-//! homogeneous path keys it — host `i`'s mobility trace draws from
-//! `RngFactory::new(seed).stream("mobility", i)`, the flow assignment
-//! from `stream("traffic", 0)` — plus group-level streams
-//! (`"mobility.ref"`, `"mobility.spots"`) for artifacts shared by a whole
-//! group (a convoy's reference trajectory, a hotspot set).  Battery
-//! manufacturing spread uses stateless hash draws keyed on the scenario
-//! seed, so a zero variance performs no draws at all.  The result —
-//! including its trace digest — is therefore a pure function of
-//! (scenario text, protocol, options), invariant across scheduler
-//! backends, shard counts, and thread counts like every other run
-//! (proven by `tests/scenario_golden.rs`).
+//! Determinism contract: host `i`'s mobility trace draws from
+//! `RngFactory::new(seed).stream("mobility", i)` whatever group it falls
+//! in, the flow assignment from `stream("traffic", 0)`; group-level
+//! streams (`"mobility.ref"`, `"mobility.spots"`) feed artifacts shared
+//! by a whole group (a convoy's reference trajectory, a hotspot set).
+//! Battery manufacturing spread uses stateless hash draws keyed on the
+//! scenario seed, so a zero variance performs no draws at all.  The
+//! result — including its trace digest — is therefore a pure function of
+//! (spec, protocol, options), invariant across scheduler backends, shard
+//! counts, and thread counts (proven by `tests/golden_trace.rs` for the
+//! lowered paper fleets and `tests/scenario_golden.rs` for the files).
 
 use crate::run::{parallel_override, RunOptions, ScenarioResult};
 use crate::scenario::{ProtocolKind, Scenario};
@@ -209,7 +212,7 @@ fn group_shared(
 /// Build the full heterogeneous fleet: one [`HostSetup`] per host in
 /// group order, carrying the group's battery, range, GPS sigma, and
 /// group index.  Span hosts carry no GPS (the protocol is not
-/// location-aware), matching the homogeneous path.
+/// location-aware).
 fn build_hosts(spec: &ScenarioSpec, protocol: ProtocolKind, horizon: SimTime) -> Vec<HostSetup> {
     let rngs = RngFactory::new(spec.seed);
     let profile = if protocol == ProtocolKind::Span {
@@ -315,19 +318,19 @@ pub(crate) fn representative(spec: &ScenarioSpec, protocol: ProtocolKind) -> Sce
     }
 }
 
-/// Attach per-group reports to a finished run: liveness/energy from the
-/// world's group rollup, delivery from folding the ledger's per-flow
-/// counts through the flow → source-group map.
-fn attach_groups(
-    mut result: ScenarioResult,
+/// Per-group reports of a finished run: liveness/energy from the world's
+/// group rollup, delivery from folding the ledger's per-flow counts
+/// through the flow → source-group map.
+fn group_reports(
     spec: &ScenarioSpec,
-    gstats: Vec<GroupStats>,
+    gstats: &[GroupStats],
+    ledger: &metrics::PacketLedger,
     flow_group: &HashMap<u32, u16>,
-) -> ScenarioResult {
+) -> Vec<GroupReport> {
     let mut reports: Vec<GroupReport> = spec
         .groups
         .iter()
-        .zip(&gstats)
+        .zip(gstats)
         .map(|(g, stats)| GroupReport {
             name: g.name.clone(),
             role: g.role.name(),
@@ -337,7 +340,7 @@ fn attach_groups(
             delivered: 0,
         })
         .collect();
-    for (flow, sent, delivered) in result.ledger.per_flow() {
+    for (flow, sent, delivered) in ledger.per_flow() {
         if let Some(&gi) = flow_group.get(&flow) {
             if let Some(r) = reports.get_mut(gi as usize) {
                 r.sent += sent;
@@ -345,40 +348,21 @@ fn attach_groups(
             }
         }
     }
-    result.groups = reports;
-    result
+    reports
 }
 
 /// Run a parsed scenario file under `protocol`.  See module docs for the
 /// determinism contract.
 pub fn run_spec(spec: &ScenarioSpec, protocol: ProtocolKind, opts: RunOptions) -> ScenarioResult {
-    run_spec_probed(spec, protocol, opts, None)
+    run_fleet(spec, protocol, opts, None, None)
 }
 
-/// [`run_spec`], sharing a [`ProgressProbe`] with a supervisor (and
-/// optionally a live event sink — the sweep service's streaming path).
-pub fn run_spec_probed(
-    spec: &ScenarioSpec,
-    protocol: ProtocolKind,
-    opts: RunOptions,
-    probe: Option<Arc<ProgressProbe>>,
-) -> ScenarioResult {
-    run_spec_inner(spec, protocol, opts, probe, None)
-}
-
-/// [`run_spec_probed`] with a live event sink (see
-/// `run::run_scenario_streamed`).
-pub fn run_spec_streamed(
-    spec: &ScenarioSpec,
-    protocol: ProtocolKind,
-    opts: RunOptions,
-    probe: Option<Arc<ProgressProbe>>,
-    sink: manet::trace::EventSink,
-) -> ScenarioResult {
-    run_spec_inner(spec, protocol, opts, probe, Some(sink))
-}
-
-fn run_spec_inner(
+/// Build and run one fleet.  `probe` is shared with a supervisor and
+/// updated throughout the run, so a panicking run can still report how
+/// far it got; `sink` is handed every recorded trace event as it is
+/// recorded (the sweep service's streaming path) and is digest-neutral
+/// by construction — it observes recording, it cannot alter it.
+pub fn run_fleet(
     spec: &ScenarioSpec,
     protocol: ProtocolKind,
     opts: RunOptions,
@@ -386,7 +370,10 @@ fn run_spec_inner(
     sink: Option<manet::trace::EventSink>,
 ) -> ScenarioResult {
     let end = SimTime::from_secs_f64(spec.duration_s);
+    // traces must outlive the run comfortably
     let horizon = end + sim_engine::SimDuration::from_secs(10);
+    // the effective fault seed folds the scenario seed in, so replicas of
+    // the same plan see different (but each fully deterministic) faults
     let faults = opts
         .faults
         .with_seed(derive_seed(spec.seed, "fault", opts.faults.seed));
@@ -430,7 +417,6 @@ fn run_spec_inner(
         .iter()
         .flat_map(|g| std::iter::repeat_n(g.role == Role::Endpoint, g.count))
         .collect();
-    let sc = representative(spec, protocol);
 
     macro_rules! run_world {
         ($world:expr) => {{
@@ -464,9 +450,8 @@ fn run_spec_inner(
             )))
         }
         ProtocolKind::Gaf => {
-            let eps = is_endpoint.clone();
             run_world!(World::new(cfg, hosts, flows, move |id| {
-                if eps[id.index()] {
+                if is_endpoint[id.index()] {
                     GafProto::endpoint(GafConfig::default(), id)
                 } else {
                     GafProto::new(GafConfig::default(), id)
@@ -474,9 +459,8 @@ fn run_spec_inner(
             }))
         }
         ProtocolKind::Span => {
-            let eps = is_endpoint.clone();
             run_world!(World::new(cfg, hosts, flows, move |id| {
-                if eps[id.index()] {
+                if is_endpoint[id.index()] {
                     SpanProto::endpoint(SpanConfig::default(), id)
                 } else {
                     SpanProto::new(SpanConfig::default(), id)
@@ -486,8 +470,9 @@ fn run_spec_inner(
     };
     let cutoff = SimTime::from_secs(590);
     let early = out.ledger.before(cutoff);
-    let result = ScenarioResult {
-        scenario: sc,
+    ScenarioResult {
+        scenario: representative(spec, protocol),
+        groups: group_reports(spec, &gstats, &out.ledger, &flow_group),
         pdr: out.ledger.delivery_rate(),
         latency_ms: out.ledger.mean_latency_ms(),
         pdr_590: early.delivery_rate(),
@@ -501,9 +486,7 @@ fn run_spec_inner(
         recorder,
         budget_exceeded: out.budget_exceeded,
         engine,
-        groups: Vec::new(),
-    };
-    attach_groups(result, spec, gstats, &flow_group)
+    }
 }
 
 #[cfg(test)]
@@ -593,6 +576,35 @@ rate_pps = 1.0
         assert_eq!(r.groups[1].stats.finite, 0);
         assert_eq!(r.groups[1].stats.hosts, 4);
         assert!(r.groups[0].stats.finite == 20);
+    }
+
+    #[test]
+    fn protocols_share_the_same_mobility_per_seed() {
+        // host i's trace is keyed on (seed, i) alone: neither the protocol
+        // nor the group split its lowering picks (Grid: one group, GAF:
+        // relays then endpoints) may move anybody
+        let sc = Scenario {
+            n_hosts: 16,
+            model1_endpoints: 4,
+            duration_secs: 60.0,
+            ..Scenario::paper_base(ProtocolKind::Grid, 1.0, 7)
+        };
+        let gaf = Scenario {
+            protocol: ProtocolKind::Gaf,
+            ..sc
+        };
+        let horizon = SimTime::from_secs(70);
+        let at = SimTime::from_secs(33);
+        let grid_hosts = build_hosts(&sc.to_spec(), ProtocolKind::Grid, horizon);
+        let ecgrid_hosts = build_hosts(&sc.to_spec(), ProtocolKind::Ecgrid, horizon);
+        let gaf_hosts = build_hosts(&gaf.to_spec(), ProtocolKind::Gaf, horizon);
+        assert_eq!((grid_hosts.len(), gaf_hosts.len()), (16, 20));
+        for (i, g) in grid_hosts.iter().enumerate() {
+            assert_eq!(g.trace.position_at(at), ecgrid_hosts[i].trace.position_at(at));
+            assert_eq!(g.trace.position_at(at), gaf_hosts[i].trace.position_at(at));
+        }
+        assert_eq!(gaf_hosts[15].group, 0);
+        assert_eq!(gaf_hosts[16].group, 1, "endpoints follow the relays");
     }
 
     #[test]

@@ -297,7 +297,8 @@ impl SweepReport {
 /// The job a supervisor isolates: anything that runs one scenario to a
 /// [`ScenarioResult`].  Production sweeps pass [`run_scenario_probed`];
 /// tests substitute deliberately crashing protocols.
-pub type ScenarioRunner = dyn Fn(&Scenario, RunOptions, Option<Arc<ProgressProbe>>) -> ScenarioResult + Sync;
+pub type ScenarioRunner<'a> =
+    dyn Fn(&Scenario, RunOptions, Option<Arc<ProgressProbe>>) -> ScenarioResult + Sync + 'a;
 
 /// Outcome of one (scenario, replica) point after retries.
 #[derive(Clone, Debug)]
@@ -321,7 +322,7 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// One isolated attempt: run `sc` with `seed` substituted, converting a
 /// panic or a tripped watchdog into a [`RunFailure`].
 fn attempt_one(
-    runner: &ScenarioRunner,
+    runner: &ScenarioRunner<'_>,
     sc: &Scenario,
     seed: u64,
     attempt: u32,
@@ -357,7 +358,7 @@ fn attempt_one(
 /// different deterministic trajectory while every attempted seed stays
 /// replayable from its failure record.
 pub fn run_point(
-    runner: &ScenarioRunner,
+    runner: &ScenarioRunner<'_>,
     sc: &Scenario,
     opts: RunOptions,
     sup: &SupervisorConfig,
@@ -623,7 +624,23 @@ pub fn sweep_supervised_with(
     replicas: usize,
     opts: RunOptions,
     sup: &SupervisorConfig,
-    runner: &ScenarioRunner,
+    runner: &ScenarioRunner<'_>,
+) -> SweepReport {
+    let keyed: Vec<(u64, Scenario)> = scenarios.iter().map(|sc| (config_hash(sc, &opts), *sc)).collect();
+    sweep_keyed(&keyed, replicas, opts, sup, runner)
+}
+
+/// [`sweep_supervised_with`] over points that bring their own journal
+/// config key.  A scenario-file fleet's identity is its text, not the
+/// representative `Scenario` the supervisor echoes, so it must not share
+/// [`config_hash`] with the classic scenario of the same shape
+/// (`serve::FleetJob::config_hash` supplies the key for either kind).
+pub fn sweep_keyed(
+    points: &[(u64, Scenario)],
+    replicas: usize,
+    opts: RunOptions,
+    sup: &SupervisorConfig,
+    runner: &ScenarioRunner<'_>,
 ) -> SweepReport {
     assert!(replicas >= 1);
     let opts = sup.apply_budgets(opts);
@@ -640,11 +657,10 @@ pub fn sweep_supervised_with(
     // split the grid into journal hits and jobs still to run
     let mut loaded: Vec<(usize, ReplicaRecord)> = Vec::new();
     let mut jobs: Vec<(usize, u64, Scenario, u64)> = Vec::new();
-    for (idx, sc) in scenarios.iter().enumerate() {
-        let cfg = config_hash(sc, &opts);
+    for (idx, &(cfg, sc)) in points.iter().enumerate() {
         for k in 0..replicas as u64 {
             let seed = replica_seed(sc.seed, k);
-            let point = Scenario { seed, ..*sc };
+            let point = Scenario { seed, ..sc };
             match journaled.remove(&(cfg, seed)) {
                 Some(mut e) => {
                     e.replica = k; // trust our own indexing over the file's
@@ -688,7 +704,7 @@ pub fn sweep_supervised_with(
 
     // assemble per-scenario groups in deterministic (replica k) order, so
     // resume-vs-fresh float accumulation is identical
-    let mut groups: Vec<Vec<ReplicaRecord>> = (0..scenarios.len()).map(|_| Vec::new()).collect();
+    let mut groups: Vec<Vec<ReplicaRecord>> = (0..points.len()).map(|_| Vec::new()).collect();
     for (idx, rec) in loaded {
         groups[idx].push(rec);
     }
@@ -708,7 +724,7 @@ pub fn sweep_supervised_with(
                 groups[idx].push(ReplicaRecord::from_result(k, &res));
             }
             None => report.quarantined.push(QuarantinedPoint {
-                scenario: scenarios[idx],
+                scenario: points[idx].1,
                 replica: k,
                 failures: out.failures,
             }),

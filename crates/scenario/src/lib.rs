@@ -72,8 +72,9 @@ pub struct GroupSpec {
     /// Initial battery in joules; `None` is the `inf` literal (the host
     /// is excluded from alive/aen metrics, like Model-1 endpoints).
     pub battery_j: Option<f64>,
-    /// Per-host capacity variance in [0, 1]: host capacities are scaled
-    /// by a deterministic draw in `[1 - var, 1 + var]`.
+    /// Per-host capacity spread in [0, 1]: each host keeps a
+    /// deterministic draw in `[1 - var, 1]` of `battery_j` — at or below
+    /// nominal, never above.
     pub battery_var: f64,
     /// Radio range in meters.
     pub range_m: f64,

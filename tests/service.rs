@@ -313,19 +313,21 @@ rate_pps = 1.0
         replicas: 2,
         ..JobSpec::default()
     };
-    let (job, _) = client.submit_until_accepted(&spec, 0).expect("submit");
-    let mut group_metrics: Vec<String> = Vec::new();
-    let info = client
-        .stream_job(job, &FilterSpec::default(), |frame| {
-            if json::field(frame, "stream") == Some("metric") {
-                if let Some(name) = json::field(frame, "name") {
-                    if name.starts_with("group.") {
-                        group_metrics.push(name.to_string());
-                    }
+    // stream a job to completion, keeping the names of its metric frames
+    let mut metric_names = |spec: &JobSpec| {
+        let (job, _) = client.submit_until_accepted(spec, 0).expect("submit");
+        let mut names: Vec<String> = Vec::new();
+        let info = client
+            .stream_job(job, &FilterSpec::default(), |frame| {
+                if json::field(frame, "stream") == Some("metric") {
+                    names.extend(json::field(frame, "name").map(str::to_string));
                 }
-            }
-        })
-        .expect("stream");
+            })
+            .expect("stream");
+        (info, names)
+    };
+    let (info, names) = metric_names(&spec);
+    let group_metrics: Vec<&String> = names.iter().filter(|n| n.starts_with("group.")).collect();
     assert_eq!(info.state, Some(ecgrid_suite::service::JobState::Done));
     assert_eq!(info.completed, 2);
     assert_eq!(info.digests.len(), 2);
@@ -338,11 +340,25 @@ rate_pps = 1.0
         "group.collectors.alive_fraction",
     ] {
         assert_eq!(
-            group_metrics.iter().filter(|n| *n == name).count(),
+            group_metrics.iter().filter(|n| **n == name).count(),
             2,
             "metric {name} once per replica: {group_metrics:?}"
         );
     }
+
+    // a classic job runs as a lowered fleet too (GAF: relays + endpoints),
+    // but its frames stay what they always were: no group labels
+    let classic = JobSpec {
+        protocol: "gaf".into(),
+        ..tiny_spec(5, 1)
+    };
+    let (classic_info, classic_names) = metric_names(&classic);
+    assert_eq!(classic_info.completed, 1);
+    assert!(classic_names.iter().any(|n| n == "app.sent"), "{classic_names:?}");
+    assert!(
+        !classic_names.iter().any(|n| n.starts_with("group.")),
+        "classic job leaked group metrics: {classic_names:?}"
+    );
 
     // replica digests match a local run of the same file: the service
     // path adds supervision and streaming, not new randomness
