@@ -5,12 +5,13 @@ use crate::msg::{EcMsg, EcTimer};
 use grid_common::{
     elect_gateway, HelloInfo, NeighborGateways, RouteSnapshot, RouteTable, Rrep, Rreq, RreqSeen,
 };
+use manet::sim_engine::IdMap;
 use manet::{
     AppPacket, Ctx, EnergyLevel, EventKind, FrameKind, GridCoord, GridRect, NodeId, PageSignal, Protocol,
     SimDuration, SimTime,
 };
 use rand::Rng;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Initial TTL of data packets in grid-by-grid transit.
 const DATA_TTL: u8 = 32;
@@ -91,7 +92,7 @@ pub struct Ecgrid {
     seen: RreqSeen,
     neighbors: NeighborGateways,
     /// Gateway only: hosts known to live in my grid.
-    host_table: HashMap<NodeId, HostEntry>,
+    host_table: IdMap<NodeId, HostEntry>,
     /// HELLOs collected during the current election window.
     candidates: Vec<HelloInfo>,
     /// Epoch counters making stale timers harmless.
@@ -105,20 +106,20 @@ pub struct Ecgrid {
     my_seq: u32,
     rreq_counter: u32,
     /// Gateway: packets awaiting a route (keyed by destination).
-    pending_route: HashMap<NodeId, VecDeque<EcMsg>>,
+    pending_route: IdMap<NodeId, VecDeque<EcMsg>>,
     /// Gateway: packets awaiting a paged local host.
-    pending_wake: HashMap<NodeId, VecDeque<EcMsg>>,
+    pending_wake: IdMap<NodeId, VecDeque<EcMsg>>,
     /// Gateway: how many consecutive pages toward each sleeping host went
     /// unanswered (any frame from the host clears its entry).
-    page_attempts: HashMap<NodeId, u32>,
+    page_attempts: IdMap<NodeId, u32>,
     /// When the current uninterrupted sleep began (orphan detection).
     sleep_since: SimTime,
     /// Discoveries in flight: dst -> attempt.
-    discovering: HashMap<NodeId, u32>,
+    discovering: IdMap<NodeId, u32>,
     /// Last known grid of remote destinations (learned from RREPs; may be
     /// pre-seeded through [`Ecgrid::seed_location`]).  Used to confine the
     /// first search round to the covering rectangle (§3.3).
-    dst_hints: HashMap<NodeId, GridCoord>,
+    dst_hints: IdMap<NodeId, GridCoord>,
     /// Member: own packets awaiting a confirmed gateway (ACQ handshake).
     pending_own: Vec<(NodeId, AppPacket)>,
     awaiting_acq: bool,
@@ -145,7 +146,7 @@ impl Ecgrid {
             routes: RouteTable::new(SimDuration::from_secs_f64(cfg.route_ttl)),
             seen: RreqSeen::default(),
             neighbors: NeighborGateways::new(SimDuration::from_secs_f64(cfg.neighbor_ttl)),
-            host_table: HashMap::new(),
+            host_table: IdMap::default(),
             candidates: Vec::new(),
             election_epoch: 0,
             watch_epoch: 0,
@@ -155,12 +156,12 @@ impl Ecgrid {
             handoff_epoch: 0,
             my_seq: 0,
             rreq_counter: 0,
-            pending_route: HashMap::new(),
-            pending_wake: HashMap::new(),
-            page_attempts: HashMap::new(),
+            pending_route: IdMap::default(),
+            pending_wake: IdMap::default(),
+            page_attempts: IdMap::default(),
             sleep_since: SimTime::ZERO,
-            discovering: HashMap::new(),
-            dst_hints: HashMap::new(),
+            discovering: IdMap::default(),
+            dst_hints: IdMap::default(),
             pending_own: Vec::new(),
             awaiting_acq: false,
             last_gw_hello: SimTime::ZERO,
@@ -901,8 +902,10 @@ impl Protocol for Ecgrid {
 
     fn on_frame(&mut self, ctx: &mut Ctx<'_, Self>, src: NodeId, _kind: FrameKind, msg: &EcMsg) {
         // any frame from a host proves it is awake: its page-failure
-        // streak (if any) is over
-        self.page_attempts.remove(&src);
+        // streak (if any) is over — and almost always nobody has one
+        if !self.page_attempts.is_empty() {
+            self.page_attempts.remove(&src);
+        }
         match msg {
             EcMsg::Hello(h) => self.on_hello(ctx, src, *h),
             EcMsg::Retire { grid, routes, hosts } => self.on_retire(ctx, *grid, routes, hosts),

@@ -1,7 +1,8 @@
 //! Route discovery packets (§3.3) and duplicate suppression.
 
+use manet::sim_engine::IdSet;
 use manet::{AppPacket, GridCoord, GridRect, NodeId, WireSize};
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 
 /// Route request — `RREQ(S, s_seq, D, d_seq, id, range)` plus the grid the
 /// packet was last rebroadcast from (carried so receivers can set up the
@@ -75,7 +76,7 @@ impl WireSize for DataMsg {
 /// Bounded duplicate-RREQ filter keyed on `(src, id)`.
 #[derive(Clone, Debug)]
 pub struct RreqSeen {
-    set: HashSet<(NodeId, u32)>,
+    set: IdSet<(NodeId, u32)>,
     order: VecDeque<(NodeId, u32)>,
     cap: usize,
 }
@@ -90,7 +91,7 @@ impl RreqSeen {
     pub fn new(cap: usize) -> Self {
         assert!(cap > 0);
         RreqSeen {
-            set: HashSet::new(),
+            set: IdSet::default(),
             order: VecDeque::new(),
             cap,
         }

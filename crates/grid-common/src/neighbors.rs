@@ -6,58 +6,69 @@
 //! known gateway node of that grid, with staleness expiry.
 
 use manet::{GridCoord, NodeId, SimDuration, SimTime};
-use std::collections::HashMap;
 
 /// Grid → (gateway node, last heard) with TTL.
+///
+/// A host only ever hears gateways within radio range — a couple of dozen
+/// grids — and [`note`](Self::note) runs once per receiver per HELLO, so
+/// the cache is a small contiguous table scanned linearly: no hashing, one
+/// cache line or two per lookup.  Entry order is an accident of history
+/// and nothing reads it.
 #[derive(Clone, Debug)]
 pub struct NeighborGateways {
-    map: HashMap<GridCoord, (NodeId, SimTime)>,
+    entries: Vec<(GridCoord, NodeId, SimTime)>,
     ttl: SimDuration,
 }
 
 impl NeighborGateways {
     pub fn new(ttl: SimDuration) -> Self {
         NeighborGateways {
-            map: HashMap::new(),
+            entries: Vec::new(),
             ttl,
         }
     }
 
     /// Record a gateway HELLO from `grid`.
     pub fn note(&mut self, grid: GridCoord, gw: NodeId, now: SimTime) {
-        self.map.insert(grid, (gw, now));
+        match self.entries.iter_mut().find(|e| e.0 == grid) {
+            Some(e) => *e = (grid, gw, now),
+            None => self.entries.push((grid, gw, now)),
+        }
     }
 
     /// Current gateway of `grid`, if fresh.
     pub fn get(&self, grid: GridCoord, now: SimTime) -> Option<NodeId> {
-        self.map
-            .get(&grid)
-            .filter(|(_, heard)| now.since(*heard) < self.ttl)
-            .map(|(id, _)| *id)
+        self.entries
+            .iter()
+            .find(|e| e.0 == grid)
+            .filter(|e| now.since(e.2) < self.ttl)
+            .map(|e| e.1)
     }
 
     /// Forget a node everywhere (it retired or was seen without gflag).
     pub fn forget_node(&mut self, node: NodeId) {
-        self.map.retain(|_, (id, _)| *id != node);
+        self.entries.retain(|e| e.1 != node);
     }
 
     /// Forget a grid's entry.
     pub fn forget_grid(&mut self, grid: GridCoord) {
-        self.map.remove(&grid);
+        if let Some(i) = self.entries.iter().position(|e| e.0 == grid) {
+            self.entries.swap_remove(i);
+        }
     }
 
     /// Drop stale entries.
     pub fn purge(&mut self, now: SimTime) {
         let ttl = self.ttl;
-        self.map.retain(|_, (_, heard)| now.since(*heard) < ttl);
+        self.entries.retain(|e| now.since(e.2) < ttl);
     }
 
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.entries.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.entries.is_empty()
     }
 }
 

@@ -6,8 +6,8 @@
 //! carry the destination sequence number for freshness comparison and an
 //! expiry time.
 
+use manet::sim_engine::IdMap;
 use manet::{GridCoord, NodeId, SimDuration, SimTime};
-use std::collections::HashMap;
 
 /// One routing-table entry.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -29,7 +29,7 @@ pub type RouteSnapshot = Vec<(NodeId, RouteEntry)>;
 /// The gateway's routing table.
 #[derive(Clone, Debug)]
 pub struct RouteTable {
-    map: HashMap<NodeId, RouteEntry>,
+    map: IdMap<NodeId, RouteEntry>,
     ttl: SimDuration,
 }
 
@@ -37,7 +37,7 @@ impl RouteTable {
     /// `ttl` is the lifetime of newly-installed entries.
     pub fn new(ttl: SimDuration) -> Self {
         RouteTable {
-            map: HashMap::new(),
+            map: IdMap::default(),
             ttl,
         }
     }

@@ -5,12 +5,13 @@ use grid_common::{
     elect_gateway, HelloInfo, NeighborGateways, RouteSnapshot, RouteTable, Rrep, Rreq, RreqSeen,
     SearchStrategy,
 };
+use manet::sim_engine::IdMap;
 use manet::{
     AppPacket, Ctx, EventKind, FrameKind, GridCoord, GridRect, NodeId, Protocol, SimDuration, SimTime,
     WireSize,
 };
 use rand::Rng;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 const DATA_TTL: u8 = 32;
 
@@ -130,16 +131,16 @@ pub struct GridProto {
     routes: RouteTable,
     seen: RreqSeen,
     neighbors: NeighborGateways,
-    host_table: HashMap<NodeId, SimTime>,
+    host_table: IdMap<NodeId, SimTime>,
     candidates: Vec<HelloInfo>,
     election_epoch: u32,
     watch_epoch: u32,
     my_seq: u32,
     rreq_counter: u32,
-    pending_route: HashMap<NodeId, VecDeque<GridMsg>>,
-    discovering: HashMap<NodeId, u32>,
+    pending_route: IdMap<NodeId, VecDeque<GridMsg>>,
+    discovering: IdMap<NodeId, u32>,
     pending_own: Vec<(NodeId, AppPacket)>,
-    dst_hints: HashMap<NodeId, GridCoord>,
+    dst_hints: IdMap<NodeId, GridCoord>,
     last_gw_hello: SimTime,
     last_own_hello: SimTime,
     /// The cell the trace recorder believes this host is gateway of
@@ -159,16 +160,16 @@ impl GridProto {
             routes: RouteTable::new(SimDuration::from_secs_f64(cfg.route_ttl)),
             seen: RreqSeen::default(),
             neighbors: NeighborGateways::new(SimDuration::from_secs_f64(cfg.neighbor_ttl)),
-            host_table: HashMap::new(),
+            host_table: IdMap::default(),
             candidates: Vec::new(),
             election_epoch: 0,
             watch_epoch: 0,
             my_seq: 0,
             rreq_counter: 0,
-            pending_route: HashMap::new(),
-            discovering: HashMap::new(),
+            pending_route: IdMap::default(),
+            discovering: IdMap::default(),
             pending_own: Vec::new(),
-            dst_hints: HashMap::new(),
+            dst_hints: IdMap::default(),
             last_gw_hello: SimTime::ZERO,
             last_own_hello: SimTime::ZERO,
             gw_traced: None,

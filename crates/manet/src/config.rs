@@ -61,8 +61,7 @@ pub struct WorldConfig {
     /// event queue, event slab, and channel state, merged at every pop in
     /// deterministic `(time, queue_seq, shard_id)` order.  Replays are
     /// bit-identical to the serial engine (proven by
-    /// `tests/parallel_equivalence.rs`); the win is per-shard channel
-    /// bookkeeping amortized to epoch barriers.  See DESIGN.md §12.
+    /// `tests/parallel_equivalence.rs`).  See DESIGN.md §12.
     pub parallel_world: bool,
     /// Shard count for `parallel_world`.  `0` means auto: derive K from
     /// `std::thread::available_parallelism`.  Ignored by the serial

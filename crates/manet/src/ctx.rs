@@ -12,7 +12,7 @@ use geo::{GridCoord, GridMap, Point2, Vec2};
 use mobility::MobilityTrace;
 use radio::{FrameKind, NodeId};
 use rand::rngs::StdRng;
-use sim_engine::{SimDuration, SimTime};
+use sim_engine::{EventHandle, SimDuration, SimTime};
 
 /// An application-layer data packet (one CBR packet).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -30,9 +30,80 @@ impl AppPacket {
     }
 }
 
-/// Handle to a pending protocol timer.
+/// Handle to a pending protocol timer: a [`TimerSlab`] slot in the low
+/// half, the slot's generation when the timer was set in the high half.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct TimerId(pub(crate) u64);
+
+struct TimerSlot<T> {
+    /// Bumped whenever the slot's timer fires or is cancelled, so ids of
+    /// earlier tenants match nothing.
+    generation: u32,
+    armed: Option<(NodeId, T, EventHandle)>,
+}
+
+/// The world's pending protocol timers, addressed by the id their timer
+/// event carries: slot lookups instead of a hash map, and a slot universe
+/// bounded by the timers pending at once.
+pub(crate) struct TimerSlab<T> {
+    slots: Vec<TimerSlot<T>>,
+    free: Vec<u32>,
+}
+
+impl<T> TimerSlab<T> {
+    pub(crate) fn new() -> Self {
+        TimerSlab {
+            slots: Vec::new(),
+            free: Vec::new(),
+        }
+    }
+
+    /// Claim a slot for a timer about to be armed.
+    fn reserve(&mut self) -> TimerId {
+        let slot = self.free.pop().unwrap_or_else(|| {
+            self.slots.push(TimerSlot {
+                generation: 0,
+                armed: None,
+            });
+            (self.slots.len() - 1) as u32
+        });
+        TimerId(u64::from(self.slots[slot as usize].generation) << 32 | u64::from(slot))
+    }
+
+    /// Fill the slot `id` reserved.
+    pub(crate) fn arm(&mut self, id: TimerId, owner: NodeId, timer: T, handle: EventHandle) {
+        let slot = &mut self.slots[id.0 as u32 as usize];
+        debug_assert!(slot.generation == (id.0 >> 32) as u32 && slot.armed.is_none());
+        slot.armed = Some((owner, timer, handle));
+    }
+
+    /// Take the timer `id` names out of the slab, if it is still pending
+    /// (`None` once it has fired or been cancelled — the slot may since
+    /// have gone to another timer).
+    pub(crate) fn disarm(&mut self, id: u64) -> Option<(NodeId, T, EventHandle)> {
+        let slot = self.slots.get_mut(id as u32 as usize)?;
+        if slot.generation != (id >> 32) as u32 {
+            return None;
+        }
+        let taken = slot.armed.take()?;
+        slot.generation = slot.generation.wrapping_add(1);
+        self.free.push(id as u32);
+        Some(taken)
+    }
+
+    /// Take out every pending timer of `owner`, handing each one's
+    /// scheduler handle to `cancel`.
+    pub(crate) fn disarm_all_of(&mut self, owner: NodeId, mut cancel: impl FnMut(EventHandle)) {
+        for i in 0..self.slots.len() {
+            let slot = &self.slots[i];
+            if slot.armed.as_ref().is_some_and(|(o, _, _)| *o == owner) {
+                let id = u64::from(slot.generation) << 32 | i as u64;
+                let (_, _, handle) = self.disarm(id).expect("armed under this generation");
+                cancel(handle);
+            }
+        }
+    }
+}
 
 /// Read-only snapshot of the host's state at dispatch time.
 #[derive(Clone, Copy, Debug)]
@@ -76,7 +147,7 @@ pub struct Ctx<'a, P: Protocol> {
     pub(crate) grid: &'a GridMap,
     pub(crate) trace: &'a MobilityTrace,
     pub(crate) rng: &'a mut StdRng,
-    pub(crate) next_timer_id: &'a mut u64,
+    pub(crate) timers: &'a mut TimerSlab<P::Timer>,
     pub(crate) cmds: Vec<Cmd<P>>,
     pub(crate) tracing: bool,
     pub(crate) emitting: bool,
@@ -204,8 +275,7 @@ impl<'a, P: Protocol> Ctx<'a, P> {
 
     /// Arm a timer `delay` from now.
     pub fn set_timer(&mut self, delay: SimDuration, timer: P::Timer) -> TimerId {
-        let id = TimerId(*self.next_timer_id);
-        *self.next_timer_id += 1;
+        let id = self.timers.reserve();
         self.cmds.push(Cmd::SetTimer { id, delay, timer });
         id
     }

@@ -2,7 +2,7 @@
 //! injection, energy bookkeeping, and metric sampling.
 
 use crate::config::{HostSetup, WorldConfig};
-use crate::ctx::{AppPacket, Cmd, Ctx, NodeView, TimerId};
+use crate::ctx::{AppPacket, Cmd, Ctx, NodeView, TimerId, TimerSlab};
 use crate::progress::ProgressProbe;
 use crate::protocol::{Protocol, WireSize};
 use crate::stats::WorldStats;
@@ -10,19 +10,19 @@ use energy::{Battery, EnergyLevel, EnergyMeter, RadioMode};
 use fault::FaultCtl;
 use geo::{GridCoord, Point2, Vec2};
 use metrics::{PacketLedger, TimeSeries};
-use mobility::MobilityTrace;
+use mobility::{LegCursor, MobilityTrace};
 use radio::frame::FrameMeta;
 use radio::{
-    auto_gather_threshold, ChannelState, FrameKind, GatherFallback, NeighborIndex, NodeId, PageSignal,
-    ShardMap, ShardedChannel, SpatialIndex,
+    auto_gather_threshold, ChannelState, FrameKind, GatherFallback, GatherScratch, NeighborIndex, NodeId,
+    PageSignal, ShardMap, ShardedChannel, SpatialIndex, Transmission,
 };
 use rand::rngs::StdRng;
 use rand::Rng;
 use sim_engine::{
-    chunk_count, derive_seed, BudgetExceeded, EventHandle, Mailbox, RngFactory, Scheduler, ShardedScheduler,
-    SimDuration, SimTime, SlicePtr, SplitMix64, WorkerPool,
+    chunk_count, derive_seed, BudgetExceeded, EventHandle, EventPool, Mailbox, RngFactory, Scheduler,
+    ShardedScheduler, SimDuration, SimTime, SlicePtr, SplitMix64, WorkerPool,
 };
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 use trace::{Event as TraceEvent, EventKind, FaultKind, Recorder, TraceDigest, TraceMode};
 
@@ -54,7 +54,8 @@ fn scenario_gps_offset(seed: u64, node: u32, sigma_m: f64, t_ns: u64) -> (f64, f
 
 /// Epoch-barrier maintenance cadence of the sharded engine (sim time):
 /// per-shard channel gc runs when the merged clock crosses this stride,
-/// instead of twice per transmission like the serial channel.  Retaining
+/// instead of twice per transmission like the serial channel — one pass
+/// over K shard channels per stride rather than per frame.  Retaining
 /// ended transmissions longer is invisible to results — carrier-sense and
 /// collision checks filter candidates by time — so the cadence is purely
 /// a memory/scan-length trade (a quarter of the gc grace keeps per-shard
@@ -109,7 +110,8 @@ enum Event {
     /// The node's MAC attempts to put its head-of-queue frame on the air.
     MacTryTx { node: NodeId },
     /// Transmission `tx_id` by `node` leaves the air; deliver receptions.
-    TxEnd { node: NodeId, tx_id: u64 },
+    /// `flight` is its slot in the world's flight slab.
+    TxEnd { node: NodeId, tx_id: u64, flight: u32 },
     /// The implicit ACK exchange for the node's last unicast concluded.
     AckDone { node: NodeId, ok: bool },
     /// Protocol timer `id` fires.
@@ -190,6 +192,8 @@ impl<M> Default for Mac<M> {
 /// (hosts that wake mid-frame missed the preamble and cannot receive it).
 struct Flight<M> {
     src: NodeId,
+    /// The sender's position at tx start (the channel entry's origin).
+    origin: Point2,
     kind: FrameKind,
     msg: M,
     start: SimTime,
@@ -325,29 +329,41 @@ impl WorldChannel {
         }
     }
 
+    /// The transmissions that can corrupt a reception of `tx_id` within
+    /// `reach` meters of its sender (see
+    /// [`ChannelState::interferers_into`]).
     #[inline]
     #[allow(clippy::too_many_arguments)]
-    fn corrupted(
+    fn interferers_into(
         &self,
-        shard: usize,
         tx_id: u64,
         src_origin: Point2,
-        receiver: Point2,
+        reach: f64,
         start: SimTime,
         end: SimTime,
-    ) -> bool {
+        out: &mut Vec<Transmission>,
+    ) {
         match self {
-            WorldChannel::Serial(c) => c.corrupted(tx_id, src_origin, receiver, start, end),
-            WorldChannel::Sharded(c) => c.corrupted(shard, tx_id, src_origin, receiver, start, end),
+            WorldChannel::Serial(c) => c.interferers_into(tx_id, src_origin, reach, start, end, out),
+            WorldChannel::Sharded(c) => c.interferers_into(tx_id, src_origin, reach, start, end, out),
         }
     }
 
-    /// The serial channel's historical per-transmission gc.  The sharded
-    /// channel skips it — ended entries are pruned at epoch barriers
-    /// instead, which is invisible to query results (both `busy_until`
-    /// and `corrupted` filter candidates by time, so entries retained
-    /// longer never change an answer) but removes the dominant
-    /// per-transmission cost at scale: the gc's index rebuild.
+    /// Per-receiver collision verdict against a flight's interferer list.
+    #[inline]
+    fn corrupted_by(&self, interferers: &[Transmission], src_origin: Point2, receiver: Point2) -> bool {
+        match self {
+            WorldChannel::Serial(c) => c.corrupted_by(interferers, src_origin, receiver),
+            WorldChannel::Sharded(c) => c.corrupted_by(interferers, src_origin, receiver),
+        }
+    }
+
+    /// The serial channel's per-transmission gc: expired frames pop off
+    /// the front of the channel's queue, O(1) each.  The sharded channel
+    /// skips it — its K shard channels are pruned together at epoch
+    /// barriers instead.  Either timing is invisible to query results:
+    /// both `busy_until` and the interferer list filter candidates by
+    /// time, so entries retained longer never change an answer.
     #[inline]
     fn gc_tx_path(&mut self, before: SimTime) {
         match self {
@@ -356,7 +372,8 @@ impl WorldChannel {
         }
     }
 
-    /// Epoch-barrier maintenance: prune every shard channel.
+    /// Epoch-barrier maintenance of the sharded engine: prune every shard
+    /// channel.
     fn gc_barrier(&mut self, before: SimTime) {
         match self {
             WorldChannel::Serial(c) => c.gc_before(before),
@@ -430,6 +447,10 @@ struct Hosts<P: Protocol> {
     protos: Vec<P>,
     meters: Vec<EnergyMeter>,
     traces: Vec<MobilityTrace>,
+    /// Each host's current trajectory leg, inline: the gather, reception
+    /// and paging loops read positions from here instead of chasing
+    /// `traces[j]` → segment vector → segment and bisecting per query.
+    legs: Vec<LegCursor>,
     /// Maintained grid cell (bucket coordinate) per host.
     cells: Vec<GridCoord>,
     rngs: Vec<StdRng>,
@@ -462,6 +483,7 @@ impl<P: Protocol> Hosts<P> {
             protos: Vec::with_capacity(n),
             meters: Vec::with_capacity(n),
             traces: Vec::with_capacity(n),
+            legs: Vec::with_capacity(n),
             cells: Vec::with_capacity(n),
             rngs: Vec::with_capacity(n),
             last_levels: Vec::with_capacity(n),
@@ -491,6 +513,7 @@ impl<P: Protocol> Hosts<P> {
         let level = meter.level();
         self.protos.push(proto);
         self.meters.push(meter);
+        self.legs.push(LegCursor::new(&trace));
         self.traces.push(trace);
         self.cells.push(cell);
         self.rngs.push(rng);
@@ -508,6 +531,12 @@ impl<P: Protocol> Hosts<P> {
     #[inline]
     fn len(&self) -> usize {
         self.meters.len()
+    }
+
+    /// `traces[i].position_at(t)`, bit for bit, through the cached leg.
+    #[inline]
+    fn pos_at(&mut self, i: usize, t: SimTime) -> Point2 {
+        self.legs[i].position_at(&self.traces[i], t)
     }
 }
 
@@ -571,14 +600,14 @@ pub struct World<P: Protocol> {
     channel: WorldChannel,
     /// `Some` iff running the sharded conservative-sync engine.
     shards: Option<ShardRuntime>,
-    flights: HashMap<u64, Flight<P::Msg>>,
+    /// Transmissions on the air, in slots their `TxEnd` events name.
+    flights: EventPool<Flight<P::Msg>>,
     flows: traffic::FlowSet,
     ledger: PacketLedger,
     alive_series: TimeSeries,
     aen_series: TimeSeries,
     stats: WorldStats,
-    timers: HashMap<u64, (NodeId, P::Timer, EventHandle)>,
-    next_timer_id: u64,
+    timers: TimerSlab<P::Timer>,
     /// Fault-plan runtime (no-op when the plan is all-zero).
     fault: FaultCtl,
     /// Kept for fault-plan rejoins: a rebooted host restarts with a fresh
@@ -601,10 +630,21 @@ pub struct World<P: Protocol> {
     /// Scratch candidate buffer for receiver discovery — reused across
     /// queries so the hot path never allocates.
     gather_buf: Vec<u32>,
+    /// Bitset the index orders a gather through, sized to the fleet (so
+    /// no fleet size sorts or zeroes a bitmap per transmission).
+    gather_scratch: GatherScratch,
     /// Recycled receiver vectors for `Flight`s (returned at tx end).
     recv_pool: Vec<Vec<NodeId>>,
     /// Scratch success list for `tx_end`.
     succ_buf: Vec<NodeId>,
+    /// Scratch interferer list of the flight `tx_end` is delivering.
+    interferers: Vec<Transmission>,
+    /// Recycled command buffer of `dispatch` (one callback at a time).
+    cmd_buf: Vec<Cmd<P>>,
+    /// Fastest leg of any host's trajectory (m/s): bounds how far a
+    /// receiver frozen inside a sender's disc can drift while the frame
+    /// is on the air.
+    max_speed: f64,
     /// Worker pool of the threaded engine (`parallel_world` with
     /// `threads > 1`); `None` runs every host-plane kernel inline.
     exec: Option<WorkerPool>,
@@ -660,6 +700,7 @@ impl<P: Protocol> World<P> {
             acc.max(r)
         });
         let reach_cells = (max_range / cfg.grid.cell_side()).ceil() as i32 + 1;
+        let max_speed = hosts.iter().map(|h| h.trace.max_speed()).fold(0.0, f64::max);
         // Bucketed carrier-sense/interference queries ride the same
         // toggle as receiver discovery, so `brute` really is the
         // end-to-end baseline.  Small populations skip the bucket
@@ -778,14 +819,13 @@ impl<P: Protocol> World<P> {
             sched,
             channel,
             shards,
-            flights: HashMap::new(),
+            flights: EventPool::new(),
             flows,
             ledger: PacketLedger::new(),
             alive_series: TimeSeries::new(),
             aen_series: TimeSeries::new(),
             stats: WorldStats::default(),
-            timers: HashMap::new(),
-            next_timer_id: 0,
+            timers: TimerSlab::new(),
             fault,
             factory: Box::new(factory),
             trace_log: None,
@@ -794,8 +834,12 @@ impl<P: Protocol> World<P> {
             reach_cells,
             auto_threshold: auto_gather_threshold(reach_cells),
             gather_buf: Vec::new(),
+            gather_scratch: GatherScratch::default(),
             recv_pool: Vec::new(),
             succ_buf: Vec::new(),
+            interferers: Vec::new(),
+            cmd_buf: Vec::new(),
+            max_speed,
             exec,
             threads,
             probe_mail: Mailbox::new(),
@@ -819,7 +863,7 @@ impl<P: Protocol> World<P> {
     /// — happens identically whichever path answered the query.  Because
     /// the lists are bit-identical, `GatherFallback::Auto` may flip
     /// between paths per query without perturbing the digest.
-    fn fill_candidates(&self, cell: GridCoord, out: &mut Vec<u32>) {
+    fn fill_candidates(&self, cell: GridCoord, scratch: &mut GatherScratch, out: &mut Vec<u32>) {
         let brute = match self.cfg.neighbor_index {
             NeighborIndex::Brute => true,
             NeighborIndex::Grid => match self.cfg.gather_fallback {
@@ -846,7 +890,7 @@ impl<P: Protocol> World<P> {
             }
         } else {
             self.index
-                .gather_sorted_into(cell.x, cell.y, self.reach_cells, out);
+                .gather_sorted_with(scratch, cell.x, cell.y, self.reach_cells, out);
         }
     }
 
@@ -856,7 +900,7 @@ impl<P: Protocol> World<P> {
     /// query, exposed for tools and the scaling benchmarks.
     pub fn neighbors_of(&self, cell: GridCoord) -> Vec<NodeId> {
         let mut out = Vec::new();
-        self.fill_candidates(cell, &mut out);
+        self.fill_candidates(cell, &mut GatherScratch::default(), &mut out);
         out.into_iter().map(NodeId).collect()
     }
 
@@ -1183,8 +1227,7 @@ impl<P: Protocol> World<P> {
             // Epoch barrier of the sharded engine: when the merged clock
             // crosses the stride, prune every shard channel of entries
             // older than the collision-back-check grace.  Timing of the
-            // prune is invisible to results (queries filter by time);
-            // amortizing it here is where the parallel speedup lives.
+            // prune is invisible to results (queries filter by time).
             if let Some(sr) = &mut self.shards {
                 if t >= sr.next_gc {
                     if t > SimTime::ZERO + CHANNEL_GC_GRACE {
@@ -1275,7 +1318,7 @@ impl<P: Protocol> World<P> {
     fn handle(&mut self, ev: Event) {
         match ev {
             Event::MacTryTx { node } => self.mac_try_tx(node),
-            Event::TxEnd { node, tx_id } => self.tx_end(node, tx_id),
+            Event::TxEnd { node, tx_id, flight } => self.tx_end(node, tx_id, flight),
             Event::AckDone { node, ok } => self.ack_done(node, ok),
             Event::Timer { node, id } => self.timer_fired(node, id),
             Event::Page { signal, origin } => self.page_arrives(signal, origin),
@@ -1308,17 +1351,8 @@ impl<P: Protocol> World<P> {
         self.hosts.rx_refs[i] = 0;
         self.hosts.sleep_pending[i] = false;
         // a crashed host's pending protocol timers must never fire
-        let stale: Vec<u64> = self
-            .timers
-            .iter()
-            .filter(|(_, (owner, _, _))| *owner == node)
-            .map(|(id, _)| *id)
-            .collect();
-        for id in stale {
-            if let Some((_, _, handle)) = self.timers.remove(&id) {
-                self.sched.cancel(handle);
-            }
-        }
+        let sched = &mut self.sched;
+        self.timers.disarm_all_of(node, |handle| sched.cancel(handle));
         self.set_mode(node, RadioMode::Sleep);
         self.stats.crashes += 1;
         self.log_system(node, "fault: crash");
@@ -1580,8 +1614,9 @@ impl<P: Protocol> World<P> {
         let sigma_off = scenario_gps_offset(self.cfg.seed, node.0, self.hosts.gps_sigmas[i], now.as_nanos());
         let gps_off = (gps_off.0 + sigma_off.0, gps_off.1 + sigma_off.1);
         let trace = &self.hosts.traces[i];
+        let leg = &mut self.hosts.legs[i];
         let meter = &self.hosts.meters[i];
-        let mut pos = trace.position_at(now);
+        let mut pos = leg.position_at(trace, now);
         if gps_off != (0.0, 0.0) {
             pos = (pos + Vec2::new(gps_off.0, gps_off.1))
                 .clamp_to(self.cfg.grid.width(), self.cfg.grid.height());
@@ -1590,7 +1625,7 @@ impl<P: Protocol> World<P> {
             now,
             id: node,
             pos,
-            vel: trace.velocity_at(now),
+            vel: leg.velocity_at(trace, now),
             cell: self.hosts.cells[i],
             mode: meter.mode(),
             rbrc: meter.rbrc(),
@@ -1603,26 +1638,28 @@ impl<P: Protocol> World<P> {
             grid: &self.cfg.grid,
             trace,
             rng: &mut self.hosts.rngs[i],
-            next_timer_id: &mut self.next_timer_id,
-            cmds: Vec::new(),
+            timers: &mut self.timers,
+            cmds: std::mem::take(&mut self.cmd_buf),
             tracing,
             emitting,
         };
         f(&mut self.hosts.protos[i], &mut ctx);
-        let cmds = ctx.cmds;
-        self.apply(node, cmds);
+        let mut cmds = ctx.cmds;
+        self.apply(node, &mut cmds);
+        self.cmd_buf = cmds;
     }
 
-    fn apply(&mut self, node: NodeId, cmds: Vec<Cmd<P>>) {
+    /// Apply (and drain) the commands a callback queued, in call order.
+    fn apply(&mut self, node: NodeId, cmds: &mut Vec<Cmd<P>>) {
         let now = self.sched.now();
-        for cmd in cmds {
+        for cmd in cmds.drain(..) {
             match cmd {
                 Cmd::Send { kind, msg } => self.mac_enqueue(node, kind, msg),
                 Cmd::Sleep => self.node_sleep(node),
                 Cmd::Wake => self.node_wake(node),
                 Cmd::PageHost(id) => {
                     self.stats.pages_sent += 1;
-                    let origin = self.hosts.traces[node.index()].position_at(now);
+                    let origin = self.hosts.pos_at(node.index(), now);
                     self.emit(|| EventKind::RasPage {
                         by: node,
                         signal: PageSignal::Host(id),
@@ -1641,7 +1678,7 @@ impl<P: Protocol> World<P> {
                 }
                 Cmd::PageGrid(cell) => {
                     self.stats.pages_sent += 1;
-                    let origin = self.hosts.traces[node.index()].position_at(now);
+                    let origin = self.hosts.pos_at(node.index(), now);
                     self.emit(|| EventKind::RasPage {
                         by: node,
                         signal: PageSignal::Grid(cell),
@@ -1661,10 +1698,10 @@ impl<P: Protocol> World<P> {
                 Cmd::SetTimer { id, delay, timer } => {
                     let sh = self.shard_of_node(node);
                     let handle = self.sched.schedule_in(sh, delay, Event::Timer { node, id: id.0 });
-                    self.timers.insert(id.0, (node, timer, handle));
+                    self.timers.arm(id, node, timer, handle);
                 }
                 Cmd::CancelTimer(TimerId(id)) => {
-                    if let Some((_, _, handle)) = self.timers.remove(&id) {
+                    if let Some((_, _, handle)) = self.timers.disarm(id) {
                         self.sched.cancel(handle);
                     }
                 }
@@ -1819,7 +1856,7 @@ impl<P: Protocol> World<P> {
             self.channel.gc_tx_path(now - CHANNEL_GC_GRACE);
         }
         let sh = self.shard_of_node(node);
-        let pos = self.hosts.traces[i].position_at(now);
+        let pos = self.hosts.pos_at(i, now);
         if let Some(busy_end) = self.channel.busy_until(sh, pos, now) {
             // deferral: re-sense after the medium frees plus DIFS + backoff
             let cw = self.head_cw(node);
@@ -1849,7 +1886,9 @@ impl<P: Protocol> World<P> {
         // path filled it); the receiver vector is recycled from earlier
         // flights, so the steady-state hot path performs zero allocations.
         let mut cand = std::mem::take(&mut self.gather_buf);
-        self.fill_candidates(self.hosts.cells[i], &mut cand);
+        let mut scratch = std::mem::take(&mut self.gather_scratch);
+        self.fill_candidates(self.hosts.cells[i], &mut scratch, &mut cand);
+        self.gather_scratch = scratch;
         let mut receivers = self.recv_pool.pop().unwrap_or_default();
         debug_assert!(receivers.is_empty());
         if self.exec.is_some() && cand.len() >= PAR_MIN_ITEMS {
@@ -1932,7 +1971,7 @@ impl<P: Protocol> World<P> {
                 if !matches!(mode, RadioMode::Idle | RadioMode::Rx) {
                     continue;
                 }
-                let pj = self.hosts.traces[j as usize].position_at(now);
+                let pj = self.hosts.pos_at(j as usize, now);
                 if !pos.within_range(pj, tx_range) {
                     continue;
                 }
@@ -1958,23 +1997,38 @@ impl<P: Protocol> World<P> {
             dst: kind.dst(),
             bytes: meta.wire_bytes(),
         });
-        self.flights.insert(
-            tx_id,
-            Flight {
-                src: node,
-                kind,
-                msg,
-                start: now,
-                end,
-                receivers,
-            },
-        );
-        self.sched.schedule_at(sh, end, Event::TxEnd { node, tx_id });
+        let flight = self.flights.alloc(Flight {
+            src: node,
+            origin: pos,
+            kind,
+            msg,
+            start: now,
+            end,
+            receivers,
+        });
+        self.sched
+            .schedule_at(sh, end, Event::TxEnd { node, tx_id, flight });
     }
 
-    fn tx_end(&mut self, node: NodeId, tx_id: u64) {
+    fn tx_end(&mut self, node: NodeId, tx_id: u64, flight: u32) {
         let now = self.sched.now();
-        let flight = self.flights.remove(&tx_id).expect("flight must exist");
+        let flight = self.flights.free(flight);
+        // Answer the collision question once for the whole flight: every
+        // receiver was inside the sender's disc at tx start and has
+        // drifted at most `max_speed * airtime` since, so the transmissions
+        // that can corrupt *any* of them are the ones this short (almost
+        // always empty) list holds; each receiver is then tested against
+        // the list instead of walking the channel's buckets itself.
+        let mut interferers = std::mem::take(&mut self.interferers);
+        let drift = self.max_speed * now.since(flight.start).as_secs_f64();
+        self.channel.interferers_into(
+            tx_id,
+            flight.origin,
+            self.hosts.ranges[flight.src.index()] + drift,
+            flight.start,
+            flight.end,
+            &mut interferers,
+        );
         // a sender that crashed mid-frame kills its own transmission
         let sender_alive = self.touch(node) && !self.hosts.crashed[node.index()];
         if sender_alive && self.hosts.meters[node.index()].mode() == RadioMode::Tx {
@@ -1996,7 +2050,6 @@ impl<P: Protocol> World<P> {
             let now_t = now;
             let tracing = self.recorder.is_some();
             let grain = par_grain(nr, self.threads);
-            let src_pos = self.hosts.traces[flight.src.index()].position_at(flight.start);
             self.txend_slots.clear();
             self.txend_slots.resize(nr, TxProbe::default());
             {
@@ -2004,11 +2057,9 @@ impl<P: Protocol> World<P> {
                 let slots = SlicePtr::new(&mut self.txend_slots);
                 let meters = SlicePtr::new(&mut self.hosts.meters);
                 let traces = &self.hosts.traces;
-                let cells = &self.hosts.cells;
                 let channel = &self.channel;
-                let shards = self.shards.as_ref();
                 let recvs = &flight.receivers;
-                let (start, end) = (flight.start, flight.end);
+                let (src_pos, interferers) = (flight.origin, &interferers);
                 pool.for_each_range(nr, grain, &|_chunk, range| {
                     let out = unsafe { slots.slice(range.clone()) };
                     for (off, c) in range.enumerate() {
@@ -2016,14 +2067,10 @@ impl<P: Protocol> World<P> {
                         let m = unsafe { meters.get_mut(j) };
                         m.advance(now_t);
                         let pr = traces[j].position_at(now_t);
-                        let rsh = match shards {
-                            Some(sr) => sr.map.shard_of_col(cells[j].x),
-                            None => 0,
-                        };
                         out[off] = TxProbe {
                             level: if tracing { Some(m.level()) } else { None },
                             alive: m.is_alive(),
-                            corrupt: channel.corrupted(rsh, tx_id, src_pos, pr, start, end),
+                            corrupt: channel.corrupted_by(interferers, src_pos, pr),
                         };
                     }
                 });
@@ -2086,12 +2133,10 @@ impl<P: Protocol> World<P> {
                     self.stats.missed_unreachable += 1;
                     continue;
                 }
-                let pr = self.hosts.traces[j].position_at(now);
-                let src_pos = self.hosts.traces[flight.src.index()].position_at(flight.start);
-                let rsh = self.shard_of_node(r);
-                if self
-                    .channel
-                    .corrupted(rsh, tx_id, src_pos, pr, flight.start, flight.end)
+                if !interferers.is_empty()
+                    && self
+                        .channel
+                        .corrupted_by(&interferers, flight.origin, self.hosts.pos_at(j, now))
                 {
                     self.stats.corrupted += 1;
                     let from = flight.src;
@@ -2169,7 +2214,8 @@ impl<P: Protocol> World<P> {
                 }
             }
         }
-        // recycle both scratch vectors for the next flight
+        // recycle the scratch vectors for the next flight
+        self.interferers = interferers;
         successes.clear();
         self.succ_buf = successes;
         let mut recv = flight.receivers;
@@ -2246,7 +2292,7 @@ impl<P: Protocol> World<P> {
     // ----- timers, pages, mobility, traffic ---------------------------
 
     fn timer_fired(&mut self, node: NodeId, id: u64) {
-        let Some((_, timer, _)) = self.timers.remove(&id) else {
+        let Some((_, timer, _)) = self.timers.disarm(id) else {
             return; // cancelled concurrently (or wiped by a crash)
         };
         if !self.touch(node) {
@@ -2272,7 +2318,7 @@ impl<P: Protocol> World<P> {
                     if !self.touch(jid) {
                         continue;
                     }
-                    let pj = self.hosts.traces[j].position_at(now);
+                    let pj = self.hosts.pos_at(j, now);
                     if !origin.within_range(pj, range) {
                         continue;
                     }
@@ -2324,7 +2370,7 @@ impl<P: Protocol> World<P> {
             return;
         }
         let old = self.hosts.cells[i];
-        let new = self.hosts.traces[i].cell_at(&self.cfg.grid, now);
+        let new = self.cfg.grid.cell_of(self.hosts.pos_at(i, now));
         if new == old {
             return;
         }

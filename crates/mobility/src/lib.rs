@@ -21,4 +21,4 @@ pub use models::{
     Stationary,
 };
 pub use segment::Segment;
-pub use trace::MobilityTrace;
+pub use trace::{LegCursor, MobilityTrace};

@@ -134,15 +134,140 @@ impl MobilityTrace {
         geo::crossing::dwell_duration(map, p, v, horizon_secs)
     }
 
+    /// Fastest leg of the trajectory in m/s: over any interval `dt` the
+    /// host moves at most `max_speed() * dt` meters.
+    pub fn max_speed(&self) -> f64 {
+        self.segments.iter().map(Segment::speed).fold(0.0, f64::max)
+    }
+
     /// Total path length in meters (diagnostic).
     pub fn path_length(&self) -> f64 {
         self.segments.iter().map(|s| s.speed() * s.duration_secs()).sum()
     }
 }
 
+/// A host's current leg, held beside its trace so that the hot loops read
+/// one inline [`Segment`] instead of chasing `trace → Vec → segment` and
+/// bisecting on every position query.
+///
+/// The cached leg answers only instants *strictly inside* it: there the
+/// trace's own bisection can land on no other segment, so the cursor is
+/// bit-identical to [`MobilityTrace::position_at`] /
+/// [`MobilityTrace::velocity_at`] whatever order the queries arrive in.
+/// Everything else — a leg's first instant (zero-length legs may share
+/// it), its end, the rest past the horizon — is looked up afresh, through
+/// the trace, every time.
+#[derive(Clone, Copy, Debug)]
+pub struct LegCursor {
+    leg: Segment,
+}
+
+impl LegCursor {
+    /// A cursor over `trace`, parked on its first leg.
+    pub fn new(trace: &MobilityTrace) -> Self {
+        LegCursor {
+            leg: trace.segments[0],
+        }
+    }
+
+    /// The segment `trace.segment_at(t)` returns.  `trace` must be the
+    /// trace the cursor was built over.
+    #[inline]
+    fn leg_at(&mut self, trace: &MobilityTrace, t: SimTime) -> &Segment {
+        if !(self.leg.start < t && t < self.leg.end) {
+            self.leg = *trace.segment_at(t);
+        }
+        &self.leg
+    }
+
+    /// [`MobilityTrace::position_at`], from the cached leg.
+    #[inline]
+    pub fn position_at(&mut self, trace: &MobilityTrace, t: SimTime) -> Point2 {
+        self.leg_at(trace, t).position_at(t)
+    }
+
+    /// [`MobilityTrace::velocity_at`], from the cached leg.
+    #[inline]
+    pub fn velocity_at(&mut self, trace: &MobilityTrace, t: SimTime) -> Vec2 {
+        let leg = self.leg_at(trace, t);
+        if t < leg.end {
+            leg.velocity
+        } else {
+            // an empty leg at `t`, or the rest past the horizon
+            trace.velocity_at(t)
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::models::{Convoy, ManhattanGrid, MobilityModel, RandomWaypoint};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    /// `trace` with an empty rest leg spliced in after every `every`-th
+    /// segment (two in a row after every `2 * every`-th).
+    fn with_empty_legs(trace: &MobilityTrace, every: usize) -> MobilityTrace {
+        let mut segments = Vec::new();
+        for (i, s) in trace.segments().iter().enumerate() {
+            segments.push(*s);
+            if (i + 1) % every == 0 {
+                segments.push(Segment::rest(s.end, s.end, s.end_position()));
+                if (i + 1) % (2 * every) == 0 {
+                    segments.push(Segment::rest(s.end, s.end, s.end_position()));
+                }
+            }
+        }
+        MobilityTrace::new(segments)
+    }
+
+    proptest::proptest! {
+        /// The cursor is the trace, bit for bit: at every leg's first and
+        /// last instant and a nanosecond either side, inside legs, on
+        /// empty legs and past the horizon — asked in time order (the
+        /// simulator's order) and then backwards through the same cursor.
+        #[test]
+        fn leg_cursor_is_bit_identical_to_the_trace(
+            seed in proptest::prelude::any::<u64>(),
+            model in 0..3u8,
+            empty_every in 1..6usize,
+            max_speed in 0.5..20.0f64,
+            pause in 0.0..8.0f64,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let horizon = SimTime::from_secs(120);
+            let waypoint = RandomWaypoint::paper(max_speed, pause);
+            let built = match model {
+                0 => waypoint.build_trace(&mut rng, horizon),
+                1 => ManhattanGrid::paper(max_speed, pause, 125.0).build_trace(&mut rng, horizon),
+                _ => {
+                    let lead = waypoint.build_trace(&mut rng, horizon);
+                    Convoy::around(lead, 1000.0, 1000.0, 40.0).build_trace(&mut rng, horizon)
+                }
+            };
+            let trace = with_empty_legs(&built, empty_every);
+            let mut probes = Vec::new();
+            for s in trace.segments() {
+                for edge in [s.start, s.end] {
+                    probes.extend([edge.0.saturating_sub(1), edge.0, edge.0 + 1]);
+                }
+                probes.push(s.start.0 + (s.end.0 - s.start.0) / 3);
+            }
+            let end = trace.horizon().0;
+            probes.extend([end + 1_000, end + 1_000, end + 5_000_000_000]);
+            probes.sort_unstable();
+            let mut cursor = LegCursor::new(&trace);
+            let backwards = probes.clone().into_iter().rev();
+            for ns in probes.into_iter().chain(backwards) {
+                let t = SimTime(ns);
+                let (p, q) = (cursor.position_at(&trace, t), trace.position_at(t));
+                proptest::prop_assert_eq!((p.x.to_bits(), p.y.to_bits()), (q.x.to_bits(), q.y.to_bits()), "position at {:?}", t);
+                let (v, w) = (cursor.velocity_at(&trace, t), trace.velocity_at(t));
+                proptest::prop_assert_eq!((v.x.to_bits(), v.y.to_bits()), (w.x.to_bits(), w.y.to_bits()), "velocity at {:?}", t);
+            }
+        }
+    }
 
     fn two_leg_trace() -> MobilityTrace {
         // east 100 m at 10 m/s, pause 5 s, north 50 m at 5 m/s
@@ -243,5 +368,6 @@ mod tests {
     fn path_length_sums_travel() {
         let tr = two_leg_trace();
         assert!((tr.path_length() - 160.0).abs() < 1e-6);
+        assert!((tr.max_speed() - 10.0).abs() < 1e-9);
     }
 }

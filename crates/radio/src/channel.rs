@@ -10,6 +10,7 @@ use crate::frame::NodeId;
 use crate::spatial::SpatialIndex;
 use geo::Point2;
 use sim_engine::SimTime;
+use std::collections::VecDeque;
 
 /// One transmission on the air.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -27,15 +28,40 @@ pub struct Transmission {
     pub end: SimTime,
 }
 
+/// A vacated slab slot: a transmission no time filter admits (it starts
+/// at the end of time and ended at its beginning), so linear scans over
+/// the slab need no liveness check.
+const VACANT: Transmission = Transmission {
+    id: u64::MAX,
+    src: NodeId(u32::MAX),
+    origin: Point2::ORIGIN,
+    range: 0.0,
+    start: SimTime::MAX,
+    end: SimTime::ZERO,
+};
+
+/// Slack in meters added to the per-flight interferer prefilter so that
+/// floating-point rounding in the triangle inequality it rests on can
+/// never drop a transmission the exact per-receiver test would admit.
+const INTERFERER_SLACK_M: f64 = 1.0;
+
 /// Tracks in-flight (and recently-ended) transmissions.
 ///
-/// `gc_before` must be called periodically (the simulator does it on every
-/// transmission end) so the active list stays small; queries are linear in
-/// the number of live transmissions, which at the paper's offered load is
-/// a handful.
+/// Transmissions live in stable slab slots (free list, so the slot
+/// universe is bounded by the high-water *live* count, not by lifetime
+/// traffic) and `live` queues the occupied slots in begin order.
+/// `begin_tx` is one slot write plus one bucket insert; `gc_before` pops
+/// expired transmissions off the front of the queue with an O(1) bucket
+/// removal each.  A transmission that ends before an older, longer one
+/// waits behind it — invisible to results, because `busy_until` and
+/// `corrupted` filter every candidate by time, and bounded, because
+/// airtimes are milliseconds.
 #[derive(Clone, Debug, Default)]
 pub struct ChannelState {
-    active: Vec<Transmission>,
+    slots: Vec<Transmission>,
+    free: Vec<u32>,
+    /// Occupied slots, oldest `begin_tx` first.
+    live: VecDeque<u32>,
     range: f64,
     next_id: u64,
     /// Capture: an interferer within range only corrupts a reception when
@@ -44,13 +70,13 @@ pub struct ChannelState {
     /// d⁻⁴ path loss gives 10^(10/40) ≈ 1.778).  `None` = every
     /// overlapping interferer is fatal.
     capture_ratio: Option<f64>,
-    /// Optional bucket index over the *indices into `active`*, keyed by
-    /// transmission origin with bucket side == range, so carrier-sense and
-    /// interference queries visit only the 3×3 neighborhood of the query
-    /// point instead of every live transmission.  Both `busy_until` (max)
-    /// and `corrupted` (any) are order-insensitive aggregates over an
-    /// exactly-filtered candidate set, so results are identical with or
-    /// without the index.
+    /// Optional bucket index over the *slab slots*, keyed by transmission
+    /// origin with bucket side == range, so carrier-sense and
+    /// interference queries visit only a bucket neighborhood of the query
+    /// point instead of every live transmission.  `busy_until` (max),
+    /// `corrupted` (any) and the interferer list (a set) are
+    /// order-insensitive over an exactly-filtered candidate set, so
+    /// results are identical with or without the index.
     spatial: Option<SpatialIndex>,
 }
 
@@ -69,11 +95,9 @@ impl ChannelState {
     pub fn new(range_m: f64) -> Self {
         assert!(range_m > 0.0);
         ChannelState {
-            active: Vec::new(),
             range: range_m,
-            next_id: 0,
             capture_ratio: Some(CAPTURE_RATIO_10DB),
-            spatial: None,
+            ..ChannelState::default()
         }
     }
 
@@ -87,7 +111,7 @@ impl ChannelState {
     /// from a 3×3 neighborhood.  Call before the first `begin_tx`.
     pub fn enable_spatial(&mut self, width_m: f64, height_m: f64) {
         assert!(
-            self.active.is_empty(),
+            self.live.is_empty(),
             "enable_spatial must precede the first transmission"
         );
         self.spatial = Some(SpatialIndex::new(width_m, height_m, self.range));
@@ -102,7 +126,7 @@ impl ChannelState {
     /// occupancy (see [`SPATIAL_LINEAR_CUTOFF`]).
     #[inline]
     fn spatial_for_query(&self) -> Option<&SpatialIndex> {
-        if self.active.len() <= SPATIAL_LINEAR_CUTOFF {
+        if self.live.len() <= SPATIAL_LINEAR_CUTOFF {
             return None;
         }
         self.spatial.as_ref()
@@ -147,34 +171,44 @@ impl ChannelState {
             "per-tx range {range} exceeds the channel's bucket range {}",
             self.range
         );
-        if let Some(sp) = &mut self.spatial {
-            sp.insert_at(self.active.len() as u32, origin);
-        }
-        self.active.push(Transmission {
+        let tx = Transmission {
             id,
             src,
             origin,
             range,
             start,
             end,
-        });
+        };
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot as usize] = tx;
+                slot
+            }
+            None => {
+                self.slots.push(tx);
+                (self.slots.len() - 1) as u32
+            }
+        };
+        self.live.push_back(slot);
+        if let Some(sp) = &mut self.spatial {
+            sp.insert_at(slot, origin);
+        }
     }
 
-    /// Drop transmissions that ended at or before `now` (they can no longer
-    /// interfere with anything starting now).
+    /// Drop the oldest transmissions that ended at or before `now` (they
+    /// can no longer interfere with anything starting now).  Stops at the
+    /// first one still on the air: see the type docs for why later,
+    /// already-ended ones may wait behind it.
     pub fn gc_before(&mut self, now: SimTime) {
-        let before = self.active.len();
-        self.active.retain(|t| t.end > now);
-        // The bucket index stores positions within `active`, which retain
-        // just shifted — rebuild it.  At the paper's offered load only a
-        // handful of transmissions are ever live, so this is cheap, and gc
-        // runs once per transmission end rather than per query.
-        if let Some(sp) = &mut self.spatial {
-            if self.active.len() != before {
-                sp.clear();
-                for (i, t) in self.active.iter().enumerate() {
-                    sp.insert_at(i as u32, t.origin);
-                }
+        while let Some(&slot) = self.live.front() {
+            if self.slots[slot as usize].end > now {
+                break;
+            }
+            self.live.pop_front();
+            self.slots[slot as usize] = VACANT;
+            self.free.push(slot);
+            if let Some(sp) = &mut self.spatial {
+                sp.remove(slot);
             }
         }
     }
@@ -183,26 +217,57 @@ impl ChannelState {
     /// any transmission in progress whose signal reaches `p`.  `None` means
     /// the medium is sensed idle.
     pub fn busy_until(&self, p: Point2, at: SimTime) -> Option<SimTime> {
+        let sensed = |t: &Transmission| t.start <= at && t.end > at && t.origin.within_range(p, t.range);
         if let Some(sp) = self.spatial_for_query() {
             // Buckets have side == range, so every transmission audible at
             // `p` lives in the 3×3 neighborhood of p's bucket; the exact
-            // time/range filter below does the rest.  `max` is
+            // time/range filter does the rest.  `max` is
             // order-insensitive, so the result matches the linear scan.
             let (bx, by) = sp.bucket_of(p);
             let mut latest: Option<SimTime> = None;
             sp.for_each_near(bx, by, 1, |i| {
-                let t = &self.active[i as usize];
-                if t.start <= at && t.end > at && t.origin.within_range(p, t.range) {
+                let t = &self.slots[i as usize];
+                if sensed(t) {
                     latest = Some(latest.map_or(t.end, |l| l.max(t.end)));
                 }
             });
             return latest;
         }
-        self.active
-            .iter()
-            .filter(|t| t.start <= at && t.end > at && t.origin.within_range(p, t.range))
-            .map(|t| t.end)
-            .max()
+        self.slots.iter().filter(|t| sensed(t)).map(|t| t.end).max()
+    }
+
+    /// Does `t` share air time with `[start, end)` of transmission `tx_id`?
+    #[inline]
+    fn overlaps(t: &Transmission, tx_id: u64, start: SimTime, end: SimTime) -> bool {
+        t.id != tx_id && t.start < end && t.end > start
+    }
+
+    /// Is `t` audible at `receiver` and strong enough to defeat capture of
+    /// a signal arriving from `d_sig` meters away?
+    #[inline]
+    fn defeats(&self, t: &Transmission, receiver: Point2, d_sig: f64) -> bool {
+        if !t.origin.within_range(receiver, t.range) {
+            return false;
+        }
+        match self.capture_ratio {
+            // interferer farther than ratio·d_sig is ≥10 dB weaker:
+            // the receiver captures the intended frame
+            Some(ratio) => t.origin.distance(receiver).max(1.0) < ratio * d_sig,
+            None => true,
+        }
+    }
+
+    /// Signal distance of a reception.  Both this and the interferer
+    /// distance in [`defeats`](Self::defeats) are clamped to 1 m — the
+    /// near-field floor below which d⁻⁴ path loss is meaningless.  The
+    /// clamp is symmetric so the co-located tie-break is deterministic:
+    /// signal and interferer both on top of the receiver give
+    /// d_int == d_sig == 1, and since any physical capture ratio is > 1,
+    /// `1 < ratio · 1` holds — the reception is corrupted.  Capture never
+    /// resolves a dead heat.
+    #[inline]
+    fn signal_distance(src_origin: Point2, receiver: Point2) -> f64 {
+        src_origin.distance(receiver).max(1.0)
     }
 
     /// Collision check for a reception at `receiver` spanning
@@ -217,27 +282,8 @@ impl ChannelState {
         start: SimTime,
         end: SimTime,
     ) -> bool {
-        // Both distances are clamped to 1 m — the near-field floor below
-        // which d⁻⁴ path loss is meaningless.  The clamp is symmetric so
-        // the co-located tie-break is deterministic: signal and interferer
-        // both on top of the receiver give d_int == d_sig == 1, and since
-        // any physical capture ratio is > 1, `1 < ratio · 1` holds — the
-        // reception is corrupted.  Capture never resolves a dead heat.
-        let d_sig = src_origin.distance(receiver).max(1.0);
-        let hit = |t: &Transmission| {
-            if t.id == tx_id || t.start >= end || t.end <= start {
-                return false;
-            }
-            if !t.origin.within_range(receiver, t.range) {
-                return false;
-            }
-            match self.capture_ratio {
-                // interferer farther than ratio·d_sig is ≥10 dB weaker:
-                // the receiver captures the intended frame
-                Some(ratio) => t.origin.distance(receiver).max(1.0) < ratio * d_sig,
-                None => true,
-            }
-        };
+        let d_sig = Self::signal_distance(src_origin, receiver);
+        let hit = |t: &Transmission| Self::overlaps(t, tx_id, start, end) && self.defeats(t, receiver, d_sig);
         if let Some(sp) = self.spatial_for_query() {
             // Only transmissions audible at the receiver can corrupt it,
             // and those all sit in the receiver's 3×3 bucket neighborhood
@@ -245,11 +291,73 @@ impl ChannelState {
             let (bx, by) = sp.bucket_of(receiver);
             let mut found = false;
             sp.for_each_near(bx, by, 1, |i| {
-                found = found || hit(&self.active[i as usize]);
+                found = found || hit(&self.slots[i as usize]);
             });
             return found;
         }
-        self.active.iter().any(hit)
+        self.slots.iter().any(hit)
+    }
+
+    /// The collision question of [`corrupted`](Self::corrupted), answered
+    /// once per flight instead of once per receiver: fill `out` with every
+    /// other transmission sharing air time with `[start, end)` of `tx_id`
+    /// whose disc comes within `reach` meters of `src_origin`.  For any
+    /// receiver no farther than `reach` from `src_origin`,
+    /// [`corrupted_by`](Self::corrupted_by) over this list equals
+    /// `corrupted` — an interferer audible at the receiver is, by the
+    /// triangle inequality, within `reach` plus its own range of the
+    /// sender.  The list is almost always empty.
+    pub fn interferers_into(
+        &self,
+        tx_id: u64,
+        src_origin: Point2,
+        reach: f64,
+        start: SimTime,
+        end: SimTime,
+        out: &mut Vec<Transmission>,
+    ) {
+        out.clear();
+        self.append_interferers(tx_id, src_origin, reach, start, end, out);
+    }
+
+    /// [`interferers_into`](Self::interferers_into) without the clear (the
+    /// sharded channel unions several shards' lists).
+    pub(crate) fn append_interferers(
+        &self,
+        tx_id: u64,
+        src_origin: Point2,
+        reach: f64,
+        start: SimTime,
+        end: SimTime,
+        out: &mut Vec<Transmission>,
+    ) {
+        let reach = reach + INTERFERER_SLACK_M;
+        let near = |t: &Transmission| {
+            Self::overlaps(t, tx_id, start, end) && t.origin.within_range(src_origin, reach + t.range)
+        };
+        if let Some(sp) = self.spatial_for_query() {
+            let (bx, by) = sp.bucket_of(src_origin);
+            let buckets = ((reach + self.range) / sp.side()).ceil() as i32;
+            sp.for_each_near(bx, by, buckets, |i| {
+                let t = &self.slots[i as usize];
+                if near(t) {
+                    out.push(*t);
+                }
+            });
+            return;
+        }
+        out.extend(self.slots.iter().filter(|t| near(t)));
+    }
+
+    /// Per-receiver verdict against a flight's interferer list (see
+    /// [`interferers_into`](Self::interferers_into)).
+    #[inline]
+    pub fn corrupted_by(&self, interferers: &[Transmission], src_origin: Point2, receiver: Point2) -> bool {
+        if interferers.is_empty() {
+            return false;
+        }
+        let d_sig = Self::signal_distance(src_origin, receiver);
+        interferers.iter().any(|t| self.defeats(t, receiver, d_sig))
     }
 
     /// All node positions within range of `origin` — the delivery set of a
@@ -258,9 +366,10 @@ impl ChannelState {
         origin.within_range(p, self.range)
     }
 
-    /// Number of in-flight transmissions (diagnostic).
+    /// Number of transmissions held (diagnostic): on the air, or ended and
+    /// not yet collected.
     pub fn in_flight(&self) -> usize {
-        self.active.len()
+        self.live.len()
     }
 }
 
@@ -521,6 +630,150 @@ mod tests {
                     fast.corrupted(id, o, p, s, e),
                     "corrupted diverged at receiver {p:?}"
                 );
+            }
+        }
+    }
+
+    // --- differential test against the historical linear channel ----------
+
+    /// The channel as it was before the slab: one `Vec` scanned linearly
+    /// and compacted by `retain`.  Kept as the oracle the slab channel is
+    /// held to.
+    struct RetainChannel {
+        active: Vec<Transmission>,
+        capture_ratio: Option<f64>,
+    }
+
+    impl RetainChannel {
+        fn gc_before(&mut self, now: SimTime) {
+            self.active.retain(|t| t.end > now);
+        }
+
+        fn busy_until(&self, p: Point2, at: SimTime) -> Option<SimTime> {
+            self.active
+                .iter()
+                .filter(|t| t.start <= at && t.end > at && t.origin.within_range(p, t.range))
+                .map(|t| t.end)
+                .max()
+        }
+
+        fn corrupted(
+            &self,
+            tx_id: u64,
+            src_origin: Point2,
+            receiver: Point2,
+            start: SimTime,
+            end: SimTime,
+        ) -> bool {
+            let d_sig = src_origin.distance(receiver).max(1.0);
+            self.active.iter().any(|t| {
+                if t.id == tx_id || t.start >= end || t.end <= start {
+                    return false;
+                }
+                if !t.origin.within_range(receiver, t.range) {
+                    return false;
+                }
+                match self.capture_ratio {
+                    Some(ratio) => t.origin.distance(receiver).max(1.0) < ratio * d_sig,
+                    None => true,
+                }
+            })
+        }
+    }
+
+    proptest::proptest! {
+        /// Random interleavings of begin / gc / carrier sense / collision
+        /// checks: the slab channel answers every query like the retain
+        /// channel — with end times that are not monotone in begin order
+        /// (a long frame begun before short ones blocks the gc queue),
+        /// slots reused many times over, populations on both sides of
+        /// `SPATIAL_LINEAR_CUTOFF`, with and without buckets and capture —
+        /// and the per-flight interferer list gives the per-receiver
+        /// verdict.  The slot universe stays bounded by the live high
+        /// water.
+        #[test]
+        fn slab_channel_matches_the_retain_channel(
+            seed in proptest::prelude::any::<u64>(),
+            ops in 60..400usize,
+            spatial in proptest::prelude::any::<bool>(),
+            capture in proptest::prelude::any::<bool>(),
+            busy in 1..30u64,
+        ) {
+            let mut seed = seed;
+            let mut fast = ChannelState::paper_default();
+            if spatial {
+                fast.enable_spatial(2000.0, 1500.0);
+            }
+            let ratio = capture.then_some(CAPTURE_RATIO_10DB);
+            fast.set_capture_ratio(ratio);
+            let mut slow = RetainChannel { active: Vec::new(), capture_ratio: ratio };
+            let point = |seed: &mut u64| Point2::new(lcg(seed) * 2000.0, lcg(seed) * 1500.0);
+            let ranges = [80.0, 150.0, 250.0];
+            let mut now = 0u64; // µs
+            let mut flights: Vec<Transmission> = Vec::new();
+            let mut high_water = 0usize;
+            let mut interferers = Vec::new();
+            for _ in 0..ops {
+                now += (lcg(&mut seed) * 400.0) as u64;
+                let at = SimTime::from_micros(now);
+                match (lcg(&mut seed) * 10.0) as u32 {
+                    // `busy` sets how many frames pile up between gcs
+                    0..=3 => {
+                        // one frame in eight is long: it outlives dozens
+                        // of later, shorter ones
+                        let long = lcg(&mut seed) < 0.125;
+                        let dur = if long { 20_000 } else { 200 + (lcg(&mut seed) * 2_000.0) as u64 };
+                        let origin = point(&mut seed);
+                        let range = ranges[(lcg(&mut seed) * 3.0) as usize % 3];
+                        let end = SimTime::from_micros(now + dur * busy / 8 + 1);
+                        let id = fast.begin_tx(NodeId(7), origin, range, at, end);
+                        let tx = Transmission { id, src: NodeId(7), origin, range, start: at, end };
+                        slow.active.push(tx);
+                        flights.push(tx);
+                        if flights.len() > 64 {
+                            flights.remove(0);
+                        }
+                    }
+                    4 => {
+                        // gc lags the clock like the world's 50 ms grace
+                        let before = SimTime::from_micros(now.saturating_sub(3_000));
+                        fast.gc_before(before);
+                        slow.gc_before(before);
+                        // what was collected can only matter to receptions
+                        // that began before the cutoff: stop asking about
+                        // those (the world's grace guarantees the same)
+                        flights.retain(|f| f.start >= before);
+                        // the retain channel never holds more than the slab
+                        proptest::prop_assert!(slow.active.len() <= fast.in_flight());
+                    }
+                    5..=6 => {
+                        let p = point(&mut seed);
+                        proptest::prop_assert_eq!(fast.busy_until(p, at), slow.busy_until(p, at));
+                    }
+                    _ => {
+                        if flights.is_empty() {
+                            continue;
+                        }
+                        let f = flights[(lcg(&mut seed) * flights.len() as f64) as usize];
+                        // receivers inside the sender's disc (plus drift)
+                        let reach = f.range + 5.0;
+                        fast.interferers_into(f.id, f.origin, reach, f.start, f.end, &mut interferers);
+                        for _ in 0..6 {
+                            let ang = lcg(&mut seed) * std::f64::consts::TAU;
+                            let d = lcg(&mut seed).sqrt() * reach;
+                            let r = Point2::new(f.origin.x + d * ang.cos(), f.origin.y + d * ang.sin());
+                            let want = slow.corrupted(f.id, f.origin, r, f.start, f.end);
+                            proptest::prop_assert_eq!(fast.corrupted(f.id, f.origin, r, f.start, f.end), want);
+                            proptest::prop_assert_eq!(fast.corrupted_by(&interferers, f.origin, r), want);
+                        }
+                    }
+                }
+                high_water = high_water.max(fast.in_flight());
+                proptest::prop_assert!(fast.slots.len() <= high_water);
+                if let Some(sp) = &fast.spatial {
+                    proptest::prop_assert_eq!(sp.len(), fast.in_flight());
+                    proptest::prop_assert!(sp.id_universe() <= high_water);
+                }
             }
         }
     }

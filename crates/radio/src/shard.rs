@@ -23,7 +23,7 @@
 //! which feeds the fault layer's per-frame loss draws — is identical to
 //! the serial channel's.
 
-use crate::channel::ChannelState;
+use crate::channel::{ChannelState, Transmission};
 use crate::frame::NodeId;
 use geo::Point2;
 use sim_engine::SimTime;
@@ -225,6 +225,49 @@ impl ShardedChannel {
         self.shards[s].corrupted(tx_id, src_origin, receiver, start, end)
     }
 
+    /// Per-flight interferer list (see
+    /// [`ChannelState::interferers_into`]): the union, over every shard a
+    /// receiver within `reach` of `src_origin` can be filed under, of that
+    /// shard's list.  A receiver's shard holds every transmission audible
+    /// at the receiver (the mirror rule), so the union is a superset of
+    /// what the receiver's own shard would report and
+    /// [`corrupted_by`](Self::corrupted_by) over it equals
+    /// [`corrupted`](Self::corrupted) issued from that shard.
+    pub fn interferers_into(
+        &self,
+        tx_id: u64,
+        src_origin: Point2,
+        reach: f64,
+        start: SimTime,
+        end: SimTime,
+        out: &mut Vec<Transmission>,
+    ) {
+        out.clear();
+        // a receiver's maintained cell lags its position by less than a
+        // cell, the same slack the mirror limit grants
+        self.map
+            .for_each_in_reach(src_origin, reach + self.map.cell_side(), |s| {
+                let seen = out.len();
+                self.shards[s].append_interferers(tx_id, src_origin, reach, start, end, out);
+                // boundary transmissions are mirrored: keep one copy
+                let mut i = seen;
+                while i < out.len() {
+                    if out[..seen].iter().any(|t| t.id == out[i].id) {
+                        out.swap_remove(i);
+                    } else {
+                        i += 1;
+                    }
+                }
+            });
+    }
+
+    /// Per-receiver verdict against a flight's interferer list (capture
+    /// settings are identical in every shard).
+    #[inline]
+    pub fn corrupted_by(&self, interferers: &[Transmission], src_origin: Point2, receiver: Point2) -> bool {
+        self.shards[0].corrupted_by(interferers, src_origin, receiver)
+    }
+
     /// Unit-disc reachability (geometric, shard-free).
     #[inline]
     pub fn reaches(&self, origin: Point2, p: Point2) -> bool {
@@ -375,6 +418,7 @@ mod tests {
                     global.gc_before(t(15));
                 }
             }
+            let mut list = Vec::new();
             for _ in 0..200 {
                 let p = Point2::new(lcg(&mut seed) * 1000.0, lcg(&mut seed) * 1000.0);
                 let qs = sharded.map().shard_of_col((p.x / 100.0) as i32);
@@ -385,10 +429,18 @@ mod tests {
                     "k={k}: carrier sense diverged at {p:?}"
                 );
                 let &(id, o, s, e) = &txs[(lcg(&mut seed) * txs.len() as f64) as usize];
+                let want = global.corrupted(id, o, p, s, e);
                 assert_eq!(
                     sharded.corrupted(qs, id, o, p, s, e),
-                    global.corrupted(id, o, p, s, e),
+                    want,
                     "k={k}: collision check diverged at {p:?}"
+                );
+                // the per-flight list, sized to reach this receiver
+                sharded.interferers_into(id, o, o.distance(p), s, e, &mut list);
+                assert_eq!(
+                    sharded.corrupted_by(&list, o, p),
+                    want,
+                    "k={k}: interferer list diverged at {p:?}"
                 );
             }
         }

@@ -136,6 +136,33 @@ const NO_SLOT: Slot = Slot {
 /// [`SpatialIndex::gather_sorted_into`] (a 512-byte bitmap).
 const BITMAP_IDS: usize = 4096;
 
+/// Largest id universe a [`GatherScratch`] orders (three 64-way levels).
+const SCRATCH_IDS: usize = 64 * BITMAP_IDS;
+
+/// Caller-owned scratch of [`SpatialIndex::gather_sorted_with`]: a sparse
+/// bitset sized to the index's id universe.  It is all zeros between
+/// gathers — a gather clears exactly the words it set — so, unlike the
+/// stack bitmap of [`SpatialIndex::gather_sorted_into`], nothing is zeroed
+/// per query and the universe may be any size up to [`SCRATCH_IDS`].
+#[derive(Clone, Debug, Default)]
+pub struct GatherScratch {
+    /// One bit per id.
+    words: Vec<u64>,
+    /// One bit per non-zero word of `words`.
+    touched: Vec<u64>,
+}
+
+impl GatherScratch {
+    /// Grow (never shrink) to cover ids below `universe`.
+    fn fit(&mut self, universe: usize) {
+        let words = universe.div_ceil(64);
+        if self.words.len() < words {
+            self.words.resize(words, 0);
+            self.touched.resize(words.div_ceil(64), 0);
+        }
+    }
+}
+
 /// Uniform grid-bucket index mapping small integer ids (node or
 /// transmission ids) to buckets.  See the module docs for the determinism
 /// contract.
@@ -203,6 +230,14 @@ impl SpatialIndex {
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.len == 0
+    }
+
+    /// Size of the per-id slot table: one past the largest id ever
+    /// inserted (since the last [`clear`](Self::clear)).  It decides how
+    /// a gather orders its ids, so callers that recycle ids keep it small.
+    #[inline]
+    pub fn id_universe(&self) -> usize {
+        self.slots.len()
     }
 
     /// Bucket coordinate of a position.  Positions on (or marginally past)
@@ -301,58 +336,58 @@ impl SpatialIndex {
         self.move_to(id, bx, by);
     }
 
+    /// The rows of buckets within a Chebyshev `reach` of bucket `(bx, by)`
+    /// (clipped to the field), in row-major order.
+    fn rows_near(&self, bx: i32, by: i32, reach: i32) -> impl Iterator<Item = &[Vec<u32>]> {
+        let x0 = (bx - reach).max(0) as usize;
+        let x1 = (bx + reach).min(self.cols - 1) as usize;
+        let y0 = (by - reach).max(0) as usize;
+        let y1 = (by + reach).min(self.rows - 1) as usize;
+        let cols = self.cols as usize;
+        (y0..=y1).map(move |y| &self.buckets[y * cols + x0..=y * cols + x1])
+    }
+
     /// Gather every member within a Chebyshev `reach` of bucket
     /// `(bx, by)` (clipped to the field) into `out` in **ascending id
     /// order** — the deterministic candidate list (see the module docs).
     /// `out` is cleared first; reuse it across queries to avoid
     /// allocation.
     ///
-    /// When the id universe is small (both simulator deployments: node
-    /// ids and in-flight transmission indices) the ascending order comes
-    /// from a stack bitmap — one bit set per member, then emitted in bit
-    /// order — which is several times cheaper than sorting the gathered
-    /// list per query.  Larger universes fall back to a comparison sort.
-    /// Both paths produce the identical list.
+    /// When the id universe is small the ascending order comes from a
+    /// stack bitmap — one bit set per member, then emitted in bit order —
+    /// which is cheaper than sorting the gathered list per query.  Larger
+    /// universes fall back to a comparison sort; hot callers with larger
+    /// universes bring a [`GatherScratch`] to
+    /// [`gather_sorted_with`](Self::gather_sorted_with) instead.  Every
+    /// path produces the identical list.
     pub fn gather_sorted_into(&self, bx: i32, by: i32, reach: i32, out: &mut Vec<u32>) {
         out.clear();
-        let x0 = (bx - reach).max(0) as usize;
-        let x1 = (bx + reach).min(self.cols - 1) as usize;
-        let y0 = (by - reach).max(0);
-        let y1 = (by + reach).min(self.rows - 1);
+        let rows = self.rows_near(bx, by, reach);
         if self.slots.len() <= BITMAP_IDS {
-            let mut words = [0u64; BITMAP_IDS / 64];
-            let (mut lo, mut hi) = (usize::MAX, 0usize);
-            let mut count = 0usize;
-            for y in y0..=y1 {
-                let row = y as usize * self.cols as usize;
-                for b in &self.buckets[row + x0..=row + x1] {
-                    for &id in b {
-                        let w = (id >> 6) as usize;
-                        words[w] |= 1u64 << (id & 63);
-                        lo = lo.min(w);
-                        hi = hi.max(w);
-                    }
-                    count += b.len();
-                }
-            }
-            if count > 0 {
-                out.reserve(count);
-                for (w, &word) in words.iter().enumerate().take(hi + 1).skip(lo) {
-                    let mut bits = word;
-                    while bits != 0 {
-                        out.push(((w as u32) << 6) + bits.trailing_zeros());
-                        bits &= bits - 1;
-                    }
-                }
-            }
+            emit_via_bitset(rows, &mut [0u64; BITMAP_IDS / 64], &mut [0u64; 1], out);
         } else {
-            for y in y0..=y1 {
-                let row = y as usize * self.cols as usize;
-                for b in &self.buckets[row + x0..=row + x1] {
-                    out.extend_from_slice(b);
-                }
-            }
-            out.sort_unstable();
+            emit_via_sort(rows, out);
+        }
+    }
+
+    /// [`gather_sorted_into`](Self::gather_sorted_into) through a
+    /// caller-owned bitset: no per-query zeroing and no sort for any id
+    /// universe up to [`SCRATCH_IDS`] (past it, the sort).
+    pub fn gather_sorted_with(
+        &self,
+        scratch: &mut GatherScratch,
+        bx: i32,
+        by: i32,
+        reach: i32,
+        out: &mut Vec<u32>,
+    ) {
+        out.clear();
+        let rows = self.rows_near(bx, by, reach);
+        if self.slots.len() <= SCRATCH_IDS {
+            scratch.fit(self.slots.len());
+            emit_via_bitset(rows, &mut scratch.words, &mut scratch.touched, out);
+        } else {
+            emit_via_sort(rows, out);
         }
     }
 
@@ -403,6 +438,55 @@ impl SpatialIndex {
         self.slots.clear();
         self.len = 0;
     }
+}
+
+/// Emit the members of `rows` of buckets in ascending id order through a
+/// bitset: `words` holds one bit per id, `touched` one bit per word of
+/// `words` (at most 64 words of it), and both must arrive all zeros; they
+/// are all zeros again on return.  Only words that were set are visited,
+/// so the cost follows the members gathered, not the id universe.
+fn emit_via_bitset<'a>(
+    rows: impl Iterator<Item = &'a [Vec<u32>]>,
+    words: &mut [u64],
+    touched: &mut [u64],
+    out: &mut Vec<u32>,
+) {
+    debug_assert!(touched.len() <= 64 && words.len() <= 64 * touched.len());
+    let mut groups = 0u64;
+    for row in rows {
+        for b in row {
+            for &id in b {
+                let w = (id >> 6) as usize;
+                words[w] |= 1u64 << (id & 63);
+                touched[w >> 6] |= 1u64 << (w & 63);
+                groups |= 1u64 << (w >> 6);
+            }
+        }
+    }
+    while groups != 0 {
+        let g = groups.trailing_zeros() as usize;
+        groups &= groups - 1;
+        let mut in_group = std::mem::take(&mut touched[g]);
+        while in_group != 0 {
+            let w = (g << 6) + in_group.trailing_zeros() as usize;
+            in_group &= in_group - 1;
+            let mut bits = std::mem::take(&mut words[w]);
+            while bits != 0 {
+                out.push(((w as u32) << 6) + bits.trailing_zeros());
+                bits &= bits - 1;
+            }
+        }
+    }
+}
+
+/// Emit the members of `rows` of buckets in ascending id order by sorting.
+fn emit_via_sort<'a>(rows: impl Iterator<Item = &'a [Vec<u32>]>, out: &mut Vec<u32>) {
+    for row in rows {
+        for b in row {
+            out.extend_from_slice(b);
+        }
+    }
+    out.sort_unstable();
 }
 
 #[cfg(test)]
@@ -543,6 +627,43 @@ mod tests {
         assert_eq!(s.gather_sorted(0, 0, 1), vec![12, 4096, 4097, 5000, 7000, 9000]);
         s.remove(5000);
         assert_eq!(s.gather_sorted(0, 0, 1), vec![12, 4096, 4097, 7000, 9000]);
+    }
+
+    #[test]
+    fn scratch_gather_matches_at_every_universe_size() {
+        // one scratch reused while the universe grows past the stack
+        // bitmap, past a 64-word group, and past the scratch's own limit
+        // (where it sorts): always the list `gather_sorted_into` gives,
+        // and the scratch is left all zeros for the next query
+        let mut s = idx();
+        let mut scratch = GatherScratch::default();
+        let (mut got, mut want) = (Vec::new(), Vec::new());
+        for top in [
+            70,
+            BITMAP_IDS - 1,
+            BITMAP_IDS,
+            5000,
+            3 * BITMAP_IDS,
+            SCRATCH_IDS - 1,
+            SCRATCH_IDS,
+        ] {
+            for id in [top, top - 1, top - 64, top / 2, top / 3].map(|id| id as u32) {
+                if !s.contains(id) {
+                    s.insert(id, (id % 2) as i32, (id % 3) as i32);
+                }
+            }
+            assert_eq!(s.id_universe(), top + 1);
+            for (bx, by, reach) in [(0, 0, 1), (1, 2, 1), (3, 3, 1), (0, 0, 3)] {
+                s.gather_sorted_with(&mut scratch, bx, by, reach, &mut got);
+                s.gather_sorted_into(bx, by, reach, &mut want);
+                assert_eq!(got, want, "universe {} at ({bx}, {by})", top + 1);
+                assert!(scratch.words.iter().chain(&scratch.touched).all(|&w| w == 0));
+            }
+        }
+        assert!(
+            scratch.words.len() * 64 <= SCRATCH_IDS,
+            "the scratch stops growing at its limit"
+        );
     }
 
     #[test]

@@ -19,7 +19,9 @@
 //!   barrier-delivered timestamped messages; the threaded world engine's
 //!   conservative-sync substrate.
 //! * [`rng`] — a master seed fanned out into independent, stable streams
-//!   per (domain, index), so adding a consumer never perturbs others.
+//!   per (domain, index), so adding a consumer never perturbs others; and
+//!   [`IdMap`] / [`IdSet`], hash tables over the simulator's own integer
+//!   ids with a cheap state-free hasher.
 
 pub mod backend;
 pub mod budget;
@@ -38,7 +40,7 @@ pub use calendar::CalendarQueue;
 pub use exec::{chunk_count, LaneWriter, MailSplit, Mailbox, SlicePtr, WorkerPool};
 pub use pool::{EventPool, PoolStats};
 pub use queue::{EventQueue, PendingEvents};
-pub use rng::{derive_seed, RngFactory, SplitMix64};
+pub use rng::{derive_seed, IdHasher, IdMap, IdSet, RngFactory, SplitMix64};
 pub use sched::{EventHandle, Scheduler};
 pub use shard::ShardedScheduler;
 pub use time::{SimDuration, SimTime};

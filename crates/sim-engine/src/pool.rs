@@ -28,9 +28,21 @@ pub struct PoolStats {
     pub capacity: usize,
 }
 
+/// Stamp of a slot whose event was cancelled (and of one never yet
+/// occupied): no allocation ever draws it, so no handle matches it.
+const REVOKED: u64 = u64::MAX;
+
+struct Slot<E> {
+    /// Ordinal of the allocation occupying the slot — what tells a handle
+    /// to this event from a stale handle to an earlier tenant — or
+    /// [`REVOKED`] once that event has been cancelled.
+    stamp: u64,
+    event: Option<E>,
+}
+
 /// Free-list slab of event slots.  See the module docs.
 pub struct EventPool<E> {
-    slots: Vec<Option<E>>,
+    slots: Vec<Slot<E>>,
     free: Vec<u32>,
     allocated: u64,
     freed: u64,
@@ -63,7 +75,10 @@ impl<E> EventPool<E> {
             .checked_add(additional)
             .filter(|&e| e <= u32::MAX as usize)
             .expect("event pool exceeds u32 slot space");
-        self.slots.resize_with(end, || None);
+        self.slots.resize_with(end, || Slot {
+            stamp: REVOKED,
+            event: None,
+        });
         // Push in reverse so the lowest new slot is handed out first.
         self.free.extend((start as u32..end as u32).rev());
     }
@@ -72,16 +87,20 @@ impl<E> EventPool<E> {
     #[inline]
     pub fn alloc(&mut self, event: E) -> u32 {
         self.allocated += 1;
+        let tenant = Slot {
+            stamp: self.allocated,
+            event: Some(event),
+        };
         let slot = match self.free.pop() {
             Some(s) => {
-                debug_assert!(self.slots[s as usize].is_none());
-                self.slots[s as usize] = Some(event);
+                debug_assert!(self.slots[s as usize].event.is_none());
+                self.slots[s as usize] = tenant;
                 s
             }
             None => {
                 let s = self.slots.len();
                 assert!(s <= u32::MAX as usize, "event pool exceeds u32 slot space");
-                self.slots.push(Some(event));
+                self.slots.push(tenant);
                 s as u32
             }
         };
@@ -96,16 +115,46 @@ impl<E> EventPool<E> {
     /// Panics on a double free — that is always a scheduler bug.
     #[inline]
     pub fn free(&mut self, slot: u32) -> E {
-        let ev = self.slots[slot as usize].take().expect("event pool double free");
+        let ev = self.slots[slot as usize]
+            .event
+            .take()
+            .expect("event pool double free");
         self.freed += 1;
         self.free.push(slot);
         ev
     }
 
+    /// Stamp of the live event in `slot`: with the slot number, a handle
+    /// that [`revoke`](Self::revoke) accepts only while this very event
+    /// is still pooled.
+    #[inline]
+    pub fn stamp(&self, slot: u32) -> u64 {
+        self.slots[slot as usize].stamp
+    }
+
+    /// Mark the event in `slot` cancelled, provided it is still the one
+    /// `stamp` was issued for.  A stale pair — the event already freed,
+    /// the slot since reused, or a second cancel — is a no-op.  The slot
+    /// stays occupied until [`free`](Self::free).
+    #[inline]
+    pub fn revoke(&mut self, slot: u32, stamp: u64) {
+        if let Some(s) = self.slots.get_mut(slot as usize) {
+            if s.stamp == stamp && s.event.is_some() {
+                s.stamp = REVOKED;
+            }
+        }
+    }
+
+    /// Was the live event in `slot` cancelled by [`revoke`](Self::revoke)?
+    #[inline]
+    pub fn is_revoked(&self, slot: u32) -> bool {
+        self.slots[slot as usize].stamp == REVOKED
+    }
+
     /// Read an event in place without freeing its slot.
     #[inline]
     pub fn get(&self, slot: u32) -> Option<&E> {
-        self.slots.get(slot as usize).and_then(|s| s.as_ref())
+        self.slots.get(slot as usize).and_then(|s| s.event.as_ref())
     }
 
     /// Currently live slots.
@@ -195,6 +244,28 @@ mod tests {
         assert_eq!(p.get(s), Some(&42));
         p.free(s);
         assert_eq!(p.get(s), None);
+    }
+
+    #[test]
+    fn revoke_marks_only_the_event_the_stamp_was_issued_for() {
+        let mut p = EventPool::new();
+        let a = p.alloc("a");
+        let stamp_a = p.stamp(a);
+        assert!(!p.is_revoked(a));
+        p.revoke(a, stamp_a);
+        p.revoke(a, stamp_a); // second cancel: no-op
+        assert!(p.is_revoked(a));
+        assert_eq!(p.free(a), "a", "a revoked event stays pooled until freed");
+        // the slot is reused (LIFO): the stale handle must not touch the
+        // new tenant, freed or not
+        let b = p.alloc("b");
+        assert_eq!(b, a);
+        p.revoke(b, stamp_a);
+        assert!(!p.is_revoked(b));
+        p.free(b);
+        p.revoke(b, stamp_a);
+        p.revoke(99, 1); // out-of-range slot: no-op
+        assert_eq!(p.stats().live, 0);
     }
 
     #[test]

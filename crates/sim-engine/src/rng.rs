@@ -51,6 +51,57 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
+/// Hasher for maps keyed by the simulator's own dense integer ids (node
+/// ids, `(node, request id)` pairs): one multiply-rotate round per integer
+/// instead of SipHash, and no per-process random state, so a map behaves
+/// the same in every run.  Keys must come from inside the program —
+/// nothing here resists crafted collisions.  Byte strings fold through
+/// the same FNV-1a step as [`fnv1a`].
+///
+/// Iteration order of such a map is still arbitrary as far as callers are
+/// concerned: nothing that reaches a trace, a frame or a statistic may
+/// depend on it.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct IdHasher(u64);
+
+impl IdHasher {
+    #[inline]
+    fn mix(&mut self, x: u64) {
+        // the Fx round: the odd multiplier is a bijection on the low bits
+        // hashbrown indexes by, and spreads into the high bits it tags by
+        self.0 = (self.0.rotate_left(5) ^ x).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+impl std::hash::Hasher for IdHasher {
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ b as u64).wrapping_mul(0x100000001b3);
+        }
+    }
+
+    #[inline]
+    fn write_u32(&mut self, x: u32) {
+        self.mix(x as u64);
+    }
+
+    #[inline]
+    fn write_u64(&mut self, x: u64) {
+        self.mix(x);
+    }
+}
+
+/// `HashMap` over [`IdHasher`].
+pub type IdMap<K, V> = std::collections::HashMap<K, V, std::hash::BuildHasherDefault<IdHasher>>;
+
+/// `HashSet` over [`IdHasher`].
+pub type IdSet<K> = std::collections::HashSet<K, std::hash::BuildHasherDefault<IdHasher>>;
+
 /// Derive a child seed from `(master, domain, index)`.
 pub fn derive_seed(master: u64, domain: &str, index: u64) -> u64 {
     let mut mix = SplitMix64::new(
@@ -91,6 +142,32 @@ impl RngFactory {
 mod tests {
     use super::*;
     use rand::Rng;
+
+    #[test]
+    fn id_maps_hold_dense_keys_and_repeat_exactly() {
+        let build = || {
+            let mut m: IdMap<(u32, u32), u32> = IdMap::default();
+            for i in 0..5000u32 {
+                m.insert((i, i % 7), i);
+            }
+            m
+        };
+        let (a, b) = (build(), build());
+        assert_eq!(a.len(), 5000);
+        assert_eq!(a.get(&(4321, 4321 % 7)), Some(&4321));
+        assert_eq!(a.get(&(4321, 0)), None);
+        // no per-process state: two maps built alike iterate alike
+        assert!(a.iter().eq(b.iter()));
+        // sequential ids spread over the low bits the table indexes by
+        let low: IdSet<u64> = (0..128u32)
+            .map(|i| {
+                let mut h = IdHasher::default();
+                std::hash::Hasher::write_u32(&mut h, i);
+                std::hash::Hasher::finish(&h) & 127
+            })
+            .collect();
+        assert_eq!(low.len(), 128);
+    }
 
     #[test]
     fn splitmix_is_deterministic() {

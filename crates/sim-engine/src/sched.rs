@@ -5,17 +5,25 @@ use crate::budget::{BudgetExceeded, RunBudget, WALL_CHECK_STRIDE};
 use crate::pool::{EventPool, PoolStats};
 use crate::queue::PendingEvents;
 use crate::time::{SimDuration, SimTime};
-use std::collections::HashSet;
 
 /// Handle returned by [`Scheduler::schedule_at`]; pass it to
 /// [`Scheduler::cancel`] to revoke the event before it fires.  The sharded
 /// scheduler (`crate::shard`) issues the same handle type, so an event loop
 /// can hold handles without caring which engine produced them.
+///
+/// A handle names the pool slot holding the event plus the stamp the pool
+/// issued for it, so cancelling is one indexed write and a handle that
+/// outlives its event (fired, or cancelled before) matches nothing.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct EventHandle(pub(crate) u64);
+pub struct EventHandle {
+    pub(crate) shard: u32,
+    pub(crate) slot: u32,
+    pub(crate) stamp: u64,
+}
 
 /// A virtual clock driving a pending-event set, with O(1) lazy
-/// cancellation: cancelled sequence numbers are skipped at pop time.
+/// cancellation: a cancelled event is flagged in its pool slot and skipped
+/// at pop time.
 ///
 /// Events are stored in an [`EventPool`] slab and the queue orders bare
 /// slot indices, so steady-state scheduling never touches the allocator:
@@ -38,7 +46,6 @@ pub struct EventHandle(pub(crate) u64);
 pub struct Scheduler<E> {
     queue: AnyQueue<u32>,
     pool: EventPool<E>,
-    cancelled: HashSet<u64>,
     now: SimTime,
     processed: u64,
     max_pending: usize,
@@ -67,7 +74,6 @@ impl<E> Scheduler<E> {
         Scheduler {
             queue: AnyQueue::new(backend),
             pool: EventPool::new(),
-            cancelled: HashSet::new(),
             now: SimTime::ZERO,
             processed: 0,
             max_pending: 0,
@@ -141,10 +147,17 @@ impl<E> Scheduler<E> {
     }
 
     #[inline]
-    fn note_depth(&mut self) {
+    fn push(&mut self, at: SimTime, event: E) -> EventHandle {
+        let slot = self.pool.alloc(event);
+        self.queue.insert(at, slot);
         let d = self.queue.len();
         if d > self.max_pending {
             self.max_pending = d;
+        }
+        EventHandle {
+            shard: 0,
+            slot,
+            stamp: self.pool.stamp(slot),
         }
     }
 
@@ -157,25 +170,19 @@ impl<E> Scheduler<E> {
             at,
             self.now
         );
-        let slot = self.pool.alloc(event);
-        let h = EventHandle(self.queue.insert(at, slot));
-        self.note_depth();
-        h
+        self.push(at, event)
     }
 
     /// Schedule `event` after a relative delay.
     pub fn schedule_in(&mut self, delay: SimDuration, event: E) -> EventHandle {
         let at = self.now.checked_add(delay).expect("virtual time overflow");
-        let slot = self.pool.alloc(event);
-        let h = EventHandle(self.queue.insert(at, slot));
-        self.note_depth();
-        h
+        self.push(at, event)
     }
 
     /// Revoke a pending event.  Cancelling an already-fired or
     /// already-cancelled event is a no-op.
     pub fn cancel(&mut self, h: EventHandle) {
-        self.cancelled.insert(h.0);
+        self.pool.revoke(h.slot, h.stamp);
     }
 
     /// Pop the next live event, advancing the clock to its timestamp.
@@ -184,10 +191,11 @@ impl<E> Scheduler<E> {
     /// mutates the clock).
     #[allow(clippy::should_implement_trait)]
     pub fn next(&mut self) -> Option<(SimTime, E)> {
-        while let Some((at, seq, slot)) = self.queue.pop_next() {
+        while let Some((at, _, slot)) = self.queue.pop_next() {
             // free the slot either way — cancelled events recycle here
+            let cancelled = self.pool.is_revoked(slot);
             let ev = self.pool.free(slot);
-            if self.cancelled.remove(&seq) {
+            if cancelled {
                 continue;
             }
             debug_assert!(at >= self.now);
@@ -203,7 +211,7 @@ impl<E> Scheduler<E> {
         // drop leading cancelled events so the peek is accurate
         while let Some(t) = self.queue.next_time() {
             let (at, seq, slot) = self.queue.pop_next().unwrap();
-            if self.cancelled.remove(&seq) {
+            if self.pool.is_revoked(slot) {
                 self.pool.free(slot);
                 continue;
             }
@@ -280,6 +288,24 @@ mod tests {
         s.cancel(h);
         let (_, e) = s.next().unwrap();
         assert_eq!(e, "alive");
+        assert!(s.next().is_none());
+    }
+
+    #[test]
+    fn stale_handle_spares_the_slot_s_next_tenant() {
+        // the fired event's slot is reused at once (LIFO free list); a
+        // late cancel through the old handle must not revoke the newcomer
+        let mut s = Scheduler::new();
+        let old = s.schedule_at(SimTime::from_secs(1), "fired");
+        assert_eq!(s.next().unwrap().1, "fired");
+        let new = s.schedule_at(SimTime::from_secs(2), "newcomer");
+        assert_eq!((old.slot, old.shard), (new.slot, new.shard));
+        s.cancel(old);
+        assert_eq!(s.next().unwrap().1, "newcomer");
+        // a peeked event keeps its slot, so its handle still cancels it
+        let h = s.schedule_at(SimTime::from_secs(3), "peeked");
+        assert_eq!(s.peek_time(), Some(SimTime::from_secs(3)));
+        s.cancel(h);
         assert!(s.next().is_none());
     }
 

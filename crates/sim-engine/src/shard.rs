@@ -22,8 +22,8 @@
 //! to shards (`tests/sharded_merge.rs` checks this against the serial
 //! scheduler on randomized workloads).
 //!
-//! Lazy cancellation is shared: cancelled global seqs are skipped at pop
-//! on whichever shard they live in, exactly like the serial scheduler.
+//! Lazy cancellation works as in the serial scheduler: a cancelled event
+//! is flagged in its shard's pool slot and skipped when it is popped.
 //!
 //! [`Scheduler`]: crate::sched::Scheduler
 
@@ -32,7 +32,7 @@ use crate::pool::{EventPool, PoolStats};
 use crate::sched::EventHandle;
 use crate::time::{SimDuration, SimTime};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::BinaryHeap;
 
 /// Queue entry: absolute time, globally-unique insertion seq, pool slot.
 /// Ordered min-first by `(at, seq)` via `Reverse` in the heap.
@@ -53,7 +53,6 @@ struct Shard<E> {
 /// one addition: `schedule_*` takes the target shard index.
 pub struct ShardedScheduler<E> {
     shards: Vec<Shard<E>>,
-    cancelled: HashSet<u64>,
     /// Global insertion counter — the queue_seq of the merge key.
     next_seq: u64,
     now: SimTime,
@@ -80,7 +79,6 @@ impl<E> ShardedScheduler<E> {
                     pool: EventPool::new(),
                 })
                 .collect(),
-            cancelled: HashSet::new(),
             next_seq: 0,
             now: SimTime::ZERO,
             processed: 0,
@@ -190,7 +188,11 @@ impl<E> ShardedScheduler<E> {
             self.high_water = self.live;
         }
         self.note_depth();
-        EventHandle(seq)
+        EventHandle {
+            shard: shard as u32,
+            slot,
+            stamp: self.shards[shard].pool.stamp(slot),
+        }
     }
 
     /// Schedule `event` on `shard` at absolute time `at`.  Panics if `at`
@@ -214,7 +216,7 @@ impl<E> ShardedScheduler<E> {
     /// Revoke a pending event.  Cancelling an already-fired or
     /// already-cancelled event is a no-op.
     pub fn cancel(&mut self, h: EventHandle) {
-        self.cancelled.insert(h.0);
+        self.shards[h.shard as usize].pool.revoke(h.slot, h.stamp);
     }
 
     /// Pop the next live event in merged `(time, queue_seq, shard_id)`
@@ -236,9 +238,10 @@ impl<E> ShardedScheduler<E> {
             let (entry, si) = best?;
             let sh = &mut self.shards[si];
             sh.queue.pop();
+            let cancelled = sh.pool.is_revoked(entry.slot);
             let ev = sh.pool.free(entry.slot);
             self.live -= 1;
-            if self.cancelled.remove(&entry.seq) {
+            if cancelled {
                 continue;
             }
             debug_assert!(entry.at >= self.now);

@@ -149,3 +149,35 @@ fn modes_agree_on_a_denser_run_with_node_deaths() {
         );
     }
 }
+
+#[test]
+fn modes_agree_on_a_fleet_past_the_gather_bitmap() {
+    // Every other fixture stays below the 4 096 ids the index's stack
+    // bitmap covers; this fleet crosses it, so receiver gathers go through
+    // the fleet-sized bitset the world brings along (and the channel keeps
+    // a few dozen frames in its buckets) — at the paper's density, for two
+    // simulated seconds, with one flood to mix unicasts into the beacons.
+    let text = "[scenario]\nname = \"past-bitmap\"\nfield_w = 6500\nfield_h = 6500\ncell_side = 100\n\
+                duration_s = 2\nseed = 5\n\n[[group]]\nname = \"fleet\"\ncount = 4225\n\
+                mobility = \"waypoint\"\nmax_speed = 10\npause_s = 0\n\n\
+                [traffic]\npattern = \"cbr\"\nflows = 1\nrate_pps = 1.0\nstart_s = 1\n";
+    let spec = ecgrid_suite::scenario::parse(text).expect("scenario text parses");
+    let run = |mode| {
+        ecgrid_suite::runner::run_spec(
+            &spec,
+            ProtocolKind::Ecgrid,
+            RunOptions::digest().with_neighbor_index(mode),
+        )
+    };
+    let (brute, grid) = (run(NeighborIndex::Brute), run(NeighborIndex::Grid));
+    assert_eq!(
+        brute.trace_digest, grid.trace_digest,
+        "modes diverged on the 4225-host fleet"
+    );
+    assert_eq!(brute.stats, grid.stats);
+    assert!(
+        grid.stats.broadcasts > 4225 && grid.stats.cell_crossings > 100,
+        "every host must beacon and the index must take moves: {:?}",
+        grid.stats
+    );
+}

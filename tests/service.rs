@@ -306,19 +306,29 @@ pattern = "many_to_one"
 flows = 2
 rate_pps = 1.0
 "#;
-    let server = start_server("scenario_job", ServiceConfig::default());
+    let server = start_server("scenario_job", ServiceConfig::default().with_workers(1));
     let mut client = connect(&server);
     let spec = JobSpec {
         scenario: ecgrid_suite::service::proto::scenario_hex_encode(TEXT),
         replicas: 2,
         ..JobSpec::default()
     };
-    // stream a job to completion, keeping the names of its metric frames
+    // Stream a job to completion, keeping the names of its metric frames.
+    // A filler holds the single worker while the subscription attaches (a
+    // replica of these jobs finishes faster than that — module docs), and
+    // the subscription asks for app-layer events only: metric frames
+    // bypass event filters, and an unfiltered stream outruns the
+    // subscriber's bounded buffer, which sheds frames of either kind.
+    let app_only = FilterSpec {
+        layers: "app".into(),
+        ..FilterSpec::default()
+    };
     let mut metric_names = |spec: &JobSpec| {
+        client.submit_until_accepted(&filler_spec(), 0).expect("filler");
         let (job, _) = client.submit_until_accepted(spec, 0).expect("submit");
         let mut names: Vec<String> = Vec::new();
         let info = client
-            .stream_job(job, &FilterSpec::default(), |frame| {
+            .stream_job(job, &app_only, |frame| {
                 if json::field(frame, "stream") == Some("metric") {
                     names.extend(json::field(frame, "name").map(str::to_string));
                 }
