@@ -229,7 +229,9 @@ impl Client {
             .conn
             .as_mut()
             .ok_or_else(|| io::Error::new(io::ErrorKind::NotConnected, "not connected"))?;
-        writeln!(conn.writer, "{line}")?;
+        // one write, newline included: a bare `TCP_NODELAY` stream
+        // sends every `write` as a segment of its own
+        conn.writer.write_all(format!("{line}\n").as_bytes())?;
         let mut reply = String::new();
         if conn.reader.read_line(&mut reply)? == 0 {
             return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "server closed"));
@@ -368,8 +370,12 @@ impl Client {
             .as_mut()
             .ok_or_else(|| io::Error::new(io::ErrorKind::NotConnected, "not connected"))?;
         let mut done: Option<DoneInfo> = None;
+        // one line buffer for the whole stream: at a million frames a
+        // second an allocation per frame is what the reader would spend
+        // its time on
+        let mut line = String::new();
         loop {
-            let mut line = String::new();
+            line.clear();
             match conn.reader.read_line(&mut line) {
                 Ok(0) => return Ok(done), // server closed; summary only if seen
                 Ok(_) => {}
@@ -384,7 +390,7 @@ impl Client {
                 continue;
             }
             on_frame(frame);
-            match json::field(frame, "stream") {
+            match stream_kind(frame) {
                 Some("done") => done = Some(parse_done(frame)),
                 Some("bye") => {
                     if let Some(info) = &mut done {
@@ -396,6 +402,15 @@ impl Client {
                 _ => {}
             }
         }
+    }
+}
+
+/// The `stream` member of a frame.  Servers write it first, so this is a
+/// prefix check; any other layout falls back to the field scanner.
+fn stream_kind(frame: &str) -> Option<&str> {
+    match frame.strip_prefix("{\"stream\":\"") {
+        Some(rest) => rest.find('"').map(|end| &rest[..end]),
+        None => json::field(frame, "stream"),
     }
 }
 
@@ -422,6 +437,14 @@ mod tests {
         }
         // 3 attempts with ~1-4ms delays: fail fast, not hang
         assert!(start.elapsed() < Duration::from_secs(5));
+    }
+
+    #[test]
+    fn stream_kind_reads_the_leading_member_or_scans_for_it() {
+        assert_eq!(stream_kind("{\"stream\":\"event\",\"job\":1}"), Some("event"));
+        assert_eq!(stream_kind("{\"job\":1,\"stream\":\"bye\"}"), Some("bye"));
+        assert_eq!(stream_kind("{\"stream\":\"torn"), None);
+        assert_eq!(stream_kind("{\"ok\":true}"), None);
     }
 
     #[test]

@@ -1,47 +1,205 @@
 //! The subscriber hub: fan-out of stream frames to live subscribers with
-//! bounded buffers and drop-and-count overload behavior.
+//! bounded batch buffers and drop-and-count overload behavior.
 //!
 //! The cardinal rule is that a slow or dead consumer must never slow the
-//! producer: the simulation worker publishes with `try_send` into each
-//! subscriber's bounded channel and *drops* the frame when the buffer is
-//! full, incrementing that subscriber's [`DropCounter`] (and a hub-wide
-//! aggregate).  The subscriber learns its own loss total from the `bye`
+//! producer.  Each subscriber owns one *pending* buffer of wire-ready
+//! lines.  The simulation worker renders a frame straight into it — no
+//! per-frame allocation, no hand-off of owned strings — unless the
+//! subscriber's frame budget (`--sub-buffer`) is spent, in which case the
+//! frame is *dropped* and counted in that subscriber's [`DropCounter`]
+//! (and a hub-wide aggregate).  The connection thread swaps the whole
+//! buffer for an empty one under the lock and writes it to the socket
+//! with the lock released ([`SubscriberHandle::next_batch`]).  The budget
+//! covers the pending frames plus those of the batch being written, so
+//! it bounds the memory of both buffers together.  The connection thread
+//! is woken only when the pending buffer goes from empty to non-empty,
+//! and a woken thread takes whatever is pending at once: there is no fill
+//! threshold and no flush timer, so a trickle of frames is never held
+//! back waiting for a batch to fill.  A flood batches itself: after a
+//! write the thread stays away for `WRITE_PACE` (tens of microseconds)
+//! before it takes the next batch, which by then holds hundreds of
+//! frames.  The subscriber learns its own loss total from the `bye`
 //! frame its connection writes at end of stream, so "I saw every event"
 //! stays a falsifiable claim.
 //!
 //! Filtering happens here, producer-side: an event frame is only
-//! rendered (and only offered) to subscribers whose [`EventFilter`]
-//! matches its labels, so a narrow subscription costs the wire — and the
-//! render path — only its own events.  When a job has no subscribers at
-//! all, the per-event overhead is one relaxed atomic load.
+//! rendered for subscribers whose [`EventFilter`] matches its labels, so
+//! a narrow subscription costs the wire — and the render path — only its
+//! own events.  When a job has no subscribers at all, the per-event
+//! overhead is one relaxed atomic load.
+//!
+//! Every lock here is shared between the simulating worker and
+//! connection threads, and a panic on one of them must not take the
+//! others down: a poisoned guard is recovered, after restoring the one
+//! condition its holder could have left broken (see `lock_subs` and
+//! `SubShared::lock`).
 
 use crate::proto;
 use metrics::{DropCounter, DropStats};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use trace::{Event, EventFilter};
+
+/// Frames rendered for one subscriber and not yet on the wire.
+#[derive(Default)]
+struct Pending {
+    /// Whole lines, each ending in `\n`, not yet taken by the connection
+    /// thread.
+    lines: String,
+    /// Lines in `lines`.
+    frames: usize,
+    /// Lines of the batch the connection thread took last and is still
+    /// writing.  `frames + writing` never exceeds the subscriber's
+    /// budget, so the knob bounds the memory of both buffers together.
+    writing: usize,
+    /// Frames offered, kept or dropped, since the producer last yielded
+    /// its core (see `SubShared::append`).
+    since_yield: usize,
+    /// End of stream: nothing will be appended any more.
+    closed: bool,
+}
+
+/// Largest allocation a connection thread hands back as the next pending
+/// buffer; a larger one (a backlog built up while it could not run) is
+/// freed once written.
+const KEEP: usize = 16 * 1024;
+
+/// How long a connection thread stays away after a write before it takes
+/// the next batch.  A socket write costs microseconds whatever its size, so
+/// a thread that came straight back would take a flood ten frames at a
+/// time and spend a whole core on system calls (as would its peer); one
+/// that stays away this long takes a few hundred frames per write.  It is
+/// not a flush timer: a frame that finds the thread waiting is taken at
+/// once, and only a frame published within this long of the previous
+/// write waits, for the rest of it.  It is also what makes a small budget
+/// mean what it says: `budget` frames per pause is all a subscriber can
+/// get, however fast its connection thread is.
+const WRITE_PACE: std::time::Duration = std::time::Duration::from_micros(50);
+
+/// The producer yields its core at most once per this many frames offered
+/// to a subscriber: at worst a context switch spread over a thousand
+/// frames, whatever the subscriber's budget.
+const YIELD_EVERY: usize = 1024;
+
+/// What the hub (producer side) and one connection thread share.
+struct SubShared {
+    pending: Mutex<Pending>,
+    /// Signalled when `pending` stops being empty, and when it closes.
+    wake: Condvar,
+    /// Most frames pending and being written, together.
+    budget: usize,
+    counter: DropCounter,
+}
+
+impl SubShared {
+    fn lock(&self) -> MutexGuard<'_, Pending> {
+        self.pending.lock().unwrap_or_else(|e| self.recover(e))
+    }
+
+    /// The guard of a lock whose holder panicked.  The holder may have
+    /// died part-way through a line: keep whole lines only (`frames` is
+    /// bumped after the line ends, so it already excludes the torn one).
+    fn recover<'a>(&self, poisoned: PoisonError<MutexGuard<'a, Pending>>) -> MutexGuard<'a, Pending> {
+        let mut p = poisoned.into_inner();
+        let whole = p.lines.rfind('\n').map_or(0, |at| at + 1);
+        p.lines.truncate(whole);
+        self.pending.clear_poison();
+        p
+    }
+
+    /// Let `render` append one line to the pending buffer, or count the
+    /// frame as dropped when the budget is spent.  Never blocks beyond
+    /// the buffer swap of the consumer.
+    fn append(&self, totals: &DropCounter, render: impl FnOnce(&mut String)) {
+        let mut p = self.lock();
+        p.since_yield += 1;
+        if p.frames + p.writing >= self.budget {
+            self.counter.note_dropped();
+            totals.note_dropped();
+            return;
+        }
+        render(&mut p.lines);
+        p.lines.push('\n');
+        p.frames += 1;
+        self.counter.note_delivered();
+        totals.note_delivered();
+        let was_empty = p.frames == 1;
+        // The next frame would be dropped.  If the connection thread is
+        // runnable but queued behind this thread on the same core, it
+        // would stay there for a whole time slice — thousands of frames —
+        // so offer it the core.  `yield_now` returns at once when nobody
+        // is queued, and it is rationed: a small budget fills often, and
+        // yielding on every fill would pace the simulation by its
+        // subscriber, which is exactly what dropping is there to avoid.
+        let offer_core = p.frames + p.writing == self.budget && p.since_yield >= YIELD_EVERY;
+        if offer_core {
+            p.since_yield = 0;
+        }
+        drop(p);
+        if was_empty {
+            self.wake.notify_one();
+        }
+        if offer_core {
+            std::thread::yield_now();
+        }
+    }
+
+    fn close(&self) {
+        self.lock().closed = true;
+        self.wake.notify_one();
+    }
+}
 
 struct SubEntry {
     id: u64,
     job: u64,
     filter: EventFilter,
-    tx: SyncSender<String>,
-    counter: Arc<DropCounter>,
+    shared: Arc<SubShared>,
 }
 
-/// A subscription as its owning connection sees it: the receive side of
-/// the bounded buffer plus the loss counter the hub updates.
+/// A subscription as its owning connection sees it: the consuming side
+/// of the batch buffer plus the loss counter the hub updates.
 pub struct SubscriberHandle {
     pub id: u64,
     pub job: u64,
-    pub rx: Receiver<String>,
-    pub counter: Arc<DropCounter>,
+    shared: Arc<SubShared>,
 }
 
 impl SubscriberHandle {
     pub fn stats(&self) -> DropStats {
-        self.counter.snapshot()
+        self.shared.counter.snapshot()
+    }
+
+    /// Block until frames are pending or the stream has ended, then move
+    /// everything pending into `batch`.  What `batch` held is taken to be
+    /// written: its frames stop counting against the budget, its
+    /// allocation (up to [`KEEP`]) becomes the next pending buffer, and
+    /// the call pauses for [`WRITE_PACE`] before it looks for more.
+    /// Returns `false` once the stream has ended — `batch` then holds its
+    /// tail, possibly empty, and [`SubscriberHandle::stats`] is final.
+    pub fn next_batch(&self, batch: &mut String) -> bool {
+        let wrote = !batch.is_empty();
+        if batch.capacity() > KEEP {
+            *batch = String::new();
+        }
+        batch.clear();
+        let mut p = self.shared.lock();
+        p.writing = 0;
+        if wrote && !p.closed {
+            drop(p);
+            std::thread::sleep(WRITE_PACE);
+            p = self.shared.lock();
+        }
+        while p.frames == 0 && !p.closed {
+            p = self
+                .shared
+                .wake
+                .wait(p)
+                .unwrap_or_else(|e| self.shared.recover(e));
+        }
+        std::mem::swap(&mut p.lines, batch);
+        p.writing = std::mem::take(&mut p.frames);
+        !p.closed
     }
 }
 
@@ -61,26 +219,40 @@ impl Hub {
         Hub::default()
     }
 
+    fn lock_subs(&self) -> MutexGuard<'_, Vec<SubEntry>> {
+        self.subs.lock().unwrap_or_else(|poisoned| {
+            // the list itself is whole after any panic; only its cached
+            // length can be stale
+            let subs = poisoned.into_inner();
+            self.n_subs.store(subs.len(), Ordering::Relaxed);
+            self.subs.clear_poison();
+            subs
+        })
+    }
+
     /// Register a subscriber for `job` with a buffer of `depth` frames.
     pub fn subscribe(&self, job: u64, filter: EventFilter, depth: usize) -> SubscriberHandle {
-        let (tx, rx) = sync_channel(depth.max(1));
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let counter = Arc::new(DropCounter::new());
-        let mut subs = self.subs.lock().expect("hub lock");
+        let shared = Arc::new(SubShared {
+            pending: Mutex::default(),
+            wake: Condvar::new(),
+            budget: depth.max(1),
+            counter: DropCounter::new(),
+        });
+        let mut subs = self.lock_subs();
         subs.push(SubEntry {
             id,
             job,
             filter,
-            tx,
-            counter: counter.clone(),
+            shared: shared.clone(),
         });
         self.n_subs.store(subs.len(), Ordering::Relaxed);
-        SubscriberHandle { id, job, rx, counter }
+        SubscriberHandle { id, job, shared }
     }
 
     /// Drop one subscription (the connection went away or finished).
     pub fn unsubscribe(&self, id: u64) {
-        let mut subs = self.subs.lock().expect("hub lock");
+        let mut subs = self.lock_subs();
         subs.retain(|s| s.id != id);
         self.n_subs.store(subs.len(), Ordering::Relaxed);
     }
@@ -94,59 +266,69 @@ impl Hub {
         self.drops.snapshot()
     }
 
-    fn offer(&self, entry: &SubEntry, frame: &str) {
-        match entry.tx.try_send(frame.to_string()) {
-            Ok(()) => {
-                entry.counter.note_delivered();
-                self.drops.note_delivered();
-            }
-            Err(TrySendError::Full(_)) => {
-                entry.counter.note_dropped();
-                self.drops.note_dropped();
-            }
-            // a disconnected receiver is reaped by unsubscribe; until
-            // then its frames just vanish without accounting noise
-            Err(TrySendError::Disconnected(_)) => {}
-        }
-    }
-
-    /// Publish one simulation event for `job`; the frame is rendered at
-    /// most once, and only if some subscriber's filter matches.
+    /// Publish one simulation event for `job`: rendered once per matching
+    /// subscriber, directly into its pending buffer, and not at all for
+    /// a subscriber that is over budget or filtered out.
     pub fn publish_event(&self, job: u64, replica: u64, protocol: &str, ev: &Event) {
         if self.n_subs.load(Ordering::Relaxed) == 0 {
             return;
         }
         let labels = ev.labels(protocol);
-        let mut frame: Option<String> = None;
-        let subs = self.subs.lock().expect("hub lock");
+        let subs = self.lock_subs();
         for s in subs.iter() {
-            if s.job != job || !s.filter.matches(&labels) {
-                continue;
+            if s.job == job && s.filter.matches(&labels) {
+                s.shared.append(&self.drops, |out| {
+                    proto::write_event_frame(out, job, replica, protocol, ev)
+                });
             }
-            let f = frame.get_or_insert_with(|| proto::frame_event(job, replica, protocol, ev));
-            self.offer(s, f);
         }
     }
 
     /// Publish a control frame (metric, replica_done, job, done, …) to
-    /// every subscriber of `job`, bypassing event filters.
+    /// every subscriber of `job`, bypassing event filters.  It queues
+    /// behind the events published before it, in the same buffer.
     pub fn publish_frame(&self, job: u64, frame: &str) {
         if self.n_subs.load(Ordering::Relaxed) == 0 {
             return;
         }
-        let subs = self.subs.lock().expect("hub lock");
+        let subs = self.lock_subs();
         for s in subs.iter().filter(|s| s.job == job) {
-            self.offer(s, frame);
+            s.shared.append(&self.drops, |out| out.push_str(frame));
         }
     }
 
-    /// End of stream for `job`: disconnect its subscribers' senders so
-    /// each connection's receive loop sees the channel close (its cue to
-    /// write the `bye` frame) after draining buffered frames.
+    /// End of stream for `job`: close its subscribers' buffers, so each
+    /// connection writes what is still pending and then its `bye` frame.
     pub fn finish_job(&self, job: u64) {
-        let mut subs = self.subs.lock().expect("hub lock");
-        subs.retain(|s| s.job != job);
+        let mut subs = self.lock_subs();
+        // closed under the list lock, which every append holds too:
+        // nothing can land in a buffer after its consumer saw `closed`
+        subs.retain(|s| {
+            if s.job == job {
+                s.shared.close();
+            }
+            s.job != job
+        });
         self.n_subs.store(subs.len(), Ordering::Relaxed);
+    }
+}
+
+#[cfg(test)]
+impl Hub {
+    /// Panic a thread while it holds the subscriber list and every
+    /// pending buffer, half-way through writing a line into each.
+    pub(crate) fn poison_for_test(self: &Arc<Self>) {
+        let hub = self.clone();
+        let died = std::thread::spawn(move || {
+            let subs = hub.subs.lock().unwrap();
+            let mut held: Vec<_> = subs.iter().map(|s| s.shared.pending.lock().unwrap()).collect();
+            for p in &mut held {
+                p.lines.push_str("{\"stream\":\"torn");
+            }
+            panic!("a hub lock holder dies (deliberately, for the test)");
+        })
+        .join();
+        assert!(died.is_err() && self.subs.is_poisoned());
     }
 }
 
@@ -154,20 +336,36 @@ impl Hub {
 mod tests {
     use super::*;
     use sim_engine::SimTime;
+    use std::sync::mpsc::channel;
     use trace::EventKind;
 
     fn ev() -> Event {
         Event {
             t: SimTime::from_secs(1),
             kind: EventKind::MacRetry {
-                node: radio_node(3),
+                node: radio::NodeId(3),
                 attempt: 1,
             },
         }
     }
 
-    fn radio_node(n: u32) -> radio::NodeId {
-        radio::NodeId(n)
+    /// Whatever is pending right now, without waiting for more.
+    fn pending_lines(sub: &SubscriberHandle) -> Vec<String> {
+        let p = sub.shared.lock();
+        assert_eq!(p.lines.lines().count(), p.frames);
+        assert!(p.frames + p.writing <= sub.shared.budget);
+        p.lines.lines().map(str::to_string).collect()
+    }
+
+    /// The connection thread finished writing the batch it took (in the
+    /// server that is its next call of `next_batch`, which may block).
+    fn written(sub: &SubscriberHandle) {
+        sub.shared.lock().writing = 0;
+    }
+
+    fn batch_lines(batch: &str) -> Vec<&str> {
+        assert!(batch.is_empty() || batch.ends_with('\n'), "whole lines only");
+        batch.lines().collect()
     }
 
     #[test]
@@ -177,9 +375,11 @@ mod tests {
         let route = hub.subscribe(1, EventFilter::all().with_layers("route").unwrap(), 8);
         let other_job = hub.subscribe(2, EventFilter::all(), 8);
         hub.publish_event(1, 0, "ECGRID", &ev());
-        assert!(mac.rx.try_recv().is_ok());
-        assert!(route.rx.try_recv().is_err());
-        assert!(other_job.rx.try_recv().is_err());
+        assert_eq!(pending_lines(&mac), [proto::frame_event(1, 0, "ECGRID", &ev())]);
+        assert!(pending_lines(&route).is_empty());
+        assert!(pending_lines(&other_job).is_empty());
+        // a filtered-out frame is neither delivered nor dropped
+        assert_eq!(route.stats().offered(), 0);
     }
 
     #[test]
@@ -197,14 +397,111 @@ mod tests {
     }
 
     #[test]
-    fn finish_job_closes_the_channel_after_buffered_frames() {
+    fn budget_bounds_what_is_queued_and_every_frame_is_accounted_for() {
+        for budget in [1usize, 2, 8] {
+            let hub = Hub::new();
+            let sub = hub.subscribe(1, EventFilter::all(), budget);
+            let (mut batch, mut carried) = (String::new(), 0u64);
+            let rounds = 5;
+            for round in 0..rounds {
+                // three frames more than fit, of both kinds
+                for i in 0..budget + 3 {
+                    if i % 2 == 0 {
+                        hub.publish_event(1, round, "ECGRID", &ev());
+                    } else {
+                        hub.publish_frame(1, "{\"stream\":\"metric\"}");
+                    }
+                }
+                assert_eq!(pending_lines(&sub).len(), budget, "budget {budget}");
+                assert!(sub.next_batch(&mut batch));
+                assert_eq!(batch_lines(&batch).len(), budget);
+                carried += budget as u64;
+                // a batch being written still counts: no room until it is out
+                hub.publish_event(1, round, "ECGRID", &ev());
+                assert!(pending_lines(&sub).is_empty());
+                written(&sub);
+            }
+            hub.finish_job(1);
+            assert!(!sub.next_batch(&mut batch));
+            assert!(batch.is_empty());
+            let s = sub.stats();
+            assert_eq!(s.delivered, carried, "bye reports what the socket carried");
+            assert_eq!(s.offered(), rounds * (budget as u64 + 4));
+            assert_eq!(hub.drop_stats(), s);
+        }
+    }
+
+    #[test]
+    fn accounting_identity_holds_against_a_free_running_consumer() {
+        const OFFERED: u64 = 20_000;
+        for budget in [1usize, 2, 8] {
+            let hub = Arc::new(Hub::new());
+            let sub = hub.subscribe(1, EventFilter::all(), budget);
+            let consumer = std::thread::spawn(move || {
+                let (mut batch, mut carried) = (String::new(), 0u64);
+                loop {
+                    let more = sub.next_batch(&mut batch);
+                    let n = batch_lines(&batch).len();
+                    assert!(n <= budget, "a batch of {n} from a budget of {budget}");
+                    carried += n as u64;
+                    if !more {
+                        return (carried, sub.stats());
+                    }
+                }
+            });
+            for _ in 0..OFFERED {
+                hub.publish_event(1, 0, "ECGRID", &ev());
+            }
+            hub.finish_job(1);
+            let (carried, stats) = consumer.join().unwrap();
+            assert_eq!(stats.offered(), OFFERED, "delivered + dropped == offered");
+            assert_eq!(stats.delivered, carried, "bye reports what the socket carried");
+        }
+    }
+
+    #[test]
+    fn control_frames_queue_behind_earlier_events_and_the_tail_survives_finish() {
         let hub = Hub::new();
-        let sub = hub.subscribe(1, EventFilter::all(), 8);
-        hub.publish_frame(1, "a");
+        let sub = hub.subscribe(1, EventFilter::all(), 64);
+        for _ in 0..10 {
+            hub.publish_event(1, 0, "ECGRID", &ev());
+        }
+        hub.publish_frame(1, "{\"stream\":\"done\"}");
         hub.finish_job(1);
         assert_eq!(hub.subscriber_count(), 0);
-        assert_eq!(sub.rx.recv().unwrap(), "a");
-        assert!(sub.rx.recv().is_err()); // disconnected = end of stream
+        let mut batch = String::new();
+        assert!(!sub.next_batch(&mut batch), "closed = end of stream");
+        let lines = batch_lines(&batch);
+        assert_eq!(lines.len(), 11);
+        assert!(lines[..10].iter().all(|l| l.contains("\"stream\":\"event\"")));
+        assert_eq!(lines[10], "{\"stream\":\"done\"}");
+        assert_eq!(sub.stats().delivered, 11);
+    }
+
+    #[test]
+    fn a_single_frame_wakes_a_waiting_consumer_at_once() {
+        // no fill threshold: a trickle subscription (`layers = "app"`)
+        // sees each frame when it is published, not when a batch fills
+        let hub = Arc::new(Hub::new());
+        let sub = hub.subscribe(1, EventFilter::all().with_layers("mac").unwrap(), 1024);
+        let (tx, rx) = channel();
+        let consumer = std::thread::spawn(move || {
+            let mut batch = String::new();
+            while sub.next_batch(&mut batch) {
+                tx.send(batch.clone()).unwrap();
+            }
+        });
+        for _ in 0..3 {
+            hub.publish_event(1, 0, "ECGRID", &ev());
+            let got = rx.recv_timeout(std::time::Duration::from_secs(30)).unwrap();
+            assert_eq!(
+                batch_lines(&got).len(),
+                1,
+                "delivered while the job is still running"
+            );
+        }
+        hub.finish_job(1);
+        consumer.join().unwrap();
     }
 
     #[test]
@@ -222,6 +519,33 @@ mod tests {
         hub.unsubscribe(sub.id);
         hub.publish_frame(1, "x");
         assert_eq!(hub.subscriber_count(), 0);
-        assert!(sub.rx.try_recv().is_err());
+        assert!(pending_lines(&sub).is_empty());
+    }
+
+    #[test]
+    fn hub_locks_survive_a_panicking_holder() {
+        let hub = Arc::new(Hub::new());
+        let sub = hub.subscribe(1, EventFilter::all(), 8);
+        hub.publish_frame(1, "{\"stream\":\"job\"}");
+        hub.poison_for_test();
+        // every entry point still works, and the torn line is gone
+        hub.publish_event(1, 0, "ECGRID", &ev());
+        let late = hub.subscribe(1, EventFilter::all(), 8);
+        assert_eq!(hub.subscriber_count(), 2);
+        hub.publish_frame(1, "{\"stream\":\"done\"}");
+        hub.finish_job(1);
+        let mut batch = String::new();
+        assert!(!sub.next_batch(&mut batch));
+        assert_eq!(
+            batch_lines(&batch),
+            [
+                "{\"stream\":\"job\"}",
+                proto::frame_event(1, 0, "ECGRID", &ev()).as_str(),
+                "{\"stream\":\"done\"}"
+            ]
+        );
+        assert_eq!(sub.stats().delivered, 3);
+        assert!(!late.next_batch(&mut batch));
+        assert_eq!(batch_lines(&batch), ["{\"stream\":\"done\"}"]);
     }
 }

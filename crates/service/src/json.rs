@@ -10,6 +10,8 @@
 //! which the protocol layer answers with an error reply — never a panic
 //! or a hang.
 
+use trace::event::{push_i64, push_u64};
+
 /// Sanitize a string for embedding in a one-line JSON object: quotes and
 /// backslashes become `'` and `/`, control characters become spaces.
 /// Lossy by design — the service's strings are identifiers, fault specs
@@ -109,14 +111,16 @@ impl Obj {
         self
     }
 
-    pub fn u64(self, key: &str, val: u64) -> Self {
-        let tok = val.to_string();
-        self.raw(key, &tok)
+    pub fn u64(mut self, key: &str, val: u64) -> Self {
+        self.key(key);
+        push_u64(&mut self.buf, val);
+        self
     }
 
-    pub fn i64(self, key: &str, val: i64) -> Self {
-        let tok = val.to_string();
-        self.raw(key, &tok)
+    pub fn i64(mut self, key: &str, val: i64) -> Self {
+        self.key(key);
+        push_i64(&mut self.buf, val);
+        self
     }
 
     pub fn bool(self, key: &str, val: bool) -> Self {

@@ -26,6 +26,7 @@
 //! decimal, which Rust's formatter already round-trips exactly.
 
 use crate::json::{self, Obj};
+use trace::event::push_u64;
 use trace::{Event, EventFilter};
 
 /// Protocol version, checked on `submit` manifests.
@@ -357,20 +358,24 @@ pub fn reply_ok() -> Obj {
 
 // ----- stream frame builders ---------------------------------------------
 
-/// An event frame: the event's own JSONL object with the stream header
-/// spliced in front of its fields.
+/// Append an event frame to `out`: the event's own JSONL members behind
+/// the stream header, in one object.  The hub calls this once per event
+/// on the simulating thread, straight into a subscriber's batch buffer,
+/// so nothing here allocates or goes through `fmt`.
+pub fn write_event_frame(out: &mut String, job: u64, replica: u64, protocol: &str, ev: &Event) {
+    out.push_str("{\"stream\":\"event\",\"job\":");
+    push_u64(out, job);
+    out.push_str(",\"replica\":");
+    push_u64(out, replica);
+    out.push(',');
+    ev.write_json_fields(protocol, out);
+    out.push('}');
+}
+
+/// An event frame as a line of its own (see [`write_event_frame`]).
 pub fn frame_event(job: u64, replica: u64, protocol: &str, ev: &Event) -> String {
-    let body = ev.to_jsonl(protocol);
-    let head = Obj::new()
-        .str("stream", "event")
-        .u64("job", job)
-        .u64("replica", replica)
-        .finish();
-    // "{head…}" + "{body…}" → "{head…,body…}"
-    let mut s = String::with_capacity(head.len() + body.len());
-    s.push_str(&head[..head.len() - 1]);
-    s.push(',');
-    s.push_str(&body[1..]);
+    let mut s = String::with_capacity(192);
+    write_event_frame(&mut s, job, replica, protocol, ev);
     s
 }
 
@@ -461,6 +466,152 @@ pub fn frame_bye(job: u64, delivered: u64, dropped: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use energy::{EnergyLevel, RadioMode};
+    use geo::GridCoord;
+    use radio::{NodeId, PageSignal};
+    use sim_engine::SimTime;
+    use trace::{EventKind, FaultKind};
+
+    /// `frame_event` as it was before frames were rendered in place: the
+    /// event line, a header object, and a third string splicing the two.
+    /// Kept as the reference for the wire format.
+    fn frame_event_oracle(job: u64, replica: u64, protocol: &str, ev: &Event) -> String {
+        let body = ev.to_jsonl(protocol);
+        let head = Obj::new()
+            .str("stream", "event")
+            .u64("job", job)
+            .u64("replica", replica)
+            .finish();
+        // "{head…}" + "{body…}" → "{head…,body…}"
+        let mut s = String::with_capacity(head.len() + body.len());
+        s.push_str(&head[..head.len() - 1]);
+        s.push(',');
+        s.push_str(&body[1..]);
+        s
+    }
+
+    /// Every event kind, with the shapes that change the rendering:
+    /// broadcast and unicast, with and without a cell, negative cells.
+    fn every_kind() -> Vec<EventKind> {
+        let (a, b) = (NodeId(0), NodeId(u32::MAX));
+        let (near, far) = (GridCoord::new(2, 3), GridCoord::new(-7, i32::MIN));
+        vec![
+            EventKind::MacTx {
+                node: a,
+                dst: None,
+                bytes: 72,
+            },
+            EventKind::MacTx {
+                node: a,
+                dst: Some(b),
+                bytes: u32::MAX,
+            },
+            EventKind::MacRx {
+                node: a,
+                from: b,
+                bytes: 564,
+            },
+            EventKind::MacCollision { node: a, from: b },
+            EventKind::MacRetry { node: a, attempt: 3 },
+            EventKind::MacDrop { node: a, dst: None },
+            EventKind::MacDrop {
+                node: a,
+                dst: Some(b),
+            },
+            EventKind::RadioMode {
+                node: a,
+                from: RadioMode::Sleep,
+                to: RadioMode::Idle,
+            },
+            EventKind::RadioMode {
+                node: a,
+                from: RadioMode::Tx,
+                to: RadioMode::Off,
+            },
+            EventKind::RadioMode {
+                node: a,
+                from: RadioMode::Rx,
+                to: RadioMode::Rx,
+            },
+            EventKind::BatteryLevel {
+                node: a,
+                from: EnergyLevel::Upper,
+                to: EnergyLevel::Boundary,
+            },
+            EventKind::BatteryLevel {
+                node: a,
+                from: EnergyLevel::Boundary,
+                to: EnergyLevel::Lower,
+            },
+            EventKind::GatewayElect { node: a, cell: near },
+            EventKind::GatewayRetire { node: a, cell: far },
+            EventKind::RasPage {
+                by: a,
+                signal: PageSignal::Host(b),
+            },
+            EventKind::RasPage {
+                by: a,
+                signal: PageSignal::Grid(far),
+            },
+            EventKind::PacketSent {
+                src: a,
+                flow: 0,
+                seq: 0,
+            },
+            EventKind::PacketForwarded {
+                node: a,
+                flow: 4,
+                seq: u64::MAX,
+            },
+            EventKind::PacketDelivered {
+                node: b,
+                flow: u32::MAX,
+                seq: 17,
+            },
+            EventKind::NodeDeath { node: a },
+            EventKind::CellChange {
+                node: a,
+                from: far,
+                to: GridCoord::new(-1, -1),
+            },
+            EventKind::FaultInjected {
+                node: a,
+                fault: FaultKind::FrameLoss,
+            },
+            EventKind::FaultInjected {
+                node: a,
+                fault: FaultKind::Rejoin,
+            },
+            EventKind::PageRetry {
+                node: a,
+                target: b,
+                attempt: 2,
+            },
+            EventKind::GatewayHandoffTimeout { node: a, cell: near },
+        ]
+    }
+
+    #[test]
+    fn event_frames_are_byte_identical_to_the_spliced_rendering() {
+        let kinds = every_kind();
+        let mut tags: Vec<u8> = kinds.iter().map(EventKind::tag).collect();
+        tags.sort_unstable();
+        tags.dedup();
+        assert_eq!(tags, (1..=18).collect::<Vec<u8>>(), "one sample per kind");
+        for (job, replica) in [(0, 0), (7, 2), (u64::MAX, u64::MAX)] {
+            for t in [SimTime::ZERO, SimTime::from_millis(1500), SimTime::MAX] {
+                for &kind in &kinds {
+                    let ev = Event { t, kind };
+                    let want = frame_event_oracle(job, replica, "ECGRID", &ev);
+                    assert_eq!(frame_event(job, replica, "ECGRID", &ev), want, "{kind:?}");
+                    // in place: behind whatever the batch already holds
+                    let mut batch = String::from("{\"stream\":\"job\"}\n");
+                    write_event_frame(&mut batch, job, replica, "ECGRID", &ev);
+                    assert_eq!(batch, format!("{{\"stream\":\"job\"}}\n{want}"));
+                }
+            }
+        }
+    }
 
     #[test]
     fn submit_roundtrips_through_parse() {

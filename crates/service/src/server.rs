@@ -3,13 +3,14 @@
 //!
 //! Threading model (std only, thread-per-connection):
 //!
-//! * an **accept thread** polls the listener and spawns one detached
-//!   thread per connection;
+//! * an **accept thread** blocks in `accept` and spawns one detached
+//!   thread per connection; a drain request wakes it with a loopback
+//!   connection to the server's own port;
 //! * **worker threads** pull job ids from a bounded admission queue and
 //!   run them through the pluggable [`JobHandler`];
 //! * **connection threads** speak the line protocol; a `subscribe`
-//!   switches them into stream mode, pumping frames from their
-//!   [`crate::hub::Hub`] buffer until the job's channel closes.
+//!   switches them into stream mode, writing their [`crate::hub::Hub`]
+//!   buffer to the socket a batch at a time until the job's stream ends.
 //!
 //! Every overload or failure path is explicit: a full queue answers with
 //! a load-shed reply (never blocks), a slow subscriber loses frames to
@@ -28,10 +29,9 @@ use crate::json::{self, Obj};
 use crate::proto::{self, JobSpec, JobState, Request, PROTO_VERSION};
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{self, BufRead, BufReader, ErrorKind, Write as _};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::RecvTimeoutError;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
@@ -222,6 +222,8 @@ struct Stats {
 
 struct Inner {
     cfg: ServiceConfig,
+    /// The bound listener address (the drain request's wake-up target).
+    addr: SocketAddr,
     handler: Arc<dyn JobHandler>,
     hub: Arc<Hub>,
     jobs: Mutex<BTreeMap<u64, JobRecord>>,
@@ -241,6 +243,27 @@ enum Admission {
 }
 
 impl Inner {
+    /// Stop admitting work and wake everything that sleeps until then:
+    /// idle workers through the queue's condvar, the accept thread —
+    /// blocked in `accept` — through a connection to our own port.
+    fn begin_drain(&self) {
+        if self.draining.swap(true, Ordering::Relaxed) {
+            return; // already draining: everyone has been woken
+        }
+        self.queue_cv.notify_all();
+        let mut wake = self.addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        // if this fails the listener is beyond reach anyway (no socket
+        // left to dial with); the next connection or accept error ends
+        // the accept thread instead
+        let _ = TcpStream::connect_timeout(&wake, Duration::from_secs(1));
+    }
+
     fn manifest_path(&self, job: u64) -> PathBuf {
         self.cfg.state_dir.join("jobs").join(format!("job-{job}.json"))
     }
@@ -457,8 +480,7 @@ pub struct ServerHandle(Arc<Inner>);
 
 impl ServerHandle {
     pub fn request_shutdown(&self) {
-        self.0.draining.store(true, Ordering::Relaxed);
-        self.0.queue_cv.notify_all();
+        self.0.begin_drain();
     }
 
     pub fn is_draining(&self) -> bool {
@@ -485,9 +507,9 @@ impl Server {
         std::fs::create_dir_all(cfg.state_dir.join("jobs"))?;
         let listener = TcpListener::bind(&cfg.addr)?;
         let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
         let inner = Arc::new(Inner {
             cfg,
+            addr,
             handler,
             hub: Arc::new(Hub::new()),
             jobs: Mutex::new(BTreeMap::new()),
@@ -574,7 +596,12 @@ impl Server {
 
 fn accept_loop(inner: Arc<Inner>, listener: TcpListener) {
     loop {
-        match listener.accept() {
+        let accepted = listener.accept();
+        if inner.draining.load(Ordering::Relaxed) {
+            // woken by `begin_drain` (or by a client that arrived too late)
+            return;
+        }
+        match accepted {
             Ok((stream, _)) => {
                 let conn = inner.clone();
                 // detached: connection threads die with their sockets
@@ -582,17 +609,17 @@ fn accept_loop(inner: Arc<Inner>, listener: TcpListener) {
                     .name("sweepd-conn".into())
                     .spawn(move || handle_conn(conn, stream));
             }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                if inner.draining.load(Ordering::Relaxed) {
-                    return;
-                }
-                thread::sleep(Duration::from_millis(50));
-            }
-            Err(_) => {
-                thread::sleep(Duration::from_millis(50));
-            }
+            // out of descriptors or the like: back off, do not spin
+            Err(_) => thread::sleep(Duration::from_millis(50)),
         }
     }
+}
+
+/// Send one protocol line as a single write: a bare `TCP_NODELAY` stream
+/// turns every `write` into a segment, so the newline rides along.
+fn send_line(out: &mut TcpStream, mut line: String) -> io::Result<()> {
+    line.push('\n');
+    out.write_all(line.as_bytes())
 }
 
 fn handle_conn(inner: Arc<Inner>, stream: TcpStream) {
@@ -614,7 +641,7 @@ fn handle_conn(inner: Arc<Inner>, stream: TcpStream) {
             Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
                 // idle deadline: say why, then hang up — a dead peer must
                 // not pin this thread
-                let _ = writeln!(out, "{}", proto::reply_err("idle timeout"));
+                let _ = send_line(&mut out, proto::reply_err("idle timeout"));
                 return;
             }
             Err(_) => return,
@@ -626,7 +653,7 @@ fn handle_conn(inner: Arc<Inner>, stream: TcpStream) {
         let req = match Request::parse(trimmed) {
             Ok(r) => r,
             Err(e) => {
-                if writeln!(out, "{}", proto::reply_err(&e)).is_err() {
+                if send_line(&mut out, proto::reply_err(&e)).is_err() {
                     return;
                 }
                 continue;
@@ -634,10 +661,7 @@ fn handle_conn(inner: Arc<Inner>, stream: TcpStream) {
         };
         let keep_going = match req {
             Request::Subscribe { job, filter } => serve_subscription(&inner, &mut out, job, filter),
-            other => {
-                let reply = answer(&inner, other);
-                writeln!(out, "{reply}").is_ok()
-            }
+            other => send_line(&mut out, answer(&inner, other)).is_ok(),
         };
         if !keep_going {
             return;
@@ -739,20 +763,19 @@ fn answer(inner: &Inner, req: Request) -> String {
                 .finish()
         }
         Request::Shutdown => {
-            inner.draining.store(true, Ordering::Relaxed);
-            inner.queue_cv.notify_all();
+            inner.begin_drain();
             proto::reply_ok().bool("draining", true).finish()
         }
         Request::Subscribe { .. } => unreachable!("handled by serve_subscription"),
     }
 }
 
-/// Stream a job to this connection until its channel closes.  Returns
+/// Stream a job to this connection until its stream ends.  Returns
 /// whether the connection is still usable for further requests.
 fn serve_subscription(inner: &Inner, out: &mut TcpStream, job: u64, filter: proto::FilterSpec) -> bool {
     let filter = match filter.to_filter() {
         Ok(f) => f,
-        Err(e) => return writeln!(out, "{}", proto::reply_err(&e)).is_ok(),
+        Err(e) => return send_line(out, proto::reply_err(&e)).is_ok(),
     };
     // subscribe *before* inspecting the state so a job finishing right
     // now cannot slip between the check and the subscription
@@ -762,7 +785,7 @@ fn serve_subscription(inner: &Inner, out: &mut TcpStream, job: u64, filter: prot
         match jobs.get(&job) {
             None => {
                 inner.hub.unsubscribe(handle.id);
-                return writeln!(out, "{}", proto::reply_err(&format!("unknown job {job}"))).is_ok();
+                return send_line(out, proto::reply_err(&format!("unknown job {job}"))).is_ok();
             }
             Some(rec) => rec
                 .outcome
@@ -770,37 +793,34 @@ fn serve_subscription(inner: &Inner, out: &mut TcpStream, job: u64, filter: prot
                 .map(|outcome| done_frame(job, &rec.spec, outcome)),
         }
     };
-    if writeln!(
-        out,
-        "{}",
-        proto::reply_ok().u64("job", job).str("streaming", "1").finish()
-    )
-    .is_err()
-    {
+    let streaming = proto::reply_ok().u64("job", job).str("streaming", "1").finish();
+    if send_line(out, streaming).is_err() {
         inner.hub.unsubscribe(handle.id);
         return false;
     }
     if let Some(done) = snapshot {
         // late subscriber to an already-terminal job: replay the summary
         inner.hub.unsubscribe(handle.id);
-        let ok = writeln!(out, "{done}").is_ok() && writeln!(out, "{}", proto::frame_bye(job, 1, 0)).is_ok();
-        return ok;
+        return send_line(out, done + "\n" + &proto::frame_bye(job, 1, 0)).is_ok();
     }
+    // the hub renders lines into this subscriber's pending buffer; each
+    // turn takes all of it and hands back the buffer just written
+    let mut batch = String::new();
     loop {
-        match handle.rx.recv_timeout(Duration::from_millis(200)) {
-            Ok(frame) => {
-                if writeln!(out, "{frame}").is_err() {
-                    // peer died mid-stream: detach, the job keeps running
-                    inner.hub.unsubscribe(handle.id);
-                    return false;
-                }
-            }
-            Err(RecvTimeoutError::Timeout) => continue,
-            Err(RecvTimeoutError::Disconnected) => {
-                // end of stream: report this subscriber's own loss totals
-                let s = handle.stats();
-                return writeln!(out, "{}", proto::frame_bye(job, s.delivered, s.dropped)).is_ok();
-            }
+        let more = handle.next_batch(&mut batch);
+        if !more {
+            // end of stream: the tail, then this subscriber's own totals
+            let s = handle.stats();
+            batch.push_str(&proto::frame_bye(job, s.delivered, s.dropped));
+            batch.push('\n');
+        }
+        if out.write_all(batch.as_bytes()).is_err() {
+            // peer died mid-stream: detach, the job keeps running
+            inner.hub.unsubscribe(handle.id);
+            return false;
+        }
+        if !more {
+            return true;
         }
     }
 }
@@ -876,6 +896,82 @@ mod tests {
 
         fn lookup(&self, _state_dir: &Path, _config: u64, _seed: u64) -> Option<ReplicaLookup> {
             None
+        }
+    }
+
+    /// A handler whose "simulation" is a closure over the job context:
+    /// it publishes what the test scripts and reports the job done.
+    struct Scripted<F>(F);
+
+    impl<F: Fn(&JobCtx<'_>) + Send + Sync + 'static> JobHandler for Scripted<F> {
+        fn config_hash(&self, _spec: &JobSpec) -> Result<u64, String> {
+            Ok(1)
+        }
+
+        fn run(&self, spec: &JobSpec, ctx: &JobCtx<'_>) -> JobOutcome {
+            (self.0)(ctx);
+            JobOutcome {
+                state: JobState::Done,
+                replicas_done: spec.replicas,
+                ..JobOutcome::interrupted()
+            }
+        }
+
+        fn lookup(&self, _state_dir: &Path, _config: u64, _seed: u64) -> Option<ReplicaLookup> {
+            None
+        }
+    }
+
+    /// A gate a scripted job blocks on until the test opens it.
+    fn gate() -> (std::sync::mpsc::Sender<()>, impl Fn() + Send + Sync) {
+        let (tx, rx) = channel::<()>();
+        let rx = Mutex::new(rx);
+        (tx, move || {
+            let _ = rx.lock().unwrap().recv_timeout(Duration::from_secs(30));
+        })
+    }
+
+    fn event(kind: trace::EventKind) -> trace::Event {
+        trace::Event {
+            t: sim_engine::SimTime::from_secs(1),
+            kind,
+        }
+    }
+
+    fn mac_event() -> trace::Event {
+        event(trace::EventKind::MacRetry {
+            node: radio::NodeId(3),
+            attempt: 1,
+        })
+    }
+
+    /// Submit the default job and subscribe to it on the same connection.
+    fn submit_and_subscribe(
+        r: &mut BufReader<TcpStream>,
+        w: &mut TcpStream,
+        filter: proto::FilterSpec,
+    ) -> u64 {
+        let sub = roundtrip(r, w, &Request::Submit(JobSpec::default()).encode());
+        let job = json::u64_field(&sub, "job").unwrap();
+        let ok = roundtrip(r, w, &Request::Subscribe { job, filter }.encode());
+        assert_eq!(json::bool_field(&ok, "ok"), Some(true));
+        job
+    }
+
+    fn next_frame(r: &mut BufReader<TcpStream>) -> String {
+        let mut line = String::new();
+        assert!(r.read_line(&mut line).unwrap() > 0, "stream closed early");
+        line.trim().to_string()
+    }
+
+    /// Every frame up to and including `bye`.
+    fn frames_to_bye(r: &mut BufReader<TcpStream>) -> Vec<String> {
+        let mut frames = Vec::new();
+        loop {
+            frames.push(next_frame(r));
+            if json::field(frames.last().unwrap(), "stream") == Some("bye") {
+                return frames;
+            }
         }
     }
 
@@ -1128,6 +1224,155 @@ mod tests {
         let mut bye = String::new();
         r.read_line(&mut bye).unwrap();
         assert_eq!(json::field(&bye, "stream"), Some("bye"));
+        srv.request_shutdown();
+        srv.wait();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn bye_totals_equal_what_the_socket_carried_under_tiny_budgets() {
+        const EVENTS: u64 = 3000;
+        for budget in [1usize, 2, 8] {
+            let dir = test_dir(&format!("bye_totals_{budget}"));
+            let (open, wait) = gate();
+            let handler = Arc::new(Scripted(move |ctx: &JobCtx<'_>| {
+                wait();
+                for i in 0..EVENTS {
+                    ctx.hub.publish_event(ctx.job, 0, "ECGRID", &mac_event());
+                    if i % 100 == 0 {
+                        ctx.hub
+                            .publish_frame(ctx.job, &proto::frame_counter(ctx.job, 0, "n", i));
+                    }
+                }
+            }));
+            let srv = Server::start(
+                ServiceConfig::default()
+                    .with_state_dir(&dir)
+                    .with_workers(1)
+                    .with_subscriber_buffer(budget),
+                handler,
+            )
+            .unwrap();
+            let (mut r, mut w) = connect(srv.local_addr());
+            submit_and_subscribe(&mut r, &mut w, proto::FilterSpec::default());
+            open.send(()).unwrap();
+            let frames = frames_to_bye(&mut r);
+            let (bye, carried) = frames.split_last().unwrap();
+            let delivered = json::u64_field(bye, "delivered").unwrap();
+            let dropped = json::u64_field(bye, "dropped").unwrap();
+            assert_eq!(delivered, carried.len() as u64, "budget {budget}: {bye}");
+            // the `running` frame is published before the handler runs:
+            // offered only if the subscription beat it, and then into an
+            // empty buffer, so never dropped
+            let saw_running = carried.iter().any(|f| json::field(f, "stream") == Some("job"));
+            let offered = EVENTS + EVENTS / 100 + 1 + u64::from(saw_running);
+            assert_eq!(delivered + dropped, offered, "budget {budget}: {bye}");
+            // the connection is back in request/reply mode
+            let pong = roundtrip(&mut r, &mut w, &Request::Ping.encode());
+            assert_eq!(json::bool_field(&pong, "ok"), Some(true));
+            srv.request_shutdown();
+            let summary = srv.wait();
+            assert_eq!(summary.events_delivered, delivered);
+            assert_eq!(summary.events_dropped, dropped);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    #[test]
+    fn a_trickle_subscription_sees_its_first_event_while_the_job_still_runs() {
+        let dir = test_dir("trickle");
+        let (open_start, wait_start) = gate();
+        let (open_end, wait_end) = gate();
+        let handler = Arc::new(Scripted(move |ctx: &JobCtx<'_>| {
+            wait_start();
+            for _ in 0..50 {
+                ctx.hub.publish_event(ctx.job, 0, "ECGRID", &mac_event());
+            }
+            let sent = event(trace::EventKind::PacketSent {
+                src: radio::NodeId(1),
+                flow: 0,
+                seq: 0,
+            });
+            ctx.hub.publish_event(ctx.job, 0, "ECGRID", &sent);
+            // the "simulation" goes on, with nothing more for this filter
+            wait_end();
+        }));
+        let srv = Server::start(
+            ServiceConfig::default().with_state_dir(&dir).with_workers(1),
+            handler,
+        )
+        .unwrap();
+        let (mut r, mut w) = connect(srv.local_addr());
+        let app_only = proto::FilterSpec {
+            layers: "app".into(),
+            ..proto::FilterSpec::default()
+        };
+        let job = submit_and_subscribe(&mut r, &mut w, app_only);
+        open_start.send(()).unwrap();
+        // one frame in a 1024-frame buffer: it must arrive now, not when
+        // a batch fills or the job ends (the job is parked on its gate)
+        let first_event = loop {
+            let f = next_frame(&mut r);
+            if json::field(&f, "stream") == Some("event") {
+                break f;
+            }
+        };
+        assert_eq!(json::field(&first_event, "kind"), Some("packet_sent"));
+        let (mut r2, mut w2) = connect(srv.local_addr());
+        let st = roundtrip(&mut r2, &mut w2, &Request::Status { job: Some(job) }.encode());
+        assert_eq!(json::field(&st, "state"), Some("running"));
+        open_end.send(()).unwrap();
+        let rest = frames_to_bye(&mut r);
+        assert_eq!(json::field(&rest[rest.len() - 2], "stream"), Some("done"));
+        assert_eq!(json::u64_field(rest.last().unwrap(), "dropped"), Some(0));
+        srv.request_shutdown();
+        srv.wait();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_poisoned_hub_does_not_stop_the_running_job_or_its_stream() {
+        let dir = test_dir("poisoned_hub");
+        let (open, wait) = gate();
+        let handler = Arc::new(Scripted(move |ctx: &JobCtx<'_>| {
+            wait();
+            ctx.hub.publish_event(ctx.job, 0, "ECGRID", &mac_event());
+            // some thread dies holding every hub lock, mid-line
+            ctx.hub.poison_for_test();
+            ctx.hub.publish_event(ctx.job, 1, "ECGRID", &mac_event());
+        }));
+        let srv = Server::start(
+            ServiceConfig::default().with_state_dir(&dir).with_workers(1),
+            handler,
+        )
+        .unwrap();
+        let (mut r, mut w) = connect(srv.local_addr());
+        let job = submit_and_subscribe(&mut r, &mut w, proto::FilterSpec::default());
+        open.send(()).unwrap();
+        let frames = frames_to_bye(&mut r);
+        let replicas: Vec<u64> = frames
+            .iter()
+            .filter(|f| json::field(f, "stream") == Some("event"))
+            .map(|f| json::u64_field(f, "replica").unwrap())
+            .collect();
+        assert_eq!(replicas, [0, 1], "both events, and no torn line: {frames:?}");
+        let done = &frames[frames.len() - 2];
+        assert_eq!(json::field(done, "stream"), Some("done"));
+        assert_eq!(json::field(done, "state"), Some("done"));
+        let st = roundtrip(&mut r, &mut w, &Request::Status { job: Some(job) }.encode());
+        assert_eq!(json::field(&st, "state"), Some("done"));
+        // subscribing still works afterwards (the replay path)
+        let ok = roundtrip(
+            &mut r,
+            &mut w,
+            &Request::Subscribe {
+                job,
+                filter: proto::FilterSpec::default(),
+            }
+            .encode(),
+        );
+        assert_eq!(json::bool_field(&ok, "ok"), Some(true));
+        assert_eq!(frames_to_bye(&mut r).len(), 2);
         srv.request_shutdown();
         srv.wait();
         let _ = std::fs::remove_dir_all(&dir);

@@ -207,6 +207,80 @@ fn fold_cell(h: &mut Fnv64, c: GridCoord) {
     h.write_i32(c.y);
 }
 
+/// The `Debug` name of a mode, as the JSONL rendering spells it.
+fn mode_name(m: RadioMode) -> &'static str {
+    match m {
+        RadioMode::Tx => "Tx",
+        RadioMode::Rx => "Rx",
+        RadioMode::Idle => "Idle",
+        RadioMode::Sleep => "Sleep",
+        RadioMode::Off => "Off",
+    }
+}
+
+/// The `Debug` name of a level class, as the JSONL rendering spells it.
+fn level_name(l: EnergyLevel) -> &'static str {
+    match l {
+        EnergyLevel::Lower => "Lower",
+        EnergyLevel::Boundary => "Boundary",
+        EnergyLevel::Upper => "Upper",
+    }
+}
+
+/// Append `v` in decimal, as `{v}` would render it, without the `fmt`
+/// machinery.
+pub fn push_u64(out: &mut String, mut v: u64) {
+    let mut digits = [0u8; 20]; // u64::MAX has 20 digits
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
+}
+
+/// Signed twin of [`push_u64`].
+pub fn push_i64(out: &mut String, v: i64) {
+    if v < 0 {
+        out.push('-');
+    }
+    push_u64(out, v.unsigned_abs());
+}
+
+/// `key` (a literal such as `,"node":`) followed by `v`.
+fn push_num(out: &mut String, key: &str, v: impl Into<u64>) {
+    out.push_str(key);
+    push_u64(out, v.into());
+}
+
+/// `open` (a literal such as `,"cell":[`) followed by `x,y]`.
+fn push_cell(out: &mut String, open: &str, c: GridCoord) {
+    out.push_str(open);
+    push_i64(out, c.x.into());
+    out.push(',');
+    push_i64(out, c.y.into());
+    out.push(']');
+}
+
+fn push_dst(out: &mut String, dst: Option<NodeId>) {
+    match dst {
+        Some(d) => push_num(out, ",\"dst\":", d.0),
+        None => out.push_str(",\"dst\":\"*\""),
+    }
+}
+
+fn push_from_to(out: &mut String, from: &str, to: &str) {
+    for (key, val) in [(",\"from\":\"", from), ("\",\"to\":\"", to)] {
+        out.push_str(key);
+        out.push_str(val);
+    }
+    out.push('"');
+}
+
 impl EventKind {
     /// Stable one-byte tag of this kind (part of the digest contract).
     pub fn tag(&self) -> u8 {
@@ -427,82 +501,80 @@ impl Event {
     /// emitted value is a number, a plain identifier-like string, or a
     /// two-element int array.
     pub fn to_jsonl(&self, protocol: &str) -> String {
-        let l = self.labels(protocol);
         let mut s = String::with_capacity(128);
-        let _ = write!(
-            s,
-            "{{\"t_ns\":{},\"kind\":\"{}\",\"layer\":\"{}\",\"protocol\":\"{}\"",
-            self.t.as_nanos(),
-            self.kind.name(),
-            l.layer.name(),
-            protocol
-        );
-        if let Some(n) = l.node {
-            let _ = write!(s, ",\"node\":{}", n.0);
+        self.write_jsonl(protocol, &mut s);
+        s
+    }
+
+    /// Append the [`Event::to_jsonl`] object to `out`, allocating only
+    /// when `out` has to grow.
+    pub fn write_jsonl(&self, protocol: &str, out: &mut String) {
+        out.push('{');
+        self.write_json_fields(protocol, out);
+        out.push('}');
+    }
+
+    /// Append the members of the JSONL object without its braces, so a
+    /// caller can put members of its own in front (the sweep service's
+    /// stream header).  This runs once per event on the simulating thread
+    /// of a streamed job: plain `push_str` and [`push_u64`], no `fmt`.
+    pub fn write_json_fields(&self, protocol: &str, out: &mut String) {
+        out.push_str("\"t_ns\":");
+        push_u64(out, self.t.as_nanos());
+        for (key, val) in [
+            (",\"kind\":\"", self.kind.name()),
+            ("\",\"layer\":\"", self.kind.layer().name()),
+            ("\",\"protocol\":\"", protocol),
+        ] {
+            out.push_str(key);
+            out.push_str(val);
         }
-        if let Some(c) = l.cell {
-            let _ = write!(s, ",\"cell\":[{},{}]", c.x, c.y);
+        out.push('"');
+        if let Some(n) = self.kind.node() {
+            push_num(out, ",\"node\":", n.0);
+        }
+        if let Some(c) = self.kind.cell() {
+            push_cell(out, ",\"cell\":[", c);
         }
         match self.kind {
             EventKind::MacTx { dst, bytes, .. } => {
-                match dst {
-                    Some(d) => {
-                        let _ = write!(s, ",\"dst\":{}", d.0);
-                    }
-                    None => s.push_str(",\"dst\":\"*\""),
-                }
-                let _ = write!(s, ",\"bytes\":{bytes}");
+                push_dst(out, dst);
+                push_num(out, ",\"bytes\":", bytes);
             }
             EventKind::MacRx { from, bytes, .. } => {
-                let _ = write!(s, ",\"from\":{},\"bytes\":{}", from.0, bytes);
+                push_num(out, ",\"from\":", from.0);
+                push_num(out, ",\"bytes\":", bytes);
             }
-            EventKind::MacCollision { from, .. } => {
-                let _ = write!(s, ",\"from\":{}", from.0);
-            }
-            EventKind::MacRetry { attempt, .. } => {
-                let _ = write!(s, ",\"attempt\":{attempt}");
-            }
-            EventKind::MacDrop { dst, .. } => match dst {
-                Some(d) => {
-                    let _ = write!(s, ",\"dst\":{}", d.0);
-                }
-                None => s.push_str(",\"dst\":\"*\""),
-            },
-            EventKind::RadioMode { from, to, .. } => {
-                let _ = write!(s, ",\"from\":\"{from:?}\",\"to\":\"{to:?}\"");
-            }
-            EventKind::BatteryLevel { from, to, .. } => {
-                let _ = write!(s, ",\"from\":\"{from:?}\",\"to\":\"{to:?}\"");
-            }
+            EventKind::MacCollision { from, .. } => push_num(out, ",\"from\":", from.0),
+            EventKind::MacRetry { attempt, .. } => push_num(out, ",\"attempt\":", attempt),
+            EventKind::MacDrop { dst, .. } => push_dst(out, dst),
+            EventKind::RadioMode { from, to, .. } => push_from_to(out, mode_name(from), mode_name(to)),
+            EventKind::BatteryLevel { from, to, .. } => push_from_to(out, level_name(from), level_name(to)),
             EventKind::RasPage { signal, .. } => match signal {
-                PageSignal::Host(id) => {
-                    let _ = write!(s, ",\"target_host\":{}", id.0);
-                }
-                PageSignal::Grid(c) => {
-                    let _ = write!(s, ",\"target_grid\":[{},{}]", c.x, c.y);
-                }
+                PageSignal::Host(id) => push_num(out, ",\"target_host\":", id.0),
+                PageSignal::Grid(c) => push_cell(out, ",\"target_grid\":[", c),
             },
             EventKind::PacketSent { flow, seq, .. }
             | EventKind::PacketForwarded { flow, seq, .. }
             | EventKind::PacketDelivered { flow, seq, .. } => {
-                let _ = write!(s, ",\"flow\":{flow},\"seq\":{seq}");
+                push_num(out, ",\"flow\":", flow);
+                push_num(out, ",\"seq\":", seq);
             }
-            EventKind::CellChange { from, .. } => {
-                let _ = write!(s, ",\"from_cell\":[{},{}]", from.x, from.y);
-            }
+            EventKind::CellChange { from, .. } => push_cell(out, ",\"from_cell\":[", from),
             EventKind::FaultInjected { fault, .. } => {
-                let _ = write!(s, ",\"fault\":\"{}\"", fault.name());
+                out.push_str(",\"fault\":\"");
+                out.push_str(fault.name());
+                out.push('"');
             }
             EventKind::PageRetry { target, attempt, .. } => {
-                let _ = write!(s, ",\"target\":{},\"attempt\":{}", target.0, attempt);
+                push_num(out, ",\"target\":", target.0);
+                push_num(out, ",\"attempt\":", attempt);
             }
             EventKind::GatewayElect { .. }
             | EventKind::GatewayRetire { .. }
             | EventKind::GatewayHandoffTimeout { .. }
             | EventKind::NodeDeath { .. } => {}
         }
-        s.push('}');
-        s
     }
 
     /// ns-2-flavoured single-line rendering: `<op> <time> _<node>_ <details>`.
@@ -621,9 +693,9 @@ mod tests {
         assert_eq!(l.cell, Some(GridCoord::new(2, 3)));
     }
 
-    #[test]
-    fn every_kind_has_distinct_tag_and_name() {
-        let kinds = [
+    /// One event of every kind.
+    fn all_kinds() -> Vec<EventKind> {
+        vec![
             EventKind::MacTx {
                 node: NodeId(0),
                 dst: None,
@@ -702,7 +774,180 @@ mod tests {
                 node: NodeId(0),
                 cell: GridCoord::new(0, 0),
             },
-        ];
+        ]
+    }
+
+    /// `to_jsonl` as it was written before `write_jsonl` existed, kept
+    /// as the reference the in-place renderer is compared against.
+    fn to_jsonl_oracle(e: &Event, protocol: &str) -> String {
+        let l = e.labels(protocol);
+        let mut s = String::with_capacity(128);
+        let _ = write!(
+            s,
+            "{{\"t_ns\":{},\"kind\":\"{}\",\"layer\":\"{}\",\"protocol\":\"{}\"",
+            e.t.as_nanos(),
+            e.kind.name(),
+            l.layer.name(),
+            protocol
+        );
+        if let Some(n) = l.node {
+            let _ = write!(s, ",\"node\":{}", n.0);
+        }
+        if let Some(c) = l.cell {
+            let _ = write!(s, ",\"cell\":[{},{}]", c.x, c.y);
+        }
+        match e.kind {
+            EventKind::MacTx { dst, bytes, .. } => {
+                match dst {
+                    Some(d) => {
+                        let _ = write!(s, ",\"dst\":{}", d.0);
+                    }
+                    None => s.push_str(",\"dst\":\"*\""),
+                }
+                let _ = write!(s, ",\"bytes\":{bytes}");
+            }
+            EventKind::MacRx { from, bytes, .. } => {
+                let _ = write!(s, ",\"from\":{},\"bytes\":{}", from.0, bytes);
+            }
+            EventKind::MacCollision { from, .. } => {
+                let _ = write!(s, ",\"from\":{}", from.0);
+            }
+            EventKind::MacRetry { attempt, .. } => {
+                let _ = write!(s, ",\"attempt\":{attempt}");
+            }
+            EventKind::MacDrop { dst, .. } => match dst {
+                Some(d) => {
+                    let _ = write!(s, ",\"dst\":{}", d.0);
+                }
+                None => s.push_str(",\"dst\":\"*\""),
+            },
+            EventKind::RadioMode { from, to, .. } => {
+                let _ = write!(s, ",\"from\":\"{from:?}\",\"to\":\"{to:?}\"");
+            }
+            EventKind::BatteryLevel { from, to, .. } => {
+                let _ = write!(s, ",\"from\":\"{from:?}\",\"to\":\"{to:?}\"");
+            }
+            EventKind::RasPage { signal, .. } => match signal {
+                PageSignal::Host(id) => {
+                    let _ = write!(s, ",\"target_host\":{}", id.0);
+                }
+                PageSignal::Grid(c) => {
+                    let _ = write!(s, ",\"target_grid\":[{},{}]", c.x, c.y);
+                }
+            },
+            EventKind::PacketSent { flow, seq, .. }
+            | EventKind::PacketForwarded { flow, seq, .. }
+            | EventKind::PacketDelivered { flow, seq, .. } => {
+                let _ = write!(s, ",\"flow\":{flow},\"seq\":{seq}");
+            }
+            EventKind::CellChange { from, .. } => {
+                let _ = write!(s, ",\"from_cell\":[{},{}]", from.x, from.y);
+            }
+            EventKind::FaultInjected { fault, .. } => {
+                let _ = write!(s, ",\"fault\":\"{}\"", fault.name());
+            }
+            EventKind::PageRetry { target, attempt, .. } => {
+                let _ = write!(s, ",\"target\":{},\"attempt\":{}", target.0, attempt);
+            }
+            EventKind::GatewayElect { .. }
+            | EventKind::GatewayRetire { .. }
+            | EventKind::GatewayHandoffTimeout { .. }
+            | EventKind::NodeDeath { .. } => {}
+        }
+        s.push('}');
+        s
+    }
+
+    #[test]
+    fn in_place_renderer_matches_the_formatted_one_byte_for_byte() {
+        let far = GridCoord::new(i32::MIN, i32::MAX);
+        let mut kinds = all_kinds();
+        kinds.extend([
+            EventKind::MacTx {
+                node: NodeId(u32::MAX),
+                dst: Some(NodeId(u32::MAX)),
+                bytes: u32::MAX,
+            },
+            EventKind::MacDrop {
+                node: NodeId(9),
+                dst: None,
+            },
+            EventKind::RasPage {
+                by: NodeId(4),
+                signal: PageSignal::Grid(GridCoord::new(-3, -1)),
+            },
+            EventKind::CellChange {
+                node: NodeId(1),
+                from: far,
+                to: GridCoord::new(-1, 0),
+            },
+            EventKind::PacketDelivered {
+                node: NodeId(2),
+                flow: u32::MAX,
+                seq: u64::MAX,
+            },
+        ]);
+        for from in [
+            RadioMode::Tx,
+            RadioMode::Rx,
+            RadioMode::Idle,
+            RadioMode::Sleep,
+            RadioMode::Off,
+        ] {
+            kinds.push(EventKind::RadioMode {
+                node: NodeId(5),
+                from,
+                to: RadioMode::Idle,
+            });
+        }
+        for to in [EnergyLevel::Lower, EnergyLevel::Boundary, EnergyLevel::Upper] {
+            kinds.push(EventKind::BatteryLevel {
+                node: NodeId(5),
+                from: EnergyLevel::Upper,
+                to,
+            });
+        }
+        for fault in [
+            FaultKind::FrameLoss,
+            FaultKind::PageLoss,
+            FaultKind::Crash,
+            FaultKind::Rejoin,
+            FaultKind::Drain,
+        ] {
+            kinds.push(EventKind::FaultInjected {
+                node: NodeId(6),
+                fault,
+            });
+        }
+        for t in [SimTime::ZERO, at(1500), SimTime::MAX] {
+            for &kind in &kinds {
+                let e = Event { t, kind };
+                assert_eq!(e.to_jsonl("ECGRID"), to_jsonl_oracle(&e, "ECGRID"), "{kind:?}");
+                // appending leaves what the buffer already held alone
+                let mut buf = String::from("head,");
+                e.write_jsonl("GAF", &mut buf);
+                assert_eq!(buf, format!("head,{}", to_jsonl_oracle(&e, "GAF")));
+            }
+        }
+    }
+
+    #[test]
+    fn integer_writers_match_display() {
+        for v in [0, 1, 9, 10, 99, 100, 1_000_000_007, u64::MAX - 1, u64::MAX] {
+            let mut s = String::new();
+            push_u64(&mut s, v);
+            assert_eq!(s, v.to_string());
+        }
+        for v in [0, -1, 1, -10, i32::MIN as i64, i64::MIN, i64::MAX] {
+            let mut s = String::new();
+            push_i64(&mut s, v);
+            assert_eq!(s, v.to_string());
+        }
+    }
+
+    #[test]
+    fn every_kind_has_distinct_tag_and_name() {
+        let kinds = all_kinds();
         let mut tags: Vec<u8> = kinds.iter().map(|k| k.tag()).collect();
         tags.sort_unstable();
         tags.dedup();

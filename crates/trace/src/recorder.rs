@@ -112,12 +112,14 @@ impl Recorder {
     /// run-wide `protocol` label.  Returns the number of lines written —
     /// zero in digest-only mode, where nothing was buffered.
     pub fn write_jsonl<W: Write>(&self, protocol: &str, w: &mut W) -> io::Result<u64> {
-        let mut n = 0;
+        let mut line = String::with_capacity(160);
         for e in self.events() {
-            writeln!(w, "{}", e.to_jsonl(protocol))?;
-            n += 1;
+            line.clear();
+            e.write_jsonl(protocol, &mut line);
+            line.push('\n');
+            w.write_all(line.as_bytes())?;
         }
-        Ok(n)
+        Ok(self.events().len() as u64)
     }
 }
 
