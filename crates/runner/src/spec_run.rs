@@ -351,27 +351,8 @@ fn group_reports(
     reports
 }
 
-/// Run a parsed scenario file under `protocol`.  See module docs for the
-/// determinism contract.
-pub fn run_spec(spec: &ScenarioSpec, protocol: ProtocolKind, opts: RunOptions) -> ScenarioResult {
-    run_fleet(spec, protocol, opts, None, None)
-}
-
-/// Build and run one fleet.  `probe` is shared with a supervisor and
-/// updated throughout the run, so a panicking run can still report how
-/// far it got; `sink` is handed every recorded trace event as it is
-/// recorded (the sweep service's streaming path) and is digest-neutral
-/// by construction — it observes recording, it cannot alter it.
-pub fn run_fleet(
-    spec: &ScenarioSpec,
-    protocol: ProtocolKind,
-    opts: RunOptions,
-    probe: Option<Arc<ProgressProbe>>,
-    sink: Option<manet::trace::EventSink>,
-) -> ScenarioResult {
-    let end = SimTime::from_secs_f64(spec.duration_s);
-    // traces must outlive the run comfortably
-    let horizon = end + sim_engine::SimDuration::from_secs(10);
+/// The world configuration `opts` selects for `spec`.
+fn world_config(spec: &ScenarioSpec, opts: &RunOptions) -> WorldConfig {
     // the effective fault seed folds the scenario seed in, so replicas of
     // the same plan see different (but each fully deterministic) faults
     let faults = opts
@@ -400,6 +381,31 @@ pub fn run_fleet(
     } else if let Some((k, t)) = parallel_override() {
         cfg = cfg.with_parallel_world(k).with_threads(t);
     }
+    cfg
+}
+
+/// Run a parsed scenario file under `protocol`.  See module docs for the
+/// determinism contract.
+pub fn run_spec(spec: &ScenarioSpec, protocol: ProtocolKind, opts: RunOptions) -> ScenarioResult {
+    run_fleet(spec, protocol, opts, None, None)
+}
+
+/// Build and run one fleet.  `probe` is shared with a supervisor and
+/// updated throughout the run, so a panicking run can still report how
+/// far it got; `sink` is handed every recorded trace event as it is
+/// recorded (the sweep service's streaming path) and is digest-neutral
+/// by construction — it observes recording, it cannot alter it.
+pub fn run_fleet(
+    spec: &ScenarioSpec,
+    protocol: ProtocolKind,
+    opts: RunOptions,
+    probe: Option<Arc<ProgressProbe>>,
+    sink: Option<manet::trace::EventSink>,
+) -> ScenarioResult {
+    let end = SimTime::from_secs_f64(spec.duration_s);
+    // traces must outlive the run comfortably
+    let horizon = end + sim_engine::SimDuration::from_secs(10);
+    let cfg = world_config(spec, &opts);
 
     let hosts = build_hosts(spec, protocol, horizon);
     let flows = build_flows(spec, end);
@@ -615,5 +621,124 @@ rate_pps = 1.0
         assert_eq!(a, b);
         assert!(a > 0.69 && a <= 1.0, "scale {a} outside [0.7, 1]");
         assert_ne!(battery_scale(7, 0.3, 4), a, "per-host spread");
+    }
+
+    /// The golden scenario of `tests/golden_trace.rs` and its chaos plan.
+    fn golden_spec(protocol: ProtocolKind) -> ScenarioSpec {
+        Scenario {
+            n_hosts: 30,
+            n_flows: 3,
+            duration_secs: 40.0,
+            model1_endpoints: 4,
+            ..Scenario::paper_base(protocol, 1.0, 11)
+        }
+        .to_spec()
+    }
+
+    const GOLDEN_PLAN: &str = "loss=0.15,churn=0.02,rejoin=3,page_fail=0.1";
+
+    /// Run the golden fleet with protocol instances in reach: the trace
+    /// digest (to tie the run to its committed fixture) and the per-host
+    /// counters `counters` extracts, summed over hosts.
+    fn golden_counters<P: manet::Protocol>(
+        protocol: ProtocolKind,
+        faulted: bool,
+        make: impl FnMut(NodeId) -> P + 'static,
+        counters: impl Fn(&P) -> [u64; 8],
+    ) -> (String, [u64; 8]) {
+        let spec = golden_spec(protocol);
+        let mut opts = RunOptions::digest();
+        if faulted {
+            opts = opts.with_faults(manet::FaultPlan::parse(GOLDEN_PLAN).unwrap());
+        }
+        let end = SimTime::from_secs_f64(spec.duration_s);
+        let horizon = end + sim_engine::SimDuration::from_secs(10);
+        let mut world = World::new(
+            world_config(&spec, &opts),
+            build_hosts(&spec, protocol, horizon),
+            build_flows(&spec, end),
+            make,
+        );
+        world.enable_trace(manet::trace::TraceMode::DigestOnly);
+        world.run_until(end);
+        let mut sum = [0u64; 8];
+        for i in 0..spec.total_hosts() {
+            let c = counters(world.protocol(NodeId(i as u32)));
+            for (s, c) in sum.iter_mut().zip(c) {
+                *s += c;
+            }
+        }
+        let digest = world.take_recorder().expect("tracing was enabled").digest();
+        (digest.to_string(), sum)
+    }
+
+    fn fixture(name: &str) -> String {
+        let path = format!("{}/../../tests/golden/{name}.digest", env!("CARGO_MANIFEST_DIR"));
+        std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| panic!("missing fixture {path}: {e}"))
+            .trim()
+            .to_string()
+    }
+
+    #[test]
+    fn grid_family_protocol_counters_are_pinned_on_the_golden_runs() {
+        // The trace digest folds what goes on the air and what the
+        // application sees; these per-host protocol counters it does not
+        // fold.  Pinned as [rreqs_sent, rreqs_forwarded, rreps_sent,
+        // data_forwarded, data_delivered, data_dropped, became_gateway,
+        // retires] summed over hosts, on the very runs the digest
+        // fixtures pin, so a restructuring of either state machine has to
+        // hold both.
+        let want = [
+            ("grid", [106, 1137, 4, 45, 35, 68, 27, 2]),
+            ("grid_faulted", [102, 648, 5, 36, 35, 67, 28, 2]),
+            ("ecgrid", [107, 1139, 7, 44, 35, 68, 27, 2]),
+            ("ecgrid_faulted", [105, 695, 7, 42, 35, 67, 27, 2]),
+        ];
+        let mut got = Vec::new();
+        for faulted in [false, true] {
+            got.push(golden_counters(
+                ProtocolKind::Grid,
+                faulted,
+                |id| GridProto::new(GridConfig::default(), id),
+                |p| {
+                    let s = &p.stats;
+                    [
+                        s.rreqs_sent,
+                        s.rreqs_forwarded,
+                        s.rreps_sent,
+                        s.data_forwarded,
+                        s.data_delivered,
+                        s.data_dropped,
+                        s.became_gateway,
+                        s.retires,
+                    ]
+                },
+            ));
+        }
+        for faulted in [false, true] {
+            got.push(golden_counters(
+                ProtocolKind::Ecgrid,
+                faulted,
+                |id| Ecgrid::new(EcgridConfig::default(), id),
+                |p| {
+                    let s = &p.stats;
+                    [
+                        s.rreqs_sent,
+                        s.rreqs_forwarded,
+                        s.rreps_sent,
+                        s.data_forwarded,
+                        s.data_delivered,
+                        s.data_dropped,
+                        s.became_gateway,
+                        s.retires,
+                    ]
+                },
+            ));
+        }
+        for ((name, counters), (digest, sums)) in want.iter().zip(&got) {
+            assert_eq!(*digest, fixture(name), "{name}: not the fixture's run");
+            assert_eq!(sums, counters, "{name}: protocol counters moved");
+        }
     }
 }
