@@ -9,7 +9,7 @@
 //! * `geometry_kernel` — the same query over a bare position array, a
 //!   lower bound that isolates index overhead from node-state traffic;
 //!   the `auto` column routes through the simulator's occupancy
-//!   crossover (`GatherFallback::Auto`), which is what kills the
+//!   crossover (`auto_gather_threshold`), which is what kills the
 //!   historical low-N regression of the raw grid round;
 //! * `carrier_sense` — one sensing round over a loaded channel, linear
 //!   scan vs bucketed transmissions;

@@ -99,8 +99,8 @@ pub fn broadcast_round_brute(points: &[Point2]) -> u64 {
 /// (N ≥ 500).
 pub const PAPER_REACH_CELLS: i32 = 4;
 
-/// The adaptive geometry round — the micro-bench analogue of
-/// `GatherFallback::Auto`.  At low N the range-sized 3×3 bucket
+/// The adaptive geometry round — the micro-bench analogue of the
+/// simulator's per-query occupancy fallback.  At low N the range-sized 3×3 bucket
 /// neighborhood spans most of the constant-density field, so bucket
 /// headers and the merge-sort are pure overhead over the
 /// branch-predictable linear scan (the 0.34x–0.87x regression band);

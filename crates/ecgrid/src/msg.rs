@@ -1,7 +1,7 @@
 //! ECGRID wire messages and timers.
 
-use grid_common::{HelloInfo, RouteSnapshot, Rrep, Rreq};
-use manet::{AppPacket, GridCoord, NodeId, WireSize};
+use grid_common::{DataMsg, DiscoveryTimeout, HelloInfo, RouteSnapshot, Rrep, Rreq};
+use manet::{GridCoord, NodeId, WireSize};
 
 /// Every message ECGRID puts on the air.
 #[derive(Clone, Debug, PartialEq)]
@@ -33,14 +33,26 @@ pub enum EcMsg {
     Rreq(Rreq),
     /// Route reply along the reverse path.
     Rrep(Rrep),
-    /// A data packet in grid-by-grid transit.  `ttl` bounds forwarding.
-    Data {
-        packet: AppPacket,
-        src: NodeId,
-        dst: NodeId,
-        via_grid: GridCoord,
-        ttl: u8,
-    },
+    /// A data packet in grid-by-grid transit.
+    Data(DataMsg),
+}
+
+impl From<Rreq> for EcMsg {
+    fn from(r: Rreq) -> Self {
+        EcMsg::Rreq(r)
+    }
+}
+
+impl From<Rrep> for EcMsg {
+    fn from(r: Rrep) -> Self {
+        EcMsg::Rrep(r)
+    }
+}
+
+impl From<DataMsg> for EcMsg {
+    fn from(d: DataMsg) -> Self {
+        EcMsg::Data(d)
+    }
 }
 
 impl WireSize for EcMsg {
@@ -54,7 +66,7 @@ impl WireSize for EcMsg {
             EcMsg::Acq { .. } => 16,
             EcMsg::Rreq(r) => r.wire_bytes(),
             EcMsg::Rrep(r) => r.wire_bytes(),
-            EcMsg::Data { packet, .. } => packet.bytes + 29,
+            EcMsg::Data(d) => d.wire_bytes(),
         }
     }
 }
@@ -82,8 +94,14 @@ pub enum EcTimer {
     /// A member woken by a retiring gateway's grid page has waited the
     /// whole handoff grace period without a RETIRE or a gateway HELLO.
     HandoffGrace { epoch: u32 },
-    /// Route discovery attempt for `dst` timed out.
-    DiscoveryTimeout { dst: NodeId, attempt: u32 },
+    /// A route discovery attempt timed out.
+    DiscoveryTimeout(DiscoveryTimeout),
+}
+
+impl From<DiscoveryTimeout> for EcTimer {
+    fn from(t: DiscoveryTimeout) -> Self {
+        EcTimer::DiscoveryTimeout(t)
+    }
 }
 
 #[cfg(test)]
@@ -112,22 +130,6 @@ mod tests {
             hosts: vec![NodeId(5), NodeId(6), NodeId(7)],
         };
         assert_eq!(full.wire_bytes(), 16 + 40 + 12);
-    }
-
-    #[test]
-    fn data_carries_payload_plus_header() {
-        let d = EcMsg::Data {
-            packet: AppPacket {
-                flow: 0,
-                seq: 0,
-                bytes: 512,
-            },
-            src: NodeId(0),
-            dst: NodeId(1),
-            via_grid: GridCoord::new(0, 0),
-            ttl: 32,
-        };
-        assert_eq!(d.wire_bytes(), 541);
     }
 
     #[test]

@@ -3,18 +3,14 @@
 use crate::config::EcgridConfig;
 use crate::msg::{EcMsg, EcTimer};
 use grid_common::{
-    elect_gateway, HelloInfo, NeighborGateways, RouteSnapshot, RouteTable, Rrep, Rreq, RreqSeen,
+    elect_gateway, DataMsg, HelloInfo, PlaneConfig, RouteSnapshot, RoutingPlane, RoutingStats, Rrep, Rreq,
 };
 use manet::sim_engine::IdMap;
 use manet::{
-    AppPacket, Ctx, EnergyLevel, EventKind, FrameKind, GridCoord, GridRect, NodeId, PageSignal, Protocol,
-    SimDuration, SimTime,
+    AppPacket, Ctx, EnergyLevel, EventKind, FrameKind, GridCoord, NodeId, PageSignal, Protocol, SimTime,
 };
 use rand::Rng;
 use std::collections::VecDeque;
-
-/// Initial TTL of data packets in grid-by-grid transit.
-const DATA_TTL: u8 = 32;
 
 /// The host's role in its grid.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -30,7 +26,9 @@ pub enum Role {
     Gateway,
 }
 
-/// Per-host protocol counters (inspected by tests and experiment reports).
+/// Per-host election and energy-conservation counters (inspected by tests
+/// and experiment reports; the routing counters are
+/// [`Ecgrid::routing_stats`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EcStats {
     pub elections_started: u64,
@@ -38,12 +36,6 @@ pub struct EcStats {
     pub retires: u64,
     pub load_balance_retires: u64,
     pub no_gateway_events: u64,
-    pub rreqs_sent: u64,
-    pub rreqs_forwarded: u64,
-    pub rreps_sent: u64,
-    pub data_forwarded: u64,
-    pub data_delivered: u64,
-    pub data_dropped: u64,
     pub acqs_sent: u64,
     pub pages_sent: u64,
     pub sleeps: u64,
@@ -88,9 +80,7 @@ pub struct Ecgrid {
     /// Level when (last) elected; a drop below it triggers a load-balance
     /// retire.
     level_at_election: EnergyLevel,
-    routes: RouteTable,
-    seen: RreqSeen,
-    neighbors: NeighborGateways,
+    plane: RoutingPlane,
     /// Gateway only: hosts known to live in my grid.
     host_table: IdMap<NodeId, HostEntry>,
     /// HELLOs collected during the current election window.
@@ -102,24 +92,13 @@ pub struct Ecgrid {
     quiet_epoch: u32,
     acq_epoch: u32,
     handoff_epoch: u32,
-    /// My destination sequence number.
-    my_seq: u32,
-    rreq_counter: u32,
-    /// Gateway: packets awaiting a route (keyed by destination).
-    pending_route: IdMap<NodeId, VecDeque<EcMsg>>,
     /// Gateway: packets awaiting a paged local host.
-    pending_wake: IdMap<NodeId, VecDeque<EcMsg>>,
+    pending_wake: IdMap<NodeId, VecDeque<DataMsg>>,
     /// Gateway: how many consecutive pages toward each sleeping host went
     /// unanswered (any frame from the host clears its entry).
     page_attempts: IdMap<NodeId, u32>,
     /// When the current uninterrupted sleep began (orphan detection).
     sleep_since: SimTime,
-    /// Discoveries in flight: dst -> attempt.
-    discovering: IdMap<NodeId, u32>,
-    /// Last known grid of remote destinations (learned from RREPs; may be
-    /// pre-seeded through [`Ecgrid::seed_location`]).  Used to confine the
-    /// first search round to the covering rectangle (§3.3).
-    dst_hints: IdMap<NodeId, GridCoord>,
     /// Member: own packets awaiting a confirmed gateway (ACQ handshake).
     pending_own: Vec<(NodeId, AppPacket)>,
     awaiting_acq: bool,
@@ -128,9 +107,6 @@ pub struct Ecgrid {
     hello_epoch: u32,
     /// Snapshot carried from gateway duty into a pending RETIRE.
     retiring: Option<(GridCoord, RouteSnapshot, Vec<NodeId>)>,
-    /// The cell this host's trace recorder believes it is gateway of
-    /// (keeps GatewayElect/GatewayRetire strictly alternating per host).
-    gw_traced: Option<GridCoord>,
     pub stats: EcStats,
 }
 
@@ -143,9 +119,17 @@ impl Ecgrid {
             my_grid: GridCoord::new(0, 0),
             gateway: None,
             level_at_election: EnergyLevel::Upper,
-            routes: RouteTable::new(SimDuration::from_secs_f64(cfg.route_ttl)),
-            seen: RreqSeen::default(),
-            neighbors: NeighborGateways::new(SimDuration::from_secs_f64(cfg.neighbor_ttl)),
+            plane: RoutingPlane::new(
+                PlaneConfig {
+                    route_ttl: cfg.route_ttl,
+                    neighbor_ttl: cfg.neighbor_ttl,
+                    search: cfg.search,
+                    discovery_timeout: cfg.discovery_timeout,
+                    max_discovery_attempts: cfg.max_discovery_attempts,
+                    buffer_cap: cfg.buffer_cap,
+                },
+                me,
+            ),
             host_table: IdMap::default(),
             candidates: Vec::new(),
             election_epoch: 0,
@@ -154,21 +138,15 @@ impl Ecgrid {
             quiet_epoch: 0,
             acq_epoch: 0,
             handoff_epoch: 0,
-            my_seq: 0,
-            rreq_counter: 0,
-            pending_route: IdMap::default(),
             pending_wake: IdMap::default(),
             page_attempts: IdMap::default(),
             sleep_since: SimTime::ZERO,
-            discovering: IdMap::default(),
-            dst_hints: IdMap::default(),
             pending_own: Vec::new(),
             awaiting_acq: false,
             last_gw_hello: SimTime::ZERO,
             last_own_hello: SimTime::ZERO,
             hello_epoch: 0,
             retiring: None,
-            gw_traced: None,
             stats: EcStats::default(),
         }
     }
@@ -190,57 +168,28 @@ impl Ecgrid {
     }
 
     pub fn route_count(&self) -> usize {
-        self.routes.len()
+        self.plane.routes.len()
     }
 
-    /// Location-service hook: tell this host which grid `dst` was last
-    /// seen in, so its first route search can be confined (the paper's
-    /// Fig. 2 "supposes" the source has this information).
+    /// Discovery and forwarding counters.
+    pub fn routing_stats(&self) -> RoutingStats {
+        self.plane.stats
+    }
+
+    /// Location-service hook (see `RoutingPlane::seed_location`).
     pub fn seed_location(&mut self, dst: NodeId, grid: GridCoord) {
-        self.dst_hints.insert(dst, grid);
+        self.plane.seed_location(dst, grid);
     }
 
     // ----- small helpers ----------------------------------------------
 
-    /// Reconcile the trace's view of this host's gateway tenure with
-    /// `role`.  Called after every role transition; emits GatewayElect /
-    /// GatewayRetire so the two strictly alternate per (host, cell) — the
-    /// invariant the trace test-suite checks.
     fn sync_gateway_trace(&mut self, ctx: &mut Ctx<'_, Self>) {
-        let me = self.me;
-        let now_gw = self.role == Role::Gateway;
-        match (self.gw_traced, now_gw) {
-            (None, true) => {
-                let cell = self.my_grid;
-                self.gw_traced = Some(cell);
-                ctx.emit(|| EventKind::GatewayElect { node: me, cell });
-            }
-            (Some(old), false) => {
-                self.gw_traced = None;
-                ctx.emit(|| EventKind::GatewayRetire { node: me, cell: old });
-            }
-            (Some(old), true) if old != self.my_grid => {
-                let cell = self.my_grid;
-                self.gw_traced = Some(cell);
-                ctx.emit(|| EventKind::GatewayRetire { node: me, cell: old });
-                ctx.emit(|| EventKind::GatewayElect { node: me, cell });
-            }
-            _ => {}
-        }
-    }
-
-    fn my_hello(&self, ctx: &mut Ctx<'_, Self>, gflag: bool) -> HelloInfo {
-        HelloInfo {
-            id: self.me,
-            grid: self.my_grid,
-            gflag,
-            level: ctx.level(),
-            dist: ctx.dist_to_center(),
-        }
+        self.plane
+            .sync_gateway_trace(ctx, self.my_grid, self.role == Role::Gateway);
     }
 
     fn send_hello(&mut self, ctx: &mut Ctx<'_, Self>, gflag: bool) {
-        let h = self.my_hello(ctx, gflag);
+        let h = HelloInfo::announce(ctx, self.my_grid, gflag);
         self.last_own_hello = ctx.now();
         ctx.broadcast(EcMsg::Hello(h));
     }
@@ -344,14 +293,7 @@ impl Ecgrid {
         // route any packets we were holding as a member
         let own: Vec<(NodeId, AppPacket)> = self.pending_own.drain(..).collect();
         for (dst, packet) in own {
-            let msg = EcMsg::Data {
-                packet,
-                src: self.me,
-                dst,
-                via_grid: self.my_grid,
-                ttl: DATA_TTL,
-            };
-            self.route_data(ctx, msg);
+            self.route_data(ctx, DataMsg::new(packet, self.me, dst, self.my_grid));
         }
     }
 
@@ -364,16 +306,7 @@ impl Ecgrid {
         }
         let own: Vec<(NodeId, AppPacket)> = self.pending_own.drain(..).collect();
         for (dst, packet) in own {
-            ctx.unicast(
-                gw,
-                EcMsg::Data {
-                    packet,
-                    src: self.me,
-                    dst,
-                    via_grid: self.my_grid,
-                    ttl: DATA_TTL,
-                },
-            );
+            ctx.unicast(gw, DataMsg::new(packet, self.me, dst, self.my_grid).into());
         }
         self.arm_quiet_sleep(ctx);
     }
@@ -462,7 +395,7 @@ impl Ecgrid {
         ctx.page_grid(old);
         self.retiring = Some((
             old,
-            self.routes.snapshot(),
+            self.plane.routes.snapshot(),
             self.host_table.keys().copied().collect(),
         ));
         ctx.set_timer_secs(self.cfg.retire_wait, EcTimer::RetireSend { grid: old });
@@ -473,87 +406,39 @@ impl Ecgrid {
 
     /// Gateway-side routing of a data message (also used when we originate
     /// data as a gateway).
-    fn route_data(&mut self, ctx: &mut Ctx<'_, Self>, msg: EcMsg) {
-        let EcMsg::Data {
-            packet,
-            src,
-            dst,
-            ttl,
-            ..
-        } = msg
-        else {
-            unreachable!("route_data only handles Data");
-        };
-        if dst == self.me {
-            self.stats.data_delivered += 1;
-            ctx.deliver_app(packet);
+    fn route_data(&mut self, ctx: &mut Ctx<'_, Self>, d: DataMsg) {
+        if d.dst == self.me {
+            self.plane.stats.data_delivered += 1;
+            ctx.deliver_app(d.packet);
             return;
         }
-        if ttl == 0 {
-            self.stats.data_dropped += 1;
+        if d.ttl == 0 {
+            self.plane.stats.data_dropped += 1;
             return;
         }
-        let now = ctx.now();
         // local delivery: the destination lives in my grid
-        if let Some(entry) = self.host_table.get(&dst) {
-            let awake = !entry.asleep && now.since(entry.last_seen).as_secs_f64() < self.cfg.host_fresh_secs;
-            let fwd = EcMsg::Data {
-                packet,
-                src,
-                dst,
-                via_grid: self.my_grid,
-                ttl: ttl - 1,
-            };
+        if let Some(entry) = self.host_table.get(&d.dst) {
+            let awake =
+                !entry.asleep && ctx.now().since(entry.last_seen).as_secs_f64() < self.cfg.host_fresh_secs;
+            let fwd = d.hop(self.my_grid);
             if awake {
-                ctx.unicast(dst, fwd);
+                ctx.unicast(d.dst, fwd.into());
             } else {
                 // paper §3.3: wake the sleeping destination, buffer, flush
-                let q = self.pending_wake.entry(dst).or_default();
+                let q = self.pending_wake.entry(d.dst).or_default();
                 if q.len() >= self.cfg.buffer_cap {
                     q.pop_front();
-                    self.stats.data_dropped += 1;
+                    self.plane.stats.data_dropped += 1;
                 }
                 q.push_back(fwd);
                 if q.len() == 1 {
-                    self.start_page(ctx, dst);
+                    self.start_page(ctx, d.dst);
                 }
             }
             return;
         }
-        // remote: grid-by-grid forwarding
-        if let Some(route) = self.routes.lookup(dst, now) {
-            let fwd = EcMsg::Data {
-                packet,
-                src,
-                dst,
-                via_grid: route.next_grid,
-                ttl: ttl - 1,
-            };
-            let next = self.neighbors.get(route.next_grid, now).unwrap_or(route.via_node);
-            self.stats.data_forwarded += 1;
-            let me = self.me;
-            ctx.emit(|| EventKind::PacketForwarded {
-                node: me,
-                flow: packet.flow,
-                seq: packet.seq,
-            });
-            ctx.unicast(next, fwd);
-            return;
-        }
-        // no route: buffer and discover
-        let q = self.pending_route.entry(dst).or_default();
-        if q.len() >= self.cfg.buffer_cap {
-            q.pop_front();
-            self.stats.data_dropped += 1;
-        }
-        q.push_back(EcMsg::Data {
-            packet,
-            src,
-            dst,
-            via_grid: self.my_grid,
-            ttl,
-        });
-        self.start_discovery(ctx, dst, 0);
+        // remote: grid-by-grid forwarding, or buffer and discover
+        self.plane.forward(ctx, self.my_grid, d);
     }
 
     /// Page a sleeping local destination and arm the flush timer.  The
@@ -579,60 +464,11 @@ impl Ecgrid {
         }
     }
 
-    fn start_discovery(&mut self, ctx: &mut Ctx<'_, Self>, dst: NodeId, attempt: u32) {
-        if attempt == 0 && self.discovering.contains_key(&dst) {
-            return; // one in flight already
-        }
-        self.discovering.insert(dst, attempt);
-        self.my_seq += 1;
-        self.rreq_counter += 1;
-        // first attempt: confined by the configured strategy around the
-        // destination's last known grid (if any); retries: global (§3.3)
-        let range = if attempt == 0 {
-            self.cfg
-                .search
-                .range_for(self.my_grid, self.dst_hints.get(&dst).copied())
-        } else {
-            GridRect::everywhere()
-        };
-        let rreq = Rreq {
-            src: self.me,
-            s_seq: self.my_seq,
-            dst,
-            d_seq: 0,
-            id: self.rreq_counter,
-            range,
-            last_grid: self.my_grid,
-        };
-        self.seen.insert(self.me, self.rreq_counter);
-        self.stats.rreqs_sent += 1;
-        ctx.broadcast(EcMsg::Rreq(rreq));
-        ctx.set_timer_secs(
-            self.cfg.discovery_timeout,
-            EcTimer::DiscoveryTimeout { dst, attempt },
-        );
-        ctx.note(|| format!("RREQ #{} for {dst} range={range:?}", self.rreq_counter));
-    }
-
-    fn flush_route_buffer(&mut self, ctx: &mut Ctx<'_, Self>, dst: NodeId) {
-        let Some(q) = self.pending_route.remove(&dst) else {
-            return;
-        };
-        for msg in q {
-            self.route_data(ctx, msg);
-        }
-    }
-
     // ----- frame handlers -----------------------------------------------
 
     fn on_hello(&mut self, ctx: &mut Ctx<'_, Self>, src: NodeId, h: HelloInfo) {
         let now = ctx.now();
-        if h.gflag {
-            self.neighbors.note(h.grid, h.id, now);
-        } else if self.neighbors.get(h.grid, now) == Some(h.id) {
-            // it no longer claims the grid
-            self.neighbors.forget_grid(h.grid);
-        }
+        self.plane.overhear_hello(&h, now);
         if h.grid != self.my_grid {
             // a former local host has moved away
             if self.role == Role::Gateway && self.host_table.remove(&src).is_some() {
@@ -674,7 +510,7 @@ impl Ecgrid {
                         ctx.unicast(
                             h.id,
                             EcMsg::TableXfer {
-                                routes: self.routes.snapshot(),
+                                routes: self.plane.routes.snapshot(),
                                 hosts: self.host_table.keys().copied().collect(),
                             },
                         );
@@ -717,108 +553,33 @@ impl Ecgrid {
         }
     }
 
-    fn on_retire(
-        &mut self,
-        ctx: &mut Ctx<'_, Self>,
-        grid: GridCoord,
-        routes: &RouteSnapshot,
-        _hosts: &[NodeId],
-    ) {
-        let now = ctx.now();
-        self.neighbors.forget_grid(grid);
+    fn on_retire(&mut self, ctx: &mut Ctx<'_, Self>, grid: GridCoord, routes: &RouteSnapshot) {
+        self.plane.neighbors.forget_grid(grid);
         if grid != self.my_grid || self.role == Role::Gateway {
             return;
         }
         // inherit the tables and elect a successor (§3.2)
-        self.routes.install(routes, now);
+        self.plane.routes.install(routes, ctx.now());
         self.start_election(ctx);
     }
 
     fn on_rreq(&mut self, ctx: &mut Ctx<'_, Self>, src: NodeId, r: Rreq) {
-        let now = ctx.now();
-        // destination host replies even when it is not a gateway (§3.3:
-        // "When D (or its gateway, if D is not a gateway) receives this
-        // RREQ, it will unicast a reply")
-        if r.dst == self.me {
-            self.my_seq += 1;
-            let rep = Rrep {
-                src: r.src,
-                dst: self.me,
-                d_seq: self.my_seq,
-                from_grid: self.my_grid,
-                dst_grid: self.my_grid,
-            };
-            self.routes.upsert(r.src, r.last_grid, src, r.s_seq, now);
-            self.stats.rreps_sent += 1;
-            ctx.unicast(src, EcMsg::Rrep(rep));
-            return;
-        }
-        if self.role != Role::Gateway {
-            return;
-        }
-        if !r.range.contains(self.my_grid) {
-            return; // outside the search area
-        }
-        if !self.seen.insert(r.src, r.id) {
-            return; // duplicate
-        }
-        // reverse pointer to the previous sending gateway's grid
-        self.routes.upsert(r.src, r.last_grid, src, r.s_seq, now);
-        if self.host_table.contains_key(&r.dst) {
-            // I am the destination's gateway: reply
-            self.my_seq += 1;
-            let rep = Rrep {
-                src: r.src,
-                dst: r.dst,
-                d_seq: self.my_seq,
-                from_grid: self.my_grid,
-                dst_grid: self.my_grid,
-            };
-            self.stats.rreps_sent += 1;
-            ctx.unicast(src, EcMsg::Rrep(rep));
-            ctx.note(|| format!("RREP for {} (local host) back via {src}", r.dst));
-            return;
-        }
-        // rebroadcast with my grid as the previous hop
-        let mut fwd = r;
-        fwd.last_grid = self.my_grid;
-        self.stats.rreqs_forwarded += 1;
-        ctx.broadcast(EcMsg::Rreq(fwd));
-        ctx.note(|| format!("RREQ {}#{} rebroadcast", r.src, r.id));
+        let hosts = (self.role == Role::Gateway).then_some(&self.host_table);
+        self.plane.on_rreq(ctx, self.my_grid, src, r, hosts);
     }
 
     fn on_rrep(&mut self, ctx: &mut Ctx<'_, Self>, src: NodeId, r: Rrep) {
-        let now = ctx.now();
-        // forward pointer: dst reachable through the grid the RREP came from
-        self.routes.upsert(r.dst, r.from_grid, src, r.d_seq, now);
-        self.dst_hints.insert(r.dst, r.dst_grid);
-        if r.src == self.me {
-            // discovery complete
-            self.discovering.remove(&r.dst);
-            self.flush_route_buffer(ctx, r.dst);
-            ctx.note(|| format!("route to {} established", r.dst));
-            return;
-        }
-        // relay along the reverse path
-        if let Some(back) = self.routes.lookup(r.src, now) {
-            let next = self.neighbors.get(back.next_grid, now).unwrap_or(back.via_node);
-            let fwd = Rrep {
-                from_grid: self.my_grid,
-                ..r
-            };
-            ctx.unicast(next, EcMsg::Rrep(fwd));
-        } else {
-            ctx.note(|| format!("RREP for {} dropped: no reverse route", r.src));
+        if let Some(buffered) = self.plane.on_rrep(ctx, self.my_grid, src, r) {
+            for d in buffered {
+                self.route_data(ctx, d);
+            }
         }
     }
 
-    fn on_data(&mut self, ctx: &mut Ctx<'_, Self>, _src: NodeId, msg: EcMsg) {
-        let EcMsg::Data { packet, dst, .. } = msg else {
-            unreachable!()
-        };
-        if dst == self.me {
-            self.stats.data_delivered += 1;
-            ctx.deliver_app(packet);
+    fn on_data(&mut self, ctx: &mut Ctx<'_, Self>, d: DataMsg) {
+        if d.dst == self.me {
+            self.plane.stats.data_delivered += 1;
+            ctx.deliver_app(d.packet);
             // receiving own traffic keeps an endpoint awake
             if self.role == Role::Member {
                 self.arm_quiet_sleep(ctx);
@@ -826,40 +587,11 @@ impl Ecgrid {
             return;
         }
         match self.role {
-            Role::Gateway => self.route_data(ctx, msg),
-            Role::Member | Role::Electing => {
-                // we were asked to forward but are not a gateway (stale
-                // neighbour caches after a retire): bounce to our gateway
-                if let (
-                    Some(gw),
-                    EcMsg::Data {
-                        packet,
-                        src,
-                        dst,
-                        ttl,
-                        ..
-                    },
-                ) = (self.gateway, msg)
-                {
-                    if ttl > 0 && gw != self.me {
-                        ctx.unicast(
-                            gw,
-                            EcMsg::Data {
-                                packet,
-                                src,
-                                dst,
-                                via_grid: self.my_grid,
-                                ttl: ttl - 1,
-                            },
-                        );
-                        return;
-                    }
-                }
-                self.stats.data_dropped += 1;
-            }
+            Role::Gateway => self.route_data(ctx, d),
+            Role::Member | Role::Electing => self.plane.bounce_to_gateway(ctx, self.my_grid, self.gateway, d),
             Role::Sleeping => {
                 // see on_hello: pre-quiesce window; drop silently
-                self.stats.data_dropped += 1;
+                self.plane.stats.data_dropped += 1;
             }
         }
     }
@@ -908,10 +640,10 @@ impl Protocol for Ecgrid {
         }
         match msg {
             EcMsg::Hello(h) => self.on_hello(ctx, src, *h),
-            EcMsg::Retire { grid, routes, hosts } => self.on_retire(ctx, *grid, routes, hosts),
+            EcMsg::Retire { grid, routes, .. } => self.on_retire(ctx, *grid, routes),
             EcMsg::TableXfer { routes, hosts } => {
                 let now = ctx.now();
-                self.routes.install(routes, now);
+                self.plane.routes.install(routes, now);
                 if self.role == Role::Gateway {
                     for h in hosts {
                         if *h != self.me {
@@ -946,7 +678,7 @@ impl Protocol for Ecgrid {
             EcMsg::Acq { gid, .. } => self.on_acq(ctx, src, *gid),
             EcMsg::Rreq(r) => self.on_rreq(ctx, src, *r),
             EcMsg::Rrep(r) => self.on_rrep(ctx, src, *r),
-            EcMsg::Data { .. } => self.on_data(ctx, src, msg.clone()),
+            EcMsg::Data(d) => self.on_data(ctx, *d),
         }
     }
 
@@ -957,9 +689,7 @@ impl Protocol for Ecgrid {
                     return; // superseded chain or asleep
                 }
                 // periodic beacon + housekeeping
-                let now = ctx.now();
-                self.routes.purge(now);
-                self.neighbors.purge(now);
+                self.plane.purge(ctx.now());
                 if self.role == Role::Gateway {
                     self.send_hello(ctx, true);
                     // load-balance retirement when the battery level drops a
@@ -976,7 +706,7 @@ impl Protocol for Ecgrid {
                 if epoch != self.election_epoch || self.role != Role::Electing {
                     return;
                 }
-                let mine = self.my_hello(ctx, false);
+                let mine = HelloInfo::announce(ctx, self.my_grid, false);
                 self.candidates.retain(|c| c.id != self.me);
                 self.candidates.push(mine);
                 let winner = elect_gateway(self.candidates.iter(), true).expect("self is a candidate");
@@ -1068,7 +798,7 @@ impl Protocol for Ecgrid {
                     routes,
                     hosts,
                 });
-                self.neighbors.forget_node(self.me);
+                self.plane.neighbors.forget_node(self.me);
                 if self.role == Role::Gateway && self.my_grid == grid {
                     // load-balance retire: stay in the grid and stand for
                     // re-election with my (now lower) level
@@ -1083,18 +813,13 @@ impl Protocol for Ecgrid {
                     return;
                 };
                 if self.role != Role::Gateway {
-                    self.stats.data_dropped += q.len() as u64;
+                    self.plane.stats.data_dropped += q.len() as u64;
                     return;
                 }
                 self.host_table.insert(dst, HostEntry::awake(ctx.now()));
-                let me = self.me;
-                for msg in q {
-                    self.stats.data_forwarded += 1;
-                    if let EcMsg::Data { packet, .. } = &msg {
-                        let (flow, seq) = (packet.flow, packet.seq);
-                        ctx.emit(|| EventKind::PacketForwarded { node: me, flow, seq });
-                    }
-                    ctx.unicast(dst, msg);
+                for d in q {
+                    self.plane.record_forward(ctx, &d.packet);
+                    ctx.unicast(dst, d.into());
                 }
             }
             EcTimer::HandoffGrace { epoch } => {
@@ -1116,25 +841,15 @@ impl Protocol for Ecgrid {
                     self.no_gateway_event(ctx, "ACQ unanswered");
                 }
             }
-            EcTimer::DiscoveryTimeout { dst, attempt } => {
-                if self.discovering.get(&dst) != Some(&attempt) {
-                    return; // superseded or finished
-                }
+            EcTimer::DiscoveryTimeout(t) => {
                 if self.role != Role::Gateway {
                     // retired (possibly asleep) since starting the search
-                    self.discovering.remove(&dst);
-                    let dropped = self.pending_route.remove(&dst).map(|q| q.len()).unwrap_or(0);
-                    self.stats.data_dropped += dropped as u64;
+                    if self.plane.awaits(&t) {
+                        self.plane.abandon_discovery(t.dst);
+                    }
                     return;
                 }
-                if attempt + 1 < self.cfg.max_discovery_attempts {
-                    self.start_discovery(ctx, dst, attempt + 1);
-                } else {
-                    self.discovering.remove(&dst);
-                    let dropped = self.pending_route.remove(&dst).map(|q| q.len()).unwrap_or(0);
-                    self.stats.data_dropped += dropped as u64;
-                    ctx.note(|| format!("discovery for {dst} failed; {dropped} packets dropped"));
-                }
+                self.plane.on_discovery_timeout(ctx, self.my_grid, t);
             }
         }
     }
@@ -1209,29 +924,11 @@ impl Protocol for Ecgrid {
 
     fn on_app_send(&mut self, ctx: &mut Ctx<'_, Self>, dst: NodeId, packet: AppPacket) {
         match self.role {
-            Role::Gateway => {
-                let msg = EcMsg::Data {
-                    packet,
-                    src: self.me,
-                    dst,
-                    via_grid: self.my_grid,
-                    ttl: DATA_TTL,
-                };
-                self.route_data(ctx, msg);
-            }
+            Role::Gateway => self.route_data(ctx, DataMsg::new(packet, self.me, dst, self.my_grid)),
             Role::Member => {
                 self.arm_quiet_sleep(ctx);
                 if let Some(gw) = self.gateway {
-                    ctx.unicast(
-                        gw,
-                        EcMsg::Data {
-                            packet,
-                            src: self.me,
-                            dst,
-                            via_grid: self.my_grid,
-                            ttl: DATA_TTL,
-                        },
-                    );
+                    ctx.unicast(gw, DataMsg::new(packet, self.me, dst, self.my_grid).into());
                 } else {
                     self.pending_own.push((dst, packet));
                 }
@@ -1261,19 +958,12 @@ impl Protocol for Ecgrid {
     }
 
     fn on_unicast_failed(&mut self, ctx: &mut Ctx<'_, Self>, dst: NodeId, msg: &EcMsg) {
-        let now = ctx.now();
         match msg {
-            EcMsg::Data {
-                packet,
-                src,
-                dst: final_dst,
-                ttl,
-                ..
-            } => {
+            EcMsg::Data(d) => {
                 // a local delivery failed: the host slipped into sleep
                 // between its last HELLO and our forward — mark it and go
                 // through the page+buffer path instead of tearing routes
-                if self.role == Role::Gateway && dst == *final_dst {
+                if self.role == Role::Gateway && dst == d.dst {
                     if let Some(e) = self.host_table.get_mut(&dst) {
                         e.asleep = true;
                         // if a page preceded this failure it went
@@ -1284,56 +974,41 @@ impl Protocol for Ecgrid {
                                 self.page_attempts.remove(&dst);
                                 self.host_table.remove(&dst);
                                 self.stats.page_gave_up += 1;
-                                self.stats.data_dropped += 1;
+                                self.plane.stats.data_dropped += 1;
                                 ctx.note(|| format!("gave up paging {dst}"));
                                 return;
                             }
                         }
-                        if *ttl > 0 {
-                            let retry = EcMsg::Data {
-                                packet: *packet,
-                                src: *src,
-                                dst: *final_dst,
-                                via_grid: self.my_grid,
-                                ttl: ttl - 1,
-                            };
-                            self.route_data(ctx, retry);
+                        if d.ttl > 0 {
+                            self.route_data(ctx, d.hop(self.my_grid));
                             return;
                         }
                     }
                 }
                 // next hop is gone: clean up and re-route (§3.4)
-                self.neighbors.forget_node(dst);
-                self.routes.remove_via(dst);
+                self.plane.neighbors.forget_node(dst);
+                self.plane.routes.remove_via(dst);
                 self.host_table.remove(&dst);
                 self.page_attempts.remove(&dst);
                 if Some(dst) == self.gateway && self.role == Role::Member {
                     // my own gateway vanished
-                    self.pending_own.push((*final_dst, *packet));
+                    self.pending_own.push((d.dst, d.packet));
                     self.no_gateway_event(ctx, "gateway unreachable");
                     return;
                 }
-                if self.role == Role::Gateway && *ttl > 0 {
-                    let retry = EcMsg::Data {
-                        packet: *packet,
-                        src: *src,
-                        dst: *final_dst,
-                        via_grid: self.my_grid,
-                        ttl: ttl - 1,
-                    };
-                    self.route_data(ctx, retry);
+                if self.role == Role::Gateway && d.ttl > 0 {
+                    self.route_data(ctx, d.hop(self.my_grid));
                 } else {
-                    self.stats.data_dropped += 1;
+                    self.plane.stats.data_dropped += 1;
                 }
             }
             EcMsg::Rrep(r) => {
                 // reverse path broke; the source's discovery timer retries
-                self.routes.remove(r.src);
-                self.neighbors.forget_node(dst);
+                self.plane.routes.remove(r.src);
+                self.plane.neighbors.forget_node(dst);
             }
             EcMsg::TableXfer { .. } | EcMsg::Leave { .. } => {
-                self.neighbors.forget_node(dst);
-                let _ = now;
+                self.plane.neighbors.forget_node(dst);
             }
             _ => {}
         }

@@ -121,7 +121,9 @@ fn gateway_buffer_is_bounded_per_destination() {
     assert_eq!(ledger.sent_count(), 100);
     // some delivered (buffered + flushed after the page), some dropped
     assert!(ledger.delivered_count() > 0, "buffered packets must flush");
-    let dropped: u64 = (0..3).map(|i| w.protocol(NodeId(i)).stats.data_dropped).sum();
+    let dropped: u64 = (0..3)
+        .map(|i| w.protocol(NodeId(i)).routing_stats().data_dropped)
+        .sum();
     assert!(
         dropped > 0 || ledger.delivered_count() >= 95,
         "either the cap dropped overflow or nearly everything made it: \

@@ -54,6 +54,9 @@ impl WireSize for Rrep {
     }
 }
 
+/// Initial TTL of data packets in grid-by-grid transit.
+pub const DATA_TTL: u8 = 32;
+
 /// A data packet in transit through the grid overlay.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct DataMsg {
@@ -64,12 +67,37 @@ pub struct DataMsg {
     /// a broadcast fallback reach the right gateway when the concrete
     /// gateway node is unknown.
     pub via_grid: GridCoord,
+    /// Hops left; bounds forwarding.
+    pub ttl: u8,
+}
+
+impl DataMsg {
+    /// A packet entering the overlay at `src`, addressed to `via_grid`.
+    pub fn new(packet: AppPacket, src: NodeId, dst: NodeId, via_grid: GridCoord) -> Self {
+        DataMsg {
+            packet,
+            src,
+            dst,
+            via_grid,
+            ttl: DATA_TTL,
+        }
+    }
+
+    /// The copy sent one hop on, addressed to `via_grid`.  The caller has
+    /// checked `ttl > 0`.
+    pub fn hop(self, via_grid: GridCoord) -> Self {
+        DataMsg {
+            via_grid,
+            ttl: self.ttl - 1,
+            ..self
+        }
+    }
 }
 
 impl WireSize for DataMsg {
     fn wire_bytes(&self) -> u32 {
-        // payload + src 4 + dst 4 + via 8 + flow/seq 12
-        self.packet.bytes + 28
+        // payload + src 4 + dst 4 + via 8 + flow/seq 12 + ttl 1
+        self.packet.bytes + 29
     }
 }
 
@@ -173,17 +201,21 @@ mod tests {
             dst_grid: GridCoord::new(0, 0),
         };
         assert_eq!(rrep.wire_bytes(), 28);
-        let data = DataMsg {
-            packet: AppPacket {
-                flow: 0,
-                seq: 0,
-                bytes: 512,
-            },
-            src: NodeId(0),
-            dst: NodeId(1),
-            via_grid: GridCoord::new(0, 0),
+    }
+
+    #[test]
+    fn data_carries_payload_plus_header() {
+        let packet = AppPacket {
+            flow: 0,
+            seq: 0,
+            bytes: 512,
         };
-        assert_eq!(data.wire_bytes(), 540);
+        let d = DataMsg::new(packet, NodeId(0), NodeId(1), GridCoord::new(0, 0));
+        assert_eq!(d.ttl, DATA_TTL);
+        assert_eq!(d.wire_bytes(), 541);
+        let next = d.hop(GridCoord::new(1, 0));
+        assert_eq!((next.ttl, next.via_grid), (DATA_TTL - 1, GridCoord::new(1, 0)));
+        assert_eq!(next.wire_bytes(), 541);
     }
 
     #[test]

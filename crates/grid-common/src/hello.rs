@@ -1,6 +1,6 @@
 //! The HELLO message and the gateway-election rules (§3, §3.1).
 
-use manet::{EnergyLevel, GridCoord, NodeId, WireSize};
+use manet::{Ctx, EnergyLevel, GridCoord, NodeId, Protocol, WireSize};
 
 /// The five HELLO fields of §3.1: id, grid, gflag, level, dist.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -26,6 +26,17 @@ impl WireSize for HelloInfo {
 }
 
 impl HelloInfo {
+    /// The HELLO the host `ctx` serves would send from `grid` right now.
+    pub fn announce<P: Protocol>(ctx: &Ctx<'_, P>, grid: GridCoord, gflag: bool) -> Self {
+        HelloInfo {
+            id: ctx.id(),
+            grid,
+            gflag,
+            level: ctx.level(),
+            dist: ctx.dist_to_center(),
+        }
+    }
+
     /// Election key: better gateways sort first.
     ///
     /// Rule 1 — higher battery level wins (when `energy_aware`).

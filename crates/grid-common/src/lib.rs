@@ -3,7 +3,9 @@
 //! * the HELLO message and the paper's three gateway-election rules (§3);
 //! * grid-by-grid routing tables with freshness and expiry (§3.3);
 //! * route discovery packets (RREQ/RREP) with search-area confinement and
-//!   duplicate suppression;
+//!   duplicate suppression, and the data header;
+//! * the routing plane both protocols run: discovery, reverse-path
+//!   replies, remote forwarding and buffering ([`RoutingPlane`]);
 //! * the neighbour-gateway cache every gateway builds from overheard
 //!   HELLOs.
 //!
@@ -16,11 +18,13 @@
 pub mod discovery;
 pub mod hello;
 pub mod neighbors;
+pub mod plane;
 pub mod routes;
 pub mod search;
 
-pub use discovery::{DataMsg, Rrep, Rreq, RreqSeen};
+pub use discovery::{DataMsg, Rrep, Rreq, RreqSeen, DATA_TTL};
 pub use hello::{elect_gateway, HelloInfo};
 pub use neighbors::NeighborGateways;
+pub use plane::{DiscoveryTimeout, PlaneConfig, RoutingPlane, RoutingStats};
 pub use routes::{RouteEntry, RouteSnapshot, RouteTable};
 pub use search::SearchStrategy;

@@ -1,0 +1,592 @@
+//! The grid-by-grid routing plane (§3.3): route discovery, reverse-path
+//! replies, remote forwarding with buffering, and the tables they work on.
+//!
+//! GRID and ECGRID route identically — ECGRID is GRID plus energy
+//! conservation — so each host of either protocol owns one
+//! [`RoutingPlane`] and calls into it.  The plane knows nothing about
+//! roles, sleeping or elections: a caller hands it what it needs to know
+//! (the host's current grid, the local host table when it is a gateway),
+//! and everything the two protocols do differently — local delivery,
+//! paging, tenure — stays in their own state machines.
+
+use crate::{DataMsg, HelloInfo, NeighborGateways, RouteTable, Rrep, Rreq, RreqSeen, SearchStrategy};
+use manet::sim_engine::IdMap;
+use manet::{AppPacket, Ctx, EventKind, GridCoord, GridRect, NodeId, Protocol, SimDuration, SimTime};
+use std::collections::VecDeque;
+
+/// Timer token: discovery round `attempt` for `dst` went unanswered.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct DiscoveryTimeout {
+    pub dst: NodeId,
+    pub attempt: u32,
+}
+
+/// The routing plane's share of a protocol's parameters (times in
+/// seconds).
+#[derive(Clone, Copy, Debug)]
+pub struct PlaneConfig {
+    /// Routing-table entry lifetime.
+    pub route_ttl: f64,
+    /// Neighbour-gateway cache entry lifetime.
+    pub neighbor_ttl: f64,
+    /// Search-area construction for the first discovery round.
+    pub search: SearchStrategy,
+    /// Route-discovery retry timeout per attempt.
+    pub discovery_timeout: f64,
+    /// Discovery attempts before the pending packets are dropped.
+    pub max_discovery_attempts: u32,
+    /// Max packets buffered per destination.
+    pub buffer_cap: usize,
+}
+
+/// Per-host routing counters.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct RoutingStats {
+    pub rreqs_sent: u64,
+    pub rreqs_forwarded: u64,
+    pub rreps_sent: u64,
+    pub data_forwarded: u64,
+    pub data_delivered: u64,
+    pub data_dropped: u64,
+}
+
+/// One host's routing state.
+pub struct RoutingPlane {
+    cfg: PlaneConfig,
+    me: NodeId,
+    pub routes: RouteTable,
+    pub neighbors: NeighborGateways,
+    pub stats: RoutingStats,
+    seen: RreqSeen,
+    /// My destination sequence number.
+    my_seq: u32,
+    rreq_counter: u32,
+    /// Packets awaiting a route (keyed by destination).
+    pending_route: IdMap<NodeId, VecDeque<DataMsg>>,
+    /// Discoveries in flight: dst -> attempt.
+    discovering: IdMap<NodeId, u32>,
+    /// Last known grid of remote destinations (learned from RREPs; may be
+    /// pre-seeded through [`RoutingPlane::seed_location`]).  Confines the
+    /// first search round (§3.3).
+    dst_hints: IdMap<NodeId, GridCoord>,
+    /// The cell the trace recorder believes this host is gateway of
+    /// (keeps GatewayElect/GatewayRetire strictly alternating per host).
+    gw_traced: Option<GridCoord>,
+}
+
+impl RoutingPlane {
+    pub fn new(cfg: PlaneConfig, me: NodeId) -> Self {
+        RoutingPlane {
+            cfg,
+            me,
+            routes: RouteTable::new(SimDuration::from_secs_f64(cfg.route_ttl)),
+            neighbors: NeighborGateways::new(SimDuration::from_secs_f64(cfg.neighbor_ttl)),
+            stats: RoutingStats::default(),
+            seen: RreqSeen::default(),
+            my_seq: 0,
+            rreq_counter: 0,
+            pending_route: IdMap::default(),
+            discovering: IdMap::default(),
+            dst_hints: IdMap::default(),
+            gw_traced: None,
+        }
+    }
+
+    /// Location-service hook: tell this host which grid `dst` was last
+    /// seen in, so its first route search can be confined (the paper's
+    /// Fig. 2 "supposes" the source has this information).
+    pub fn seed_location(&mut self, dst: NodeId, grid: GridCoord) {
+        self.dst_hints.insert(dst, grid);
+    }
+
+    /// Reconcile the trace's view of this host's gateway tenure with its
+    /// role.  Called after every role transition; emits GatewayElect /
+    /// GatewayRetire so the two strictly alternate per (host, cell) — the
+    /// invariant the trace test-suite checks.
+    pub fn sync_gateway_trace<P: Protocol>(
+        &mut self,
+        ctx: &mut Ctx<'_, P>,
+        grid: GridCoord,
+        is_gateway: bool,
+    ) {
+        let me = self.me;
+        match (self.gw_traced, is_gateway) {
+            (None, true) => {
+                self.gw_traced = Some(grid);
+                ctx.emit(|| EventKind::GatewayElect { node: me, cell: grid });
+            }
+            (Some(old), false) => {
+                self.gw_traced = None;
+                ctx.emit(|| EventKind::GatewayRetire { node: me, cell: old });
+            }
+            (Some(old), true) if old != grid => {
+                self.gw_traced = Some(grid);
+                ctx.emit(|| EventKind::GatewayRetire { node: me, cell: old });
+                ctx.emit(|| EventKind::GatewayElect { node: me, cell: grid });
+            }
+            _ => {}
+        }
+    }
+
+    /// Keep the neighbour-gateway cache current with an overheard HELLO.
+    pub fn overhear_hello(&mut self, h: &HelloInfo, now: SimTime) {
+        if h.gflag {
+            self.neighbors.note(h.grid, h.id, now);
+        } else if self.neighbors.get(h.grid, now) == Some(h.id) {
+            // it no longer claims the grid
+            self.neighbors.forget_grid(h.grid);
+        }
+    }
+
+    /// Periodic housekeeping: drop expired routes and stale neighbours.
+    pub fn purge(&mut self, now: SimTime) {
+        self.routes.purge(now);
+        self.neighbors.purge(now);
+    }
+
+    /// Count a data forward by this host and put it on the trace.
+    pub fn record_forward<P: Protocol>(&mut self, ctx: &mut Ctx<'_, P>, packet: &AppPacket) {
+        self.stats.data_forwarded += 1;
+        let (node, flow, seq) = (self.me, packet.flow, packet.seq);
+        ctx.emit(|| EventKind::PacketForwarded { node, flow, seq });
+    }
+
+    /// Remote step of data routing: forward `d` one grid along a known
+    /// route, or buffer it and search for one.
+    pub fn forward<P>(&mut self, ctx: &mut Ctx<'_, P>, grid: GridCoord, d: DataMsg)
+    where
+        P: Protocol,
+        P::Msg: From<DataMsg> + From<Rreq>,
+        P::Timer: From<DiscoveryTimeout>,
+    {
+        let now = ctx.now();
+        if let Some(route) = self.routes.lookup(d.dst, now) {
+            let next = self.neighbors.get(route.next_grid, now).unwrap_or(route.via_node);
+            self.record_forward(ctx, &d.packet);
+            ctx.unicast(next, d.hop(route.next_grid).into());
+            return;
+        }
+        let q = self.pending_route.entry(d.dst).or_default();
+        if q.len() >= self.cfg.buffer_cap {
+            q.pop_front();
+            self.stats.data_dropped += 1;
+        }
+        q.push_back(DataMsg { via_grid: grid, ..d });
+        self.start_discovery(ctx, grid, d.dst, 0);
+    }
+
+    /// A non-gateway was asked to forward (stale neighbour caches after a
+    /// retire): bounce the packet to its own gateway, if it knows one.
+    pub fn bounce_to_gateway<P>(
+        &mut self,
+        ctx: &mut Ctx<'_, P>,
+        grid: GridCoord,
+        gateway: Option<NodeId>,
+        d: DataMsg,
+    ) where
+        P: Protocol,
+        P::Msg: From<DataMsg>,
+    {
+        match gateway {
+            Some(gw) if d.ttl > 0 && gw != self.me => ctx.unicast(gw, d.hop(grid).into()),
+            _ => self.stats.data_dropped += 1,
+        }
+    }
+
+    fn start_discovery<P>(&mut self, ctx: &mut Ctx<'_, P>, grid: GridCoord, dst: NodeId, attempt: u32)
+    where
+        P: Protocol,
+        P::Msg: From<Rreq>,
+        P::Timer: From<DiscoveryTimeout>,
+    {
+        if attempt == 0 && self.discovering.contains_key(&dst) {
+            return; // one in flight already
+        }
+        self.discovering.insert(dst, attempt);
+        self.my_seq += 1;
+        self.rreq_counter += 1;
+        // first attempt: confined by the configured strategy around the
+        // destination's last known grid (if any); retries: global (§3.3)
+        let range = if attempt == 0 {
+            self.cfg.search.range_for(grid, self.dst_hints.get(&dst).copied())
+        } else {
+            GridRect::everywhere()
+        };
+        let rreq = Rreq {
+            src: self.me,
+            s_seq: self.my_seq,
+            dst,
+            d_seq: 0,
+            id: self.rreq_counter,
+            range,
+            last_grid: grid,
+        };
+        self.seen.insert(self.me, self.rreq_counter);
+        self.stats.rreqs_sent += 1;
+        ctx.broadcast(rreq.into());
+        ctx.set_timer_secs(
+            self.cfg.discovery_timeout,
+            DiscoveryTimeout { dst, attempt }.into(),
+        );
+        ctx.note(|| format!("RREQ #{} for {dst} range={range:?}", self.rreq_counter));
+    }
+
+    /// Whether `t` belongs to the discovery round still in flight (not
+    /// superseded by a retry, not finished by an RREP).
+    pub fn awaits(&self, t: &DiscoveryTimeout) -> bool {
+        self.discovering.get(&t.dst) == Some(&t.attempt)
+    }
+
+    /// Give up searching for `dst`; the packets buffered for it are
+    /// dropped (and returned as a count).
+    pub fn abandon_discovery(&mut self, dst: NodeId) -> usize {
+        self.discovering.remove(&dst);
+        let dropped = self.pending_route.remove(&dst).map_or(0, |q| q.len());
+        self.stats.data_dropped += dropped as u64;
+        dropped
+    }
+
+    /// A discovery round timed out: search again, everywhere, or give up
+    /// after the configured number of attempts.
+    pub fn on_discovery_timeout<P>(&mut self, ctx: &mut Ctx<'_, P>, grid: GridCoord, t: DiscoveryTimeout)
+    where
+        P: Protocol,
+        P::Msg: From<Rreq>,
+        P::Timer: From<DiscoveryTimeout>,
+    {
+        if !self.awaits(&t) {
+            return;
+        }
+        if t.attempt + 1 < self.cfg.max_discovery_attempts {
+            self.start_discovery(ctx, grid, t.dst, t.attempt + 1);
+        } else {
+            let dropped = self.abandon_discovery(t.dst);
+            ctx.note(|| format!("discovery for {} failed; {dropped} packets dropped", t.dst));
+        }
+    }
+
+    fn send_rrep<P>(&mut self, ctx: &mut Ctx<'_, P>, grid: GridCoord, to: NodeId, r: &Rreq)
+    where
+        P: Protocol,
+        P::Msg: From<Rrep>,
+    {
+        self.my_seq += 1;
+        let rep = Rrep {
+            src: r.src,
+            dst: r.dst,
+            d_seq: self.my_seq,
+            from_grid: grid,
+            dst_grid: grid,
+        };
+        self.stats.rreps_sent += 1;
+        ctx.unicast(to, rep.into());
+    }
+
+    /// An RREQ arrived from `from`.  `local_hosts` is the host table of
+    /// this host's grid when it is the gateway, `None` otherwise — only
+    /// gateways relay searches or answer for their hosts.
+    pub fn on_rreq<P, H>(
+        &mut self,
+        ctx: &mut Ctx<'_, P>,
+        grid: GridCoord,
+        from: NodeId,
+        r: Rreq,
+        local_hosts: Option<&IdMap<NodeId, H>>,
+    ) where
+        P: Protocol,
+        P::Msg: From<Rreq> + From<Rrep>,
+    {
+        let now = ctx.now();
+        // destination host replies even when it is not a gateway (§3.3:
+        // "When D (or its gateway, if D is not a gateway) receives this
+        // RREQ, it will unicast a reply")
+        if r.dst == self.me {
+            self.routes.upsert(r.src, r.last_grid, from, r.s_seq, now);
+            self.send_rrep(ctx, grid, from, &r);
+            return;
+        }
+        let Some(local_hosts) = local_hosts else {
+            return;
+        };
+        if !r.range.contains(grid) {
+            return; // outside the search area
+        }
+        if !self.seen.insert(r.src, r.id) {
+            return; // duplicate
+        }
+        // reverse pointer to the previous sending gateway's grid
+        self.routes.upsert(r.src, r.last_grid, from, r.s_seq, now);
+        if local_hosts.contains_key(&r.dst) {
+            // I am the destination's gateway: reply
+            self.send_rrep(ctx, grid, from, &r);
+            ctx.note(|| format!("RREP for {} (local host) back via {from}", r.dst));
+            return;
+        }
+        // rebroadcast with my grid as the previous hop
+        self.stats.rreqs_forwarded += 1;
+        ctx.broadcast(Rreq { last_grid: grid, ..r }.into());
+        ctx.note(|| format!("RREQ {}#{} rebroadcast", r.src, r.id));
+    }
+
+    /// An RREP arrived from `from`.  When it completes a discovery of
+    /// this host's own, the packets buffered for the destination are
+    /// returned, oldest first, for the caller to route.
+    #[must_use]
+    pub fn on_rrep<P>(
+        &mut self,
+        ctx: &mut Ctx<'_, P>,
+        grid: GridCoord,
+        from: NodeId,
+        r: Rrep,
+    ) -> Option<VecDeque<DataMsg>>
+    where
+        P: Protocol,
+        P::Msg: From<Rrep>,
+    {
+        let now = ctx.now();
+        // forward pointer: dst reachable through the grid the RREP came from
+        self.routes.upsert(r.dst, r.from_grid, from, r.d_seq, now);
+        self.dst_hints.insert(r.dst, r.dst_grid);
+        if r.src == self.me {
+            self.discovering.remove(&r.dst);
+            ctx.note(|| format!("route to {} established", r.dst));
+            return self.pending_route.remove(&r.dst);
+        }
+        // relay along the reverse path
+        if let Some(back) = self.routes.lookup(r.src, now) {
+            let next = self.neighbors.get(back.next_grid, now).unwrap_or(back.via_node);
+            ctx.unicast(next, Rrep { from_grid: grid, ..r }.into());
+        } else {
+            ctx.note(|| format!("RREP for {} dropped: no reverse route", r.src));
+        }
+        None
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use manet::{CbrFlow, FlowId, FlowSet, FrameKind, HostSetup, Point2, WireSize, World, WorldConfig};
+    use mobility::MobilityTrace;
+
+    #[derive(Clone, Debug)]
+    enum Msg {
+        Rreq(Rreq),
+        Rrep(Rrep),
+        Data(DataMsg),
+    }
+
+    impl From<Rreq> for Msg {
+        fn from(r: Rreq) -> Self {
+            Msg::Rreq(r)
+        }
+    }
+
+    impl From<Rrep> for Msg {
+        fn from(r: Rrep) -> Self {
+            Msg::Rrep(r)
+        }
+    }
+
+    impl From<DataMsg> for Msg {
+        fn from(d: DataMsg) -> Self {
+            Msg::Data(d)
+        }
+    }
+
+    impl WireSize for Msg {
+        fn wire_bytes(&self) -> u32 {
+            match self {
+                Msg::Rreq(r) => r.wire_bytes(),
+                Msg::Rrep(r) => r.wire_bytes(),
+                Msg::Data(d) => d.wire_bytes(),
+            }
+        }
+    }
+
+    /// A permanent gateway with no local hosts: the plane and nothing
+    /// else.
+    struct Relay {
+        plane: RoutingPlane,
+        grid: GridCoord,
+        /// Sequence numbers handed to the application, in arrival order.
+        delivered: Vec<u64>,
+    }
+
+    impl Relay {
+        fn route(&mut self, ctx: &mut Ctx<'_, Self>, d: DataMsg) {
+            if d.dst == ctx.id() {
+                self.delivered.push(d.packet.seq);
+                ctx.deliver_app(d.packet);
+            } else {
+                self.plane.forward(ctx, self.grid, d);
+            }
+        }
+    }
+
+    impl Protocol for Relay {
+        type Msg = Msg;
+        type Timer = DiscoveryTimeout;
+
+        fn on_start(&mut self, ctx: &mut Ctx<'_, Self>) {
+            self.grid = ctx.cell();
+        }
+
+        fn on_frame(&mut self, ctx: &mut Ctx<'_, Self>, src: NodeId, _kind: FrameKind, msg: &Msg) {
+            match msg {
+                Msg::Rreq(r) => {
+                    let nobody = IdMap::<NodeId, ()>::default();
+                    self.plane.on_rreq(ctx, self.grid, src, *r, Some(&nobody));
+                }
+                Msg::Rrep(r) => {
+                    for d in self.plane.on_rrep(ctx, self.grid, src, *r).into_iter().flatten() {
+                        self.route(ctx, d);
+                    }
+                }
+                Msg::Data(d) => self.route(ctx, *d),
+            }
+        }
+
+        fn on_timer(&mut self, ctx: &mut Ctx<'_, Self>, t: DiscoveryTimeout) {
+            self.plane.on_discovery_timeout(ctx, self.grid, t);
+        }
+
+        fn on_app_send(&mut self, ctx: &mut Ctx<'_, Self>, dst: NodeId, packet: AppPacket) {
+            let d = DataMsg::new(packet, ctx.id(), dst, self.grid);
+            self.route(ctx, d);
+        }
+    }
+
+    const SRC: NodeId = NodeId(0);
+    const MID: NodeId = NodeId(1);
+    const DST: NodeId = NodeId(2);
+    const OFF_PATH: NodeId = NodeId(3);
+    const ISOLATED: NodeId = NodeId(4);
+
+    /// A chain of gateways in grids (0,0) – (2,0) – (4,0), each in range
+    /// of the next only; one more in (2,2), in range of the middle one
+    /// only; and one out of everybody's reach.  The source believes `to`
+    /// sits in `hint`, and sends it `packets` packets `gap_us` apart.
+    fn chain(hint: GridCoord, to: NodeId, packets: u64, gap_us: u64, buffer_cap: usize) -> World<Relay> {
+        let horizon = SimTime::from_secs(100);
+        let hosts = [
+            (50.0, 50.0),
+            (250.0, 50.0),
+            (450.0, 50.0),
+            (250.0, 250.0),
+            (950.0, 950.0),
+        ]
+        .map(|(x, y)| HostSetup::paper(MobilityTrace::stationary(Point2::new(x, y), horizon)));
+        let start = SimTime::from_secs(1);
+        let gap = SimDuration::from_micros(gap_us);
+        let flows = FlowSet::new(vec![CbrFlow {
+            id: FlowId(0),
+            src: SRC,
+            dst: to,
+            packet_bytes: 512,
+            interval: gap,
+            start,
+            stop: start + SimDuration::from_micros(gap_us * packets),
+            burst: None,
+        }]);
+        let cfg = PlaneConfig {
+            route_ttl: 60.0,
+            neighbor_ttl: 3.5,
+            search: SearchStrategy::CoveringRect,
+            discovery_timeout: 0.5,
+            max_discovery_attempts: 3,
+            buffer_cap,
+        };
+        let mut w = World::new(WorldConfig::paper_default(3), hosts.into(), flows, move |id| {
+            let mut plane = RoutingPlane::new(cfg, id);
+            if id == SRC {
+                plane.seed_location(to, hint);
+            }
+            Relay {
+                plane,
+                grid: GridCoord::new(0, 0),
+                delivered: Vec::new(),
+            }
+        });
+        w.run_until(SimTime::from_secs(4));
+        w
+    }
+
+    fn stats(w: &World<Relay>, id: NodeId) -> RoutingStats {
+        w.protocol(id).plane.stats
+    }
+
+    #[test]
+    fn confined_round_builds_both_pointers_and_flushes_in_order() {
+        // five packets inside one millisecond: all of them wait for the
+        // one discovery they share
+        let w = chain(GridCoord::new(4, 0), DST, 5, 200, 64);
+        assert_eq!(
+            stats(&w, SRC).rreqs_sent,
+            1,
+            "one search serves every buffered packet"
+        );
+        assert_eq!(stats(&w, MID).rreqs_forwarded, 1);
+        assert_eq!(
+            stats(&w, OFF_PATH).rreqs_forwarded,
+            0,
+            "(2,2) hears the rebroadcast but lies outside the rectangle over (0,0)-(4,0)"
+        );
+        assert_eq!(stats(&w, DST).rreps_sent, 1);
+        // the RREQ left reverse pointers, the RREP forward pointers, all
+        // naming grids
+        let now = w.now();
+        let route = |at: NodeId, to: NodeId| w.protocol(at).plane.routes.lookup(to, now).unwrap();
+        assert_eq!(route(MID, SRC).next_grid, GridCoord::new(0, 0));
+        assert_eq!(route(MID, DST).next_grid, GridCoord::new(4, 0));
+        assert_eq!(route(DST, SRC).next_grid, GridCoord::new(2, 0));
+        assert_eq!(
+            (route(SRC, DST).next_grid, route(SRC, DST).via_node),
+            (GridCoord::new(2, 0), MID)
+        );
+        assert_eq!(
+            w.protocol(DST).delivered,
+            [0, 1, 2, 3, 4],
+            "buffer flushed oldest first"
+        );
+        for id in [SRC, MID] {
+            assert_eq!((stats(&w, id).data_forwarded, stats(&w, id).data_dropped), (5, 0));
+        }
+    }
+
+    #[test]
+    fn failed_confined_round_retries_everywhere_and_evicts_the_oldest() {
+        // the source believes DST is next door, so the first round's
+        // rectangle (0,0)-(1,0) excludes every other gateway; six packets
+        // arrive before the retry, into a buffer of three
+        let w = chain(GridCoord::new(1, 0), DST, 6, 50_000, 3);
+        assert_eq!(stats(&w, SRC).rreqs_sent, 2, "confined, then global");
+        // the global flood reaches (2,0) and through it (2,2), whose
+        // rebroadcast (2,0) hears back and suppresses; the source
+        // suppresses the echo of its own request
+        assert_eq!(stats(&w, MID).rreqs_forwarded, 1);
+        assert_eq!(stats(&w, OFF_PATH).rreqs_forwarded, 1);
+        assert_eq!(stats(&w, SRC).rreqs_forwarded, 0);
+        assert_eq!(stats(&w, DST).rreps_sent, 1);
+        assert_eq!(stats(&w, SRC).data_dropped, 3, "evictions count as drops");
+        assert_eq!(
+            w.protocol(DST).delivered,
+            [3, 4, 5],
+            "the newest three survive, in order"
+        );
+        assert_eq!(w.ledger().delivered_count(), 3);
+    }
+
+    #[test]
+    fn a_search_nobody_answers_is_abandoned_with_its_buffer() {
+        let w = chain(GridCoord::new(9, 9), ISOLATED, 2, 50_000, 64);
+        let s = stats(&w, SRC);
+        assert_eq!((s.rreqs_sent, s.data_dropped, s.data_forwarded), (3, 2, 0));
+        assert_eq!(stats(&w, ISOLATED), RoutingStats::default());
+        // nothing is left waiting: a fourth timer would find no search
+        assert!(!w.protocol(SRC).plane.awaits(&DiscoveryTimeout {
+            dst: ISOLATED,
+            attempt: 2
+        }));
+    }
+}

@@ -2,18 +2,12 @@
 //! grid-by-grid discovery and forwarding.
 
 use grid_common::{
-    elect_gateway, HelloInfo, NeighborGateways, RouteSnapshot, RouteTable, Rrep, Rreq, RreqSeen,
-    SearchStrategy,
+    elect_gateway, DataMsg, DiscoveryTimeout, HelloInfo, PlaneConfig, RouteSnapshot, RoutingPlane,
+    RoutingStats, Rrep, Rreq, SearchStrategy,
 };
 use manet::sim_engine::IdMap;
-use manet::{
-    AppPacket, Ctx, EventKind, FrameKind, GridCoord, GridRect, NodeId, Protocol, SimDuration, SimTime,
-    WireSize,
-};
+use manet::{AppPacket, Ctx, FrameKind, GridCoord, NodeId, Protocol, SimTime, WireSize};
 use rand::Rng;
-use std::collections::VecDeque;
-
-const DATA_TTL: u8 = 32;
 
 /// GRID protocol parameters (a strict subset of ECGRID's; no sleep knobs).
 #[derive(Clone, Copy, Debug)]
@@ -67,13 +61,25 @@ pub enum GridMsg {
     },
     Rreq(Rreq),
     Rrep(Rrep),
-    Data {
-        packet: AppPacket,
-        src: NodeId,
-        dst: NodeId,
-        via_grid: GridCoord,
-        ttl: u8,
-    },
+    Data(DataMsg),
+}
+
+impl From<Rreq> for GridMsg {
+    fn from(r: Rreq) -> Self {
+        GridMsg::Rreq(r)
+    }
+}
+
+impl From<Rrep> for GridMsg {
+    fn from(r: Rrep) -> Self {
+        GridMsg::Rrep(r)
+    }
+}
+
+impl From<DataMsg> for GridMsg {
+    fn from(d: DataMsg) -> Self {
+        GridMsg::Data(d)
+    }
 }
 
 impl WireSize for GridMsg {
@@ -85,7 +91,7 @@ impl WireSize for GridMsg {
             GridMsg::Leave { .. } => 12,
             GridMsg::Rreq(r) => r.wire_bytes(),
             GridMsg::Rrep(r) => r.wire_bytes(),
-            GridMsg::Data { packet, .. } => packet.bytes + 29,
+            GridMsg::Data(d) => d.wire_bytes(),
         }
     }
 }
@@ -96,7 +102,13 @@ pub enum GridTimer {
     Hello,
     ElectionDecide { epoch: u32 },
     GatewayWatch { epoch: u32 },
-    DiscoveryTimeout { dst: NodeId, attempt: u32 },
+    DiscoveryTimeout(DiscoveryTimeout),
+}
+
+impl From<DiscoveryTimeout> for GridTimer {
+    fn from(t: DiscoveryTimeout) -> Self {
+        GridTimer::DiscoveryTimeout(t)
+    }
 }
 
 /// Host role; there is no sleeping state in GRID.
@@ -107,18 +119,13 @@ pub enum GridRole {
     Gateway,
 }
 
-/// Per-host counters.
+/// Per-host election counters (the routing counters are
+/// [`GridProto::routing_stats`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct GridStats {
     pub elections_started: u64,
     pub became_gateway: u64,
     pub retires: u64,
-    pub rreqs_sent: u64,
-    pub rreqs_forwarded: u64,
-    pub rreps_sent: u64,
-    pub data_forwarded: u64,
-    pub data_delivered: u64,
-    pub data_dropped: u64,
 }
 
 /// One GRID instance.
@@ -128,24 +135,14 @@ pub struct GridProto {
     role: GridRole,
     my_grid: GridCoord,
     gateway: Option<NodeId>,
-    routes: RouteTable,
-    seen: RreqSeen,
-    neighbors: NeighborGateways,
+    plane: RoutingPlane,
     host_table: IdMap<NodeId, SimTime>,
     candidates: Vec<HelloInfo>,
     election_epoch: u32,
     watch_epoch: u32,
-    my_seq: u32,
-    rreq_counter: u32,
-    pending_route: IdMap<NodeId, VecDeque<GridMsg>>,
-    discovering: IdMap<NodeId, u32>,
     pending_own: Vec<(NodeId, AppPacket)>,
-    dst_hints: IdMap<NodeId, GridCoord>,
     last_gw_hello: SimTime,
     last_own_hello: SimTime,
-    /// The cell the trace recorder believes this host is gateway of
-    /// (keeps GatewayElect/GatewayRetire strictly alternating per host).
-    gw_traced: Option<GridCoord>,
     pub stats: GridStats,
 }
 
@@ -157,22 +154,24 @@ impl GridProto {
             role: GridRole::Electing,
             my_grid: GridCoord::new(0, 0),
             gateway: None,
-            routes: RouteTable::new(SimDuration::from_secs_f64(cfg.route_ttl)),
-            seen: RreqSeen::default(),
-            neighbors: NeighborGateways::new(SimDuration::from_secs_f64(cfg.neighbor_ttl)),
+            plane: RoutingPlane::new(
+                PlaneConfig {
+                    route_ttl: cfg.route_ttl,
+                    neighbor_ttl: cfg.neighbor_ttl,
+                    search: cfg.search,
+                    discovery_timeout: cfg.discovery_timeout,
+                    max_discovery_attempts: cfg.max_discovery_attempts,
+                    buffer_cap: cfg.buffer_cap,
+                },
+                me,
+            ),
             host_table: IdMap::default(),
             candidates: Vec::new(),
             election_epoch: 0,
             watch_epoch: 0,
-            my_seq: 0,
-            rreq_counter: 0,
-            pending_route: IdMap::default(),
-            discovering: IdMap::default(),
             pending_own: Vec::new(),
-            dst_hints: IdMap::default(),
             last_gw_hello: SimTime::ZERO,
             last_own_hello: SimTime::ZERO,
-            gw_traced: None,
             stats: GridStats::default(),
         }
     }
@@ -193,51 +192,26 @@ impl GridProto {
         self.my_grid
     }
 
-    /// Location-service hook (see `Ecgrid::seed_location`).
+    /// Discovery and forwarding counters.
+    pub fn routing_stats(&self) -> RoutingStats {
+        self.plane.stats
+    }
+
+    /// Location-service hook (see `RoutingPlane::seed_location`).
     pub fn seed_location(&mut self, dst: NodeId, grid: GridCoord) {
-        self.dst_hints.insert(dst, grid);
+        self.plane.seed_location(dst, grid);
     }
 
     // ----- helpers -----------------------------------------------------
 
-    /// Reconcile the trace's view of this host's gateway tenure with
-    /// `role` (see the equivalent helper in `ecgrid`).
     fn sync_gateway_trace(&mut self, ctx: &mut Ctx<'_, Self>) {
-        let me = self.me;
-        let now_gw = self.role == GridRole::Gateway;
-        match (self.gw_traced, now_gw) {
-            (None, true) => {
-                let cell = self.my_grid;
-                self.gw_traced = Some(cell);
-                ctx.emit(|| EventKind::GatewayElect { node: me, cell });
-            }
-            (Some(old), false) => {
-                self.gw_traced = None;
-                ctx.emit(|| EventKind::GatewayRetire { node: me, cell: old });
-            }
-            (Some(old), true) if old != self.my_grid => {
-                let cell = self.my_grid;
-                self.gw_traced = Some(cell);
-                ctx.emit(|| EventKind::GatewayRetire { node: me, cell: old });
-                ctx.emit(|| EventKind::GatewayElect { node: me, cell });
-            }
-            _ => {}
-        }
-    }
-
-    fn my_hello(&self, ctx: &mut Ctx<'_, Self>, gflag: bool) -> HelloInfo {
-        // level is carried but ignored by GRID's election (energy_aware=false)
-        HelloInfo {
-            id: self.me,
-            grid: self.my_grid,
-            gflag,
-            level: ctx.level(),
-            dist: ctx.dist_to_center(),
-        }
+        self.plane
+            .sync_gateway_trace(ctx, self.my_grid, self.role == GridRole::Gateway);
     }
 
     fn send_hello(&mut self, ctx: &mut Ctx<'_, Self>, gflag: bool) {
-        let h = self.my_hello(ctx, gflag);
+        // level is carried but ignored by GRID's election (energy_aware=false)
+        let h = HelloInfo::announce(ctx, self.my_grid, gflag);
         self.last_own_hello = ctx.now();
         ctx.broadcast(GridMsg::Hello(h));
     }
@@ -293,14 +267,7 @@ impl GridProto {
         self.candidates.clear();
         let own: Vec<(NodeId, AppPacket)> = self.pending_own.drain(..).collect();
         for (dst, packet) in own {
-            let msg = GridMsg::Data {
-                packet,
-                src: self.me,
-                dst,
-                via_grid: self.my_grid,
-                ttl: DATA_TTL,
-            };
-            self.route_data(ctx, msg);
+            self.route_data(ctx, DataMsg::new(packet, self.me, dst, self.my_grid));
         }
     }
 
@@ -308,16 +275,7 @@ impl GridProto {
         let Some(gw) = self.gateway else { return };
         let own: Vec<(NodeId, AppPacket)> = self.pending_own.drain(..).collect();
         for (dst, packet) in own {
-            ctx.unicast(
-                gw,
-                GridMsg::Data {
-                    packet,
-                    src: self.me,
-                    dst,
-                    via_grid: self.my_grid,
-                    ttl: DATA_TTL,
-                },
-            );
+            ctx.unicast(gw, DataMsg::new(packet, self.me, dst, self.my_grid).into());
         }
     }
 
@@ -340,134 +298,30 @@ impl GridProto {
 
     // ----- data plane ---------------------------------------------------
 
-    fn route_data(&mut self, ctx: &mut Ctx<'_, Self>, msg: GridMsg) {
-        let GridMsg::Data {
-            packet,
-            src,
-            dst,
-            ttl,
-            ..
-        } = msg
-        else {
-            unreachable!("route_data only handles Data");
-        };
-        if dst == self.me {
-            self.stats.data_delivered += 1;
-            ctx.deliver_app(packet);
+    fn route_data(&mut self, ctx: &mut Ctx<'_, Self>, d: DataMsg) {
+        if d.dst == self.me {
+            self.plane.stats.data_delivered += 1;
+            ctx.deliver_app(d.packet);
             return;
         }
-        if ttl == 0 {
-            self.stats.data_dropped += 1;
+        if d.ttl == 0 {
+            self.plane.stats.data_dropped += 1;
             return;
         }
-        let now = ctx.now();
-        if self.host_table.contains_key(&dst) {
+        if self.host_table.contains_key(&d.dst) {
             // everyone is always on in GRID: deliver directly
-            self.stats.data_forwarded += 1;
-            let me = self.me;
-            ctx.emit(|| EventKind::PacketForwarded {
-                node: me,
-                flow: packet.flow,
-                seq: packet.seq,
-            });
-            ctx.unicast(
-                dst,
-                GridMsg::Data {
-                    packet,
-                    src,
-                    dst,
-                    via_grid: self.my_grid,
-                    ttl: ttl - 1,
-                },
-            );
+            self.plane.record_forward(ctx, &d.packet);
+            ctx.unicast(d.dst, d.hop(self.my_grid).into());
             return;
         }
-        if let Some(route) = self.routes.lookup(dst, now) {
-            let next = self.neighbors.get(route.next_grid, now).unwrap_or(route.via_node);
-            self.stats.data_forwarded += 1;
-            let me = self.me;
-            ctx.emit(|| EventKind::PacketForwarded {
-                node: me,
-                flow: packet.flow,
-                seq: packet.seq,
-            });
-            ctx.unicast(
-                next,
-                GridMsg::Data {
-                    packet,
-                    src,
-                    dst,
-                    via_grid: route.next_grid,
-                    ttl: ttl - 1,
-                },
-            );
-            return;
-        }
-        let q = self.pending_route.entry(dst).or_default();
-        if q.len() >= self.cfg.buffer_cap {
-            q.pop_front();
-            self.stats.data_dropped += 1;
-        }
-        q.push_back(GridMsg::Data {
-            packet,
-            src,
-            dst,
-            via_grid: self.my_grid,
-            ttl,
-        });
-        self.start_discovery(ctx, dst, 0);
-    }
-
-    fn start_discovery(&mut self, ctx: &mut Ctx<'_, Self>, dst: NodeId, attempt: u32) {
-        if attempt == 0 && self.discovering.contains_key(&dst) {
-            return;
-        }
-        self.discovering.insert(dst, attempt);
-        self.my_seq += 1;
-        self.rreq_counter += 1;
-        let range = if attempt == 0 {
-            self.cfg
-                .search
-                .range_for(self.my_grid, self.dst_hints.get(&dst).copied())
-        } else {
-            GridRect::everywhere()
-        };
-        let rreq = Rreq {
-            src: self.me,
-            s_seq: self.my_seq,
-            dst,
-            d_seq: 0,
-            id: self.rreq_counter,
-            range,
-            last_grid: self.my_grid,
-        };
-        self.seen.insert(self.me, self.rreq_counter);
-        self.stats.rreqs_sent += 1;
-        ctx.broadcast(GridMsg::Rreq(rreq));
-        ctx.set_timer_secs(
-            self.cfg.discovery_timeout,
-            GridTimer::DiscoveryTimeout { dst, attempt },
-        );
-    }
-
-    fn flush_route_buffer(&mut self, ctx: &mut Ctx<'_, Self>, dst: NodeId) {
-        let Some(q) = self.pending_route.remove(&dst) else {
-            return;
-        };
-        for msg in q {
-            self.route_data(ctx, msg);
-        }
+        self.plane.forward(ctx, self.my_grid, d);
     }
 
     // ----- frame handlers ------------------------------------------------
 
     fn on_hello(&mut self, ctx: &mut Ctx<'_, Self>, src: NodeId, h: HelloInfo) {
         let now = ctx.now();
-        if h.gflag {
-            self.neighbors.note(h.grid, h.id, now);
-        } else if self.neighbors.get(h.grid, now) == Some(h.id) {
-            self.neighbors.forget_grid(h.grid);
-        }
+        self.plane.overhear_hello(&h, now);
         if h.grid != self.my_grid {
             if self.role == GridRole::Gateway {
                 self.host_table.remove(&src);
@@ -502,7 +356,7 @@ impl GridProto {
                         ctx.unicast(
                             h.id,
                             GridMsg::TableXfer {
-                                routes: self.routes.snapshot(),
+                                routes: self.plane.routes.snapshot(),
                                 hosts: self.host_table.keys().copied().collect(),
                             },
                         );
@@ -522,109 +376,28 @@ impl GridProto {
     }
 
     fn on_rreq(&mut self, ctx: &mut Ctx<'_, Self>, src: NodeId, r: Rreq) {
-        let now = ctx.now();
-        if r.dst == self.me {
-            self.my_seq += 1;
-            self.routes.upsert(r.src, r.last_grid, src, r.s_seq, now);
-            let rep = Rrep {
-                src: r.src,
-                dst: self.me,
-                d_seq: self.my_seq,
-                from_grid: self.my_grid,
-                dst_grid: self.my_grid,
-            };
-            self.stats.rreps_sent += 1;
-            ctx.unicast(src, GridMsg::Rrep(rep));
-            return;
-        }
-        if self.role != GridRole::Gateway {
-            return;
-        }
-        if !r.range.contains(self.my_grid) {
-            return;
-        }
-        if !self.seen.insert(r.src, r.id) {
-            return;
-        }
-        self.routes.upsert(r.src, r.last_grid, src, r.s_seq, now);
-        if self.host_table.contains_key(&r.dst) {
-            self.my_seq += 1;
-            let rep = Rrep {
-                src: r.src,
-                dst: r.dst,
-                d_seq: self.my_seq,
-                from_grid: self.my_grid,
-                dst_grid: self.my_grid,
-            };
-            self.stats.rreps_sent += 1;
-            ctx.unicast(src, GridMsg::Rrep(rep));
-            return;
-        }
-        let mut fwd = r;
-        fwd.last_grid = self.my_grid;
-        self.stats.rreqs_forwarded += 1;
-        ctx.broadcast(GridMsg::Rreq(fwd));
+        let hosts = (self.role == GridRole::Gateway).then_some(&self.host_table);
+        self.plane.on_rreq(ctx, self.my_grid, src, r, hosts);
     }
 
     fn on_rrep(&mut self, ctx: &mut Ctx<'_, Self>, src: NodeId, r: Rrep) {
-        let now = ctx.now();
-        self.routes.upsert(r.dst, r.from_grid, src, r.d_seq, now);
-        self.dst_hints.insert(r.dst, r.dst_grid);
-        if r.src == self.me {
-            self.discovering.remove(&r.dst);
-            self.flush_route_buffer(ctx, r.dst);
-            return;
-        }
-        if let Some(back) = self.routes.lookup(r.src, now) {
-            let next = self.neighbors.get(back.next_grid, now).unwrap_or(back.via_node);
-            ctx.unicast(
-                next,
-                GridMsg::Rrep(Rrep {
-                    from_grid: self.my_grid,
-                    ..r
-                }),
-            );
+        if let Some(buffered) = self.plane.on_rrep(ctx, self.my_grid, src, r) {
+            for d in buffered {
+                self.route_data(ctx, d);
+            }
         }
     }
 
-    fn on_data(&mut self, ctx: &mut Ctx<'_, Self>, msg: GridMsg) {
-        let GridMsg::Data { packet, dst, .. } = msg else {
-            unreachable!()
-        };
-        if dst == self.me {
-            self.stats.data_delivered += 1;
-            ctx.deliver_app(packet);
+    fn on_data(&mut self, ctx: &mut Ctx<'_, Self>, d: DataMsg) {
+        if d.dst == self.me {
+            self.plane.stats.data_delivered += 1;
+            ctx.deliver_app(d.packet);
             return;
         }
         match self.role {
-            GridRole::Gateway => self.route_data(ctx, msg),
+            GridRole::Gateway => self.route_data(ctx, d),
             GridRole::Member | GridRole::Electing => {
-                if let (
-                    Some(gw),
-                    GridMsg::Data {
-                        packet,
-                        src,
-                        dst,
-                        ttl,
-                        ..
-                    },
-                ) = (self.gateway, msg)
-                {
-                    if ttl > 0 && gw != self.me {
-                        ctx.unicast(
-                            gw,
-                            GridMsg::Data {
-                                packet,
-                                src,
-                                dst,
-                                via_grid: self.my_grid,
-                                ttl: ttl - 1,
-                            },
-                        );
-                        return;
-                    }
-                }
-                self.stats.data_dropped += 1;
+                self.plane.bounce_to_gateway(ctx, self.my_grid, self.gateway, d)
             }
         }
     }
@@ -652,15 +425,15 @@ impl Protocol for GridProto {
         match msg {
             GridMsg::Hello(h) => self.on_hello(ctx, src, *h),
             GridMsg::Retire { grid, routes } => {
-                self.neighbors.forget_grid(*grid);
+                self.plane.neighbors.forget_grid(*grid);
                 if *grid == self.my_grid && self.role != GridRole::Gateway {
-                    self.routes.install(routes, ctx.now());
+                    self.plane.routes.install(routes, ctx.now());
                     self.start_election(ctx);
                 }
             }
             GridMsg::TableXfer { routes, hosts } => {
                 let now = ctx.now();
-                self.routes.install(routes, now);
+                self.plane.routes.install(routes, now);
                 if self.role == GridRole::Gateway {
                     for h in hosts {
                         if *h != self.me {
@@ -676,16 +449,14 @@ impl Protocol for GridProto {
             }
             GridMsg::Rreq(r) => self.on_rreq(ctx, src, *r),
             GridMsg::Rrep(r) => self.on_rrep(ctx, src, *r),
-            GridMsg::Data { .. } => self.on_data(ctx, msg.clone()),
+            GridMsg::Data(d) => self.on_data(ctx, *d),
         }
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_, Self>, timer: GridTimer) {
         match timer {
             GridTimer::Hello => {
-                let now = ctx.now();
-                self.routes.purge(now);
-                self.neighbors.purge(now);
+                self.plane.purge(ctx.now());
                 self.send_hello(ctx, self.role == GridRole::Gateway);
                 let jitter = 1.0 + self.cfg.hello_jitter * (ctx.rng().gen::<f64>() * 2.0 - 1.0);
                 ctx.set_timer_secs(self.cfg.hello_interval * jitter, GridTimer::Hello);
@@ -694,7 +465,7 @@ impl Protocol for GridProto {
                 if epoch != self.election_epoch || self.role != GridRole::Electing {
                     return;
                 }
-                let mine = self.my_hello(ctx, false);
+                let mine = HelloInfo::announce(ctx, self.my_grid, false);
                 self.candidates.retain(|c| c.id != self.me);
                 self.candidates.push(mine);
                 // GRID's election: nearest to the grid center, ignore energy
@@ -723,18 +494,7 @@ impl Protocol for GridProto {
                     );
                 }
             }
-            GridTimer::DiscoveryTimeout { dst, attempt } => {
-                if self.discovering.get(&dst) != Some(&attempt) {
-                    return;
-                }
-                if attempt + 1 < self.cfg.max_discovery_attempts {
-                    self.start_discovery(ctx, dst, attempt + 1);
-                } else {
-                    self.discovering.remove(&dst);
-                    let dropped = self.pending_route.remove(&dst).map(|q| q.len()).unwrap_or(0);
-                    self.stats.data_dropped += dropped as u64;
-                }
-            }
+            GridTimer::DiscoveryTimeout(t) => self.plane.on_discovery_timeout(ctx, self.my_grid, t),
         }
     }
 
@@ -746,9 +506,9 @@ impl Protocol for GridProto {
                 self.stats.retires += 1;
                 ctx.broadcast(GridMsg::Retire {
                     grid: old,
-                    routes: self.routes.snapshot(),
+                    routes: self.plane.routes.snapshot(),
                 });
-                self.neighbors.forget_node(self.me);
+                self.plane.neighbors.forget_node(self.me);
                 self.enter_grid(ctx, new);
             }
             GridRole::Member | GridRole::Electing => {
@@ -764,28 +524,10 @@ impl Protocol for GridProto {
 
     fn on_app_send(&mut self, ctx: &mut Ctx<'_, Self>, dst: NodeId, packet: AppPacket) {
         match self.role {
-            GridRole::Gateway => {
-                let msg = GridMsg::Data {
-                    packet,
-                    src: self.me,
-                    dst,
-                    via_grid: self.my_grid,
-                    ttl: DATA_TTL,
-                };
-                self.route_data(ctx, msg);
-            }
+            GridRole::Gateway => self.route_data(ctx, DataMsg::new(packet, self.me, dst, self.my_grid)),
             GridRole::Member => {
                 if let Some(gw) = self.gateway {
-                    ctx.unicast(
-                        gw,
-                        GridMsg::Data {
-                            packet,
-                            src: self.me,
-                            dst,
-                            via_grid: self.my_grid,
-                            ttl: DATA_TTL,
-                        },
-                    );
+                    ctx.unicast(gw, DataMsg::new(packet, self.me, dst, self.my_grid).into());
                 } else {
                     self.pending_own.push((dst, packet));
                 }
@@ -796,37 +538,24 @@ impl Protocol for GridProto {
 
     fn on_unicast_failed(&mut self, ctx: &mut Ctx<'_, Self>, dst: NodeId, msg: &GridMsg) {
         match msg {
-            GridMsg::Data {
-                packet,
-                src,
-                dst: final_dst,
-                ttl,
-                ..
-            } => {
-                self.neighbors.forget_node(dst);
-                self.routes.remove_via(dst);
+            GridMsg::Data(d) => {
+                self.plane.neighbors.forget_node(dst);
+                self.plane.routes.remove_via(dst);
                 self.host_table.remove(&dst);
                 if self.gateway == Some(dst) && self.role == GridRole::Member {
-                    self.pending_own.push((*final_dst, *packet));
+                    self.pending_own.push((d.dst, d.packet));
                     self.start_election(ctx);
                     return;
                 }
-                if self.role == GridRole::Gateway && *ttl > 0 {
-                    let retry = GridMsg::Data {
-                        packet: *packet,
-                        src: *src,
-                        dst: *final_dst,
-                        via_grid: self.my_grid,
-                        ttl: ttl - 1,
-                    };
-                    self.route_data(ctx, retry);
+                if self.role == GridRole::Gateway && d.ttl > 0 {
+                    self.route_data(ctx, d.hop(self.my_grid));
                 } else {
-                    self.stats.data_dropped += 1;
+                    self.plane.stats.data_dropped += 1;
                 }
             }
             GridMsg::Rrep(r) => {
-                self.routes.remove(r.src);
-                self.neighbors.forget_node(dst);
+                self.plane.routes.remove(r.src);
+                self.plane.neighbors.forget_node(dst);
             }
             _ => {}
         }

@@ -71,9 +71,9 @@ fn second_flow_packet_uses_learned_location() {
     // the off-route gateway participated at most in the single global
     // round (the first discovery); subsequent discoveries are confined
     assert!(
-        w.protocol(NodeId(4)).stats.rreqs_forwarded <= 1,
+        w.protocol(NodeId(4)).routing_stats().rreqs_forwarded <= 1,
         "off-route gateway forwarded {} RREQs",
-        w.protocol(NodeId(4)).stats.rreqs_forwarded
+        w.protocol(NodeId(4)).routing_stats().rreqs_forwarded
     );
 }
 

@@ -4,7 +4,7 @@ use energy::{Battery, PowerProfile};
 use fault::FaultPlan;
 use geo::GridMap;
 use mobility::MobilityTrace;
-use radio::{GatherFallback, MacConfig, NeighborIndex, RasConfig};
+use radio::{MacConfig, NeighborIndex, RasConfig};
 use sim_engine::{Backend, RunBudget, SimDuration};
 
 /// Global simulation parameters.
@@ -49,13 +49,6 @@ pub struct WorldConfig {
     /// `tests/neighbor_equivalence.rs`); the brute path exists as the
     /// reference implementation and benchmark baseline.
     pub neighbor_index: NeighborIndex,
-    /// When grid-mode receiver discovery falls back to the brute scan:
-    /// adaptively at low occupancy (default), always, or never.  All
-    /// settings produce identical candidate lists — the knob only moves
-    /// work between the two equivalent query paths, so digests never
-    /// change (proven by `tests/soa_equivalence.rs`).  Ignored when
-    /// `neighbor_index` is `Brute`.
-    pub gather_fallback: GatherFallback,
     /// Run the sharded conservative-sync engine: the field is split into
     /// `shards` vertical strips of grid-cell columns, each with its own
     /// event queue, event slab, and channel state, merged at every pop in
@@ -99,7 +92,6 @@ impl WorldConfig {
             faults: FaultPlan::none(),
             budget: RunBudget::UNLIMITED,
             neighbor_index: NeighborIndex::default(),
-            gather_fallback: GatherFallback::default(),
             parallel_world: false,
             shards: 1,
             threads: 1,
@@ -152,12 +144,6 @@ impl WorldConfig {
     /// Same configuration with an explicit neighbor-query strategy.
     pub fn with_neighbor_index(mut self, neighbor_index: NeighborIndex) -> Self {
         self.neighbor_index = neighbor_index;
-        self
-    }
-
-    /// Same configuration with an explicit gather-fallback policy.
-    pub fn with_gather_fallback(mut self, gather_fallback: GatherFallback) -> Self {
-        self.gather_fallback = gather_fallback;
         self
     }
 

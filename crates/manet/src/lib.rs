@@ -60,8 +60,7 @@ pub use fault::{FaultCtl, FaultPlan, GilbertElliott};
 pub use energy::{Battery, EnergyAudit, EnergyLevel, EnergyMeter, PowerProfile, RadioMode};
 pub use geo::{GridCoord, GridMap, GridRect, Point2, Vec2};
 pub use radio::{
-    auto_gather_threshold, FrameKind, GatherFallback, MacConfig, NeighborIndex, NodeId, PageSignal,
-    RasConfig, SpatialIndex,
+    auto_gather_threshold, FrameKind, MacConfig, NeighborIndex, NodeId, PageSignal, RasConfig, SpatialIndex,
 };
 pub use sim_engine::{Backend, BudgetExceeded, RunBudget, SimDuration, SimTime};
 

@@ -13,8 +13,8 @@ use metrics::{PacketLedger, TimeSeries};
 use mobility::{LegCursor, MobilityTrace};
 use radio::frame::FrameMeta;
 use radio::{
-    auto_gather_threshold, ChannelState, FrameKind, GatherFallback, GatherScratch, NeighborIndex, NodeId,
-    PageSignal, ShardMap, ShardedChannel, SpatialIndex, Transmission,
+    auto_gather_threshold, ChannelState, FrameKind, GatherScratch, NeighborIndex, NodeId, PageSignal,
+    ShardMap, ShardedChannel, SpatialIndex, Transmission,
 };
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -624,7 +624,7 @@ pub struct World<P: Protocol> {
     index: SpatialIndex,
     /// Chebyshev cell radius a radio signal can span.
     reach_cells: i32,
-    /// Live population at or below which `GatherFallback::Auto` brute-scans
+    /// Live population at or below which grid mode brute-scans
     /// (see [`auto_gather_threshold`]).
     auto_threshold: usize,
     /// Scratch candidate buffer for receiver discovery — reused across
@@ -861,20 +861,16 @@ impl<P: Protocol> World<P> {
     /// event recorded), same order (ascending id), so every downstream
     /// touch — and therefore every energy integration step and trace event
     /// — happens identically whichever path answered the query.  Because
-    /// the lists are bit-identical, `GatherFallback::Auto` may flip
+    /// the lists are bit-identical, grid mode may flip
     /// between paths per query without perturbing the digest.
     fn fill_candidates(&self, cell: GridCoord, scratch: &mut GatherScratch, out: &mut Vec<u32>) {
         let brute = match self.cfg.neighbor_index {
             NeighborIndex::Brute => true,
-            NeighborIndex::Grid => match self.cfg.gather_fallback {
-                GatherFallback::On => true,
-                GatherFallback::Off => false,
-                // At low occupancy the fixed per-bucket cost of the gather
-                // exceeds a branch-light scan of the cells array; the index
-                // mirrors `!dead_handled` exactly, so its population is the
-                // number of scan hits the brute path can see.
-                GatherFallback::Auto => self.index.len() <= self.auto_threshold,
-            },
+            // At low occupancy the fixed per-bucket cost of the gather
+            // exceeds a branch-light scan of the cells array; the index
+            // mirrors `!dead_handled` exactly, so its population is the
+            // number of scan hits the brute path can see.
+            NeighborIndex::Grid => self.index.len() <= self.auto_threshold,
         };
         if brute {
             // Reference scan: every index member is a node with

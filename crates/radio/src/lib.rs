@@ -31,4 +31,4 @@ pub use frame::{FrameKind, FrameMeta, NodeId};
 pub use mac::MacConfig;
 pub use ras::{PageSignal, RasConfig};
 pub use shard::{ShardMap, ShardedChannel};
-pub use spatial::{auto_gather_threshold, GatherFallback, GatherScratch, NeighborIndex, SpatialIndex};
+pub use spatial::{auto_gather_threshold, GatherScratch, NeighborIndex, SpatialIndex};

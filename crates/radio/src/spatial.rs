@@ -63,48 +63,7 @@ impl NeighborIndex {
     }
 }
 
-/// When grid-mode receiver discovery should fall back to the brute scan
-/// on a per-query basis.
-///
-/// Bucket iteration has a fixed cost per bucket header; at low occupancy
-/// (few members spread over many buckets) the branch-predictable linear
-/// scan is cheaper.  Because both paths emit the identical ascending-id
-/// candidate list, the switch is **digest-invariant** — it can flip
-/// per-query mid-run without perturbing the replay oracle (property-tested
-/// in `tests/soa_equivalence.rs`).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum GatherFallback {
-    /// Compare live membership against the queried bucket count per query
-    /// (see [`auto_gather_threshold`]) — the shipped default.
-    #[default]
-    Auto,
-    /// Always brute-scan (the index is maintained but never queried).
-    On,
-    /// Never fall back; always gather from the buckets.
-    Off,
-}
-
-impl GatherFallback {
-    /// Parse a CLI flag value.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "auto" => Some(GatherFallback::Auto),
-            "on" => Some(GatherFallback::On),
-            "off" => Some(GatherFallback::Off),
-            _ => None,
-        }
-    }
-
-    pub fn name(self) -> &'static str {
-        match self {
-            GatherFallback::Auto => "auto",
-            GatherFallback::On => "on",
-            GatherFallback::Off => "off",
-        }
-    }
-}
-
-/// Population at or below which [`GatherFallback::Auto`] brute-scans
+/// Population at or below which grid-mode receiver discovery brute-scans
 /// instead of gathering a Chebyshev-`reach` neighborhood.
 ///
 /// A gather touches up to `(2·reach+1)²` bucket headers; the linear scan
@@ -112,7 +71,9 @@ impl GatherFallback {
 /// bench family, the crossover sits near three members per queried bucket
 /// — below that, header overhead dominates and brute wins (this is the
 /// N ≤ 200 regression regime); above it the gather's candidate filtering
-/// pays off.
+/// pays off.  Both paths emit the identical ascending-id candidate list,
+/// so the choice is **digest-invariant** — it can flip per query mid-run
+/// without perturbing the replay oracle (`tests/soa_equivalence.rs`).
 pub fn auto_gather_threshold(reach: i32) -> usize {
     let span = (2 * reach + 1) as usize;
     3 * span * span
@@ -664,16 +625,6 @@ mod tests {
             scratch.words.len() * 64 <= SCRATCH_IDS,
             "the scratch stops growing at its limit"
         );
-    }
-
-    #[test]
-    fn parse_gather_fallback() {
-        assert_eq!(GatherFallback::parse("auto"), Some(GatherFallback::Auto));
-        assert_eq!(GatherFallback::parse("on"), Some(GatherFallback::On));
-        assert_eq!(GatherFallback::parse("off"), Some(GatherFallback::Off));
-        assert_eq!(GatherFallback::parse("maybe"), None);
-        assert_eq!(GatherFallback::default(), GatherFallback::Auto);
-        assert_eq!(GatherFallback::On.name(), "on");
     }
 
     #[test]

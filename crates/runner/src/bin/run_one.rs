@@ -8,7 +8,7 @@
 //! ```
 
 use manet::trace::TraceMode;
-use manet::{Backend, FaultPlan, GatherFallback, NeighborIndex};
+use manet::{Backend, FaultPlan, NeighborIndex};
 use runner::supervisor::{run_point, sweep_keyed, SupervisorConfig};
 use runner::{FleetJob, ProtocolKind, RunOptions, Scenario};
 use std::fmt::Display;
@@ -24,8 +24,8 @@ USAGE:
             [--pause S] [--flows N] [--rate PPS] [--duration S] [--seed N]
             [--scenario FILE.scn] [--groups-json FILE.json]
             [--backend heap|calendar] [--neighbor-index brute|grid]
-            [--gather-fallback auto|on|off] [--parallel-world] [--shards K]
-            [--threads T] [--trace FILE.jsonl] [--digest] [--faults SPEC]
+            [--parallel-world] [--shards K] [--threads T]
+            [--trace FILE.jsonl] [--digest] [--faults SPEC]
             [--event-budget N] [--wall-budget SECS] [--max-retries N]
             [--journal FILE.jsonl]
 
@@ -47,10 +47,6 @@ pause 0, 10 flows x 1 pkt/s, 2000 s, seed 42).
 --neighbor-index  receiver-discovery strategy: the spatial grid-bucket
                index (default) or the brute-force reference scan; trace
                digests are bit-identical either way
---gather-fallback  when the grid index falls back to a brute scan:
-               adaptively below the occupancy crossover (default),
-               always, or never; digests are identical in all three
-               modes (ignored under --neighbor-index brute)
 --parallel-world  run on the sharded conservative-sync engine (4 strips
                unless --shards says otherwise); the trace digest is
                bit-identical to the serial engine's
@@ -168,10 +164,6 @@ fn parse_args() -> Cli {
             "--neighbor-index" => {
                 cli.opts.neighbor_index = NeighborIndex::parse(v)
                     .unwrap_or_else(|| fail(format!("--neighbor-index: {v:?} (expected brute|grid)")))
-            }
-            "--gather-fallback" => {
-                cli.opts.gather_fallback = GatherFallback::parse(v)
-                    .unwrap_or_else(|| fail(format!("--gather-fallback: {v:?} (expected auto|on|off)")))
             }
             "--faults" => match FaultPlan::parse(v) {
                 Ok(plan) => cli.opts.faults = plan,
@@ -410,11 +402,10 @@ fn main() {
         "serial".into()
     };
     eprintln!(
-        "running: {} [{}, {} index, fallback {}, {engine} engine]",
+        "running: {} [{}, {} index, {engine} engine]",
         sc.label(),
         opts.backend.name(),
-        opts.neighbor_index.name(),
-        opts.gather_fallback.name()
+        opts.neighbor_index.name()
     );
     let start = std::time::Instant::now();
 

@@ -9,7 +9,7 @@ use crate::scenario::Scenario;
 use crate::spec_run::run_fleet;
 use manet::progress::ProgressProbe;
 use manet::trace::{Recorder, TraceDigest, TraceMode};
-use manet::{Backend, FaultPlan, GatherFallback, NeighborIndex};
+use manet::{Backend, FaultPlan, NeighborIndex};
 use metrics::{PacketLedger, TimeSeries};
 use rayon::prelude::*;
 use sim_engine::{derive_seed, BudgetExceeded};
@@ -40,11 +40,6 @@ pub struct RunOptions {
     /// — are bit-identical either way; the toggle keeps the baseline
     /// runnable for equivalence tests and benchmarks.
     pub neighbor_index: NeighborIndex,
-    /// Grid-mode low-occupancy fallback policy (adaptive by default).
-    /// Another digest-neutral knob: all three settings produce identical
-    /// candidate lists, only the query path differs.  Ignored under
-    /// `NeighborIndex::Brute`.
-    pub gather_fallback: GatherFallback,
     /// Run on the sharded conservative-sync engine instead of the serial
     /// one.  Digest-neutral by construction (proven by
     /// `tests/parallel_equivalence.rs`); the engines differ only in cost.
@@ -70,7 +65,6 @@ impl RunOptions {
             event_budget: None,
             wall_budget_ms: None,
             neighbor_index: NeighborIndex::default(),
-            gather_fallback: GatherFallback::default(),
             parallel_world: false,
             shards: 1,
             threads: 1,
@@ -99,11 +93,6 @@ impl RunOptions {
 
     pub fn with_neighbor_index(mut self, neighbor_index: NeighborIndex) -> Self {
         self.neighbor_index = neighbor_index;
-        self
-    }
-
-    pub fn with_gather_fallback(mut self, gather_fallback: GatherFallback) -> Self {
-        self.gather_fallback = gather_fallback;
         self
     }
 

@@ -369,8 +369,7 @@ fn world_config(spec: &ScenarioSpec, opts: &RunOptions) -> WorldConfig {
         .with_backend(opts.backend)
         .with_faults(faults)
         .with_budget(budget)
-        .with_neighbor_index(opts.neighbor_index)
-        .with_gather_fallback(opts.gather_fallback);
+        .with_neighbor_index(opts.neighbor_index);
     cfg.grid = geo::GridMap::new(spec.field_w, spec.field_h, spec.cell_side);
     // the config's nominal range is the fleet maximum, so the channel's
     // bucket geometry is sized exactly (every host carries an explicit
@@ -680,6 +679,19 @@ rate_pps = 1.0
             .to_string()
     }
 
+    fn with_routing(r: grid_common::RoutingStats, became_gateway: u64, retires: u64) -> [u64; 8] {
+        [
+            r.rreqs_sent,
+            r.rreqs_forwarded,
+            r.rreps_sent,
+            r.data_forwarded,
+            r.data_delivered,
+            r.data_dropped,
+            became_gateway,
+            retires,
+        ]
+    }
+
     #[test]
     fn grid_family_protocol_counters_are_pinned_on_the_golden_runs() {
         // The trace digest folds what goes on the air and what the
@@ -701,19 +713,7 @@ rate_pps = 1.0
                 ProtocolKind::Grid,
                 faulted,
                 |id| GridProto::new(GridConfig::default(), id),
-                |p| {
-                    let s = &p.stats;
-                    [
-                        s.rreqs_sent,
-                        s.rreqs_forwarded,
-                        s.rreps_sent,
-                        s.data_forwarded,
-                        s.data_delivered,
-                        s.data_dropped,
-                        s.became_gateway,
-                        s.retires,
-                    ]
-                },
+                |p| with_routing(p.routing_stats(), p.stats.became_gateway, p.stats.retires),
             ));
         }
         for faulted in [false, true] {
@@ -721,19 +721,7 @@ rate_pps = 1.0
                 ProtocolKind::Ecgrid,
                 faulted,
                 |id| Ecgrid::new(EcgridConfig::default(), id),
-                |p| {
-                    let s = &p.stats;
-                    [
-                        s.rreqs_sent,
-                        s.rreqs_forwarded,
-                        s.rreps_sent,
-                        s.data_forwarded,
-                        s.data_delivered,
-                        s.data_dropped,
-                        s.became_gateway,
-                        s.retires,
-                    ]
-                },
+                |p| with_routing(p.routing_stats(), p.stats.became_gateway, p.stats.retires),
             ));
         }
         for ((name, counters), (digest, sums)) in want.iter().zip(&got) {

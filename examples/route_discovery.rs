@@ -94,6 +94,6 @@ fn main() {
     println!(
         "\nsearch-area check: RREQs forwarded only by gateways inside the\n\
          rectangle (1,1)-(5,3); I in grid (0,2) forwarded {} RREQs.",
-        world.protocol(NodeId(7)).stats.rreqs_forwarded
+        world.protocol(NodeId(7)).routing_stats().rreqs_forwarded
     );
 }

@@ -127,3 +127,22 @@ fn grid_lifetime_is_density_independent_but_ecgrid_scales() {
         "denser ECGRID should stay at least as alive: {a1:.2} (40 hosts) vs {a2:.2} (80 hosts)"
     );
 }
+
+#[test]
+fn grid_and_ecgrid_put_the_same_data_header_on_the_air() {
+    // both protocols carry `grid_common::DataMsg` as their data payload,
+    // so serialization delay and transmit energy per data hop cannot
+    // drift apart: 512 B payload + 29 B header either way
+    use ecgrid_suite::ecgrid::EcMsg;
+    use ecgrid_suite::grid_common::DataMsg;
+    use ecgrid_suite::grid_routing::proto::GridMsg;
+    use ecgrid_suite::manet::{AppPacket, GridCoord, NodeId, WireSize};
+    let packet = AppPacket {
+        flow: 0,
+        seq: 0,
+        bytes: 512,
+    };
+    let d = DataMsg::new(packet, NodeId(0), NodeId(1), GridCoord::new(0, 0));
+    assert_eq!(GridMsg::from(d).wire_bytes(), 541);
+    assert_eq!(EcMsg::from(d).wire_bytes(), 541);
+}

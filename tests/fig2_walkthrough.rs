@@ -96,18 +96,18 @@ fn gateways_match_fig2_and_route_is_discovered() {
 
     // the search area excluded grid (0,2): I never forwarded an RREQ
     assert_eq!(
-        w.protocol(NodeId(7)).stats.rreqs_forwarded,
+        w.protocol(NodeId(7)).routing_stats().rreqs_forwarded,
         0,
         "I is outside the rectangle"
     );
     // while the corridor gateways did the forwarding
     let corridor: u64 = [2u32, 3, 5, 6]
         .iter()
-        .map(|i| w.protocol(NodeId(*i)).stats.rreqs_forwarded)
+        .map(|i| w.protocol(NodeId(*i)).routing_stats().rreqs_forwarded)
         .sum();
     assert!(corridor >= 2, "rectangle gateways must relay the RREQ");
     // and D replied
-    assert!(w.protocol(NodeId(4)).stats.rreps_sent >= 1);
+    assert!(w.protocol(NodeId(4)).routing_stats().rreps_sent >= 1);
 }
 
 #[test]

@@ -7,135 +7,37 @@
 //! bucket walk only wins once buckets hold enough members).  Both changes
 //! are pure reorganizations of *where* the same values live and *which*
 //! equivalent path reads them — so every one of them must be invisible in
-//! the trace.  These tests prove it the strong way, by digest:
+//! the trace.  These tests prove it the strong way, by digest, against
+//! the brute reference scan (`NeighborIndex::Brute`, which never touches
+//! the index):
 //!
-//! * the committed `tests/golden/*.digest` fixtures (which predate the SoA
-//!   layout) still reproduce bit-for-bit, in Brute and Grid modes, under
-//!   every fallback policy;
-//! * the chaos-plan faulted fixtures reproduce the same way, so crash
-//!   handling and death pruning agree too;
-//! * a run whose live population *crosses* the auto threshold mid-run
-//!   (battery-drain deaths shrink it from above the crossover to below)
-//!   digests identically with the fallback forced on, forced off, and
-//!   adaptive — the per-query path switch never shows.
+//! * a fleet that stays above the crossover for the whole run, so every
+//!   grid-mode query is answered from the buckets;
+//! * a run whose live population *crosses* the threshold mid-run
+//!   (battery-drain deaths shrink it from above the crossover to below),
+//!   so the per-query path switch itself is exercised;
+//! * heterogeneous radio ranges through both paths.
+//!
+//! The golden and faulted fixtures in both index modes are
+//! `tests/neighbor_equivalence.rs`'s.
 
-use ecgrid_suite::manet::{FaultPlan, GatherFallback, NeighborIndex};
+use ecgrid_suite::manet::{FaultPlan, NeighborIndex};
 use ecgrid_suite::radio::auto_gather_threshold;
-use ecgrid_suite::runner::{run_scenario_with, ProtocolKind, RunOptions, Scenario};
-use ecgrid_suite::trace::TraceDigest;
-use std::path::PathBuf;
+use ecgrid_suite::runner::{run_scenario_with, ProtocolKind, RunOptions, Scenario, ScenarioResult};
 
-/// The golden scenario (keep in sync with `tests/golden_trace.rs`).
-fn golden(protocol: ProtocolKind) -> Scenario {
+/// Above the crossover: the paper grid (d = 100 m, range 250 m) gives
+/// reach 4, so grid mode switches paths at 3·(2·4+1)² = 243 live hosts.
+const N_HOSTS: usize = 260;
+
+fn dense() -> Scenario {
+    assert_eq!(
+        auto_gather_threshold(4),
+        243,
+        "crossover moved; retune this scenario"
+    );
     Scenario {
-        protocol,
-        n_hosts: 30,
-        max_speed: 1.0,
-        pause_secs: 0.0,
-        n_flows: 3,
-        flow_rate_pps: 1.0,
-        duration_secs: 40.0,
-        seed: 11,
-        model1_endpoints: 4,
-    }
-}
-
-const PROTOCOLS: [ProtocolKind; 3] = [ProtocolKind::Ecgrid, ProtocolKind::Grid, ProtocolKind::Gaf];
-const FALLBACKS: [GatherFallback; 3] = [GatherFallback::Auto, GatherFallback::On, GatherFallback::Off];
-
-/// The chaos plan pinned by the faulted golden fixtures.
-fn golden_plan() -> FaultPlan {
-    FaultPlan::parse("loss=0.15,churn=0.02,rejoin=3,page_fail=0.1").unwrap()
-}
-
-fn read_fixture(name: &str) -> TraceDigest {
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/golden")
-        .join(format!("{name}.digest"));
-    let text =
-        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("missing fixture {}: {e}", path.display()));
-    TraceDigest::parse(&text).unwrap_or_else(|| panic!("unparseable fixture {}", path.display()))
-}
-
-#[test]
-fn soa_world_reproduces_the_golden_fixtures_under_every_fallback() {
-    // The fixtures predate both the SoA layout and the fallback knob, so
-    // matching them proves the whole restructuring changed nothing against
-    // history.  Brute mode ignores the knob (one run suffices); grid mode
-    // must match under all three policies.
-    for p in PROTOCOLS {
-        let want = read_fixture(&p.name().to_lowercase());
-        let brute = run_scenario_with(
-            &golden(p),
-            RunOptions::digest().with_neighbor_index(NeighborIndex::Brute),
-        );
-        assert_eq!(
-            brute.trace_digest,
-            Some(want),
-            "{p:?}: brute-mode SoA run drifted from the golden fixture"
-        );
-        for fb in FALLBACKS {
-            let grid = run_scenario_with(
-                &golden(p),
-                RunOptions::digest()
-                    .with_neighbor_index(NeighborIndex::Grid)
-                    .with_gather_fallback(fb),
-            );
-            assert_eq!(
-                grid.trace_digest,
-                Some(want),
-                "{p:?}: grid-mode SoA run with fallback {} drifted from the golden fixture",
-                fb.name()
-            );
-        }
-    }
-}
-
-#[test]
-fn fallback_policies_agree_under_the_chaos_plan() {
-    // Churn (crash + rejoin) and loss stress the paths where a fallback
-    // policy could drift: crashed hosts stay *in* the index (they are
-    // frozen, not dead), so both query paths must keep returning them;
-    // pinning against the faulted fixtures keeps this from becoming a
-    // vacuous "equal but both wrong" pass.
-    for p in PROTOCOLS {
-        let want = read_fixture(&format!("{}_faulted", p.name().to_lowercase()));
-        for fb in FALLBACKS {
-            let r = run_scenario_with(
-                &golden(p),
-                RunOptions::digest()
-                    .with_faults(golden_plan())
-                    .with_neighbor_index(NeighborIndex::Grid)
-                    .with_gather_fallback(fb),
-            );
-            assert_eq!(
-                r.trace_digest,
-                Some(want),
-                "{p:?}: faulted fixture drift with fallback {}",
-                fb.name()
-            );
-            assert!(
-                r.stats.crashes > 0 && r.stats.frames_lost_fault > 0,
-                "{p:?}: the chaos plan must actually engage"
-            );
-        }
-    }
-}
-
-#[test]
-fn adaptive_fallback_is_invisible_across_a_mid_run_threshold_crossing() {
-    // Start above the auto crossover and drain batteries hard enough that
-    // deaths pull the live population below it mid-run: the adaptive
-    // policy answers early queries from the buckets and late queries from
-    // the linear scan, and the digest must not notice the switch.  The
-    // paper grid (d = 100 m, range 250 m) gives reach 4, so the crossover
-    // sits at 3·(2·4+1)² = 243 hosts.
-    let threshold = auto_gather_threshold(4);
-    assert_eq!(threshold, 243, "crossover moved; retune this scenario");
-    let n_hosts = 260;
-    let sc = Scenario {
         protocol: ProtocolKind::Ecgrid,
-        n_hosts,
+        n_hosts: N_HOSTS,
         max_speed: 2.0,
         pause_secs: 0.0,
         n_flows: 5,
@@ -143,44 +45,56 @@ fn adaptive_fallback_is_invisible_across_a_mid_run_threshold_crossing() {
         duration_secs: 25.0,
         seed: 17,
         model1_endpoints: 4,
-    };
-    // heavy drains force battery deaths (which prune the index and shrink
-    // the occupancy count); churn rides along so crash/rejoin freezing is
-    // exercised on both sides of the crossing
-    let plan = FaultPlan::parse("drain=0.2,drain_frac=0.95,churn=0.02,rejoin=2").unwrap();
-    let base = RunOptions::digest()
-        .with_faults(plan)
-        .with_neighbor_index(NeighborIndex::Grid);
-    let runs: Vec<_> = FALLBACKS
-        .iter()
-        .map(|&fb| (fb, run_scenario_with(&sc, base.with_gather_fallback(fb))))
-        .collect();
-    let (_, auto_run) = &runs[0];
-    for (fb, r) in &runs[1..] {
-        assert_eq!(
-            r.trace_digest,
-            auto_run.trace_digest,
-            "fallback {} diverged from adaptive across the threshold crossing",
-            fb.name()
-        );
-        assert_eq!(&r.stats, &auto_run.stats, "fallback {}", fb.name());
     }
+}
+
+/// Run `sc` in grid mode and against the brute reference; both must
+/// agree on digest and world counters.  Returns the grid-mode run.
+fn grid_run_matching_brute(sc: &Scenario, faults: FaultPlan) -> ScenarioResult {
+    let base = RunOptions::digest().with_faults(faults);
+    let grid = run_scenario_with(sc, base.with_neighbor_index(NeighborIndex::Grid));
+    let brute = run_scenario_with(sc, base.with_neighbor_index(NeighborIndex::Brute));
+    assert!(grid.trace_digest.is_some(), "tracing was enabled");
+    assert_eq!(
+        grid.trace_digest, brute.trace_digest,
+        "grid mode diverged from the brute reference"
+    );
+    assert_eq!(grid.stats, brute.stats);
+    grid
+}
+
+#[test]
+fn index_path_agrees_with_brute_above_the_crossover() {
+    // no deaths: the population never reaches the threshold, so grid mode
+    // gathers from the buckets from the first query to the last
+    let r = grid_run_matching_brute(&dense(), FaultPlan::none());
+    assert_eq!(r.stats.deaths, 0, "the fleet must stay above the crossover");
+}
+
+#[test]
+fn adaptive_fallback_is_invisible_across_a_mid_run_threshold_crossing() {
+    // Start above the auto crossover and drain batteries hard enough that
+    // deaths pull the live population below it mid-run: grid mode answers
+    // early queries from the buckets and late queries from the linear
+    // scan, and the digest must not notice the switch.  Churn rides along
+    // so crash/rejoin freezing is exercised on both sides of the
+    // crossing.
+    let plan = FaultPlan::parse("drain=0.2,drain_frac=0.95,churn=0.02,rejoin=2").unwrap();
+    let r = grid_run_matching_brute(&dense(), plan);
     // prove the crossing actually happened: enough battery deaths that the
     // live population ended below the crossover it started above
-    let deaths = auto_run.stats.deaths as usize;
+    let threshold = auto_gather_threshold(4);
+    let deaths = r.stats.deaths as usize;
     assert!(
-        n_hosts > threshold && n_hosts - deaths < threshold,
-        "population never crossed the crossover: {} hosts - {} deaths vs threshold {}",
-        n_hosts,
-        deaths,
-        threshold
+        N_HOSTS > threshold && N_HOSTS - deaths < threshold,
+        "population never crossed the crossover: {N_HOSTS} hosts - {deaths} deaths vs threshold {threshold}"
     );
 }
 
 /// Heterogeneous per-host radio ranges through the SoA receiver-gather
-/// paths: the grid-bucket index (sized from the fleet-max range), the
-/// brute scan, and every gather-fallback policy must produce identical
-/// candidate verdicts when transmissions carry their own shorter discs.
+/// paths: the grid-bucket index (sized from the fleet-max range) and the
+/// brute scan must produce identical candidate verdicts when
+/// transmissions carry their own shorter discs.
 #[test]
 fn heterogeneous_ranges_agree_across_gather_paths() {
     const MIXED_RANGES: &str = r#"
@@ -224,20 +138,5 @@ rate_pps = 1.0
         Some(want),
         "brute scan diverged on mixed ranges"
     );
-    for fb in FALLBACKS {
-        let r = ecgrid_suite::runner::run_spec(
-            &spec,
-            ProtocolKind::Ecgrid,
-            RunOptions::digest()
-                .with_neighbor_index(NeighborIndex::Grid)
-                .with_gather_fallback(fb),
-        );
-        assert_eq!(
-            r.trace_digest,
-            Some(want),
-            "fallback {} diverged on mixed ranges",
-            fb.name()
-        );
-        assert_eq!(r.stats, grid.stats, "fallback {}", fb.name());
-    }
+    assert_eq!(brute.stats, grid.stats);
 }
