@@ -3,7 +3,7 @@
 use crate::config::EcgridConfig;
 use crate::msg::{EcMsg, EcTimer};
 use grid_common::{
-    elect_gateway, DataMsg, HelloInfo, PlaneConfig, RouteSnapshot, RoutingPlane, RoutingStats, Rrep, Rreq,
+    elect_gateway, DataMsg, HelloInfo, PlaneConfig, RouteSnapshot, RoutingPlane, RoutingStats,
 };
 use manet::sim_engine::IdMap;
 use manet::{
@@ -119,17 +119,14 @@ impl Ecgrid {
             my_grid: GridCoord::new(0, 0),
             gateway: None,
             level_at_election: EnergyLevel::Upper,
-            plane: RoutingPlane::new(
-                PlaneConfig {
-                    route_ttl: cfg.route_ttl,
-                    neighbor_ttl: cfg.neighbor_ttl,
-                    search: cfg.search,
-                    discovery_timeout: cfg.discovery_timeout,
-                    max_discovery_attempts: cfg.max_discovery_attempts,
-                    buffer_cap: cfg.buffer_cap,
-                },
-                me,
-            ),
+            plane: RoutingPlane::new(PlaneConfig {
+                route_ttl: cfg.route_ttl,
+                neighbor_ttl: cfg.neighbor_ttl,
+                search: cfg.search,
+                discovery_timeout: cfg.discovery_timeout,
+                max_discovery_attempts: cfg.max_discovery_attempts,
+                buffer_cap: cfg.buffer_cap,
+            }),
             host_table: IdMap::default(),
             candidates: Vec::new(),
             election_epoch: 0,
@@ -183,11 +180,6 @@ impl Ecgrid {
 
     // ----- small helpers ----------------------------------------------
 
-    fn sync_gateway_trace(&mut self, ctx: &mut Ctx<'_, Self>) {
-        self.plane
-            .sync_gateway_trace(ctx, self.my_grid, self.role == Role::Gateway);
-    }
-
     fn send_hello(&mut self, ctx: &mut Ctx<'_, Self>, gflag: bool) {
         let h = HelloInfo::announce(ctx, self.my_grid, gflag);
         self.last_own_hello = ctx.now();
@@ -230,7 +222,8 @@ impl Ecgrid {
             },
         );
         ctx.note(|| "election started".into());
-        self.sync_gateway_trace(ctx);
+        self.plane
+            .sync_gateway_trace(ctx, self.my_grid, self.is_gateway());
     }
 
     fn no_gateway_event(&mut self, ctx: &mut Ctx<'_, Self>, why: &str) {
@@ -261,7 +254,8 @@ impl Ecgrid {
 
     fn become_member(&mut self, ctx: &mut Ctx<'_, Self>, gateway: NodeId) {
         self.role = Role::Member;
-        self.sync_gateway_trace(ctx);
+        self.plane
+            .sync_gateway_trace(ctx, self.my_grid, self.is_gateway());
         self.gateway = Some(gateway);
         self.last_gw_hello = ctx.now();
         self.handoff_epoch += 1;
@@ -275,7 +269,8 @@ impl Ecgrid {
     fn become_gateway(&mut self, ctx: &mut Ctx<'_, Self>) {
         self.stats.became_gateway += 1;
         self.role = Role::Gateway;
-        self.sync_gateway_trace(ctx);
+        self.plane
+            .sync_gateway_trace(ctx, self.my_grid, self.is_gateway());
         self.handoff_epoch += 1;
         self.gateway = Some(self.me);
         self.level_at_election = ctx.level();
@@ -369,7 +364,8 @@ impl Ecgrid {
         self.page_attempts.clear();
         self.gateway = None;
         self.role = Role::Electing;
-        self.sync_gateway_trace(ctx);
+        self.plane
+            .sync_gateway_trace(ctx, self.my_grid, self.is_gateway());
         self.candidates.clear();
         self.election_epoch += 1;
         self.handoff_epoch += 1;
@@ -563,19 +559,6 @@ impl Ecgrid {
         self.start_election(ctx);
     }
 
-    fn on_rreq(&mut self, ctx: &mut Ctx<'_, Self>, src: NodeId, r: Rreq) {
-        let hosts = (self.role == Role::Gateway).then_some(&self.host_table);
-        self.plane.on_rreq(ctx, self.my_grid, src, r, hosts);
-    }
-
-    fn on_rrep(&mut self, ctx: &mut Ctx<'_, Self>, src: NodeId, r: Rrep) {
-        if let Some(buffered) = self.plane.on_rrep(ctx, self.my_grid, src, r) {
-            for d in buffered {
-                self.route_data(ctx, d);
-            }
-        }
-    }
-
     fn on_data(&mut self, ctx: &mut Ctx<'_, Self>, d: DataMsg) {
         if d.dst == self.me {
             self.plane.stats.data_delivered += 1;
@@ -676,8 +659,19 @@ impl Protocol for Ecgrid {
                 }
             }
             EcMsg::Acq { gid, .. } => self.on_acq(ctx, src, *gid),
-            EcMsg::Rreq(r) => self.on_rreq(ctx, src, *r),
-            EcMsg::Rrep(r) => self.on_rrep(ctx, src, *r),
+            EcMsg::Rreq(r) => {
+                // only a gateway relays searches or answers for its hosts
+                let hosts = self.is_gateway().then_some(&self.host_table);
+                self.plane.on_rreq(ctx, self.my_grid, src, *r, hosts);
+            }
+            EcMsg::Rrep(r) => {
+                // a completed search of my own releases its buffer
+                if let Some(buffered) = self.plane.on_rrep(ctx, self.my_grid, src, *r) {
+                    for d in buffered {
+                        self.route_data(ctx, d);
+                    }
+                }
+            }
             EcMsg::Data(d) => self.on_data(ctx, *d),
         }
     }

@@ -53,7 +53,6 @@ pub struct RoutingStats {
 /// One host's routing state.
 pub struct RoutingPlane {
     cfg: PlaneConfig,
-    me: NodeId,
     pub routes: RouteTable,
     pub neighbors: NeighborGateways,
     pub stats: RoutingStats,
@@ -75,10 +74,9 @@ pub struct RoutingPlane {
 }
 
 impl RoutingPlane {
-    pub fn new(cfg: PlaneConfig, me: NodeId) -> Self {
+    pub fn new(cfg: PlaneConfig) -> Self {
         RoutingPlane {
             cfg,
-            me,
             routes: RouteTable::new(SimDuration::from_secs_f64(cfg.route_ttl)),
             neighbors: NeighborGateways::new(SimDuration::from_secs_f64(cfg.neighbor_ttl)),
             stats: RoutingStats::default(),
@@ -109,7 +107,7 @@ impl RoutingPlane {
         grid: GridCoord,
         is_gateway: bool,
     ) {
-        let me = self.me;
+        let me = ctx.id();
         match (self.gw_traced, is_gateway) {
             (None, true) => {
                 self.gw_traced = Some(grid);
@@ -147,7 +145,7 @@ impl RoutingPlane {
     /// Count a data forward by this host and put it on the trace.
     pub fn record_forward<P: Protocol>(&mut self, ctx: &mut Ctx<'_, P>, packet: &AppPacket) {
         self.stats.data_forwarded += 1;
-        let (node, flow, seq) = (self.me, packet.flow, packet.seq);
+        let (node, flow, seq) = (ctx.id(), packet.flow, packet.seq);
         ctx.emit(|| EventKind::PacketForwarded { node, flow, seq });
     }
 
@@ -188,7 +186,7 @@ impl RoutingPlane {
         P::Msg: From<DataMsg>,
     {
         match gateway {
-            Some(gw) if d.ttl > 0 && gw != self.me => ctx.unicast(gw, d.hop(grid).into()),
+            Some(gw) if d.ttl > 0 && gw != ctx.id() => ctx.unicast(gw, d.hop(grid).into()),
             _ => self.stats.data_dropped += 1,
         }
     }
@@ -213,7 +211,7 @@ impl RoutingPlane {
             GridRect::everywhere()
         };
         let rreq = Rreq {
-            src: self.me,
+            src: ctx.id(),
             s_seq: self.my_seq,
             dst,
             d_seq: 0,
@@ -221,7 +219,7 @@ impl RoutingPlane {
             range,
             last_grid: grid,
         };
-        self.seen.insert(self.me, self.rreq_counter);
+        self.seen.insert(ctx.id(), self.rreq_counter);
         self.stats.rreqs_sent += 1;
         ctx.broadcast(rreq.into());
         ctx.set_timer_secs(
@@ -300,7 +298,7 @@ impl RoutingPlane {
         // destination host replies even when it is not a gateway (§3.3:
         // "When D (or its gateway, if D is not a gateway) receives this
         // RREQ, it will unicast a reply")
-        if r.dst == self.me {
+        if r.dst == ctx.id() {
             self.routes.upsert(r.src, r.last_grid, from, r.s_seq, now);
             self.send_rrep(ctx, grid, from, &r);
             return;
@@ -347,7 +345,7 @@ impl RoutingPlane {
         // forward pointer: dst reachable through the grid the RREP came from
         self.routes.upsert(r.dst, r.from_grid, from, r.d_seq, now);
         self.dst_hints.insert(r.dst, r.dst_grid);
-        if r.src == self.me {
+        if r.src == ctx.id() {
             self.discovering.remove(&r.dst);
             ctx.note(|| format!("route to {} established", r.dst));
             return self.pending_route.remove(&r.dst);
@@ -498,7 +496,7 @@ mod tests {
             buffer_cap,
         };
         let mut w = World::new(WorldConfig::paper_default(3), hosts.into(), flows, move |id| {
-            let mut plane = RoutingPlane::new(cfg, id);
+            let mut plane = RoutingPlane::new(cfg);
             if id == SRC {
                 plane.seed_location(to, hint);
             }

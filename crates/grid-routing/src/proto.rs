@@ -154,17 +154,14 @@ impl GridProto {
             role: GridRole::Electing,
             my_grid: GridCoord::new(0, 0),
             gateway: None,
-            plane: RoutingPlane::new(
-                PlaneConfig {
-                    route_ttl: cfg.route_ttl,
-                    neighbor_ttl: cfg.neighbor_ttl,
-                    search: cfg.search,
-                    discovery_timeout: cfg.discovery_timeout,
-                    max_discovery_attempts: cfg.max_discovery_attempts,
-                    buffer_cap: cfg.buffer_cap,
-                },
-                me,
-            ),
+            plane: RoutingPlane::new(PlaneConfig {
+                route_ttl: cfg.route_ttl,
+                neighbor_ttl: cfg.neighbor_ttl,
+                search: cfg.search,
+                discovery_timeout: cfg.discovery_timeout,
+                max_discovery_attempts: cfg.max_discovery_attempts,
+                buffer_cap: cfg.buffer_cap,
+            }),
             host_table: IdMap::default(),
             candidates: Vec::new(),
             election_epoch: 0,
@@ -204,11 +201,6 @@ impl GridProto {
 
     // ----- helpers -----------------------------------------------------
 
-    fn sync_gateway_trace(&mut self, ctx: &mut Ctx<'_, Self>) {
-        self.plane
-            .sync_gateway_trace(ctx, self.my_grid, self.role == GridRole::Gateway);
-    }
-
     fn send_hello(&mut self, ctx: &mut Ctx<'_, Self>, gflag: bool) {
         // level is carried but ignored by GRID's election (energy_aware=false)
         let h = HelloInfo::announce(ctx, self.my_grid, gflag);
@@ -229,7 +221,8 @@ impl GridProto {
                 epoch: self.election_epoch,
             },
         );
-        self.sync_gateway_trace(ctx);
+        self.plane
+            .sync_gateway_trace(ctx, self.my_grid, self.is_gateway());
     }
 
     fn arm_gateway_watch(&mut self, ctx: &mut Ctx<'_, Self>) {
@@ -244,7 +237,8 @@ impl GridProto {
 
     fn become_member(&mut self, ctx: &mut Ctx<'_, Self>, gateway: NodeId) {
         self.role = GridRole::Member;
-        self.sync_gateway_trace(ctx);
+        self.plane
+            .sync_gateway_trace(ctx, self.my_grid, self.is_gateway());
         self.gateway = Some(gateway);
         self.last_gw_hello = ctx.now();
         self.host_table.clear();
@@ -255,7 +249,8 @@ impl GridProto {
     fn become_gateway(&mut self, ctx: &mut Ctx<'_, Self>) {
         self.stats.became_gateway += 1;
         self.role = GridRole::Gateway;
-        self.sync_gateway_trace(ctx);
+        self.plane
+            .sync_gateway_trace(ctx, self.my_grid, self.is_gateway());
         self.gateway = Some(self.me);
         self.send_hello(ctx, true);
         let now = ctx.now();
@@ -284,7 +279,8 @@ impl GridProto {
         self.host_table.clear();
         self.gateway = None;
         self.role = GridRole::Electing;
-        self.sync_gateway_trace(ctx);
+        self.plane
+            .sync_gateway_trace(ctx, self.my_grid, self.is_gateway());
         self.candidates.clear();
         self.election_epoch += 1;
         self.send_hello(ctx, false);
@@ -375,19 +371,6 @@ impl GridProto {
         }
     }
 
-    fn on_rreq(&mut self, ctx: &mut Ctx<'_, Self>, src: NodeId, r: Rreq) {
-        let hosts = (self.role == GridRole::Gateway).then_some(&self.host_table);
-        self.plane.on_rreq(ctx, self.my_grid, src, r, hosts);
-    }
-
-    fn on_rrep(&mut self, ctx: &mut Ctx<'_, Self>, src: NodeId, r: Rrep) {
-        if let Some(buffered) = self.plane.on_rrep(ctx, self.my_grid, src, r) {
-            for d in buffered {
-                self.route_data(ctx, d);
-            }
-        }
-    }
-
     fn on_data(&mut self, ctx: &mut Ctx<'_, Self>, d: DataMsg) {
         if d.dst == self.me {
             self.plane.stats.data_delivered += 1;
@@ -447,8 +430,19 @@ impl Protocol for GridProto {
                     self.host_table.remove(&src);
                 }
             }
-            GridMsg::Rreq(r) => self.on_rreq(ctx, src, *r),
-            GridMsg::Rrep(r) => self.on_rrep(ctx, src, *r),
+            GridMsg::Rreq(r) => {
+                // only a gateway relays searches or answers for its hosts
+                let hosts = self.is_gateway().then_some(&self.host_table);
+                self.plane.on_rreq(ctx, self.my_grid, src, *r, hosts);
+            }
+            GridMsg::Rrep(r) => {
+                // a completed search of my own releases its buffer
+                if let Some(buffered) = self.plane.on_rrep(ctx, self.my_grid, src, *r) {
+                    for d in buffered {
+                        self.route_data(ctx, d);
+                    }
+                }
+            }
             GridMsg::Data(d) => self.on_data(ctx, *d),
         }
     }

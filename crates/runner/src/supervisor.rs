@@ -29,6 +29,7 @@ use manet::progress::ProgressProbe;
 use manet::trace::{Fnv64, TraceDigest};
 use metrics::TimeSeries;
 use rayon::prelude::*;
+use service::json::{self, Obj};
 use sim_engine::{derive_seed, BudgetExceeded};
 use std::collections::HashMap;
 use std::fmt;
@@ -415,17 +416,6 @@ pub fn config_hash(sc: &Scenario, opts: &RunOptions) -> u64 {
     h.finish()
 }
 
-fn hex_bits(v: f64) -> String {
-    format!("{:016x}", v.to_bits())
-}
-
-fn enc_f64_opt(v: Option<f64>) -> String {
-    match v {
-        Some(x) => format!("\"{}\"", hex_bits(x)),
-        None => "null".into(),
-    }
-}
-
 /// `t_bits:v_bits` pairs joined by `;` — bit-exact and comma-free, so the
 /// line stays trivially splittable.
 fn enc_series(s: &TimeSeries) -> String {
@@ -487,70 +477,50 @@ impl JournalEntry {
     }
 }
 
-/// Encode one completed replica as a journal line.  No value may contain
-/// a comma or `}` — hex, digits, `:` and `;` only — which keeps the
-/// decoder a flat split.
+/// Encode one completed replica as a journal line: one flat
+/// [`service::json`] object.  No value may contain a quote — hex, digits,
+/// `:` and `;` only — which keeps the decoder a flat scan.
 pub(crate) fn encode_line(config: u64, seed: u64, rec: &ReplicaRecord) -> String {
-    format!(
-        "{{\"v\":1,\"config\":\"{:016x}\",\"seed\":{},\"replica\":{},\
-         \"pdr\":{},\"latency_ms\":{},\"pdr_590\":{},\"latency_ms_590\":{},\"death_s\":{},\
-         \"digest\":{},\"alive\":\"{}\",\"aen\":\"{}\"}}",
-        config,
-        seed,
-        rec.replica,
-        enc_f64_opt(rec.pdr),
-        enc_f64_opt(rec.latency_ms),
-        enc_f64_opt(rec.pdr_590),
-        enc_f64_opt(rec.latency_ms_590),
-        enc_f64_opt(rec.network_death_s),
-        rec.digest
-            .map(|d| format!("\"{d}\""))
-            .unwrap_or_else(|| "null".into()),
-        enc_series(&rec.alive),
-        enc_series(&rec.aen),
-    )
-}
-
-/// Raw value token of `"key":<token>` within a journal line.
-fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    let end = rest.find([',', '}'])?;
-    Some(rest[..end].trim_matches('"'))
-}
-
-fn dec_f64_opt(tok: &str) -> Option<Option<f64>> {
-    if tok == "null" {
-        Some(None)
-    } else {
-        Some(Some(f64::from_bits(u64::from_str_radix(tok, 16).ok()?)))
+    let line = Obj::new()
+        .u64("v", 1)
+        .str("config", &format!("{config:016x}"))
+        .u64("seed", seed)
+        .u64("replica", rec.replica)
+        .f64_bits("pdr", rec.pdr)
+        .f64_bits("latency_ms", rec.latency_ms)
+        .f64_bits("pdr_590", rec.pdr_590)
+        .f64_bits("latency_ms_590", rec.latency_ms_590)
+        .f64_bits("death_s", rec.network_death_s);
+    match rec.digest {
+        Some(d) => line.str("digest", &d.to_string()),
+        None => line.raw("digest", "null"),
     }
+    .str("alive", &enc_series(&rec.alive))
+    .str("aen", &enc_series(&rec.aen))
+    .finish()
 }
 
 fn parse_entry(line: &str) -> Option<JournalEntry> {
     if !line.starts_with('{') || !line.ends_with('}') {
         return None; // e.g. a line truncated by a kill mid-append
     }
-    if field(line, "v")? != "1" {
+    if json::u64_field(line, "v")? != 1 {
         return None;
     }
-    let digest_tok = field(line, "digest")?;
     Some(JournalEntry {
-        config: u64::from_str_radix(field(line, "config")?, 16).ok()?,
-        seed: field(line, "seed")?.parse().ok()?,
-        replica: field(line, "replica")?.parse().ok()?,
-        alive: dec_series(field(line, "alive")?)?,
-        aen: dec_series(field(line, "aen")?)?,
-        pdr: dec_f64_opt(field(line, "pdr")?)?,
-        latency_ms: dec_f64_opt(field(line, "latency_ms")?)?,
-        pdr_590: dec_f64_opt(field(line, "pdr_590")?)?,
-        latency_ms_590: dec_f64_opt(field(line, "latency_ms_590")?)?,
-        network_death_s: dec_f64_opt(field(line, "death_s")?)?,
-        digest: if digest_tok == "null" {
-            None
-        } else {
-            Some(TraceDigest::parse(digest_tok)?)
+        config: json::hex_field(line, "config")?,
+        seed: json::u64_field(line, "seed")?,
+        replica: json::u64_field(line, "replica")?,
+        alive: dec_series(json::field(line, "alive")?)?,
+        aen: dec_series(json::field(line, "aen")?)?,
+        pdr: json::f64_bits_field(line, "pdr")?,
+        latency_ms: json::f64_bits_field(line, "latency_ms")?,
+        pdr_590: json::f64_bits_field(line, "pdr_590")?,
+        latency_ms_590: json::f64_bits_field(line, "latency_ms_590")?,
+        network_death_s: json::f64_bits_field(line, "death_s")?,
+        digest: match json::field(line, "digest")? {
+            "null" => None,
+            tok => Some(TraceDigest::parse(tok)?),
         },
     })
 }
@@ -803,6 +773,33 @@ mod tests {
         assert_eq!(e.alive.points().len(), 2);
         assert_eq!(e.alive.value_at(10.0), Some(0.75));
         assert_eq!(e.aen.value_at(10.0), Some(0.1));
+    }
+
+    #[test]
+    fn a_journal_line_written_before_the_shared_codec_reencodes_to_the_same_bytes() {
+        // `rec(99)` as the private codec PR 15 retired wrote it: journals
+        // on disk must keep resuming, and new lines must stay readable by
+        // an older binary
+        const LINE: &str = "{\"v\":1,\"config\":\"00000000deadbeef\",\"seed\":99,\"replica\":3,\
+\"pdr\":\"3fd3333333333334\",\"latency_ms\":null,\"pdr_590\":\"0010000000000000\",\
+\"latency_ms_590\":\"8000000000000000\",\"death_s\":null,\"digest\":\"abcdef0123456789\",\
+\"alive\":\"0000000000000000:3ff0000000000000;4024000000000000:3fe8000000000000\",\
+\"aen\":\"0000000000000000:0000000000000000;4024000000000000:3fb999999999999a\"}";
+        let e = parse_entry(LINE).expect("parse");
+        let (config, seed) = (e.config, e.seed);
+        assert_eq!((config, seed), (0xdead_beef, 99));
+        assert_eq!(encode_line(config, seed, &e.into_record(rec(99).scenario)), LINE);
+        assert_eq!(encode_line(config, seed, &rec(99)), LINE);
+        // and without a digest or any sample
+        let bare = ReplicaRecord {
+            digest: None,
+            alive: TimeSeries::new(),
+            ..rec(99)
+        };
+        let line = encode_line(config, seed, &bare);
+        assert!(line.contains("\"digest\":null,\"alive\":\"\","), "{line}");
+        let back = parse_entry(&line).expect("parse");
+        assert_eq!((back.digest, back.alive.points().len()), (None, 0));
     }
 
     #[test]

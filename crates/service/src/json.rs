@@ -70,6 +70,16 @@ pub fn hex_field(line: &str, key: &str) -> Option<u64> {
     u64::from_str_radix(field(line, key)?, 16).ok()
 }
 
+/// A bit-exact optional float written by [`Obj::f64_bits`]: `null`, or
+/// the bit pattern in hex.  The outer `None` is a missing or malformed
+/// field.
+pub fn f64_bits_field(line: &str, key: &str) -> Option<Option<f64>> {
+    match field(line, key)? {
+        "null" => Some(None),
+        hex => Some(Some(f64::from_bits(u64::from_str_radix(hex, 16).ok()?))),
+    }
+}
+
 /// Builder for one flat single-line JSON object.
 #[derive(Debug)]
 pub struct Obj {
@@ -134,7 +144,7 @@ impl Obj {
     }
 
     /// A bit-exact float: rendered as the 16-hex-digit bit pattern string,
-    /// or `null`.  Decode with [`hex_field`] + `f64::from_bits`.
+    /// or `null`.  Decode with [`f64_bits_field`].
     pub fn f64_bits(self, key: &str, val: Option<f64>) -> Self {
         match val {
             Some(v) => {
@@ -174,6 +184,10 @@ mod tests {
         assert_eq!(u64_field(&line, "seed"), Some(42));
         assert_eq!(hex_field(&line, "pdr").map(f64::from_bits), Some(0.1 + 0.2));
         assert_eq!(field(&line, "lat"), Some("null"));
+        assert_eq!(f64_bits_field(&line, "pdr"), Some(Some(0.1 + 0.2)));
+        assert_eq!(f64_bits_field(&line, "lat"), Some(None));
+        assert_eq!(f64_bits_field(&line, "cmd"), None, "not hex");
+        assert_eq!(f64_bits_field(&line, "missing"), None);
         assert_eq!(bool_field(&line, "ok"), Some(true));
         assert_eq!(field(&line, "missing"), None);
     }

@@ -32,7 +32,7 @@ use std::io::{self, BufRead, BufReader, ErrorKind, Write as _};
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
@@ -234,6 +234,18 @@ struct Inner {
     stats: Stats,
 }
 
+/// Lock the job table or the admission queue, taking the guard back from
+/// a thread that panicked while holding it.  Every critical section on
+/// these two is a few whole-entry map or queue operations, so what a
+/// poisoned lock guards is still consistent, and a panic under it costs
+/// the panicking thread's connection or job — not every request after it.
+fn relock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|poisoned| {
+        m.clear_poison();
+        poisoned.into_inner()
+    })
+}
+
 /// What `submit` decided.
 enum Admission {
     Accepted { job: u64, config: u64 },
@@ -315,8 +327,8 @@ impl Inner {
         }
         found.sort_by_key(|(job, ..)| *job);
         // lock order: queue before jobs, matching `submit`
-        let mut queue = self.queue.lock().expect("queue lock");
-        let mut jobs = self.jobs.lock().expect("jobs lock");
+        let mut queue = relock(&self.queue);
+        let mut jobs = relock(&self.jobs);
         let mut max_id = 0;
         for (job, spec, config, state) in found {
             max_id = max_id.max(job);
@@ -354,13 +366,13 @@ impl Inner {
             Ok(h) => h,
             Err(e) => return Admission::Rejected(e),
         };
-        let mut queue = self.queue.lock().expect("queue lock");
+        let mut queue = relock(&self.queue);
         if queue.len() >= self.cfg.capacity {
             self.stats.shed.fetch_add(1, Ordering::Relaxed);
             return Admission::Shed { queued: queue.len() };
         }
         let job = self.next_job.fetch_add(1, Ordering::Relaxed);
-        self.jobs.lock().expect("jobs lock").insert(
+        relock(&self.jobs).insert(
             job,
             JobRecord {
                 spec: spec.clone(),
@@ -379,7 +391,7 @@ impl Inner {
 
     fn run_job(&self, job: u64) {
         let (spec, config) = {
-            let mut jobs = self.jobs.lock().expect("jobs lock");
+            let mut jobs = relock(&self.jobs);
             let Some(rec) = jobs.get_mut(&job) else {
                 return;
             };
@@ -408,7 +420,7 @@ impl Inner {
         }
         let done = done_frame(job, spec, &outcome);
         {
-            let mut jobs = self.jobs.lock().expect("jobs lock");
+            let mut jobs = relock(&self.jobs);
             if let Some(rec) = jobs.get_mut(&job) {
                 rec.state = outcome.state;
                 rec.outcome = Some(outcome);
@@ -421,7 +433,7 @@ impl Inner {
     fn worker_loop(&self) {
         loop {
             let job = {
-                let mut queue = self.queue.lock().expect("queue lock");
+                let mut queue = relock(&self.queue);
                 loop {
                     // drain check first: a draining server must not start
                     // queued jobs — they stay for interruption marking
@@ -434,7 +446,7 @@ impl Inner {
                     let (q, _) = self
                         .queue_cv
                         .wait_timeout(queue, Duration::from_millis(100))
-                        .expect("queue cv");
+                        .unwrap_or_else(PoisonError::into_inner);
                     queue = q;
                 }
             };
@@ -569,10 +581,10 @@ impl Server {
         }
         // whatever is still queued never started; persist that fact so a
         // restart requeues it
-        let leftover: Vec<u64> = self.inner.queue.lock().expect("queue lock").drain(..).collect();
+        let leftover: Vec<u64> = relock(&self.inner.queue).drain(..).collect();
         for job in leftover {
             let info = {
-                let jobs = self.inner.jobs.lock().expect("jobs lock");
+                let jobs = relock(&self.inner.jobs);
                 jobs.get(&job).map(|r| (r.spec.clone(), r.config))
             };
             if let Some((spec, config)) = info {
@@ -693,7 +705,7 @@ fn answer(inner: &Inner, req: Request) -> String {
             }
         }
         Request::Status { job: Some(job) } => {
-            let jobs = inner.jobs.lock().expect("jobs lock");
+            let jobs = relock(&inner.jobs);
             match jobs.get(&job) {
                 None => proto::reply_err(&format!("unknown job {job}")),
                 Some(rec) => {
@@ -716,7 +728,7 @@ fn answer(inner: &Inner, req: Request) -> String {
             }
         }
         Request::Status { job: None } => {
-            let jobs = inner.jobs.lock().expect("jobs lock");
+            let jobs = relock(&inner.jobs);
             let count = |s: JobState| jobs.values().filter(|r| r.state == s).count() as u64;
             proto::reply_ok()
                 .u64("jobs", jobs.len() as u64)
@@ -746,7 +758,7 @@ fn answer(inner: &Inner, req: Request) -> String {
         Request::Stats => {
             let s = &inner.stats;
             let drops = inner.hub.drop_stats();
-            let queue_depth = inner.queue.lock().expect("queue lock").len() as u64;
+            let queue_depth = relock(&inner.queue).len() as u64;
             proto::reply_ok()
                 .u64("submitted", s.submitted.load(Ordering::Relaxed))
                 .u64("completed", s.completed.load(Ordering::Relaxed))
@@ -781,7 +793,7 @@ fn serve_subscription(inner: &Inner, out: &mut TcpStream, job: u64, filter: prot
     // now cannot slip between the check and the subscription
     let handle = inner.hub.subscribe(job, filter, inner.cfg.subscriber_buffer);
     let snapshot = {
-        let jobs = inner.jobs.lock().expect("jobs lock");
+        let jobs = relock(&inner.jobs);
         match jobs.get(&job) {
             None => {
                 inner.hub.unsubscribe(handle.id);
@@ -1031,6 +1043,44 @@ mod tests {
         let summary = srv.wait();
         assert_eq!(summary.submitted, 1);
         assert_eq!(summary.completed, 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_panic_under_the_jobs_lock_does_not_take_the_server_down() {
+        let dir = test_dir("poisoned");
+        let srv = Server::start(
+            ServiceConfig::default().with_state_dir(&dir),
+            MockHandler::instant(),
+        )
+        .unwrap();
+        let inner = srv.inner.clone();
+        let poisoner = thread::spawn(move || {
+            let _jobs = inner.jobs.lock().unwrap();
+            panic!("handler bug while holding the job table");
+        });
+        assert!(poisoner.join().is_err());
+        assert!(srv.inner.jobs.is_poisoned());
+        let (mut r, mut w) = connect(srv.local_addr());
+        let all = roundtrip(&mut r, &mut w, &Request::Status { job: None }.encode());
+        assert_eq!(json::bool_field(&all, "ok"), Some(true), "{all}");
+        let stats = roundtrip(&mut r, &mut w, &Request::Stats.encode());
+        assert_eq!(json::bool_field(&stats, "ok"), Some(true), "{stats}");
+        let sub = roundtrip(&mut r, &mut w, &Request::Submit(JobSpec::default()).encode());
+        assert_eq!(json::bool_field(&sub, "ok"), Some(true), "{sub}");
+        let job = json::u64_field(&sub, "job").unwrap();
+        let mut state = String::new();
+        for _ in 0..100 {
+            let st = roundtrip(&mut r, &mut w, &Request::Status { job: Some(job) }.encode());
+            state = json::field(&st, "state").unwrap().to_string();
+            if state == "done" {
+                break;
+            }
+            thread::sleep(Duration::from_millis(20));
+        }
+        assert_eq!(state, "done");
+        srv.request_shutdown();
+        assert_eq!(srv.wait().completed, 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
