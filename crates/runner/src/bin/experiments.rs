@@ -8,9 +8,9 @@
 //! #            ECGRID_JOURNAL         ECGRID_MAX_RETRIES ECGRID_EVENT_BUDGET
 //! ```
 //!
-//! With `--journal`, every sweep runs supervised and checkpoints each
-//! completed replica; rerunning after a crash or kill skips the journaled
-//! work and reproduces the same figures (see DESIGN.md §9).
+//! Every sweep runs supervised (DESIGN.md §9).  With `--journal`, each
+//! completed replica is checkpointed; rerunning after a crash or kill
+//! skips the journaled work and reproduces the same figures.
 
 use std::fmt::Display;
 use std::str::FromStr;
@@ -39,7 +39,7 @@ fn main() {
         };
         match k.as_str() {
             "--journal" => opts.journal = Some(v.into()),
-            "--max-retries" => opts.max_retries = Some(parse_val(k, v)),
+            "--max-retries" => opts.max_retries = parse_val(k, v),
             "--event-budget" => opts.event_budget = Some(parse_val(k, v)),
             "--replicas" => opts.replicas = parse_val(k, v),
             other => fail(format!(
@@ -49,19 +49,8 @@ fn main() {
         i += 2;
     }
     eprintln!(
-        "running all experiments (replicas={}, fast={}{})",
-        opts.replicas,
-        opts.fast,
-        if opts.supervised() {
-            format!(
-                ", supervised: retries={} budget={:?} journal={:?}",
-                opts.max_retries.unwrap_or(2),
-                opts.event_budget,
-                opts.journal
-            )
-        } else {
-            String::new()
-        }
+        "running all experiments (replicas={}, fast={}, supervised: retries={} budget={:?} journal={:?})",
+        opts.replicas, opts.fast, opts.max_retries, opts.event_budget, opts.journal
     );
     print!("{}", runner::figures::fig4(&opts));
     print!("{}", runner::figures::fig5(&opts));

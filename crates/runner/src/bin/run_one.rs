@@ -11,6 +11,7 @@ use manet::trace::TraceMode;
 use manet::{Backend, FaultPlan, NeighborIndex};
 use runner::supervisor::{run_point, sweep_keyed, SupervisorConfig};
 use runner::{FleetJob, ProtocolKind, RunOptions, Scenario};
+use service::json::Obj;
 use std::fmt::Display;
 use std::fs::File;
 use std::io::BufWriter;
@@ -140,15 +141,12 @@ fn parse_args() -> Cli {
         };
         match k.as_str() {
             "--protocol" => {
-                cli.sc.protocol = match v.to_lowercase().as_str() {
-                    "grid" => ProtocolKind::Grid,
-                    "ecgrid" => ProtocolKind::Ecgrid,
-                    "gaf" => ProtocolKind::Gaf,
-                    "span" => ProtocolKind::Span,
-                    other => fail(format!(
+                cli.sc.protocol = runner::serve::parse_protocol(v).unwrap_or_else(|| {
+                    let other = v.to_lowercase();
+                    fail(format!(
                         "unknown protocol {other:?} (expected grid|ecgrid|gaf|span)"
-                    )),
-                }
+                    ))
+                })
             }
             "--hosts" => cli.sc.n_hosts = parse_val(k, v),
             "--speed" => cli.sc.max_speed = parse_val(k, v),
@@ -213,34 +211,22 @@ fn auto_or(n: usize) -> String {
     }
 }
 
-/// Minimal JSON string escape for group names (the parser already
-/// rejects embedded quotes, so this is belt-and-braces).
-fn json_str(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
 fn groups_json_doc(groups: &[runner::GroupReport]) -> String {
     let rows: Vec<String> = groups
         .iter()
         .map(|g| {
-            format!(
-                concat!(
-                    "{{\"group\":\"{}\",\"role\":\"{}\",\"mobility\":\"{}\",",
-                    "\"hosts\":{},\"finite\":{},\"alive\":{},",
-                    "\"alive_fraction\":{:.6},\"aen\":{:.6},",
-                    "\"sent\":{},\"delivered\":{}}}"
-                ),
-                json_str(&g.name),
-                g.role,
-                g.mobility,
-                g.stats.hosts,
-                g.stats.finite,
-                g.stats.alive,
-                g.stats.alive_fraction(),
-                g.stats.aen(),
-                g.sent,
-                g.delivered,
-            )
+            Obj::new()
+                .str("group", &g.name)
+                .str("role", g.role)
+                .str("mobility", g.mobility)
+                .u64("hosts", g.stats.hosts.into())
+                .u64("finite", g.stats.finite.into())
+                .u64("alive", g.stats.alive.into())
+                .raw("alive_fraction", &format!("{:.6}", g.stats.alive_fraction()))
+                .raw("aen", &format!("{:.6}", g.stats.aen()))
+                .u64("sent", g.sent)
+                .u64("delivered", g.delivered)
+                .finish()
         })
         .collect();
     format!("[{}]\n", rows.join(","))
@@ -371,12 +357,14 @@ fn main() {
     // journaled mode: a one-point supervised sweep, so a rerun with the
     // same journal skips the completed run and replays its metrics
     if let Some(journal) = &cli.journal {
-        let sup = SupervisorConfig::default()
-            .with_max_retries(cli.max_retries.unwrap_or(2))
-            .with_event_budget(opts.event_budget)
-            .with_journal(journal);
+        let mut sup = SupervisorConfig::default().with_journal(journal);
+        sup.max_retries = cli.max_retries.unwrap_or(sup.max_retries);
         eprintln!("running supervised: {} (journal {journal})", sc.label());
         let report = sweep_keyed(&[(job.config_hash(&opts), sc)], 1, opts, &sup, &runner);
+        if let Some(e) = &report.journal_error {
+            eprintln!("run_one: {e}");
+            std::process::exit(1);
+        }
         print!("{}", report.render());
         if let Some(avg) = report.averaged.first() {
             println!(
@@ -411,9 +399,7 @@ fn main() {
 
     // supervised (unjournaled) mode: panic isolation + bounded retry
     let r = if let Some(retries) = cli.max_retries {
-        let sup = SupervisorConfig::default()
-            .with_max_retries(retries)
-            .with_event_budget(opts.event_budget);
+        let sup = SupervisorConfig::default().with_max_retries(retries);
         let out = run_point(&runner, &sc, opts, &sup);
         for f in &out.failures {
             eprintln!("attempt failed: {f}");

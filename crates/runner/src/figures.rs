@@ -1,19 +1,20 @@
 //! One function per paper figure: build the scenario matrix, sweep it,
 //! and render the series/rows the figure plots.
 //!
+//! Every sweep runs through the supervised pipeline (DESIGN.md §9).
 //! Environment knobs (read by the binaries):
 //! * `ECGRID_REPLICAS`     — seeds averaged per configuration (default 3);
 //! * `ECGRID_FAST=1`       — shrink durations/densities for a smoke run;
-//! * `ECGRID_JOURNAL`      — checkpoint journal path: sweeps run supervised
-//!   and a rerun skips already-journaled replicas;
-//! * `ECGRID_MAX_RETRIES`  — supervised retry budget per replica;
-//! * `ECGRID_EVENT_BUDGET` — supervised watchdog ceiling on events/run.
+//! * `ECGRID_JOURNAL`      — checkpoint journal path: a rerun skips
+//!   already-journaled replicas;
+//! * `ECGRID_MAX_RETRIES`  — retry budget per replica (default 2);
+//! * `ECGRID_EVENT_BUDGET` — watchdog ceiling on events/run.
 
 use crate::report::{render_ascii_chart, render_series_table, series_csv_rows, write_csv};
 use crate::run::RunOptions;
 use crate::scenario::{ProtocolKind, Scenario};
 use crate::supervisor::{sweep_supervised, SupervisorConfig};
-use crate::sweep::{sweep, AveragedResult};
+use crate::sweep::AveragedResult;
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
@@ -24,10 +25,9 @@ pub struct FigOpts {
     /// Shrinks the experiment for smoke testing.
     pub fast: bool,
     pub base_seed: u64,
-    /// Supervised retry budget; `Some` switches sweeps to the supervised
-    /// path even without a journal.
-    pub max_retries: Option<u32>,
-    /// Supervised watchdog ceiling on dispatched events per replica.
+    /// Retry budget per replica.
+    pub max_retries: u32,
+    /// Watchdog ceiling on dispatched events per replica.
     pub event_budget: Option<u64>,
     /// Checkpoint journal: `Some` makes every figure sweep resumable.
     pub journal: Option<PathBuf>,
@@ -47,17 +47,13 @@ impl FigOpts {
             base_seed: 42,
             max_retries: std::env::var("ECGRID_MAX_RETRIES")
                 .ok()
-                .and_then(|v| v.parse().ok()),
+                .and_then(|v| v.parse().ok())
+                .unwrap_or(SupervisorConfig::default().max_retries),
             event_budget: std::env::var("ECGRID_EVENT_BUDGET")
                 .ok()
                 .and_then(|v| v.parse().ok()),
             journal: std::env::var("ECGRID_JOURNAL").ok().map(PathBuf::from),
         }
-    }
-
-    /// Whether any supervision knob is set.
-    pub fn supervised(&self) -> bool {
-        self.max_retries.is_some() || self.event_budget.is_some() || self.journal.is_some()
     }
 
     fn duration(&self, full: f64) -> f64 {
@@ -77,23 +73,27 @@ impl FigOpts {
     }
 }
 
-/// Every figure sweeps through here: plain [`sweep`] by default, or the
-/// supervised path (isolation + watchdog + journal resume) when any
-/// supervision knob is set.  An all-healthy supervised sweep averages the
-/// same replicas in the same order as the plain one, so the figures are
-/// bit-identical either way.
+/// Every figure sweeps through here, supervised: panic isolation, the
+/// watchdog, bounded retry and — with a journal — resume.  A journal that
+/// cannot be opened ends the process before anything runs: a campaign
+/// asked to checkpoint must not run for hours without one.
 fn run_sweep(opts: &FigOpts, scenarios: &[Scenario]) -> Vec<AveragedResult> {
-    if !opts.supervised() {
-        return sweep(scenarios, opts.replicas);
-    }
-    let mut sup = SupervisorConfig::default()
-        .with_max_retries(opts.max_retries.unwrap_or(2))
-        .with_event_budget(opts.event_budget);
-    if let Some(j) = &opts.journal {
-        sup = sup.with_journal(j.clone());
-    }
+    let sup = SupervisorConfig {
+        max_retries: opts.max_retries,
+        event_budget: opts.event_budget,
+        journal: opts.journal.clone(),
+        ..SupervisorConfig::default()
+    };
     let report = sweep_supervised(scenarios, opts.replicas, RunOptions::default(), &sup);
-    if !report.quarantined.is_empty() || report.from_journal > 0 || !report.failures.is_empty() {
+    if let Some(e) = &report.journal_error {
+        eprintln!("{e}");
+        std::process::exit(1);
+    }
+    if !report.quarantined.is_empty()
+        || report.from_journal > 0
+        || !report.failures.is_empty()
+        || !report.append_errors.is_empty()
+    {
         eprint!("{}", report.render());
     }
     report.averaged

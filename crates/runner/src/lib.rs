@@ -32,7 +32,7 @@ pub use scenario::{ProtocolKind, Scenario};
 pub use serve::{EcgridJobHandler, FleetJob};
 pub use spec_run::{run_fleet, run_spec, GroupReport};
 pub use supervisor::{
-    sweep_resumable, sweep_supervised, sweep_supervised_with, FailureKind, QuarantinedPoint, ReplicaRecord,
+    sweep_supervised, sweep_supervised_with, FailureKind, JournalError, QuarantinedPoint, ReplicaRecord,
     RunFailure, SupervisorConfig, SweepReport,
 };
 pub use sweep::{average_results, average_results_degraded, sweep, AveragedResult, ReplicaMetrics};

@@ -2,22 +2,23 @@
 //! service job specs into supervised scenario runs.
 //!
 //! The service crate knows connections, queues and manifests; this
-//! module knows simulations.  Each replica runs under the full
-//! supervisor stack ([`run_point`]: panic isolation, event/wall
-//! watchdogs, bounded retry), streams its trace events to subscribers
-//! through the job's hub, and checkpoints its result to the same
-//! journal format the batch sweep uses — so batch and service runs of
-//! the same (config-hash, seed) are interchangeable, and a drained or
-//! crashed service resumes bit for bit: journal-loaded replicas are
-//! folded into the average in replica order exactly as fresh ones are.
+//! module knows simulations.  A job is the sequential, drain-aware loop
+//! over the replica step the batch sweep runs on rayon
+//! ([`run_replica`]: journal hit, else a run under the full supervisor
+//! stack, checkpointed), with each replica's trace events streamed to
+//! subscribers through the job's hub and each step outcome mapped to
+//! frames.  Batch and service runs of the same (config-hash, seed) are
+//! therefore interchangeable, and a drained or crashed service resumes
+//! bit for bit: [`fold_replicas`] averages journal-loaded and fresh
+//! replicas in replica order alike.
 
 use crate::run::{replica_seed, RunOptions, ScenarioResult};
 use crate::scenario::{ProtocolKind, Scenario};
 use crate::spec_run::{representative, run_fleet};
 use crate::supervisor::{
-    config_hash, encode_line, load_journal_indexed, run_point, ReplicaRecord, SupervisorConfig,
+    config_hash, fold_replicas, fold_run_options, run_replica, Journal, JournalError, Replica, ReplicaRecord,
+    RunFailure, SupervisorConfig, SweepReport,
 };
-use crate::sweep::average_results_degraded;
 use manet::progress::ProgressProbe;
 use manet::trace::{Fnv64, Registry};
 use manet::FaultPlan;
@@ -27,8 +28,6 @@ use service::proto::{
     scenario_hex_decode,
 };
 use service::{JobCtx, JobHandler, JobOutcome, JobSpec, JobState, ReplicaLookup};
-use std::fs;
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -69,10 +68,7 @@ impl EcgridJobHandler {
             let parsed = scenario::parse(&text).map_err(|e| format!("scenario: {e}"))?;
             return Ok(FleetJob::from_file(parsed, protocol));
         }
-        if spec.n_hosts == 0 || spec.duration_secs <= 0.0 {
-            return Err("n_hosts and duration_secs must be positive".into());
-        }
-        Ok(FleetJob::classic(Scenario {
+        let sc = Scenario {
             protocol,
             n_hosts: spec.n_hosts as usize,
             max_speed: spec.max_speed,
@@ -82,7 +78,13 @@ impl EcgridJobHandler {
             duration_secs: spec.duration_secs,
             seed: spec.seed,
             model1_endpoints: spec.model1_endpoints as usize,
-        }))
+        };
+        // a classic job is a scenario file in scalar clothing: hold it to
+        // the scenario parser's own bounds (host ceilings, finite positive
+        // duration, flow and rate ranges) by parsing its lowered text —
+        // the wire must not reach a worker with what a file could not say
+        scenario::parse(&sc.to_spec().to_text()).map_err(|e| format!("scenario bounds: {}", e.msg))?;
+        Ok(FleetJob::classic(sc))
     }
 
     /// Effective run options for a job: the server's base options with
@@ -188,12 +190,7 @@ fn spec_config_hash(sp: &ScenarioSpec, protocol: ProtocolKind, opts: &RunOptions
     h.write(b"scenario-file\n");
     h.write(protocol.name().as_bytes());
     h.write(seedless.to_text().as_bytes());
-    h.write(format!("{:?}", opts.faults).as_bytes());
-    h.write_u8(match opts.trace {
-        None => 0,
-        Some(manet::trace::TraceMode::DigestOnly) => 1,
-        Some(manet::trace::TraceMode::Full) => 2,
-    });
+    fold_run_options(&mut h, opts);
     h.finish()
 }
 
@@ -246,37 +243,46 @@ impl JobHandler for EcgridJobHandler {
     }
 
     fn run(&self, spec: &JobSpec, ctx: &JobCtx<'_>) -> JobOutcome {
+        // a job that cannot start ends with its reason, not a crash: the
+        // spec no longer validates (submit did check it: the manifest was
+        // edited or the handler changed), or the journal cannot be opened
+        let refused = |error: String| JobOutcome {
+            state: JobState::Quarantined,
+            error: Some(error),
+            ..JobOutcome::interrupted()
+        };
         let (job, opts, cfg) = match self.key_of(spec) {
             Ok(k) => k,
-            Err(e) => {
-                // submit validated the spec already; a failure here means
-                // the manifest was edited or the handler changed — refuse
-                // loudly rather than crash
-                return JobOutcome {
-                    state: JobState::Quarantined,
-                    error: Some(e),
-                    ..JobOutcome::interrupted()
-                };
-            }
+            Err(e) => return refused(e),
+        };
+        let path = Self::journal_path(ctx.state_dir);
+        let journal = match Journal::open(&path) {
+            Ok(j) => j,
+            Err(e) => return refused(JournalError::new(&path, &e).to_string()),
         };
         // the supervisor and the replica loop speak classic `Scenario`
         // points: the job's echo shape, reseeded per replica
         let (sc, pname) = (job.echo, job.protocol.name());
-        let journal = Self::journal_path(ctx.state_dir);
-        let (mut journaled, malformed) = load_journal_indexed(&journal);
-        if let Some(dir) = journal.parent() {
-            let _ = fs::create_dir_all(dir);
-        }
-        let mut writer = fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&journal)
-            .ok();
+        let publish = |frame: String| ctx.hub.publish_frame(ctx.job, &frame);
+        let publish_failures = |k: u64, failures: &[RunFailure]| {
+            for f in failures {
+                publish(frame_failure(ctx.job, k, f.attempt, &f.to_string()));
+            }
+        };
+        let replica_done = |rec: &ReplicaRecord, from_journal: bool| {
+            frame_replica_done(
+                ctx.job,
+                rec.replica,
+                replica_seed(sc.seed, rec.replica),
+                from_journal,
+                Some(&digest_str(rec)),
+                rec.pdr,
+                rec.latency_ms,
+            )
+        };
 
         let mut records: Vec<ReplicaRecord> = Vec::new();
-        let mut digests: Vec<String> = Vec::new();
-        let mut from_journal = 0u64;
-        let mut quarantined = 0u64;
+        let mut report = SweepReport::default();
         let mut interrupted = false;
         for k in 0..spec.replicas {
             // drain point: between replicas, never mid-replica — the
@@ -285,79 +291,43 @@ impl JobHandler for EcgridJobHandler {
                 interrupted = true;
                 break;
             }
-            let seed = replica_seed(sc.seed, k);
-            let point = Scenario { seed, ..sc };
-            if let Some(mut e) = journaled.remove(&(cfg, seed)) {
-                e.replica = k; // trust our indexing over the file's
-                let rec = e.into_record(point);
-                ctx.hub.publish_frame(
-                    ctx.job,
-                    &frame_replica_done(
-                        ctx.job,
-                        k,
-                        seed,
-                        true,
-                        Some(&digest_str(&rec)),
-                        rec.pdr,
-                        rec.latency_ms,
-                    ),
-                );
-                digests.push(digest_str(&rec));
-                records.push(rec);
-                from_journal += 1;
-                continue;
-            }
-            // fresh replica: run under full supervision, streaming each
-            // recorded event to this job's subscribers as it happens
+            // a fresh replica streams each recorded event to this job's
+            // subscribers as it happens
             let runner = |s: &Scenario, o: RunOptions, p: Option<Arc<ProgressProbe>>| {
                 let (hub, job_id) = (ctx.hub.clone(), ctx.job);
                 let sink: manet::trace::EventSink =
                     Arc::new(move |ev| hub.publish_event(job_id, k, pname, ev));
                 job.run(s, o, p, Some(sink))
             };
-            let out = run_point(&runner, &point, opts, &self.sup);
-            for f in &out.failures {
-                ctx.hub
-                    .publish_frame(ctx.job, &frame_failure(ctx.job, k, f.attempt, &f.to_string()));
-            }
-            match out.result {
-                Some(res) => {
-                    let rec = ReplicaRecord::from_result(k, &res);
-                    if let Some(w) = writer.as_mut() {
-                        let _ = writeln!(w, "{}", encode_line(cfg, seed, &rec));
-                        let _ = w.flush();
-                    }
-                    publish_metrics(ctx, k, &res);
-                    ctx.hub.publish_frame(
-                        ctx.job,
-                        &frame_replica_done(
-                            ctx.job,
-                            k,
-                            seed,
-                            false,
-                            Some(&digest_str(&rec)),
-                            rec.pdr,
-                            rec.latency_ms,
-                        ),
-                    );
-                    digests.push(digest_str(&rec));
-                    records.push(rec);
+            let step = run_replica(&runner, Some(&journal), cfg, &sc, k, opts, &self.sup);
+            match &step {
+                Replica::Journaled(rec) => publish(replica_done(rec, true)),
+                Replica::Fresh {
+                    record,
+                    result,
+                    failures,
+                    ..
+                } => {
+                    publish_failures(k, failures);
+                    publish_metrics(ctx, k, result);
+                    publish(replica_done(record, false));
                 }
-                None => {
-                    quarantined += 1;
-                    let last = out.failures.last().map(|f| f.to_string()).unwrap_or_default();
-                    ctx.hub.publish_frame(
+                Replica::Quarantined(failures) => {
+                    publish_failures(k, failures);
+                    let last = failures.last().map(|f| f.to_string()).unwrap_or_default();
+                    publish(frame_replica_quarantined(
                         ctx.job,
-                        &frame_replica_quarantined(ctx.job, k, out.failures.len() as u32, &last),
-                    );
+                        k,
+                        failures.len() as u32,
+                        &last,
+                    ));
                 }
             }
+            records.extend(report.tally(&sc, k, step));
         }
 
-        // replicas fold in replica-k order (fresh and journal-loaded
-        // alike), so a resumed job averages bit-identically to a fresh one
-        records.sort_by_key(|r| r.replica);
-        let averaged = average_results_degraded(&records, spec.replicas as usize);
+        let averaged = fold_replicas(&mut records, spec.replicas as usize);
+        let quarantined = report.quarantined.len() as u64;
         let state = if interrupted {
             JobState::Interrupted
         } else if records.is_empty() && quarantined > 0 {
@@ -365,22 +335,27 @@ impl JobHandler for EcgridJobHandler {
         } else {
             JobState::Done
         };
+        let problems: Vec<String> = (quarantined > 0)
+            .then(|| format!("{quarantined} replica(s) quarantined"))
+            .into_iter()
+            .chain(report.unjournaled_note())
+            .collect();
         JobOutcome {
             state,
             replicas_done: records.len() as u64,
-            from_journal,
+            from_journal: report.from_journal as u64,
             quarantined,
-            digests,
+            digests: records.iter().map(digest_str).collect(),
             pdr: averaged.as_ref().and_then(|a| a.pdr),
             latency_ms: averaged.as_ref().and_then(|a| a.latency_ms),
-            malformed_journal_lines: malformed as u64,
-            error: (quarantined > 0).then(|| format!("{quarantined} replica(s) quarantined")),
+            malformed_journal_lines: journal.anomalies() as u64,
+            error: (!problems.is_empty()).then(|| problems.join("; ")),
         }
     }
 
     fn lookup(&self, state_dir: &Path, config: u64, seed: u64) -> Option<ReplicaLookup> {
-        let (index, _) = load_journal_indexed(&Self::journal_path(state_dir));
-        index.get(&(config, seed)).map(|e| ReplicaLookup {
+        let journal = Journal::open(&Self::journal_path(state_dir)).ok()?;
+        journal.get(config, seed).map(|e| ReplicaLookup {
             digest: e.digest.map(|d| d.to_string()),
             pdr: e.pdr,
             latency_ms: e.latency_ms,

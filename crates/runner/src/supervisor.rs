@@ -20,11 +20,15 @@
 //!   (config hash, seed) records every completed replica's metrics and
 //!   trace digest with bit-exact float encoding, so a resumed sweep skips
 //!   finished work and reproduces the fresh run's [`AveragedResult`]s
-//!   bit for bit.
+//!   bit for bit.  [`Journal`] is the file's only owner.
+//!
+//! One step ([`run_replica`]) and one fold ([`fold_replicas`]) define the
+//! replica protocol; [`sweep_keyed`] loops over them on rayon, the sweep
+//! service's job handler (`crate::serve`) sequentially.
 
 use crate::run::{replica_seed, run_scenario_probed, RunOptions, ScenarioResult};
 use crate::scenario::Scenario;
-use crate::sweep::{average_results_degraded, AveragedResult, ReplicaMetrics};
+use crate::sweep::{average_results_degraded, AveragedResult};
 use manet::progress::ProgressProbe;
 use manet::trace::{Fnv64, TraceDigest};
 use metrics::TimeSeries;
@@ -34,10 +38,10 @@ use sim_engine::{derive_seed, BudgetExceeded};
 use std::collections::HashMap;
 use std::fmt;
 use std::fs;
-use std::io::Write as _;
+use std::io::{self, Read as _, Write as _};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Supervision knobs, orthogonal to [`RunOptions`].
 #[derive(Clone, Debug)]
@@ -89,13 +93,6 @@ impl SupervisorConfig {
         self.journal = Some(path.into());
         self
     }
-
-    /// Fold the supervisor's watchdog ceilings into a run's options (the
-    /// supervisor's settings win where both are present).
-    pub fn apply_budgets(&self, opts: RunOptions) -> RunOptions {
-        opts.with_event_budget(self.event_budget.or(opts.event_budget))
-            .with_wall_budget_ms(self.wall_budget_ms.or(opts.wall_budget_ms))
-    }
 }
 
 /// Why one attempt of one replica failed.
@@ -126,16 +123,6 @@ pub struct RunFailure {
     /// Trace digest as of the last completed sample window, for bisecting
     /// the crash against a healthy replay.
     pub partial_digest: Option<TraceDigest>,
-}
-
-impl RunFailure {
-    /// The panic payload, when the failure was a panic.
-    pub fn panic_msg(&self) -> Option<&str> {
-        match &self.kind {
-            FailureKind::Panic(msg) => Some(msg),
-            FailureKind::Budget(_) => None,
-        }
-    }
 }
 
 impl fmt::Display for RunFailure {
@@ -204,33 +191,6 @@ impl ReplicaRecord {
     }
 }
 
-impl ReplicaMetrics for ReplicaRecord {
-    fn scenario(&self) -> &Scenario {
-        &self.scenario
-    }
-    fn alive(&self) -> &TimeSeries {
-        &self.alive
-    }
-    fn aen(&self) -> &TimeSeries {
-        &self.aen
-    }
-    fn pdr(&self) -> Option<f64> {
-        self.pdr
-    }
-    fn latency_ms(&self) -> Option<f64> {
-        self.latency_ms
-    }
-    fn pdr_590(&self) -> Option<f64> {
-        self.pdr_590
-    }
-    fn latency_ms_590(&self) -> Option<f64> {
-        self.latency_ms_590
-    }
-    fn network_death_s(&self) -> Option<f64> {
-        self.network_death_s
-    }
-}
-
 /// Everything a supervised sweep produced.
 #[derive(Clone, Debug, Default)]
 pub struct SweepReport {
@@ -253,6 +213,13 @@ pub struct SweepReport {
     /// Journal lines that failed to parse (e.g. a line truncated by a
     /// kill mid-append) and were ignored.
     pub malformed_journal_lines: usize,
+    /// The journal could not be opened: nothing was run and every other
+    /// field is empty.
+    pub journal_error: Option<JournalError>,
+    /// One entry per fresh replica whose checkpoint append failed.  The
+    /// computed replica is kept (it is in `averaged` and `replicas`); a
+    /// resumed sweep will run it again.
+    pub append_errors: Vec<JournalError>,
 }
 
 impl SweepReport {
@@ -260,6 +227,9 @@ impl SweepReport {
     pub fn render(&self) -> String {
         let mut out = String::new();
         use std::fmt::Write as _;
+        if let Some(e) = &self.journal_error {
+            let _ = writeln!(out, "{e} (nothing was run)");
+        }
         let _ = writeln!(
             out,
             "## Sweep supervision: {} averaged, {} fresh, {} from journal, {} recovered, {} quarantined",
@@ -275,6 +245,9 @@ impl SweepReport {
                 "   ({} malformed journal line(s) ignored)",
                 self.malformed_journal_lines
             );
+        }
+        if let Some(note) = self.unjournaled_note() {
+            let _ = writeln!(out, "   ({note})");
         }
         for q in &self.quarantined {
             let _ = writeln!(out, "QUARANTINED {} replica {}:", q.scenario.label(), q.replica);
@@ -292,6 +265,48 @@ impl SweepReport {
             }
         }
         out
+    }
+
+    /// What the report says about replicas that ran but could not be
+    /// checkpointed, if there were any.
+    pub(crate) fn unjournaled_note(&self) -> Option<String> {
+        let first = self.append_errors.first()?;
+        let n = self.append_errors.len();
+        Some(format!(
+            "{n} replica(s) computed but not checkpointed; first: {first}"
+        ))
+    }
+
+    /// Count the outcome of replica `k` of `point`, handing back the
+    /// record to fold if the replica has one.
+    pub(crate) fn tally(&mut self, point: &Scenario, k: u64, step: Replica) -> Option<ReplicaRecord> {
+        match step {
+            Replica::Journaled(record) => {
+                self.from_journal += 1;
+                Some(record)
+            }
+            Replica::Fresh {
+                record,
+                failures,
+                unjournaled,
+                ..
+            } => {
+                self.completed += 1;
+                self.recovered += usize::from(!failures.is_empty());
+                self.failures.extend(failures);
+                self.append_errors.extend(unjournaled);
+                Some(record)
+            }
+            Replica::Quarantined(failures) => {
+                self.failures.extend(failures.iter().cloned());
+                self.quarantined.push(QuarantinedPoint {
+                    scenario: *point,
+                    replica: k,
+                    failures,
+                });
+                None
+            }
+        }
     }
 }
 
@@ -364,7 +379,10 @@ pub fn run_point(
     opts: RunOptions,
     sup: &SupervisorConfig,
 ) -> PointOutcome {
-    let opts = sup.apply_budgets(opts);
+    // the supervisor's watchdog ceilings win where both are set
+    let opts = opts
+        .with_event_budget(sup.event_budget.or(opts.event_budget))
+        .with_wall_budget_ms(sup.wall_budget_ms.or(opts.wall_budget_ms));
     let mut failures = Vec::new();
     for attempt in 0..=sup.max_retries {
         let seed = if attempt == 0 {
@@ -392,9 +410,7 @@ pub fn run_point(
 
 /// Hash of everything that determines a replica's result except its seed:
 /// with the seed it keys the journal, so identical points in different
-/// sweep campaigns share completed work.  The scheduler backend is
-/// deliberately excluded (results are bit-identical across backends); the
-/// trace mode is included because it decides whether a digest exists.
+/// sweep campaigns share completed work.
 pub fn config_hash(sc: &Scenario, opts: &RunOptions) -> u64 {
     let mut h = Fnv64::new();
     h.write(sc.protocol.name().as_bytes());
@@ -405,15 +421,21 @@ pub fn config_hash(sc: &Scenario, opts: &RunOptions) -> u64 {
     h.write_u64(sc.flow_rate_pps.to_bits());
     h.write_u64(sc.duration_secs.to_bits());
     h.write_u64(sc.model1_endpoints as u64);
-    // the fault plan is all-Copy scalars; its Debug form is a canonical
-    // rendering of every knob
+    fold_run_options(&mut h, opts);
+    h.finish()
+}
+
+/// The run options every journal key folds in beside the fleet: the fault
+/// plan (all-Copy scalars, so its Debug form renders every knob) and the
+/// trace mode (it decides whether a digest exists).  The scheduler backend
+/// is deliberately left out — results are bit-identical across backends.
+pub(crate) fn fold_run_options(h: &mut Fnv64, opts: &RunOptions) {
     h.write(format!("{:?}", opts.faults).as_bytes());
     h.write_u8(match opts.trace {
         None => 0,
         Some(manet::trace::TraceMode::DigestOnly) => 1,
         Some(manet::trace::TraceMode::Full) => 2,
     });
-    h.finish()
 }
 
 /// `t_bits:v_bits` pairs joined by `;` — bit-exact and comma-free, so the
@@ -442,31 +464,31 @@ fn dec_series(s: &str) -> Option<TimeSeries> {
     Some(out)
 }
 
-/// One parsed journal line (scenario-free; the sweep re-binds it to its
-/// in-memory scenario via the config hash).  `pub(crate)` so the sweep
-/// service's job handler can reuse the journal as its resume store.
+/// One parsed journal line (scenario-free; a sweep re-binds it to its
+/// in-memory scenario via the config hash).
 #[derive(Clone, Debug)]
 pub(crate) struct JournalEntry {
-    pub(crate) config: u64,
-    pub(crate) seed: u64,
-    pub(crate) replica: u64,
-    pub(crate) alive: TimeSeries,
-    pub(crate) aen: TimeSeries,
+    config: u64,
+    seed: u64,
+    alive: TimeSeries,
+    aen: TimeSeries,
     pub(crate) pdr: Option<f64>,
     pub(crate) latency_ms: Option<f64>,
-    pub(crate) pdr_590: Option<f64>,
-    pub(crate) latency_ms_590: Option<f64>,
-    pub(crate) network_death_s: Option<f64>,
+    pdr_590: Option<f64>,
+    latency_ms_590: Option<f64>,
+    network_death_s: Option<f64>,
     pub(crate) digest: Option<TraceDigest>,
 }
 
 impl JournalEntry {
-    pub(crate) fn into_record(self, scenario: Scenario) -> ReplicaRecord {
+    /// The entry as replica `replica` of `scenario` — the caller's own
+    /// indexing, not the file's.
+    fn to_record(&self, replica: u64, scenario: Scenario) -> ReplicaRecord {
         ReplicaRecord {
             scenario,
-            replica: self.replica,
-            alive: self.alive,
-            aen: self.aen,
+            replica,
+            alive: self.alive.clone(),
+            aen: self.aen.clone(),
             pdr: self.pdr,
             latency_ms: self.latency_ms,
             pdr_590: self.pdr_590,
@@ -480,7 +502,7 @@ impl JournalEntry {
 /// Encode one completed replica as a journal line: one flat
 /// [`service::json`] object.  No value may contain a quote — hex, digits,
 /// `:` and `;` only — which keeps the decoder a flat scan.
-pub(crate) fn encode_line(config: u64, seed: u64, rec: &ReplicaRecord) -> String {
+fn encode_line(config: u64, seed: u64, rec: &ReplicaRecord) -> String {
     let line = Obj::new()
         .u64("v", 1)
         .str("config", &format!("{config:016x}"))
@@ -507,10 +529,10 @@ fn parse_entry(line: &str) -> Option<JournalEntry> {
     if json::u64_field(line, "v")? != 1 {
         return None;
     }
+    json::u64_field(line, "replica")?; // required, but a sweep trusts its own indexing over the file's
     Some(JournalEntry {
         config: json::hex_field(line, "config")?,
         seed: json::u64_field(line, "seed")?,
-        replica: json::u64_field(line, "replica")?,
         alive: dec_series(json::field(line, "alive")?)?,
         aen: dec_series(json::field(line, "aen")?)?,
         pdr: json::f64_bits_field(line, "pdr")?,
@@ -525,45 +547,171 @@ fn parse_entry(line: &str) -> Option<JournalEntry> {
     })
 }
 
-/// Load a journal, tolerating a missing file and skipping (but counting)
-/// malformed lines.  The file is read as raw bytes and decoded lossily:
-/// garbage bytes mid-file (a torn write, disk corruption) poison only the
-/// lines they touch — which then fail to parse and are counted — instead
-/// of making the whole journal unreadable and silently re-running
-/// everything.
-fn load_journal(path: &Path) -> (Vec<JournalEntry>, usize) {
-    let Ok(bytes) = fs::read(path) else {
-        return (Vec::new(), 0);
-    };
-    let body = String::from_utf8_lossy(&bytes);
-    let mut entries = Vec::new();
-    let mut malformed = 0;
-    for line in body.lines() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        match parse_entry(line) {
-            Some(e) => entries.push(e),
-            None => malformed += 1,
-        }
-    }
-    (entries, malformed)
+/// Why the checkpoint journal could not be used (an `io::Error` a
+/// `Clone` report can carry).
+#[derive(Clone, Debug)]
+pub struct JournalError {
+    pub path: PathBuf,
+    pub kind: io::ErrorKind,
+    detail: String,
 }
 
-/// [`load_journal`] indexed by the resume key (config hash, seed).
-/// Duplicate keys — e.g. two interrupted sweeps appending the same
-/// replica — deduplicate with last-write-wins (the later line is the
-/// more recent run of an identical, deterministic job) and are counted
-/// with the malformed lines so the dedup is observable.
-pub(crate) fn load_journal_indexed(path: &Path) -> (HashMap<(u64, u64), JournalEntry>, usize) {
-    let (entries, mut anomalies) = load_journal(path);
-    let mut index: HashMap<(u64, u64), JournalEntry> = HashMap::new();
-    for e in entries {
-        if index.insert((e.config, e.seed), e).is_some() {
-            anomalies += 1;
+impl JournalError {
+    pub(crate) fn new(path: &Path, e: &io::Error) -> Self {
+        JournalError {
+            path: path.to_path_buf(),
+            kind: e.kind(),
+            detail: e.to_string(),
         }
     }
-    (index, anomalies)
+}
+
+impl fmt::Display for JournalError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "journal: {}: {}", self.path.display(), self.detail)
+    }
+}
+
+impl std::error::Error for JournalError {}
+
+/// The checkpoint journal: the only code that reads, indexes, opens,
+/// appends to and flushes the file.  One failure policy for every caller:
+/// [`Journal::open`] failing stops the sweep or job before anything runs;
+/// [`Journal::append`] failing keeps the computed replica and is reported.
+pub(crate) struct Journal {
+    path: PathBuf,
+    /// What the file held at open, by resume key (config hash, seed).
+    index: HashMap<(u64, u64), JournalEntry>,
+    anomalies: usize,
+    file: Mutex<fs::File>,
+}
+
+impl Journal {
+    /// Open `path` for append — creating it and its directory as needed —
+    /// and index what it already holds.
+    ///
+    /// The file is decoded lossily, so garbage bytes mid-file (a torn
+    /// write, disk corruption) poison only the lines they touch.  Lines
+    /// that fail to parse are skipped; duplicate keys — two interrupted
+    /// sweeps appending the same replica — deduplicate last-write-wins
+    /// (the later run of an identical, deterministic job).  Both are
+    /// counted in [`Journal::anomalies`].
+    pub(crate) fn open(path: &Path) -> io::Result<Journal> {
+        if let Some(dir) = path.parent() {
+            fs::create_dir_all(dir)?;
+        }
+        let mut file = fs::OpenOptions::new()
+            .create(true)
+            .read(true)
+            .append(true)
+            .open(path)?;
+        let mut bytes = Vec::new();
+        file.read_to_end(&mut bytes)?;
+        let mut index = HashMap::new();
+        let mut anomalies = 0;
+        for line in String::from_utf8_lossy(&bytes).lines() {
+            if line.trim().is_empty() {
+                continue;
+            }
+            match parse_entry(line) {
+                Some(e) => anomalies += usize::from(index.insert((e.config, e.seed), e).is_some()),
+                None => anomalies += 1,
+            }
+        }
+        Ok(Journal {
+            path: path.to_path_buf(),
+            index,
+            anomalies,
+            file: Mutex::new(file),
+        })
+    }
+
+    /// The replica the file held for this resume key when it was opened.
+    pub(crate) fn get(&self, config: u64, seed: u64) -> Option<&JournalEntry> {
+        self.index.get(&(config, seed))
+    }
+
+    /// Malformed lines plus duplicate keys met while indexing.
+    pub(crate) fn anomalies(&self) -> usize {
+        self.anomalies
+    }
+
+    /// Append one completed replica: line and newline in a single write
+    /// under the lock, so concurrent appenders — rayon workers here, other
+    /// processes on the same `O_APPEND` file — never interleave inside a
+    /// line, and a killed sweep loses at most the replicas in flight.
+    fn append(&self, config: u64, seed: u64, rec: &ReplicaRecord) -> io::Result<()> {
+        let mut line = encode_line(config, seed, rec);
+        line.push('\n');
+        // a thread that panicked under this lock left at worst a torn
+        // line, which the loader skips: the file is still appendable
+        let mut file = self.file.lock().unwrap_or_else(PoisonError::into_inner);
+        file.write_all(line.as_bytes())?;
+        file.flush()
+    }
+}
+
+// ----- the replica step and the fold ------------------------------------
+
+/// What one replica of a sweep point came to.
+pub(crate) enum Replica {
+    /// The journal already held it; nothing ran.
+    Journaled(ReplicaRecord),
+    /// It ran to completion now, after `failures` failed attempts.
+    Fresh {
+        record: ReplicaRecord,
+        result: Box<ScenarioResult>,
+        failures: Vec<RunFailure>,
+        /// The checkpoint append failed: the result stands, a resume
+        /// will run it again.
+        unjournaled: Option<JournalError>,
+    },
+    /// Every attempt failed.
+    Quarantined(Vec<RunFailure>),
+}
+
+/// The replica step: replica `k` of `base` is the journal's record of
+/// (`config`, [`replica_seed`]`(base.seed, k)`) if there is one, else a
+/// supervised run ([`run_point`]) appended to the journal before it is
+/// returned — under that identity seed even when a retry on a re-derived
+/// seed produced the result.
+pub(crate) fn run_replica(
+    runner: &ScenarioRunner<'_>,
+    journal: Option<&Journal>,
+    config: u64,
+    base: &Scenario,
+    k: u64,
+    opts: RunOptions,
+    sup: &SupervisorConfig,
+) -> Replica {
+    let seed = replica_seed(base.seed, k);
+    let point = Scenario { seed, ..*base };
+    if let Some(entry) = journal.and_then(|j| j.get(config, seed)) {
+        return Replica::Journaled(entry.to_record(k, point));
+    }
+    let out = run_point(runner, &point, opts, sup);
+    let Some(res) = out.result else {
+        return Replica::Quarantined(out.failures);
+    };
+    let record = ReplicaRecord::from_result(k, &res);
+    let unjournaled = journal.and_then(|j| {
+        let failed = j.append(config, seed, &record).err()?;
+        Some(JournalError::new(&j.path, &failed))
+    });
+    Replica::Fresh {
+        record,
+        result: Box::new(res),
+        failures: out.failures,
+        unjournaled,
+    }
+}
+
+/// The fold: one scenario's replicas average in replica order — journal
+/// or fresh, finished in any order — so a resumed sweep accumulates floats
+/// exactly as a fresh one does.  `None` when every replica was quarantined.
+pub(crate) fn fold_replicas(records: &mut [ReplicaRecord], requested: usize) -> Option<AveragedResult> {
+    records.sort_by_key(|r| r.replica);
+    average_results_degraded(records, requested)
 }
 
 // ----- the supervised sweep ---------------------------------------------
@@ -575,20 +723,12 @@ pub fn sweep_supervised(
     opts: RunOptions,
     sup: &SupervisorConfig,
 ) -> SweepReport {
-    sweep_supervised_with(scenarios, replicas, opts, sup, &|sc, o, p| {
-        run_scenario_probed(sc, o, p)
-    })
+    sweep_supervised_with(scenarios, replicas, opts, sup, &run_scenario_probed)
 }
 
-/// Run every (scenario × replica) pair under supervision.
-///
-/// Replica `k` of a scenario keeps its plain-sweep identity
-/// ([`replica_seed`]`(sc.seed, k)`), so the averaged results of an
-/// all-healthy supervised sweep are bit-identical to [`crate::sweep`].
-/// With a journal configured, already-journaled replicas are skipped and
-/// re-read instead of re-run; each fresh completion is appended (and
-/// flushed) immediately, so a killed sweep loses at most the replicas
-/// that were mid-flight.
+/// Run every (scenario × replica) pair under supervision ([`crate::sweep`]
+/// is this with no retries and no journal); with a journal, journaled
+/// replicas are re-read instead of re-run and fresh ones appended at once.
 pub fn sweep_supervised_with(
     scenarios: &[Scenario],
     replicas: usize,
@@ -600,10 +740,12 @@ pub fn sweep_supervised_with(
     sweep_keyed(&keyed, replicas, opts, sup, runner)
 }
 
-/// [`sweep_supervised_with`] over points that bring their own journal
-/// config key.  A scenario-file fleet's identity is its text, not the
-/// representative `Scenario` the supervisor echoes, so it must not share
-/// [`config_hash`] with the classic scenario of the same shape
+/// The batch loop: [`run_replica`] over every (point × replica) on rayon,
+/// then [`fold_replicas`] per point; a journal that cannot be opened is
+/// [`SweepReport::journal_error`] and nothing runs.  Points bring their
+/// own journal config key: a scenario-file fleet's identity is its text,
+/// not the representative `Scenario` the supervisor echoes, so it must not
+/// share [`config_hash`] with the classic scenario of the same shape
 /// (`serve::FleetJob::config_hash` supplies the key for either kind).
 pub fn sweep_keyed(
     points: &[(u64, Scenario)],
@@ -613,117 +755,44 @@ pub fn sweep_keyed(
     runner: &ScenarioRunner<'_>,
 ) -> SweepReport {
     assert!(replicas >= 1);
-    let opts = sup.apply_budgets(opts);
-
-    // resume: index the journal by (config hash, seed)
-    let mut journaled: HashMap<(u64, u64), JournalEntry> = HashMap::new();
-    let mut malformed = 0;
-    if let Some(path) = &sup.journal {
-        let (index, bad) = load_journal_indexed(path);
-        journaled = index;
-        malformed = bad;
-    }
-
-    // split the grid into journal hits and jobs still to run
-    let mut loaded: Vec<(usize, ReplicaRecord)> = Vec::new();
-    let mut jobs: Vec<(usize, u64, Scenario, u64)> = Vec::new();
-    for (idx, &(cfg, sc)) in points.iter().enumerate() {
-        for k in 0..replicas as u64 {
-            let seed = replica_seed(sc.seed, k);
-            let point = Scenario { seed, ..sc };
-            match journaled.remove(&(cfg, seed)) {
-                Some(mut e) => {
-                    e.replica = k; // trust our own indexing over the file's
-                    loaded.push((idx, e.into_record(point)));
-                }
-                None => jobs.push((idx, k, point, cfg)),
+    let opened = sup
+        .journal
+        .as_deref()
+        .map(|p| Journal::open(p).map_err(|e| JournalError::new(p, &e)));
+    let journal = match opened.transpose() {
+        Ok(journal) => journal,
+        Err(e) => {
+            return SweepReport {
+                journal_error: Some(e),
+                ..SweepReport::default()
             }
         }
-    }
-    let from_journal = loaded.len();
-
-    // append-only journal writer, shared across rayon workers; every line
-    // is written under the lock and flushed before the next job can commit
-    let writer: Option<Mutex<fs::File>> = sup.journal.as_ref().map(|path| {
-        if let Some(dir) = path.parent() {
-            let _ = fs::create_dir_all(dir);
-        }
-        Mutex::new(
-            fs::OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(path)
-                .expect("open sweep journal"),
-        )
-    });
-
-    let outcomes: Vec<(usize, u64, PointOutcome)> = jobs
+    };
+    let grid: Vec<(usize, u64)> = (0..points.len())
+        .flat_map(|idx| (0..replicas as u64).map(move |k| (idx, k)))
+        .collect();
+    let steps: Vec<Replica> = grid
         .par_iter()
-        .map(|(idx, k, sc, cfg)| {
-            let out = run_point(runner, sc, opts, sup);
-            if let (Some(w), Some(res)) = (&writer, &out.result) {
-                let rec = ReplicaRecord::from_result(*k, res);
-                let line = encode_line(*cfg, sc.seed, &rec);
-                let mut f = w.lock().expect("journal lock");
-                let _ = writeln!(f, "{line}");
-                let _ = f.flush();
-            }
-            (*idx, *k, out)
+        .map(|&(idx, k)| {
+            let (config, sc) = &points[idx];
+            run_replica(runner, journal.as_ref(), *config, sc, k, opts, sup)
         })
         .collect();
 
-    // assemble per-scenario groups in deterministic (replica k) order, so
-    // resume-vs-fresh float accumulation is identical
-    let mut groups: Vec<Vec<ReplicaRecord>> = (0..points.len()).map(|_| Vec::new()).collect();
-    for (idx, rec) in loaded {
-        groups[idx].push(rec);
-    }
     let mut report = SweepReport {
-        from_journal,
-        malformed_journal_lines: malformed,
+        malformed_journal_lines: journal.as_ref().map_or(0, Journal::anomalies),
         ..SweepReport::default()
     };
-    for (idx, k, out) in outcomes {
-        report.failures.extend(out.failures.iter().cloned());
-        match out.result {
-            Some(res) => {
-                report.completed += 1;
-                if !out.failures.is_empty() {
-                    report.recovered += 1;
-                }
-                groups[idx].push(ReplicaRecord::from_result(k, &res));
-            }
-            None => report.quarantined.push(QuarantinedPoint {
-                scenario: points[idx].1,
-                replica: k,
-                failures: out.failures,
-            }),
-        }
-    }
-    for group in &mut groups {
-        group.sort_by_key(|r| r.replica);
+    let mut groups: Vec<Vec<ReplicaRecord>> = (0..points.len()).map(|_| Vec::new()).collect();
+    for ((idx, k), step) in grid.into_iter().zip(steps) {
+        groups[idx].extend(report.tally(&points[idx].1, k, step));
     }
     report.averaged = groups
-        .iter()
-        .filter_map(|g| average_results_degraded(g, replicas))
+        .iter_mut()
+        .filter_map(|g| fold_replicas(g, replicas))
         .collect();
     report.replicas = groups.into_iter().flatten().collect();
     report
-}
-
-/// A journal-aware resumable sweep: [`sweep_supervised`] with a journal
-/// required rather than optional.  After a kill, rerunning with the same
-/// journal skips completed replicas and returns averaged results (and
-/// per-replica digests) bit-identical to an uninterrupted run.
-pub fn sweep_resumable(
-    scenarios: &[Scenario],
-    replicas: usize,
-    opts: RunOptions,
-    sup: &SupervisorConfig,
-    journal: impl Into<PathBuf>,
-) -> SweepReport {
-    let sup = sup.clone().with_journal(journal);
-    sweep_supervised(scenarios, replicas, opts, &sup)
 }
 
 #[cfg(test)]
@@ -763,7 +832,6 @@ mod tests {
         let e = parse_entry(&line).expect("parse");
         assert_eq!(e.config, 0xdead_beef);
         assert_eq!(e.seed, 99);
-        assert_eq!(e.replica, 3);
         assert_eq!(e.pdr.map(f64::to_bits), r.pdr.map(f64::to_bits));
         assert_eq!(e.latency_ms, None);
         assert_eq!(e.pdr_590.map(f64::to_bits), r.pdr_590.map(f64::to_bits));
@@ -788,7 +856,7 @@ mod tests {
         let e = parse_entry(LINE).expect("parse");
         let (config, seed) = (e.config, e.seed);
         assert_eq!((config, seed), (0xdead_beef, 99));
-        assert_eq!(encode_line(config, seed, &e.into_record(rec(99).scenario)), LINE);
+        assert_eq!(encode_line(config, seed, &e.to_record(3, rec(99).scenario)), LINE);
         assert_eq!(encode_line(config, seed, &rec(99)), LINE);
         // and without a digest or any sample
         let bare = ReplicaRecord {
@@ -802,26 +870,141 @@ mod tests {
         assert_eq!((back.digest, back.alive.points().len()), (None, 0));
     }
 
+    /// A fresh directory under the system temp dir, unique per test.
+    fn scratch(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("ecgrid_journal_{tag}_{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
     #[test]
     fn truncated_and_garbage_lines_are_skipped() {
         let r = rec(7);
         let good = encode_line(1, 7, &r);
         let truncated = &good[..good.len() / 2];
-        let dir = std::env::temp_dir().join("ecgrid_journal_parse_test");
-        fs::create_dir_all(&dir).unwrap();
+        let dir = scratch("parse");
         let path = dir.join("j.jsonl");
         fs::write(&path, format!("{good}\n{truncated}\nnot json at all\n")).unwrap();
-        let (entries, malformed) = load_journal(&path);
-        assert_eq!(entries.len(), 1);
-        assert_eq!(malformed, 2);
+        let j = Journal::open(&path).unwrap();
+        assert!(j.get(1, 7).is_some());
+        assert_eq!(j.anomalies(), 2);
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn missing_journal_is_empty_not_an_error() {
-        let (entries, malformed) = load_journal(Path::new("/nonexistent/definitely/not/here.jsonl"));
-        assert!(entries.is_empty());
-        assert_eq!(malformed, 0);
+    fn a_missing_journal_opens_empty_and_appends_resume() {
+        let dir = scratch("fresh");
+        let path = dir.join("nested").join("j.jsonl");
+        let j = Journal::open(&path).expect("a missing file and directory are created");
+        assert!(j.get(5, 7).is_none());
+        assert_eq!(j.anomalies(), 0);
+        j.append(5, 7, &rec(7)).unwrap();
+        // the index is what the file held at open; a reopen sees the append
+        assert!(j.get(5, 7).is_none());
+        let back = Journal::open(&path).unwrap();
+        let e = back.get(5, 7).expect("appended line resumes");
+        assert_eq!(e.to_record(0, rec(7).scenario).digest, rec(7).digest);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn an_unopenable_journal_is_an_error_not_a_panic() {
+        // works as root too: no permission bits involved
+        let dir = scratch("unopenable");
+        let file = dir.join("plain_file");
+        fs::write(&file, b"x").unwrap();
+        // parent is a regular file (ENOTDIR), and the path is a directory
+        assert!(Journal::open(&file.join("x.jsonl")).is_err());
+        assert!(Journal::open(&dir).is_err());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_failed_append_keeps_the_replica_and_returns_the_error() {
+        let dir = scratch("append_fails");
+        let path = dir.join("j.jsonl");
+        fs::write(&path, b"").unwrap();
+        // a handle that cannot be written: every append fails (EBADF)
+        let journal = Journal {
+            path: path.clone(),
+            index: HashMap::new(),
+            anomalies: 0,
+            file: Mutex::new(fs::File::open(&path).unwrap()),
+        };
+        let sc = Scenario {
+            n_hosts: 12,
+            ..rec(3).scenario
+        };
+        let sup = SupervisorConfig::default();
+        let opts = RunOptions::default();
+        let step = run_replica(&run_scenario_probed, Some(&journal), 1, &sc, 0, opts, &sup);
+        let Replica::Fresh {
+            record, unjournaled, ..
+        } = step
+        else {
+            panic!("the replica ran and must be kept");
+        };
+        assert_eq!(record.replica, 0);
+        let err = unjournaled.expect("the failed append is reported");
+        assert_eq!(err.path, path);
+        assert!(err.to_string().starts_with("journal: "), "{err}");
+        assert_eq!(fs::read(&path).unwrap(), b"", "nothing reached the file");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    proptest::proptest! {
+        /// Arbitrary bytes, truncated lines and garbled or duplicated
+        /// fields never panic the loader, are counted exactly, and do
+        /// not stop a valid line after them from resuming.
+        #[test]
+        fn a_journal_of_arbitrary_lines_opens_counts_and_still_resumes(
+            draws in proptest::collection::vec(
+                (0u8..4, proptest::collection::vec(proptest::any::<u8>(), 0..120), 0.0..1.0f64),
+                0..12,
+            ),
+        ) {
+            let mut body: Vec<u8> = Vec::new();
+            let mut bad = 0;
+            for (i, (kind, bytes, cut)) in draws.iter().enumerate() {
+                let good = encode_line(i as u64, 7, &rec(7));
+                let line: Vec<u8> = match kind {
+                    0 => {
+                        // raw bytes (invalid UTF-8 included); `#` keeps the
+                        // line from being blank, which is skipped uncounted
+                        bad += 1;
+                        let mut l = vec![b'#'];
+                        l.extend(bytes.iter().map(|&b| if b == b'\n' { b' ' } else { b }));
+                        l
+                    }
+                    1 => {
+                        bad += 1;
+                        let keep = 1 + (cut * (good.len() - 2) as f64) as usize;
+                        good.as_bytes()[..keep].to_vec()
+                    }
+                    2 => {
+                        bad += 1;
+                        good.replace("\"seed\":7", "\"seed\":banana").into_bytes()
+                    }
+                    // a duplicated field is read first-wins: still a record
+                    _ => good.replace("\"seed\":7", "\"seed\":7,\"seed\":8").into_bytes(),
+                };
+                body.extend(line);
+                body.push(b'\n');
+            }
+            body.extend(encode_line(u64::MAX, 9, &rec(9)).into_bytes());
+            body.push(b'\n');
+            let dir = scratch("arbitrary");
+            let path = dir.join("j.jsonl");
+            fs::write(&path, &body).unwrap();
+            let journal = Journal::open(&path).expect("damage inside the file is not an open failure");
+            proptest::prop_assert_eq!(journal.anomalies(), bad);
+            proptest::prop_assert!(journal.get(u64::MAX, 9).is_some(), "the valid tail resumes");
+            for (i, (kind, ..)) in draws.iter().enumerate() {
+                proptest::prop_assert_eq!(journal.get(i as u64, 7).is_some(), *kind == 3);
+            }
+            let _ = fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]

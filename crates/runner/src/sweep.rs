@@ -1,15 +1,15 @@
-//! Parallel multi-seed sweeps (rayon) and replica averaging.
+//! Replica averaging, and the plain entry point to the sweep pipeline.
 //!
 //! Averaging is written against the [`ReplicaMetrics`] view rather than
-//! [`ScenarioResult`] directly, so the supervised sweep (which mixes
+//! [`ScenarioResult`] directly, so the sweep pipeline (which mixes
 //! freshly-run replicas with records re-read from a checkpoint journal —
-//! see [`crate::supervisor`]) averages through exactly the same code path
-//! as a plain in-memory sweep.
+//! see [`crate::supervisor`]) and a caller holding in-memory results
+//! average through exactly the same code.
 
-use crate::run::{replica_seed, run_scenario, ScenarioResult};
+use crate::run::{RunOptions, ScenarioResult};
 use crate::scenario::Scenario;
+use crate::supervisor::{sweep_supervised, ReplicaRecord, SupervisorConfig};
 use metrics::TimeSeries;
-use rayon::prelude::*;
 
 /// A scenario's metrics averaged over replicas (seeds).
 #[derive(Clone, Debug)]
@@ -58,32 +58,38 @@ pub trait ReplicaMetrics {
     fn network_death_s(&self) -> Option<f64>;
 }
 
-impl ReplicaMetrics for ScenarioResult {
-    fn scenario(&self) -> &Scenario {
-        &self.scenario
-    }
-    fn alive(&self) -> &TimeSeries {
-        &self.alive
-    }
-    fn aen(&self) -> &TimeSeries {
-        &self.aen
-    }
-    fn pdr(&self) -> Option<f64> {
-        self.pdr
-    }
-    fn latency_ms(&self) -> Option<f64> {
-        self.latency_ms
-    }
-    fn pdr_590(&self) -> Option<f64> {
-        self.pdr_590
-    }
-    fn latency_ms_590(&self) -> Option<f64> {
-        self.latency_ms_590
-    }
-    fn network_death_s(&self) -> Option<f64> {
-        self.network_death_s
-    }
+/// Both shapes hold the averaged quantities as same-named fields.
+macro_rules! replica_metrics_from_fields {
+    ($($ty:ty),+) => {$(
+        impl ReplicaMetrics for $ty {
+            fn scenario(&self) -> &Scenario {
+                &self.scenario
+            }
+            fn alive(&self) -> &TimeSeries {
+                &self.alive
+            }
+            fn aen(&self) -> &TimeSeries {
+                &self.aen
+            }
+            fn pdr(&self) -> Option<f64> {
+                self.pdr
+            }
+            fn latency_ms(&self) -> Option<f64> {
+                self.latency_ms
+            }
+            fn pdr_590(&self) -> Option<f64> {
+                self.pdr_590
+            }
+            fn latency_ms_590(&self) -> Option<f64> {
+                self.latency_ms_590
+            }
+            fn network_death_s(&self) -> Option<f64> {
+                self.network_death_s
+            }
+        }
+    )+};
 }
+replica_metrics_from_fields!(ScenarioResult, ReplicaRecord);
 
 fn mean_opt(xs: impl Iterator<Item = Option<f64>>) -> Option<f64> {
     let v: Vec<f64> = xs.flatten().collect();
@@ -135,47 +141,24 @@ pub fn average_results_degraded<R: ReplicaMetrics>(
 
 /// Run every (scenario × replica) pair in parallel and average per
 /// scenario.  Replica `k` of a scenario uses seed
-/// [`replica_seed`]`(scenario.seed, k)`, so sweep points with adjacent
-/// base seeds never share a replica run.
+/// [`replica_seed`](crate::run::replica_seed)`(scenario.seed, k)`, so sweep
+/// points with adjacent base seeds never share a replica run.
 ///
-/// Results are grouped back to their scenario explicitly by job index —
-/// not by positional chunking — so the shape survives refactors that
-/// drop or reorder jobs (the supervised sweep reuses the same grouping
-/// with holes).
+/// This is [`sweep_supervised`] with default options, no journal and no
+/// retries (a retry would average a different seed than the caller asked
+/// for): a replica that fails — panic or tripped watchdog — fails the
+/// call, with the supervisor's post-mortem as the panic message.
 pub fn sweep(scenarios: &[Scenario], replicas: usize) -> Vec<AveragedResult> {
-    assert!(replicas >= 1);
-    let jobs: Vec<(usize, Scenario)> = scenarios
-        .iter()
-        .enumerate()
-        .flat_map(|(idx, sc)| {
-            (0..replicas as u64).map(move |k| {
-                (
-                    idx,
-                    Scenario {
-                        seed: replica_seed(sc.seed, k),
-                        ..*sc
-                    },
-                )
-            })
-        })
-        .collect();
-    let results: Vec<(usize, ScenarioResult)> = jobs
-        .par_iter()
-        .map(|(idx, sc)| (*idx, run_scenario(sc)))
-        .collect();
-    let mut groups: Vec<Vec<ScenarioResult>> = (0..scenarios.len()).map(|_| Vec::new()).collect();
-    for (idx, r) in results {
-        groups[idx].push(r);
-    }
-    groups
-        .iter()
-        .filter_map(|g| average_results_degraded(g, replicas))
-        .collect()
+    let sup = SupervisorConfig::default().with_max_retries(0);
+    let report = sweep_supervised(scenarios, replicas, RunOptions::default(), &sup);
+    assert!(report.quarantined.is_empty(), "{}", report.render());
+    report.averaged
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::run::run_scenario;
     use crate::scenario::ProtocolKind;
 
     fn tiny(seed: u64) -> Scenario {

@@ -28,7 +28,7 @@ use crate::hub::Hub;
 use crate::json::{self, Obj};
 use crate::proto::{self, JobSpec, JobState, Request, PROTO_VERSION};
 use std::collections::{BTreeMap, VecDeque};
-use std::io::{self, BufRead, BufReader, ErrorKind, Write as _};
+use std::io::{self, BufRead, BufReader, ErrorKind, Read as _, Write as _};
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -627,6 +627,14 @@ fn accept_loop(inner: Arc<Inner>, listener: TcpListener) {
     }
 }
 
+/// Longest request line a connection may send.  The largest legitimate
+/// request is a `submit` carrying a scenario file, hex-encoded at two
+/// bytes per byte: 1 MiB carries a 500 KiB file — some 2,500 fully
+/// spelled-out `[[group]]` tables, two orders of magnitude past the
+/// largest committed example — and keeps what one connection can make
+/// the server buffer bounded.
+const MAX_REQUEST_LINE: usize = 1 << 20;
+
 /// Send one protocol line as a single write: a bare `TCP_NODELAY` stream
 /// turns every `write` into a segment, so the newline rides along.
 fn send_line(out: &mut TcpStream, mut line: String) -> io::Result<()> {
@@ -644,10 +652,12 @@ fn handle_conn(inner: Arc<Inner>, stream: TcpStream) {
     };
     let mut reader = BufReader::new(reader_stream);
     let mut out = stream;
-    let mut line = String::new();
+    let mut line = Vec::new();
     loop {
         line.clear();
-        match reader.read_line(&mut line) {
+        // one byte past the cap tells "too long" from "exactly at it"
+        let mut capped = reader.by_ref().take(MAX_REQUEST_LINE as u64 + 1);
+        match capped.read_until(b'\n', &mut line) {
             Ok(0) => return, // peer closed
             Ok(_) => {}
             Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
@@ -658,6 +668,16 @@ fn handle_conn(inner: Arc<Inner>, stream: TcpStream) {
             }
             Err(_) => return,
         }
+        if line.len() > MAX_REQUEST_LINE && !line.ends_with(b"\n") {
+            // no newline within the cap: whatever follows is the rest of
+            // the same oversized line, so there is nothing to resync on
+            let msg = format!("request line exceeds {MAX_REQUEST_LINE} bytes");
+            let _ = send_line(&mut out, proto::reply_err(&msg));
+            return;
+        }
+        let Ok(line) = std::str::from_utf8(&line) else {
+            return; // not the line protocol at all
+        };
         let trimmed = line.trim();
         if trimmed.is_empty() {
             continue;
@@ -1150,6 +1170,41 @@ mod tests {
         let garbage = roundtrip(&mut r, &mut w, "completely not json");
         assert_eq!(json::bool_field(&garbage, "ok"), Some(false));
         // the connection survived all three errors
+        let pong = roundtrip(&mut r, &mut w, &Request::Ping.encode());
+        assert_eq!(json::bool_field(&pong, "ok"), Some(true));
+        srv.request_shutdown();
+        srv.wait();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_request_line_past_the_cap_gets_one_error_and_a_hang_up() {
+        let dir = test_dir("linecap");
+        let srv = Server::start(
+            ServiceConfig::default().with_state_dir(&dir),
+            MockHandler::instant(),
+        )
+        .unwrap();
+        let (mut r, mut w) = connect(srv.local_addr());
+        // twice the cap and never a newline; the server hangs up partway,
+        // so the tail of the write may fail — that is the point
+        let flood = vec![b'a'; 2 * MAX_REQUEST_LINE];
+        let _ = w.write_all(&flood);
+        let mut reply = String::new();
+        r.read_line(&mut reply).unwrap();
+        assert_eq!(json::bool_field(&reply, "ok"), Some(false), "{reply}");
+        assert!(reply.contains("exceeds"), "{reply}");
+        let mut rest = String::new();
+        // EOF, or a reset because the server closed on unread bytes
+        assert!(matches!(r.read_line(&mut rest), Ok(0) | Err(_)), "{rest}");
+        // a line exactly at the cap is still a request (a malformed one)
+        let (mut r, mut w) = connect(srv.local_addr());
+        let mut at_cap = vec![b'a'; MAX_REQUEST_LINE];
+        at_cap.push(b'\n');
+        w.write_all(&at_cap).unwrap();
+        let mut reply = String::new();
+        r.read_line(&mut reply).unwrap();
+        assert!(reply.contains("missing cmd"), "{reply}");
         let pong = roundtrip(&mut r, &mut w, &Request::Ping.encode());
         assert_eq!(json::bool_field(&pong, "ok"), Some(true));
         srv.request_shutdown();

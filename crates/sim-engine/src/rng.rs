@@ -40,15 +40,62 @@ impl SplitMix64 {
     }
 }
 
-/// FNV-1a over a byte string — stable across platforms and releases, used
-/// to hash domain names into the seed derivation.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
+/// Incremental FNV-1a 64 — stable across platforms and releases.  The one
+/// FNV in the workspace: seed derivation hashes domain names with it, the
+/// trace digest (`trace::Fnv64` is this type) folds events with it, and the
+/// sweep journal keys configurations with it.  Fields are written
+/// fixed-width little-endian.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Fnv64(u64);
+
+impl Default for Fnv64 {
+    fn default() -> Self {
+        Self::new()
     }
-    h
+}
+
+impl Fnv64 {
+    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+
+    pub fn new() -> Self {
+        Fnv64(Self::OFFSET)
+    }
+
+    #[inline]
+    pub fn write(&mut self, bytes: &[u8]) {
+        let mut h = self.0;
+        for &b in bytes {
+            h ^= b as u64;
+            h = h.wrapping_mul(Self::PRIME);
+        }
+        self.0 = h;
+    }
+
+    #[inline]
+    pub fn write_u8(&mut self, v: u8) {
+        self.write(&[v]);
+    }
+
+    #[inline]
+    pub fn write_u32(&mut self, v: u32) {
+        self.write(&v.to_le_bytes());
+    }
+
+    #[inline]
+    pub fn write_u64(&mut self, v: u64) {
+        self.write(&v.to_le_bytes());
+    }
+
+    #[inline]
+    pub fn write_i32(&mut self, v: i32) {
+        self.write(&v.to_le_bytes());
+    }
+
+    #[inline]
+    pub fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 /// Hasher for maps keyed by the simulator's own dense integer ids (node
@@ -56,7 +103,7 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// instead of SipHash, and no per-process random state, so a map behaves
 /// the same in every run.  Keys must come from inside the program —
 /// nothing here resists crafted collisions.  Byte strings fold through
-/// the same FNV-1a step as [`fnv1a`].
+/// the [`Fnv64`] step (from this hasher's own state, not the FNV offset).
 ///
 /// Iteration order of such a map is still arbitrary as far as callers are
 /// concerned: nothing that reaches a trace, a frame or a statistic may
@@ -80,9 +127,9 @@ impl std::hash::Hasher for IdHasher {
     }
 
     fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ b as u64).wrapping_mul(0x100000001b3);
-        }
+        let mut h = Fnv64(self.0);
+        h.write(bytes);
+        self.0 = h.0;
     }
 
     #[inline]
@@ -104,8 +151,10 @@ pub type IdSet<K> = std::collections::HashSet<K, std::hash::BuildHasherDefault<I
 
 /// Derive a child seed from `(master, domain, index)`.
 pub fn derive_seed(master: u64, domain: &str, index: u64) -> u64 {
+    let mut domain_hash = Fnv64::new();
+    domain_hash.write(domain.as_bytes());
     let mut mix = SplitMix64::new(
-        master ^ fnv1a(domain.as_bytes()).rotate_left(17) ^ index.wrapping_mul(0x9E3779B97F4A7C15),
+        master ^ domain_hash.finish().rotate_left(17) ^ index.wrapping_mul(0x9E3779B97F4A7C15),
     );
     // a couple of rounds decorrelates adjacent indices thoroughly
     mix.next_u64();

@@ -8,59 +8,8 @@
 
 use std::fmt;
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// Incremental FNV-1a 64 hasher.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Fnv64(u64);
-
-impl Default for Fnv64 {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Fnv64 {
-    pub fn new() -> Self {
-        Fnv64(FNV_OFFSET)
-    }
-
-    #[inline]
-    pub fn write(&mut self, bytes: &[u8]) {
-        let mut h = self.0;
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(FNV_PRIME);
-        }
-        self.0 = h;
-    }
-
-    #[inline]
-    pub fn write_u8(&mut self, v: u8) {
-        self.write(&[v]);
-    }
-
-    #[inline]
-    pub fn write_u32(&mut self, v: u32) {
-        self.write(&v.to_le_bytes());
-    }
-
-    #[inline]
-    pub fn write_u64(&mut self, v: u64) {
-        self.write(&v.to_le_bytes());
-    }
-
-    #[inline]
-    pub fn write_i32(&mut self, v: i32) {
-        self.write(&v.to_le_bytes());
-    }
-
-    #[inline]
-    pub fn finish(&self) -> u64 {
-        self.0
-    }
-}
+/// The incremental FNV-1a 64 hasher, owned by `sim_engine::rng`.
+pub use sim_engine::Fnv64;
 
 /// The digest of a finished trace.  Displays as 16 hex digits — the form
 /// stored in the golden fixtures under `tests/golden/`.

@@ -10,7 +10,10 @@
 //!   interrupted job from its journal checkpoint and reproduce the
 //!   uninterrupted averaged results bit for bit;
 //! * a subscriber too slow to keep up loses frames (counted in its
-//!   `bye`) — but never stalls the simulation or perturbs its digest.
+//!   `bye`) — but never stalls the simulation or perturbs its digest;
+//! * a classic `submit` past the scenario parser's bounds is refused at
+//!   the door, and a journal that cannot be opened ends the job with an
+//!   error — the server answers `ping` and `status` through both.
 //!
 //! Timing discipline: the tiny scenarios here complete in milliseconds,
 //! faster than a TCP subscription can attach.  Tests that must observe a
@@ -21,7 +24,7 @@
 use ecgrid_suite::runner::supervisor::SupervisorConfig;
 use ecgrid_suite::runner::{EcgridJobHandler, RunOptions};
 use ecgrid_suite::service::proto::{FilterSpec, JobSpec, Request};
-use ecgrid_suite::service::{json, Client, ClientConfig, DoneInfo, Server, ServiceConfig};
+use ecgrid_suite::service::{json, Client, ClientConfig, ClientError, DoneInfo, Server, ServiceConfig};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
@@ -56,8 +59,12 @@ fn filler_spec() -> JobSpec {
     }
 }
 
+fn state_path(name: &str) -> PathBuf {
+    PathBuf::from("target/service_test").join(name)
+}
+
 fn state_dir(name: &str) -> PathBuf {
-    let dir = PathBuf::from("target/service_test").join(name);
+    let dir = state_path(name);
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }
@@ -450,6 +457,92 @@ fn slow_subscriber_drops_frames_without_stalling_or_perturbing_the_sim() {
         "digest perturbed by slow subscriber"
     );
 
+    server.request_shutdown();
+    server.wait();
+}
+
+#[test]
+fn classic_submits_past_the_scenario_bounds_are_refused_at_the_door() {
+    let server = start_server("bounds", ServiceConfig::default().with_workers(1));
+    let mut client = connect(&server);
+    let base = tiny_spec(9, 1);
+    let hostile = [
+        // would reach `Vec::with_capacity(total_hosts)` in a worker
+        JobSpec {
+            n_hosts: 1_000_000_000_000,
+            ..base.clone()
+        },
+        // both parse as f64 off the wire: one pins a worker, one runs nothing
+        JobSpec {
+            duration_secs: f64::INFINITY,
+            ..base.clone()
+        },
+        JobSpec {
+            duration_secs: f64::NAN,
+            ..base.clone()
+        },
+        JobSpec {
+            n_flows: u64::MAX,
+            ..base.clone()
+        },
+        JobSpec {
+            flow_rate_pps: -1.0,
+            ..base.clone()
+        },
+    ];
+    for spec in &hostile {
+        match client.submit(spec) {
+            Err(ClientError::Rejected(e)) => {
+                assert!(e.contains("scenario bounds"), "{e}");
+            }
+            other => panic!("{spec:?} must be rejected, got {other:?}"),
+        }
+    }
+    // same connection, same server: nothing was admitted, nothing died
+    let pong = client.request_idempotent(&Request::Ping).expect("ping");
+    assert_eq!(json::field(&pong, "pong"), Some("sweepd"));
+    let stats = client.request_idempotent(&Request::Stats).expect("stats");
+    assert_eq!(json::u64_field(&stats, "submitted"), Some(0));
+    // and the bounds did not cost a legitimate job its admission
+    client.submit_until_accepted(&base, 0).expect("in-bounds job");
+    server.request_shutdown();
+    server.wait();
+}
+
+#[test]
+fn an_unopenable_journal_ends_the_job_with_an_error_and_the_server_keeps_answering() {
+    let server = start_server("journal_unopenable", ServiceConfig::default().with_workers(1));
+    // a directory where the journal file belongs: it can be neither read
+    // nor opened for append, whoever asks (root included)
+    let journal = EcgridJobHandler::journal_path(&state_path("journal_unopenable"));
+    std::fs::create_dir_all(&journal).unwrap();
+    let mut client = connect(&server);
+    let (job, config) = client.submit_until_accepted(&tiny_spec(5, 2), 0).expect("submit");
+    assert_eq!(
+        await_terminal(&mut client, job, Duration::from_secs(60)),
+        "quarantined"
+    );
+    let done = client
+        .stream_job(job, &FilterSpec::default(), |_| {})
+        .expect("done replay");
+    let error = done.error.expect("the job ends with its reason");
+    assert!(error.starts_with("journal: "), "{error}");
+    assert_eq!(
+        (done.completed, done.from_journal),
+        (0, 0),
+        "nothing ran unjournaled"
+    );
+    // the server is unharmed: status, ping, and a journal read that finds nothing
+    let all = client
+        .request_idempotent(&Request::Status { job: None })
+        .expect("status");
+    assert_eq!(json::u64_field(&all, "quarantined"), Some(1));
+    let pong = client.request_idempotent(&Request::Ping).expect("ping");
+    assert_eq!(json::field(&pong, "pong"), Some("sweepd"));
+    let missing = client
+        .request_idempotent(&Request::Result { config, seed: 5 })
+        .expect("result");
+    assert_eq!(json::bool_field(&missing, "ok"), Some(false));
     server.request_shutdown();
     server.wait();
 }

@@ -15,8 +15,8 @@ use ecgrid_suite::runner::supervisor::{
     run_point, sweep_supervised, sweep_supervised_with, FailureKind, SupervisorConfig,
 };
 use ecgrid_suite::runner::{
-    average_results_degraded, replica_seed, run_scenario_probed, sweep, write_atomic, AveragedResult,
-    ProtocolKind, RunOptions, Scenario,
+    average_results, average_results_degraded, replica_seed, run_replicas, run_scenario_probed, write_atomic,
+    AveragedResult, ProtocolKind, RunOptions, Scenario,
 };
 use ecgrid_suite::sim_engine::derive_seed;
 use std::collections::HashSet;
@@ -106,10 +106,11 @@ fn panicking_scenario_quarantines_while_healthy_ones_average() {
             assert!(f.virtual_time_s > 0.0);
         }
     }
-    // isolation did not distort the healthy average: bit-identical to a
-    // plain unsupervised sweep of the same scenario
-    let plain = sweep(&[healthy], 2);
-    assert_bits_eq(&report.averaged[0], &plain[0]);
+    // isolation did not distort the healthy average: bit-identical to
+    // averaging the same replicas run directly — an oracle that never
+    // enters the supervisor (`sweep` itself is the supervised pipeline)
+    let direct = average_results(&run_replicas(&healthy, 2, RunOptions::default(), false)).unwrap();
+    assert_bits_eq(&report.averaged[0], &direct);
     let rendered = report.render();
     assert!(rendered.contains("QUARANTINED"), "{rendered}");
 }
@@ -355,6 +356,37 @@ fn journal_survives_garbage_bytes_and_dedupes_duplicate_entries() {
     for (a, b) in resumed.averaged.iter().zip(&fresh.averaged) {
         assert_bits_eq(a, b);
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn an_unopenable_journal_fails_the_sweep_up_front_with_a_typed_error() {
+    // a journal path whose parent is a regular file: ENOTDIR whoever asks,
+    // root included
+    let dir = artifacts_dir().join("unopenable_journal");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let file = dir.join("plain_file");
+    std::fs::write(&file, b"not a directory").unwrap();
+    let journal = file.join("x.jsonl");
+    let ran = std::sync::atomic::AtomicUsize::new(0);
+    let runner = |sc: &Scenario, o: RunOptions, p: Probe| {
+        ran.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        run_scenario_probed(sc, o, p)
+    };
+    let sup = SupervisorConfig::default().with_journal(journal.clone());
+    let report = sweep_supervised_with(&[tiny(53, 12)], 2, RunOptions::default(), &sup, &runner);
+    let err = report.journal_error.as_ref().expect("typed journal error");
+    assert_eq!(err.path, journal);
+    assert!(err.to_string().starts_with("journal: "), "{err}");
+    assert_eq!(
+        ran.into_inner(),
+        0,
+        "nothing may run without the checkpoint it was asked for"
+    );
+    assert!(report.averaged.is_empty() && report.replicas.is_empty());
+    assert_eq!((report.completed, report.from_journal), (0, 0));
+    assert!(report.render().contains("journal: "), "{}", report.render());
     let _ = std::fs::remove_dir_all(&dir);
 }
 
