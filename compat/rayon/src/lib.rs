@@ -2,16 +2,20 @@
 //!
 //! Implements the one pattern this workspace uses —
 //! `slice.par_iter().map(f).collect::<Vec<_>>()` — with *real*
-//! parallelism on `std::thread::scope`.  Work is split into contiguous
-//! chunks, one per available core, and results are reassembled in input
-//! order, so output ordering is identical to the serial path no matter
-//! how many threads run (the property the golden-trace determinism
-//! tests pin down).
+//! parallelism on `std::thread::scope`.  One worker per available core
+//! claims the next unclaimed index from a shared cursor until the input
+//! runs out — so a sweep whose expensive points sit together (the density
+//! rows at the tail of the paper campaign, journal hits at its head) still
+//! keeps every core busy — and results are put back in index order, so
+//! output ordering is identical to the serial path no matter how many
+//! threads run or which of them ran what (the property the golden-trace
+//! determinism tests pin down).
 
 pub mod prelude {
     pub use crate::{IntoParallelRefIterator, ParallelIterator};
 }
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread;
 
 /// `.par_iter()` — entry point, mirrors rayon's trait of the same name.
@@ -119,17 +123,14 @@ where
     }
 }
 
-/// Split `items` into one contiguous chunk per worker, run chunks on
-/// scoped threads, and reassemble the outputs in input order.
+/// Run `f` over `items` on scoped threads, each claiming the next index
+/// from a shared cursor, and return the outputs in input order.
 fn parallel_map<'data, T, R, F>(items: &'data [T], f: &F) -> Vec<R>
 where
     T: Sync,
     F: Fn(&'data T) -> R + Sync,
     R: Send,
 {
-    if items.is_empty() {
-        return Vec::new();
-    }
     let workers = thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
@@ -137,18 +138,31 @@ where
     if workers <= 1 {
         return items.iter().map(f).collect();
     }
-    let chunk = items.len().div_ceil(workers);
-    let mut out: Vec<Vec<R>> = Vec::with_capacity(workers);
+    // Relaxed: the cursor hands out indices and publishes nothing else —
+    // inputs are shared immutably, outputs travel back through `join`
+    let cursor = AtomicUsize::new(0);
+    let mut out: Vec<(usize, R)> = Vec::with_capacity(items.len());
     thread::scope(|s| {
-        let handles: Vec<_> = items
-            .chunks(chunk)
-            .map(|part| s.spawn(move || part.iter().map(f).collect::<Vec<R>>()))
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                s.spawn(|| {
+                    let mut done = Vec::new();
+                    loop {
+                        let i = cursor.fetch_add(1, Ordering::Relaxed);
+                        let Some(item) = items.get(i) else {
+                            return done;
+                        };
+                        done.push((i, f(item)));
+                    }
+                })
+            })
             .collect();
         for h in handles {
-            out.push(h.join().expect("rayon-compat worker panicked"));
+            out.extend(h.join().expect("rayon-compat worker panicked"));
         }
     });
-    out.into_iter().flatten().collect()
+    out.sort_by_key(|&(i, _)| i);
+    out.into_iter().map(|(_, r)| r).collect()
 }
 
 #[cfg(test)]
@@ -170,6 +184,35 @@ mod tests {
         let one = [7u32];
         let out: Vec<u32> = one.par_iter().map(|x| x + 1).collect();
         assert_eq!(out, vec![8]);
+    }
+
+    #[test]
+    fn a_slow_item_does_not_hold_back_the_items_behind_it() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::time::{Duration, Instant};
+        if std::thread::available_parallelism().map_or(1, |n| n.get()) == 1 {
+            return; // one worker runs the input in order
+        }
+        // item 0 finishes only once every other item has (or gives up):
+        // under one contiguous chunk per worker, the items queued behind
+        // it in its own chunk could not start until it did
+        let input: Vec<usize> = (0..64).collect();
+        let others_done = AtomicUsize::new(0);
+        let out: Vec<bool> = input
+            .par_iter()
+            .map(|&i| {
+                if i > 0 {
+                    others_done.fetch_add(1, Ordering::SeqCst);
+                    return true;
+                }
+                let deadline = Instant::now() + Duration::from_secs(10);
+                while others_done.load(Ordering::SeqCst) < 63 && Instant::now() < deadline {
+                    std::thread::yield_now();
+                }
+                others_done.load(Ordering::SeqCst) == 63
+            })
+            .collect();
+        assert!(out[0], "the items behind the slow one waited for it");
     }
 
     #[test]

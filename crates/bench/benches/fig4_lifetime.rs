@@ -1,6 +1,6 @@
 //! Per-figure bench: the Fig. 4 lifetime scenario (alive-fraction curve)
 //! at reduced scale — measures the cost of regenerating one curve point
-//! set per protocol.  `cargo run -p ecgrid-runner --bin fig4` regenerates
+//! set per protocol.  `experiments --fig 4` regenerates
 //! the full-scale figure rows.
 
 use criterion::{criterion_group, criterion_main, Criterion};

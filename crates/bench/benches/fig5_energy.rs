@@ -1,6 +1,6 @@
 //! Per-figure bench: the Fig. 5 energy (aen) scenario at reduced scale —
 //! checks the invariant the figure plots (aen(GRID) > aen(ECGRID)) on
-//! every iteration.  `cargo run -p ecgrid-runner --bin fig5` regenerates
+//! every iteration.  `experiments --fig 5` regenerates
 //! the full-scale figure rows.
 
 use criterion::{criterion_group, criterion_main, Criterion};

@@ -1,5 +1,5 @@
 //! Per-figure bench: the Fig. 6 latency-vs-pause scenario at reduced
-//! scale.  `cargo run -p ecgrid-runner --bin fig6` regenerates the figure.
+//! scale.  `experiments --fig 6` regenerates the figure.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ecgrid_bench::bench_scenario;

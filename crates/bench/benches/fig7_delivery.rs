@@ -1,6 +1,6 @@
 //! Per-figure bench: the Fig. 7 delivery-rate-vs-pause scenario at reduced
 //! scale, asserting the figure's invariant (high delivery for every
-//! protocol).  `cargo run -p ecgrid-runner --bin fig7` regenerates the
+//! protocol).  `experiments --fig 7` regenerates the
 //! full-scale rows.
 
 use criterion::{criterion_group, criterion_main, Criterion};

@@ -1,6 +1,6 @@
 //! Per-figure bench: the Fig. 8 density sweep at reduced scale — scaling
-//! of simulation cost with host count.  `cargo run -p ecgrid-runner --bin
-//! fig8` regenerates the full-scale rows.
+//! of simulation cost with host count.  `experiments --fig 8` regenerates
+//! the full-scale rows.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ecgrid_bench::bench_scenario;

@@ -1,60 +1,58 @@
-//! Regenerates every figure of the paper in one go and prints the
-//! paper-vs-measured summary (EXPERIMENTS.md is derived from this output).
-//!
-//! Supervision flags (each also settable via its environment variable):
+//! Regenerates the paper's figures — all five, or the ones named with
+//! `--fig` — from one supervised sweep, and prints the paper-vs-measured
+//! summary (EXPERIMENTS.md is derived from this output).
 //!
 //! ```sh
-//! experiments [--journal FILE.jsonl] [--max-retries N] [--event-budget N]
+//! experiments [--fig N]... [--replicas N]
+//!             [--journal FILE.jsonl] [--max-retries N] [--event-budget N]
 //! #            ECGRID_JOURNAL         ECGRID_MAX_RETRIES ECGRID_EVENT_BUDGET
 //! ```
 //!
-//! Every sweep runs supervised (DESIGN.md §9).  With `--journal`, each
-//! completed replica is checkpointed; rerunning after a crash or kill
-//! skips the journaled work and reproduces the same figures.
+//! Every distinct point of the requested figures is simulated once
+//! (Figs. 4/5 and 6/7 share their runs, Fig. 8 contains Fig. 4's 100-host
+//! rows), supervised (DESIGN.md §9).  With `--journal`, each completed
+//! replica is checkpointed; rerunning after a crash or kill skips the
+//! journaled work and reproduces the same figures.
 
-use std::fmt::Display;
-use std::str::FromStr;
+use runner::cli::Usage;
+use runner::figures::{Campaign, FigOpts, Figure};
 
-fn fail(msg: impl Display) -> ! {
-    eprintln!("experiments: {msg}");
-    std::process::exit(1);
-}
-
-fn parse_val<T: FromStr>(flag: &str, v: &str) -> T
-where
-    T::Err: Display,
-{
-    v.parse()
-        .unwrap_or_else(|e| fail(format!("{flag}: invalid value {v:?}: {e}")))
-}
+const USAGE: Usage = Usage {
+    prog: "experiments",
+    help_hint: false,
+};
 
 fn main() {
-    let mut opts = runner::figures::FigOpts::from_env();
+    let mut opts = FigOpts::from_env().unwrap_or_else(|e| USAGE.fail(e));
+    let mut figures = Vec::new();
     let args: Vec<String> = std::env::args().collect();
-    let mut i = 1;
-    while i < args.len() {
-        let k = &args[i];
-        let Some(v) = args.get(i + 1) else {
-            fail(format!("flag {k} needs a value"));
-        };
-        match k.as_str() {
+    for (k, v) in USAGE.pairs(&args[1..], &[]) {
+        match k {
+            "--fig" => figures.push(
+                Figure::from_number(USAGE.parse_val(k, v))
+                    .unwrap_or_else(|| USAGE.fail(format!("--fig: no figure {v} (expected 4..8)"))),
+            ),
             "--journal" => opts.journal = Some(v.into()),
-            "--max-retries" => opts.max_retries = parse_val(k, v),
-            "--event-budget" => opts.event_budget = Some(parse_val(k, v)),
-            "--replicas" => opts.replicas = parse_val(k, v),
-            other => fail(format!(
-                "unknown flag {other} (expected --journal/--max-retries/--event-budget/--replicas)"
+            "--max-retries" => opts.max_retries = USAGE.parse_val(k, v),
+            "--event-budget" => opts.event_budget = Some(USAGE.parse_val(k, v)),
+            "--replicas" => {
+                opts.replicas = USAGE.parse_val(k, v);
+                if opts.replicas == 0 {
+                    USAGE.fail("--replicas: must be at least 1");
+                }
+            }
+            other => USAGE.fail(format!(
+                "unknown flag {other} (expected --fig/--journal/--max-retries/--event-budget/--replicas)"
             )),
         }
-        i += 2;
     }
-    eprintln!(
-        "running all experiments (replicas={}, fast={}, supervised: retries={} budget={:?} journal={:?})",
-        opts.replicas, opts.fast, opts.max_retries, opts.event_budget, opts.journal
-    );
-    print!("{}", runner::figures::fig4(&opts));
-    print!("{}", runner::figures::fig5(&opts));
-    print!("{}", runner::figures::fig6(&opts));
-    print!("{}", runner::figures::fig7(&opts));
-    print!("{}", runner::figures::fig8(&opts));
+    if figures.is_empty() {
+        figures = Figure::ALL.to_vec();
+    }
+    let campaign = Campaign::new(&opts, &figures);
+    eprintln!("running figures {:?} ({opts:?})", campaign.figures);
+    let results = campaign.run(&opts).unwrap_or_else(|e| USAGE.fail(e));
+    for figure in &campaign.figures {
+        figure.render(&opts, &results).publish();
+    }
 }

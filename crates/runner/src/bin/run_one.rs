@@ -9,13 +9,13 @@
 
 use manet::trace::TraceMode;
 use manet::{Backend, FaultPlan, NeighborIndex};
+use runner::cli::Usage;
+use runner::report::opt_or;
 use runner::supervisor::{run_point, sweep_keyed, SupervisorConfig};
 use runner::{FleetJob, ProtocolKind, RunOptions, Scenario};
 use service::json::Obj;
-use std::fmt::Display;
 use std::fs::File;
 use std::io::BufWriter;
-use std::str::FromStr;
 
 const HELP: &str = "\
 run_one — run a single ECGRID-reproduction scenario
@@ -76,21 +76,10 @@ Supervision (see DESIGN.md §9):
 
 EXIT STATUS:  0 success · 1 bad usage · 2 budget exceeded · 3 quarantined";
 
-fn fail(msg: impl Display) -> ! {
-    eprintln!("run_one: {msg}");
-    eprintln!("(run with --help for usage)");
-    std::process::exit(1);
-}
-
-/// Parse a flag value with the flag's name in the error message instead
-/// of a bare unwrap panic.
-fn parse_val<T: FromStr>(flag: &str, v: &str) -> T
-where
-    T::Err: Display,
-{
-    v.parse()
-        .unwrap_or_else(|e| fail(format!("{flag}: invalid value {v:?}: {e}")))
-}
+const USAGE: Usage = Usage {
+    prog: "run_one",
+    help_hint: true,
+};
 
 struct Cli {
     sc: Scenario,
@@ -120,81 +109,62 @@ fn parse_args() -> Cli {
     // `--parallel-world` alone defaults to 4 strips, but an explicit
     // `--shards` (including 0 = auto) must win regardless of flag order.
     let mut shards_given = false;
-    let mut i = 1;
-    while i < args.len() {
-        let k = &args[i];
-        // flags without a value
-        if k == "--digest" {
-            if cli.opts.trace.is_none() {
-                cli.opts.trace = Some(TraceMode::DigestOnly);
+    for (k, v) in USAGE.pairs(&args[1..], &["--digest", "--parallel-world"]) {
+        match k {
+            "--digest" => {
+                if cli.opts.trace.is_none() {
+                    cli.opts.trace = Some(TraceMode::DigestOnly);
+                }
             }
-            i += 1;
-            continue;
-        }
-        if k == "--parallel-world" {
-            cli.opts.parallel_world = true;
-            i += 1;
-            continue;
-        }
-        let Some(v) = args.get(i + 1) else {
-            fail(format!("flag {k} needs a value"));
-        };
-        match k.as_str() {
+            "--parallel-world" => cli.opts.parallel_world = true,
             "--protocol" => {
                 cli.sc.protocol = runner::serve::parse_protocol(v).unwrap_or_else(|| {
                     let other = v.to_lowercase();
-                    fail(format!(
+                    USAGE.fail(format!(
                         "unknown protocol {other:?} (expected grid|ecgrid|gaf|span)"
                     ))
                 })
             }
-            "--hosts" => cli.sc.n_hosts = parse_val(k, v),
-            "--speed" => cli.sc.max_speed = parse_val(k, v),
-            "--pause" => cli.sc.pause_secs = parse_val(k, v),
-            "--flows" => cli.sc.n_flows = parse_val(k, v),
-            "--rate" => cli.sc.flow_rate_pps = parse_val(k, v),
-            "--duration" => cli.sc.duration_secs = parse_val(k, v),
-            "--seed" => cli.sc.seed = parse_val(k, v),
+            "--hosts" => cli.sc.n_hosts = USAGE.parse_val(k, v),
+            "--speed" => cli.sc.max_speed = USAGE.parse_val(k, v),
+            "--pause" => cli.sc.pause_secs = USAGE.parse_val(k, v),
+            "--flows" => cli.sc.n_flows = USAGE.parse_val(k, v),
+            "--rate" => cli.sc.flow_rate_pps = USAGE.parse_val(k, v),
+            "--duration" => cli.sc.duration_secs = USAGE.parse_val(k, v),
+            "--seed" => cli.sc.seed = USAGE.parse_val(k, v),
             "--backend" => {
                 cli.opts.backend = Backend::parse(v)
-                    .unwrap_or_else(|| fail(format!("--backend: {v:?} (expected heap|calendar)")))
+                    .unwrap_or_else(|| USAGE.fail(format!("--backend: {v:?} (expected heap|calendar)")))
             }
             "--neighbor-index" => {
                 cli.opts.neighbor_index = NeighborIndex::parse(v)
-                    .unwrap_or_else(|| fail(format!("--neighbor-index: {v:?} (expected brute|grid)")))
+                    .unwrap_or_else(|| USAGE.fail(format!("--neighbor-index: {v:?} (expected brute|grid)")))
             }
             "--faults" => match FaultPlan::parse(v) {
                 Ok(plan) => cli.opts.faults = plan,
-                Err(e) => fail(format!("--faults: {e}")),
+                Err(e) => USAGE.fail(format!("--faults: {e}")),
             },
             "--trace" => {
                 cli.opts.trace = Some(TraceMode::Full);
-                cli.trace_path = Some(v.clone());
+                cli.trace_path = Some(v.into());
             }
             "--shards" => {
                 cli.opts.parallel_world = true;
-                cli.opts.shards = parse_val(k, v);
+                cli.opts.shards = USAGE.parse_val(k, v);
                 shards_given = true;
             }
             "--threads" => {
                 cli.opts.parallel_world = true;
-                cli.opts.threads = parse_val(k, v);
+                cli.opts.threads = USAGE.parse_val(k, v);
             }
-            "--event-budget" => cli.opts.event_budget = Some(parse_val(k, v)),
-            "--wall-budget" => {
-                let secs: f64 = parse_val(k, v);
-                if secs.is_nan() || secs <= 0.0 {
-                    fail(format!("--wall-budget: {v:?} must be positive"));
-                }
-                cli.opts.wall_budget_ms = Some((secs * 1000.0).ceil() as u64);
-            }
-            "--max-retries" => cli.max_retries = Some(parse_val(k, v)),
-            "--journal" => cli.journal = Some(v.clone()),
-            "--scenario" => cli.scenario_path = Some(v.clone()),
-            "--groups-json" => cli.groups_json = Some(v.clone()),
-            other => fail(format!("unknown flag {other}")),
+            "--event-budget" => cli.opts.event_budget = Some(USAGE.parse_val(k, v)),
+            "--wall-budget" => cli.opts.wall_budget_ms = Some(USAGE.wall_budget_ms(k, v)),
+            "--max-retries" => cli.max_retries = Some(USAGE.parse_val(k, v)),
+            "--journal" => cli.journal = Some(v.into()),
+            "--scenario" => cli.scenario_path = Some(v.into()),
+            "--groups-json" => cli.groups_json = Some(v.into()),
+            other => USAGE.fail(format!("unknown flag {other}")),
         }
-        i += 2;
     }
     if cli.opts.parallel_world && !shards_given && cli.opts.shards < 2 {
         cli.opts.shards = 4;
@@ -258,11 +228,6 @@ fn print_groups(r: &runner::ScenarioResult) {
     }
 }
 
-/// `x` through `f`, or `none` when absent.
-fn opt_or<T>(x: Option<T>, none: &str, f: impl Fn(T) -> String) -> String {
-    x.map(f).unwrap_or_else(|| none.into())
-}
-
 /// The one result printer: every run — classic or scenario file, plain
 /// or supervised — reports the same block.
 fn print_result(cli: &Cli, r: &runner::ScenarioResult, wall: f64) {
@@ -306,7 +271,7 @@ fn print_result(cli: &Cli, r: &runner::ScenarioResult, wall: f64) {
     print_groups(r);
     if let Some(path) = &cli.groups_json {
         std::fs::write(path, groups_json_doc(&r.groups))
-            .unwrap_or_else(|e| fail(format!("--groups-json: cannot write {path:?}: {e}")));
+            .unwrap_or_else(|e| USAGE.fail(format!("--groups-json: cannot write {path:?}: {e}")));
         eprintln!("wrote per-group metrics to {path}");
     }
 
@@ -324,12 +289,12 @@ fn print_result(cli: &Cli, r: &runner::ScenarioResult, wall: f64) {
             println!("    {domain:<14} {n}");
         }
         if let Some(path) = &cli.trace_path {
-            let f =
-                File::create(path).unwrap_or_else(|e| fail(format!("--trace: cannot create {path:?}: {e}")));
+            let f = File::create(path)
+                .unwrap_or_else(|e| USAGE.fail(format!("--trace: cannot create {path:?}: {e}")));
             let mut w = BufWriter::new(f);
             let n = rec
                 .write_jsonl(protocol, &mut w)
-                .unwrap_or_else(|e| fail(format!("--trace: writing {path:?} failed: {e}")));
+                .unwrap_or_else(|e| USAGE.fail(format!("--trace: writing {path:?} failed: {e}")));
             eprintln!("wrote {n} events to {path}");
         }
     }
@@ -344,8 +309,9 @@ fn main() {
     let job = match &cli.scenario_path {
         Some(path) => {
             let text = std::fs::read_to_string(path)
-                .unwrap_or_else(|e| fail(format!("--scenario: cannot read {path:?}: {e}")));
-            let spec = scenario::parse(&text).unwrap_or_else(|e| fail(format!("--scenario: {path}: {e}")));
+                .unwrap_or_else(|e| USAGE.fail(format!("--scenario: cannot read {path:?}: {e}")));
+            let spec =
+                scenario::parse(&text).unwrap_or_else(|e| USAGE.fail(format!("--scenario: {path}: {e}")));
             eprintln!("scenario file: {spec}");
             FleetJob::from_file(spec, cli.sc.protocol)
         }

@@ -6,10 +6,9 @@
 //! never blindly retries, because a resend after an ambiguous failure
 //! could double-enqueue the job.
 
+use runner::cli::Usage;
 use service::proto::{FilterSpec, JobSpec, Request};
 use service::{Client, ClientConfig, ClientError, SubmitOutcome};
-use std::fmt::Display;
-use std::str::FromStr;
 
 const HELP: &str = "\
 sweepc — client for the sweepd resident sweep service
@@ -51,19 +50,10 @@ EXIT STATUS:
     0 success · 1 bad usage · 2 cannot reach server (after bounded
     jittered-backoff reconnects) · 3 job quarantined · 4 submission shed";
 
-fn usage(msg: impl Display) -> ! {
-    eprintln!("sweepc: {msg}");
-    eprintln!("(run with --help for usage)");
-    std::process::exit(1);
-}
-
-fn parse_val<T: FromStr>(flag: &str, v: &str) -> T
-where
-    T::Err: Display,
-{
-    v.parse()
-        .unwrap_or_else(|e| usage(format!("{flag}: invalid value {v:?}: {e}")))
-}
+const USAGE: Usage = Usage {
+    prog: "sweepc",
+    help_hint: true,
+};
 
 fn exit_for(err: ClientError) -> ! {
     let code = match &err {
@@ -88,28 +78,30 @@ fn parse_args() -> Cli {
         std::process::exit(if args.len() < 2 { 1 } else { 0 });
     }
     let mut cfg = ClientConfig::default();
-    let mut i = 1;
-    while i < args.len() && args[i].starts_with("--") {
-        let k = &args[i];
-        let Some(v) = args.get(i + 1) else {
-            usage(format!("flag {k} needs a value"));
-        };
-        match k.as_str() {
-            "--addr" => cfg = cfg.with_addr(v.clone()),
-            "--attempts" => cfg = cfg.with_connect_attempts(parse_val::<u32>(k, v).max(1)),
-            other => usage(format!(
+    // global flags come in pairs ahead of the command, the first word at
+    // a flag position that is not one
+    let globals = args[1..]
+        .iter()
+        .step_by(2)
+        .take_while(|a| a.starts_with("--"))
+        .count();
+    let cmd_at = (1 + 2 * globals).min(args.len());
+    for (k, v) in USAGE.pairs(&args[1..cmd_at], &[]) {
+        match k {
+            "--addr" => cfg = cfg.with_addr(v),
+            "--attempts" => cfg = cfg.with_connect_attempts(USAGE.parse_val::<u32>(k, v).max(1)),
+            other => USAGE.fail(format!(
                 "unknown global flag {other} (flags go before the command)"
             )),
         }
-        i += 2;
     }
-    let Some(cmd) = args.get(i) else {
-        usage("missing command");
+    let Some(cmd) = args.get(cmd_at) else {
+        USAGE.fail("missing command");
     };
     Cli {
         cfg,
         cmd: cmd.clone(),
-        rest: args[i + 1..].to_vec(),
+        rest: args[cmd_at + 1..].to_vec(),
     }
 }
 
@@ -117,68 +109,52 @@ fn parse_spec(rest: &[String]) -> (JobSpec, bool, u32) {
     let mut spec = JobSpec::default();
     let mut stream = false;
     let mut max_sheds = 0u32;
-    let mut i = 0;
-    while i < rest.len() {
-        let k = &rest[i];
-        if k == "--stream" {
-            stream = true;
-            i += 1;
-            continue;
-        }
-        let Some(v) = rest.get(i + 1) else {
-            usage(format!("flag {k} needs a value"));
-        };
-        match k.as_str() {
+    for (k, v) in USAGE.pairs(rest, &["--stream"]) {
+        match k {
+            "--stream" => stream = true,
             "--protocol" => spec.protocol = v.to_lowercase(),
-            "--hosts" => spec.n_hosts = parse_val(k, v),
-            "--speed" => spec.max_speed = parse_val(k, v),
-            "--pause" => spec.pause_secs = parse_val(k, v),
-            "--flows" => spec.n_flows = parse_val(k, v),
-            "--rate" => spec.flow_rate_pps = parse_val(k, v),
-            "--duration" => spec.duration_secs = parse_val(k, v),
-            "--seed" => spec.seed = parse_val(k, v),
-            "--endpoints" => spec.model1_endpoints = parse_val(k, v),
-            "--replicas" => spec.replicas = parse_val::<u64>(k, v).max(1),
-            "--faults" => spec.faults = v.clone(),
+            "--hosts" => spec.n_hosts = USAGE.parse_val(k, v),
+            "--speed" => spec.max_speed = USAGE.parse_val(k, v),
+            "--pause" => spec.pause_secs = USAGE.parse_val(k, v),
+            "--flows" => spec.n_flows = USAGE.parse_val(k, v),
+            "--rate" => spec.flow_rate_pps = USAGE.parse_val(k, v),
+            "--duration" => spec.duration_secs = USAGE.parse_val(k, v),
+            "--seed" => spec.seed = USAGE.parse_val(k, v),
+            "--endpoints" => spec.model1_endpoints = USAGE.parse_val(k, v),
+            "--replicas" => spec.replicas = USAGE.parse_val::<u64>(k, v).max(1),
+            "--faults" => spec.faults = v.into(),
             "--scenario" => {
                 let text =
-                    std::fs::read_to_string(v).unwrap_or_else(|e| usage(format!("--scenario {v}: {e}")));
+                    std::fs::read_to_string(v).unwrap_or_else(|e| USAGE.fail(format!("--scenario {v}: {e}")));
                 // parse locally first: a malformed file earns a line/col
                 // diagnostic here instead of a server-side rejection
                 if let Err(e) = scenario::parse(&text) {
-                    usage(format!("--scenario {v}: {e}"));
+                    USAGE.fail(format!("--scenario {v}: {e}"));
                 }
                 spec.scenario = service::proto::scenario_hex_encode(&text);
             }
-            "--max-sheds" => max_sheds = parse_val(k, v),
-            other => usage(format!("unknown submit flag {other}")),
+            "--max-sheds" => max_sheds = USAGE.parse_val(k, v),
+            other => USAGE.fail(format!("unknown submit flag {other}")),
         }
-        i += 2;
     }
     (spec, stream, max_sheds)
 }
 
 fn parse_filter(rest: &[String]) -> FilterSpec {
     let mut f = FilterSpec::default();
-    let mut i = 0;
-    while i < rest.len() {
-        let k = &rest[i];
-        let Some(v) = rest.get(i + 1) else {
-            usage(format!("flag {k} needs a value"));
-        };
-        match k.as_str() {
-            "--layers" => f.layers = v.clone(),
-            "--node" => f.node = Some(parse_val(k, v)),
+    for (k, v) in USAGE.pairs(rest, &[]) {
+        match k {
+            "--layers" => f.layers = v.into(),
+            "--node" => f.node = Some(USAGE.parse_val(k, v)),
             "--cell" => {
                 let (x, y) = v
                     .split_once(',')
-                    .unwrap_or_else(|| usage(format!("--cell: {v:?} (expected X,Y)")));
-                f.cell = Some((parse_val(k, x), parse_val(k, y)));
+                    .unwrap_or_else(|| USAGE.fail(format!("--cell: {v:?} (expected X,Y)")));
+                f.cell = Some((USAGE.parse_val(k, x), USAGE.parse_val(k, y)));
             }
-            "--proto" => f.protocol = Some(v.clone()),
-            other => usage(format!("unknown stream flag {other}")),
+            "--proto" => f.protocol = Some(v.into()),
+            other => USAGE.fail(format!("unknown stream flag {other}")),
         }
-        i += 2;
     }
     f
 }
@@ -240,7 +216,7 @@ fn main() {
             println!("{r}");
         }
         "status" => {
-            let job = cli.rest.first().map(|v| parse_val::<u64>("JOB", v));
+            let job = cli.rest.first().map(|v| USAGE.parse_val::<u64>("JOB", v));
             let r = client
                 .request_idempotent(&Request::Status { job })
                 .unwrap_or_else(|e| exit_for(e));
@@ -248,11 +224,11 @@ fn main() {
         }
         "result" => {
             let [config, seed] = cli.rest.as_slice() else {
-                usage("result needs CONFIG_HEX and SEED");
+                USAGE.fail("result needs CONFIG_HEX and SEED");
             };
             let config = u64::from_str_radix(config.trim_start_matches("0x"), 16)
-                .unwrap_or_else(|e| usage(format!("CONFIG_HEX: {e}")));
-            let seed = parse_val::<u64>("SEED", seed);
+                .unwrap_or_else(|e| USAGE.fail(format!("CONFIG_HEX: {e}")));
+            let seed = USAGE.parse_val::<u64>("SEED", seed);
             let r = client
                 .request_idempotent(&Request::Result { config, seed })
                 .unwrap_or_else(|e| exit_for(e));
@@ -287,12 +263,12 @@ fn main() {
         }
         "stream" => {
             let Some(job) = cli.rest.first() else {
-                usage("stream needs a JOB id");
+                USAGE.fail("stream needs a JOB id");
             };
-            let job = parse_val::<u64>("JOB", job);
+            let job = USAGE.parse_val::<u64>("JOB", job);
             let filter = parse_filter(&cli.rest[1..]);
             stream_to_end(&mut client, job, &filter);
         }
-        other => usage(format!("unknown command {other:?}")),
+        other => USAGE.fail(format!("unknown command {other:?}")),
     }
 }

@@ -8,12 +8,11 @@
 
 use manet::trace::TraceMode;
 use manet::Backend;
+use runner::cli::Usage;
 use runner::supervisor::SupervisorConfig;
 use runner::{EcgridJobHandler, RunOptions};
 use service::{Server, ServiceConfig};
-use std::fmt::Display;
 use std::io::Write as _;
-use std::str::FromStr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -58,19 +57,10 @@ start, new submissions are refused, and the process exits 0.
 
 EXIT STATUS:  0 clean shutdown · 1 bad usage or bind failure";
 
-fn fail(msg: impl Display) -> ! {
-    eprintln!("sweepd: {msg}");
-    eprintln!("(run with --help for usage)");
-    std::process::exit(1);
-}
-
-fn parse_val<T: FromStr>(flag: &str, v: &str) -> T
-where
-    T::Err: Display,
-{
-    v.parse()
-        .unwrap_or_else(|e| fail(format!("{flag}: invalid value {v:?}: {e}")))
-}
+const USAGE: Usage = Usage {
+    prog: "sweepd",
+    help_hint: true,
+};
 
 static STOP: AtomicBool = AtomicBool::new(false);
 
@@ -107,49 +97,33 @@ fn main() {
         return;
     }
     let mut shards_given = false;
-    let mut i = 1;
-    while i < args.len() {
-        let k = &args[i];
-        if k == "--parallel-world" {
-            opts.parallel_world = true;
-            i += 1;
-            continue;
-        }
-        let Some(v) = args.get(i + 1) else {
-            fail(format!("flag {k} needs a value"));
-        };
-        match k.as_str() {
-            "--addr" => cfg = cfg.with_addr(v.clone()),
-            "--workers" => cfg = cfg.with_workers(parse_val::<usize>(k, v).max(1)),
-            "--capacity" => cfg = cfg.with_capacity(parse_val(k, v)),
-            "--state-dir" => cfg = cfg.with_state_dir(v.clone()),
-            "--sub-buffer" => cfg = cfg.with_subscriber_buffer(parse_val::<usize>(k, v).max(1)),
-            "--retry-after" => cfg = cfg.with_retry_after_ms(parse_val(k, v)),
+    for (k, v) in USAGE.pairs(&args[1..], &["--parallel-world"]) {
+        match k {
+            "--parallel-world" => opts.parallel_world = true,
+            "--addr" => cfg = cfg.with_addr(v),
+            "--workers" => cfg = cfg.with_workers(USAGE.parse_val::<usize>(k, v).max(1)),
+            "--capacity" => cfg = cfg.with_capacity(USAGE.parse_val(k, v)),
+            "--state-dir" => cfg = cfg.with_state_dir(v),
+            "--sub-buffer" => cfg = cfg.with_subscriber_buffer(USAGE.parse_val::<usize>(k, v).max(1)),
+            "--retry-after" => cfg = cfg.with_retry_after_ms(USAGE.parse_val(k, v)),
             "--backend" => {
                 opts.backend = Backend::parse(v)
-                    .unwrap_or_else(|| fail(format!("--backend: {v:?} (expected heap|calendar)")))
+                    .unwrap_or_else(|| USAGE.fail(format!("--backend: {v:?} (expected heap|calendar)")))
             }
             "--shards" => {
                 opts.parallel_world = true;
-                opts.shards = parse_val(k, v);
+                opts.shards = USAGE.parse_val(k, v);
                 shards_given = true;
             }
             "--threads" => {
                 opts.parallel_world = true;
-                opts.threads = parse_val(k, v);
+                opts.threads = USAGE.parse_val(k, v);
             }
-            "--event-budget" => opts.event_budget = Some(parse_val(k, v)),
-            "--wall-budget" => {
-                let secs: f64 = parse_val(k, v);
-                if secs.is_nan() || secs <= 0.0 {
-                    fail(format!("--wall-budget: {v:?} must be positive"));
-                }
-                sup = sup.with_wall_budget_ms(Some((secs * 1000.0).ceil() as u64));
-            }
-            "--max-retries" => sup = sup.with_max_retries(parse_val(k, v)),
-            other => fail(format!("unknown flag {other}")),
+            "--event-budget" => opts.event_budget = Some(USAGE.parse_val(k, v)),
+            "--wall-budget" => sup = sup.with_wall_budget_ms(Some(USAGE.wall_budget_ms(k, v))),
+            "--max-retries" => sup = sup.with_max_retries(USAGE.parse_val(k, v)),
+            other => USAGE.fail(format!("unknown flag {other}")),
         }
-        i += 2;
     }
 
     // streaming and resume both key off the trace digest, so the service
@@ -170,7 +144,7 @@ fn main() {
     let handler = Arc::new(EcgridJobHandler::new(opts, sup));
     let server = match Server::start(cfg, handler) {
         Ok(s) => s,
-        Err(e) => fail(format!("cannot start: {e}")),
+        Err(e) => USAGE.fail(format!("cannot start: {e}")),
     };
     println!("sweepd listening on {}", server.local_addr());
     let _ = std::io::stdout().flush();

@@ -1,19 +1,21 @@
 //! The experiment harness: builds paper-faithful scenarios, runs them
-//! (in parallel across seeds with rayon), and prints/saves the series the
-//! paper's figures plot.
+//! (in parallel across points and seeds with rayon), and prints/saves the
+//! series the paper's figures plot.
 //!
-//! One binary per figure regenerates it:
+//! | module | what it owns |
+//! |--------|--------------|
+//! | [`scenario`] | the §4 configuration and its lowering onto a fleet spec |
+//! | [`run`], [`spec_run`] | one run: the only world builder, options, results |
+//! | [`supervisor`], [`sweep`] | the replica pipeline: isolation, watchdog, retry, journal, averaging |
+//! | [`figures`] | the paper campaign: three matrices, one sweep, Figs. 4–8 as views over it |
+//! | [`report`] | tables, ASCII charts, atomic CSV writes |
+//! | [`serve`] | the `sweepd` job handler over the same pipeline |
+//! | [`cli`] | usage errors and flag walking shared by the binaries |
 //!
-//! | binary | paper figure | metric |
-//! |--------|--------------|--------|
-//! | `fig4` | Fig. 4(a)(b) | fraction of alive hosts vs time |
-//! | `fig5` | Fig. 5(a)(b) | mean energy consumption per host (aen) vs time |
-//! | `fig6` | Fig. 6(a)(b) | packet delivery latency vs pause time |
-//! | `fig7` | Fig. 7(a)(b) | packet delivery rate vs pause time |
-//! | `fig8` | Fig. 8(a)(b) | alive fraction vs time across host densities |
-//!
-//! `experiments` runs everything and writes `results/*.csv`.
+//! `experiments --fig N` (repeatable; default all of Figs. 4–8) regenerates
+//! the figures and writes `results/*.csv`.
 
+pub mod cli;
 pub mod figures;
 pub mod report;
 pub mod run;

@@ -42,6 +42,11 @@ pub fn parse_protocol(s: &str) -> Option<ProtocolKind> {
     })
 }
 
+/// Replicas one job may ask for: a job is one sweep point, its replicas
+/// run in turn on one worker with every record held until the fold.  The
+/// paper campaign averages 3 seeds per point and the chaos suite 2.
+const MAX_JOB_REPLICAS: u64 = 256;
+
 /// The production job handler: base run options (backend, engine,
 /// budgets) fixed at server start, scenario shape and fault plan taken
 /// from each job spec.
@@ -61,6 +66,12 @@ impl EcgridJobHandler {
     }
 
     fn job_of(spec: &JobSpec) -> Result<FleetJob, String> {
+        if spec.replicas > MAX_JOB_REPLICAS {
+            return Err(format!(
+                "replicas: {} is past the {MAX_JOB_REPLICAS} a job may ask for",
+                spec.replicas
+            ));
+        }
         let protocol = parse_protocol(&spec.protocol)
             .ok_or_else(|| format!("unknown protocol \"{}\" (grid|ecgrid|gaf|span)", spec.protocol))?;
         if !spec.scenario.is_empty() {
@@ -354,8 +365,10 @@ impl JobHandler for EcgridJobHandler {
     }
 
     fn lookup(&self, state_dir: &Path, config: u64, seed: u64) -> Option<ReplicaLookup> {
-        let journal = Journal::open(&Self::journal_path(state_dir)).ok()?;
-        journal.get(config, seed).map(|e| ReplicaLookup {
+        // a read must not create the journal, nor need write access to it
+        let (mut index, _) = Journal::read(&Self::journal_path(state_dir)).ok()?;
+        let e = index.remove(&(config, seed))?;
+        Some(ReplicaLookup {
             digest: e.digest.map(|d| d.to_string()),
             pdr: e.pdr,
             latency_ms: e.latency_ms,
@@ -424,6 +437,36 @@ rate_pps = 1.0
         let bad_text = spec_job("[scenario]\nbogus = 1\n");
         let err = h.config_hash(&bad_text).unwrap_err();
         assert!(err.contains("scenario:"), "diagnostic names the layer: {err}");
+    }
+
+    #[test]
+    fn a_result_lookup_on_a_fresh_state_dir_finds_nothing_and_leaves_nothing_behind() {
+        let h = EcgridJobHandler::new(RunOptions::default(), SupervisorConfig::default());
+        let dir = std::env::temp_dir().join(format!("ecgrid_lookup_fresh_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        assert!(h.lookup(&dir, 1, 2).is_none());
+        assert!(!dir.exists(), "a read-only request created {}", dir.display());
+    }
+
+    #[test]
+    fn more_replicas_than_a_job_may_ask_for_are_rejected_at_hash_time() {
+        let h = EcgridJobHandler::new(RunOptions::default(), SupervisorConfig::default());
+        let at = |replicas| JobSpec {
+            replicas,
+            ..JobSpec::default()
+        };
+        assert!(h.config_hash(&at(MAX_JOB_REPLICAS)).is_ok());
+        for spec in [
+            at(MAX_JOB_REPLICAS + 1),
+            at(u64::MAX),
+            JobSpec {
+                replicas: u64::MAX,
+                ..spec_job(SPEC_TEXT)
+            },
+        ] {
+            let err = h.config_hash(&spec).unwrap_err();
+            assert!(err.starts_with("replicas: "), "{err}");
+        }
     }
 
     #[test]

@@ -38,7 +38,7 @@ use sim_engine::{derive_seed, BudgetExceeded};
 use std::collections::HashMap;
 use std::fmt;
 use std::fs;
-use std::io::{self, Read as _, Write as _};
+use std::io::{self, Write as _};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -574,14 +574,17 @@ impl fmt::Display for JournalError {
 
 impl std::error::Error for JournalError {}
 
+/// A journal file's entries by resume key (config hash, seed).
+pub(crate) type JournalIndex = HashMap<(u64, u64), JournalEntry>;
+
 /// The checkpoint journal: the only code that reads, indexes, opens,
 /// appends to and flushes the file.  One failure policy for every caller:
 /// [`Journal::open`] failing stops the sweep or job before anything runs;
 /// [`Journal::append`] failing keeps the computed replica and is reported.
 pub(crate) struct Journal {
     path: PathBuf,
-    /// What the file held at open, by resume key (config hash, seed).
-    index: HashMap<(u64, u64), JournalEntry>,
+    /// What the file held at open.
+    index: JournalIndex,
     anomalies: usize,
     file: Mutex<fs::File>,
 }
@@ -589,6 +592,23 @@ pub(crate) struct Journal {
 impl Journal {
     /// Open `path` for append — creating it and its directory as needed —
     /// and index what it already holds.
+    pub(crate) fn open(path: &Path) -> io::Result<Journal> {
+        if let Some(dir) = path.parent() {
+            fs::create_dir_all(dir)?;
+        }
+        let file = fs::OpenOptions::new().create(true).append(true).open(path)?;
+        let (index, anomalies) = Self::read(path)?;
+        Ok(Journal {
+            path: path.to_path_buf(),
+            index,
+            anomalies,
+            file: Mutex::new(file),
+        })
+    }
+
+    /// The read-only way in: what `path` holds by resume key, and its
+    /// anomaly count, creating nothing and opening nothing for write — a
+    /// missing file holds nothing.
     ///
     /// The file is decoded lossily, so garbage bytes mid-file (a torn
     /// write, disk corruption) poison only the lines they touch.  Lines
@@ -596,17 +616,11 @@ impl Journal {
     /// sweeps appending the same replica — deduplicate last-write-wins
     /// (the later run of an identical, deterministic job).  Both are
     /// counted in [`Journal::anomalies`].
-    pub(crate) fn open(path: &Path) -> io::Result<Journal> {
-        if let Some(dir) = path.parent() {
-            fs::create_dir_all(dir)?;
-        }
-        let mut file = fs::OpenOptions::new()
-            .create(true)
-            .read(true)
-            .append(true)
-            .open(path)?;
-        let mut bytes = Vec::new();
-        file.read_to_end(&mut bytes)?;
+    pub(crate) fn read(path: &Path) -> io::Result<(JournalIndex, usize)> {
+        let bytes = match fs::read(path) {
+            Err(e) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
+            read => read?,
+        };
         let mut index = HashMap::new();
         let mut anomalies = 0;
         for line in String::from_utf8_lossy(&bytes).lines() {
@@ -618,12 +632,7 @@ impl Journal {
                 None => anomalies += 1,
             }
         }
-        Ok(Journal {
-            path: path.to_path_buf(),
-            index,
-            anomalies,
-            file: Mutex::new(file),
-        })
+        Ok((index, anomalies))
     }
 
     /// The replica the file held for this resume key when it was opened.
@@ -787,10 +796,14 @@ pub fn sweep_keyed(
     for ((idx, k), step) in grid.into_iter().zip(steps) {
         groups[idx].extend(report.tally(&points[idx].1, k, step));
     }
-    report.averaged = groups
-        .iter_mut()
-        .filter_map(|g| fold_replicas(g, replicas))
-        .collect();
+    // an average echoes its sweep point, base seed included, whichever
+    // replicas survived: a caller can find it by the point it asked for
+    let folded = groups.iter_mut().zip(points).filter_map(|(g, (_, point))| {
+        let mut avg = fold_replicas(g, replicas)?;
+        avg.scenario = *point;
+        Some(avg)
+    });
+    report.averaged = folded.collect();
     report.replicas = groups.into_iter().flatten().collect();
     report
 }
@@ -905,6 +918,36 @@ mod tests {
         let back = Journal::open(&path).unwrap();
         let e = back.get(5, 7).expect("appended line resumes");
         assert_eq!(e.to_record(0, rec(7).scenario).digest, rec(7).digest);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn reading_a_journal_creates_nothing_and_needs_no_write_access() {
+        let dir = scratch("read_only");
+        // a fresh state dir: nothing to find, and nothing left behind
+        let missing = dir.join("nested").join("j.jsonl");
+        let (index, anomalies) = Journal::read(&missing).expect("a missing file holds nothing");
+        assert!(index.is_empty() && anomalies == 0);
+        assert!(!missing.parent().unwrap().exists(), "not even the directory");
+        // a journal the reader may not write to, in a directory it may not
+        // create files in, still answers
+        let path = dir.join("ro").join("j.jsonl");
+        Journal::open(&path).unwrap().append(5, 7, &rec(7)).unwrap();
+        let body = fs::read(&path).unwrap();
+        #[cfg(unix)]
+        {
+            use std::os::unix::fs::PermissionsExt as _;
+            fs::set_permissions(&path, fs::Permissions::from_mode(0o444)).unwrap();
+            fs::set_permissions(path.parent().unwrap(), fs::Permissions::from_mode(0o555)).unwrap();
+        }
+        let (index, _) = Journal::read(&path).expect("readable is enough");
+        assert_eq!(index[&(5, 7)].digest, rec(7).digest);
+        assert_eq!(fs::read(&path).unwrap(), body, "a read leaves the file as it was");
+        #[cfg(unix)]
+        {
+            use std::os::unix::fs::PermissionsExt as _;
+            fs::set_permissions(path.parent().unwrap(), fs::Permissions::from_mode(0o755)).unwrap();
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 

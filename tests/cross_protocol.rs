@@ -34,7 +34,7 @@ fn ecgrid_conserves_energy_versus_grid() {
     // §4B: aen for GRID is well above ECGRID at any pre-death time.  The
     // paper reports ~33% at 100 hosts; this reduced 60-host scene has
     // fewer sleepable hosts per grid, so we assert a conservative >10%
-    // (the full-scale gap is reproduced by `cargo run --bin fig5`).
+    // (the full-scale gap is reproduced by `experiments --fig 5`).
     let t = 500.0;
     let aen_grid = grid.aen.value_at(t).unwrap();
     let aen_ecgrid = ecgrid.aen.value_at(t).unwrap();

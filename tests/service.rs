@@ -11,9 +11,10 @@
 //!   uninterrupted averaged results bit for bit;
 //! * a subscriber too slow to keep up loses frames (counted in its
 //!   `bye`) — but never stalls the simulation or perturbs its digest;
-//! * a classic `submit` past the scenario parser's bounds is refused at
-//!   the door, and a journal that cannot be opened ends the job with an
-//!   error — the server answers `ping` and `status` through both.
+//! * a classic `submit` past the scenario parser's bounds, or any asking
+//!   for more replicas than one job may, is refused at the door, and a
+//!   journal that cannot be opened ends the job with an error — the
+//!   server answers `ping` and `status` through both.
 //!
 //! Timing discipline: the tiny scenarios here complete in milliseconds,
 //! faster than a TCP subscription can attach.  Tests that must observe a
@@ -489,11 +490,22 @@ fn classic_submits_past_the_scenario_bounds_are_refused_at_the_door() {
             flow_rate_pps: -1.0,
             ..base.clone()
         },
+        // the wire only clamps replicas from below: this one would hold a
+        // worker in its replica loop, growing its records, until a drain
+        JobSpec {
+            replicas: u64::MAX,
+            ..base.clone()
+        },
     ];
     for spec in &hostile {
+        let why = if spec.replicas == base.replicas {
+            "scenario bounds"
+        } else {
+            "replicas: "
+        };
         match client.submit(spec) {
             Err(ClientError::Rejected(e)) => {
-                assert!(e.contains("scenario bounds"), "{e}");
+                assert!(e.contains(why), "{e}");
             }
             other => panic!("{spec:?} must be rejected, got {other:?}"),
         }

@@ -166,34 +166,39 @@ fn runaway_replica_is_stopped_by_the_event_budget() {
 fn partial_replica_failure_degrades_the_average() {
     quiet_panics();
     let sc = tiny(19, 12);
-    // exactly replica 1 detonates, on every attempt — retries re-derive
-    // from the identity seed, so the kill set covers those seeds too
-    let bad_seed = replica_seed(sc.seed, 1);
-    let mut bad: HashSet<u64> = HashSet::new();
-    bad.insert(bad_seed);
-    for a in 1..=2u64 {
-        bad.insert(derive_seed(bad_seed, "retry", a));
-    }
-    let runner = move |job: &Scenario, o: RunOptions, p: Probe| {
-        let r = run_scenario_probed(job, o, p);
-        if bad.contains(&job.seed) {
-            panic!("replica 1 always fails");
+    // exactly one replica detonates, on every attempt — retries re-derive
+    // from the identity seed, so the kill set covers those seeds too.
+    // Replica 0 is the one that runs the point's own base seed.
+    for dead in [1u64, 0] {
+        let bad_seed = replica_seed(sc.seed, dead);
+        let mut bad: HashSet<u64> = HashSet::new();
+        bad.insert(bad_seed);
+        for a in 1..=2u64 {
+            bad.insert(derive_seed(bad_seed, "retry", a));
         }
-        r
-    };
-    let sup = SupervisorConfig::default().with_max_retries(2);
-    let report = sweep_supervised_with(&[sc], 3, RunOptions::default(), &sup, &runner);
-    assert_eq!(report.quarantined.len(), 1);
-    assert_eq!(report.quarantined[0].replica, 1);
-    let avg = &report.averaged[0];
-    assert_eq!(avg.replicas, 2, "two of three replicas contributed");
-    assert_eq!(avg.replicas_requested, 3);
-    assert!(avg.is_degraded());
-    // the degraded average equals averaging the two survivors directly
-    let survivors: Vec<_> = report.replicas.clone();
-    assert_eq!(survivors.len(), 2);
-    let direct = average_results_degraded(&survivors, 3).unwrap();
-    assert_bits_eq(avg, &direct);
+        let runner = move |job: &Scenario, o: RunOptions, p: Probe| {
+            let r = run_scenario_probed(job, o, p);
+            if bad.contains(&job.seed) {
+                panic!("replica {dead} always fails");
+            }
+            r
+        };
+        let sup = SupervisorConfig::default().with_max_retries(2);
+        let report = sweep_supervised_with(&[sc], 3, RunOptions::default(), &sup, &runner);
+        assert_eq!(report.quarantined.len(), 1);
+        assert_eq!(report.quarantined[0].replica, dead);
+        let avg = &report.averaged[0];
+        assert_eq!(avg.replicas, 2, "two of three replicas contributed");
+        assert_eq!(avg.replicas_requested, 3);
+        assert!(avg.is_degraded());
+        // whichever replicas survive, the average echoes the point asked for
+        assert_eq!(avg.scenario.seed, sc.seed);
+        // the degraded average equals averaging the two survivors directly
+        let survivors: Vec<_> = report.replicas.clone();
+        assert_eq!(survivors.len(), 2);
+        let direct = average_results_degraded(&survivors, 3).unwrap();
+        assert_bits_eq(avg, &direct);
+    }
 }
 
 #[test]
