@@ -2156,7 +2156,7 @@ impl<P: Protocol> World<P> {
             FrameKind::Broadcast => {
                 for r in &successes {
                     self.stats.frames_delivered += 1;
-                    let (src, msg) = (flight.src, flight.msg.clone());
+                    let (src, msg) = (flight.src, &flight.msg);
                     let bytes = msg.wire_bytes();
                     let rr = *r;
                     self.emit(|| EventKind::MacRx {
@@ -2164,7 +2164,7 @@ impl<P: Protocol> World<P> {
                         from: src,
                         bytes,
                     });
-                    self.dispatch(*r, move |p, ctx| p.on_frame(ctx, src, FrameKind::Broadcast, &msg));
+                    self.dispatch(*r, |p, ctx| p.on_frame(ctx, src, FrameKind::Broadcast, msg));
                 }
                 if sender_alive {
                     self.mac_complete_head(node);
@@ -2187,16 +2187,14 @@ impl<P: Protocol> World<P> {
                         let s_extra = (smeter.profile().rx_w - smeter.profile().idle_w) * ack_secs;
                         smeter.drain_direct(now, s_extra);
                     }
-                    let (src, msg) = (flight.src, flight.msg.clone());
+                    let (src, msg) = (flight.src, &flight.msg);
                     let bytes = msg.wire_bytes();
                     self.emit(|| EventKind::MacRx {
                         node: dst,
                         from: src,
                         bytes,
                     });
-                    self.dispatch(dst, move |p, ctx| {
-                        p.on_frame(ctx, src, FrameKind::Unicast(dst), &msg)
-                    });
+                    self.dispatch(dst, |p, ctx| p.on_frame(ctx, src, FrameKind::Unicast(dst), msg));
                 }
                 if sender_alive {
                     self.hosts.macs[node.index()].phase = MacPhase::AwaitAck(tx_id);

@@ -209,9 +209,9 @@ fn digest_str(rec: &ReplicaRecord) -> String {
     rec.digest.map(|d| d.to_string()).unwrap_or_default()
 }
 
-/// Per-replica metric frames: a small registry snapshot of the result,
-/// published in the registry's deterministic iteration order.
-fn publish_metrics(ctx: &JobCtx<'_>, replica: u64, res: &ScenarioResult) {
+/// Per-replica metric frames: a small registry snapshot of the result, in
+/// the registry's deterministic iteration order (counters, then gauges).
+fn metric_frames(job: u64, replica: u64, res: &ScenarioResult) -> Vec<String> {
     let mut reg = Registry::new();
     reg.counter_add("app.sent", res.ledger.sent_count());
     reg.counter_add("app.delivered", res.ledger.delivered_count());
@@ -238,14 +238,11 @@ fn publish_metrics(ctx: &JobCtx<'_>, replica: u64, res: &ScenarioResult) {
         );
         reg.gauge_set(&format!("group.{}.aen", g.name), g.stats.aen());
     }
-    for (name, v) in reg.counters() {
-        ctx.hub
-            .publish_frame(ctx.job, &frame_counter(ctx.job, replica, name, v));
-    }
-    for (name, v) in reg.gauges() {
-        ctx.hub
-            .publish_frame(ctx.job, &frame_gauge(ctx.job, replica, name, v));
-    }
+    let counters = reg
+        .counters()
+        .map(|(name, v)| frame_counter(job, replica, name, v));
+    let gauges = reg.gauges().map(|(name, v)| frame_gauge(job, replica, name, v));
+    counters.chain(gauges).collect()
 }
 
 impl JobHandler for EcgridJobHandler {
@@ -274,6 +271,7 @@ impl JobHandler for EcgridJobHandler {
         // the supervisor and the replica loop speak classic `Scenario`
         // points: the job's echo shape, reseeded per replica
         let (sc, pname) = (job.echo, job.protocol.name());
+        let point = (cfg, sc);
         let publish = |frame: String| ctx.hub.publish_frame(ctx.job, &frame);
         let publish_failures = |k: u64, failures: &[RunFailure]| {
             for f in failures {
@@ -310,17 +308,16 @@ impl JobHandler for EcgridJobHandler {
                     Arc::new(move |ev| hub.publish_event(job_id, k, pname, ev));
                 job.run(s, o, p, Some(sink))
             };
-            let step = run_replica(&runner, Some(&journal), cfg, &sc, k, opts, &self.sup);
+            // the full result is the step's to drop: what a fresh replica
+            // leaves here is its frames
+            let mut metrics = Vec::new();
+            let inspect = |res: &ScenarioResult| metrics = metric_frames(ctx.job, k, res);
+            let step = run_replica(&runner, Some(&journal), &point, k, opts, &self.sup, inspect);
             match &step {
                 Replica::Journaled(rec) => publish(replica_done(rec, true)),
-                Replica::Fresh {
-                    record,
-                    result,
-                    failures,
-                    ..
-                } => {
+                Replica::Fresh { record, failures, .. } => {
                     publish_failures(k, failures);
-                    publish_metrics(ctx, k, result);
+                    metrics.into_iter().for_each(publish);
                     publish(replica_done(record, false));
                 }
                 Replica::Quarantined(failures) => {

@@ -289,7 +289,6 @@ impl SweepReport {
                 record,
                 failures,
                 unjournaled,
-                ..
             } => {
                 self.completed += 1;
                 self.recovered += usize::from(!failures.is_empty());
@@ -666,10 +665,12 @@ impl Journal {
 pub(crate) enum Replica {
     /// The journal already held it; nothing ran.
     Journaled(ReplicaRecord),
-    /// It ran to completion now, after `failures` failed attempts.
+    /// It ran to completion now, after `failures` failed attempts.  Only
+    /// the slim record outlives the step: a sweep holds one of these per
+    /// replica until its fold, so the run's full [`ScenarioResult`]
+    /// (ledger, recorder, stats) is gone before [`run_replica`] returns.
     Fresh {
         record: ReplicaRecord,
-        result: Box<ScenarioResult>,
         failures: Vec<RunFailure>,
         /// The checkpoint append failed: the result stands, a resume
         /// will run it again.
@@ -679,22 +680,24 @@ pub(crate) enum Replica {
     Quarantined(Vec<RunFailure>),
 }
 
-/// The replica step: replica `k` of `base` is the journal's record of
-/// (`config`, [`replica_seed`]`(base.seed, k)`) if there is one, else a
-/// supervised run ([`run_point`]) appended to the journal before it is
-/// returned — under that identity seed even when a retry on a re-derived
-/// seed produced the result.
+/// The replica step: replica `k` of the keyed point (`config`, `base`) is
+/// the journal's record of (`config`, [`replica_seed`]`(base.seed, k)`) if
+/// there is one, else a supervised run ([`run_point`]) appended to the
+/// journal before it is returned — under that identity seed even when a
+/// retry on a re-derived seed produced the result.  A fresh run's full
+/// result is lent to `inspect` for that one call and then dropped; a
+/// journal hit or a quarantine never calls it.
 pub(crate) fn run_replica(
     runner: &ScenarioRunner<'_>,
     journal: Option<&Journal>,
-    config: u64,
-    base: &Scenario,
+    &(config, base): &(u64, Scenario),
     k: u64,
     opts: RunOptions,
     sup: &SupervisorConfig,
+    inspect: impl FnOnce(&ScenarioResult),
 ) -> Replica {
     let seed = replica_seed(base.seed, k);
-    let point = Scenario { seed, ..*base };
+    let point = Scenario { seed, ..base };
     if let Some(entry) = journal.and_then(|j| j.get(config, seed)) {
         return Replica::Journaled(entry.to_record(k, point));
     }
@@ -707,9 +710,9 @@ pub(crate) fn run_replica(
         let failed = j.append(config, seed, &record).err()?;
         Some(JournalError::new(&j.path, &failed))
     });
+    inspect(&res);
     Replica::Fresh {
         record,
-        result: Box::new(res),
         failures: out.failures,
         unjournaled,
     }
@@ -782,10 +785,7 @@ pub fn sweep_keyed(
         .collect();
     let steps: Vec<Replica> = grid
         .par_iter()
-        .map(|&(idx, k)| {
-            let (config, sc) = &points[idx];
-            run_replica(runner, journal.as_ref(), *config, sc, k, opts, sup)
-        })
+        .map(|&(idx, k)| run_replica(runner, journal.as_ref(), &points[idx], k, opts, sup, |_| {}))
         .collect();
 
     let mut report = SweepReport {
@@ -981,7 +981,17 @@ mod tests {
         };
         let sup = SupervisorConfig::default();
         let opts = RunOptions::default();
-        let step = run_replica(&run_scenario_probed, Some(&journal), 1, &sc, 0, opts, &sup);
+        let mut sent = None;
+        let inspect = |res: &ScenarioResult| sent = Some(res.ledger.sent_count());
+        let step = run_replica(
+            &run_scenario_probed,
+            Some(&journal),
+            &(1, sc),
+            0,
+            opts,
+            &sup,
+            inspect,
+        );
         let Replica::Fresh {
             record, unjournaled, ..
         } = step
@@ -989,6 +999,10 @@ mod tests {
             panic!("the replica ran and must be kept");
         };
         assert_eq!(record.replica, 0);
+        assert!(
+            sent.is_some_and(|n| n > 0),
+            "the full result was lent once: {sent:?}"
+        );
         let err = unjournaled.expect("the failed append is reported");
         assert_eq!(err.path, path);
         assert!(err.to_string().starts_with("journal: "), "{err}");

@@ -23,9 +23,12 @@
 //! target is still queued — deterministic, no sleeps against the race.
 
 use ecgrid_suite::runner::supervisor::SupervisorConfig;
-use ecgrid_suite::runner::{EcgridJobHandler, RunOptions};
+use ecgrid_suite::runner::{
+    run_scenario_with, EcgridJobHandler, ProtocolKind, RunOptions, Scenario, ScenarioResult,
+};
 use ecgrid_suite::service::proto::{FilterSpec, JobSpec, Request};
 use ecgrid_suite::service::{json, Client, ClientConfig, ClientError, DoneInfo, Server, ServiceConfig};
+use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
@@ -286,6 +289,92 @@ fn drain_mid_sweep_then_restart_resumes_bit_for_bit() {
     }
 }
 
+/// A streamed frame that reports a replica's outcome, as the tests
+/// below read it.
+struct OutcomeFrame {
+    /// `failure`, `metric` or `replica_done`.
+    stream: String,
+    replica: u64,
+    /// A metric's name (empty otherwise) and value: a counter's count, a
+    /// gauge's bit pattern.
+    name: String,
+    value: u64,
+}
+
+fn outcome_frame(frame: &str) -> Option<OutcomeFrame> {
+    let stream = json::field(frame, "stream")?;
+    if !["failure", "metric", "replica_done"].contains(&stream) {
+        return None;
+    }
+    let value = match json::field(frame, "kind") {
+        Some("counter") => json::u64_field(frame, "value")?,
+        Some("gauge") => json::hex_field(frame, "bits")?,
+        _ => 0,
+    };
+    Some(OutcomeFrame {
+        stream: stream.to_string(),
+        replica: json::u64_field(frame, "replica")?,
+        name: json::field(frame, "name").unwrap_or("").to_string(),
+        value,
+    })
+}
+
+/// What the handler reports about a finished replica, read off a direct
+/// run of the same seed.
+fn metrics_of(r: &ScenarioResult) -> BTreeMap<String, u64> {
+    let mut m = BTreeMap::new();
+    m.insert("app.sent".to_string(), r.ledger.sent_count());
+    m.insert("app.delivered".to_string(), r.ledger.delivered_count());
+    m.insert(
+        "trace.events".to_string(),
+        r.recorder.as_ref().expect("digest runs record").count(),
+    );
+    let gauges = [
+        ("app.pdr", r.pdr),
+        ("app.latency_ms", r.latency_ms),
+        ("energy.network_death_s", r.network_death_s),
+    ];
+    for (name, v) in gauges {
+        m.extend(v.map(|v| (name.to_string(), v.to_bits())));
+    }
+    for g in &r.groups {
+        m.insert(format!("group.{}.sent", g.name), g.sent);
+        m.insert(format!("group.{}.delivered", g.name), g.delivered);
+        m.insert(
+            format!("group.{}.alive_fraction", g.name),
+            g.stats.alive_fraction().to_bits(),
+        );
+        m.insert(format!("group.{}.aen", g.name), g.stats.aen().to_bits());
+    }
+    m
+}
+
+/// Replica `k`'s outcome frames arrived as `failure* metric+ replica_done`
+/// and its metrics carry exactly the values of `local`, a direct run.
+fn assert_replica_frames_match(frames: &[OutcomeFrame], k: u64, local: &ScenarioResult) {
+    let mine: Vec<&OutcomeFrame> = frames.iter().filter(|f| f.replica == k).collect();
+    let kinds: Vec<&str> = mine.iter().map(|f| f.stream.as_str()).collect();
+    let failures = kinds.iter().take_while(|s| **s == "failure").count();
+    let metrics = kinds[failures..].iter().take_while(|s| **s == "metric").count();
+    assert!(metrics >= 1, "replica {k}: no metric frames in {kinds:?}");
+    assert_eq!(
+        kinds[failures + metrics..],
+        ["replica_done"],
+        "replica {k}: not failure* metric+ replica_done: {kinds:?}"
+    );
+    let streamed: BTreeMap<String, u64> = mine
+        .iter()
+        .filter(|f| f.stream == "metric")
+        .map(|f| (f.name.clone(), f.value))
+        .collect();
+    assert_eq!(streamed.len(), metrics, "replica {k}: a metric name came twice");
+    assert_eq!(
+        streamed,
+        metrics_of(local),
+        "replica {k}: streamed metrics vs a direct run"
+    );
+}
+
 #[test]
 fn scenario_file_jobs_run_with_per_group_metrics_and_local_digest_parity() {
     // a small heterogeneous fleet: metered waypoint walkers sourcing
@@ -321,7 +410,7 @@ rate_pps = 1.0
         replicas: 2,
         ..JobSpec::default()
     };
-    // Stream a job to completion, keeping the names of its metric frames.
+    // Stream a job to completion, keeping its replica-outcome frames.
     // A filler holds the single worker while the subscription attaches (a
     // replica of these jobs finishes faster than that — module docs), and
     // the subscription asks for app-layer events only: metric frames
@@ -331,20 +420,21 @@ rate_pps = 1.0
         layers: "app".into(),
         ..FilterSpec::default()
     };
-    let mut metric_names = |spec: &JobSpec| {
+    let mut outcome_frames = |spec: &JobSpec| {
         client.submit_until_accepted(&filler_spec(), 0).expect("filler");
         let (job, _) = client.submit_until_accepted(spec, 0).expect("submit");
-        let mut names: Vec<String> = Vec::new();
+        let mut frames: Vec<OutcomeFrame> = Vec::new();
         let info = client
-            .stream_job(job, &app_only, |frame| {
-                if json::field(frame, "stream") == Some("metric") {
-                    names.extend(json::field(frame, "name").map(str::to_string));
-                }
-            })
+            .stream_job(job, &app_only, |frame| frames.extend(outcome_frame(frame)))
             .expect("stream");
-        (info, names)
+        (info, frames)
     };
-    let (info, names) = metric_names(&spec);
+    let metric_names = |frames: &[OutcomeFrame]| -> Vec<String> {
+        let metrics = frames.iter().filter(|f| f.stream == "metric");
+        metrics.map(|f| f.name.clone()).collect()
+    };
+    let (info, frames) = outcome_frames(&spec);
+    let names = metric_names(&frames);
     let group_metrics: Vec<&String> = names.iter().filter(|n| n.starts_with("group.")).collect();
     assert_eq!(info.state, Some(ecgrid_suite::service::JobState::Done));
     assert_eq!(info.completed, 2);
@@ -370,7 +460,8 @@ rate_pps = 1.0
         protocol: "gaf".into(),
         ..tiny_spec(5, 1)
     };
-    let (classic_info, classic_names) = metric_names(&classic);
+    let (classic_info, classic_frames) = outcome_frames(&classic);
+    let classic_names = metric_names(&classic_frames);
     assert_eq!(classic_info.completed, 1);
     assert!(classic_names.iter().any(|n| n == "app.sent"), "{classic_names:?}");
     assert!(
@@ -379,19 +470,33 @@ rate_pps = 1.0
     );
 
     // replica digests match a local run of the same file: the service
-    // path adds supervision and streaming, not new randomness
+    // path adds supervision and streaming, not new randomness — and each
+    // replica's frames come in the documented order with that run's values
     let parsed = ecgrid_suite::scenario::parse(TEXT).expect("scenario parses");
     let opts = RunOptions::digest();
     for (k, digest) in info.digests.iter().enumerate() {
         let mut point = parsed.clone();
         point.seed = ecgrid_suite::runner::run::replica_seed(parsed.seed, k as u64);
-        let local = ecgrid_suite::runner::run_spec(&point, ecgrid_suite::runner::ProtocolKind::Ecgrid, opts);
+        let local = ecgrid_suite::runner::run_spec(&point, ProtocolKind::Ecgrid, opts);
         assert_eq!(
             digest,
             &local.trace_digest.expect("local digest").to_string(),
             "replica {k} digest diverges from the local run"
         );
+        assert_replica_frames_match(&frames, k as u64, &local);
     }
+    let classic_sc = Scenario {
+        protocol: ProtocolKind::Gaf,
+        n_hosts: classic.n_hosts as usize,
+        max_speed: classic.max_speed,
+        pause_secs: classic.pause_secs,
+        n_flows: classic.n_flows as usize,
+        flow_rate_pps: classic.flow_rate_pps,
+        duration_secs: classic.duration_secs,
+        seed: classic.seed,
+        model1_endpoints: classic.model1_endpoints as usize,
+    };
+    assert_replica_frames_match(&classic_frames, 0, &run_scenario_with(&classic_sc, opts));
 
     server.request_shutdown();
     server.wait();
