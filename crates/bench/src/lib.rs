@@ -1,22 +1,5 @@
-//! Shared helpers for the benchmark suite.
+//! What the benchmark package (`perfbench/`, `BENCHMARK.json`) imports
+//! from the workspace: the constant-density scaling world and its
+//! receiver-discovery sweep.
 
 pub mod core_scaling;
-
-use runner::{ProtocolKind, Scenario};
-
-/// A reduced-scale copy of the paper's base scenario, sized so one run
-/// fits a Criterion iteration (~100 ms) while still exercising the whole
-/// stack: elections, sleep, discovery, forwarding, energy accounting.
-pub fn bench_scenario(protocol: ProtocolKind, seed: u64) -> Scenario {
-    Scenario {
-        protocol,
-        n_hosts: 50,
-        max_speed: 1.0,
-        pause_secs: 0.0,
-        n_flows: 5,
-        flow_rate_pps: 1.0,
-        duration_secs: 60.0,
-        seed,
-        model1_endpoints: 5,
-    }
-}

@@ -1,6 +1,6 @@
 //! The GAF duty-cycle state machine over an embedded AODV core.
 
-use aodv::{Action, AodvConfig, AodvCore, AodvMsg, AodvStats, AodvTimer};
+use aodv::{Action, AodvConfig, AodvCore, AodvMsg, AodvTimer};
 use manet::{AppPacket, Ctx, EventKind, FrameKind, GridCoord, NodeId, Protocol, WireSize};
 use rand::Rng;
 
@@ -175,10 +175,6 @@ impl GafProto {
 
     pub fn state(&self) -> GafState {
         self.state
-    }
-
-    pub fn aodv_stats(&self) -> &AodvStats {
-        &self.core.stats
     }
 
     fn run(&self, ctx: &mut Ctx<'_, Self>, actions: Vec<Action>) {

@@ -914,11 +914,6 @@ impl<P: Protocol> World<P> {
         self.recorder = Some(Recorder::new(mode));
     }
 
-    /// Convenience: full (buffered) event tracing.
-    pub fn enable_event_trace(&mut self) {
-        self.enable_trace(TraceMode::Full);
-    }
-
     /// [`World::enable_trace`] with a live event tap: `sink` sees every
     /// event in recording order, from this thread, as the run proceeds.
     /// The sweep service streams from here; the sink must never block

@@ -2,7 +2,7 @@
 //! injection, sleeping-sender semantics, trace logging.
 
 use manet::testkit::{Probe, ProbeCfg, ProbeMsg};
-use manet::{FlowSet, HostSetup, NodeId, RadioMode, SimTime, World, WorldConfig};
+use manet::{FlowSet, HostSetup, NodeId, RadioMode, SimTime, TraceMode, World, WorldConfig};
 use mobility::MobilityTrace;
 
 const HORIZON: SimTime = SimTime(3_000_000_000_000);
@@ -194,7 +194,7 @@ fn event_trace_captures_a_packet_journey() {
     let mut w = World::new(WorldConfig::paper_default(42), hosts, flows, |_| {
         Probe::new(ProbeCfg::default())
     });
-    w.enable_event_trace();
+    w.enable_trace(TraceMode::Full);
     w.run_until(SimTime::from_secs(3));
     let trace = w.event_trace();
     // the journey appears in causal order: app send -> MAC tx -> MAC rx -> app recv

@@ -160,7 +160,7 @@ impl PacketLedger {
 
     /// Per-packet latencies in milliseconds (delivered packets only),
     /// ascending.
-    pub fn latencies_ms(&self) -> Vec<f64> {
+    fn latencies_ms(&self) -> Vec<f64> {
         let mut v: Vec<f64> = self
             .slots()
             .filter(|(_, slot)| slot.is_delivered())

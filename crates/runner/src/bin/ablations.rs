@@ -13,9 +13,9 @@
 //! ```
 
 use ecgrid::{Ecgrid, EcgridConfig};
-use manet::{FlowSet, FlowSpec, HostSetup, NodeId, SimDuration, SimTime, World, WorldConfig};
-use mobility::{MobilityModel, RandomWaypoint};
-use sim_engine::RngFactory;
+use manet::{SimDuration, SimTime, World, WorldConfig};
+use runner::spec_run::{build_flows, build_hosts};
+use runner::{ProtocolKind, Scenario};
 
 struct Row {
     label: String,
@@ -28,20 +28,15 @@ struct Row {
 
 fn run(label: &str, mut tweak_world: impl FnMut(&mut WorldConfig), cfg: EcgridConfig) -> Row {
     let seed = 42;
-    let n_hosts = 100usize;
-    let end = SimTime::from_secs(400);
-    let horizon = end + SimDuration::from_secs(10);
-    let rngs = RngFactory::new(seed);
-    let model = RandomWaypoint::paper(1.0, 0.0);
-    let hosts: Vec<HostSetup> = (0..n_hosts)
-        .map(|i| HostSetup::paper(model.build_trace(&mut rngs.stream("mobility", i as u64), horizon)))
-        .collect();
-    let ids: Vec<NodeId> = (0..n_hosts as u32).map(NodeId).collect();
-    let spec = FlowSpec {
-        n_flows: 10,
-        ..FlowSpec::paper_default(end)
-    };
-    let flows = FlowSet::random(&mut rngs.stream("traffic", 0), &ids, &spec);
+    // the paper's base fleet (100 hosts, 1 m/s, 10 flows x 1 pkt/s), 400 s
+    let spec = Scenario {
+        duration_secs: 400.0,
+        ..Scenario::paper_base(ProtocolKind::Ecgrid, 1.0, seed)
+    }
+    .to_spec();
+    let end = SimTime::from_secs_f64(spec.duration_s);
+    let hosts = build_hosts(&spec, ProtocolKind::Ecgrid, end + SimDuration::from_secs(10));
+    let flows = build_flows(&spec, end);
     let mut wc = WorldConfig::paper_default(seed);
     tweak_world(&mut wc);
     let mut w = World::new(wc, hosts, flows, move |id| Ecgrid::new(cfg, id));

@@ -12,9 +12,9 @@
 
 use aodv::{Aodv, AodvConfig};
 use dsdv::{Dsdv, DsdvConfig};
-use manet::{FlowSet, FlowSpec, HostSetup, NodeId, SimTime, World, WorldConfig};
-use mobility::{MobilityModel, RandomWaypoint};
-use sim_engine::RngFactory;
+use manet::{FlowSet, HostSetup, NodeId, SimTime, World, WorldConfig};
+use runner::spec_run::{build_flows, build_hosts};
+use runner::{ProtocolKind, Scenario};
 
 struct Row {
     control_frames: u64,
@@ -24,24 +24,21 @@ struct Row {
 }
 
 fn build(seed: u64, n_flows: usize, end: SimTime) -> (Vec<HostSetup>, FlowSet) {
-    let n_hosts = 50usize;
-    let horizon = end + sim_engine::SimDuration::from_secs(10);
-    let rngs = RngFactory::new(seed);
-    let model = RandomWaypoint::paper(1.0, 0.0);
-    let hosts: Vec<HostSetup> = (0..n_hosts)
-        .map(|i| HostSetup::paper(model.build_trace(&mut rngs.stream("mobility", i as u64), horizon)))
-        .collect();
-    let ids: Vec<NodeId> = (0..n_hosts as u32).map(NodeId).collect();
-    let spec = FlowSpec {
+    // 50 metered peers at 1 m/s; AODV and DSDV are not `ProtocolKind`s, and
+    // the protocol only selects the power profile (the paper's, with GPS)
+    let mut spec = Scenario {
+        n_hosts: 50,
         n_flows,
-        packet_bytes: 512,
-        rate_pps: 1.0,
-        start: SimTime::from_secs(10),
-        stop: end,
-        stagger: true,
-    };
-    let flows = FlowSet::random(&mut rngs.stream("traffic", 0), &ids, &spec);
-    (hosts, flows)
+        duration_secs: end.as_secs_f64(),
+        ..Scenario::paper_base(ProtocolKind::Ecgrid, 1.0, seed)
+    }
+    .to_spec();
+    spec.traffic.start_s = 10.0;
+    let horizon = end + sim_engine::SimDuration::from_secs(10);
+    (
+        build_hosts(&spec, ProtocolKind::Ecgrid, horizon),
+        build_flows(&spec, end),
+    )
 }
 
 fn run_aodv(seed: u64, n_flows: usize) -> Row {

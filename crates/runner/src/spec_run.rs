@@ -213,7 +213,7 @@ fn group_shared(
 /// group order, carrying the group's battery, range, GPS sigma, and
 /// group index.  Span hosts carry no GPS (the protocol is not
 /// location-aware).
-fn build_hosts(spec: &ScenarioSpec, protocol: ProtocolKind, horizon: SimTime) -> Vec<HostSetup> {
+pub fn build_hosts(spec: &ScenarioSpec, protocol: ProtocolKind, horizon: SimTime) -> Vec<HostSetup> {
     let rngs = RngFactory::new(spec.seed);
     let profile = if protocol == ProtocolKind::Span {
         PowerProfile::paper_no_gps()
@@ -248,7 +248,7 @@ fn build_hosts(spec: &ScenarioSpec, protocol: ProtocolKind, horizon: SimTime) ->
 /// Sources are hosts in source-eligible groups, sinks in sink-eligible
 /// groups (`peer` and `endpoint` are both); the parser guarantees a
 /// non-degenerate pool whenever `flows > 0`.
-fn build_flows(spec: &ScenarioSpec, end: SimTime) -> FlowSet {
+pub fn build_flows(spec: &ScenarioSpec, end: SimTime) -> FlowSet {
     let rngs = RngFactory::new(spec.seed);
     let mut srcs = Vec::new();
     let mut dsts = Vec::new();

@@ -64,9 +64,11 @@ pub struct JobSpec {
 /// Encode arbitrary text as lowercase hex for lossless transport through
 /// the flat-JSON wire format.
 pub fn scenario_hex_encode(text: &str) -> String {
+    const DIGITS: &[u8; 16] = b"0123456789abcdef";
     let mut out = String::with_capacity(text.len() * 2);
     for b in text.bytes() {
-        out.push_str(&format!("{b:02x}"));
+        out.push(DIGITS[(b >> 4) as usize] as char);
+        out.push(DIGITS[(b & 0xf) as usize] as char);
     }
     out
 }
@@ -650,9 +652,14 @@ mod tests {
     #[test]
     fn scenario_text_survives_the_wire_via_hex() {
         let text = "[scenario]\nname = \"demo\"  # quotes, newlines, backslash \\\n";
+        for text in [text, "", "# 網格 ñ \u{1f4e1} \u{7f}\u{80}\u{7ff}"] {
+            let hex = scenario_hex_encode(text);
+            assert_eq!(hex.len(), 2 * text.len());
+            assert!(hex.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f')));
+            assert_eq!(scenario_hex_decode(&hex).unwrap(), text);
+        }
+        assert_eq!(scenario_hex_encode("\u{e9}\n"), "c3a90a");
         let hex = scenario_hex_encode(text);
-        assert!(hex.bytes().all(|b| b.is_ascii_hexdigit()));
-        assert_eq!(scenario_hex_decode(&hex).unwrap(), text);
         let spec = JobSpec {
             scenario: hex.clone(),
             ..JobSpec::default()

@@ -6,7 +6,7 @@
 
 use ecgrid_suite::ecgrid::{Ecgrid, EcgridConfig};
 use ecgrid_suite::manet::{
-    EventKind, FlowSet, HostSetup, NodeId, Point2, SimDuration, SimTime, World, WorldConfig,
+    EventKind, FlowSet, HostSetup, NodeId, Point2, SimDuration, SimTime, TraceMode, World, WorldConfig,
 };
 use ecgrid_suite::mobility::MobilityTrace;
 use ecgrid_suite::traffic::{CbrFlow, FlowId};
@@ -38,7 +38,7 @@ fn main() {
     let mut w = World::new(WorldConfig::paper_default(3), hosts, flows, |id| {
         Ecgrid::new(EcgridConfig::default(), id)
     });
-    w.enable_event_trace();
+    w.enable_trace(TraceMode::Full);
     w.run_until(SimTime::from_secs(8));
 
     println!("== one packet, gateway to gateway to paged sleeper ==\n");

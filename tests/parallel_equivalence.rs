@@ -293,6 +293,43 @@ fn sharding_is_orthogonal_to_the_other_digest_neutral_knobs() {
         Some(want),
         "sharded + brute-index run drifted from the golden fixture"
     );
+    // ...and off the paper field: 50 hosts at the paper's density on the
+    // constant-density field the benchmark scales (side 1000·√(N/100) m,
+    // here 7.07 cell columns, so the last column and the strips are
+    // ragged) — brute = grid = sharded K=4 = threaded K=4 × T=2.
+    let mut spec = Scenario {
+        n_hosts: 50,
+        n_flows: 10,
+        duration_secs: 5.0,
+        seed: 3,
+        ..golden(ProtocolKind::Ecgrid)
+    }
+    .to_spec();
+    spec.field_w = 1000.0 * 0.5f64.sqrt();
+    spec.field_h = spec.field_w;
+    spec.traffic.start_s = 1.0;
+    let run = |opts| ecgrid_suite::runner::run_spec(&spec, ProtocolKind::Ecgrid, opts);
+    let grid = run(RunOptions::digest().with_neighbor_index(NeighborIndex::Grid));
+    assert!(grid.trace_digest.is_some(), "tracing was enabled");
+    assert!(grid.stats.tx_started > 100, "the scenario must actually do work");
+    for (what, opts) in [
+        (
+            "brute",
+            RunOptions::digest().with_neighbor_index(NeighborIndex::Brute),
+        ),
+        ("sharded K=4", RunOptions::digest().with_parallel_world(4)),
+        (
+            "threaded K=4 T=2",
+            RunOptions::digest().with_parallel_world(4).with_threads(2),
+        ),
+    ] {
+        let r = run(opts);
+        assert_eq!(
+            r.trace_digest, grid.trace_digest,
+            "constant-density field: {what} diverged"
+        );
+        assert_eq!(r.stats, grid.stats, "constant-density field: {what}");
+    }
 }
 
 /// A fleet whose radio ranges differ per group, with movement that drags
