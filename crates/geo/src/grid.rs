@@ -176,12 +176,6 @@ impl GridMap {
         Point2::new(c.x as f64 * self.cell_side, c.y as f64 * self.cell_side)
     }
 
-    /// Distance from a position to the center of the cell containing it.
-    #[inline]
-    pub fn dist_to_own_center(&self, p: Point2) -> f64 {
-        p.distance(self.cell_center(self.cell_of(p)))
-    }
-
     /// In-field neighbours of a cell (up to 8).
     pub fn neighbors_in_field(&self, c: GridCoord) -> impl Iterator<Item = GridCoord> + '_ {
         c.neighbors8().into_iter().filter(|n| self.contains_cell(*n))

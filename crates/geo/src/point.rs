@@ -78,11 +78,6 @@ impl Vec2 {
         (self.x * self.x + self.y * self.y).sqrt()
     }
 
-    #[inline]
-    pub fn norm_sq(self) -> f64 {
-        self.x * self.x + self.y * self.y
-    }
-
     /// Unit vector in the same direction; `Vec2::ZERO` if the norm is zero.
     #[inline]
     pub fn normalized(self) -> Vec2 {

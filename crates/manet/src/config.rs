@@ -208,28 +208,4 @@ impl HostSetup {
             group: 0,
         }
     }
-
-    /// Same host with an explicit battery.
-    pub fn with_battery(mut self, battery: Battery) -> Self {
-        self.battery = battery;
-        self
-    }
-
-    /// Same host with a per-host radio range.
-    pub fn with_range(mut self, range_m: f64) -> Self {
-        self.range_m = Some(range_m);
-        self
-    }
-
-    /// Same host with a GPS error sigma.
-    pub fn with_gps_sigma(mut self, sigma_m: f64) -> Self {
-        self.gps_sigma_m = sigma_m;
-        self
-    }
-
-    /// Same host tagged with a scenario group index.
-    pub fn with_group(mut self, group: u16) -> Self {
-        self.group = group;
-        self
-    }
 }

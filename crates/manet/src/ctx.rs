@@ -133,7 +133,6 @@ pub(crate) enum Cmd<P: Protocol> {
         delay: SimDuration,
         timer: P::Timer,
     },
-    CancelTimer(TimerId),
     DeliverApp(AppPacket),
     Note(String),
     /// A structured trace event from the protocol layer (gateway
@@ -283,11 +282,6 @@ impl<'a, P: Protocol> Ctx<'a, P> {
     /// Arm a timer with fractional-second delay.
     pub fn set_timer_secs(&mut self, delay_secs: f64, timer: P::Timer) -> TimerId {
         self.set_timer(SimDuration::from_secs_f64(delay_secs), timer)
-    }
-
-    /// Disarm a pending timer (no-op if it already fired).
-    pub fn cancel_timer(&mut self, id: TimerId) {
-        self.cmds.push(Cmd::CancelTimer(id));
     }
 
     /// Hand a data packet to this host's application — the packet has

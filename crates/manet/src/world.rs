@@ -2,7 +2,7 @@
 //! injection, energy bookkeeping, and metric sampling.
 
 use crate::config::{HostSetup, WorldConfig};
-use crate::ctx::{AppPacket, Cmd, Ctx, NodeView, TimerId, TimerSlab};
+use crate::ctx::{AppPacket, Cmd, Ctx, NodeView, TimerSlab};
 use crate::progress::ProgressProbe;
 use crate::protocol::{Protocol, WireSize};
 use crate::stats::WorldStats;
@@ -202,7 +202,7 @@ struct Flight<M> {
 }
 
 /// The event engine behind the world: the historical serial scheduler, or
-/// the sharded conservative-sync engine (`--parallel-world`).  Every
+/// the sharded conservative-sync engine (`WorldConfig::parallel_world`).  Every
 /// `schedule_*` call names a target shard; the serial arm ignores it, the
 /// sharded arm files the event in that shard's queue.  Dispatch order is
 /// identical either way — the sharded merge pops in global
@@ -296,7 +296,7 @@ impl WorldSched {
 }
 
 /// The channel behind the world: one global in-flight set (serial), or
-/// per-shard sets with boundary mirrors (`--parallel-world`).  Queries
+/// per-shard sets with boundary mirrors (the sharded engine).  Queries
 /// name the shard they are issued from; the serial arm ignores it.
 enum WorldChannel {
     Serial(ChannelState),
@@ -985,7 +985,7 @@ impl<P: Protocol> World<P> {
     }
 
     /// Lifetime counters of the scheduler's event slab (see
-    /// [`sim_engine::EventPool`]).  Under `--parallel-world` these are
+    /// [`sim_engine::EventPool`]).  On the sharded engine these are
     /// aggregated across shards — summed books plus the *global* live
     /// high-water mark — so invariants like "allocated = freed + live"
     /// and "high water = profile queue depth + 1" hold in both modes
@@ -1038,11 +1038,6 @@ impl<P: Protocol> World<P> {
         self.hosts.meters[id.index()].is_alive()
     }
 
-    /// Is the host currently crashed by the fault plan?
-    pub fn node_crashed(&self, id: NodeId) -> bool {
-        self.hosts.crashed[id.index()]
-    }
-
     pub fn node_consumed_j(&self, id: NodeId) -> f64 {
         self.hosts.meters[id.index()].consumed_j()
     }
@@ -1058,10 +1053,6 @@ impl<P: Protocol> World<P> {
 
     pub fn node_cell(&self, id: NodeId) -> GridCoord {
         self.hosts.cells[id.index()]
-    }
-
-    pub fn node_pos(&self, id: NodeId) -> Point2 {
-        self.hosts.traces[id.index()].position_at(self.sched.now())
     }
 
     pub fn stats(&self) -> &WorldStats {
@@ -1118,16 +1109,6 @@ impl<P: Protocol> World<P> {
         } else {
             consumed / capacity
         }
-    }
-
-    /// Scenario group index of a host (0 outside scenario runs).
-    pub fn node_group(&self, id: NodeId) -> u16 {
-        self.hosts.groups[id.index()]
-    }
-
-    /// Per-host radio range in meters.
-    pub fn node_range(&self, id: NodeId) -> f64 {
-        self.hosts.ranges[id.index()]
     }
 
     /// Energy/liveness rollup per scenario group, indexed by group id
@@ -1690,11 +1671,6 @@ impl<P: Protocol> World<P> {
                     let sh = self.shard_of_node(node);
                     let handle = self.sched.schedule_in(sh, delay, Event::Timer { node, id: id.0 });
                     self.timers.arm(id, node, timer, handle);
-                }
-                Cmd::CancelTimer(TimerId(id)) => {
-                    if let Some((_, _, handle)) = self.timers.disarm(id) {
-                        self.sched.cancel(handle);
-                    }
                 }
                 Cmd::DeliverApp(packet) => {
                     self.ledger.record_delivered(packet.key(), now);

@@ -3,9 +3,11 @@
 
 use manet::testkit::{Probe, ProbeCfg, ProbeMsg};
 use manet::{
-    FlowSet, GridCoord, HostSetup, NodeId, PageSignal, RadioMode, SimDuration, SimTime, World, WorldConfig,
+    AppPacket, EventKind, FlowSet, FrameKind, GridCoord, HostSetup, NodeId, PageSignal, PowerProfile,
+    RadioMode, SimDuration, SimTime, TraceMode, WireSize, World, WorldConfig,
 };
 use mobility::{MobilityTrace, Segment};
+use radio::FrameMeta;
 use traffic::{CbrFlow, FlowId};
 
 const HORIZON: SimTime = SimTime(3_000_000_000_000); // 3000 s
@@ -210,6 +212,89 @@ fn idle_host_dies_at_paper_lifetime_and_sleeper_survives() {
     let j = w.node_consumed_j(NodeId(1));
     assert!((320.0..335.0).contains(&j), "sleeper consumed {j}");
     assert_eq!(w.stats().deaths, 1);
+}
+
+#[test]
+fn one_hop_cbr_flow_has_closed_form_latency_and_energy() {
+    // Two stationary hosts 100 m apart, one 1 pkt/s flow, no faults: the
+    // channel is never contended, so every number below is arithmetic on
+    // `MacConfig` / `PowerProfile`, not a value observed from a run.
+    let (src, dst) = (NodeId(0), NodeId(1));
+    let flow = CbrFlow {
+        id: FlowId(0),
+        src,
+        dst,
+        packet_bytes: 512,
+        interval: SimDuration::from_secs(1),
+        start: SimTime::from_secs(1),
+        stop: SimTime::from_secs(21),
+        burst: None,
+    };
+    let n = 20;
+    let end = SimTime::from_secs(30);
+    let hosts = vec![fixed(50.0, 50.0), fixed(150.0, 50.0)];
+    let cfgs = vec![ProbeCfg::default(), ProbeCfg::default()];
+    let mut w = world_with(hosts, cfgs, FlowSet::new(vec![flow]));
+    w.enable_trace(TraceMode::Full);
+    w.run_until(end);
+
+    let mac = WorldConfig::paper_default(42).mac;
+    let packet = AppPacket {
+        flow: 0,
+        seq: 0,
+        bytes: flow.packet_bytes,
+    };
+    let data = mac.airtime(&FrameMeta {
+        src,
+        kind: FrameKind::Unicast(dst),
+        payload_bytes: ProbeMsg::Data { packet, dst }.wire_bytes(),
+    });
+    let ack = mac.ack_airtime();
+
+    // nothing is lost, retried or corrupted
+    let st = *w.stats();
+    assert_eq!((w.ledger().sent_count(), w.ledger().delivered_count()), (n, n));
+    assert_eq!((st.unicasts, st.tx_started, st.frames_delivered), (n, n, n));
+    assert_eq!((st.retransmissions, st.mac_drops, st.corrupted), (0, 0, 0));
+
+    // latency: the packet is delivered when its first attempt ends, one
+    // DIFS, a backoff draw of 0..=cw_min slots and one airtime after the
+    // application handed it over (the MAC is idle at every send)
+    let (floor, ceiling) = (mac.difs + data, mac.difs + mac.backoff(mac.cw_min) + data);
+    let events = w.recorder().expect("tracing on").events();
+    let times = |pick: fn(&EventKind) -> bool| -> Vec<SimTime> {
+        events.iter().filter(|e| pick(&e.kind)).map(|e| e.t).collect()
+    };
+    let sent = times(|k| matches!(k, EventKind::PacketSent { .. }));
+    let delivered = times(|k| matches!(k, EventKind::PacketDelivered { .. }));
+    assert_eq!((sent.len(), delivered.len()), (n as usize, n as usize));
+    // one packet in flight at a time, so the two lists pair up in order
+    for (seq, (s, d)) in sent.iter().zip(&delivered).enumerate() {
+        let latency = d.since(*s);
+        assert!(
+            (floor..=ceiling).contains(&latency),
+            "packet {seq}: {latency:?} outside [{floor:?}, {ceiling:?}]"
+        );
+    }
+
+    // energy: idle (+GPS) for the whole run, plus what each frame adds on
+    // top of idle — the sender transmits the data and receives the ACK,
+    // the receiver the reverse.  (The ACK is charged as a lump at the end
+    // of the data frame rather than as a mode interval; same joules.)
+    let p = PowerProfile::paper_default();
+    let idle_j = p.draw_w(RadioMode::Idle) * end.as_secs_f64();
+    let (tx_extra, rx_extra) = (p.tx_w - p.idle_w, p.rx_w - p.idle_w);
+    let (data_s, ack_s) = (data.as_secs_f64() * n as f64, ack.as_secs_f64() * n as f64);
+    for (node, want) in [
+        (src, idle_j + tx_extra * data_s + rx_extra * ack_s),
+        (dst, idle_j + rx_extra * data_s + tx_extra * ack_s),
+    ] {
+        let got = w.node_consumed_j(node);
+        assert!(
+            (got - want).abs() < 1e-9,
+            "{node:?} consumed {got} J, want {want} J"
+        );
+    }
 }
 
 #[test]

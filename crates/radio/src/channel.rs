@@ -117,11 +117,6 @@ impl ChannelState {
         self.spatial = Some(SpatialIndex::new(width_m, height_m, self.range));
     }
 
-    /// Is the bucket index active? (diagnostic)
-    pub fn spatial_enabled(&self) -> bool {
-        self.spatial.is_some()
-    }
-
     /// The bucket index, if enabled *and* worth querying at the current
     /// occupancy (see [`SPATIAL_LINEAR_CUTOFF`]).
     #[inline]

@@ -1,6 +1,6 @@
 //! Sharded channel: per-shard in-flight sets with boundary mirrors.
 //!
-//! `--parallel-world` partitions the field into K contiguous vertical
+//! The sharded engine partitions the field into K contiguous vertical
 //! strips of whole logical grid-cell columns ([`ShardMap`]).  Each shard
 //! owns a [`ChannelState`] holding exactly the transmissions *audible
 //! inside its strip*: a transmission is inserted into its home shard and

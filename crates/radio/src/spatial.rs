@@ -45,24 +45,6 @@ pub enum NeighborIndex {
     Grid,
 }
 
-impl NeighborIndex {
-    /// Parse a CLI flag value.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "brute" => Some(NeighborIndex::Brute),
-            "grid" => Some(NeighborIndex::Grid),
-            _ => None,
-        }
-    }
-
-    pub fn name(self) -> &'static str {
-        match self {
-            NeighborIndex::Brute => "brute",
-            NeighborIndex::Grid => "grid",
-        }
-    }
-}
-
 /// Population at or below which grid-mode receiver discovery brute-scans
 /// instead of gathering a Chebyshev-`reach` neighborhood.
 ///
@@ -635,14 +617,5 @@ mod tests {
         // crossover sits between the bench's regressing and winning scales
         assert!(auto_gather_threshold(4) > 200);
         assert!(auto_gather_threshold(4) < 500);
-    }
-
-    #[test]
-    fn parse_neighbor_index() {
-        assert_eq!(NeighborIndex::parse("brute"), Some(NeighborIndex::Brute));
-        assert_eq!(NeighborIndex::parse("grid"), Some(NeighborIndex::Grid));
-        assert_eq!(NeighborIndex::parse("quad"), None);
-        assert_eq!(NeighborIndex::default(), NeighborIndex::Grid);
-        assert_eq!(NeighborIndex::Brute.name(), "brute");
     }
 }

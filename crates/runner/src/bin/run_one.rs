@@ -4,11 +4,11 @@
 //! cargo run --release -p ecgrid-runner --bin run_one -- \
 //!     --protocol ecgrid --hosts 100 --speed 1 --pause 0 \
 //!     --flows 10 --rate 1 --duration 2000 --seed 42 \
-//!     --backend heap --trace out.jsonl
+//!     --trace out.jsonl
 //! ```
 
 use manet::trace::TraceMode;
-use manet::{Backend, FaultPlan, NeighborIndex};
+use manet::FaultPlan;
 use runner::cli::Usage;
 use runner::report::opt_or;
 use runner::supervisor::{run_point, sweep_keyed, SupervisorConfig};
@@ -24,8 +24,6 @@ USAGE:
     run_one [--protocol grid|ecgrid|gaf|span] [--hosts N] [--speed M/S]
             [--pause S] [--flows N] [--rate PPS] [--duration S] [--seed N]
             [--scenario FILE.scn] [--groups-json FILE.json]
-            [--backend heap|calendar] [--neighbor-index brute|grid]
-            [--parallel-world] [--shards K] [--threads T]
             [--trace FILE.jsonl] [--digest] [--faults SPEC]
             [--event-budget N] [--wall-budget SECS] [--max-retries N]
             [--journal FILE.jsonl]
@@ -44,19 +42,6 @@ pause 0, 10 flows x 1 pkt/s, 2000 s, seed 42).
 
 --trace FILE   record the full event stream and export it as JSONL
 --digest       record in digest-only mode (O(1) memory; prints the digest)
---backend      pending-event-set implementation (results are identical)
---neighbor-index  receiver-discovery strategy: the spatial grid-bucket
-               index (default) or the brute-force reference scan; trace
-               digests are bit-identical either way
---parallel-world  run on the sharded conservative-sync engine (4 strips
-               unless --shards says otherwise); the trace digest is
-               bit-identical to the serial engine's
---shards K     shard count for the sharded engine (implies
-               --parallel-world); 0 = auto from available_parallelism
---threads T    worker lanes for the parallel engine's host-plane kernels
-               (implies --parallel-world); 0 = auto
-               (min(shards, available_parallelism)), 1 = inline; the
-               digest is bit-identical at every T
 --faults SPEC  comma-separated fault plan, e.g.
                loss=0.1,churn=0.01,page_fail=0.2,drain=0.005,gps=15
                (keys: loss, ge, page_fail, page_delay, churn, rejoin,
@@ -106,17 +91,13 @@ fn parse_args() -> Cli {
         println!("{HELP}");
         std::process::exit(0);
     }
-    // `--parallel-world` alone defaults to 4 strips, but an explicit
-    // `--shards` (including 0 = auto) must win regardless of flag order.
-    let mut shards_given = false;
-    for (k, v) in USAGE.pairs(&args[1..], &["--digest", "--parallel-world"]) {
+    for (k, v) in USAGE.pairs(&args[1..], &["--digest"]) {
         match k {
             "--digest" => {
                 if cli.opts.trace.is_none() {
                     cli.opts.trace = Some(TraceMode::DigestOnly);
                 }
             }
-            "--parallel-world" => cli.opts.parallel_world = true,
             "--protocol" => {
                 cli.sc.protocol = runner::serve::parse_protocol(v).unwrap_or_else(|| {
                     let other = v.to_lowercase();
@@ -132,14 +113,6 @@ fn parse_args() -> Cli {
             "--rate" => cli.sc.flow_rate_pps = USAGE.parse_val(k, v),
             "--duration" => cli.sc.duration_secs = USAGE.parse_val(k, v),
             "--seed" => cli.sc.seed = USAGE.parse_val(k, v),
-            "--backend" => {
-                cli.opts.backend = Backend::parse(v)
-                    .unwrap_or_else(|| USAGE.fail(format!("--backend: {v:?} (expected heap|calendar)")))
-            }
-            "--neighbor-index" => {
-                cli.opts.neighbor_index = NeighborIndex::parse(v)
-                    .unwrap_or_else(|| USAGE.fail(format!("--neighbor-index: {v:?} (expected brute|grid)")))
-            }
             "--faults" => match FaultPlan::parse(v) {
                 Ok(plan) => cli.opts.faults = plan,
                 Err(e) => USAGE.fail(format!("--faults: {e}")),
@@ -147,15 +120,6 @@ fn parse_args() -> Cli {
             "--trace" => {
                 cli.opts.trace = Some(TraceMode::Full);
                 cli.trace_path = Some(v.into());
-            }
-            "--shards" => {
-                cli.opts.parallel_world = true;
-                cli.opts.shards = USAGE.parse_val(k, v);
-                shards_given = true;
-            }
-            "--threads" => {
-                cli.opts.parallel_world = true;
-                cli.opts.threads = USAGE.parse_val(k, v);
             }
             "--event-budget" => cli.opts.event_budget = Some(USAGE.parse_val(k, v)),
             "--wall-budget" => cli.opts.wall_budget_ms = Some(USAGE.wall_budget_ms(k, v)),
@@ -166,19 +130,7 @@ fn parse_args() -> Cli {
             other => USAGE.fail(format!("unknown flag {other}")),
         }
     }
-    if cli.opts.parallel_world && !shards_given && cli.opts.shards < 2 {
-        cli.opts.shards = 4;
-    }
     cli
-}
-
-/// Human label for an engine request before the auto values resolve.
-fn auto_or(n: usize) -> String {
-    if n == 0 {
-        "auto".into()
-    } else {
-        n.to_string()
-    }
 }
 
 fn groups_json_doc(groups: &[runner::GroupReport]) -> String {
@@ -346,21 +298,7 @@ fn main() {
         return;
     }
 
-    let engine = if opts.parallel_world {
-        format!(
-            "sharded x{}, threads {}",
-            auto_or(opts.shards),
-            auto_or(opts.threads)
-        )
-    } else {
-        "serial".into()
-    };
-    eprintln!(
-        "running: {} [{}, {} index, {engine} engine]",
-        sc.label(),
-        opts.backend.name(),
-        opts.neighbor_index.name()
-    );
+    eprintln!("running: {}", sc.label());
     let start = std::time::Instant::now();
 
     // supervised (unjournaled) mode: panic isolation + bounded retry

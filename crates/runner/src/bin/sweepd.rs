@@ -7,7 +7,6 @@
 //! bit.  See DESIGN.md §13 for the protocol grammar and failure matrix.
 
 use manet::trace::TraceMode;
-use manet::Backend;
 use runner::cli::Usage;
 use runner::supervisor::SupervisorConfig;
 use runner::{EcgridJobHandler, RunOptions};
@@ -23,9 +22,7 @@ sweepd — resident sweep service for the ECGRID reproduction
 USAGE:
     sweepd [--addr HOST:PORT] [--workers N] [--capacity N]
            [--state-dir DIR] [--sub-buffer N] [--retry-after MS]
-           [--backend heap|calendar] [--parallel-world] [--shards K]
-           [--threads T] [--event-budget N] [--wall-budget SECS]
-           [--max-retries N]
+           [--event-budget N] [--wall-budget SECS] [--max-retries N]
 
 --addr          listen address (default 127.0.0.1:7171; port 0 = ephemeral)
 --workers       concurrent job runners (default 2)
@@ -37,14 +34,6 @@ USAGE:
 --sub-buffer    per-subscriber frame buffer; slow subscribers drop frames
                 (counted in their bye) rather than stall the sim (default 1024)
 --retry-after   hint sent with shed replies, ms (default 500)
---backend       pending-event-set implementation for all jobs
---parallel-world  run every job on the sharded conservative-sync engine
-                (digest-neutral; 4 strips unless --shards says otherwise)
---shards K      shard count for the sharded engine (implies
-                --parallel-world); 0 = auto from available_parallelism
---threads T     worker lanes for the parallel engine's host-plane kernels
-                (implies --parallel-world); 0 = auto
-                (min(shards, available_parallelism)), 1 = inline
 --event-budget  per-replica event watchdog (deterministic)
 --wall-budget   per-replica wall-clock watchdog, seconds (non-deterministic:
                 trips quarantine the replica, never poison the journal)
@@ -96,31 +85,16 @@ fn main() {
         println!("{HELP}");
         return;
     }
-    let mut shards_given = false;
-    for (k, v) in USAGE.pairs(&args[1..], &["--parallel-world"]) {
+    for (k, v) in USAGE.pairs(&args[1..], &[]) {
         match k {
-            "--parallel-world" => opts.parallel_world = true,
             "--addr" => cfg = cfg.with_addr(v),
             "--workers" => cfg = cfg.with_workers(USAGE.parse_val::<usize>(k, v).max(1)),
             "--capacity" => cfg = cfg.with_capacity(USAGE.parse_val(k, v)),
             "--state-dir" => cfg = cfg.with_state_dir(v),
             "--sub-buffer" => cfg = cfg.with_subscriber_buffer(USAGE.parse_val::<usize>(k, v).max(1)),
             "--retry-after" => cfg = cfg.with_retry_after_ms(USAGE.parse_val(k, v)),
-            "--backend" => {
-                opts.backend = Backend::parse(v)
-                    .unwrap_or_else(|| USAGE.fail(format!("--backend: {v:?} (expected heap|calendar)")))
-            }
-            "--shards" => {
-                opts.parallel_world = true;
-                opts.shards = USAGE.parse_val(k, v);
-                shards_given = true;
-            }
-            "--threads" => {
-                opts.parallel_world = true;
-                opts.threads = USAGE.parse_val(k, v);
-            }
             "--event-budget" => opts.event_budget = Some(USAGE.parse_val(k, v)),
-            "--wall-budget" => sup = sup.with_wall_budget_ms(Some(USAGE.wall_budget_ms(k, v))),
+            "--wall-budget" => opts.wall_budget_ms = Some(USAGE.wall_budget_ms(k, v)),
             "--max-retries" => sup = sup.with_max_retries(USAGE.parse_val(k, v)),
             other => USAGE.fail(format!("unknown flag {other}")),
         }
@@ -131,15 +105,6 @@ fn main() {
     if opts.trace.is_none() {
         opts.trace = Some(TraceMode::DigestOnly);
     }
-    if opts.parallel_world && !shards_given && opts.shards < 2 {
-        opts.shards = 4;
-    }
-    // resolve auto engine values now so the `stats` frame echoes what
-    // jobs will actually run on, not the raw flag values
-    cfg = cfg.with_engine_label(match opts.resolved_engine() {
-        Some((k, t)) => format!("sharded k={k} t={t}"),
-        None => "serial".into(),
-    });
 
     let handler = Arc::new(EcgridJobHandler::new(opts, sup));
     let server = match Server::start(cfg, handler) {

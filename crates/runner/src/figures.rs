@@ -232,11 +232,10 @@ impl Campaign {
     pub fn run(&self, opts: &FigOpts) -> Result<Results, JournalError> {
         let sup = SupervisorConfig {
             max_retries: opts.max_retries,
-            event_budget: opts.event_budget,
             journal: opts.journal.clone(),
-            ..SupervisorConfig::default()
         };
-        let report = sweep_supervised(&self.points, opts.replicas, RunOptions::default(), &sup);
+        let run = RunOptions::default().with_event_budget(opts.event_budget);
+        let report = sweep_supervised(&self.points, opts.replicas, run, &sup);
         if let Some(e) = report.journal_error {
             return Err(e);
         }

@@ -5,8 +5,8 @@
 //! the fleet through [`crate::spec_run::run_fleet`], the one pipeline
 //! scenario files also take (DESIGN.md §15).
 
-use crate::scenario::Scenario;
-use crate::spec_run::run_fleet;
+use crate::scenario::{ProtocolKind, Scenario};
+use crate::spec_run::{run_fleet, world_config};
 use manet::progress::ProgressProbe;
 use manet::trace::{Recorder, TraceDigest, TraceMode};
 use manet::{Backend, FaultPlan, NeighborIndex};
@@ -111,28 +111,17 @@ impl RunOptions {
         self
     }
 
-    /// The engine these options will select, with auto values resolved
-    /// against this host: `Some((shards, threads))` on the parallel
-    /// engine, `None` on the serial one.  Matches what
-    /// [`ScenarioResult::engine`] reports after a run (the resolution
-    /// rule lives in `manet::WorldConfig::resolved_shards/threads`).
+    /// The engine a run under these options will use on this host:
+    /// `Some((shards, threads))` on the parallel engine, `None` on the
+    /// serial one — what [`ScenarioResult::engine`] reports afterwards.
+    /// The auto values resolve where the world resolves them
+    /// (`manet::WorldConfig::resolved_shards/resolved_threads`).
     pub fn resolved_engine(&self) -> Option<(usize, usize)> {
-        if !self.parallel_world {
-            return None;
-        }
-        let k = if self.shards == 0 {
-            manet::host_parallelism()
-        } else {
-            self.shards
-        }
-        .max(1);
-        let t = if self.threads == 0 {
-            manet::host_parallelism().min(k)
-        } else {
-            self.threads
-        }
-        .max(1);
-        Some((k, t))
+        // the engine does not depend on the fleet: any one resolves it
+        let fleet = Scenario::paper_base(ProtocolKind::Ecgrid, 1.0, 0).to_spec();
+        let cfg = world_config(&fleet, self);
+        cfg.parallel_world
+            .then(|| (cfg.resolved_shards().max(1), cfg.resolved_threads().max(1)))
     }
 }
 
@@ -260,7 +249,6 @@ pub fn run_replicas(sc: &Scenario, replicas: usize, opts: RunOptions, parallel: 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::ProtocolKind;
 
     fn tiny(protocol: ProtocolKind) -> Scenario {
         Scenario {

@@ -47,9 +47,9 @@ pub fn parse_protocol(s: &str) -> Option<ProtocolKind> {
 /// paper campaign averages 3 seeds per point and the chaos suite 2.
 const MAX_JOB_REPLICAS: u64 = 256;
 
-/// The production job handler: base run options (backend, engine,
-/// budgets) fixed at server start, scenario shape and fault plan taken
-/// from each job spec.
+/// The production job handler: base run options (trace mode, budgets)
+/// fixed at server start, scenario shape and fault plan taken from each
+/// job spec.
 pub struct EcgridJobHandler {
     opts: RunOptions,
     sup: SupervisorConfig,
@@ -483,8 +483,8 @@ rate_pps = 1.0
         // budgets are watchdogs, not result identity: they must not
         // perturb the resume key
         let c = EcgridJobHandler::new(
-            RunOptions::default(),
-            SupervisorConfig::default().with_wall_budget_ms(Some(60_000)),
+            RunOptions::default().with_wall_budget_ms(Some(60_000)),
+            SupervisorConfig::default(),
         );
         assert_eq!(a.config_hash(&spec).unwrap(), c.config_hash(&spec).unwrap());
     }

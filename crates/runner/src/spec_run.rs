@@ -352,7 +352,7 @@ fn group_reports(
 }
 
 /// The world configuration `opts` selects for `spec`.
-fn world_config(spec: &ScenarioSpec, opts: &RunOptions) -> WorldConfig {
+pub(crate) fn world_config(spec: &ScenarioSpec, opts: &RunOptions) -> WorldConfig {
     // the effective fault seed folds the scenario seed in, so replicas of
     // the same plan see different (but each fully deterministic) faults
     let faults = opts

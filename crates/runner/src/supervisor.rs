@@ -8,9 +8,9 @@
 //! * **Isolation** — every replica runs under `catch_unwind`, so one
 //!   panicking job becomes a structured [`RunFailure`] instead of
 //!   poisoning the whole rayon sweep.
-//! * **Watchdog** — replicas run with the supervisor's event budget; an
-//!   event storm terminates with a `BudgetExceeded` failure rather than
-//!   hanging CI (see `sim_engine::RunBudget`).
+//! * **Watchdog** — a replica that trips its [`RunOptions`] event or wall
+//!   budget is a `BudgetExceeded` failure rather than a hung CI job (see
+//!   `sim_engine::RunBudget`).
 //! * **Retry + quarantine** — a failed point retries up to
 //!   [`SupervisorConfig::max_retries`] times on re-derived seeds (each
 //!   attempted seed is preserved in its failure record for replay); points
@@ -43,21 +43,14 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, PoisonError};
 
-/// Supervision knobs, orthogonal to [`RunOptions`].
+/// Supervision knobs, orthogonal to [`RunOptions`] (which holds the
+/// watchdog budgets: they bound a run, supervised or not).
 #[derive(Clone, Debug)]
 pub struct SupervisorConfig {
     /// Retry attempts after the first failure of a point (0 = fail fast).
     /// Retries run on re-derived seeds — replaying the same seed of a
     /// deterministic simulation would fail identically.
     pub max_retries: u32,
-    /// Watchdog ceiling on dispatched events per replica; overrides
-    /// `RunOptions::event_budget` when set.
-    pub event_budget: Option<u64>,
-    /// Watchdog ceiling on wall-clock milliseconds per replica; overrides
-    /// `RunOptions::wall_budget_ms` when set.  Unlike the event budget
-    /// this axis is non-deterministic (host-dependent), so a tripped run
-    /// is quarantined, never averaged.
-    pub wall_budget_ms: Option<u64>,
     /// Checkpoint journal path.  `None` disables journaling.
     pub journal: Option<PathBuf>,
 }
@@ -66,8 +59,6 @@ impl Default for SupervisorConfig {
     fn default() -> Self {
         SupervisorConfig {
             max_retries: 2,
-            event_budget: None,
-            wall_budget_ms: None,
             journal: None,
         }
     }
@@ -76,16 +67,6 @@ impl Default for SupervisorConfig {
 impl SupervisorConfig {
     pub fn with_max_retries(mut self, n: u32) -> Self {
         self.max_retries = n;
-        self
-    }
-
-    pub fn with_event_budget(mut self, n: Option<u64>) -> Self {
-        self.event_budget = n;
-        self
-    }
-
-    pub fn with_wall_budget_ms(mut self, ms: Option<u64>) -> Self {
-        self.wall_budget_ms = ms;
         self
     }
 
@@ -378,10 +359,6 @@ pub fn run_point(
     opts: RunOptions,
     sup: &SupervisorConfig,
 ) -> PointOutcome {
-    // the supervisor's watchdog ceilings win where both are set
-    let opts = opts
-        .with_event_budget(sup.event_budget.or(opts.event_budget))
-        .with_wall_budget_ms(sup.wall_budget_ms.or(opts.wall_budget_ms));
     let mut failures = Vec::new();
     for attempt in 0..=sup.max_retries {
         let seed = if attempt == 0 {

@@ -1,6 +1,7 @@
-//! `run_one` at its process boundary: what a journal that cannot be
-//! opened looks like to a shell (the library-level cases live in
-//! `supervisor.rs` and `tests/supervision.rs`).
+//! `run_one` (and `sweepd`'s flag parser) at the process boundary: what a
+//! journal that cannot be opened looks like to a shell (the library-level
+//! cases live in `supervisor.rs` and `tests/supervision.rs`), and that the
+//! digest-neutral engine axes are not a command-line option.
 
 use std::process::Command;
 
@@ -28,4 +29,56 @@ fn an_unopenable_journal_exits_1_with_a_journal_line_and_no_panic() {
     assert!(!stderr.contains("panicked"), "{stderr}");
     assert!(out.stdout.is_empty(), "nothing ran, nothing to report");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+const RUN_ONE: &str = env!("CARGO_BIN_EXE_run_one");
+const SWEEPD: &str = env!("CARGO_BIN_EXE_sweepd");
+
+#[test]
+fn the_removed_engine_flags_are_usage_errors_before_anything_runs() {
+    // each flag the way its last README / CI invocation spelled it
+    let cases: [(&str, &[&str]); 9] = [
+        (RUN_ONE, &["--backend", "calendar"]),
+        (RUN_ONE, &["--neighbor-index", "brute"]),
+        (RUN_ONE, &["--parallel-world", "--digest"]),
+        (RUN_ONE, &["--shards", "4"]),
+        (RUN_ONE, &["--threads", "4"]),
+        (SWEEPD, &["--backend", "calendar"]),
+        (SWEEPD, &["--parallel-world", "--workers", "1"]),
+        (SWEEPD, &["--shards", "4"]),
+        (SWEEPD, &["--threads", "2"]),
+    ];
+    for (bin, args) in cases {
+        let out = Command::new(bin).args(args).output().expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{bin} {args:?}: {stderr}");
+        let want = format!(": unknown flag {}", args[0]);
+        assert!(
+            stderr.lines().next().is_some_and(|l| l.ends_with(&want)),
+            "{bin} {args:?}: {stderr}"
+        );
+        assert!(
+            out.stdout.is_empty(),
+            "nothing ran, nothing bound: {bin} {args:?}"
+        );
+    }
+}
+
+#[test]
+fn no_help_text_offers_an_engine_flag() {
+    for bin in [RUN_ONE, SWEEPD] {
+        let out = Command::new(bin).arg("--help").output().expect("binary runs");
+        assert_eq!(out.status.code(), Some(0));
+        let help = String::from_utf8_lossy(&out.stdout);
+        assert!(help.contains("USAGE:"), "{help}");
+        for flag in [
+            "--backend",
+            "--neighbor-index",
+            "--parallel-world",
+            "--shards",
+            "--threads",
+        ] {
+            assert!(!help.contains(flag), "{bin} --help still offers {flag}");
+        }
+    }
 }

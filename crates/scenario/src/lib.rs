@@ -230,11 +230,6 @@ impl ScenarioSpec {
             .sum()
     }
 
-    /// Whether any group is a Model-1 endpoint population.
-    pub fn has_endpoints(&self) -> bool {
-        self.groups.iter().any(|g| g.role == Role::Endpoint)
-    }
-
     /// Canonical text form.  `parse(spec.to_text())` returns an equal
     /// spec — the roundtrip identity the property tests verify.
     pub fn to_text(&self) -> String {

@@ -108,6 +108,15 @@ impl Default for JobSpec {
     }
 }
 
+/// One optional field of a request line: `dflt` when the key is missing,
+/// an error naming the key when it is present but `get` cannot read it.
+fn take<T>(line: &str, key: &str, get: impl Fn(&str, &str) -> Option<T>, dflt: T) -> Result<T, String> {
+    if json::field(line, key).is_none() {
+        return Ok(dflt);
+    }
+    get(line, key).ok_or_else(|| format!("bad field {key}"))
+}
+
 impl JobSpec {
     /// Append the spec's fields onto an [`Obj`] under construction.
     pub fn encode_onto(&self, o: Obj) -> Obj {
@@ -136,17 +145,6 @@ impl JobSpec {
     /// defaults; present-but-garbled fields are an error.
     pub fn parse(line: &str) -> Result<JobSpec, String> {
         let d = JobSpec::default();
-        fn take<T>(
-            line: &str,
-            key: &str,
-            get: impl Fn(&str, &str) -> Option<T>,
-            dflt: T,
-        ) -> Result<T, String> {
-            if json::field(line, key).is_none() {
-                return Ok(dflt);
-            }
-            get(line, key).ok_or_else(|| format!("bad field {key}"))
-        }
         Ok(JobSpec {
             protocol: take(
                 line,
@@ -222,16 +220,27 @@ impl FilterSpec {
         o
     }
 
-    fn parse(line: &str) -> FilterSpec {
-        FilterSpec {
+    /// Parse the filter axes out of a `subscribe` line.  A missing axis
+    /// does not filter; one that is present but garbled, out of range or
+    /// half a cell is an error — dropping it would hand the peer the
+    /// unfiltered stream.
+    fn parse(line: &str) -> Result<FilterSpec, String> {
+        let node = |l: &str, k: &str| u32::try_from(json::u64_field(l, k)?).ok().map(Some);
+        let coord = |l: &str, k: &str| i32::try_from(json::i64_field(l, k)?).ok().map(Some);
+        Ok(FilterSpec {
             layers: json::field(line, "layers").unwrap_or("").to_string(),
-            node: json::u64_field(line, "node").map(|n| n as u32),
-            cell: match (json::i64_field(line, "cell_x"), json::i64_field(line, "cell_y")) {
-                (Some(x), Some(y)) => Some((x as i32, y as i32)),
-                _ => None,
+            node: take(line, "node", node, None)?,
+            cell: match (
+                take(line, "cell_x", coord, None)?,
+                take(line, "cell_y", coord, None)?,
+            ) {
+                (Some(x), Some(y)) => Some((x, y)),
+                (None, None) => None,
+                (None, Some(_)) => return Err("bad field cell_x".into()),
+                (Some(_), None) => return Err("bad field cell_y".into()),
             },
             protocol: json::field(line, "protocol").map(str::to_string),
-        }
+        })
     }
 }
 
@@ -282,7 +291,7 @@ impl Request {
             }),
             "subscribe" => Ok(Request::Subscribe {
                 job: json::u64_field(line, "job").ok_or("subscribe needs job")?,
-                filter: FilterSpec::parse(line),
+                filter: FilterSpec::parse(line)?,
             }),
             "result" => Ok(Request::Result {
                 config: json::hex_field(line, "config").ok_or("result needs config (hex)")?,
@@ -704,6 +713,41 @@ mod tests {
                 assert_eq!(f.layers.len(), 2);
                 assert_eq!(f.node, Some(7));
                 assert_eq!(f.cell, Some((-1, 4)));
+            }
+            _ => unreachable!(),
+        }
+        // a missing axis does not filter
+        let bare = Request::parse("{\"cmd\":\"subscribe\",\"job\":1}").unwrap();
+        assert_eq!(
+            bare,
+            Request::Subscribe {
+                job: 1,
+                filter: FilterSpec::default()
+            }
+        );
+        // one that is there but unusable is refused, never dropped (the
+        // peer would get the unfiltered stream) and never narrowed with
+        // `as` (node 2^32 + 5 is not node 5)
+        for (axes, bad) in [
+            ("\"node\":4294967301", "node"),
+            ("\"node\":-1", "node"),
+            ("\"node\":\"seven\"", "node"),
+            ("\"cell_x\":2147483648,\"cell_y\":0", "cell_x"),
+            ("\"cell_x\":0,\"cell_y\":-2147483649", "cell_y"),
+            ("\"cell_x\":1.5,\"cell_y\":0", "cell_x"),
+            ("\"cell_x\":3", "cell_y"),
+            ("\"cell_y\":3", "cell_x"),
+        ] {
+            let line = format!("{{\"cmd\":\"subscribe\",\"job\":1,{axes}}}");
+            assert_eq!(Request::parse(&line), Err(format!("bad field {bad}")), "{line}");
+        }
+        // the edges of the ranges are still addressable
+        let edge = "{\"cmd\":\"subscribe\",\"job\":1,\"node\":4294967295,\
+                    \"cell_x\":-2147483648,\"cell_y\":2147483647}";
+        match Request::parse(edge).unwrap() {
+            Request::Subscribe { filter, .. } => {
+                assert_eq!(filter.node, Some(u32::MAX));
+                assert_eq!(filter.cell, Some((i32::MIN, i32::MAX)));
             }
             _ => unreachable!(),
         }

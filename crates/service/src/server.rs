@@ -57,11 +57,6 @@ pub struct ServiceConfig {
     pub write_timeout_ms: u64,
     /// Root for job manifests and the result journal.
     pub state_dir: PathBuf,
-    /// Human-readable label of the simulation engine every job runs on
-    /// (e.g. `"serial"` or `"sharded k=4 t=2"`), echoed in the `stats`
-    /// frame.  The service itself is simulation-agnostic; the label is
-    /// whatever the embedding daemon resolved its engine flags to.
-    pub engine_label: String,
 }
 
 impl Default for ServiceConfig {
@@ -75,7 +70,6 @@ impl Default for ServiceConfig {
             read_timeout_ms: 30_000,
             write_timeout_ms: 5_000,
             state_dir: PathBuf::from("target/sweepd"),
-            engine_label: "serial".into(),
         }
     }
 }
@@ -113,11 +107,6 @@ impl ServiceConfig {
 
     pub fn with_retry_after_ms(mut self, ms: u64) -> Self {
         self.retry_after_ms = ms;
-        self
-    }
-
-    pub fn with_engine_label(mut self, label: impl Into<String>) -> Self {
-        self.engine_label = label.into();
         self
     }
 }
@@ -790,7 +779,6 @@ fn answer(inner: &Inner, req: Request) -> String {
                 .u64("subscribers", inner.hub.subscriber_count() as u64)
                 .u64("frames_delivered", drops.delivered)
                 .u64("frames_dropped", drops.dropped)
-                .str("engine", &inner.cfg.engine_label)
                 .bool("draining", inner.draining.load(Ordering::Relaxed))
                 .finish()
         }

@@ -22,24 +22,6 @@ pub enum Backend {
     Calendar,
 }
 
-impl Backend {
-    pub fn name(self) -> &'static str {
-        match self {
-            Backend::Heap => "heap",
-            Backend::Calendar => "calendar",
-        }
-    }
-
-    /// Parse a CLI-style name ("heap" / "calendar").
-    pub fn parse(s: &str) -> Option<Backend> {
-        match s.to_ascii_lowercase().as_str() {
-            "heap" => Some(Backend::Heap),
-            "calendar" => Some(Backend::Calendar),
-            _ => None,
-        }
-    }
-}
-
 /// Enum dispatch over the two backends.
 pub enum AnyQueue<E> {
     Heap(EventQueue<E>),
@@ -118,17 +100,8 @@ mod tests {
     }
 
     #[test]
-    fn backend_names_roundtrip() {
-        for b in [Backend::Heap, Backend::Calendar] {
-            assert_eq!(Backend::parse(b.name()), Some(b));
-        }
-        assert_eq!(Backend::parse("HEAP"), Some(Backend::Heap));
-        assert_eq!(Backend::parse("fibonacci"), None);
-        assert_eq!(Backend::default(), Backend::Heap);
-    }
-
-    #[test]
     fn any_queue_reports_its_backend() {
+        assert_eq!(Backend::default(), Backend::Heap);
         assert_eq!(AnyQueue::<()>::new(Backend::Heap).backend(), Backend::Heap);
         assert_eq!(
             AnyQueue::<()>::new(Backend::Calendar).backend(),

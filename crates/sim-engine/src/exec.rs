@@ -306,10 +306,6 @@ impl<M> Mailbox<M> {
         }
     }
 
-    pub fn lane_count(&self) -> usize {
-        self.lanes.len()
-    }
-
     /// The barrier up to which messages have been delivered.
     pub fn delivered_until(&self) -> SimTime {
         self.delivered_until

@@ -261,12 +261,6 @@ impl<E> ShardedScheduler<E> {
             .filter_map(|s| s.queue.peek().map(|&Reverse(e)| e.at))
             .min()
     }
-
-    /// True when no events remain queued (cancelled tails count as gone
-    /// only after they are popped, so this is conservative).
-    pub fn is_drained(&self) -> bool {
-        self.pending() == 0
-    }
 }
 
 #[cfg(test)]

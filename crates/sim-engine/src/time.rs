@@ -129,11 +129,6 @@ impl SimDuration {
     }
 
     #[inline]
-    pub fn is_zero(self) -> bool {
-        self.0 == 0
-    }
-
-    #[inline]
     pub fn saturating_sub(self, other: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_sub(other.0))
     }

@@ -4,7 +4,7 @@
 //! scheduler's merged dispatch stream is *identical* to a single-queue
 //! [`Scheduler`]'s, for every shard count and every shard assignment.
 //!
-//! This is the property the whole `--parallel-world` mode leans on: if
+//! This is the property the whole sharded engine leans on: if
 //! dispatch order is bit-identical, every downstream consumer (RNG
 //! draws, energy-meter integration steps, tx-id allocation, trace
 //! emission) replays identically, so the digest equality proven end to

@@ -1,7 +1,7 @@
 //! The Span state machine: neighbourhood discovery, coordinator
 //! eligibility/withdrawal, PSM duty cycling, AODV over the backbone.
 
-use aodv::{Action, AodvConfig, AodvCore, AodvMsg, AodvStats, AodvTimer};
+use aodv::{Action, AodvConfig, AodvCore, AodvMsg, AodvTimer};
 use manet::{AppPacket, Ctx, FrameKind, NodeId, Protocol, SimTime, WireSize};
 use rand::Rng;
 use std::collections::HashMap;
@@ -177,14 +177,6 @@ impl SpanProto {
 
     pub fn is_coordinator(&self) -> bool {
         self.state == SpanState::Coordinator
-    }
-
-    pub fn aodv_stats(&self) -> &AodvStats {
-        &self.core.stats
-    }
-
-    pub fn neighbor_count(&self) -> usize {
-        self.neighbors.len()
     }
 
     fn send_hello(&mut self, ctx: &mut Ctx<'_, Self>) {

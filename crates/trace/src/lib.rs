@@ -17,7 +17,7 @@
 //!   produce identical digests regardless of thread count and scheduler
 //!   backend, turning "the sim is reproducible" into an enforced
 //!   regression test and giving perf work a behavior-preservation oracle.
-//! * [`Registry`] — counter / gauge / histogram registry with
+//! * [`Registry`] — counter / gauge registry with
 //!   deterministic iteration order.
 //! * [`SchedProfile`] — scheduler profiling: events dispatched per domain,
 //!   queue-depth high-water mark, events/second.
@@ -38,7 +38,7 @@ pub use event::{Event, EventKind, FaultKind, Labels, Layer};
 pub use filter::EventFilter;
 pub use profile::SchedProfile;
 pub use recorder::{EventSink, Recorder, TraceMode};
-pub use registry::{Histogram, Registry};
+pub use registry::Registry;
 
 /// Render a whole trace as classic one-line-per-event text (ns-2 style).
 pub fn render_trace(events: &[Event]) -> String {

@@ -1,4 +1,4 @@
-//! Counter / gauge / histogram registry.
+//! Counter / gauge registry.
 //!
 //! Names are dotted paths ("mac.tx_started", "app.latency_ms"); storage is
 //! `BTreeMap`, so iteration — and therefore any report built from it — is
@@ -7,76 +7,11 @@
 
 use std::collections::BTreeMap;
 
-/// A recorded sample distribution with nearest-rank percentiles.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct Histogram {
-    samples: Vec<f64>,
-    sorted: bool,
-}
-
-impl Histogram {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record one sample.  Non-finite samples are rejected (a NaN would
-    /// poison every percentile).
-    pub fn record(&mut self, x: f64) {
-        if x.is_finite() {
-            self.samples.push(x);
-            self.sorted = false;
-        }
-    }
-
-    pub fn count(&self) -> usize {
-        self.samples.len()
-    }
-
-    pub fn min(&self) -> Option<f64> {
-        self.samples.iter().copied().reduce(f64::min)
-    }
-
-    pub fn max(&self) -> Option<f64> {
-        self.samples.iter().copied().reduce(f64::max)
-    }
-
-    pub fn mean(&self) -> Option<f64> {
-        if self.samples.is_empty() {
-            None
-        } else {
-            Some(self.samples.iter().sum::<f64>() / self.samples.len() as f64)
-        }
-    }
-
-    fn ensure_sorted(&mut self) {
-        if !self.sorted {
-            self.samples.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-            self.sorted = true;
-        }
-    }
-
-    /// Nearest-rank percentile: the smallest sample such that at least
-    /// `q` of the distribution is ≤ it.  `q` is clamped to [0, 1];
-    /// `None` on an empty histogram.  Monotone in `q` and always bounded
-    /// by `min()`/`max()` — properties the test suite enforces.
-    pub fn percentile(&mut self, q: f64) -> Option<f64> {
-        if self.samples.is_empty() {
-            return None;
-        }
-        self.ensure_sorted();
-        let q = q.clamp(0.0, 1.0);
-        let n = self.samples.len();
-        let rank = ((q * n as f64).ceil() as usize).clamp(1, n);
-        Some(self.samples[rank - 1])
-    }
-}
-
-/// The registry: named counters, gauges and histograms.
+/// The registry: named counters and gauges.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Registry {
     counters: BTreeMap<String, u64>,
     gauges: BTreeMap<String, f64>,
-    histograms: BTreeMap<String, Histogram>,
 }
 
 impl Registry {
@@ -102,22 +37,6 @@ impl Registry {
         self.gauges.get(name).copied()
     }
 
-    /// Record a sample into a histogram (creating it empty).
-    pub fn histogram_record(&mut self, name: &str, sample: f64) {
-        self.histograms
-            .entry(name.to_string())
-            .or_default()
-            .record(sample);
-    }
-
-    pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        self.histograms.get(name)
-    }
-
-    pub fn histogram_mut(&mut self, name: &str) -> Option<&mut Histogram> {
-        self.histograms.get_mut(name)
-    }
-
     /// All counters in name order (deterministic).
     pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
         self.counters.iter().map(|(k, v)| (k.as_str(), *v))
@@ -126,11 +45,6 @@ impl Registry {
     /// All gauges in name order.
     pub fn gauges(&self) -> impl Iterator<Item = (&str, f64)> {
         self.gauges.iter().map(|(k, v)| (k.as_str(), *v))
-    }
-
-    /// All histogram names in order.
-    pub fn histogram_names(&self) -> impl Iterator<Item = &str> {
-        self.histograms.keys().map(|k| k.as_str())
     }
 }
 
@@ -154,30 +68,6 @@ mod tests {
         r.gauge_set("alive", 0.7);
         assert_eq!(r.gauge("alive"), Some(0.7));
         assert_eq!(r.gauge("missing"), None);
-    }
-
-    #[test]
-    fn percentiles_are_nearest_rank() {
-        let mut h = Histogram::new();
-        for x in [1.0, 2.0, 3.0, 4.0, 5.0] {
-            h.record(x);
-        }
-        assert_eq!(h.percentile(0.0), Some(1.0));
-        assert_eq!(h.percentile(0.5), Some(3.0));
-        assert_eq!(h.percentile(1.0), Some(5.0));
-        assert_eq!(h.min(), Some(1.0));
-        assert_eq!(h.max(), Some(5.0));
-        assert_eq!(h.mean(), Some(3.0));
-    }
-
-    #[test]
-    fn empty_histogram_has_no_stats() {
-        let mut h = Histogram::new();
-        assert_eq!(h.percentile(0.5), None);
-        assert_eq!(h.min(), None);
-        assert_eq!(h.mean(), None);
-        h.record(f64::NAN); // rejected
-        assert_eq!(h.count(), 0);
     }
 
     #[test]

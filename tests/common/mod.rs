@@ -1,17 +1,58 @@
-//! Shared helpers for the integration suites: the stateful trace-invariant
-//! checker, used in [`Chaos::Forbidden`] mode by `trace_invariants` (a
-//! fault-free run must not even contain fault events) and in
-//! [`Chaos::Expected`] mode by `chaos_invariants` (faults are part of the
-//! scenario, and the checker knows how they may legally bend the rules).
+//! Shared helpers for the integration suites: the golden scenario, its
+//! chaos plan and its fixture reader (`golden_trace` and the equivalence
+//! suites), and the stateful trace-invariant checker, used in
+//! [`Chaos::Forbidden`] mode by `trace_invariants` (a fault-free run must
+//! not even contain fault events) and in [`Chaos::Expected`] mode by
+//! `chaos_invariants` (faults are part of the scenario, and the checker
+//! knows how they may legally bend the rules).
 #![allow(dead_code)]
 
-use ecgrid_suite::manet::{EventKind, NodeId};
-use ecgrid_suite::trace::{Event, FaultKind};
+use ecgrid_suite::manet::{EventKind, FaultPlan, NodeId};
+use ecgrid_suite::runner::{ProtocolKind, Scenario};
+use ecgrid_suite::trace::{Event, FaultKind, TraceDigest};
 use ecgrid_suite::{energy, geo, sim_engine};
 use energy::{EnergyLevel, RadioMode};
 use geo::GridCoord;
 use sim_engine::{SimDuration, SimTime};
 use std::collections::{HashMap, HashSet};
+use std::path::PathBuf;
+
+/// The canonical golden scenario: small enough to run in seconds in debug
+/// builds, busy enough to exercise MAC contention, gateway churn, paging and
+/// multi-hop forwarding.
+pub fn golden(protocol: ProtocolKind) -> Scenario {
+    Scenario {
+        protocol,
+        n_hosts: 30,
+        max_speed: 1.0,
+        pause_secs: 0.0,
+        n_flows: 3,
+        flow_rate_pps: 1.0,
+        duration_secs: 40.0,
+        seed: 11,
+        model1_endpoints: 4,
+    }
+}
+
+/// The fixed adversarial plan pinned by the `*_faulted.digest` fixtures.
+/// Touches every major injection path: frame loss, churn and page loss.
+pub fn golden_plan() -> FaultPlan {
+    FaultPlan::parse("loss=0.15,churn=0.02,rejoin=3,page_fail=0.1").unwrap()
+}
+
+/// Where the committed fixture `tests/golden/<name>.digest` lives.
+pub fn fixture_path(name: &str) -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden")
+        .join(format!("{name}.digest"))
+}
+
+pub fn read_fixture(name: &str) -> TraceDigest {
+    let path = fixture_path(name);
+    let text =
+        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("missing fixture {}: {e}", path.display()));
+    TraceDigest::parse(&text).unwrap_or_else(|| panic!("unparseable fixture {}", path.display()))
+}
 
 /// How the checker treats events only a fault plan can produce.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -24,25 +24,11 @@
 
 use ecgrid_suite::manet::trace::TraceMode;
 use ecgrid_suite::manet::{Backend, FaultPlan};
-use ecgrid_suite::runner::{run_replicas, run_scenario_with, ProtocolKind, RunOptions, Scenario};
+use ecgrid_suite::runner::{run_replicas, run_scenario_with, ProtocolKind, RunOptions};
 use std::path::PathBuf;
 
-/// The canonical golden scenario: small enough to run in seconds in debug
-/// builds, busy enough to exercise MAC contention, gateway churn, paging and
-/// multi-hop forwarding.
-fn golden(protocol: ProtocolKind) -> Scenario {
-    Scenario {
-        protocol,
-        n_hosts: 30,
-        max_speed: 1.0,
-        pause_secs: 0.0,
-        n_flows: 3,
-        flow_rate_pps: 1.0,
-        duration_secs: 40.0,
-        seed: 11,
-        model1_endpoints: 4,
-    }
-}
+mod common;
+use common::{fixture_path, golden, golden_plan};
 
 const GOLDEN_PROTOCOLS: [ProtocolKind; 4] = [
     ProtocolKind::Ecgrid,
@@ -50,24 +36,6 @@ const GOLDEN_PROTOCOLS: [ProtocolKind; 4] = [
     ProtocolKind::Gaf,
     ProtocolKind::Span,
 ];
-
-fn fixture_path(p: ProtocolKind) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/golden")
-        .join(format!("{}.digest", p.name().to_lowercase()))
-}
-
-/// The fixed adversarial plan pinned by the `*_faulted.digest` fixtures.
-/// Touches every major injection path: frame loss, churn and page loss.
-fn golden_plan() -> FaultPlan {
-    FaultPlan::parse("loss=0.15,churn=0.02,rejoin=3,page_fail=0.1").unwrap()
-}
-
-fn faulted_fixture_path(p: ProtocolKind) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/golden")
-        .join(format!("{}_faulted.digest", p.name().to_lowercase()))
-}
 
 #[test]
 fn repeated_runs_produce_identical_digests() {
@@ -171,7 +139,12 @@ fn digests_match_the_golden_fixtures() {
         let sc = golden(p);
         let r = run_scenario_with(&sc, RunOptions::digest());
         let got = r.trace_digest.expect("tracing was enabled");
-        check_fixture(p.name(), &fixture_path(p), got, &mut mismatches);
+        check_fixture(
+            p.name(),
+            &fixture_path(&p.name().to_lowercase()),
+            got,
+            &mut mismatches,
+        );
     }
     assert!(
         mismatches.is_empty(),
@@ -235,7 +208,8 @@ fn faulted_digests_match_the_golden_fixtures() {
         let r = run_scenario_with(&sc, RunOptions::digest().with_faults(golden_plan()));
         let got = r.trace_digest.expect("tracing was enabled");
         let label = format!("{} (faulted)", p.name());
-        check_fixture(&label, &faulted_fixture_path(p), got, &mut mismatches);
+        let path = fixture_path(&format!("{}_faulted", p.name().to_lowercase()));
+        check_fixture(&label, &path, got, &mut mismatches);
     }
     assert!(
         mismatches.is_empty(),

@@ -15,42 +15,16 @@
 
 use ecgrid_suite::manet::{FaultPlan, NeighborIndex};
 use ecgrid_suite::runner::{run_scenario_with, ProtocolKind, RunOptions, Scenario};
-use ecgrid_suite::trace::TraceDigest;
-use std::path::PathBuf;
 
-/// The golden scenario (keep in sync with `tests/golden_trace.rs`).
-fn golden(protocol: ProtocolKind) -> Scenario {
-    Scenario {
-        protocol,
-        n_hosts: 30,
-        max_speed: 1.0,
-        pause_secs: 0.0,
-        n_flows: 3,
-        flow_rate_pps: 1.0,
-        duration_secs: 40.0,
-        seed: 11,
-        model1_endpoints: 4,
-    }
-}
+mod common;
+use common::{golden, golden_plan, read_fixture};
 
 const PROTOCOLS: [ProtocolKind; 3] = [ProtocolKind::Ecgrid, ProtocolKind::Grid, ProtocolKind::Gaf];
 
-/// The chaos plan pinned by the faulted golden fixtures.
-fn golden_plan() -> FaultPlan {
-    FaultPlan::parse("loss=0.15,churn=0.02,rejoin=3,page_fail=0.1").unwrap()
-}
-
-fn read_fixture(name: &str) -> TraceDigest {
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/golden")
-        .join(format!("{name}.digest"));
-    let text =
-        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("missing fixture {}: {e}", path.display()));
-    TraceDigest::parse(&text).unwrap_or_else(|| panic!("unparseable fixture {}", path.display()))
-}
-
 #[test]
 fn grid_index_reproduces_the_golden_fixtures() {
+    // the grid index is also the default: what every binary runs
+    assert_eq!(RunOptions::digest().neighbor_index, NeighborIndex::Grid);
     for p in PROTOCOLS {
         let opts = RunOptions::digest().with_neighbor_index(NeighborIndex::Grid);
         let r = run_scenario_with(&golden(p), opts);

@@ -1,7 +1,7 @@
 //! The conservative-sync test wall: the sharded parallel engine must be
 //! *bit-for-bit* indistinguishable from the serial one.
 //!
-//! PR 7 added `--parallel-world`: the field is cut into K vertical strips
+//! PR 7 added the sharded engine: the field is cut into K vertical strips
 //! of grid-cell columns, each with its own event queue, event slab, and
 //! channel bookkeeping, merged at every pop in deterministic
 //! `(time, queue_seq)` order (see DESIGN.md §12).  Nothing about that
@@ -18,7 +18,7 @@
 //! * a heavy-drain run whose hosts die *and* migrate between strips
 //!   mid-run digests identically, with the migrations proven to happen.
 //!
-//! PR 9 added `--threads T`: the host-plane kernels (energy integration,
+//! PR 9 added the threads axis: the host-plane kernels (energy integration,
 //! mobility evaluation, reception verdicts, paging scans) fan out over a
 //! worker pool while dispatch and every state commit stay serial (see
 //! DESIGN.md §14).  The same wall now runs on a threads axis: every
@@ -28,43 +28,15 @@
 
 use ecgrid_suite::manet::{FaultPlan, NeighborIndex};
 use ecgrid_suite::runner::{run_scenario_with, ProtocolKind, RunOptions, Scenario};
-use ecgrid_suite::trace::TraceDigest;
-use std::path::PathBuf;
 
-/// The golden scenario (keep in sync with `tests/golden_trace.rs`).
-fn golden(protocol: ProtocolKind) -> Scenario {
-    Scenario {
-        protocol,
-        n_hosts: 30,
-        max_speed: 1.0,
-        pause_secs: 0.0,
-        n_flows: 3,
-        flow_rate_pps: 1.0,
-        duration_secs: 40.0,
-        seed: 11,
-        model1_endpoints: 4,
-    }
-}
+mod common;
+use common::{golden, golden_plan, read_fixture};
 
 const PROTOCOLS: [ProtocolKind; 3] = [ProtocolKind::Ecgrid, ProtocolKind::Grid, ProtocolKind::Gaf];
 
-/// Strip counts under test: degenerate, even, the CLI default, and a
+/// Strip counts under test: degenerate, even, the benchmark's K, and a
 /// ragged split of the paper's 10 columns (strips of 2 and 1 columns).
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 7];
-
-/// The chaos plan pinned by the faulted golden fixtures.
-fn golden_plan() -> FaultPlan {
-    FaultPlan::parse("loss=0.15,churn=0.02,rejoin=3,page_fail=0.1").unwrap()
-}
-
-fn read_fixture(name: &str) -> TraceDigest {
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/golden")
-        .join(format!("{name}.digest"));
-    let text =
-        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("missing fixture {}: {e}", path.display()));
-    TraceDigest::parse(&text).unwrap_or_else(|| panic!("unparseable fixture {}", path.display()))
-}
 
 #[test]
 fn sharded_engine_reproduces_the_golden_fixtures_at_every_shard_count() {

@@ -5,7 +5,7 @@ use ecgrid_suite::geo::{GridMap, Point2, Vec2};
 use ecgrid_suite::mobility::{MobilityModel, RandomWaypoint};
 use ecgrid_suite::radio::NodeId;
 use ecgrid_suite::sim_engine::{derive_seed, SimDuration, SimTime};
-use ecgrid_suite::trace::{Event, EventKind, Histogram, Recorder, Registry, TraceMode};
+use ecgrid_suite::trace::{Event, EventKind, Recorder, Registry, TraceMode};
 use proptest::prelude::*;
 use rand::SeedableRng;
 
@@ -165,30 +165,6 @@ fn digest_of(events: &[Event]) -> u64 {
 }
 
 proptest! {
-    /// Nearest-rank percentiles are monotone in q and always bounded by the
-    /// sample min/max.
-    #[test]
-    fn histogram_percentiles_monotone_and_bounded(
-        samples in proptest::collection::vec(-1e6..1e6f64, 1..200),
-        qs in proptest::collection::vec(0.0..=1.0f64, 2..20),
-    ) {
-        let mut qs = qs;
-        let mut h = Histogram::new();
-        for &s in &samples {
-            h.record(s);
-        }
-        prop_assert_eq!(h.count(), samples.len());
-        let (min, max) = (h.min().unwrap(), h.max().unwrap());
-        qs.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let mut last = f64::NEG_INFINITY;
-        for &q in &qs {
-            let p = h.percentile(q).unwrap();
-            prop_assert!(p >= last, "percentile({q}) = {p} < previous {last}");
-            prop_assert!((min..=max).contains(&p), "percentile({q}) = {p} outside [{min}, {max}]");
-            last = p;
-        }
-    }
-
     /// Counters never decrease under any interleaving of adds — increment
     /// is the only operation the registry offers.
     #[test]

@@ -145,10 +145,9 @@ fn runaway_replica_is_stopped_by_the_event_budget() {
     // with the budget diagnostic
     let sc = tiny(3, 12);
     let limit = 500u64;
-    let sup = SupervisorConfig::default()
-        .with_max_retries(1)
-        .with_event_budget(Some(limit));
-    let report = sweep_supervised(&[sc], 1, RunOptions::default(), &sup);
+    let sup = SupervisorConfig::default().with_max_retries(1);
+    let opts = RunOptions::default().with_event_budget(Some(limit));
+    let report = sweep_supervised(&[sc], 1, opts, &sup);
     assert!(report.averaged.is_empty());
     assert_eq!(report.quarantined.len(), 1);
     let q = &report.quarantined[0];
@@ -406,11 +405,10 @@ fn wall_budget_terminates_a_pathological_replica_and_quarantines_it() {
         duration_secs: 10_000.0,
         ..sc
     };
-    let sup = SupervisorConfig::default()
-        .with_max_retries(0)
-        .with_wall_budget_ms(Some(30));
+    let sup = SupervisorConfig::default().with_max_retries(0);
+    let opts = RunOptions::default().with_wall_budget_ms(Some(30));
     let start = std::time::Instant::now();
-    let report = sweep_supervised(&[big], 1, RunOptions::default(), &sup);
+    let report = sweep_supervised(&[big], 1, opts, &sup);
     assert!(
         start.elapsed() < std::time::Duration::from_secs(30),
         "watchdog failed to stop the run promptly"

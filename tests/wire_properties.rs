@@ -94,5 +94,24 @@ proptest! {
             }
         }
         prop_assert_eq!(Request::parse(&line), Ok(req));
+        // a `subscribe` axis that is present but unusable — out of the
+        // field's range, garbled, or half a cell — is an error, never a
+        // narrower or an absent filter
+        let wide = u64::from(u32::MAX) + 1 + n % (1 << 31);
+        for axes in [
+            format!("\"node\":{wide}"),
+            format!("\"node\":\"n{}\"", n % 97),
+            format!("\"cell_x\":{wide},\"cell_y\":0"),
+            format!("\"cell_x\":0,\"cell_y\":-{wide}"),
+            format!("\"cell_x\":{}", n % 9),
+            format!("\"cell_y\":{}", n % 9),
+        ] {
+            let hostile = format!("{{\"cmd\":\"subscribe\",\"job\":{n},{axes}}}");
+            let refused = Request::parse(&hostile);
+            prop_assert!(
+                matches!(&refused, Err(e) if e.starts_with("bad field ")),
+                "{} parsed to {:?}", hostile, refused
+            );
+        }
     }
 }
