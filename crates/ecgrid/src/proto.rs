@@ -254,6 +254,9 @@ impl Ecgrid {
 
     fn become_member(&mut self, ctx: &mut Ctx<'_, Self>, gateway: NodeId) {
         self.role = Role::Member;
+        // the vote is over: give the candidate list's storage back (the
+        // next election allocates afresh)
+        self.candidates = Vec::new();
         self.plane
             .sync_gateway_trace(ctx, self.my_grid, self.is_gateway());
         self.gateway = Some(gateway);
@@ -276,14 +279,14 @@ impl Ecgrid {
         self.level_at_election = ctx.level();
         self.send_hello(ctx, true);
         self.arm_hello(ctx);
-        // the election candidates are my initial host table
+        // the election candidates are my initial host table; the vote is
+        // over, so their storage goes with them
         let now = ctx.now();
-        for c in &self.candidates {
+        for c in std::mem::take(&mut self.candidates) {
             if c.id != self.me && c.grid == self.my_grid {
                 self.host_table.insert(c.id, HostEntry::awake(now));
             }
         }
-        self.candidates.clear();
         ctx.note(|| format!("became gateway of {}", self.my_grid));
         // route any packets we were holding as a member
         let own: Vec<(NodeId, AppPacket)> = self.pending_own.drain(..).collect();
@@ -542,7 +545,7 @@ impl Ecgrid {
     fn maybe_replace_or_join(&mut self, ctx: &mut Ctx<'_, Self>, gw_hello: HelloInfo) {
         if ctx.level() > gw_hello.level {
             // declare myself; the old gateway yields and transfers tables
-            self.candidates.clear();
+            self.candidates = Vec::new();
             self.become_gateway(ctx);
         } else {
             self.become_member(ctx, gw_hello.id);
@@ -707,9 +710,7 @@ impl Protocol for Ecgrid {
                 if winner == self.me {
                     self.become_gateway(ctx);
                 } else {
-                    let w = winner;
-                    self.candidates.clear();
-                    self.become_member(ctx, w);
+                    self.become_member(ctx, winner);
                 }
             }
             EcTimer::GatewayWatch { epoch } => {

@@ -50,16 +50,10 @@ pub struct RoutingStats {
     pub data_dropped: u64,
 }
 
-/// One host's routing state.
-pub struct RoutingPlane {
-    cfg: PlaneConfig,
-    pub routes: RouteTable,
-    pub neighbors: NeighborGateways,
-    pub stats: RoutingStats,
+/// What a host learns and holds while it takes part in route searches.
+#[derive(Default)]
+struct Search {
     seen: RreqSeen,
-    /// My destination sequence number.
-    my_seq: u32,
-    rreq_counter: u32,
     /// Packets awaiting a route (keyed by destination).
     pending_route: IdMap<NodeId, VecDeque<DataMsg>>,
     /// Discoveries in flight: dst -> attempt.
@@ -68,6 +62,31 @@ pub struct RoutingPlane {
     /// pre-seeded through [`RoutingPlane::seed_location`]).  Confines the
     /// first search round (§3.3).
     dst_hints: IdMap<NodeId, GridCoord>,
+}
+
+impl Search {
+    /// The search state in `slot`, created on the first write.
+    fn of(slot: &mut Option<Box<Search>>) -> &mut Search {
+        slot.get_or_insert_with(Box::default)
+    }
+}
+
+/// One host's routing state.
+///
+/// The search state — duplicate filter, route buffer, discoveries in
+/// flight, destination hints — exists only once the host has taken part
+/// in a search: it is created by the first write (a buffered packet, a
+/// discovery, a relayed RREQ, an RREP, a seeded location), never by a
+/// read, so a host that never routes carries one empty pointer for it.
+pub struct RoutingPlane {
+    cfg: PlaneConfig,
+    pub routes: RouteTable,
+    pub neighbors: NeighborGateways,
+    pub stats: RoutingStats,
+    /// My destination sequence number.
+    my_seq: u32,
+    rreq_counter: u32,
+    search: Option<Box<Search>>,
     /// The cell the trace recorder believes this host is gateway of
     /// (keeps GatewayElect/GatewayRetire strictly alternating per host).
     gw_traced: Option<GridCoord>,
@@ -80,12 +99,9 @@ impl RoutingPlane {
             routes: RouteTable::new(SimDuration::from_secs_f64(cfg.route_ttl)),
             neighbors: NeighborGateways::new(SimDuration::from_secs_f64(cfg.neighbor_ttl)),
             stats: RoutingStats::default(),
-            seen: RreqSeen::default(),
             my_seq: 0,
             rreq_counter: 0,
-            pending_route: IdMap::default(),
-            discovering: IdMap::default(),
-            dst_hints: IdMap::default(),
+            search: None,
             gw_traced: None,
         }
     }
@@ -94,7 +110,7 @@ impl RoutingPlane {
     /// seen in, so its first route search can be confined (the paper's
     /// Fig. 2 "supposes" the source has this information).
     pub fn seed_location(&mut self, dst: NodeId, grid: GridCoord) {
-        self.dst_hints.insert(dst, grid);
+        Search::of(&mut self.search).dst_hints.insert(dst, grid);
     }
 
     /// Reconcile the trace's view of this host's gateway tenure with its
@@ -164,7 +180,8 @@ impl RoutingPlane {
             ctx.unicast(next, d.hop(route.next_grid).into());
             return;
         }
-        let q = self.pending_route.entry(d.dst).or_default();
+        let search = Search::of(&mut self.search);
+        let q = search.pending_route.entry(d.dst).or_default();
         if q.len() >= self.cfg.buffer_cap {
             q.pop_front();
             self.stats.data_dropped += 1;
@@ -197,16 +214,18 @@ impl RoutingPlane {
         P::Msg: From<Rreq>,
         P::Timer: From<DiscoveryTimeout>,
     {
-        if attempt == 0 && self.discovering.contains_key(&dst) {
+        let search = Search::of(&mut self.search);
+        if attempt == 0 && search.discovering.contains_key(&dst) {
             return; // one in flight already
         }
-        self.discovering.insert(dst, attempt);
+        search.discovering.insert(dst, attempt);
         self.my_seq += 1;
         self.rreq_counter += 1;
         // first attempt: confined by the configured strategy around the
         // destination's last known grid (if any); retries: global (§3.3)
+        let hint = search.dst_hints.get(&dst).copied();
         let range = if attempt == 0 {
-            self.cfg.search.range_for(grid, self.dst_hints.get(&dst).copied())
+            self.cfg.search.range_for(grid, hint)
         } else {
             GridRect::everywhere()
         };
@@ -219,7 +238,7 @@ impl RoutingPlane {
             range,
             last_grid: grid,
         };
-        self.seen.insert(ctx.id(), self.rreq_counter);
+        search.seen.insert(ctx.id(), self.rreq_counter);
         self.stats.rreqs_sent += 1;
         ctx.broadcast(rreq.into());
         ctx.set_timer_secs(
@@ -232,14 +251,19 @@ impl RoutingPlane {
     /// Whether `t` belongs to the discovery round still in flight (not
     /// superseded by a retry, not finished by an RREP).
     pub fn awaits(&self, t: &DiscoveryTimeout) -> bool {
-        self.discovering.get(&t.dst) == Some(&t.attempt)
+        self.search
+            .as_ref()
+            .is_some_and(|s| s.discovering.get(&t.dst) == Some(&t.attempt))
     }
 
     /// Give up searching for `dst`; the packets buffered for it are
     /// dropped (and returned as a count).
     pub fn abandon_discovery(&mut self, dst: NodeId) -> usize {
-        self.discovering.remove(&dst);
-        let dropped = self.pending_route.remove(&dst).map_or(0, |q| q.len());
+        let Some(search) = self.search.as_mut() else {
+            return 0;
+        };
+        search.discovering.remove(&dst);
+        let dropped = search.pending_route.remove(&dst).map_or(0, |q| q.len());
         self.stats.data_dropped += dropped as u64;
         dropped
     }
@@ -309,7 +333,7 @@ impl RoutingPlane {
         if !r.range.contains(grid) {
             return; // outside the search area
         }
-        if !self.seen.insert(r.src, r.id) {
+        if !Search::of(&mut self.search).seen.insert(r.src, r.id) {
             return; // duplicate
         }
         // reverse pointer to the previous sending gateway's grid
@@ -344,11 +368,12 @@ impl RoutingPlane {
         let now = ctx.now();
         // forward pointer: dst reachable through the grid the RREP came from
         self.routes.upsert(r.dst, r.from_grid, from, r.d_seq, now);
-        self.dst_hints.insert(r.dst, r.dst_grid);
+        let search = Search::of(&mut self.search);
+        search.dst_hints.insert(r.dst, r.dst_grid);
         if r.src == ctx.id() {
-            self.discovering.remove(&r.dst);
+            search.discovering.remove(&r.dst);
             ctx.note(|| format!("route to {} established", r.dst));
-            return self.pending_route.remove(&r.dst);
+            return search.pending_route.remove(&r.dst);
         }
         // relay along the reverse path
         if let Some(back) = self.routes.lookup(r.src, now) {
@@ -461,6 +486,17 @@ mod tests {
     const OFF_PATH: NodeId = NodeId(3);
     const ISOLATED: NodeId = NodeId(4);
 
+    fn config(buffer_cap: usize) -> PlaneConfig {
+        PlaneConfig {
+            route_ttl: 60.0,
+            neighbor_ttl: 3.5,
+            search: SearchStrategy::CoveringRect,
+            discovery_timeout: 0.5,
+            max_discovery_attempts: 3,
+            buffer_cap,
+        }
+    }
+
     /// A chain of gateways in grids (0,0) – (2,0) – (4,0), each in range
     /// of the next only; one more in (2,2), in range of the middle one
     /// only; and one out of everybody's reach.  The source believes `to`
@@ -487,14 +523,7 @@ mod tests {
             stop: start + SimDuration::from_micros(gap_us * packets),
             burst: None,
         }]);
-        let cfg = PlaneConfig {
-            route_ttl: 60.0,
-            neighbor_ttl: 3.5,
-            search: SearchStrategy::CoveringRect,
-            discovery_timeout: 0.5,
-            max_discovery_attempts: 3,
-            buffer_cap,
-        };
+        let cfg = config(buffer_cap);
         let mut w = World::new(WorldConfig::paper_default(3), hosts.into(), flows, move |id| {
             let mut plane = RoutingPlane::new(cfg);
             if id == SRC {
@@ -529,6 +558,10 @@ mod tests {
             stats(&w, OFF_PATH).rreqs_forwarded,
             0,
             "(2,2) hears the rebroadcast but lies outside the rectangle over (0,0)-(4,0)"
+        );
+        assert!(
+            w.protocol(OFF_PATH).plane.search.is_none(),
+            "a search that passed (2,2) by left nothing there"
         );
         assert_eq!(stats(&w, DST).rreps_sent, 1);
         // the RREQ left reverse pointers, the RREP forward pointers, all
@@ -586,5 +619,20 @@ mod tests {
             dst: ISOLATED,
             attempt: 2
         }));
+        assert!(w.protocol(ISOLATED).plane.search.is_none());
+    }
+
+    #[test]
+    fn reads_create_no_search_state_and_the_first_write_does() {
+        let mut plane = RoutingPlane::new(config(64));
+        // what a retired ECGRID host asks of a stale discovery timer
+        let stale = DiscoveryTimeout { dst: DST, attempt: 0 };
+        assert!(!plane.awaits(&stale));
+        assert_eq!(plane.abandon_discovery(DST), 0);
+        assert_eq!(plane.stats, RoutingStats::default());
+        assert!(plane.search.is_none(), "a read made search state");
+        plane.seed_location(DST, GridCoord::new(4, 0));
+        assert!(plane.search.is_some());
+        assert!(!plane.awaits(&stale), "a hint is not a search in flight");
     }
 }

@@ -237,6 +237,9 @@ impl GridProto {
 
     fn become_member(&mut self, ctx: &mut Ctx<'_, Self>, gateway: NodeId) {
         self.role = GridRole::Member;
+        // the vote is over: give the candidate list's storage back (the
+        // next election allocates afresh)
+        self.candidates = Vec::new();
         self.plane
             .sync_gateway_trace(ctx, self.my_grid, self.is_gateway());
         self.gateway = Some(gateway);
@@ -253,13 +256,14 @@ impl GridProto {
             .sync_gateway_trace(ctx, self.my_grid, self.is_gateway());
         self.gateway = Some(self.me);
         self.send_hello(ctx, true);
+        // the candidates are my initial host table; the vote is over, so
+        // their storage goes with them
         let now = ctx.now();
-        for c in &self.candidates {
+        for c in std::mem::take(&mut self.candidates) {
             if c.id != self.me && c.grid == self.my_grid {
                 self.host_table.insert(c.id, now);
             }
         }
-        self.candidates.clear();
         let own: Vec<(NodeId, AppPacket)> = self.pending_own.drain(..).collect();
         for (dst, packet) in own {
             self.route_data(ctx, DataMsg::new(packet, self.me, dst, self.my_grid));
@@ -467,7 +471,6 @@ impl Protocol for GridProto {
                 if winner == self.me {
                     self.become_gateway(ctx);
                 } else {
-                    self.candidates.clear();
                     self.become_member(ctx, winner);
                 }
             }

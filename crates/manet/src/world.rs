@@ -1765,6 +1765,11 @@ impl<P: Protocol> World<P> {
             self.stats.mac_drops += 1;
             return;
         }
+        // a host's first send: room for exactly one frame, since few hosts
+        // ever hold two (the queue grows as usual when one does)
+        if mac.queue.capacity() == 0 {
+            mac.queue.reserve_exact(1);
+        }
         mac.queue.push_back(OutFrame { kind, msg, bytes });
         self.mac_kick(node);
     }

@@ -9,12 +9,14 @@ use sim_engine::{SimDuration, SimTime};
 /// host rests there afterwards).
 #[derive(Clone, Debug)]
 pub struct MobilityTrace {
-    segments: Vec<Segment>,
+    segments: Box<[Segment]>,
 }
 
 impl MobilityTrace {
-    /// Build from contiguous segments.  Panics if the list is empty, not
-    /// time-contiguous, or spatially discontinuous.
+    /// Build from contiguous segments, keeping exactly those (a mobility
+    /// model grew the list by pushing; the trace drops the spare room).
+    /// Panics if the list is empty, not time-contiguous, or spatially
+    /// discontinuous.
     pub fn new(segments: Vec<Segment>) -> Self {
         assert!(!segments.is_empty(), "trace needs at least one segment");
         assert_eq!(segments[0].start, SimTime::ZERO, "trace must start at t=0");
@@ -23,7 +25,9 @@ impl MobilityTrace {
             let gap = w[0].end_position().distance(w[1].from);
             assert!(gap < 1e-6, "segments must be spatially continuous (gap {gap})");
         }
-        MobilityTrace { segments }
+        MobilityTrace {
+            segments: segments.into_boxed_slice(),
+        }
     }
 
     /// A host that never moves.
@@ -147,7 +151,7 @@ impl MobilityTrace {
 }
 
 /// A host's current leg, held beside its trace so that the hot loops read
-/// one inline [`Segment`] instead of chasing `trace → Vec → segment` and
+/// one inline [`Segment`] instead of chasing `trace → slice → segment` and
 /// bisecting on every position query.
 ///
 /// The cached leg answers only instants *strictly inside* it: there the

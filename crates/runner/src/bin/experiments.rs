@@ -26,24 +26,26 @@ fn main() {
     let mut opts = FigOpts::from_env().unwrap_or_else(|e| USAGE.fail(e));
     let mut figures = Vec::new();
     let args: Vec<String> = std::env::args().collect();
-    for (k, v) in USAGE.pairs(&args[1..], &[]) {
+    let mut flags = USAGE.args(&args[1..]);
+    while let Some(k) = flags.flag() {
         match k {
-            "--fig" => figures.push(
-                Figure::from_number(USAGE.parse_val(k, v))
-                    .unwrap_or_else(|| USAGE.fail(format!("--fig: no figure {v} (expected 4..8)"))),
-            ),
-            "--journal" => opts.journal = Some(v.into()),
-            "--max-retries" => opts.max_retries = USAGE.parse_val(k, v),
-            "--event-budget" => opts.event_budget = Some(USAGE.parse_val(k, v)),
+            "--fig" => {
+                let n = flags.parse(k);
+                figures.push(
+                    Figure::from_number(n)
+                        .unwrap_or_else(|| USAGE.fail(format!("--fig: no figure {n} (expected 4..8)"))),
+                )
+            }
+            "--journal" => opts.journal = Some(flags.value(k).into()),
+            "--max-retries" => opts.max_retries = flags.parse(k),
+            "--event-budget" => opts.event_budget = Some(flags.parse(k)),
             "--replicas" => {
-                opts.replicas = USAGE.parse_val(k, v);
+                opts.replicas = flags.parse(k);
                 if opts.replicas == 0 {
                     USAGE.fail("--replicas: must be at least 1");
                 }
             }
-            other => USAGE.fail(format!(
-                "unknown flag {other} (expected --fig/--journal/--max-retries/--event-budget/--replicas)"
-            )),
+            other => flags.unknown(other),
         }
     }
     if figures.is_empty() {

@@ -91,7 +91,8 @@ fn parse_args() -> Cli {
         println!("{HELP}");
         std::process::exit(0);
     }
-    for (k, v) in USAGE.pairs(&args[1..], &["--digest"]) {
+    let mut flags = USAGE.args(&args[1..]);
+    while let Some(k) = flags.flag() {
         match k {
             "--digest" => {
                 if cli.opts.trace.is_none() {
@@ -99,6 +100,7 @@ fn parse_args() -> Cli {
                 }
             }
             "--protocol" => {
+                let v = flags.value(k);
                 cli.sc.protocol = runner::serve::parse_protocol(v).unwrap_or_else(|| {
                     let other = v.to_lowercase();
                     USAGE.fail(format!(
@@ -106,28 +108,28 @@ fn parse_args() -> Cli {
                     ))
                 })
             }
-            "--hosts" => cli.sc.n_hosts = USAGE.parse_val(k, v),
-            "--speed" => cli.sc.max_speed = USAGE.parse_val(k, v),
-            "--pause" => cli.sc.pause_secs = USAGE.parse_val(k, v),
-            "--flows" => cli.sc.n_flows = USAGE.parse_val(k, v),
-            "--rate" => cli.sc.flow_rate_pps = USAGE.parse_val(k, v),
-            "--duration" => cli.sc.duration_secs = USAGE.parse_val(k, v),
-            "--seed" => cli.sc.seed = USAGE.parse_val(k, v),
-            "--faults" => match FaultPlan::parse(v) {
+            "--hosts" => cli.sc.n_hosts = flags.parse(k),
+            "--speed" => cli.sc.max_speed = flags.parse(k),
+            "--pause" => cli.sc.pause_secs = flags.parse(k),
+            "--flows" => cli.sc.n_flows = flags.parse(k),
+            "--rate" => cli.sc.flow_rate_pps = flags.parse(k),
+            "--duration" => cli.sc.duration_secs = flags.parse(k),
+            "--seed" => cli.sc.seed = flags.parse(k),
+            "--faults" => match FaultPlan::parse(flags.value(k)) {
                 Ok(plan) => cli.opts.faults = plan,
                 Err(e) => USAGE.fail(format!("--faults: {e}")),
             },
             "--trace" => {
                 cli.opts.trace = Some(TraceMode::Full);
-                cli.trace_path = Some(v.into());
+                cli.trace_path = Some(flags.value(k).into());
             }
-            "--event-budget" => cli.opts.event_budget = Some(USAGE.parse_val(k, v)),
-            "--wall-budget" => cli.opts.wall_budget_ms = Some(USAGE.wall_budget_ms(k, v)),
-            "--max-retries" => cli.max_retries = Some(USAGE.parse_val(k, v)),
-            "--journal" => cli.journal = Some(v.into()),
-            "--scenario" => cli.scenario_path = Some(v.into()),
-            "--groups-json" => cli.groups_json = Some(v.into()),
-            other => USAGE.fail(format!("unknown flag {other}")),
+            "--event-budget" => cli.opts.event_budget = Some(flags.parse(k)),
+            "--wall-budget" => cli.opts.wall_budget_ms = Some(USAGE.wall_budget_ms(k, flags.value(k))),
+            "--max-retries" => cli.max_retries = Some(flags.parse(k)),
+            "--journal" => cli.journal = Some(flags.value(k).into()),
+            "--scenario" => cli.scenario_path = Some(flags.value(k).into()),
+            "--groups-json" => cli.groups_json = Some(flags.value(k).into()),
+            other => flags.unknown(other),
         }
     }
     cli

@@ -86,13 +86,12 @@ fn parse_args() -> Cli {
         .take_while(|a| a.starts_with("--"))
         .count();
     let cmd_at = (1 + 2 * globals).min(args.len());
-    for (k, v) in USAGE.pairs(&args[1..cmd_at], &[]) {
+    let mut flags = USAGE.args(&args[1..cmd_at]);
+    while let Some(k) = flags.flag() {
         match k {
-            "--addr" => cfg = cfg.with_addr(v),
-            "--attempts" => cfg = cfg.with_connect_attempts(USAGE.parse_val::<u32>(k, v).max(1)),
-            other => USAGE.fail(format!(
-                "unknown global flag {other} (flags go before the command)"
-            )),
+            "--addr" => cfg = cfg.with_addr(flags.value(k)),
+            "--attempts" => cfg = cfg.with_connect_attempts(flags.parse::<u32>(k).max(1)),
+            other => flags.unknown(other),
         }
     }
     let Some(cmd) = args.get(cmd_at) else {
@@ -109,21 +108,23 @@ fn parse_spec(rest: &[String]) -> (JobSpec, bool, u32) {
     let mut spec = JobSpec::default();
     let mut stream = false;
     let mut max_sheds = 0u32;
-    for (k, v) in USAGE.pairs(rest, &["--stream"]) {
+    let mut flags = USAGE.args(rest);
+    while let Some(k) = flags.flag() {
         match k {
             "--stream" => stream = true,
-            "--protocol" => spec.protocol = v.to_lowercase(),
-            "--hosts" => spec.n_hosts = USAGE.parse_val(k, v),
-            "--speed" => spec.max_speed = USAGE.parse_val(k, v),
-            "--pause" => spec.pause_secs = USAGE.parse_val(k, v),
-            "--flows" => spec.n_flows = USAGE.parse_val(k, v),
-            "--rate" => spec.flow_rate_pps = USAGE.parse_val(k, v),
-            "--duration" => spec.duration_secs = USAGE.parse_val(k, v),
-            "--seed" => spec.seed = USAGE.parse_val(k, v),
-            "--endpoints" => spec.model1_endpoints = USAGE.parse_val(k, v),
-            "--replicas" => spec.replicas = USAGE.parse_val::<u64>(k, v).max(1),
-            "--faults" => spec.faults = v.into(),
+            "--protocol" => spec.protocol = flags.value(k).to_lowercase(),
+            "--hosts" => spec.n_hosts = flags.parse(k),
+            "--speed" => spec.max_speed = flags.parse(k),
+            "--pause" => spec.pause_secs = flags.parse(k),
+            "--flows" => spec.n_flows = flags.parse(k),
+            "--rate" => spec.flow_rate_pps = flags.parse(k),
+            "--duration" => spec.duration_secs = flags.parse(k),
+            "--seed" => spec.seed = flags.parse(k),
+            "--endpoints" => spec.model1_endpoints = flags.parse(k),
+            "--replicas" => spec.replicas = flags.parse::<u64>(k).max(1),
+            "--faults" => spec.faults = flags.value(k).into(),
             "--scenario" => {
+                let v = flags.value(k);
                 let text =
                     std::fs::read_to_string(v).unwrap_or_else(|e| USAGE.fail(format!("--scenario {v}: {e}")));
                 // parse locally first: a malformed file earns a line/col
@@ -133,8 +134,8 @@ fn parse_spec(rest: &[String]) -> (JobSpec, bool, u32) {
                 }
                 spec.scenario = service::proto::scenario_hex_encode(&text);
             }
-            "--max-sheds" => max_sheds = USAGE.parse_val(k, v),
-            other => USAGE.fail(format!("unknown submit flag {other}")),
+            "--max-sheds" => max_sheds = flags.parse(k),
+            other => flags.unknown(other),
         }
     }
     (spec, stream, max_sheds)
@@ -142,18 +143,20 @@ fn parse_spec(rest: &[String]) -> (JobSpec, bool, u32) {
 
 fn parse_filter(rest: &[String]) -> FilterSpec {
     let mut f = FilterSpec::default();
-    for (k, v) in USAGE.pairs(rest, &[]) {
+    let mut flags = USAGE.args(rest);
+    while let Some(k) = flags.flag() {
         match k {
-            "--layers" => f.layers = v.into(),
-            "--node" => f.node = Some(USAGE.parse_val(k, v)),
+            "--layers" => f.layers = flags.value(k).into(),
+            "--node" => f.node = Some(flags.parse(k)),
             "--cell" => {
+                let v = flags.value(k);
                 let (x, y) = v
                     .split_once(',')
                     .unwrap_or_else(|| USAGE.fail(format!("--cell: {v:?} (expected X,Y)")));
                 f.cell = Some((USAGE.parse_val(k, x), USAGE.parse_val(k, y)));
             }
-            "--proto" => f.protocol = Some(v.into()),
-            other => USAGE.fail(format!("unknown stream flag {other}")),
+            "--proto" => f.protocol = Some(flags.value(k).into()),
+            other => flags.unknown(other),
         }
     }
     f

@@ -85,18 +85,19 @@ fn main() {
         println!("{HELP}");
         return;
     }
-    for (k, v) in USAGE.pairs(&args[1..], &[]) {
+    let mut flags = USAGE.args(&args[1..]);
+    while let Some(k) = flags.flag() {
         match k {
-            "--addr" => cfg = cfg.with_addr(v),
-            "--workers" => cfg = cfg.with_workers(USAGE.parse_val::<usize>(k, v).max(1)),
-            "--capacity" => cfg = cfg.with_capacity(USAGE.parse_val(k, v)),
-            "--state-dir" => cfg = cfg.with_state_dir(v),
-            "--sub-buffer" => cfg = cfg.with_subscriber_buffer(USAGE.parse_val::<usize>(k, v).max(1)),
-            "--retry-after" => cfg = cfg.with_retry_after_ms(USAGE.parse_val(k, v)),
-            "--event-budget" => opts.event_budget = Some(USAGE.parse_val(k, v)),
-            "--wall-budget" => opts.wall_budget_ms = Some(USAGE.wall_budget_ms(k, v)),
-            "--max-retries" => sup = sup.with_max_retries(USAGE.parse_val(k, v)),
-            other => USAGE.fail(format!("unknown flag {other}")),
+            "--addr" => cfg = cfg.with_addr(flags.value(k)),
+            "--workers" => cfg = cfg.with_workers(flags.parse::<usize>(k).max(1)),
+            "--capacity" => cfg = cfg.with_capacity(flags.parse(k)),
+            "--state-dir" => cfg = cfg.with_state_dir(flags.value(k)),
+            "--sub-buffer" => cfg = cfg.with_subscriber_buffer(flags.parse::<usize>(k).max(1)),
+            "--retry-after" => cfg = cfg.with_retry_after_ms(flags.parse(k)),
+            "--event-budget" => opts.event_budget = Some(flags.parse(k)),
+            "--wall-budget" => opts.wall_budget_ms = Some(USAGE.wall_budget_ms(k, flags.value(k))),
+            "--max-retries" => sup = sup.with_max_retries(flags.parse(k)),
+            other => flags.unknown(other),
         }
     }
 

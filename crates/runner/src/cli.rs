@@ -32,25 +32,12 @@ impl Usage {
             .unwrap_or_else(|e| self.fail(format!("{flag}: invalid value {v:?}: {e}")))
     }
 
-    /// Walk `args` as `(flag, value)` pairs in order.  A flag listed in
-    /// `bare` takes no value and pairs with `""`; any other flag at the end
-    /// of `args` is a usage error.
-    pub fn pairs<'a>(
-        &'a self,
-        args: &'a [String],
-        bare: &'a [&str],
-    ) -> impl Iterator<Item = (&'a str, &'a str)> + 'a {
-        let mut rest = args.iter();
-        std::iter::from_fn(move || {
-            let k = rest.next()?;
-            if bare.contains(&k.as_str()) {
-                return Some((k.as_str(), ""));
-            }
-            let Some(v) = rest.next() else {
-                self.fail(format!("flag {k} needs a value"));
-            };
-            Some((k.as_str(), v.as_str()))
-        })
+    /// Walk `args` as `--flag [value]` words (see [`Args`]).
+    pub fn args<'a>(&'a self, args: &'a [String]) -> Args<'a> {
+        Args {
+            usage: self,
+            rest: args.iter(),
+        }
     }
 
     /// A `--wall-budget SECS` value as the watchdog's milliseconds.
@@ -60,5 +47,41 @@ impl Usage {
             self.fail(format!("{flag}: {v:?} must be positive"));
         }
         (secs * 1000.0).ceil() as u64
+    }
+}
+
+/// A `--flag [value]` walk in which the caller matches each flag and takes
+/// a value only for a flag that has one: a flag nobody matched is reported
+/// as unknown wherever it stands — last argument included — and a known
+/// flag at the end as missing its value.
+pub struct Args<'a> {
+    usage: &'a Usage,
+    rest: std::slice::Iter<'a, String>,
+}
+
+impl<'a> Args<'a> {
+    /// The next flag, or `None` past the last argument.
+    pub fn flag(&mut self) -> Option<&'a str> {
+        self.rest.next().map(String::as_str)
+    }
+
+    /// The value of `flag`: the next argument, or a usage error.
+    pub fn value(&mut self, flag: &str) -> &'a str {
+        self.flag()
+            .unwrap_or_else(|| self.usage.fail(format!("flag {flag} needs a value")))
+    }
+
+    /// The value of `flag`, parsed ([`Usage::parse_val`]).
+    pub fn parse<T: FromStr>(&mut self, flag: &str) -> T
+    where
+        T::Err: Display,
+    {
+        let v = self.value(flag);
+        self.usage.parse_val(flag, v)
+    }
+
+    /// A usage error naming a flag nobody matched.
+    pub fn unknown(&self, flag: &str) -> ! {
+        self.usage.fail(format!("unknown flag {flag}"))
     }
 }

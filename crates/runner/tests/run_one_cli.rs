@@ -1,7 +1,9 @@
-//! `run_one` (and `sweepd`'s flag parser) at the process boundary: what a
-//! journal that cannot be opened looks like to a shell (the library-level
-//! cases live in `supervisor.rs` and `tests/supervision.rs`), and that the
-//! digest-neutral engine axes are not a command-line option.
+//! `run_one` (and the other binaries' flag parsers) at the process
+//! boundary: what a journal that cannot be opened looks like to a shell
+//! (the library-level cases live in `supervisor.rs` and
+//! `tests/supervision.rs`), that the digest-neutral engine axes are not a
+//! command-line option, and that an unknown flag is named as one wherever
+//! it stands.
 
 use std::process::Command;
 
@@ -33,26 +35,41 @@ fn an_unopenable_journal_exits_1_with_a_journal_line_and_no_panic() {
 
 const RUN_ONE: &str = env!("CARGO_BIN_EXE_run_one");
 const SWEEPD: &str = env!("CARGO_BIN_EXE_sweepd");
+const SWEEPC: &str = env!("CARGO_BIN_EXE_sweepc");
+const EXPERIMENTS: &str = env!("CARGO_BIN_EXE_experiments");
 
 #[test]
-fn the_removed_engine_flags_are_usage_errors_before_anything_runs() {
-    // each flag the way its last README / CI invocation spelled it
-    let cases: [(&str, &[&str]); 9] = [
-        (RUN_ONE, &["--backend", "calendar"]),
-        (RUN_ONE, &["--neighbor-index", "brute"]),
-        (RUN_ONE, &["--parallel-world", "--digest"]),
-        (RUN_ONE, &["--shards", "4"]),
-        (RUN_ONE, &["--threads", "4"]),
-        (SWEEPD, &["--backend", "calendar"]),
-        (SWEEPD, &["--parallel-world", "--workers", "1"]),
-        (SWEEPD, &["--shards", "4"]),
-        (SWEEPD, &["--threads", "2"]),
+fn unknown_flags_are_usage_errors_before_anything_runs() {
+    // (binary, arguments, the flag it must name): the removed engine
+    // flags the way their last README / CI invocation spelled them, then
+    // an unknown flag as the last argument — where a valueless word used
+    // to read as a known flag missing its value — in all four binaries
+    let cases: [(&str, &[&str], &str); 15] = [
+        (RUN_ONE, &["--backend", "calendar"], "--backend"),
+        (RUN_ONE, &["--neighbor-index", "brute"], "--neighbor-index"),
+        (RUN_ONE, &["--parallel-world", "--digest"], "--parallel-world"),
+        (RUN_ONE, &["--shards", "4"], "--shards"),
+        (RUN_ONE, &["--threads", "4"], "--threads"),
+        (SWEEPD, &["--backend", "calendar"], "--backend"),
+        (
+            SWEEPD,
+            &["--parallel-world", "--workers", "1"],
+            "--parallel-world",
+        ),
+        (SWEEPD, &["--shards", "4"], "--shards"),
+        (SWEEPD, &["--threads", "2"], "--threads"),
+        (RUN_ONE, &["--bogus"], "--bogus"),
+        (RUN_ONE, &["--threads"], "--threads"),
+        (RUN_ONE, &["--hosts", "12", "--bogus"], "--bogus"),
+        (SWEEPD, &["--bogus"], "--bogus"),
+        (SWEEPC, &["--bogus"], "--bogus"),
+        (EXPERIMENTS, &["--bogus"], "--bogus"),
     ];
-    for (bin, args) in cases {
+    for (bin, args, flag) in cases {
         let out = Command::new(bin).args(args).output().expect("binary runs");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(1), "{bin} {args:?}: {stderr}");
-        let want = format!(": unknown flag {}", args[0]);
+        let want = format!(": unknown flag {flag}");
         assert!(
             stderr.lines().next().is_some_and(|l| l.ends_with(&want)),
             "{bin} {args:?}: {stderr}"

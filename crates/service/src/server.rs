@@ -241,6 +241,7 @@ enum Admission {
     Shed { queued: usize },
     Draining,
     Rejected(String),
+    IdsExhausted,
 }
 
 impl Inner {
@@ -286,7 +287,9 @@ impl Inner {
 
     /// Rescan job manifests after a restart: terminal jobs are
     /// remembered, unfinished ones (queued / running / interrupted at the
-    /// moment of the crash) are requeued.
+    /// moment of the crash) are requeued.  A manifest counts only at the
+    /// path this server would have written it to (`job-<id>.json` for its
+    /// own `job`), so no id is read twice.
     fn recover(&self) {
         let dir = self.cfg.state_dir.join("jobs");
         let Ok(entries) = std::fs::read_dir(&dir) else {
@@ -309,6 +312,9 @@ impl Inner {
             ) else {
                 continue; // a garbled manifest is skipped, not fatal
             };
+            if path != self.manifest_path(job) {
+                continue; // a copy, or a manifest claiming another job's id
+            }
             let Ok(spec) = JobSpec::parse(line) else {
                 continue;
             };
@@ -340,7 +346,9 @@ impl Inner {
                 },
             );
         }
-        self.next_job.store(max_id + 1, Ordering::Relaxed);
+        // a manifest claiming the last id leaves none to issue: `submit`
+        // refuses rather than wrap onto job 0
+        self.next_job.store(max_id.saturating_add(1), Ordering::Relaxed);
         drop(jobs);
         drop(queue);
         self.queue_cv.notify_all();
@@ -360,7 +368,13 @@ impl Inner {
             self.stats.shed.fetch_add(1, Ordering::Relaxed);
             return Admission::Shed { queued: queue.len() };
         }
-        let job = self.next_job.fetch_add(1, Ordering::Relaxed);
+        // `u64::MAX` is never issued, so an id is never issued twice
+        let Ok(job) = self
+            .next_job
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_add(1))
+        else {
+            return Admission::IdsExhausted;
+        };
         relock(&self.jobs).insert(
             job,
             JobRecord {
@@ -711,6 +725,7 @@ fn answer(inner: &Inner, req: Request) -> String {
                 }
                 Admission::Draining => proto::reply_err("draining: not accepting new jobs"),
                 Admission::Rejected(e) => proto::reply_err(&format!("bad job spec: {e}")),
+                Admission::IdsExhausted => proto::reply_err("job ids exhausted: not accepting new jobs"),
             }
         }
         Request::Status { job: Some(job) } => {

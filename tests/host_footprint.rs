@@ -1,0 +1,202 @@
+//! A host holds only what it uses (DESIGN.md §11, "Bytes per host"): in
+//! ECGRID most hosts sleep, never search for a route and never queue a
+//! second frame, so a fleet's heap per host is its columns plus what the
+//! few active hosts grew — not storage every host reserves up front.
+//!
+//! The fleet is `scale_5k`'s at 2 000 hosts: the paper's density
+//! (100 hosts/km²), random waypoint at up to 1 m/s, no CBR flows.  The
+//! test measures the heap a freshly built world holds and what it holds
+//! after 2 s of beacons and elections, both per host, and fails past its
+//! bound.  Each figure comes with its deltas per allocation size class, so
+//! a future growth names the allocation that grew.
+//!
+//! This file is its own test binary with one test in it: the counting
+//! allocator below is process-wide, so nothing else may allocate while
+//! the world is measured.  Run with `--nocapture` to see the tables.
+
+use ecgrid_suite::ecgrid::{Ecgrid, EcgridConfig};
+use ecgrid_suite::geo::GridMap;
+use ecgrid_suite::manet::{FlowSet, HostSetup, World, WorldConfig};
+use ecgrid_suite::mobility::{MobilityModel, RandomWaypoint};
+use ecgrid_suite::sim_engine::{RngFactory, SimTime};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicIsize, AtomicUsize, Ordering::Relaxed};
+
+const HOSTS: usize = 2000;
+const SEED: u64 = 42;
+
+/// Exact 8-byte classes up to this size; powers of two above it.
+const SMALL_MAX: usize = 1024;
+const CLASSES: usize = SMALL_MAX / 8 + usize::BITS as usize;
+
+static LIVE: AtomicUsize = AtomicUsize::new(0);
+/// Live bytes and blocks per size class (Relaxed: the counters publish no
+/// other data, and one thread allocates).
+static CLASS_BYTES: [AtomicIsize; CLASSES] = [const { AtomicIsize::new(0) }; CLASSES];
+static CLASS_BLOCKS: [AtomicIsize; CLASSES] = [const { AtomicIsize::new(0) }; CLASSES];
+
+/// The class of a block of `size` bytes: `size` rounded up to 8 B up to
+/// [`SMALL_MAX`], then the next power of two.
+fn class_of(size: usize) -> usize {
+    if size <= SMALL_MAX {
+        size.div_ceil(8)
+    } else {
+        SMALL_MAX / 8
+            + (size.next_power_of_two().trailing_zeros() as usize - SMALL_MAX.trailing_zeros() as usize)
+    }
+}
+
+/// The largest block size class `c` holds.
+fn class_limit(c: usize) -> usize {
+    if c <= SMALL_MAX / 8 {
+        8 * c
+    } else {
+        SMALL_MAX << (c - SMALL_MAX / 8)
+    }
+}
+
+fn count(size: usize, sign: isize) {
+    let c = class_of(size);
+    CLASS_BYTES[c].fetch_add(sign * size as isize, Relaxed);
+    CLASS_BLOCKS[c].fetch_add(sign, Relaxed);
+    if sign > 0 {
+        LIVE.fetch_add(size, Relaxed);
+    } else {
+        LIVE.fetch_sub(size, Relaxed);
+    }
+}
+
+struct CountingAlloc;
+
+// SAFETY: every method forwards to `System` with the caller's own layout
+// and pointer and only adds bookkeeping on integers, so the `GlobalAlloc`
+// contract is exactly `System`'s.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        // SAFETY: same layout the caller handed us.
+        let p = unsafe { System.alloc(layout) };
+        if !p.is_null() {
+            count(layout.size(), 1);
+        }
+        p
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `alloc`/`realloc` above with this layout.
+        unsafe { System.dealloc(ptr, layout) };
+        count(layout.size(), -1);
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        // SAFETY: `ptr`/`layout` describe a live block of this allocator.
+        let p = unsafe { System.realloc(ptr, layout, new_size) };
+        if !p.is_null() {
+            count(layout.size(), -1);
+            count(new_size, 1);
+        }
+        p
+    }
+}
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
+
+/// Live bytes and blocks per class, and the total.
+struct Heap {
+    live: usize,
+    bytes: Vec<isize>,
+    blocks: Vec<isize>,
+}
+
+impl Heap {
+    fn now() -> Heap {
+        Heap {
+            live: LIVE.load(Relaxed),
+            bytes: CLASS_BYTES.iter().map(|a| a.load(Relaxed)).collect(),
+            blocks: CLASS_BLOCKS.iter().map(|a| a.load(Relaxed)).collect(),
+        }
+    }
+
+    /// Bytes per host live now beyond `base`.
+    fn per_host_over(&self, base: &Heap) -> f64 {
+        (self.live - base.live) as f64 / HOSTS as f64
+    }
+
+    /// One line per size class whose live bytes moved since `base`.
+    fn delta_table(&self, base: &Heap) -> String {
+        let mut out = String::from("  class (B)   blocks      bytes   B/host\n");
+        for c in 0..CLASSES {
+            let (bytes, blocks) = (self.bytes[c] - base.bytes[c], self.blocks[c] - base.blocks[c]);
+            if bytes != 0 || blocks != 0 {
+                out += &format!(
+                    "  <= {:>6} {:>+8} {:>+10} {:>+8.1}\n",
+                    class_limit(c),
+                    blocks,
+                    bytes,
+                    bytes as f64 / HOSTS as f64
+                );
+            }
+        }
+        out
+    }
+}
+
+/// `scale_5k`'s fleet at [`HOSTS`] hosts, built from public pieces.
+fn build() -> World<Ecgrid> {
+    let side = 1000.0 * (HOSTS as f64 / 100.0).sqrt();
+    let waypoint = RandomWaypoint {
+        field_w: side,
+        field_h: side,
+        max_speed: 1.0,
+        min_speed: 0.01,
+        pause_secs: 0.0,
+    };
+    let rngs = RngFactory::new(SEED);
+    let horizon = SimTime::from_secs(12);
+    let hosts: Vec<HostSetup> = (0..HOSTS)
+        .map(|i| HostSetup::paper(waypoint.build_trace(&mut rngs.stream("mobility", i as u64), horizon)))
+        .collect();
+    let cfg = WorldConfig {
+        grid: GridMap::new(side, side, 100.0),
+        ..WorldConfig::paper_default(SEED)
+    };
+    World::new(cfg, hosts, FlowSet::new(Vec::new()), |id| {
+        Ecgrid::new(EcgridConfig::default(), id)
+    })
+}
+
+/// Bounds: the value measured when each was set, + 10 %.  A fresh world
+/// read 1 355.4 B/host (1 667.4 before traces kept exactly their segments
+/// and route-search state became lazy), a world after 2 s 2 114.3 B/host
+/// (2 737.6 before MAC queues and election candidates followed use too).
+const FRESH_BOUND: f64 = 1491.0;
+const RUN_BOUND: f64 = 2326.0;
+
+#[test]
+fn a_fresh_and_a_run_world_hold_only_what_their_hosts_use() {
+    // lazy one-time allocations (stdio, thread-locals) happen here
+    drop(build());
+
+    let base = Heap::now();
+    let mut world = build();
+    let fresh = Heap::now();
+    drop(world.run_until(SimTime::from_secs(2)));
+    let run = Heap::now();
+    let (fresh_per_host, run_per_host) = (fresh.per_host_over(&base), run.per_host_over(&base));
+    println!(
+        "host footprint, {HOSTS} ECGRID hosts, seed {SEED}: fresh world {fresh_per_host:.1} B/host\n{}\
+         after 2 s {run_per_host:.1} B/host (run delta {:+.1} B/host)\n{}",
+        fresh.delta_table(&base),
+        run_per_host - fresh_per_host,
+        run.delta_table(&fresh),
+    );
+    drop(world);
+    assert!(
+        fresh_per_host <= FRESH_BOUND,
+        "a fresh world holds {fresh_per_host:.1} B/host, past its {FRESH_BOUND} B bound"
+    );
+    assert!(
+        run_per_host <= RUN_BOUND,
+        "a world after 2 s holds {run_per_host:.1} B/host, past its {RUN_BOUND} B bound"
+    );
+}
