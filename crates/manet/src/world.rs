@@ -26,9 +26,6 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 use trace::{Event as TraceEvent, EventKind, FaultKind, Recorder, TraceDigest, TraceMode};
 
-/// How long ended transmissions are kept for collision back-checks.
-const CHANNEL_GC_GRACE: SimDuration = SimDuration(50_000_000); // 50 ms
-
 /// Scenario per-group GPS error: offset `(dx, dy)` in meters for `node`
 /// at `t_ns`, piecewise constant over 1 s (a consumer-GPS fix rate).
 /// Stateless hash draws keyed on the world seed — `sigma == 0` performs
@@ -58,9 +55,9 @@ fn scenario_gps_offset(seed: u64, node: u32, sigma_m: f64, t_ns: u64) -> (f64, f
 /// over K shard channels per stride rather than per frame.  Retaining
 /// ended transmissions longer is invisible to results — carrier-sense and
 /// collision checks filter candidates by time — so the cadence is purely
-/// a memory/scan-length trade (a quarter of the gc grace keeps per-shard
-/// in-flight lists within ~2x of the serial channel's).
-const SHARD_GC_STRIDE: SimDuration = SimDuration(CHANNEL_GC_GRACE.0 / 4);
+/// a scan-length trade: 12.5 ms is a few paper data-frame airtimes, so a
+/// shard holds at most a few strides' worth of ended frames.
+const SHARD_GC_STRIDE: SimDuration = SimDuration(12_500_000);
 
 /// Interface queue depth (frames); the tail is dropped beyond this.
 const MAC_QUEUE_CAP: usize = 128;
@@ -358,26 +355,27 @@ impl WorldChannel {
         }
     }
 
-    /// The serial channel's per-transmission gc: expired frames pop off
-    /// the front of the channel's queue, O(1) each.  The sharded channel
-    /// skips it — its K shard channels are pruned together at epoch
-    /// barriers instead.  Either timing is invisible to query results:
-    /// both `busy_until` and the interferer list filter candidates by
-    /// time, so entries retained longer never change an answer.
+    /// The serial channel's per-transmission gc at `now` (the channel
+    /// decides what it still needs, [`ChannelState::gc_at`]).  The sharded
+    /// channel skips it — its K shard channels are pruned together at
+    /// epoch barriers instead.  Either timing is invisible to query
+    /// results: both `busy_until` and the interferer list filter
+    /// candidates by time, so entries retained longer never change an
+    /// answer.
     #[inline]
-    fn gc_tx_path(&mut self, before: SimTime) {
+    fn gc_tx_path(&mut self, now: SimTime) {
         match self {
-            WorldChannel::Serial(c) => c.gc_before(before),
+            WorldChannel::Serial(c) => c.gc_at(now),
             WorldChannel::Sharded(_) => {}
         }
     }
 
     /// Epoch-barrier maintenance of the sharded engine: prune every shard
     /// channel.
-    fn gc_barrier(&mut self, before: SimTime) {
+    fn gc_barrier(&mut self, now: SimTime) {
         match self {
-            WorldChannel::Serial(c) => c.gc_before(before),
-            WorldChannel::Sharded(c) => c.gc_before(before),
+            WorldChannel::Serial(c) => c.gc_at(now),
+            WorldChannel::Sharded(c) => c.gc_at(now),
         }
     }
 
@@ -1197,14 +1195,12 @@ impl<P: Protocol> World<P> {
                 prof.observe_depth(depth);
             }
             // Epoch barrier of the sharded engine: when the merged clock
-            // crosses the stride, prune every shard channel of entries
-            // older than the collision-back-check grace.  Timing of the
-            // prune is invisible to results (queries filter by time).
+            // crosses the stride, prune every shard channel of entries no
+            // query can admit any more.  Timing of the prune is invisible
+            // to results (queries filter by time).
             if let Some(sr) = &mut self.shards {
                 if t >= sr.next_gc {
-                    if t > SimTime::ZERO + CHANNEL_GC_GRACE {
-                        self.channel.gc_barrier(t - CHANNEL_GC_GRACE);
-                    }
+                    self.channel.gc_barrier(t);
                     sr.barriers += 1;
                     sr.next_gc = t + sr.stride;
                 }
@@ -1824,9 +1820,7 @@ impl<P: Protocol> World<P> {
             self.hosts.macs[i].phase = MacPhase::Idle;
             return;
         }
-        if now > SimTime::ZERO + CHANNEL_GC_GRACE {
-            self.channel.gc_tx_path(now - CHANNEL_GC_GRACE);
-        }
+        self.channel.gc_tx_path(now);
         let sh = self.shard_of_node(node);
         let pos = self.hosts.pos_at(i, now);
         if let Some(busy_end) = self.channel.busy_until(sh, pos, now) {
@@ -2191,9 +2185,7 @@ impl<P: Protocol> World<P> {
         let mut recv = flight.receivers;
         recv.clear();
         self.recv_pool.push(recv);
-        if now > SimTime::ZERO + CHANNEL_GC_GRACE {
-            self.channel.gc_tx_path(now - CHANNEL_GC_GRACE);
-        }
+        self.channel.gc_tx_path(now);
     }
 
     fn ack_done(&mut self, node: NodeId, ok: bool) {

@@ -9,8 +9,7 @@
 use crate::frame::NodeId;
 use crate::spatial::SpatialIndex;
 use geo::Point2;
-use sim_engine::SimTime;
-use std::collections::VecDeque;
+use sim_engine::{SimDuration, SimTime};
 
 /// One transmission on the air.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -28,18 +27,6 @@ pub struct Transmission {
     pub end: SimTime,
 }
 
-/// A vacated slab slot: a transmission no time filter admits (it starts
-/// at the end of time and ended at its beginning), so linear scans over
-/// the slab need no liveness check.
-const VACANT: Transmission = Transmission {
-    id: u64::MAX,
-    src: NodeId(u32::MAX),
-    origin: Point2::ORIGIN,
-    range: 0.0,
-    start: SimTime::MAX,
-    end: SimTime::ZERO,
-};
-
 /// Slack in meters added to the per-flight interferer prefilter so that
 /// floating-point rounding in the triangle inequality it rests on can
 /// never drop a transmission the exact per-receiver test would admit.
@@ -49,19 +36,24 @@ const INTERFERER_SLACK_M: f64 = 1.0;
 ///
 /// Transmissions live in stable slab slots (free list, so the slot
 /// universe is bounded by the high-water *live* count, not by lifetime
-/// traffic) and `live` queues the occupied slots in begin order.
-/// `begin_tx` is one slot write plus one bucket insert; `gc_before` pops
-/// expired transmissions off the front of the queue with an O(1) bucket
-/// removal each.  A transmission that ends before an older, longer one
-/// waits behind it — invisible to results, because `busy_until` and
-/// `corrupted` filter every candidate by time, and bounded, because
-/// airtimes are milliseconds.
+/// traffic) and `live` lists the occupied slots, which the linear query
+/// paths walk.  `begin_tx` is one slot write plus one bucket insert.
+///
+/// Retention is the channel's own business: [`gc_at`](Self::gc_at) drops
+/// every transmission that ended at least the longest airtime ever
+/// registered before `now`, and keeps every one a query issued at or after
+/// `now` can still admit (see there).  At the paper's load that leaves a
+/// handful of frames.
 #[derive(Clone, Debug, Default)]
 pub struct ChannelState {
     slots: Vec<Transmission>,
     free: Vec<u32>,
-    /// Occupied slots, oldest `begin_tx` first.
-    live: VecDeque<u32>,
+    /// Occupied slots, in no particular order: every query aggregate
+    /// (max, any, the interferer set) ignores order.
+    live: Vec<u32>,
+    /// The longest airtime ever registered: the retention bound of
+    /// [`gc_at`](Self::gc_at).
+    longest: SimDuration,
     range: f64,
     next_id: u64,
     /// Capture: an interferer within range only corrupts a reception when
@@ -184,28 +176,52 @@ impl ChannelState {
                 (self.slots.len() - 1) as u32
             }
         };
-        self.live.push_back(slot);
+        self.live.push(slot);
+        self.longest = self.longest.max(end.since(start));
         if let Some(sp) = &mut self.spatial {
             sp.insert_at(slot, origin);
         }
     }
 
-    /// Drop the oldest transmissions that ended at or before `now` (they
-    /// can no longer interfere with anything starting now).  Stops at the
-    /// first one still on the air: see the type docs for why later,
-    /// already-ended ones may wait behind it.
+    /// Drop every transmission that ended at or before `now` (they can no
+    /// longer interfere with anything starting now).
     pub fn gc_before(&mut self, now: SimTime) {
-        while let Some(&slot) = self.live.front() {
-            if self.slots[slot as usize].end > now {
-                break;
+        let ChannelState {
+            slots,
+            free,
+            live,
+            spatial,
+            ..
+        } = self;
+        live.retain(|&slot| {
+            if slots[slot as usize].end > now {
+                return true;
             }
-            self.live.pop_front();
-            self.slots[slot as usize] = VACANT;
-            self.free.push(slot);
-            if let Some(sp) = &mut self.spatial {
+            free.push(slot);
+            if let Some(sp) = spatial {
                 sp.remove(slot);
             }
+            false
+        });
+    }
+
+    /// Drop every transmission no query issued at or after `now` can still
+    /// admit: those that ended at least the longest registered airtime
+    /// before `now`.  Carrier sense at `now` admits only transmissions
+    /// that end after `now`.  The interferers of a flight that ends at or
+    /// after `now` overlap its airtime, so they end after its start, which
+    /// is no earlier than `now` minus the longest airtime.  Either way the
+    /// answer keeps every transmission it can use.
+    pub fn gc_at(&mut self, now: SimTime) {
+        if now > SimTime::ZERO + self.longest {
+            self.gc_before(now - self.longest);
         }
+    }
+
+    /// The transmissions held, in no particular order.
+    #[inline]
+    fn held(&self) -> impl Iterator<Item = &Transmission> {
+        self.live.iter().map(|&slot| &self.slots[slot as usize])
     }
 
     /// Carrier sense at position `p` and instant `at`: latest end time of
@@ -228,7 +244,7 @@ impl ChannelState {
             });
             return latest;
         }
-        self.slots.iter().filter(|t| sensed(t)).map(|t| t.end).max()
+        self.held().filter(|t| sensed(t)).map(|t| t.end).max()
     }
 
     /// Does `t` share air time with `[start, end)` of transmission `tx_id`?
@@ -290,7 +306,7 @@ impl ChannelState {
             });
             return found;
         }
-        self.slots.iter().any(hit)
+        self.held().any(hit)
     }
 
     /// The collision question of [`corrupted`](Self::corrupted), answered
@@ -341,7 +357,7 @@ impl ChannelState {
             });
             return;
         }
-        out.extend(self.slots.iter().filter(|t| near(t)));
+        out.extend(self.held().filter(|t| near(t)));
     }
 
     /// Per-receiver verdict against a flight's interferer list (see
@@ -369,9 +385,10 @@ impl ChannelState {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use sim_engine::SimDuration;
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
 
     fn t(ms: u64) -> SimTime {
         SimTime::from_millis(ms)
@@ -481,7 +498,6 @@ mod tests {
         let a = ch.begin_tx(NodeId(1), Point2::ORIGIN, 250.0, t(1), t(2));
         let b = ch.begin_tx(NodeId(1), Point2::ORIGIN, 250.0, t(3), t(4));
         assert_ne!(a, b);
-        let _ = SimDuration::ZERO;
     }
 
     // --- heterogeneous per-transmission ranges ----------------------------
@@ -559,7 +575,7 @@ mod tests {
 
     /// Deterministic little congruential generator for the fuzz below (no
     /// external RNG needed, and the sequence is pinned).
-    fn lcg(state: &mut u64) -> f64 {
+    pub(crate) fn lcg(state: &mut u64) -> f64 {
         *state = state
             .wrapping_mul(6364136223846793005)
             .wrapping_add(1442695040888963407);
@@ -632,11 +648,11 @@ mod tests {
     // --- differential test against the historical linear channel ----------
 
     /// The channel as it was before the slab: one `Vec` scanned linearly
-    /// and compacted by `retain`.  Kept as the oracle the slab channel is
-    /// held to.
-    struct RetainChannel {
-        active: Vec<Transmission>,
-        capture_ratio: Option<f64>,
+    /// and compacted by `retain`.  Kept as the oracle the slab channel (and
+    /// the sharded one, `crate::shard`) is held to.
+    pub(crate) struct RetainChannel {
+        pub(crate) active: Vec<Transmission>,
+        pub(crate) capture_ratio: Option<f64>,
     }
 
     impl RetainChannel {
@@ -644,7 +660,15 @@ mod tests {
             self.active.retain(|t| t.end > now);
         }
 
-        fn busy_until(&self, p: Point2, at: SimTime) -> Option<SimTime> {
+        /// The most a channel collected by `gc_at(now)` may hold: every
+        /// transmission that ended less than `longest` before `now`.  (It
+        /// can hold fewer: a frame longer than all before it does not
+        /// bring back what an earlier gc dropped under a shorter bound.)
+        pub(crate) fn retained_at(&self, now: SimTime, longest: SimDuration) -> usize {
+            self.active.iter().filter(|t| t.end + longest > now).count()
+        }
+
+        pub(crate) fn busy_until(&self, p: Point2, at: SimTime) -> Option<SimTime> {
             self.active
                 .iter()
                 .filter(|t| t.start <= at && t.end > at && t.origin.within_range(p, t.range))
@@ -652,7 +676,7 @@ mod tests {
                 .max()
         }
 
-        fn corrupted(
+        pub(crate) fn corrupted(
             &self,
             tx_id: u64,
             src_origin: Point2,
@@ -680,7 +704,7 @@ mod tests {
         /// Random interleavings of begin / gc / carrier sense / collision
         /// checks: the slab channel answers every query like the retain
         /// channel — with end times that are not monotone in begin order
-        /// (a long frame begun before short ones blocks the gc queue),
+        /// (a long frame begun before short ones outlives them),
         /// slots reused many times over, populations on both sides of
         /// `SPATIAL_LINEAR_CUTOFF`, with and without buckets and capture —
         /// and the per-flight interferer list gives the per-receiver
@@ -730,16 +754,16 @@ mod tests {
                         }
                     }
                     4 => {
-                        // gc lags the clock like the world's 50 ms grace
+                        // gc lags the clock
                         let before = SimTime::from_micros(now.saturating_sub(3_000));
                         fast.gc_before(before);
                         slow.gc_before(before);
                         // what was collected can only matter to receptions
                         // that began before the cutoff: stop asking about
-                        // those (the world's grace guarantees the same)
+                        // those (`gc_at` guarantees the same in the world)
                         flights.retain(|f| f.start >= before);
-                        // the retain channel never holds more than the slab
-                        proptest::prop_assert!(slow.active.len() <= fast.in_flight());
+                        // both collect exactly what ended by the cutoff
+                        proptest::prop_assert_eq!(slow.active.len(), fast.in_flight());
                     }
                     5..=6 => {
                         let p = point(&mut seed);
@@ -768,6 +792,154 @@ mod tests {
                 if let Some(sp) = &fast.spatial {
                     proptest::prop_assert_eq!(sp.len(), fast.in_flight());
                     proptest::prop_assert!(sp.id_universe() <= high_water);
+                }
+            }
+        }
+    }
+
+    // --- retention: the world's query pattern against the oracle ----------
+
+    /// One step of the world's channel traffic.
+    #[derive(Clone, Copy, Debug)]
+    pub(crate) enum WorldStep {
+        /// `mac_try_tx` at `tx.start`: gc, carrier sense at the sender,
+        /// then `tx` goes on the air (sent whatever the medium, which keeps
+        /// the channel loaded).
+        Send(Transmission),
+        /// `tx_end` at `tx.end`: the flight's interferer list, then gc.
+        End(Transmission),
+    }
+
+    /// A run of `sends` frames and their ends, in time order, over a
+    /// 2000 × 1500 m field: an opening burst (the t = 0 election burst,
+    /// dense enough to take the bucket path), simultaneous sends, sends at
+    /// the instant another frame ends, mostly paper-sized airtimes, and —
+    /// in the second half only, so they arrive late — frames longer than
+    /// every one before them.  Ids count from 0 in send order, as a fresh
+    /// channel allocates them.
+    pub(crate) fn world_steps(seed: &mut u64, sends: usize) -> Vec<WorldStep> {
+        let ranges = [80.0, 150.0, 250.0];
+        let mut txs: Vec<Transmission> = Vec::with_capacity(sends);
+        let mut airborne: BinaryHeap<Reverse<(SimTime, u64)>> = BinaryHeap::new();
+        let mut steps = Vec::with_capacity(2 * sends);
+        let (mut now, mut longest) = (0u64, 0u64); // µs
+        for id in 0..sends as u64 {
+            let next_end = airborne.peek().map(|Reverse((end, _))| end.as_nanos() / 1_000);
+            if (id as usize) < sends / 8 {
+                now += (lcg(seed) * 40.0) as u64;
+            } else {
+                match (lcg(seed) * 8.0) as u32 {
+                    0..=1 => {} // same instant as the previous send
+                    2 => now = next_end.unwrap_or(now).max(now),
+                    _ => now += (lcg(seed) * 3_000.0) as u64,
+                }
+            }
+            let airtime = if id as usize > sends / 2 && lcg(seed) < 0.05 {
+                longest + 1 + (lcg(seed) * 4_000.0) as u64
+            } else {
+                200 + (lcg(seed) * 2_100.0) as u64
+            };
+            longest = longest.max(airtime);
+            let start = SimTime::from_micros(now);
+            // frames that end by this send leave the air first; at a tie
+            // either order is one the world's queue may produce
+            while let Some(&Reverse((end, i))) = airborne.peek() {
+                if end > start || (end == start && lcg(seed) < 0.5) {
+                    break;
+                }
+                airborne.pop();
+                steps.push(WorldStep::End(txs[i as usize]));
+            }
+            let tx = Transmission {
+                id,
+                src: NodeId(id as u32),
+                origin: Point2::new(lcg(seed) * 2000.0, lcg(seed) * 1500.0),
+                range: ranges[(lcg(seed) * 3.0) as usize % 3],
+                start,
+                end: SimTime::from_micros(now + airtime),
+            };
+            txs.push(tx);
+            airborne.push(Reverse((tx.end, id)));
+            steps.push(WorldStep::Send(tx));
+        }
+        while let Some(Reverse((_, i))) = airborne.pop() {
+            steps.push(WorldStep::End(txs[i as usize]));
+        }
+        steps
+    }
+
+    /// A receiver of flight `f`: inside its sender's disc plus drift.
+    pub(crate) fn receiver_of(seed: &mut u64, f: &Transmission) -> Point2 {
+        let ang = lcg(seed) * std::f64::consts::TAU;
+        let d = lcg(seed).sqrt() * (f.range + 5.0);
+        Point2::new(f.origin.x + d * ang.cos(), f.origin.y + d * ang.sin())
+    }
+
+    proptest::proptest! {
+        /// The world's query pattern — gc at every send and every frame
+        /// end, carrier sense at the send instant, the interferer list at
+        /// each flight's end — over a channel collected by `gc_at`: every
+        /// answer equals the never-collected oracle's, including after a
+        /// late frame longer than all before it, and after each gc the
+        /// channel holds no more than what ended within the longest
+        /// airtime.
+        #[test]
+        fn gc_at_keeps_every_answer_of_the_world_query_pattern(
+            seed in proptest::prelude::any::<u64>(),
+            sends in 40..400usize,
+            spatial in proptest::prelude::any::<bool>(),
+            capture in proptest::prelude::any::<bool>(),
+        ) {
+            let mut seed = seed;
+            let mut fast = ChannelState::paper_default();
+            if spatial {
+                fast.enable_spatial(2000.0, 1500.0);
+            }
+            let ratio = capture.then_some(CAPTURE_RATIO_10DB);
+            fast.set_capture_ratio(ratio);
+            let mut oracle = RetainChannel { active: Vec::new(), capture_ratio: ratio };
+            let mut longest = SimDuration::ZERO;
+            let mut list = Vec::new();
+            for step in world_steps(&mut seed, sends) {
+                match step {
+                    WorldStep::Send(tx) => {
+                        fast.gc_at(tx.start);
+                        proptest::prop_assert!(fast.in_flight() <= oracle.retained_at(tx.start, longest));
+                        let elsewhere = Point2::new(lcg(&mut seed) * 2000.0, lcg(&mut seed) * 1500.0);
+                        for p in [tx.origin, elsewhere] {
+                            proptest::prop_assert_eq!(fast.busy_until(p, tx.start), oracle.busy_until(p, tx.start));
+                        }
+                        let id = fast.begin_tx(tx.src, tx.origin, tx.range, tx.start, tx.end);
+                        proptest::prop_assert_eq!(id, tx.id);
+                        oracle.active.push(tx);
+                        longest = longest.max(tx.end - tx.start);
+                    }
+                    WorldStep::End(f) => {
+                        let reach = f.range + 5.0;
+                        fast.interferers_into(f.id, f.origin, reach, f.start, f.end, &mut list);
+                        let mut got: Vec<u64> = list.iter().map(|t| t.id).collect();
+                        got.sort_unstable();
+                        let mut want: Vec<u64> = oracle
+                            .active
+                            .iter()
+                            .filter(|t| {
+                                t.id != f.id
+                                    && t.start < f.end
+                                    && t.end > f.start
+                                    && t.origin.within_range(f.origin, reach + INTERFERER_SLACK_M + t.range)
+                            })
+                            .map(|t| t.id)
+                            .collect();
+                        want.sort_unstable();
+                        proptest::prop_assert_eq!(got, want);
+                        for _ in 0..4 {
+                            let r = receiver_of(&mut seed, &f);
+                            let want = oracle.corrupted(f.id, f.origin, r, f.start, f.end);
+                            proptest::prop_assert_eq!(fast.corrupted_by(&list, f.origin, r), want);
+                        }
+                        fast.gc_at(f.end);
+                        proptest::prop_assert!(fast.in_flight() <= oracle.retained_at(f.end, longest));
+                    }
                 }
             }
         }

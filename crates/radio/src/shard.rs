@@ -274,13 +274,16 @@ impl ShardedChannel {
         self.shards[0].reaches(origin, p)
     }
 
-    /// Drop transmissions ended at or before `now` from every shard —
-    /// the epoch-barrier maintenance step.  Retention is harmless for
-    /// correctness (`busy_until`/`corrupted` filter by time), so this can
-    /// run far less often than the serial channel's per-event gc.
-    pub fn gc_before(&mut self, now: SimTime) {
+    /// [`ChannelState::gc_at`] in every shard, each against its own
+    /// longest airtime.  That is enough: a shard answers only for
+    /// receivers in its strip, and a flight heard there is registered
+    /// there too (the mirror rule), so the shard's longest airtime covers
+    /// every flight whose verdict it decides.  Retaining more is harmless
+    /// (`busy_until`/`corrupted` filter by time), so the epoch barrier
+    /// can prune far less often than the serial channel's per-event gc.
+    pub fn gc_at(&mut self, now: SimTime) {
         for ch in &mut self.shards {
-            ch.gc_before(now);
+            ch.gc_at(now);
         }
     }
 
@@ -299,6 +302,9 @@ impl ShardedChannel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::channel::tests::{receiver_of, world_steps, RetainChannel, WorldStep};
+    use crate::channel::CAPTURE_RATIO_10DB;
+    use sim_engine::SimDuration;
 
     fn t(ms: u64) -> SimTime {
         SimTime::from_millis(ms)
@@ -414,7 +420,9 @@ mod tests {
                 assert_eq!(a, b);
                 txs.push((a, o, s, e));
                 if i % 13 == 12 {
-                    sharded.gc_before(t(15));
+                    for ch in &mut sharded.shards {
+                        ch.gc_before(t(15));
+                    }
                     global.gc_before(t(15));
                 }
             }
@@ -442,6 +450,66 @@ mod tests {
                     want,
                     "k={k}: interferer list diverged at {p:?}"
                 );
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// The serial channel's retention proptest
+        /// (`gc_at_keeps_every_answer_of_the_world_query_pattern`) over K
+        /// strips: `gc_at` at every send and frame end, each query issued
+        /// from the shard of its point's column, every answer equal to the
+        /// never-collected oracle's, and no shard holding more than what
+        /// ended within the longest airtime registered in any shard.
+        #[test]
+        fn sharded_gc_at_keeps_every_answer_of_the_world_query_pattern(
+            seed in proptest::prelude::any::<u64>(),
+            sends in 40..300usize,
+            k in 1..6usize,
+            spatial in proptest::prelude::any::<bool>(),
+        ) {
+            let mut seed = seed;
+            let mut sharded = ShardedChannel::new(250.0, ShardMap::new(20, 100.0, 2000.0, k));
+            if spatial {
+                sharded.enable_spatial(2000.0, 1500.0);
+            }
+            let mut oracle = RetainChannel {
+                active: Vec::new(),
+                capture_ratio: Some(CAPTURE_RATIO_10DB),
+            };
+            let shard_at = |ch: &ShardedChannel, p: Point2| ch.map().shard_of_col((p.x / 100.0) as i32);
+            let mut longest = SimDuration::ZERO;
+            let mut list = Vec::new();
+            for step in world_steps(&mut seed, sends) {
+                match step {
+                    WorldStep::Send(tx) => {
+                        sharded.gc_at(tx.start);
+                        let bound = oracle.retained_at(tx.start, longest);
+                        proptest::prop_assert!(sharded.shards.iter().all(|ch| ch.in_flight() <= bound));
+                        let s = shard_at(&sharded, tx.origin);
+                        proptest::prop_assert_eq!(
+                            sharded.busy_until(s, tx.origin, tx.start),
+                            oracle.busy_until(tx.origin, tx.start)
+                        );
+                        let id = sharded.begin_tx(s, tx.src, tx.origin, tx.range, tx.start, tx.end);
+                        proptest::prop_assert_eq!(id, tx.id);
+                        oracle.active.push(tx);
+                        longest = longest.max(tx.end - tx.start);
+                    }
+                    WorldStep::End(f) => {
+                        sharded.interferers_into(f.id, f.origin, f.range + 5.0, f.start, f.end, &mut list);
+                        for _ in 0..4 {
+                            let r = receiver_of(&mut seed, &f);
+                            let want = oracle.corrupted(f.id, f.origin, r, f.start, f.end);
+                            proptest::prop_assert_eq!(sharded.corrupted_by(&list, f.origin, r), want);
+                            let s = shard_at(&sharded, r);
+                            proptest::prop_assert_eq!(sharded.corrupted(s, f.id, f.origin, r, f.start, f.end), want);
+                        }
+                        sharded.gc_at(f.end);
+                        let bound = oracle.retained_at(f.end, longest);
+                        proptest::prop_assert!(sharded.shards.iter().all(|ch| ch.in_flight() <= bound));
+                    }
+                }
             }
         }
     }

@@ -65,10 +65,26 @@ fn exit_for(err: ClientError) -> ! {
     std::process::exit(code);
 }
 
+/// What the command line asks the server for, parsed in full before any
+/// connection is attempted: a usage error exits 1 whether or not a server
+/// is listening.
+enum Cmd {
+    /// `ping`, `stats`, `status`, `result`, `shutdown`: one reply, printed.
+    Request(Request),
+    Submit {
+        spec: JobSpec,
+        stream: bool,
+        max_sheds: u32,
+    },
+    Stream {
+        job: u64,
+        filter: FilterSpec,
+    },
+}
+
 struct Cli {
     cfg: ClientConfig,
-    cmd: String,
-    rest: Vec<String>,
+    cmd: Cmd,
 }
 
 fn parse_args() -> Cli {
@@ -99,9 +115,47 @@ fn parse_args() -> Cli {
     };
     Cli {
         cfg,
-        cmd: cmd.clone(),
-        rest: args[cmd_at + 1..].to_vec(),
+        cmd: parse_command(cmd, &args[cmd_at + 1..]),
     }
+}
+
+fn parse_command(cmd: &str, rest: &[String]) -> Cmd {
+    let request = match cmd {
+        "ping" => Request::Ping,
+        "stats" => Request::Stats,
+        "status" => Request::Status {
+            job: rest.first().map(|v| USAGE.parse_val::<u64>("JOB", v)),
+        },
+        "result" => {
+            let [config, seed] = rest else {
+                USAGE.fail("result needs CONFIG_HEX and SEED");
+            };
+            let config = u64::from_str_radix(config.trim_start_matches("0x"), 16)
+                .unwrap_or_else(|e| USAGE.fail(format!("CONFIG_HEX: {e}")));
+            let seed = USAGE.parse_val::<u64>("SEED", seed);
+            Request::Result { config, seed }
+        }
+        "shutdown" => Request::Shutdown,
+        "submit" => {
+            let (spec, stream, max_sheds) = parse_spec(rest);
+            return Cmd::Submit {
+                spec,
+                stream,
+                max_sheds,
+            };
+        }
+        "stream" => {
+            let Some(job) = rest.first() else {
+                USAGE.fail("stream needs a JOB id");
+            };
+            return Cmd::Stream {
+                job: USAGE.parse_val::<u64>("JOB", job),
+                filter: parse_filter(&rest[1..]),
+            };
+        }
+        other => USAGE.fail(format!("unknown command {other:?}")),
+    };
+    Cmd::Request(request)
 }
 
 fn parse_spec(rest: &[String]) -> (JobSpec, bool, u32) {
@@ -205,46 +259,18 @@ fn main() {
     let cli = parse_args();
     let mut client = Client::connect(cli.cfg).unwrap_or_else(|e| exit_for(e));
 
-    match cli.cmd.as_str() {
-        "ping" => {
+    match cli.cmd {
+        Cmd::Request(request) => {
             let r = client
-                .request_idempotent(&Request::Ping)
+                .request_idempotent(&request)
                 .unwrap_or_else(|e| exit_for(e));
             println!("{r}");
         }
-        "stats" => {
-            let r = client
-                .request_idempotent(&Request::Stats)
-                .unwrap_or_else(|e| exit_for(e));
-            println!("{r}");
-        }
-        "status" => {
-            let job = cli.rest.first().map(|v| USAGE.parse_val::<u64>("JOB", v));
-            let r = client
-                .request_idempotent(&Request::Status { job })
-                .unwrap_or_else(|e| exit_for(e));
-            println!("{r}");
-        }
-        "result" => {
-            let [config, seed] = cli.rest.as_slice() else {
-                USAGE.fail("result needs CONFIG_HEX and SEED");
-            };
-            let config = u64::from_str_radix(config.trim_start_matches("0x"), 16)
-                .unwrap_or_else(|e| USAGE.fail(format!("CONFIG_HEX: {e}")));
-            let seed = USAGE.parse_val::<u64>("SEED", seed);
-            let r = client
-                .request_idempotent(&Request::Result { config, seed })
-                .unwrap_or_else(|e| exit_for(e));
-            println!("{r}");
-        }
-        "shutdown" => {
-            let r = client
-                .request_idempotent(&Request::Shutdown)
-                .unwrap_or_else(|e| exit_for(e));
-            println!("{r}");
-        }
-        "submit" => {
-            let (spec, stream, max_sheds) = parse_spec(&cli.rest);
+        Cmd::Submit {
+            spec,
+            stream,
+            max_sheds,
+        } => {
             let (job, config) = if max_sheds > 0 {
                 client
                     .submit_until_accepted(&spec, max_sheds)
@@ -264,14 +290,6 @@ fn main() {
                 stream_to_end(&mut client, job, &FilterSpec::default());
             }
         }
-        "stream" => {
-            let Some(job) = cli.rest.first() else {
-                USAGE.fail("stream needs a JOB id");
-            };
-            let job = USAGE.parse_val::<u64>("JOB", job);
-            let filter = parse_filter(&cli.rest[1..]);
-            stream_to_end(&mut client, job, &filter);
-        }
-        other => USAGE.fail(format!("unknown command {other:?}")),
+        Cmd::Stream { job, filter } => stream_to_end(&mut client, job, &filter),
     }
 }

@@ -2,8 +2,9 @@
 //! boundary: what a journal that cannot be opened looks like to a shell
 //! (the library-level cases live in `supervisor.rs` and
 //! `tests/supervision.rs`), that the digest-neutral engine axes are not a
-//! command-line option, and that an unknown flag is named as one wherever
-//! it stands.
+//! command-line option, that an unknown flag is named as one wherever it
+//! stands, and that `sweepc` reports a bad command line before it looks
+//! for a server.
 
 use std::process::Command;
 
@@ -40,36 +41,73 @@ const EXPERIMENTS: &str = env!("CARGO_BIN_EXE_experiments");
 
 #[test]
 fn unknown_flags_are_usage_errors_before_anything_runs() {
-    // (binary, arguments, the flag it must name): the removed engine
-    // flags the way their last README / CI invocation spelled them, then
-    // an unknown flag as the last argument — where a valueless word used
-    // to read as a known flag missing its value — in all four binaries
-    let cases: [(&str, &[&str], &str); 15] = [
-        (RUN_ONE, &["--backend", "calendar"], "--backend"),
-        (RUN_ONE, &["--neighbor-index", "brute"], "--neighbor-index"),
-        (RUN_ONE, &["--parallel-world", "--digest"], "--parallel-world"),
-        (RUN_ONE, &["--shards", "4"], "--shards"),
-        (RUN_ONE, &["--threads", "4"], "--threads"),
-        (SWEEPD, &["--backend", "calendar"], "--backend"),
+    // a scenario file sweepc must refuse with its own line/col diagnostic
+    let dir = std::env::temp_dir().join(format!("ecgrid_sweepc_cli_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let bad_scn = dir.join("bad.scn");
+    std::fs::write(&bad_scn, "[scenario]\nname = \"unterminated\n").unwrap();
+    let bad_scn = bad_scn.to_str().unwrap();
+    let unknown = |flag: &str| format!(": unknown flag {flag}");
+    // nothing listens on port 1: a sweepc that connected before parsing
+    // would exit 2 (`connection failed`) instead of naming the mistake
+    fn no_server<'a>(args: &[&'a str]) -> Vec<&'a str> {
+        [&["--addr", "127.0.0.1:1"][..], args].concat()
+    }
+    // (binary, arguments, the tail of the first stderr line): the removed
+    // engine flags the way their last README / CI invocation spelled
+    // them, then an unknown flag as the last argument — where a valueless
+    // word used to read as a known flag missing its value — in all four
+    // binaries, then sweepc's command-line mistakes with no server to ask
+    let cases: [(&str, Vec<&str>, String); 20] = [
+        (RUN_ONE, vec!["--backend", "calendar"], unknown("--backend")),
+        (
+            RUN_ONE,
+            vec!["--neighbor-index", "brute"],
+            unknown("--neighbor-index"),
+        ),
+        (
+            RUN_ONE,
+            vec!["--parallel-world", "--digest"],
+            unknown("--parallel-world"),
+        ),
+        (RUN_ONE, vec!["--shards", "4"], unknown("--shards")),
+        (RUN_ONE, vec!["--threads", "4"], unknown("--threads")),
+        (SWEEPD, vec!["--backend", "calendar"], unknown("--backend")),
         (
             SWEEPD,
-            &["--parallel-world", "--workers", "1"],
-            "--parallel-world",
+            vec!["--parallel-world", "--workers", "1"],
+            unknown("--parallel-world"),
         ),
-        (SWEEPD, &["--shards", "4"], "--shards"),
-        (SWEEPD, &["--threads", "2"], "--threads"),
-        (RUN_ONE, &["--bogus"], "--bogus"),
-        (RUN_ONE, &["--threads"], "--threads"),
-        (RUN_ONE, &["--hosts", "12", "--bogus"], "--bogus"),
-        (SWEEPD, &["--bogus"], "--bogus"),
-        (SWEEPC, &["--bogus"], "--bogus"),
-        (EXPERIMENTS, &["--bogus"], "--bogus"),
+        (SWEEPD, vec!["--shards", "4"], unknown("--shards")),
+        (SWEEPD, vec!["--threads", "2"], unknown("--threads")),
+        (RUN_ONE, vec!["--bogus"], unknown("--bogus")),
+        (RUN_ONE, vec!["--threads"], unknown("--threads")),
+        (RUN_ONE, vec!["--hosts", "12", "--bogus"], unknown("--bogus")),
+        (SWEEPD, vec!["--bogus"], unknown("--bogus")),
+        (SWEEPC, vec!["--bogus"], unknown("--bogus")),
+        (EXPERIMENTS, vec!["--bogus"], unknown("--bogus")),
+        (SWEEPC, no_server(&["submit", "--bogus"]), unknown("--bogus")),
+        (
+            SWEEPC,
+            no_server(&["frobnicate"]),
+            ": unknown command \"frobnicate\"".into(),
+        ),
+        (
+            SWEEPC,
+            no_server(&["submit", "--scenario", bad_scn]),
+            format!(": --scenario {bad_scn}: line 2, col 8: unterminated string"),
+        ),
+        (
+            SWEEPC,
+            no_server(&["result", "zz", "1"]),
+            ": CONFIG_HEX: invalid digit found in string".into(),
+        ),
+        (SWEEPC, no_server(&["stream"]), ": stream needs a JOB id".into()),
     ];
-    for (bin, args, flag) in cases {
-        let out = Command::new(bin).args(args).output().expect("binary runs");
+    for (bin, args, want) in cases {
+        let out = Command::new(bin).args(&args).output().expect("binary runs");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(1), "{bin} {args:?}: {stderr}");
-        let want = format!(": unknown flag {flag}");
         assert!(
             stderr.lines().next().is_some_and(|l| l.ends_with(&want)),
             "{bin} {args:?}: {stderr}"
@@ -79,6 +117,7 @@ fn unknown_flags_are_usage_errors_before_anything_runs() {
             "nothing ran, nothing bound: {bin} {args:?}"
         );
     }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -7,11 +7,14 @@
 //! per-frame allocation, no hand-off of owned strings — unless the
 //! subscriber's frame budget (`--sub-buffer`) is spent, in which case the
 //! frame is *dropped* and counted in that subscriber's [`DropCounter`]
-//! (and a hub-wide aggregate).  The connection thread swaps the whole
-//! buffer for an empty one under the lock and writes it to the socket
-//! with the lock released ([`SubscriberHandle::next_batch`]).  The budget
-//! covers the pending frames plus those of the batch being written, so
-//! it bounds the memory of both buffers together.  The connection thread
+//! (and a hub-wide aggregate).  The one exception is the job's terminal
+//! `done` frame, which [`Hub::finish_job`] appends past the budget: the
+//! summary reaches every subscriber that is still connected.  The
+//! connection thread swaps the whole buffer for an empty one under the
+//! lock and writes it to the socket with the lock released
+//! ([`SubscriberHandle::next_batch`]).  The budget covers the pending
+//! frames plus those of the batch being written, so it bounds the memory
+//! of both buffers together (plus that one last frame).  The connection thread
 //! is woken only when the pending buffer goes from empty to non-empty,
 //! and a woken thread takes whatever is pending at once: there is no fill
 //! threshold and no flush timer, so a trickle of frames is never held
@@ -144,8 +147,16 @@ impl SubShared {
         }
     }
 
-    fn close(&self) {
-        self.lock().closed = true;
+    /// Append the terminal frame whatever the budget, and end the stream.
+    fn finish(&self, totals: &DropCounter, last: &str) {
+        let mut p = self.lock();
+        p.lines.push_str(last);
+        p.lines.push('\n');
+        p.frames += 1;
+        p.closed = true;
+        self.counter.note_delivered();
+        totals.note_delivered();
+        drop(p);
         self.wake.notify_one();
     }
 }
@@ -284,9 +295,11 @@ impl Hub {
         }
     }
 
-    /// Publish a control frame (metric, replica_done, job, done, …) to
-    /// every subscriber of `job`, bypassing event filters.  It queues
-    /// behind the events published before it, in the same buffer.
+    /// Publish a control frame (metric, replica_done, job, …) to every
+    /// subscriber of `job`, bypassing event filters but not the frame
+    /// budget.  It queues behind the events published before it, in the
+    /// same buffer.  The terminal `done` frame goes through
+    /// [`Hub::finish_job`] instead.
     pub fn publish_frame(&self, job: u64, frame: &str) {
         if self.n_subs.load(Ordering::Relaxed) == 0 {
             return;
@@ -297,15 +310,18 @@ impl Hub {
         }
     }
 
-    /// End of stream for `job`: close its subscribers' buffers, so each
-    /// connection writes what is still pending and then its `bye` frame.
-    pub fn finish_job(&self, job: u64) {
+    /// End of stream for `job`: append its terminal `done` frame to every
+    /// subscriber's buffer, past the frame budget if need be (it is the
+    /// one frame a subscriber cannot do without: a client that sees `bye`
+    /// without it has lost the job's summary), and close the buffer, so
+    /// each connection writes what is still pending and then its `bye`.
+    pub fn finish_job(&self, job: u64, done: &str) {
         let mut subs = self.lock_subs();
         // closed under the list lock, which every append holds too:
         // nothing can land in a buffer after its consumer saw `closed`
         subs.retain(|s| {
             if s.job == job {
-                s.shared.close();
+                s.shared.finish(&self.drops, done);
             }
             s.job != job
         });
@@ -338,6 +354,8 @@ mod tests {
     use sim_engine::SimTime;
     use std::sync::mpsc::channel;
     use trace::EventKind;
+
+    const DONE: &str = "{\"stream\":\"done\"}";
 
     fn ev() -> Event {
         Event {
@@ -397,6 +415,42 @@ mod tests {
     }
 
     #[test]
+    fn a_full_buffer_still_delivers_done_and_then_ends_the_stream() {
+        // one subscriber whose pending buffer is full, one whose budget is
+        // held by the batch its connection is still writing
+        let hub = Hub::new();
+        let (pending, writing) = (
+            hub.subscribe(1, EventFilter::all(), 2),
+            hub.subscribe(1, EventFilter::all(), 2),
+        );
+        for _ in 0..2 {
+            hub.publish_event(1, 0, "ECGRID", &ev());
+        }
+        let mut in_write = String::new();
+        assert!(writing.next_batch(&mut in_write));
+        assert_eq!(batch_lines(&in_write).len(), 2);
+        for _ in 0..2 {
+            hub.publish_event(1, 0, "ECGRID", &ev());
+        }
+        // a control frame past the budget is dropped like an event ...
+        hub.publish_frame(1, "{\"stream\":\"metric\"}");
+        assert_eq!(pending.stats().dropped, 3);
+        assert_eq!(writing.stats().dropped, 3);
+        // ... but the summary is not, and it is the last frame before `bye`
+        hub.finish_job(1, DONE);
+        let mut batch = String::new();
+        assert!(!pending.next_batch(&mut batch), "end of stream: `bye` is next");
+        let lines = batch_lines(&batch);
+        assert_eq!(lines.len(), 3);
+        assert_eq!(lines[2], DONE);
+        assert_eq!(pending.stats().delivered, 3);
+        assert!(!writing.next_batch(&mut in_write), "end of stream: `bye` is next");
+        assert_eq!(batch_lines(&in_write), [DONE]);
+        assert_eq!(writing.stats().delivered, 3);
+        assert_eq!(hub.drop_stats().offered(), 12);
+    }
+
+    #[test]
     fn budget_bounds_what_is_queued_and_every_frame_is_accounted_for() {
         for budget in [1usize, 2, 8] {
             let hub = Hub::new();
@@ -421,12 +475,13 @@ mod tests {
                 assert!(pending_lines(&sub).is_empty());
                 written(&sub);
             }
-            hub.finish_job(1);
+            hub.finish_job(1, DONE);
             assert!(!sub.next_batch(&mut batch));
-            assert!(batch.is_empty());
+            assert_eq!(batch_lines(&batch), [DONE]);
+            carried += 1;
             let s = sub.stats();
             assert_eq!(s.delivered, carried, "bye reports what the socket carried");
-            assert_eq!(s.offered(), rounds * (budget as u64 + 4));
+            assert_eq!(s.offered(), rounds * (budget as u64 + 4) + 1);
             assert_eq!(hub.drop_stats(), s);
         }
     }
@@ -442,7 +497,9 @@ mod tests {
                 loop {
                     let more = sub.next_batch(&mut batch);
                     let n = batch_lines(&batch).len();
-                    assert!(n <= budget, "a batch of {n} from a budget of {budget}");
+                    // the last batch may carry `done` past the budget
+                    let most = budget + usize::from(!more);
+                    assert!(n <= most, "a batch of {n} from a budget of {budget}");
                     carried += n as u64;
                     if !more {
                         return (carried, sub.stats());
@@ -452,9 +509,9 @@ mod tests {
             for _ in 0..OFFERED {
                 hub.publish_event(1, 0, "ECGRID", &ev());
             }
-            hub.finish_job(1);
+            hub.finish_job(1, DONE);
             let (carried, stats) = consumer.join().unwrap();
-            assert_eq!(stats.offered(), OFFERED, "delivered + dropped == offered");
+            assert_eq!(stats.offered(), OFFERED + 1, "delivered + dropped == offered");
             assert_eq!(stats.delivered, carried, "bye reports what the socket carried");
         }
     }
@@ -466,15 +523,14 @@ mod tests {
         for _ in 0..10 {
             hub.publish_event(1, 0, "ECGRID", &ev());
         }
-        hub.publish_frame(1, "{\"stream\":\"done\"}");
-        hub.finish_job(1);
+        hub.finish_job(1, DONE);
         assert_eq!(hub.subscriber_count(), 0);
         let mut batch = String::new();
         assert!(!sub.next_batch(&mut batch), "closed = end of stream");
         let lines = batch_lines(&batch);
         assert_eq!(lines.len(), 11);
         assert!(lines[..10].iter().all(|l| l.contains("\"stream\":\"event\"")));
-        assert_eq!(lines[10], "{\"stream\":\"done\"}");
+        assert_eq!(lines[10], DONE);
         assert_eq!(sub.stats().delivered, 11);
     }
 
@@ -500,7 +556,7 @@ mod tests {
                 "delivered while the job is still running"
             );
         }
-        hub.finish_job(1);
+        hub.finish_job(1, DONE);
         consumer.join().unwrap();
     }
 
@@ -532,8 +588,7 @@ mod tests {
         hub.publish_event(1, 0, "ECGRID", &ev());
         let late = hub.subscribe(1, EventFilter::all(), 8);
         assert_eq!(hub.subscriber_count(), 2);
-        hub.publish_frame(1, "{\"stream\":\"done\"}");
-        hub.finish_job(1);
+        hub.finish_job(1, DONE);
         let mut batch = String::new();
         assert!(!sub.next_batch(&mut batch));
         assert_eq!(
@@ -541,11 +596,11 @@ mod tests {
             [
                 "{\"stream\":\"job\"}",
                 proto::frame_event(1, 0, "ECGRID", &ev()).as_str(),
-                "{\"stream\":\"done\"}"
+                DONE
             ]
         );
         assert_eq!(sub.stats().delivered, 3);
         assert!(!late.next_batch(&mut batch));
-        assert_eq!(batch_lines(&batch), ["{\"stream\":\"done\"}"]);
+        assert_eq!(batch_lines(&batch), [DONE]);
     }
 }

@@ -429,8 +429,7 @@ impl Inner {
                 rec.outcome = Some(outcome);
             }
         }
-        self.hub.publish_frame(job, &done);
-        self.hub.finish_job(job);
+        self.hub.finish_job(job, &done);
     }
 
     fn worker_loop(&self) {

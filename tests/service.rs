@@ -63,6 +63,17 @@ fn filler_spec() -> JobSpec {
     }
 }
 
+/// The drain test's job: replicas of 15–20 ms each in a release build,
+/// against the millisecond or so a streamed frame takes to reach the
+/// client, so a drain requested on the first event lands long before the
+/// last replica starts.
+fn drain_spec() -> JobSpec {
+    JobSpec {
+        duration_secs: 600.0,
+        ..tiny_spec(9, 4)
+    }
+}
+
 fn state_path(name: &str) -> PathBuf {
     PathBuf::from("target/service_test").join(name)
 }
@@ -210,7 +221,7 @@ fn digests_and_bits(info: &DoneInfo) -> (Vec<String>, Option<u64>, Option<u64>) 
 
 #[test]
 fn drain_mid_sweep_then_restart_resumes_bit_for_bit() {
-    let spec = tiny_spec(9, 3);
+    let spec = drain_spec();
 
     // ground truth: the same job on an uninterrupted server
     let baseline = {
@@ -222,7 +233,7 @@ fn drain_mid_sweep_then_restart_resumes_bit_for_bit() {
             .expect("stream");
         server.request_shutdown();
         server.wait();
-        assert_eq!(info.completed, 3);
+        assert_eq!(info.completed, 4);
         info
     };
 
@@ -230,7 +241,8 @@ fn drain_mid_sweep_then_restart_resumes_bit_for_bit() {
     // while the subscription attaches to the queued target; the drain
     // fires on the target's first live event, i.e. during replica 0 —
     // the flag is only checked between replicas, so replica 0 still
-    // finishes into the journal and replicas 1-2 are left to resume.
+    // finishes into the journal and at least the last replica is left to
+    // resume (`drain_spec` makes the replicas long enough for that).
     let cfg = || {
         ServiceConfig::default()
             .with_workers(1)
@@ -260,7 +272,7 @@ fn drain_mid_sweep_then_restart_resumes_bit_for_bit() {
         assert_eq!(summary.submitted, 2);
         assert_eq!(info.state, Some(ecgrid_suite::service::JobState::Interrupted));
         assert!(info.completed >= 1, "replica 0 checkpointed before the drain");
-        assert!(info.completed < 3, "the drain interrupted real work");
+        assert!(info.completed < 4, "the drain interrupted real work");
     }
 
     // run 2: a fresh process over the same state dir recovers the
@@ -282,9 +294,9 @@ fn drain_mid_sweep_then_restart_resumes_bit_for_bit() {
             server.wait()
         };
         assert_eq!(summary.recovered, 1, "manifest rescan requeued the job");
-        assert_eq!(info.completed, 3);
+        assert_eq!(info.completed, 4);
         assert!(info.from_journal >= 1, "checkpointed replicas were reused");
-        assert!(info.from_journal < 3, "the drain left real work to resume");
+        assert!(info.from_journal < 4, "the drain left real work to resume");
         assert_eq!(digests_and_bits(&info), digests_and_bits(&baseline));
     }
 }
@@ -420,8 +432,16 @@ rate_pps = 1.0
         layers: "app".into(),
         ..FilterSpec::default()
     };
+    // Each filler takes a seed of its own: one the journal already holds
+    // is read back at once and holds the worker for no time at all.
+    let mut fillers = 0;
     let mut outcome_frames = |spec: &JobSpec| {
-        client.submit_until_accepted(&filler_spec(), 0).expect("filler");
+        fillers += 1;
+        let filler = JobSpec {
+            seed: filler_spec().seed + fillers,
+            ..filler_spec()
+        };
+        client.submit_until_accepted(&filler, 0).expect("filler");
         let (job, _) = client.submit_until_accepted(spec, 0).expect("submit");
         let mut frames: Vec<OutcomeFrame> = Vec::new();
         let info = client
