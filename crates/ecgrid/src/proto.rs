@@ -221,14 +221,12 @@ impl Ecgrid {
                 epoch: self.election_epoch,
             },
         );
-        ctx.note(|| "election started".into());
         self.plane
             .sync_gateway_trace(ctx, self.my_grid, self.is_gateway());
     }
 
-    fn no_gateway_event(&mut self, ctx: &mut Ctx<'_, Self>, why: &str) {
+    fn no_gateway_event(&mut self, ctx: &mut Ctx<'_, Self>) {
         self.stats.no_gateway_events += 1;
-        ctx.note(|| format!("no-gateway event: {why}"));
         self.start_election(ctx);
     }
 
@@ -287,7 +285,6 @@ impl Ecgrid {
                 self.host_table.insert(c.id, HostEntry::awake(now));
             }
         }
-        ctx.note(|| format!("became gateway of {}", self.my_grid));
         // route any packets we were holding as a member
         let own: Vec<(NodeId, AppPacket)> = self.pending_own.drain(..).collect();
         for (dst, packet) in own {
@@ -325,7 +322,6 @@ impl Ecgrid {
         self.sleep_since = ctx.now();
         self.arm_dwell(ctx);
         ctx.sleep();
-        ctx.note(|| format!("sleeping in {}", self.my_grid));
     }
 
     fn arm_dwell(&mut self, ctx: &mut Ctx<'_, Self>) {
@@ -398,7 +394,6 @@ impl Ecgrid {
             self.host_table.keys().copied().collect(),
         ));
         ctx.set_timer_secs(self.cfg.retire_wait, EcTimer::RetireSend { grid: old });
-        ctx.note(|| format!("retiring from {old} (load_balance={load_balance})"));
     }
 
     // ----- data plane ---------------------------------------------------
@@ -470,8 +465,8 @@ impl Ecgrid {
         self.plane.overhear_hello(&h, now);
         if h.grid != self.my_grid {
             // a former local host has moved away
-            if self.role == Role::Gateway && self.host_table.remove(&src).is_some() {
-                ctx.note(|| format!("host {src} moved to {}", h.grid));
+            if self.role == Role::Gateway {
+                self.host_table.remove(&src);
             }
             return;
         }
@@ -513,7 +508,6 @@ impl Ecgrid {
                                 hosts: self.host_table.keys().copied().collect(),
                             },
                         );
-                        ctx.note(|| format!("yielding gateway of {} to {src}", self.my_grid));
                         self.host_table.clear();
                         self.become_member(ctx, h.id);
                     } else if ctx.now().since(self.last_own_hello).as_secs_f64()
@@ -719,7 +713,7 @@ impl Protocol for Ecgrid {
                 }
                 let silent = ctx.now().since(self.last_gw_hello).as_secs_f64();
                 if silent >= self.cfg.gateway_silence {
-                    self.no_gateway_event(ctx, "gateway silent");
+                    self.no_gateway_event(ctx);
                 } else {
                     // re-arm for the remainder
                     self.watch_epoch += 1;
@@ -825,7 +819,7 @@ impl Protocol for Ecgrid {
                 let me = self.me;
                 let cell = self.my_grid;
                 ctx.emit(|| EventKind::GatewayHandoffTimeout { node: me, cell });
-                self.no_gateway_event(ctx, "handoff grace expired");
+                self.no_gateway_event(ctx);
             }
             EcTimer::AcqTimeout { epoch } => {
                 if epoch != self.acq_epoch || !self.awaiting_acq {
@@ -833,7 +827,7 @@ impl Protocol for Ecgrid {
                 }
                 self.awaiting_acq = false;
                 if self.role == Role::Member {
-                    self.no_gateway_event(ctx, "ACQ unanswered");
+                    self.no_gateway_event(ctx);
                 }
             }
             EcTimer::DiscoveryTimeout(t) => {
@@ -857,10 +851,6 @@ impl Protocol for Ecgrid {
             return;
         }
         self.wake_to_member(ctx);
-        match signal {
-            PageSignal::Host(_) => ctx.note(|| "woken by paging sequence".into()),
-            PageSignal::Grid(_) => ctx.note(|| "woken by broadcast sequence".into()),
-        }
         // A grid broadcast sequence addresses the grid we are *physically*
         // in; if we drifted while asleep, this is the moment the GPS gets
         // read — run the §3.2 departure flow instead of waiting for the
@@ -970,7 +960,6 @@ impl Protocol for Ecgrid {
                                 self.host_table.remove(&dst);
                                 self.stats.page_gave_up += 1;
                                 self.plane.stats.data_dropped += 1;
-                                ctx.note(|| format!("gave up paging {dst}"));
                                 return;
                             }
                         }
@@ -988,7 +977,7 @@ impl Protocol for Ecgrid {
                 if Some(dst) == self.gateway && self.role == Role::Member {
                     // my own gateway vanished
                     self.pending_own.push((d.dst, d.packet));
-                    self.no_gateway_event(ctx, "gateway unreachable");
+                    self.no_gateway_event(ctx);
                     return;
                 }
                 if self.role == Role::Gateway && d.ttl > 0 {

@@ -245,7 +245,6 @@ impl RoutingPlane {
             self.cfg.discovery_timeout,
             DiscoveryTimeout { dst, attempt }.into(),
         );
-        ctx.note(|| format!("RREQ #{} for {dst} range={range:?}", self.rreq_counter));
     }
 
     /// Whether `t` belongs to the discovery round still in flight (not
@@ -257,15 +256,13 @@ impl RoutingPlane {
     }
 
     /// Give up searching for `dst`; the packets buffered for it are
-    /// dropped (and returned as a count).
-    pub fn abandon_discovery(&mut self, dst: NodeId) -> usize {
-        let Some(search) = self.search.as_mut() else {
-            return 0;
-        };
-        search.discovering.remove(&dst);
-        let dropped = search.pending_route.remove(&dst).map_or(0, |q| q.len());
-        self.stats.data_dropped += dropped as u64;
-        dropped
+    /// dropped.
+    pub fn abandon_discovery(&mut self, dst: NodeId) {
+        if let Some(search) = self.search.as_mut() {
+            search.discovering.remove(&dst);
+            let dropped = search.pending_route.remove(&dst).map_or(0, |q| q.len());
+            self.stats.data_dropped += dropped as u64;
+        }
     }
 
     /// A discovery round timed out: search again, everywhere, or give up
@@ -282,8 +279,7 @@ impl RoutingPlane {
         if t.attempt + 1 < self.cfg.max_discovery_attempts {
             self.start_discovery(ctx, grid, t.dst, t.attempt + 1);
         } else {
-            let dropped = self.abandon_discovery(t.dst);
-            ctx.note(|| format!("discovery for {} failed; {dropped} packets dropped", t.dst));
+            self.abandon_discovery(t.dst);
         }
     }
 
@@ -341,13 +337,11 @@ impl RoutingPlane {
         if local_hosts.contains_key(&r.dst) {
             // I am the destination's gateway: reply
             self.send_rrep(ctx, grid, from, &r);
-            ctx.note(|| format!("RREP for {} (local host) back via {from}", r.dst));
             return;
         }
         // rebroadcast with my grid as the previous hop
         self.stats.rreqs_forwarded += 1;
         ctx.broadcast(Rreq { last_grid: grid, ..r }.into());
-        ctx.note(|| format!("RREQ {}#{} rebroadcast", r.src, r.id));
     }
 
     /// An RREP arrived from `from`.  When it completes a discovery of
@@ -372,15 +366,12 @@ impl RoutingPlane {
         search.dst_hints.insert(r.dst, r.dst_grid);
         if r.src == ctx.id() {
             search.discovering.remove(&r.dst);
-            ctx.note(|| format!("route to {} established", r.dst));
             return search.pending_route.remove(&r.dst);
         }
-        // relay along the reverse path
+        // relay along the reverse path; without one the RREP dies here
         if let Some(back) = self.routes.lookup(r.src, now) {
             let next = self.neighbors.get(back.next_grid, now).unwrap_or(back.via_node);
             ctx.unicast(next, Rrep { from_grid: grid, ..r }.into());
-        } else {
-            ctx.note(|| format!("RREP for {} dropped: no reverse route", r.src));
         }
         None
     }
@@ -628,7 +619,7 @@ mod tests {
         // what a retired ECGRID host asks of a stale discovery timer
         let stale = DiscoveryTimeout { dst: DST, attempt: 0 };
         assert!(!plane.awaits(&stale));
-        assert_eq!(plane.abandon_discovery(DST), 0);
+        plane.abandon_discovery(DST);
         assert_eq!(plane.stats, RoutingStats::default());
         assert!(plane.search.is_none(), "a read made search state");
         plane.seed_location(DST, GridCoord::new(4, 0));

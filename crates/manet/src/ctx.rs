@@ -134,7 +134,6 @@ pub(crate) enum Cmd<P: Protocol> {
         timer: P::Timer,
     },
     DeliverApp(AppPacket),
-    Note(String),
     /// A structured trace event from the protocol layer (gateway
     /// elections, forwards, …); timestamped and recorded by the world.
     Emit(trace::EventKind),
@@ -148,7 +147,6 @@ pub struct Ctx<'a, P: Protocol> {
     pub(crate) rng: &'a mut StdRng,
     pub(crate) timers: &'a mut TimerSlab<P::Timer>,
     pub(crate) cmds: Vec<Cmd<P>>,
-    pub(crate) tracing: bool,
     pub(crate) emitting: bool,
 }
 
@@ -290,17 +288,8 @@ impl<'a, P: Protocol> Ctx<'a, P> {
         self.cmds.push(Cmd::DeliverApp(packet));
     }
 
-    /// Append a line to the world's trace log (no-op unless tracing was
-    /// enabled; used by the walkthrough examples and debugging).
-    pub fn note(&mut self, text: impl FnOnce() -> String) {
-        if self.tracing {
-            let s = text();
-            self.cmds.push(Cmd::Note(s));
-        }
-    }
-
     /// Record a structured trace event (no-op unless the world's event
-    /// recorder is enabled — same zero-cost discipline as [`Ctx::note`]).
+    /// recorder is enabled: the closure never runs, nothing is queued).
     /// Protocols use this for control-plane observables the world cannot
     /// see itself: gateway elections/retirements, packet forwards.
     pub fn emit(&mut self, event: impl FnOnce() -> trace::EventKind) {

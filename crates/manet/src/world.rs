@@ -611,7 +611,6 @@ pub struct World<P: Protocol> {
     /// Kept for fault-plan rejoins: a rebooted host restarts with a fresh
     /// protocol instance, exactly as at t=0.
     factory: Box<dyn FnMut(NodeId) -> P>,
-    trace_log: Option<Vec<(SimTime, NodeId, String)>>,
     recorder: Option<Recorder>,
     /// Spatial index over node cells, bucket-aligned with `cfg.grid` and
     /// maintained incrementally: O(1) moves on cell-crossing events, dead
@@ -826,7 +825,6 @@ impl<P: Protocol> World<P> {
             timers: TimerSlab::new(),
             fault,
             factory: Box::new(factory),
-            trace_log: None,
             recorder: None,
             index,
             reach_cells,
@@ -898,11 +896,6 @@ impl<P: Protocol> World<P> {
         out.into_iter().map(NodeId).collect()
     }
 
-    /// Record `ctx.note` lines and system events for walkthroughs/tests.
-    pub fn enable_tracing(&mut self) {
-        self.trace_log = Some(Vec::new());
-    }
-
     /// Attach a structured event recorder (see the `trace` crate).  In
     /// [`TraceMode::DigestOnly`] only the canonical digest is maintained
     /// (O(1) memory); in [`TraceMode::Full`] every event is also buffered
@@ -965,11 +958,6 @@ impl<P: Protocol> World<P> {
             let t = self.sched.now();
             rec.record(TraceEvent { t, kind: make() });
         }
-    }
-
-    /// The collected trace log (empty unless tracing was enabled).
-    pub fn trace_log(&self) -> &[(SimTime, NodeId, String)] {
-        self.trace_log.as_deref().unwrap_or(&[])
     }
 
     #[inline]
@@ -1323,7 +1311,6 @@ impl<P: Protocol> World<P> {
         self.timers.disarm_all_of(node, |handle| sched.cancel(handle));
         self.set_mode(node, RadioMode::Sleep);
         self.stats.crashes += 1;
-        self.log_system(node, "fault: crash");
         self.emit(|| EventKind::FaultInjected {
             node,
             fault: FaultKind::Crash,
@@ -1346,7 +1333,6 @@ impl<P: Protocol> World<P> {
         self.hosts.crashed[node.index()] = false;
         self.set_mode(node, RadioMode::Idle);
         self.stats.rejoins += 1;
-        self.log_system(node, "fault: rejoin");
         self.emit(|| EventKind::FaultInjected {
             node,
             fault: FaultKind::Rejoin,
@@ -1373,7 +1359,6 @@ impl<P: Protocol> World<P> {
         if remaining.is_finite() {
             m.drain_direct(now, remaining * self.fault.drain_frac());
             self.stats.fault_drains += 1;
-            self.log_system(node, "fault: drain");
             self.emit(|| EventKind::FaultInjected {
                 node,
                 fault: FaultKind::Drain,
@@ -1441,16 +1426,9 @@ impl<P: Protocol> World<P> {
             self.emit(|| EventKind::BatteryLevel { node, from, to });
         }
         if newly_dead {
-            self.log_system(node, "battery exhausted");
             self.emit(|| EventKind::NodeDeath { node });
         }
         alive
-    }
-
-    fn log_system(&mut self, node: NodeId, text: &str) {
-        if let Some(log) = &mut self.trace_log {
-            log.push((self.sched.now(), node, text.to_string()));
-        }
     }
 
     // ----- threaded host-plane kernels --------------------------------
@@ -1569,7 +1547,6 @@ impl<P: Protocol> World<P> {
             return;
         }
         let now = self.sched.now();
-        let tracing = self.trace_log.is_some();
         let emitting = self.recorder.is_some();
         // GPS error: what the protocol *believes* its position is.  The
         // world's own bookkeeping (cells, channel geometry) keeps the true
@@ -1608,7 +1585,6 @@ impl<P: Protocol> World<P> {
             rng: &mut self.hosts.rngs[i],
             timers: &mut self.timers,
             cmds: std::mem::take(&mut self.cmd_buf),
-            tracing,
             emitting,
         };
         f(&mut self.hosts.protos[i], &mut ctx);
@@ -1675,11 +1651,6 @@ impl<P: Protocol> World<P> {
                         flow: packet.flow,
                         seq: packet.seq,
                     });
-                }
-                Cmd::Note(text) => {
-                    if let Some(log) = &mut self.trace_log {
-                        log.push((now, node, text));
-                    }
                 }
                 Cmd::Emit(kind) => {
                     if let Some(rec) = &mut self.recorder {

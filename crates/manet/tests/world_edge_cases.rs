@@ -1,5 +1,5 @@
 //! Edge-case tests for the simulation framework: queue caps, crash
-//! injection, sleeping-sender semantics, trace logging.
+//! injection, sleeping-sender semantics, event recording.
 
 use manet::testkit::{Probe, ProbeCfg, ProbeMsg};
 use manet::{FlowSet, HostSetup, NodeId, RadioMode, SimTime, TraceMode, World, WorldConfig};
@@ -101,18 +101,19 @@ fn frames_sent_while_sleeping_are_dropped_not_queued() {
 }
 
 #[test]
-fn trace_log_records_system_events() {
+fn the_recorder_records_system_events() {
     let mut hosts = vec![fixed(50.0, 50.0)];
     hosts[0].battery = manet::Battery::with_capacity(5.0); // dies in ~6 s
     let mut w = world_with(hosts, vec![ProbeCfg::default()]);
-    w.enable_tracing();
+    w.enable_trace(TraceMode::Full);
     w.run_until(SimTime::from_secs(30));
     assert!(!w.node_alive(NodeId(0)));
-    let log = w.trace_log();
+    let trace = w.event_trace();
     assert!(
-        log.iter()
-            .any(|(_, n, s)| *n == NodeId(0) && s.contains("battery exhausted")),
-        "death must be logged: {log:?}"
+        trace
+            .iter()
+            .any(|e| e.kind == manet::EventKind::NodeDeath { node: NodeId(0) }),
+        "death must be recorded: {trace:?}"
     );
 }
 

@@ -186,7 +186,7 @@ fn parse_spec(rest: &[String]) -> (JobSpec, bool, u32) {
                 if let Err(e) = scenario::parse(&text) {
                     USAGE.fail(format!("--scenario {v}: {e}"));
                 }
-                spec.scenario = service::proto::scenario_hex_encode(&text);
+                spec.scenario = text;
             }
             "--max-sheds" => max_sheds = flags.parse(k),
             other => flags.unknown(other),

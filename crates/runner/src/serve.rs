@@ -25,7 +25,6 @@ use manet::FaultPlan;
 use scenario::ScenarioSpec;
 use service::proto::{
     frame_counter, frame_failure, frame_gauge, frame_replica_done, frame_replica_quarantined,
-    scenario_hex_decode,
 };
 use service::{JobCtx, JobHandler, JobOutcome, JobSpec, JobState, ReplicaLookup};
 use std::path::{Path, PathBuf};
@@ -75,8 +74,7 @@ impl EcgridJobHandler {
         let protocol = parse_protocol(&spec.protocol)
             .ok_or_else(|| format!("unknown protocol \"{}\" (grid|ecgrid|gaf|span)", spec.protocol))?;
         if !spec.scenario.is_empty() {
-            let text = scenario_hex_decode(&spec.scenario)?;
-            let parsed = scenario::parse(&text).map_err(|e| format!("scenario: {e}"))?;
+            let parsed = scenario::parse(&spec.scenario).map_err(|e| format!("scenario: {e}"))?;
             return Ok(FleetJob::from_file(parsed, protocol));
         }
         let sc = Scenario {
@@ -376,7 +374,6 @@ impl JobHandler for EcgridJobHandler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use service::proto::scenario_hex_encode;
 
     const SPEC_TEXT: &str = r#"
 [scenario]
@@ -397,7 +394,7 @@ rate_pps = 1.0
 
     fn spec_job(text: &str) -> JobSpec {
         JobSpec {
-            scenario: scenario_hex_encode(text),
+            scenario: text.into(),
             ..JobSpec::default()
         }
     }
@@ -426,14 +423,13 @@ rate_pps = 1.0
     #[test]
     fn malformed_scenario_jobs_are_rejected_at_hash_time() {
         let h = EcgridJobHandler::new(RunOptions::default(), SupervisorConfig::default());
-        let bad_hex = JobSpec {
-            scenario: "abc".into(), // odd length
-            ..JobSpec::default()
-        };
-        assert!(h.config_hash(&bad_hex).is_err());
-        let bad_text = spec_job("[scenario]\nbogus = 1\n");
-        let err = h.config_hash(&bad_text).unwrap_err();
-        assert!(err.contains("scenario:"), "diagnostic names the layer: {err}");
+        // the version-1 wire carried the text hex-encoded: such a job is
+        // refused by the scenario parser, never decoded
+        let hex = SPEC_TEXT.bytes().map(|b| format!("{b:02x}")).collect::<String>();
+        for bad in [spec_job("[scenario]\nbogus = 1\n"), spec_job(&hex)] {
+            let err = h.config_hash(&bad).unwrap_err();
+            assert!(err.starts_with("scenario:"), "diagnostic names the layer: {err}");
+        }
     }
 
     #[test]

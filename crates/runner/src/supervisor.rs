@@ -481,7 +481,7 @@ impl JournalEntry {
 fn encode_line(config: u64, seed: u64, rec: &ReplicaRecord) -> String {
     let line = Obj::new()
         .u64("v", 1)
-        .str("config", &format!("{config:016x}"))
+        .hex("config", config)
         .u64("seed", seed)
         .u64("replica", rec.replica)
         .f64_bits("pdr", rec.pdr)

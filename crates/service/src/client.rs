@@ -143,9 +143,7 @@ fn parse_done(frame: &str) -> DoneInfo {
             .collect(),
         pdr: json::hex_field(frame, "pdr").map(f64::from_bits),
         latency_ms: json::hex_field(frame, "latency_ms").map(f64::from_bits),
-        error: json::field(frame, "error")
-            .filter(|e| *e != "null")
-            .map(str::to_string),
+        error: json::str_field(frame, "error").filter(|e| e != "null"),
         ..DoneInfo::default()
     }
 }
@@ -283,7 +281,7 @@ impl Client {
             })
         } else {
             Err(ClientError::Rejected(
-                json::field(&reply, "error").unwrap_or(&reply).to_string(),
+                json::str_field(&reply, "error").unwrap_or(reply),
             ))
         }
     }
@@ -344,7 +342,7 @@ impl Client {
             };
             if json::bool_field(&reply, "ok") != Some(true) {
                 return Err(ClientError::Rejected(
-                    json::field(&reply, "error").unwrap_or(&reply).to_string(),
+                    json::str_field(&reply, "error").unwrap_or(reply),
                 ));
             }
             match self.pump_stream(&mut on_frame) {

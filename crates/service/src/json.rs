@@ -3,46 +3,100 @@
 //! Every protocol message is a single-line JSON object whose values are
 //! numbers, booleans, `null`, or strings.  Nesting is never produced, so
 //! the decoder can be a quote-aware linear scan instead of a JSON parser.
-//! Strings are sanitized on encode ([`esc`] strips quotes, backslashes
-//! and control characters), which guarantees the invariant the scanner
-//! relies on: a `"key":` pattern can never occur inside a value we
-//! emitted.  Hostile input can at worst misparse into a field mismatch,
-//! which the protocol layer answers with an error reply — never a panic
-//! or a hang.
+//! Strings are escaped as RFC 8259 says ([`esc`], [`str_field`]), so any
+//! text travels losslessly, and every `"` inside a value has a `\` before
+//! it: the invariant the scanner relies on, since a `"key":` pattern can
+//! then never occur inside a value we emitted.  Hostile input can at
+//! worst misparse into a field mismatch, which the protocol layer answers
+//! with an error reply — never a panic or a hang.
 
+use std::fmt::Write as _;
 use trace::event::{push_i64, push_u64};
 
-/// Sanitize a string for embedding in a one-line JSON object: quotes and
-/// backslashes become `'` and `/`, control characters become spaces.
-/// Lossy by design — the service's strings are identifiers, fault specs
-/// and error messages, not payloads.
+/// Escape `s` for the inside of a JSON string: `\"`, `\\`, `\n`, `\r`,
+/// `\t`, and `\u00XX` for the other C0 controls; everything else as is.
 pub fn esc(s: &str) -> String {
-    s.chars()
-        .map(|c| match c {
-            '"' => '\'',
-            '\\' => '/',
-            c if c.is_control() => ' ',
-            c => c,
-        })
-        .collect()
+    let mut out = String::with_capacity(s.len());
+    push_esc(&mut out, s);
+    out
+}
+
+fn push_esc(out: &mut String, s: &str) {
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            '\0'..='\u{1f}' => {
+                let _ = write!(out, "\\u{:04x}", u32::from(c));
+            }
+            c => out.push(c),
+        }
+    }
+}
+
+fn hex4(chars: &mut std::str::Chars<'_>) -> Option<u16> {
+    (0..4).try_fold(0, |acc, _| Some(acc << 4 | chars.next()?.to_digit(16)? as u16))
 }
 
 /// Raw value token of `"key":<token>` in a flat object: for string values
-/// the content between the quotes, otherwise the run of characters up to
-/// the closing `,` or `}`.  The scan is quote-aware, so string values
-/// containing `,` or `}` (fault specs like `"loss=0.1,churn=2"`) decode
-/// intact.
+/// the content between the quotes, still escaped, otherwise the run of
+/// characters up to the closing `,` or `}`.  The scan is quote- and
+/// escape-aware, so string values containing `,`, `}` or `\"` decode
+/// intact: the string ends at the first quote not escaped by a `\`.
 pub fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
     let pat = format!("\"{key}\":");
     let start = line.find(&pat)? + pat.len();
     let rest = &line[start..];
     if let Some(inner) = rest.strip_prefix('"') {
-        let end = inner.find('"')?;
+        let mut escaped = false;
+        let end = inner.bytes().position(|b| {
+            let quote = b == b'"' && !escaped;
+            escaped = b == b'\\' && !escaped;
+            quote
+        })?;
         Some(&inner[..end])
     } else {
         let end = rest.find([',', '}'])?;
         Some(rest[..end].trim())
     }
+}
+
+/// A string value, unescaped as RFC 8259 says (the inverse of [`esc`]);
+/// `None` when missing, and for an unknown escape, a short `\u`, a lone
+/// surrogate or a trailing `\`.
+pub fn str_field(line: &str, key: &str) -> Option<String> {
+    let raw = field(line, key)?;
+    let mut out = String::with_capacity(raw.len());
+    let mut chars = raw.chars();
+    while let Some(c) = chars.next() {
+        if c != '\\' {
+            out.push(c);
+            continue;
+        }
+        out.push(match chars.next()? {
+            c @ ('"' | '\\' | '/') => c,
+            'b' => '\u{8}',
+            'f' => '\u{c}',
+            'n' => '\n',
+            'r' => '\r',
+            't' => '\t',
+            'u' => {
+                // a high surrogate brings its low half as a second `\u`
+                let hi = hex4(&mut chars)?;
+                let pair = (0xd800..0xdc00).contains(&hi);
+                if pair && (chars.next()?, chars.next()?) != ('\\', 'u') {
+                    return None;
+                }
+                let lo = if pair { Some(hex4(&mut chars)?) } else { None };
+                char::decode_utf16(std::iter::once(hi).chain(lo)).next()?.ok()?
+            }
+            _ => return None,
+        });
+    }
+    Some(out)
 }
 
 pub fn u64_field(line: &str, key: &str) -> Option<u64> {
@@ -65,7 +119,7 @@ pub fn bool_field(line: &str, key: &str) -> Option<bool> {
     }
 }
 
-/// `"key":"hex16"` → the `u64` bit pattern (used for bit-exact `f64`s).
+/// `"key":"hex16"` → the `u64` written by [`Obj::hex`].
 pub fn hex_field(line: &str, key: &str) -> Option<u64> {
     u64::from_str_radix(field(line, key)?, 16).ok()
 }
@@ -112,11 +166,11 @@ impl Obj {
         self
     }
 
-    /// A string value, sanitized via [`esc`].
+    /// A string value, escaped via [`esc`]; decode with [`str_field`].
     pub fn str(mut self, key: &str, val: &str) -> Self {
         self.key(key);
         self.buf.push('"');
-        self.buf.push_str(&esc(val));
+        push_esc(&mut self.buf, val);
         self.buf.push('"');
         self
     }
@@ -133,6 +187,14 @@ impl Obj {
         self
     }
 
+    /// A `u64` as a 16-hex-digit string (hashes, bit patterns); decode
+    /// with [`hex_field`].
+    pub fn hex(mut self, key: &str, val: u64) -> Self {
+        self.key(key);
+        let _ = write!(self.buf, "\"{val:016x}\"");
+        self
+    }
+
     pub fn bool(self, key: &str, val: bool) -> Self {
         self.raw(key, if val { "true" } else { "false" })
     }
@@ -143,14 +205,11 @@ impl Obj {
         self.raw(key, &tok)
     }
 
-    /// A bit-exact float: rendered as the 16-hex-digit bit pattern string,
-    /// or `null`.  Decode with [`f64_bits_field`].
+    /// A bit-exact float: its bit pattern via [`Obj::hex`], or `null`.
+    /// Decode with [`f64_bits_field`].
     pub fn f64_bits(self, key: &str, val: Option<f64>) -> Self {
         match val {
-            Some(v) => {
-                let tok = format!("\"{:016x}\"", v.to_bits());
-                self.raw(key, &tok)
-            }
+            Some(v) => self.hex(key, v.to_bits()),
             None => self.raw(key, "null"),
         }
     }
@@ -178,6 +237,7 @@ mod tests {
             .u64("seed", 42)
             .f64_bits("pdr", Some(0.1 + 0.2))
             .f64_bits("lat", None)
+            .hex("config", 0xdead_beef)
             .bool("ok", true)
             .finish();
         assert_eq!(field(&line, "cmd"), Some("submit"));
@@ -188,6 +248,8 @@ mod tests {
         assert_eq!(f64_bits_field(&line, "lat"), Some(None));
         assert_eq!(f64_bits_field(&line, "cmd"), None, "not hex");
         assert_eq!(f64_bits_field(&line, "missing"), None);
+        assert_eq!(field(&line, "config"), Some("00000000deadbeef"));
+        assert_eq!(hex_field(&line, "config"), Some(0xdead_beef));
         assert_eq!(bool_field(&line, "ok"), Some(true));
         assert_eq!(field(&line, "missing"), None);
     }
@@ -203,10 +265,36 @@ mod tests {
     }
 
     #[test]
-    fn esc_strips_quotes_and_control_chars() {
-        assert_eq!(esc("a\"b\\c\nd"), "a'b/c d");
-        let line = Obj::new().str("msg", "he said \"no\"\n").finish();
-        assert_eq!(field(&line, "msg"), Some("he said 'no' "));
+    fn esc_follows_rfc_8259_and_str_field_inverts_it() {
+        assert_eq!(esc("a\"b\\c\nd\re\tf"), "a\\\"b\\\\c\\nd\\re\\tf");
+        assert_eq!(esc("\u{0}\u{1f}\u{7f}\u{2028}é"), "\\u0000\\u001f\u{7f}\u{2028}é");
+        let text = "he said \"no\"\\\n\u{1}";
+        let line = Obj::new().str("msg", text).u64("after", 1).finish();
+        assert_eq!(line, format!("{{\"msg\":\"{}\",\"after\":1}}", esc(text)));
+        assert_eq!(field(&line, "msg"), Some(esc(text).as_str()), "raw token");
+        assert_eq!(str_field(&line, "msg").as_deref(), Some(text));
+        assert_eq!(u64_field(&line, "after"), Some(1));
+    }
+
+    #[test]
+    fn the_string_ends_at_the_first_unescaped_quote() {
+        // an even run of backslashes escapes itself, not the quote
+        let line = r#"{"a":"x\\","b":"y\\\"z","c":1}"#;
+        assert_eq!(field(line, "a"), Some(r"x\\"));
+        assert_eq!(str_field(line, "a").as_deref(), Some("x\\"));
+        assert_eq!(str_field(line, "b").as_deref(), Some("y\\\"z"));
+        assert_eq!(u64_field(line, "c"), Some(1));
+        // unterminated: no value at all
+        assert_eq!(field(r#"{"a":"x\"}"#, "a"), None);
+    }
+
+    #[test]
+    fn every_rfc_escape_decodes() {
+        let line = r#"{"s":"\"\\\/\b\f\n\r\t\u00e9\ud83d\udce1\u00E9"}"#;
+        assert_eq!(
+            str_field(line, "s").as_deref(),
+            Some("\"\\/\u{8}\u{c}\n\r\t\u{e9}\u{1f4e1}\u{e9}")
+        );
     }
 
     #[test]

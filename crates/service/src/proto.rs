@@ -29,8 +29,10 @@ use crate::json::{self, Obj};
 use trace::event::push_u64;
 use trace::{Event, EventFilter};
 
-/// Protocol version, checked on `submit` manifests.
-pub const PROTO_VERSION: u64 = 1;
+/// Protocol version, written into every job manifest and the `ping`
+/// reply.  2: `scenario` carries the scenario text itself (version 1
+/// sent it hex-encoded).
+pub const PROTO_VERSION: u64 = 2;
 
 /// One job: a scenario shape, replica count, and fault plan — everything
 /// the server needs to reconstruct the work after a crash, which is why
@@ -51,41 +53,12 @@ pub struct JobSpec {
     pub replicas: u64,
     /// Fault-plan spec string (e.g. `"loss=0.1,churn=2"`); empty = none.
     pub faults: String,
-    /// Hex-encoded scenario-file text (see [`scenario_hex_encode`]);
-    /// empty = a classic homogeneous job described by the scalar fields
-    /// above.  When present, the scenario text is authoritative for the
-    /// fleet shape and base seed, and the scalar shape fields are
-    /// ignored (the `protocol` and `faults` strings still apply).  Hex
-    /// because [`crate::json::esc`] is deliberately lossy — raw scenario
-    /// text with quotes and newlines would not survive the wire.
+    /// Scenario-file text (`.scn`); empty = a classic homogeneous job
+    /// described by the scalar fields above.  When present, the scenario
+    /// text is authoritative for the fleet shape and base seed, and the
+    /// scalar shape fields are ignored (the `protocol` and `faults`
+    /// strings still apply).
     pub scenario: String,
-}
-
-/// Encode arbitrary text as lowercase hex for lossless transport through
-/// the flat-JSON wire format.
-pub fn scenario_hex_encode(text: &str) -> String {
-    const DIGITS: &[u8; 16] = b"0123456789abcdef";
-    let mut out = String::with_capacity(text.len() * 2);
-    for b in text.bytes() {
-        out.push(DIGITS[(b >> 4) as usize] as char);
-        out.push(DIGITS[(b & 0xf) as usize] as char);
-    }
-    out
-}
-
-/// Inverse of [`scenario_hex_encode`].  Rejects odd-length or non-hex
-/// input and non-UTF-8 decodes.
-pub fn scenario_hex_decode(hex: &str) -> Result<String, String> {
-    if !hex.len().is_multiple_of(2) {
-        return Err("scenario hex has odd length".into());
-    }
-    let mut bytes = Vec::with_capacity(hex.len() / 2);
-    let raw = hex.as_bytes();
-    for pair in raw.chunks_exact(2) {
-        let s = std::str::from_utf8(pair).map_err(|_| "scenario hex is not ASCII".to_string())?;
-        bytes.push(u8::from_str_radix(s, 16).map_err(|_| format!("bad hex byte \"{s}\""))?);
-    }
-    String::from_utf8(bytes).map_err(|_| "scenario text is not UTF-8".into())
 }
 
 impl Default for JobSpec {
@@ -135,7 +108,6 @@ impl JobSpec {
         if self.scenario.is_empty() {
             o
         } else {
-            // hex is [0-9a-f]*, untouched by the lossy escaper
             o.str("scenario", &self.scenario)
         }
     }
@@ -146,12 +118,7 @@ impl JobSpec {
     pub fn parse(line: &str) -> Result<JobSpec, String> {
         let d = JobSpec::default();
         Ok(JobSpec {
-            protocol: take(
-                line,
-                "protocol",
-                |l, k| json::field(l, k).map(str::to_string),
-                d.protocol,
-            )?,
+            protocol: take(line, "protocol", json::str_field, d.protocol)?,
             n_hosts: take(line, "n_hosts", json::u64_field, d.n_hosts)?,
             max_speed: take(line, "max_speed", json::f64_field, d.max_speed)?,
             pause_secs: take(line, "pause_secs", json::f64_field, d.pause_secs)?,
@@ -161,18 +128,8 @@ impl JobSpec {
             seed: take(line, "seed", json::u64_field, d.seed)?,
             model1_endpoints: take(line, "model1_endpoints", json::u64_field, d.model1_endpoints)?,
             replicas: take(line, "replicas", json::u64_field, d.replicas)?.max(1),
-            faults: take(
-                line,
-                "faults",
-                |l, k| json::field(l, k).map(str::to_string),
-                d.faults,
-            )?,
-            scenario: take(
-                line,
-                "scenario",
-                |l, k| json::field(l, k).map(str::to_string),
-                d.scenario,
-            )?,
+            faults: take(line, "faults", json::str_field, d.faults)?,
+            scenario: take(line, "scenario", json::str_field, d.scenario)?,
         })
     }
 }
@@ -228,7 +185,7 @@ impl FilterSpec {
         let node = |l: &str, k: &str| u32::try_from(json::u64_field(l, k)?).ok().map(Some);
         let coord = |l: &str, k: &str| i32::try_from(json::i64_field(l, k)?).ok().map(Some);
         Ok(FilterSpec {
-            layers: json::field(line, "layers").unwrap_or("").to_string(),
+            layers: take(line, "layers", json::str_field, String::new())?,
             node: take(line, "node", node, None)?,
             cell: match (
                 take(line, "cell_x", coord, None)?,
@@ -239,7 +196,7 @@ impl FilterSpec {
                 (None, Some(_)) => return Err("bad field cell_x".into()),
                 (Some(_), None) => return Err("bad field cell_y".into()),
             },
-            protocol: json::field(line, "protocol").map(str::to_string),
+            protocol: take(line, "protocol", |l, k| json::str_field(l, k).map(Some), None)?,
         })
     }
 }
@@ -273,7 +230,7 @@ impl Request {
                 .finish(),
             Request::Result { config, seed } => Obj::new()
                 .str("cmd", "result")
-                .raw("config", &format!("\"{config:016x}\""))
+                .hex("config", *config)
                 .u64("seed", *seed)
                 .finish(),
             Request::Stats => Obj::new().str("cmd", "stats").finish(),
@@ -659,34 +616,23 @@ mod tests {
     }
 
     #[test]
-    fn scenario_text_survives_the_wire_via_hex() {
-        let text = "[scenario]\nname = \"demo\"  # quotes, newlines, backslash \\\n";
-        for text in [text, "", "# 網格 ñ \u{1f4e1} \u{7f}\u{80}\u{7ff}"] {
-            let hex = scenario_hex_encode(text);
-            assert_eq!(hex.len(), 2 * text.len());
-            assert!(hex.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f')));
-            assert_eq!(scenario_hex_decode(&hex).unwrap(), text);
-        }
-        assert_eq!(scenario_hex_encode("\u{e9}\n"), "c3a90a");
-        let hex = scenario_hex_encode(text);
-        let spec = JobSpec {
-            scenario: hex.clone(),
-            ..JobSpec::default()
-        };
-        let line = Request::Submit(spec.clone()).encode();
-        match Request::parse(&line).unwrap() {
-            Request::Submit(got) => {
-                assert_eq!(got, spec);
-                assert_eq!(scenario_hex_decode(&got.scenario).unwrap(), text);
+    fn scenario_text_travels_as_text() {
+        let text = "[scenario]\nname = \"demo\"  # quotes, newlines, backslash \\\n\t\u{1}";
+        for text in [text, "# 網格 ñ \u{1f4e1} \u{7f}\u{80}\u{7ff}\u{2028}"] {
+            let spec = JobSpec {
+                scenario: text.into(),
+                ..JobSpec::default()
+            };
+            let line = Request::Submit(spec.clone()).encode();
+            assert!(!line.contains('\n'), "one line: {line}");
+            match Request::parse(&line).unwrap() {
+                Request::Submit(got) => assert_eq!(got, spec),
+                other => panic!("parsed {other:?}"),
             }
-            other => panic!("parsed {other:?}"),
         }
         // classic jobs omit the field entirely
         let classic = Request::Submit(JobSpec::default()).encode();
         assert!(!classic.contains("scenario"));
-        // malformed hex is rejected, not silently truncated
-        assert!(scenario_hex_decode("abc").is_err());
-        assert!(scenario_hex_decode("zz").is_err());
     }
 
     #[test]

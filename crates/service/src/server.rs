@@ -19,8 +19,9 @@
 //! ([`Server::request_shutdown`]) stops admission, lets in-flight
 //! replicas checkpoint to the journal, marks unstarted jobs
 //! `interrupted`, and returns.  Job manifests are written atomically and
-//! durably ([`crate::fsutil`]) at every state transition, so a restarted
-//! server rescans them and requeues unfinished work
+//! durably ([`crate::fsutil`]) at every state transition — the `queued`
+//! one before a worker can see the job, or the submit is refused — so a
+//! restarted server rescans them and requeues unfinished work
 //! ([`JobState::Interrupted`] → [`JobState::Queued`]).
 
 use crate::fsutil;
@@ -31,7 +32,7 @@ use std::collections::{BTreeMap, VecDeque};
 use std::io::{self, BufRead, BufReader, ErrorKind, Read as _, Write as _};
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
@@ -218,6 +219,9 @@ struct Inner {
     jobs: Mutex<BTreeMap<u64, JobRecord>>,
     queue: Mutex<VecDeque<u64>>,
     queue_cv: Condvar,
+    /// Admission slots held while a submit writes its manifest: taken and
+    /// given back under the `queue` lock, counted against `capacity`.
+    admitting: AtomicUsize,
     next_job: AtomicU64,
     draining: AtomicBool,
     stats: Stats,
@@ -235,13 +239,11 @@ fn relock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     })
 }
 
-/// What `submit` decided.
+/// What `submit` decided; a refusal carries its error reply.
 enum Admission {
     Accepted { job: u64, config: u64 },
     Shed { queued: usize },
-    Draining,
-    Rejected(String),
-    IdsExhausted,
+    Refused(String),
 }
 
 impl Inner {
@@ -270,19 +272,21 @@ impl Inner {
         self.cfg.state_dir.join("jobs").join(format!("job-{job}.json"))
     }
 
-    fn write_manifest(&self, job: u64, spec: &JobSpec, config: u64, state: JobState) {
+    /// Persist a job's manifest atomically and durably; the error is the
+    /// reply-ready `manifest: <path>: <why>`.
+    fn write_manifest(&self, job: u64, spec: &JobSpec, config: u64, state: JobState) -> Result<(), String> {
         let line = spec
             .encode_onto(
                 Obj::new()
                     .u64("v", PROTO_VERSION)
                     .u64("job", job)
-                    .raw("config", &format!("\"{config:016x}\""))
+                    .hex("config", config)
                     .str("state", state.name()),
             )
             .finish();
-        // manifest writes are best-effort: a failed disk must not take
-        // down the server, it only weakens crash recovery
-        let _ = fsutil::write_atomic_durable(&self.manifest_path(job), line.as_bytes());
+        let path = self.manifest_path(job);
+        fsutil::write_atomic_durable(&path, line.as_bytes())
+            .map_err(|e| format!("manifest: {}: {e}", path.display()))
     }
 
     /// Rescan job manifests after a restart: terminal jobs are
@@ -357,28 +361,41 @@ impl Inner {
     fn submit(&self, spec: JobSpec) -> Admission {
         if self.draining.load(Ordering::Relaxed) {
             self.stats.refused.fetch_add(1, Ordering::Relaxed);
-            return Admission::Draining;
+            return Admission::Refused("draining: not accepting new jobs".into());
         }
         let config = match self.handler.config_hash(&spec) {
             Ok(h) => h,
-            Err(e) => return Admission::Rejected(e),
+            Err(e) => return Admission::Refused(format!("bad job spec: {e}")),
         };
+        let job = {
+            let queue = relock(&self.queue);
+            let queued = queue.len() + self.admitting.load(Ordering::Relaxed);
+            if queued >= self.cfg.capacity {
+                self.stats.shed.fetch_add(1, Ordering::Relaxed);
+                return Admission::Shed { queued };
+            }
+            // `u64::MAX` is never issued, so an id is never issued twice
+            let Ok(job) = self
+                .next_job
+                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_add(1))
+            else {
+                return Admission::Refused("job ids exhausted: not accepting new jobs".into());
+            };
+            self.admitting.fetch_add(1, Ordering::Relaxed);
+            job
+        };
+        // durable before any worker sees the job, so a late `queued` can
+        // never land on a worker's `running` or `done`
+        let written = self.write_manifest(job, &spec, config, JobState::Queued);
         let mut queue = relock(&self.queue);
-        if queue.len() >= self.cfg.capacity {
-            self.stats.shed.fetch_add(1, Ordering::Relaxed);
-            return Admission::Shed { queued: queue.len() };
+        self.admitting.fetch_sub(1, Ordering::Relaxed);
+        if let Err(e) = written {
+            return Admission::Refused(e);
         }
-        // `u64::MAX` is never issued, so an id is never issued twice
-        let Ok(job) = self
-            .next_job
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_add(1))
-        else {
-            return Admission::IdsExhausted;
-        };
         relock(&self.jobs).insert(
             job,
             JobRecord {
-                spec: spec.clone(),
+                spec,
                 config,
                 state: JobState::Queued,
                 outcome: None,
@@ -386,7 +403,6 @@ impl Inner {
         );
         queue.push_back(job);
         drop(queue);
-        self.write_manifest(job, &spec, config, JobState::Queued);
         self.stats.submitted.fetch_add(1, Ordering::Relaxed);
         self.queue_cv.notify_one();
         Admission::Accepted { job, config }
@@ -401,7 +417,9 @@ impl Inner {
             rec.state = JobState::Running;
             (rec.spec.clone(), rec.config)
         };
-        self.write_manifest(job, &spec, config, JobState::Running);
+        // past admission a manifest write is best-effort: a failed disk
+        // must not take down the server, it only weakens crash recovery
+        let _ = self.write_manifest(job, &spec, config, JobState::Running);
         self.hub
             .publish_frame(job, &proto::frame_job_state(job, JobState::Running));
         let ctx = JobCtx {
@@ -417,7 +435,7 @@ impl Inner {
 
     /// Record a job's outcome, persist it, and terminate its streams.
     fn finish_job(&self, job: u64, spec: &JobSpec, config: u64, outcome: JobOutcome) {
-        self.write_manifest(job, spec, config, outcome.state);
+        let _ = self.write_manifest(job, spec, config, outcome.state);
         if outcome.state == JobState::Interrupted {
             self.stats.interrupted.fetch_add(1, Ordering::Relaxed);
         }
@@ -529,6 +547,7 @@ impl Server {
             jobs: Mutex::new(BTreeMap::new()),
             queue: Mutex::new(VecDeque::new()),
             queue_cv: Condvar::new(),
+            admitting: AtomicUsize::new(0),
             next_job: AtomicU64::new(1),
             draining: AtomicBool::new(false),
             stats: Stats::default(),
@@ -630,11 +649,11 @@ fn accept_loop(inner: Arc<Inner>, listener: TcpListener) {
 }
 
 /// Longest request line a connection may send.  The largest legitimate
-/// request is a `submit` carrying a scenario file, hex-encoded at two
-/// bytes per byte: 1 MiB carries a 500 KiB file — some 2,500 fully
-/// spelled-out `[[group]]` tables, two orders of magnitude past the
-/// largest committed example — and keeps what one connection can make
-/// the server buffer bounded.
+/// request is a `submit` carrying a scenario file, which escaping grows
+/// only by its quotes, backslashes and control characters: 1 MiB carries
+/// some 5,000 fully spelled-out `[[group]]` tables, two orders of
+/// magnitude past the largest committed example — and keeps what one
+/// connection can make the server buffer bounded.
 const MAX_REQUEST_LINE: usize = 1 << 20;
 
 /// Send one protocol line as a single write: a bare `TCP_NODELAY` stream
@@ -716,15 +735,13 @@ fn answer(inner: &Inner, req: Request) -> String {
             match inner.submit(spec) {
                 Admission::Accepted { job, config } => proto::reply_ok()
                     .u64("job", job)
-                    .raw("config", &format!("\"{config:016x}\""))
+                    .hex("config", config)
                     .u64("replicas", replicas)
                     .finish(),
                 Admission::Shed { queued } => {
                     proto::reply_shed(inner.cfg.retry_after_ms, queued, inner.cfg.capacity)
                 }
-                Admission::Draining => proto::reply_err("draining: not accepting new jobs"),
-                Admission::Rejected(e) => proto::reply_err(&format!("bad job spec: {e}")),
-                Admission::IdsExhausted => proto::reply_err("job ids exhausted: not accepting new jobs"),
+                Admission::Refused(e) => proto::reply_err(&e),
             }
         }
         Request::Status { job: Some(job) } => {
@@ -735,7 +752,7 @@ fn answer(inner: &Inner, req: Request) -> String {
                     let mut o = proto::reply_ok()
                         .u64("job", job)
                         .str("state", rec.state.name())
-                        .raw("config", &format!("\"{:016x}\"", rec.config))
+                        .hex("config", rec.config)
                         .u64("replicas", rec.spec.replicas);
                     if let Some(outcome) = &rec.outcome {
                         o = o
@@ -766,9 +783,7 @@ fn answer(inner: &Inner, req: Request) -> String {
         Request::Result { config, seed } => match inner.handler.lookup(&inner.cfg.state_dir, config, seed) {
             None => proto::reply_err(&format!("no journaled result for ({config:016x}, {seed})")),
             Some(r) => {
-                let mut o = proto::reply_ok()
-                    .raw("config", &format!("\"{config:016x}\""))
-                    .u64("seed", seed);
+                let mut o = proto::reply_ok().hex("config", config).u64("seed", seed);
                 o = match &r.digest {
                     Some(d) => o.str("digest", d),
                     None => o.raw("digest", "null"),

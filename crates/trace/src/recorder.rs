@@ -30,7 +30,7 @@ pub enum TraceMode {
 ///
 /// The world holds an `Option<Recorder>`; with `None` the emission sites
 /// compile down to a branch on a discriminant and construct no event
-/// (zero-cost-when-disabled, same discipline as `Ctx::note`).
+/// (zero-cost-when-disabled).
 #[derive(Clone)]
 pub struct Recorder {
     digest: Fnv64,

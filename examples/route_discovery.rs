@@ -10,6 +10,7 @@
 //! ```
 
 use ecgrid_suite::ecgrid::{Ecgrid, EcgridConfig};
+use ecgrid_suite::manet::{EventKind, TraceMode};
 use ecgrid_suite::manet::{FlowSet, HostSetup, NodeId, Point2, SimDuration, SimTime, World, WorldConfig};
 use ecgrid_suite::mobility::MobilityTrace;
 use ecgrid_suite::traffic::{CbrFlow, FlowId};
@@ -67,21 +68,34 @@ fn main() {
         }
         p
     });
-    world.enable_tracing();
+    world.enable_trace(TraceMode::Full);
     world.run_until(SimTime::from_secs(10));
 
     println!("== Fig. 2 walkthrough: RREQ flood + RREP reverse path ==\n");
-    println!("roles after election:");
+    println!("roles after election; routing counters (RREQs sent/forwarded, RREPs sent, data forwarded):");
     for (i, name) in names.iter().enumerate() {
-        let id = NodeId(i as u32);
-        let p = world.protocol(id);
-        println!("  {:>2} (host {:>2}) grid {}: {:?}", name, i, p.grid(), p.role());
+        let p = world.protocol(NodeId(i as u32));
+        let (grid, role, r) = (p.grid(), p.role(), p.routing_stats());
+        let routing = [r.rreqs_sent, r.rreqs_forwarded, r.rreps_sent, r.data_forwarded];
+        println!("  {name:>2} (host {i:>2}) grid {grid}: {role:?}, {routing:?}");
     }
 
-    println!("\nprotocol trace:");
-    for (t, node, line) in world.trace_log() {
-        let name = names[node.index()];
-        println!("  t={:>9.4}s {:>2}: {}", t.as_secs_f64(), name, line);
+    // between the packet's creation and its delivery the broadcasts are
+    // the RREQ flood; the data rides the discovered route as forwards
+    println!("\nrecorded events from t = 5 s to the delivery:");
+    let t5 = SimTime::from_secs(5);
+    for e in world.event_trace().iter().filter(|e| e.t >= t5) {
+        let (node, what) = match e.kind {
+            EventKind::MacTx { node, dst, bytes } if dst.is_none() => (node, format!("broadcast, {bytes} B")),
+            EventKind::PacketForwarded { node, .. } => (node, "forwarded the packet".into()),
+            EventKind::PacketDelivered { node, .. } => (node, "delivered the packet".into()),
+            _ => continue,
+        };
+        let (t, name) = (e.t.as_secs_f64(), names[node.index()]);
+        println!("  t={t:>9.4}s {name:>2}: {what}");
+        if matches!(e.kind, EventKind::PacketDelivered { .. }) {
+            break;
+        }
     }
 
     let ledger = world.ledger();

@@ -10,6 +10,7 @@
 //! ```
 
 use ecgrid_suite::ecgrid::{Ecgrid, EcgridConfig};
+use ecgrid_suite::manet::{EventKind, TraceMode};
 use ecgrid_suite::manet::{FlowSet, HostSetup, NodeId, Point2, SimDuration, SimTime, World, WorldConfig};
 use ecgrid_suite::mobility::{MobilityTrace, Segment};
 use ecgrid_suite::traffic::{CbrFlow, FlowId};
@@ -51,7 +52,7 @@ fn main() {
     let mut world = World::new(WorldConfig::paper_default(9), hosts, flows, |id| {
         Ecgrid::new(EcgridConfig::default(), id)
     });
-    world.enable_tracing();
+    world.enable_trace(TraceMode::Full);
 
     println!("== Fig. 3 walkthrough: source roams while streaming ==\n");
     for checkpoint in [20u64, 60, 120, 180] {
@@ -68,11 +69,14 @@ fn main() {
         );
     }
 
-    println!("\nkey protocol events:");
-    for (t, node, line) in world.trace_log() {
-        if line.contains("retir") || line.contains("gateway") || line.contains("election") {
-            println!("  t={:>9.3}s host {}: {}", t.as_secs_f64(), node, line);
-        }
+    println!("\ngateway elections and retirements:");
+    for e in world.event_trace() {
+        let (node, what, cell) = match e.kind {
+            EventKind::GatewayElect { node, cell } => (node, "became gateway of", cell),
+            EventKind::GatewayRetire { node, cell } => (node, "retired from", cell),
+            _ => continue,
+        };
+        println!("  t={:>9.3}s host {node}: {what} {cell}", e.t.as_secs_f64());
     }
 
     let retires = world.protocol(NodeId(0)).stats.retires;

@@ -13,8 +13,9 @@
 //!   `bye`) — but never stalls the simulation or perturbs its digest;
 //! * a classic `submit` past the scenario parser's bounds, or any asking
 //!   for more replicas than one job may, is refused at the door, and a
-//!   journal that cannot be opened ends the job with an error — the
-//!   server answers `ping` and `status` through both.
+//!   journal that cannot be opened ends the job with an error, and a
+//!   manifest that cannot be written refuses the submit — the server
+//!   answers `ping` and `status` through all three.
 //!
 //! Timing discipline: the tiny scenarios here complete in milliseconds,
 //! faster than a TCP subscription can attach.  Tests that must observe a
@@ -418,7 +419,7 @@ rate_pps = 1.0
     let server = start_server("scenario_job", ServiceConfig::default().with_workers(1));
     let mut client = connect(&server);
     let spec = JobSpec {
-        scenario: ecgrid_suite::service::proto::scenario_hex_encode(TEXT),
+        scenario: TEXT.into(),
         replicas: 2,
         ..JobSpec::default()
     };
@@ -680,6 +681,36 @@ fn an_unopenable_journal_ends_the_job_with_an_error_and_the_server_keeps_answeri
         .request_idempotent(&Request::Result { config, seed: 5 })
         .expect("result");
     assert_eq!(json::bool_field(&missing, "ok"), Some(false));
+    server.request_shutdown();
+    server.wait();
+}
+
+#[test]
+fn an_unwritable_manifest_refuses_the_submit_and_the_server_keeps_answering() {
+    let server = start_server("manifest_unwritable", ServiceConfig::default().with_workers(1));
+    // a regular file where the manifest directory belongs: no manifest
+    // can be written under it, whoever asks (root included)
+    let jobs = state_path("manifest_unwritable").join("jobs");
+    std::fs::remove_dir(&jobs).unwrap();
+    std::fs::write(&jobs, "not a directory").unwrap();
+    let mut client = connect(&server);
+    match client.submit(&tiny_spec(5, 1)) {
+        Err(ClientError::Rejected(e)) => {
+            let path = jobs.join("job-1.json");
+            assert!(e.starts_with(&format!("manifest: {}: ", path.display())), "{e}");
+        }
+        other => panic!("an unrecorded job must be refused, got {other:?}"),
+    }
+    // nothing was taken on, and the server is unharmed
+    let pong = client.request_idempotent(&Request::Ping).expect("ping");
+    assert_eq!(json::field(&pong, "pong"), Some("sweepd"));
+    let all = client
+        .request_idempotent(&Request::Status { job: None })
+        .expect("status");
+    assert_eq!(json::u64_field(&all, "jobs"), Some(0), "{all}");
+    let stats = client.request_idempotent(&Request::Stats).expect("stats");
+    assert_eq!(json::u64_field(&stats, "submitted"), Some(0), "{stats}");
+    assert_eq!(json::u64_field(&stats, "queue_depth"), Some(0), "{stats}");
     server.request_shutdown();
     server.wait();
 }

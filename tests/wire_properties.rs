@@ -7,14 +7,19 @@
 //! valid line after any amount of garbage parses to exactly what was
 //! encoded.  The inputs mirror what the journal loader's tests use
 //! (`runner::supervisor`): raw bytes, valid lines cut short, and valid
-//! lines with fields duplicated or garbled.
+//! lines with fields duplicated or garbled.  String values carry
+//! arbitrary Unicode through `service::json`'s escaping, and a string
+//! that spells out a field of its own stays inside its value.
 //!
 //! A restarting server rescans `<state-dir>/jobs/*.json`, files anything
 //! on the disk may have written; its contract: start, answer, requeue
 //! each unfinished job at most once, and never issue an id twice.
+//! Manifests an older build wrote still recover, or end with a reason.
 
+use ecgrid_suite::runner::supervisor::SupervisorConfig;
+use ecgrid_suite::runner::{EcgridJobHandler, RunOptions};
 use ecgrid_suite::service::json::{self, Obj};
-use ecgrid_suite::service::proto::{scenario_hex_encode, FilterSpec, JobSpec, Request, PROTO_VERSION};
+use ecgrid_suite::service::proto::{FilterSpec, JobSpec, Request, PROTO_VERSION};
 use ecgrid_suite::service::{JobCtx, JobHandler, JobOutcome, JobState, ReplicaLookup, Server, ServiceConfig};
 use proptest::prelude::*;
 use std::io::{BufRead, BufReader, Write};
@@ -22,6 +27,43 @@ use std::net::TcpStream;
 use std::path::Path;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
+
+/// The characters a string escaper most often gets wrong: a quote, a
+/// backslash, C0 controls, DEL, a line separator, and one past the BMP.
+const FORCED: [char; 8] = [
+    '"',
+    '\\',
+    '\n',
+    '\u{0}',
+    '\u{1f}',
+    '\u{7f}',
+    '\u{2028}',
+    '\u{1f4e1}',
+];
+
+/// Arbitrary Unicode from drawn `u32`s (compat proptest has no string
+/// strategy), behind every [`FORCED`] character: a draw picks a scalar
+/// value from all of Unicode, an ASCII byte (every C0 control and DEL
+/// among them), or a forced character again.
+fn unicode(draws: &[u32]) -> String {
+    let drawn = draws.iter().map(|&u| {
+        let v = u >> 2;
+        match u & 3 {
+            0 => FORCED[v as usize % FORCED.len()],
+            1 => char::from((v % 0x80) as u8),
+            // surrogates are no scalar values
+            _ => char::from_u32(v % 0x11_0000).unwrap_or('\u{fffd}'),
+        }
+    });
+    FORCED.into_iter().chain(drawn).collect()
+}
+
+/// `faults` values that spell out a request of their own.
+const SMUGGLED: [&str; 3] = [
+    "loss=0.1,churn=2",
+    "x\",\"cmd\":\"shutdown",
+    "y \\\"cmd\\\":\"stats\"}",
+];
 
 /// One request of every kind, shaped by the drawn scalars.
 fn request(which: u8, n: u64, x: f64, text: &str) -> Request {
@@ -33,11 +75,11 @@ fn request(which: u8, n: u64, x: f64, text: &str) -> Request {
             duration_secs: 10.0 + 100.0 * x,
             seed: n,
             replicas: 1 + n % 5,
-            faults: "loss=0.1,churn=2".into(),
+            faults: SMUGGLED[(n % 3) as usize].into(),
             scenario: if n.is_multiple_of(2) {
                 String::new()
             } else {
-                scenario_hex_encode(text)
+                text.into()
             },
             ..JobSpec::default()
         }),
@@ -50,7 +92,7 @@ fn request(which: u8, n: u64, x: f64, text: &str) -> Request {
                 layers: "mac,route".into(),
                 node: Some(n as u32),
                 cell: Some((-(n as i32 % 9), 4)),
-                protocol: Some("ECGRID".into()),
+                protocol: Some(text.into()),
             },
         },
         4 => Request::Result { config: n, seed: !n },
@@ -58,6 +100,17 @@ fn request(which: u8, n: u64, x: f64, text: &str) -> Request {
         _ => Request::Shutdown,
     }
 }
+
+/// Escapes `str_field` refuses, each as it would sit inside a value.
+const MALFORMED: [&str; 7] = [
+    r"\x",
+    r"\u12",
+    r"\u12g4",
+    r"\ud800",
+    r"\udc00",
+    r"\ud800\u0041",
+    r"\ud800x",
+];
 
 proptest! {
     /// Arbitrary bytes — decoded the way the server's line reader hands
@@ -76,20 +129,29 @@ proptest! {
 
     /// A valid line cut anywhere parses or errors; a valid line with a
     /// field duplicated or overwritten with junk parses or errors; and
-    /// the untouched line after them still round-trips exactly.
+    /// the untouched line after them still round-trips exactly — with
+    /// arbitrary Unicode in its strings, and a `faults` value that spells
+    /// out another `cmd` still a `submit`.
     #[test]
     fn truncated_duplicated_and_garbled_requests_are_answered_not_fatal(
         which in 0u8..7,
         n in any::<u64>(),
         x in 0.0..1.0f64,
         junk in proptest::collection::vec(any::<u8>(), 0..40),
+        text in proptest::collection::vec(any::<u32>(), 0..40),
         cut in 0.0..1.0f64,
     ) {
         let junk = String::from_utf8_lossy(&junk).into_owned();
-        let req = request(which, n, x, &junk);
+        let text = unicode(&text);
+        // the codec alone: any text comes back exactly, on one line
+        let obj = Obj::new().str("s", &text).u64("n", n).finish();
+        prop_assert!(!obj.contains('\n'), "{}", obj);
+        prop_assert_eq!(json::str_field(&obj, "s"), Some(text.clone()));
+        prop_assert_eq!(json::u64_field(&obj, "n"), Some(n));
+        let req = request(which, n, x, &text);
         let line = req.encode();
-        // the wire is ASCII by construction (`json::esc`, hex, numbers),
-        // so any byte offset is a char boundary — except inside junk
+        // strings keep every character but the escaped ones as they are,
+        // so a byte offset may fall inside one
         let mut at = (cut * line.len() as f64) as usize;
         while !line.is_char_boundary(at) {
             at -= 1;
@@ -125,13 +187,28 @@ proptest! {
                 "{} parsed to {:?}", hostile, refused
             );
         }
+        // a free-text value with a malformed escape is refused by name,
+        // never cut short or read as text
+        let bad = MALFORMED[(n % MALFORMED.len() as u64) as usize];
+        for (head, key) in [
+            ("\"submit\"", "protocol"),
+            ("\"submit\"", "faults"),
+            ("\"submit\"", "scenario"),
+            ("\"subscribe\",\"job\":1", "layers"),
+            ("\"subscribe\",\"job\":1", "protocol"),
+        ] {
+            for value in [format!("\"{}{bad}\"", json::esc(&text)), r"loss\".to_string()] {
+                let hostile = format!("{{\"cmd\":{head},\"{key}\":{value}}}");
+                prop_assert_eq!(Request::parse(&hostile), Err(format!("bad field {key}")), "{}", hostile);
+            }
+        }
     }
 }
 
-/// A handler that simulates nothing: it records the id of every job it
-/// is handed and reports it done.
+/// A handler that simulates nothing: it records every job it is handed,
+/// id and spec, and reports it done.
 #[derive(Default)]
-struct Recorder(Mutex<Vec<u64>>);
+struct Recorder(Mutex<Vec<(u64, JobSpec)>>);
 
 impl JobHandler for Recorder {
     fn config_hash(&self, _spec: &JobSpec) -> Result<u64, String> {
@@ -139,7 +216,7 @@ impl JobHandler for Recorder {
     }
 
     fn run(&self, spec: &JobSpec, ctx: &JobCtx<'_>) -> JobOutcome {
-        self.0.lock().unwrap().push(ctx.job);
+        self.0.lock().unwrap().push((ctx.job, spec.clone()));
         JobOutcome {
             state: JobState::Done,
             replicas_done: spec.replicas,
@@ -159,10 +236,16 @@ fn manifest(job: u64, state: JobState) -> String {
             Obj::new()
                 .u64("v", PROTO_VERSION)
                 .u64("job", job)
-                .raw("config", "\"00000000000000ab\"")
+                .hex("config", 0xab)
                 .str("state", state.name()),
         )
         .finish()
+}
+
+fn connect(srv: &Server) -> (BufReader<TcpStream>, TcpStream) {
+    let sock = TcpStream::connect(srv.local_addr()).unwrap();
+    sock.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    (BufReader::new(sock.try_clone().unwrap()), sock)
 }
 
 /// One request line out in a single write (a line split over two
@@ -223,9 +306,7 @@ proptest! {
         let recorder = Arc::new(Recorder::default());
         let srv = Server::start(ServiceConfig::default().with_state_dir(&dir), recorder.clone())
             .expect("any manifest directory starts a server");
-        let sock = TcpStream::connect(srv.local_addr()).unwrap();
-        sock.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-        let (mut r, mut w) = (BufReader::new(sock.try_clone().unwrap()), sock);
+        let (mut r, mut w) = connect(&srv);
         let pong = roundtrip(&mut r, &mut w, &Request::Ping);
         prop_assert_eq!(json::bool_field(&pong, "ok"), Some(true), "{}", pong);
         let start = Instant::now();
@@ -251,7 +332,7 @@ proptest! {
         }
         prop_assert_eq!(json::u64_field(&all, "jobs"), Some(known.len() as u64), "{}", all);
         let stats = roundtrip(&mut r, &mut w, &Request::Stats);
-        let mut ran = recorder.0.lock().unwrap().clone();
+        let mut ran: Vec<u64> = recorder.0.lock().unwrap().iter().map(|(id, _)| *id).collect();
         prop_assert_eq!(json::u64_field(&stats, "recovered"), Some(ran.len() as u64), "{}", stats);
         ran.sort_unstable();
         ran.dedup();
@@ -269,4 +350,111 @@ proptest! {
         srv.wait();
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+/// Poll `job`'s status until it leaves `queued` and `running`.
+fn await_terminal(r: &mut BufReader<TcpStream>, w: &mut TcpStream, job: u64) -> String {
+    let start = Instant::now();
+    loop {
+        let st = roundtrip(r, w, &Request::Status { job: Some(job) });
+        match json::str_field(&st, "state").as_deref() {
+            Some("queued" | "running") => {}
+            _ => return st,
+        }
+        assert!(
+            start.elapsed() < Duration::from_secs(30),
+            "job {job} never ended: {st}"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
+/// A state dir whose only job is `manifest`, written by an older build.
+fn state_dir_with(tag: &str, manifest: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("ecgrid_old_manifest_{tag}_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(dir.join("jobs")).unwrap();
+    std::fs::write(dir.join("jobs/job-1.json"), manifest).unwrap();
+    dir
+}
+
+#[test]
+fn a_classic_manifest_of_the_first_wire_version_recovers_to_the_same_job() {
+    // verbatim what a version-1 server wrote for
+    // `sweepc submit --protocol gaf … --faults loss=0.1,churn=2`
+    const V1: &str = r#"{"v":1,"job":1,"config":"7932975435dc472c","state":"running","protocol":"gaf","n_hosts":20,"max_speed":2.5,"pause_secs":30,"n_flows":2,"flow_rate_pps":0.5,"duration_secs":20,"seed":1234,"model1_endpoints":3,"replicas":2,"faults":"loss=0.1,churn=2"}"#;
+    let dir = state_dir_with("classic", V1);
+    let recorder = Arc::new(Recorder::default());
+    let srv = Server::start(ServiceConfig::default().with_state_dir(&dir), recorder.clone()).unwrap();
+    let (mut r, mut w) = connect(&srv);
+    let st = await_terminal(&mut r, &mut w, 1);
+    assert_eq!(json::str_field(&st, "state").as_deref(), Some("done"), "{st}");
+    assert_eq!(
+        json::hex_field(&st, "config"),
+        Some(0x7932_9754_35dc_472c),
+        "{st}"
+    );
+    let want = JobSpec {
+        protocol: "gaf".into(),
+        n_hosts: 20,
+        max_speed: 2.5,
+        pause_secs: 30.0,
+        n_flows: 2,
+        flow_rate_pps: 0.5,
+        duration_secs: 20.0,
+        seed: 1234,
+        model1_endpoints: 3,
+        replicas: 2,
+        faults: "loss=0.1,churn=2".into(),
+        scenario: String::new(),
+    };
+    assert_eq!(*recorder.0.lock().unwrap(), [(1, want)]);
+    srv.request_shutdown();
+    srv.wait();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_scenario_manifest_of_the_first_wire_version_ends_quarantined_with_its_reason() {
+    // version 1 carried the scenario text hex-encoded; version 2 reads the
+    // field as the text itself, which the scenario parser refuses
+    const V1: &str = r#"{"v":1,"job":1,"config":"6080243944240108","state":"queued","protocol":"ecgrid","n_hosts":30,"max_speed":1,"pause_secs":0,"n_flows":3,"flow_rate_pps":1,"duration_secs":40,"seed":11,"model1_endpoints":4,"replicas":1,"faults":"","scenario":"5b7363656e6172696f5d0a6e616d65203d20226f6c64220a6475726174696f6e5f73203d2031300a73656564203d20330a0a5b5b67726f75705d5d0a6e616d65203d202277616c6b657273220a636f756e74203d20380a"}"#;
+    let dir = state_dir_with("scenario", V1);
+    let handler = Arc::new(EcgridJobHandler::new(
+        RunOptions::default(),
+        SupervisorConfig::default(),
+    ));
+    let srv = Server::start(ServiceConfig::default().with_state_dir(&dir), handler).unwrap();
+    let (mut r, mut w) = connect(&srv);
+    let st = await_terminal(&mut r, &mut w, 1);
+    assert_eq!(
+        json::str_field(&st, "state").as_deref(),
+        Some("quarantined"),
+        "{st}"
+    );
+    // the reason rides the replayed `done` frame
+    let ok = roundtrip(
+        &mut r,
+        &mut w,
+        &Request::Subscribe {
+            job: 1,
+            filter: FilterSpec::default(),
+        },
+    );
+    assert_eq!(json::bool_field(&ok, "ok"), Some(true), "{ok}");
+    let mut done = String::new();
+    r.read_line(&mut done).unwrap();
+    let error = json::str_field(&done, "error").unwrap_or_default();
+    assert!(error.starts_with("scenario: "), "{done}");
+    let mut bye = String::new();
+    r.read_line(&mut bye).unwrap();
+    assert_eq!(json::str_field(&bye, "stream").as_deref(), Some("bye"), "{bye}");
+    // and the server keeps answering
+    let pong = roundtrip(&mut r, &mut w, &Request::Ping);
+    assert_eq!(json::u64_field(&pong, "proto"), Some(PROTO_VERSION), "{pong}");
+    let all = roundtrip(&mut r, &mut w, &Request::Status { job: None });
+    assert_eq!(json::u64_field(&all, "quarantined"), Some(1), "{all}");
+    srv.request_shutdown();
+    srv.wait();
+    let _ = std::fs::remove_dir_all(&dir);
 }
