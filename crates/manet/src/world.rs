@@ -13,8 +13,8 @@ use metrics::{PacketLedger, TimeSeries};
 use mobility::{LegCursor, MobilityTrace};
 use radio::frame::FrameMeta;
 use radio::{
-    auto_gather_threshold, ChannelState, FrameKind, GatherScratch, NeighborIndex, NodeId, PageSignal,
-    ShardMap, ShardedChannel, SpatialIndex, Transmission,
+    auto_gather_threshold, CellIndex, ChannelState, FrameKind, GatherScratch, NeighborIndex, NodeId,
+    PageSignal, ShardMap, ShardedChannel, Transmission,
 };
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -612,13 +612,13 @@ pub struct World<P: Protocol> {
     /// protocol instance, exactly as at t=0.
     factory: Box<dyn FnMut(NodeId) -> P>,
     recorder: Option<Recorder>,
-    /// Spatial index over node cells, bucket-aligned with `cfg.grid` and
-    /// maintained incrementally: O(1) moves on cell-crossing events, dead
+    /// Cell index over node cells, bucket-aligned with `cfg.grid` and
+    /// maintained incrementally: a move on each cell-crossing event, dead
     /// hosts pruned on death (their touch is observably inert, so pruning
     /// cannot shift the trace).  Receiver scans visit only the cells a
     /// transmission can reach instead of every node.  Maintained in both
-    /// query modes — only `nodes_near` consults `cfg.neighbor_index`.
-    index: SpatialIndex,
+    /// query modes — only `fill_candidates` consults `cfg.neighbor_index`.
+    index: CellIndex,
     /// Chebyshev cell radius a radio signal can span.
     reach_cells: i32,
     /// Live population at or below which grid mode brute-scans
@@ -729,18 +729,11 @@ impl<P: Protocol> World<P> {
             }
             WorldChannel::Serial(ch)
         };
-        // Buckets coincide with the paper's logical grid cells: the
-        // per-node cell is already maintained by cell-crossing events, so
-        // index maintenance is free — and candidate sets are identical to
-        // the historical per-cell occupancy lists.
-        let mut index =
-            SpatialIndex::with_buckets(cfg.grid.cells_x(), cfg.grid.cells_y(), cfg.grid.cell_side());
         let fault = FaultCtl::new(cfg.faults, hosts.len());
         let mut soa = Hosts::with_capacity(n_hosts);
         for (i, h) in hosts.into_iter().enumerate() {
             let id = NodeId(i as u32);
             let cell = cfg.grid.cell_of(h.trace.position_at(SimTime::ZERO));
-            index.insert(id.0, cell.x, cell.y);
             // fault-plan battery variance: manufacturing spread across
             // the finite batteries (infinite endpoints stay infinite)
             let battery = if cfg.faults.battery_var > 0.0 && !h.battery.is_infinite() {
@@ -760,6 +753,11 @@ impl<P: Protocol> World<P> {
                 h.group,
             );
         }
+        // Buckets coincide with the paper's logical grid cells: the
+        // per-node cell is already maintained by cell-crossing events, so
+        // index maintenance rides them — and candidate sets are identical
+        // to the historical per-cell occupancy lists.
+        let index = CellIndex::new(cfg.grid.cells_x(), cfg.grid.cells_y(), &soa.cells);
         // Pre-size the event slab to the measured shape of paper-scale
         // runs: SchedProfile high-water marks sit near 2 pending events
         // per host (cell crossing + one MAC/timer each) plus flow and
@@ -2308,8 +2306,8 @@ impl<P: Protocol> World<P> {
             return;
         }
         self.hosts.cells[i] = new;
-        // O(1) bucket move (slot-tracked), not a linear rescan of the old
-        // cell's occupant list
+        // one swap per bucket boundary crossed (one sideways, a row's
+        // worth up or down), not a rescan of the old cell's occupants
         self.index.move_to(node.0, new.x, new.y);
         // shard ownership is a function of the maintained cell, so a
         // crossing into another strip is the whole migration: two counter

@@ -15,9 +15,9 @@
 //! * [`ras`] — the Remotely Activated Switch: an out-of-band paging
 //!   receiver that wakes sleeping hosts by host-id ("paging sequence") or
 //!   by grid coordinate ("broadcast sequence"), per §2 and Fig. 1;
-//! * [`SpatialIndex`] — a grid-bucket index over positions so receiver
-//!   discovery and interference queries touch a constant-size bucket
-//!   neighborhood instead of every node/transmission.
+//! * [`CellIndex`] and [`SpatialIndex`] — grid-bucket indexes so receiver
+//!   discovery (the former) and interference queries (the latter) touch a
+//!   constant-size bucket neighborhood instead of every node/transmission.
 
 pub mod channel;
 pub mod frame;
@@ -31,4 +31,4 @@ pub use frame::{FrameKind, FrameMeta, NodeId};
 pub use mac::MacConfig;
 pub use ras::{PageSignal, RasConfig};
 pub use shard::{ShardMap, ShardedChannel};
-pub use spatial::{auto_gather_threshold, GatherScratch, NeighborIndex, SpatialIndex};
+pub use spatial::{auto_gather_threshold, CellIndex, GatherScratch, NeighborIndex, SpatialIndex};

@@ -1,4 +1,5 @@
-//! A uniform grid-bucket spatial index over node positions.
+//! Grid-bucket indexes over small integer ids, for receiver discovery and
+//! channel queries.
 //!
 //! Receiver discovery is the simulator's hottest query: every transmission
 //! must find the hosts its signal can reach.  A full scan is O(N) per
@@ -8,28 +9,34 @@
 //! buckets.  ECGRID's own logical-grid partition (§3) is exactly such an
 //! index, so the protocol's core idea also accelerates its simulator.
 //!
-//! Two deployments share this type:
+//! Two types serve two callers:
 //!
-//! * the `World` keys buckets to the paper's logical grid cells (the
-//!   per-node cell is already maintained by cell-crossing events) and
-//!   queries a Chebyshev-`reach` neighborhood that covers the radio range;
-//! * the channel keys in-flight transmissions by origin with buckets of
+//! * [`CellIndex`] is the `World`'s: buckets are the paper's logical grid
+//!   cells (the per-node cell is already maintained by cell-crossing
+//!   events), laid out as one id array sorted by bucket, so the
+//!   Chebyshev-`reach` neighborhood that covers the radio range is one
+//!   contiguous slice per row of cells;
+//! * [`SpatialIndex`] keeps one heap bucket per cell and serves the
+//!   channel, which keys in-flight transmissions by origin with buckets of
 //!   side == range, so carrier-sense and interference checks query only
-//!   the 3×3 neighborhood of the receiver's bucket.
+//!   the 3×3 neighborhood of the receiver's bucket.  The benchmark's
+//!   bucket kernels measure it too.
 //!
 //! # Determinism contract
 //!
-//! [`gather_sorted_into`](SpatialIndex::gather_sorted_into) scans the
-//! neighborhood buckets in row-major order and emits the gathered ids in
-//! ascending order, so the result is the **ascending-id** candidate list — bit-for-bit
-//! identical to a brute-force scan over the same membership, regardless of
-//! insertion, movement, or removal history.  Bucket-internal order is
-//! explicitly *not* part of the contract (removal is an O(1) swap-remove);
-//! only the sorted gather is.  The golden-digest equivalence tests hold
-//! the simulator to this: `NeighborIndex::Brute` and `NeighborIndex::Grid`
+//! Both gathers ([`CellIndex::gather_sorted_with`],
+//! [`SpatialIndex::gather_sorted_into`]) visit the neighborhood buckets in
+//! row-major order and emit the gathered ids in ascending order, so the
+//! result is the **ascending-id** candidate list — bit-for-bit identical to
+//! a brute-force scan over the same membership, regardless of insertion,
+//! movement, or removal history.  Bucket-internal order is explicitly
+//! *not* part of the contract (moves and removals swap ids around); only
+//! the sorted gather is.  The golden-digest equivalence tests hold the
+//! simulator to this: `NeighborIndex::Brute` and `NeighborIndex::Grid`
 //! must replay bit-identically.
 
-use geo::Point2;
+use geo::{GridCoord, Point2};
+use std::ops::RangeInclusive;
 
 /// How the world finds a transmission's candidate receivers.
 ///
@@ -82,11 +89,12 @@ const BITMAP_IDS: usize = 4096;
 /// Largest id universe a [`GatherScratch`] orders (three 64-way levels).
 const SCRATCH_IDS: usize = 64 * BITMAP_IDS;
 
-/// Caller-owned scratch of [`SpatialIndex::gather_sorted_with`]: a sparse
+/// Caller-owned scratch of [`CellIndex::gather_sorted_with`]: a sparse
 /// bitset sized to the index's id universe.  It is all zeros between
 /// gathers — a gather clears exactly the words it set — so, unlike the
-/// stack bitmap of [`SpatialIndex::gather_sorted_into`], nothing is zeroed
-/// per query and the universe may be any size up to [`SCRATCH_IDS`].
+/// stack bitmap of
+/// [`SpatialIndex::gather_sorted_into`], nothing is zeroed per query and
+/// the universe may be any size up to [`SCRATCH_IDS`].
 #[derive(Clone, Debug, Default)]
 pub struct GatherScratch {
     /// One bit per id.
@@ -96,14 +104,36 @@ pub struct GatherScratch {
 }
 
 impl GatherScratch {
-    /// Grow (never shrink) to cover ids below `universe`.
-    fn fit(&mut self, universe: usize) {
+    /// Clear `out` and fill it with the ids of `slices`, all below
+    /// `universe`, in ascending order: through the bitset (grown, never
+    /// shrunk, to cover the universe) up to [`SCRATCH_IDS`], by sorting
+    /// past it.
+    fn emit<'a>(&mut self, universe: usize, slices: impl Iterator<Item = &'a [u32]>, out: &mut Vec<u32>) {
+        out.clear();
+        if universe > SCRATCH_IDS {
+            return emit_via_sort(slices, out);
+        }
         let words = universe.div_ceil(64);
         if self.words.len() < words {
             self.words.resize(words, 0);
             self.touched.resize(words.div_ceil(64), 0);
         }
+        emit_via_bitset(slices, &mut self.words, &mut self.touched, out);
     }
+}
+
+/// The bucket columns and rows within a Chebyshev `reach` of bucket
+/// `(bx, by)`, clipped to a `cols × rows` field.
+fn neighborhood(
+    cols: i32,
+    rows: i32,
+    bx: i32,
+    by: i32,
+    reach: i32,
+) -> (RangeInclusive<usize>, RangeInclusive<usize>) {
+    let x = (bx - reach).max(0) as usize..=(bx + reach).min(cols - 1) as usize;
+    let y = (by - reach).max(0) as usize..=(by + reach).min(rows - 1) as usize;
+    (x, y)
 }
 
 /// Uniform grid-bucket index mapping small integer ids (node or
@@ -279,15 +309,13 @@ impl SpatialIndex {
         self.move_to(id, bx, by);
     }
 
-    /// The rows of buckets within a Chebyshev `reach` of bucket `(bx, by)`
+    /// The buckets within a Chebyshev `reach` of bucket `(bx, by)`
     /// (clipped to the field), in row-major order.
-    fn rows_near(&self, bx: i32, by: i32, reach: i32) -> impl Iterator<Item = &[Vec<u32>]> {
-        let x0 = (bx - reach).max(0) as usize;
-        let x1 = (bx + reach).min(self.cols - 1) as usize;
-        let y0 = (by - reach).max(0) as usize;
-        let y1 = (by + reach).min(self.rows - 1) as usize;
+    fn buckets_near(&self, bx: i32, by: i32, reach: i32) -> impl Iterator<Item = &[u32]> {
+        let (xs, ys) = neighborhood(self.cols, self.rows, bx, by, reach);
         let cols = self.cols as usize;
-        (y0..=y1).map(move |y| &self.buckets[y * cols + x0..=y * cols + x1])
+        ys.flat_map(move |y| self.buckets[y * cols + xs.start()..=y * cols + xs.end()].iter())
+            .map(Vec::as_slice)
     }
 
     /// Gather every member within a Chebyshev `reach` of bucket
@@ -299,38 +327,15 @@ impl SpatialIndex {
     /// When the id universe is small the ascending order comes from a
     /// stack bitmap — one bit set per member, then emitted in bit order —
     /// which is cheaper than sorting the gathered list per query.  Larger
-    /// universes fall back to a comparison sort; hot callers with larger
-    /// universes bring a [`GatherScratch`] to
-    /// [`gather_sorted_with`](Self::gather_sorted_with) instead.  Every
-    /// path produces the identical list.
+    /// universes fall back to a comparison sort.  Both paths produce the
+    /// identical list.
     pub fn gather_sorted_into(&self, bx: i32, by: i32, reach: i32, out: &mut Vec<u32>) {
         out.clear();
-        let rows = self.rows_near(bx, by, reach);
+        let buckets = self.buckets_near(bx, by, reach);
         if self.slots.len() <= BITMAP_IDS {
-            emit_via_bitset(rows, &mut [0u64; BITMAP_IDS / 64], &mut [0u64; 1], out);
+            emit_via_bitset(buckets, &mut [0u64; BITMAP_IDS / 64], &mut [0u64; 1], out);
         } else {
-            emit_via_sort(rows, out);
-        }
-    }
-
-    /// [`gather_sorted_into`](Self::gather_sorted_into) through a
-    /// caller-owned bitset: no per-query zeroing and no sort for any id
-    /// universe up to [`SCRATCH_IDS`] (past it, the sort).
-    pub fn gather_sorted_with(
-        &self,
-        scratch: &mut GatherScratch,
-        bx: i32,
-        by: i32,
-        reach: i32,
-        out: &mut Vec<u32>,
-    ) {
-        out.clear();
-        let rows = self.rows_near(bx, by, reach);
-        if self.slots.len() <= SCRATCH_IDS {
-            scratch.fit(self.slots.len());
-            emit_via_bitset(rows, &mut scratch.words, &mut scratch.touched, out);
-        } else {
-            emit_via_sort(rows, out);
+            emit_via_sort(buckets, out);
         }
     }
 
@@ -347,19 +352,8 @@ impl SpatialIndex {
     /// order-insensitive aggregates (max / any / count); candidate lists
     /// that feed ordered processing must use
     /// [`gather_sorted_into`](Self::gather_sorted_into).
-    pub fn for_each_near(&self, bx: i32, by: i32, reach: i32, mut f: impl FnMut(u32)) {
-        let x0 = (bx - reach).max(0);
-        let x1 = (bx + reach).min(self.cols - 1);
-        let y0 = (by - reach).max(0);
-        let y1 = (by + reach).min(self.rows - 1);
-        for y in y0..=y1 {
-            let row = y as usize * self.cols as usize;
-            for x in x0..=x1 {
-                for &id in &self.buckets[row + x as usize] {
-                    f(id);
-                }
-            }
-        }
+    pub fn for_each_near(&self, bx: i32, by: i32, reach: i32, f: impl FnMut(u32)) {
+        self.buckets_near(bx, by, reach).flatten().copied().for_each(f);
     }
 
     /// Candidates for a range query centred at `p`: the 3×3 bucket
@@ -383,28 +377,183 @@ impl SpatialIndex {
     }
 }
 
-/// Emit the members of `rows` of buckets in ascending id order through a
-/// bitset: `words` holds one bit per id, `touched` one bit per word of
-/// `words` (at most 64 words of it), and both must arrive all zeros; they
-/// are all zeros again on return.  Only words that were set are visited,
-/// so the cost follows the members gathered, not the id universe.
+/// The world's receiver-discovery index: ids in the buckets of a
+/// `cols × rows` grid (the paper's logical cells), stored flat.
+///
+/// `ids` holds every id exactly once, sorted by bucket: the buckets in
+/// row-major order, then one trailing dead bin.  Bucket `b` is
+/// `ids[start[b]..start[b + 1]]`, so a row of buckets is one contiguous
+/// slice and a Chebyshev gather reads one slice per row of cells instead
+/// of one heap vector per cell.  `pos` and `bucket` locate each id.
+///
+/// A move swaps the id across every bucket boundary between its old and
+/// its new bucket, shifting each boundary by one: a horizontal step is one
+/// swap, a vertical step `cols` swaps.  [`remove`](Self::remove) moves the
+/// id into the dead bin, which is rare (a death) and costs one swap per
+/// bucket after the id's.  The id universe is fixed at construction.
+#[derive(Clone, Debug)]
+pub struct CellIndex {
+    cols: i32,
+    rows: i32,
+    ids: Vec<u32>,
+    /// `cols · rows + 2` offsets into `ids`: one per bucket, the dead
+    /// bin's, and `ids.len()`.
+    start: Vec<u32>,
+    /// Per id: its offset in `ids`.
+    pos: Vec<u32>,
+    /// Per id: its bucket (`cols · rows` = the dead bin).
+    bucket: Vec<u32>,
+}
+
+impl CellIndex {
+    /// Index ids `0..cells.len()`, id `i` in the bucket at `cells[i]`,
+    /// with one counting sort.
+    pub fn new(cols: i32, rows: i32, cells: &[GridCoord]) -> Self {
+        assert!(cols > 0 && rows > 0, "index needs at least one bucket");
+        assert!(u32::try_from(cells.len()).is_ok(), "ids must fit in u32");
+        let dead = cols as usize * rows as usize;
+        let bucket: Vec<u32> = cells
+            .iter()
+            .map(|c| {
+                assert!(
+                    (0..cols).contains(&c.x) && (0..rows).contains(&c.y),
+                    "cell {c:?} outside the {cols}x{rows} index"
+                );
+                (c.y as usize * cols as usize + c.x as usize) as u32
+            })
+            .collect();
+        // count into start[b + 1], then prefix-sum to the offsets
+        let mut start = vec![0u32; dead + 2];
+        for &b in &bucket {
+            start[b as usize + 1] += 1;
+        }
+        for b in 1..start.len() {
+            start[b] += start[b - 1];
+        }
+        let mut next = start.clone();
+        let mut ids = vec![0u32; cells.len()];
+        let mut pos = vec![0u32; cells.len()];
+        for (id, &b) in bucket.iter().enumerate() {
+            let p = &mut next[b as usize];
+            ids[*p as usize] = id as u32;
+            pos[id] = *p;
+            *p += 1;
+        }
+        CellIndex {
+            cols,
+            rows,
+            ids,
+            start,
+            pos,
+            bucket,
+        }
+    }
+
+    /// Number of ids not removed.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.start[self.dead_bin()] as usize
+    }
+
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    #[inline]
+    fn dead_bin(&self) -> usize {
+        self.start.len() - 2
+    }
+
+    /// The bucket holding `id`, unless it was removed (or never existed).
+    pub fn bucket_of_id(&self, id: u32) -> Option<(i32, i32)> {
+        let b = *self.bucket.get(id as usize)? as usize;
+        (b != self.dead_bin()).then(|| ((b % self.cols as usize) as i32, (b / self.cols as usize) as i32))
+    }
+
+    /// Move `id` to the bucket at `(bx, by)`.  Panics if `id` was removed.
+    pub fn move_to(&mut self, id: u32, bx: i32, by: i32) {
+        assert!(self.bucket_of_id(id).is_some(), "id {id} not in the index");
+        debug_assert!((0..self.cols).contains(&bx) && (0..self.rows).contains(&by));
+        self.shift(id, by as usize * self.cols as usize + bx as usize);
+    }
+
+    /// Move `id` into the dead bin: no gather sees it again.  No-op if it
+    /// is there already.
+    pub fn remove(&mut self, id: u32) {
+        self.shift(id, self.dead_bin());
+    }
+
+    /// Carry `id` from its bucket to bucket `to`, one boundary at a time:
+    /// swap it to the edge of the bucket it is in, then move that edge past
+    /// it.  The buckets in between keep their members.
+    fn shift(&mut self, id: u32, to: usize) {
+        let mut b = self.bucket[id as usize] as usize;
+        let mut p = self.pos[id as usize] as usize;
+        while b < to {
+            let last = self.start[b + 1] as usize - 1;
+            self.swap_into(p, last);
+            self.start[b + 1] -= 1;
+            (p, b) = (last, b + 1);
+        }
+        while b > to {
+            let first = self.start[b] as usize;
+            self.swap_into(p, first);
+            self.start[b] += 1;
+            (p, b) = (first, b - 1);
+        }
+        self.pos[id as usize] = p as u32;
+        self.bucket[id as usize] = to as u32;
+    }
+
+    /// Swap the ids at offsets `from` and `to`, patching the position of
+    /// the one that lands at `from` (the caller tracks the other).
+    #[inline]
+    fn swap_into(&mut self, from: usize, to: usize) {
+        self.ids.swap(from, to);
+        self.pos[self.ids[from] as usize] = from as u32;
+    }
+
+    /// Gather every member within a Chebyshev `reach` of bucket `(bx, by)`
+    /// (clipped to the field) into `out`, cleared first, in **ascending id
+    /// order** — the deterministic candidate list (see the module docs),
+    /// ordered through the caller's `scratch`.
+    pub fn gather_sorted_with(
+        &self,
+        scratch: &mut GatherScratch,
+        bx: i32,
+        by: i32,
+        reach: i32,
+        out: &mut Vec<u32>,
+    ) {
+        let (xs, ys) = neighborhood(self.cols, self.rows, bx, by, reach);
+        let cols = self.cols as usize;
+        let rows = ys.map(|y| {
+            let row = y * cols;
+            &self.ids[self.start[row + xs.start()] as usize..self.start[row + xs.end() + 1] as usize]
+        });
+        scratch.emit(self.pos.len(), rows, out);
+    }
+}
+
+/// Emit the ids of `slices` in ascending order through a bitset: `words`
+/// holds one bit per id, `touched` one bit per word of `words` (at most 64
+/// words of it), and both must arrive all zeros; they are all zeros again
+/// on return.  Only words that were set are visited, so the cost follows
+/// the ids gathered, not the id universe.
 fn emit_via_bitset<'a>(
-    rows: impl Iterator<Item = &'a [Vec<u32>]>,
+    slices: impl Iterator<Item = &'a [u32]>,
     words: &mut [u64],
     touched: &mut [u64],
     out: &mut Vec<u32>,
 ) {
     debug_assert!(touched.len() <= 64 && words.len() <= 64 * touched.len());
     let mut groups = 0u64;
-    for row in rows {
-        for b in row {
-            for &id in b {
-                let w = (id >> 6) as usize;
-                words[w] |= 1u64 << (id & 63);
-                touched[w >> 6] |= 1u64 << (w & 63);
-                groups |= 1u64 << (w >> 6);
-            }
-        }
+    for &id in slices.flatten() {
+        let w = (id >> 6) as usize;
+        words[w] |= 1u64 << (id & 63);
+        touched[w >> 6] |= 1u64 << (w & 63);
+        groups |= 1u64 << (w >> 6);
     }
     while groups != 0 {
         let g = groups.trailing_zeros() as usize;
@@ -422,12 +571,10 @@ fn emit_via_bitset<'a>(
     }
 }
 
-/// Emit the members of `rows` of buckets in ascending id order by sorting.
-fn emit_via_sort<'a>(rows: impl Iterator<Item = &'a [Vec<u32>]>, out: &mut Vec<u32>) {
-    for row in rows {
-        for b in row {
-            out.extend_from_slice(b);
-        }
+/// Emit the ids of `slices` in ascending order by sorting.
+fn emit_via_sort<'a>(slices: impl Iterator<Item = &'a [u32]>, out: &mut Vec<u32>) {
+    for s in slices {
+        out.extend_from_slice(s);
     }
     out.sort_unstable();
 }
@@ -574,13 +721,14 @@ mod tests {
 
     #[test]
     fn scratch_gather_matches_at_every_universe_size() {
-        // one scratch reused while the universe grows past the stack
-        // bitmap, past a 64-word group, and past the scratch's own limit
-        // (where it sorts): always the list `gather_sorted_into` gives,
-        // and the scratch is left all zeros for the next query
-        let mut s = idx();
+        // one scratch reused while the universe grows past one 64-word
+        // group and past the scratch's own limit (where it sorts): a few
+        // members spread over the universe, every other id removed, and
+        // each gather is the ascending filter-scan of the members, with
+        // the scratch left all zeros for the next query
         let mut scratch = GatherScratch::default();
-        let (mut got, mut want) = (Vec::new(), Vec::new());
+        let mut members: Vec<usize> = Vec::new();
+        let mut got = Vec::new();
         for top in [
             70,
             BITMAP_IDS - 1,
@@ -590,15 +738,20 @@ mod tests {
             SCRATCH_IDS - 1,
             SCRATCH_IDS,
         ] {
-            for id in [top, top - 1, top - 64, top / 2, top / 3].map(|id| id as u32) {
-                if !s.contains(id) {
-                    s.insert(id, (id % 2) as i32, (id % 3) as i32);
-                }
+            members.extend([top, top - 1, top - 64, top / 2, top / 3]);
+            let cell = |id: usize| GridCoord::new((id % 2) as i32, (id % 3) as i32);
+            let cells: Vec<GridCoord> = (0..=top).map(cell).collect();
+            let mut s = CellIndex::new(4, 4, &cells);
+            for id in (0..=top).filter(|id| !members.contains(id)) {
+                s.remove(id as u32);
             }
-            assert_eq!(s.id_universe(), top + 1);
             for (bx, by, reach) in [(0, 0, 1), (1, 2, 1), (3, 3, 1), (0, 0, 3)] {
+                let q = GridCoord::new(bx, by);
                 s.gather_sorted_with(&mut scratch, bx, by, reach, &mut got);
-                s.gather_sorted_into(bx, by, reach, &mut want);
+                let want: Vec<u32> = (0..=top)
+                    .filter(|&id| members.contains(&id) && cell(id).chebyshev(q) <= reach)
+                    .map(|id| id as u32)
+                    .collect();
                 assert_eq!(got, want, "universe {} at ({bx}, {by})", top + 1);
                 assert!(scratch.words.iter().chain(&scratch.touched).all(|&w| w == 0));
             }

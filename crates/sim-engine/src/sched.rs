@@ -206,48 +206,9 @@ impl<E> Scheduler<E> {
         None
     }
 
-    /// Timestamp of the next live event without popping it.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        // drop leading cancelled events so the peek is accurate
-        while let Some(t) = self.queue.next_time() {
-            let (at, seq, slot) = self.queue.pop_next().unwrap();
-            if self.pool.is_revoked(slot) {
-                self.pool.free(slot);
-                continue;
-            }
-            // push back the live event; seq changes but ordering among
-            // equal timestamps is preserved because it is re-inserted
-            // before anything else at the same time can be inserted ahead.
-            // To keep strict FIFO semantics we avoid this path in the hot
-            // loop and only use peek for idle/termination checks.
-            let _ = t;
-            self.requeue_front(at, seq, slot);
-            return Some(at);
-        }
-        None
-    }
-
-    // Reinsert an entry preserving its original sequence number ordering.
-    // The event itself never leaves the pool — only its slot index cycles
-    // through the queue.
-    fn requeue_front(&mut self, at: SimTime, _orig_seq: u64, slot: u32) {
-        // EventQueue has no keyed reinsert; emulate by inserting and
-        // recording nothing: all entries at `at` inserted *after* this call
-        // get larger seqs, so FIFO order relative to them is preserved.
-        // Order relative to other entries already queued at the same
-        // timestamp could in principle change, which is why `next()` never
-        // uses this path.
-        self.queue.insert(at, slot);
-    }
-
     /// Number of pending (possibly cancelled) events.
     pub fn pending(&self) -> usize {
         self.queue.len()
-    }
-
-    /// True when no live events remain.
-    pub fn is_idle(&mut self) -> bool {
-        self.peek_time().is_none()
     }
 }
 
@@ -302,10 +263,6 @@ mod tests {
         assert_eq!((old.slot, old.shard), (new.slot, new.shard));
         s.cancel(old);
         assert_eq!(s.next().unwrap().1, "newcomer");
-        // a peeked event keeps its slot, so its handle still cancels it
-        let h = s.schedule_at(SimTime::from_secs(3), "peeked");
-        assert_eq!(s.peek_time(), Some(SimTime::from_secs(3)));
-        s.cancel(h);
         assert!(s.next().is_none());
     }
 
@@ -316,7 +273,6 @@ mod tests {
         s.cancel(h);
         s.cancel(h);
         assert!(s.next().is_none());
-        assert!(s.is_idle());
     }
 
     #[test]
@@ -391,7 +347,7 @@ mod tests {
     #[test]
     fn pool_drains_with_no_leak() {
         // Every allocation is eventually freed — including cancelled
-        // events (recycled at pop) and peeked events (requeued in place).
+        // events (recycled at pop).
         for backend in [Backend::Heap, Backend::Calendar] {
             let mut s = Scheduler::with_backend(backend);
             for i in 0..50u64 {
@@ -400,7 +356,6 @@ mod tests {
                     s.cancel(h);
                 }
             }
-            s.peek_time();
             while s.next().is_some() {}
             let st = s.pool_stats();
             assert_eq!(st.allocated, st.freed, "{backend:?}: leaked events");
@@ -471,13 +426,14 @@ mod tests {
     }
 
     #[test]
-    fn is_idle_ignores_cancelled_tail() {
+    fn a_cancelled_tail_dispatches_nothing_and_drains() {
         let mut s = Scheduler::new();
         let h1 = s.schedule_at(SimTime::from_secs(1), ());
         let h2 = s.schedule_at(SimTime::from_secs(2), ());
         s.cancel(h1);
         s.cancel(h2);
-        assert!(s.is_idle());
+        assert!(s.next().is_none());
         assert_eq!(s.pending(), 0);
+        assert_eq!(s.processed(), 0);
     }
 }

@@ -8,7 +8,8 @@
 //! test measures the heap a freshly built world holds and what it holds
 //! after 2 s of beacons and elections, both per host, and fails past its
 //! bound.  Each figure comes with its deltas per allocation size class, so
-//! a future growth names the allocation that grew.
+//! a future growth names the allocation that grew; the world's cell index
+//! is also built alone over the same cells, so its share is printed apart.
 //!
 //! This file is its own test binary with one test in it: the counting
 //! allocator below is process-wide, so nothing else may allocate while
@@ -18,6 +19,7 @@ use ecgrid_suite::ecgrid::{Ecgrid, EcgridConfig};
 use ecgrid_suite::geo::GridMap;
 use ecgrid_suite::manet::{FlowSet, HostSetup, World, WorldConfig};
 use ecgrid_suite::mobility::{MobilityModel, RandomWaypoint};
+use ecgrid_suite::radio::CellIndex;
 use ecgrid_suite::sim_engine::{RngFactory, SimTime};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicIsize, AtomicUsize, Ordering::Relaxed};
@@ -142,7 +144,7 @@ impl Heap {
 }
 
 /// `scale_5k`'s fleet at [`HOSTS`] hosts, built from public pieces.
-fn build() -> World<Ecgrid> {
+fn fleet() -> (WorldConfig, Vec<HostSetup>) {
     let side = 1000.0 * (HOSTS as f64 / 100.0).sqrt();
     let waypoint = RandomWaypoint {
         field_w: side,
@@ -160,17 +162,23 @@ fn build() -> World<Ecgrid> {
         grid: GridMap::new(side, side, 100.0),
         ..WorldConfig::paper_default(SEED)
     };
+    (cfg, hosts)
+}
+
+fn build() -> World<Ecgrid> {
+    let (cfg, hosts) = fleet();
     World::new(cfg, hosts, FlowSet::new(Vec::new()), |id| {
         Ecgrid::new(EcgridConfig::default(), id)
     })
 }
 
 /// Bounds: the value measured when each was set, + 10 %.  A fresh world
-/// read 1 355.4 B/host (1 667.4 before traces kept exactly their segments
-/// and route-search state became lazy), a world after 2 s 2 114.3 B/host
-/// (2 737.6 before MAC queues and election candidates followed use too).
-const FRESH_BOUND: f64 = 1491.0;
-const RUN_BOUND: f64 = 2326.0;
+/// read 1 328.9 B/host, a world after 2 s 2 069.3 B/host (1 355.4 and
+/// 2 095.8 with one heap bucket per grid cell; 1 667.4 and 2 737.6 before
+/// traces kept exactly their segments, route-search state became lazy and
+/// MAC queues and election candidates followed use).
+const FRESH_BOUND: f64 = 1462.0;
+const RUN_BOUND: f64 = 2277.0;
 
 #[test]
 fn a_fresh_and_a_run_world_hold_only_what_their_hosts_use() {
@@ -191,6 +199,23 @@ fn a_fresh_and_a_run_world_hold_only_what_their_hosts_use() {
         run.delta_table(&fresh),
     );
     drop(world);
+
+    let (cfg, hosts) = fleet();
+    let cells: Vec<_> = hosts
+        .iter()
+        .map(|h| cfg.grid.cell_of(h.trace.position_at(SimTime::ZERO)))
+        .collect();
+    let before = Heap::now();
+    let index = CellIndex::new(cfg.grid.cells_x(), cfg.grid.cells_y(), &cells);
+    let after = Heap::now();
+    println!(
+        "of which the cell index ({}x{} cells): {:.1} B/host\n{}",
+        cfg.grid.cells_x(),
+        cfg.grid.cells_y(),
+        after.per_host_over(&before),
+        after.delta_table(&before)
+    );
+    drop(index);
     assert!(
         fresh_per_host <= FRESH_BOUND,
         "a fresh world holds {fresh_per_host:.1} B/host, past its {FRESH_BOUND} B bound"
