@@ -37,7 +37,7 @@ pub struct WorldConfig {
     /// The all-zero default performs no draws and leaves every run — and
     /// its trace digest — bit-identical to a fault-free build.
     pub faults: FaultPlan,
-    /// Watchdog ceilings on the event loop (dispatched events and virtual
+    /// Watchdog ceilings on the event loop (dispatched events and wall
     /// time).  The unlimited default changes nothing; a bounded run that
     /// trips the budget terminates with a `BudgetExceeded` diagnostic in
     /// its `RunOutput` instead of hanging.
@@ -56,18 +56,16 @@ pub struct WorldConfig {
     /// bit-identical to the serial engine (proven by
     /// `tests/parallel_equivalence.rs`).  See DESIGN.md §12.
     pub parallel_world: bool,
-    /// Shard count for `parallel_world`.  `0` means auto: derive K from
-    /// `std::thread::available_parallelism`.  Ignored by the serial
-    /// engine.
+    /// Shard count for `parallel_world` (at least 1).  Ignored by the
+    /// serial engine.
     pub shards: usize,
     /// Worker-thread count for `parallel_world`: the host-plane kernels
     /// (energy integration, mobility evaluation, reception verdicts,
     /// paging scans) fan out over this many lanes, while dispatch and
     /// all state commits stay on the caller in exact serial order — so
     /// replays are bit-identical to the serial engine at every T
-    /// (proven by `tests/parallel_equivalence.rs`).  `1` runs every
-    /// kernel inline (no threads spawned); `0` means auto:
-    /// `min(shards, available_parallelism)`.  Ignored by the serial
+    /// (proven by `tests/parallel_equivalence.rs`).  At least 1; `1` runs
+    /// every kernel inline (no threads spawned).  Ignored by the serial
     /// engine.  See DESIGN.md §14.
     pub threads: usize,
 }
@@ -98,31 +96,6 @@ impl WorldConfig {
         }
     }
 
-    /// The shard count a world built from this config will actually use:
-    /// `shards`, with `0` resolved to the host's parallelism.
-    pub fn resolved_shards(&self) -> usize {
-        if self.shards == 0 {
-            host_parallelism()
-        } else {
-            self.shards
-        }
-    }
-
-    /// The worker-lane count a world built from this config will actually
-    /// use: `threads`, with `0` resolved to
-    /// `min(resolved_shards, available_parallelism)`.  Always 1 on the
-    /// serial engine.
-    pub fn resolved_threads(&self) -> usize {
-        if !self.parallel_world {
-            return 1;
-        }
-        if self.threads == 0 {
-            host_parallelism().min(self.resolved_shards()).max(1)
-        } else {
-            self.threads
-        }
-    }
-
     /// Same configuration on a different scheduler backend.
     pub fn with_backend(mut self, backend: Backend) -> Self {
         self.backend = backend;
@@ -148,16 +121,18 @@ impl WorldConfig {
     }
 
     /// Same configuration on the sharded conservative-sync engine with
-    /// `shards` strips (`0` = auto from the host's parallelism).
+    /// `shards` strips.
     pub fn with_parallel_world(mut self, shards: usize) -> Self {
+        assert!(shards > 0, "the sharded engine needs at least one shard");
         self.parallel_world = true;
         self.shards = shards;
         self
     }
 
     /// Same configuration with `threads` worker lanes for the parallel
-    /// engine (`0` = auto: `min(shards, available_parallelism)`).
+    /// engine.
     pub fn with_threads(mut self, threads: usize) -> Self {
+        assert!(threads > 0, "the sharded engine needs at least one worker lane");
         self.threads = threads;
         self
     }

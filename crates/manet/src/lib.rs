@@ -45,7 +45,7 @@ pub use ctx::{AppPacket, Ctx, NodeView, TimerId};
 pub use progress::ProgressProbe;
 pub use protocol::{Protocol, WireSize};
 pub use stats::WorldStats;
-pub use trace::{render_trace, Event, EventKind, Recorder, TraceDigest, TraceMode};
+pub use trace::{Event, EventKind, Recorder, TraceDigest, TraceMode};
 pub use world::{GroupStats, RunOutput, ShardStats, World};
 
 /// The observability layer (events, recorder, digest, registry, profile).

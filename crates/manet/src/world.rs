@@ -416,8 +416,6 @@ struct ShardRuntime {
 pub struct ShardStats {
     /// Shard count K.
     pub shards: usize,
-    /// Worker-lane count T of the host-plane kernels (1 = inline).
-    pub threads: usize,
     /// Live hosts currently owned by each shard.
     pub members: Vec<u32>,
     /// Cell crossings that moved a host between shards.
@@ -645,7 +643,8 @@ pub struct World<P: Protocol> {
     /// Worker pool of the threaded engine (`parallel_world` with
     /// `threads > 1`); `None` runs every host-plane kernel inline.
     exec: Option<WorkerPool>,
-    /// Resolved worker-lane count (1 on the serial engine).
+    /// Worker-lane count of the host-plane kernels (1 on the serial
+    /// engine).
     threads: usize,
     /// Barrier mailbox of the probe kernels: phase 1 posts notable hosts
     /// into chunk-owned lanes, the commit phase drains them in lane
@@ -676,12 +675,10 @@ impl<P: Protocol> World<P> {
         assert!(!hosts.is_empty(), "a world needs hosts");
         let rngs = RngFactory::new(cfg.seed);
         let n_hosts = hosts.len();
-        // Auto-parallelism: shards == 0 / threads == 0 resolve against the
-        // host here, once, so every downstream consumer (stats, metadata
-        // echoes) reports the values actually in effect.
-        let k_shards = cfg.resolved_shards().max(1);
-        let threads = cfg.resolved_threads().max(1);
-        let exec = (cfg.parallel_world && threads > 1).then(|| WorkerPool::new(threads));
+        let threads = if cfg.parallel_world { cfg.threads } else { 1 };
+        // (a zero shard count is refused by `ShardMap::new`)
+        assert!(threads > 0, "the sharded engine needs at least one worker lane");
+        let exec = (threads > 1).then(|| WorkerPool::new(threads));
         // Heterogeneous fleets: the channel's geometry (bucket side,
         // mirror slack, reach radius) is sized from the LARGEST radio in
         // the fleet, so every per-transmission disc fits inside the 3x3
@@ -698,35 +695,22 @@ impl<P: Protocol> World<P> {
         });
         let reach_cells = (max_range / cfg.grid.cell_side()).ceil() as i32 + 1;
         let max_speed = hosts.iter().map(|h| h.trace.max_speed()).fold(0.0, f64::max);
-        // Bucketed carrier-sense/interference queries ride the same
-        // toggle as receiver discovery, so `brute` really is the
-        // end-to-end baseline.  Small populations skip the bucket
-        // structure entirely: their in-flight set is small enough that
-        // the channel's own linear-scan cutoff would ignore the
-        // buckets anyway, leaving per-transmission maintenance as pure
-        // overhead (the historical N ≤ 200 regression).  Presence or
-        // absence of the index never changes a verdict, only its cost.
-        let channel_spatial =
-            cfg.neighbor_index == NeighborIndex::Grid && n_hosts > auto_gather_threshold(reach_cells);
+        // Carrier-sense and interference queries scan the channel's
+        // occupied entries: retention is bounded by the longest airtime,
+        // so a bucket index over them measured neutral (DESIGN.md §10).
         let channel = if cfg.parallel_world {
             let map = ShardMap::new(
                 cfg.grid.cells_x().max(1) as usize,
                 cfg.grid.cell_side(),
                 cfg.grid.width(),
-                k_shards,
+                cfg.shards,
             );
             let mut ch = ShardedChannel::new(max_range, map);
             ch.set_capture_ratio(cfg.capture_ratio);
-            if channel_spatial {
-                ch.enable_spatial(cfg.grid.width(), cfg.grid.height());
-            }
             WorldChannel::Sharded(ch)
         } else {
             let mut ch = ChannelState::new(max_range);
             ch.set_capture_ratio(cfg.capture_ratio);
-            if channel_spatial {
-                ch.enable_spatial(cfg.grid.width(), cfg.grid.height());
-            }
             WorldChannel::Serial(ch)
         };
         let fault = FaultCtl::new(cfg.faults, hosts.len());
@@ -770,7 +754,7 @@ impl<P: Protocol> World<P> {
             // heaps keyed (time, global_seq).  Dispatch order is the same
             // contract either backend honors, so nothing observable
             // depends on the difference.
-            let mut s = ShardedScheduler::new(k_shards);
+            let mut s = ShardedScheduler::new(cfg.shards);
             s.set_budget(cfg.budget);
             WorldSched::Sharded(s)
         } else {
@@ -784,7 +768,7 @@ impl<P: Protocol> World<P> {
                 cfg.grid.cells_x().max(1) as usize,
                 cfg.grid.cell_side(),
                 cfg.grid.width(),
-                k_shards,
+                cfg.shards,
             );
             let mut members = vec![0u32; map.shard_count()];
             for c in &soa.cells {
@@ -978,18 +962,11 @@ impl<P: Protocol> World<P> {
         self.sched.pool_stats()
     }
 
-    /// Resolved worker-lane count of the host-plane kernels (1 on the
-    /// serial engine and whenever kernels run inline).
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
     /// Shard and migration counters of a parallel world; `None` on the
     /// serial engine.
     pub fn shard_stats(&self) -> Option<ShardStats> {
         self.shards.as_ref().map(|sr| ShardStats {
             shards: sr.map.shard_count(),
-            threads: self.threads,
             members: sr.members.clone(),
             migrations: sr.migrations,
             barriers: sr.barriers,

@@ -143,14 +143,6 @@ impl ShardedChannel {
         }
     }
 
-    /// Turn on bucketed interference queries in every shard channel.
-    /// Call before the first `begin_tx`.
-    pub fn enable_spatial(&mut self, width_m: f64, height_m: f64) {
-        for ch in &mut self.shards {
-            ch.enable_spatial(width_m, height_m);
-        }
-    }
-
     /// Set the capture ratio on every shard channel.
     pub fn set_capture_ratio(&mut self, ratio: Option<f64>) {
         for ch in &mut self.shards {
@@ -402,12 +394,11 @@ mod tests {
         // The strong equivalence fuzz: random transmissions and random
         // queries, each query issued from the shard of the query point's
         // own cell column — answers must equal a single global channel's,
-        // including with per-shard spatial indexes on and interleaved gc.
+        // including with interleaved gc.
         let mut seed = 0xb0a_d1ce_u64;
         for &k in &[1usize, 2, 4, 7] {
             let map = ShardMap::new(10, 100.0, 1000.0, k);
             let mut sharded = ShardedChannel::new(250.0, map);
-            sharded.enable_spatial(1000.0, 1000.0);
             let mut global = ChannelState::new(250.0);
             let mut txs = Vec::new();
             for i in 0..40u32 {
@@ -466,13 +457,9 @@ mod tests {
             seed in proptest::prelude::any::<u64>(),
             sends in 40..300usize,
             k in 1..6usize,
-            spatial in proptest::prelude::any::<bool>(),
         ) {
             let mut seed = seed;
             let mut sharded = ShardedChannel::new(250.0, ShardMap::new(20, 100.0, 2000.0, k));
-            if spatial {
-                sharded.enable_spatial(2000.0, 1500.0);
-            }
             let mut oracle = RetainChannel {
                 active: Vec::new(),
                 capture_ratio: Some(CAPTURE_RATIO_10DB),

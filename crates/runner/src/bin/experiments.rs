@@ -5,8 +5,11 @@
 //! ```sh
 //! experiments [--fig N]... [--replicas N]
 //!             [--journal FILE.jsonl] [--max-retries N] [--event-budget N]
-//! #            ECGRID_JOURNAL         ECGRID_MAX_RETRIES ECGRID_EVENT_BUDGET
 //! ```
+//!
+//! `--replicas` defaults to 3 and `--max-retries` to 2.  Two environment
+//! variables have no flag: `ECGRID_FAST=1` shrinks the campaign to a smoke
+//! run and `ECGRID_RESULTS_DIR` moves the CSVs out of `results/`.
 //!
 //! Every distinct point of the requested figures is simulated once
 //! (Figs. 4/5 and 6/7 share their runs, Fig. 8 contains Fig. 4's 100-host
@@ -23,7 +26,7 @@ const USAGE: Usage = Usage {
 };
 
 fn main() {
-    let mut opts = FigOpts::from_env().unwrap_or_else(|e| USAGE.fail(e));
+    let mut opts = FigOpts::from_env();
     let mut figures = Vec::new();
     let args: Vec<String> = std::env::args().collect();
     let mut flags = USAGE.args(&args[1..]);

@@ -187,10 +187,6 @@ fn print_groups(r: &runner::ScenarioResult) {
 fn print_result(cli: &Cli, r: &runner::ScenarioResult, wall: f64) {
     let protocol = cli.sc.protocol.name();
     println!("protocol:        {protocol}");
-    match r.engine {
-        Some((k, t)) => println!("engine:          sharded (shards {k}, threads {t})"),
-        None => println!("engine:          serial"),
-    }
     println!("packets sent:    {}", r.ledger.sent_count());
     println!(
         "delivered:       {} ({:.2}%)",

@@ -4,13 +4,9 @@
 //! views over its results — each point simulated once, each figure finding
 //! its points by journal identity rather than by position.
 //!
-//! Environment knobs (read by `experiments`):
-//! * `ECGRID_REPLICAS`     — seeds averaged per configuration (default 3);
+//! Environment knobs (read by `experiments`, which takes every other
+//! option as a flag):
 //! * `ECGRID_FAST=1`       — shrink durations/densities for a smoke run;
-//! * `ECGRID_JOURNAL`      — checkpoint journal path: a rerun skips
-//!   already-journaled replicas;
-//! * `ECGRID_MAX_RETRIES`  — retry budget per replica (default 2);
-//! * `ECGRID_EVENT_BUDGET` — watchdog ceiling on events/run;
 //! * `ECGRID_RESULTS_DIR`  — where the CSVs go (default `results`).
 
 use crate::report::{opt_or, render_ascii_chart, render_series_table, series_csv_rows, write_csv, Labelled};
@@ -19,9 +15,8 @@ use crate::scenario::{ProtocolKind, Scenario};
 use crate::supervisor::{config_hash, sweep_supervised, JournalError, SupervisorConfig};
 use crate::sweep::AveragedResult;
 use std::collections::{HashMap, HashSet};
-use std::fmt::{Display, Write as _};
+use std::fmt::Write as _;
 use std::path::PathBuf;
-use std::str::FromStr;
 
 /// Shared run options.
 #[derive(Clone, Debug)]
@@ -38,28 +33,17 @@ pub struct FigOpts {
     pub journal: Option<PathBuf>,
 }
 
-/// An environment variable parsed, `None` when unset; a value that does
-/// not parse is the caller's usage error, named after the variable.
-fn env_parsed<T: FromStr<Err: Display>>(name: &str) -> Result<Option<T>, String> {
-    let parse = |v: String| v.parse().map_err(|e| format!("{name}: invalid value {v:?}: {e}"));
-    std::env::var(name).ok().map(parse).transpose()
-}
-
 impl FigOpts {
-    /// Read options from the environment.
-    pub fn from_env() -> Result<Self, String> {
-        let replicas = env_parsed("ECGRID_REPLICAS")?.unwrap_or(3);
-        if replicas == 0 {
-            return Err("ECGRID_REPLICAS: must be at least 1".into());
-        }
-        Ok(FigOpts {
-            replicas,
+    /// The defaults, with `ECGRID_FAST` read from the environment.
+    pub fn from_env() -> Self {
+        FigOpts {
+            replicas: 3,
             fast: std::env::var("ECGRID_FAST").map(|v| v == "1").unwrap_or(false),
             base_seed: 42,
-            max_retries: env_parsed("ECGRID_MAX_RETRIES")?.unwrap_or(SupervisorConfig::default().max_retries),
-            event_budget: env_parsed("ECGRID_EVENT_BUDGET")?,
-            journal: std::env::var("ECGRID_JOURNAL").ok().map(PathBuf::from),
-        })
+            max_retries: SupervisorConfig::default().max_retries,
+            event_budget: None,
+            journal: None,
+        }
     }
 
     fn duration(&self, full: f64) -> f64 {

@@ -5,8 +5,8 @@
 //! the fleet through [`crate::spec_run::run_fleet`], the one pipeline
 //! scenario files also take (DESIGN.md §15).
 
-use crate::scenario::{ProtocolKind, Scenario};
-use crate::spec_run::{run_fleet, world_config};
+use crate::scenario::Scenario;
+use crate::spec_run::run_fleet;
 use manet::progress::ProgressProbe;
 use manet::trace::{Recorder, TraceDigest, TraceMode};
 use manet::{Backend, FaultPlan, NeighborIndex};
@@ -18,7 +18,7 @@ use std::sync::Arc;
 /// Knobs orthogonal to the scenario itself: which scheduler backend the
 /// world runs on and whether a trace recorder is attached.  The defaults
 /// (heap backend, no tracing) reproduce `run_scenario` exactly.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug)]
 pub struct RunOptions {
     pub backend: Backend,
     pub trace: Option<TraceMode>,
@@ -44,23 +44,19 @@ pub struct RunOptions {
     /// one.  Digest-neutral by construction (proven by
     /// `tests/parallel_equivalence.rs`); the engines differ only in cost.
     pub parallel_world: bool,
-    /// Shard count when `parallel_world` is set (`0` = auto from the
-    /// host's `available_parallelism`).
+    /// Shard count when `parallel_world` is set (at least 1).
     pub shards: usize,
-    /// Worker-lane count of the parallel engine's host-plane kernels
-    /// (`0` = auto: `min(shards, available_parallelism)`; `1` = inline).
-    /// Digest-neutral at every value (proven by
+    /// Worker-lane count of the parallel engine's host-plane kernels (at
+    /// least 1; `1` = inline).  Digest-neutral at every value (proven by
     /// `tests/parallel_equivalence.rs`).
     pub threads: usize,
 }
 
-impl RunOptions {
-    /// Digest-only tracing on the default backend — what the golden-trace
-    /// tests use.
-    pub fn digest() -> Self {
+impl Default for RunOptions {
+    fn default() -> Self {
         RunOptions {
             backend: Backend::Heap,
-            trace: Some(TraceMode::DigestOnly),
+            trace: None,
             faults: FaultPlan::none(),
             event_budget: None,
             wall_budget_ms: None,
@@ -68,6 +64,17 @@ impl RunOptions {
             parallel_world: false,
             shards: 1,
             threads: 1,
+        }
+    }
+}
+
+impl RunOptions {
+    /// Digest-only tracing on the default backend — what the golden-trace
+    /// tests use.
+    pub fn digest() -> Self {
+        RunOptions {
+            trace: Some(TraceMode::DigestOnly),
+            ..RunOptions::default()
         }
     }
 
@@ -96,45 +103,26 @@ impl RunOptions {
         self
     }
 
-    /// Same options on the sharded engine with `shards` strips (`0` =
-    /// auto from the host's parallelism).
+    /// Same options on the sharded engine with `shards` strips.
     pub fn with_parallel_world(mut self, shards: usize) -> Self {
+        assert!(shards > 0, "the sharded engine needs at least one shard");
         self.parallel_world = true;
         self.shards = shards;
         self
     }
 
-    /// Same options with `threads` worker lanes for the parallel engine
-    /// (`0` = auto: `min(shards, available_parallelism)`).
+    /// Same options with `threads` worker lanes for the parallel engine.
     pub fn with_threads(mut self, threads: usize) -> Self {
+        assert!(threads > 0, "the sharded engine needs at least one worker lane");
         self.threads = threads;
         self
     }
 
-    /// The engine a run under these options will use on this host:
-    /// `Some((shards, threads))` on the parallel engine, `None` on the
-    /// serial one — what [`ScenarioResult::engine`] reports afterwards.
-    /// The auto values resolve where the world resolves them
-    /// (`manet::WorldConfig::resolved_shards/resolved_threads`).
+    /// The engine a run under these options uses: `Some((shards,
+    /// threads))` on the parallel engine, `None` on the serial one.
     pub fn resolved_engine(&self) -> Option<(usize, usize)> {
-        // the engine does not depend on the fleet: any one resolves it
-        let fleet = Scenario::paper_base(ProtocolKind::Ecgrid, 1.0, 0).to_spec();
-        let cfg = world_config(&fleet, self);
-        cfg.parallel_world
-            .then(|| (cfg.resolved_shards().max(1), cfg.resolved_threads().max(1)))
+        self.parallel_world.then_some((self.shards, self.threads))
     }
-}
-
-/// Engine override from the environment, for running an existing test or
-/// tool corpus through the threaded engine without touching its code:
-/// `ECGRID_PARALLEL_OVERRIDE="K,T"` forces every run onto the parallel
-/// engine with K shards and T worker lanes (each `0` = auto).  Runs that
-/// already requested the parallel engine keep their own settings.  Safe
-/// for any corpus because the engine choice is digest-neutral.
-pub(crate) fn parallel_override() -> Option<(usize, usize)> {
-    let v = std::env::var("ECGRID_PARALLEL_OVERRIDE").ok()?;
-    let (k, t) = v.split_once(',')?;
-    Some((k.trim().parse().ok()?, t.trim().parse().ok()?))
 }
 
 /// Everything a figure needs from one finished run.
@@ -170,9 +158,6 @@ pub struct ScenarioResult {
     /// above cover the truncated run, and a supervisor should treat this
     /// result as a failure, not average it.
     pub budget_exceeded: Option<BudgetExceeded>,
-    /// The engine the run actually used: `(shards, threads)` with auto
-    /// requests resolved against the host; `None` on the serial engine.
-    pub engine: Option<(usize, usize)>,
     /// Per-group rollup when the run came from a scenario file (empty for
     /// the classic homogeneous scenarios).
     pub groups: Vec<crate::spec_run::GroupReport>,
@@ -249,6 +234,7 @@ pub fn run_replicas(sc: &Scenario, replicas: usize, opts: RunOptions, parallel: 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::ProtocolKind;
 
     fn tiny(protocol: ProtocolKind) -> Scenario {
         Scenario {

@@ -20,7 +20,7 @@
 //! counts, and thread counts (proven by `tests/golden_trace.rs` for the
 //! lowered paper fleets and `tests/scenario_golden.rs` for the files).
 
-use crate::run::{parallel_override, RunOptions, ScenarioResult};
+use crate::run::{RunOptions, ScenarioResult};
 use crate::scenario::{ProtocolKind, Scenario};
 use ecgrid::{Ecgrid, EcgridConfig};
 use gaf::{GafConfig, GafProto};
@@ -352,7 +352,7 @@ fn group_reports(
 }
 
 /// The world configuration `opts` selects for `spec`.
-pub(crate) fn world_config(spec: &ScenarioSpec, opts: &RunOptions) -> WorldConfig {
+fn world_config(spec: &ScenarioSpec, opts: &RunOptions) -> WorldConfig {
     // the effective fault seed folds the scenario seed in, so replicas of
     // the same plan see different (but each fully deterministic) faults
     let faults = opts
@@ -377,8 +377,6 @@ pub(crate) fn world_config(spec: &ScenarioSpec, opts: &RunOptions) -> WorldConfi
     cfg.range_m = spec.groups.iter().map(|g| g.range_m).fold(0.0_f64, f64::max);
     if opts.parallel_world {
         cfg = cfg.with_parallel_world(opts.shards).with_threads(opts.threads);
-    } else if let Some((k, t)) = parallel_override() {
-        cfg = cfg.with_parallel_world(k).with_threads(t);
     }
     cfg
 }
@@ -434,14 +432,13 @@ pub fn run_fleet(
             if let Some(p) = probe {
                 world.attach_probe(p);
             }
-            let engine = world.shard_stats().map(|s| (s.shards, s.threads));
             let out = world.run_until(end);
             let gstats = world.group_stats();
             let recorder = world.take_recorder();
-            (out, gstats, engine, recorder)
+            (out, gstats, recorder)
         }};
     }
-    let (out, gstats, engine, recorder) = match protocol {
+    let (out, gstats, recorder) = match protocol {
         ProtocolKind::Grid => {
             run_world!(World::new(cfg, hosts, flows, |id| GridProto::new(
                 GridConfig::default(),
@@ -490,7 +487,6 @@ pub fn run_fleet(
         trace_digest: recorder.as_ref().map(|r| r.digest()),
         recorder,
         budget_exceeded: out.budget_exceeded,
-        engine,
     }
 }
 

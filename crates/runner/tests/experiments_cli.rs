@@ -1,40 +1,32 @@
 //! `experiments` at its process boundary, for the cases that simulate
-//! nothing: a bad flag or environment value is a usage error — exit 1, one
-//! `experiments:` line, no panic — before any point runs.  (This is the
+//! nothing: a bad flag value is a usage error — exit 1, one `experiments:`
+//! line, no panic — before any point runs.  (This is the
 //! debug binary; the campaign itself is driven by the CI smoke step on
 //! the release build.)
 
 use std::process::Command;
 
 #[test]
-fn bad_usage_exits_1_with_one_line_naming_the_flag_or_variable() {
-    let cases: [(&[&str], Option<&str>, &str); 6] = [
-        (&["--replicas", "0"], None, "--replicas: must be at least 1"),
-        (&[], Some("0"), "ECGRID_REPLICAS: must be at least 1"),
-        (&[], Some("abc"), "ECGRID_REPLICAS: invalid value \"abc\""),
-        (&["--fig", "9"], None, "--fig: no figure 9"),
-        (&["--fig", "seven"], None, "--fig: invalid value \"seven\""),
-        (&["--fig", "4", "--fig"], None, "flag --fig needs a value"),
+fn bad_usage_exits_1_with_one_line_naming_the_flag() {
+    let cases: [(&[&str], &str); 6] = [
+        (&["--replicas", "0"], "--replicas: must be at least 1"),
+        (&["--replicas", "abc"], "--replicas: invalid value \"abc\""),
+        (&["--max-retries", "-1"], "--max-retries: invalid value \"-1\""),
+        (&["--fig", "9"], "--fig: no figure 9"),
+        (&["--fig", "seven"], "--fig: invalid value \"seven\""),
+        (&["--fig", "4", "--fig"], "flag --fig needs a value"),
     ];
-    for (args, replicas_env, expect) in cases {
-        let mut cmd = Command::new(env!("CARGO_BIN_EXE_experiments"));
-        cmd.args(args).env("RUST_BACKTRACE", "1").env("ECGRID_FAST", "1");
-        for var in [
-            "ECGRID_REPLICAS",
-            "ECGRID_JOURNAL",
-            "ECGRID_MAX_RETRIES",
-            "ECGRID_EVENT_BUDGET",
-        ] {
-            cmd.env_remove(var);
-        }
-        if let Some(v) = replicas_env {
-            cmd.env("ECGRID_REPLICAS", v);
-        }
-        let out = cmd.output().expect("experiments runs");
+    for (args, expect) in cases {
+        let out = Command::new(env!("CARGO_BIN_EXE_experiments"))
+            .args(args)
+            .env("RUST_BACKTRACE", "1")
+            .env("ECGRID_FAST", "1")
+            .output()
+            .expect("experiments runs");
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(1), "{args:?} {replicas_env:?}: {stderr}");
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
         let lines: Vec<&str> = stderr.lines().collect();
-        assert_eq!(lines.len(), 1, "{args:?} {replicas_env:?}: {stderr}");
+        assert_eq!(lines.len(), 1, "{args:?}: {stderr}");
         assert!(
             lines[0].starts_with(&format!("experiments: {expect}")),
             "{stderr}"

@@ -1,18 +1,19 @@
 //! Run budgets: hard ceilings that turn runaway event loops into
 //! diagnosable terminations.
 //!
-//! A discrete-event simulation has three independent axes a bug can run
-//! away along: the *event count* (zero-delay cycles, broadcast storms),
-//! *virtual time* (a termination condition that never becomes true), and
-//! *wall-clock time* (each event legitimate but pathologically slow — the
-//! axis that matters to a resident service whose worker threads are a
-//! shared resource).  A [`RunBudget`] bounds all three; the event loop
-//! checks it after every dispatch and stops with a [`BudgetExceeded`]
-//! diagnostic instead of hanging the process.  The all-`None` default is
-//! free: two `Option` compares per event (the wall axis is only sampled
-//! every [`WALL_CHECK_STRIDE`] dispatches, and only when bounded).
+//! A bug can run a discrete-event simulation away along two axes the
+//! run's end time does not bound: the *event count* (zero-delay cycles,
+//! broadcast storms) and *wall-clock time* (each event legitimate but
+//! pathologically slow — the axis that matters to a resident service
+//! whose worker threads are a shared resource).  Virtual time needs no
+//! budget: `run_until(end)` already stops there.  A [`RunBudget`] bounds
+//! both; the event loop checks it after every dispatch and stops with a
+//! [`BudgetExceeded`] diagnostic instead of hanging the process.  The
+//! all-`None` default is free: one `Option` compare per event (the wall
+//! axis is only sampled every [`WALL_CHECK_STRIDE`] dispatches, and only
+//! when bounded).
 //!
-//! Unlike the other two axes, the wall axis is *not* deterministic: where
+//! Unlike the event axis, the wall axis is *not* deterministic: where
 //! it trips depends on the host machine.  That is fine for its purpose —
 //! a tripped run is a failure to quarantine, never a result to average —
 //! and the supervisor treats it exactly like an event-budget trip.
@@ -31,8 +32,6 @@ pub const WALL_CHECK_STRIDE: u64 = 1024;
 pub struct RunBudget {
     /// Maximum number of dispatched events.
     pub max_events: Option<u64>,
-    /// Maximum virtual time the clock may reach.
-    pub max_sim_time: Option<SimTime>,
     /// Maximum wall-clock milliseconds a run may consume.  The clock
     /// starts at the run loop's first budget check.
     pub max_wall_ms: Option<u64>,
@@ -42,7 +41,6 @@ impl RunBudget {
     /// No ceilings on any axis.
     pub const UNLIMITED: RunBudget = RunBudget {
         max_events: None,
-        max_sim_time: None,
         max_wall_ms: None,
     };
 
@@ -55,11 +53,6 @@ impl RunBudget {
         self
     }
 
-    pub fn with_max_sim_time(mut self, t: SimTime) -> Self {
-        self.max_sim_time = Some(t);
-        self
-    }
-
     pub fn with_max_wall_ms(mut self, ms: u64) -> Self {
         self.max_wall_ms = Some(ms);
         self
@@ -67,12 +60,11 @@ impl RunBudget {
 
     /// True when no axis is bounded (the check is then a no-op).
     pub fn is_unlimited(&self) -> bool {
-        self.max_events.is_none() && self.max_sim_time.is_none() && self.max_wall_ms.is_none()
+        self.max_events.is_none() && self.max_wall_ms.is_none()
     }
 
-    /// Check `processed` events at virtual time `now` against the budget.
-    /// The event-count axis is checked first, so a run that trips both in
-    /// the same dispatch reports deterministically.
+    /// Check `processed` events at virtual time `now` against the
+    /// event-count axis.
     #[inline]
     pub fn check(&self, processed: u64, now: SimTime) -> Result<(), BudgetExceeded> {
         if let Some(limit) = self.max_events {
@@ -81,15 +73,6 @@ impl RunBudget {
                     limit,
                     processed,
                     at: now,
-                });
-            }
-        }
-        if let Some(limit) = self.max_sim_time {
-            if now > limit {
-                return Err(BudgetExceeded::SimTime {
-                    limit,
-                    now,
-                    processed,
                 });
             }
         }
@@ -114,18 +97,12 @@ impl RunBudget {
 }
 
 /// Why a budgeted run was cut short.  Carries enough context to tell an
-/// event storm (huge `processed` at small `at`) from a run that simply
-/// outlived its virtual-time allowance.
+/// event storm (huge `processed` at small `at`) from a run that was
+/// merely slow.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum BudgetExceeded {
     /// The event-count ceiling was crossed.
     Events { limit: u64, processed: u64, at: SimTime },
-    /// The virtual-time ceiling was crossed.
-    SimTime {
-        limit: SimTime,
-        now: SimTime,
-        processed: u64,
-    },
     /// The wall-clock ceiling was crossed (non-deterministic by nature:
     /// the trip point depends on the host machine).
     Wall {
@@ -143,16 +120,6 @@ impl fmt::Display for BudgetExceeded {
                 f,
                 "event budget exceeded: {processed} events dispatched (limit {limit}) at t={:.3}s",
                 at.as_secs_f64()
-            ),
-            BudgetExceeded::SimTime {
-                limit,
-                now,
-                processed,
-            } => write!(
-                f,
-                "virtual-time budget exceeded: t={:.3}s (limit {:.3}s) after {processed} events",
-                now.as_secs_f64(),
-                limit.as_secs_f64()
             ),
             BudgetExceeded::Wall {
                 limit_ms,
@@ -196,23 +163,6 @@ mod tests {
     }
 
     #[test]
-    fn sim_time_ceiling_trips_past_limit() {
-        let b = RunBudget::default().with_max_sim_time(SimTime::from_secs(5));
-        assert!(b.check(1, SimTime::from_secs(5)).is_ok());
-        let err = b.check(2, SimTime::from_secs(6)).unwrap_err();
-        assert!(matches!(err, BudgetExceeded::SimTime { .. }));
-    }
-
-    #[test]
-    fn events_axis_reported_first() {
-        let b = RunBudget::default()
-            .with_max_events(1)
-            .with_max_sim_time(SimTime::from_secs(1));
-        let err = b.check(5, SimTime::from_secs(5)).unwrap_err();
-        assert!(matches!(err, BudgetExceeded::Events { .. }));
-    }
-
-    #[test]
     fn wall_ceiling_trips_past_limit() {
         let b = RunBudget::default().with_max_wall_ms(50);
         assert!(!b.is_unlimited());
@@ -227,7 +177,7 @@ mod tests {
                 at: SimTime::from_secs(2)
             }
         );
-        // the deterministic axes are untouched by the wall axis
+        // the event axis is untouched by the wall axis
         assert!(b.check(u64::MAX, SimTime::MAX).is_ok());
         // an unbounded wall axis never trips
         assert!(RunBudget::default()
@@ -242,11 +192,6 @@ mod tests {
             .check(2, SimTime::ZERO)
             .unwrap_err();
         assert!(e.to_string().contains("event budget"));
-        let t = RunBudget::default()
-            .with_max_sim_time(SimTime::ZERO)
-            .check(0, SimTime::from_secs(1))
-            .unwrap_err();
-        assert!(t.to_string().contains("virtual-time budget"));
         let w = RunBudget::default()
             .with_max_wall_ms(1)
             .check_wall(2, 0, SimTime::ZERO)

@@ -13,7 +13,7 @@
 //! * [`ShardedScheduler`] — K per-shard queues sharing one global
 //!   insertion counter; merged dispatch order is provably identical to
 //!   the single queue's (the conservative-sync determinism kernel).
-//! * [`RunBudget`] — event-count / virtual-time ceilings turning runaway
+//! * [`RunBudget`] — event-count / wall-clock ceilings turning runaway
 //!   loops into [`BudgetExceeded`] diagnostics instead of hangs.
 //! * [`WorkerPool`] / [`Mailbox`] — deterministic fork–join chunks plus
 //!   barrier-delivered timestamped messages; the threaded world engine's

@@ -82,7 +82,7 @@ impl<E> Scheduler<E> {
         }
     }
 
-    /// Install a run budget (ceilings on dispatched events and virtual
+    /// Install a run budget (ceilings on dispatched events and wall
     /// time).  The scheduler never enforces it on its own — the event loop
     /// driving it calls [`Scheduler::check_budget`] after each dispatch, so
     /// the loop decides how to wind down.  The budget spans the scheduler's

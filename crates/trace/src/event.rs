@@ -1,13 +1,12 @@
 //! Typed simulation events and their labels.
 //!
 //! Every event carries a timestamp plus an [`EventKind`] with the fields
-//! that matter for that kind.  Three derived views exist:
+//! that matter for that kind.  Two derived views exist:
 //!
 //! * a canonical byte encoding folded into the [`TraceDigest`](crate::TraceDigest)
-//!   (`fold` — one tag byte, then fixed-width little-endian fields),
+//!   (`fold` — one tag byte, then fixed-width little-endian fields), and
 //! * a JSONL rendering with the hierarchical labels spelled out
-//!   (`to_jsonl`), and
-//! * a compact ns-2-flavoured line (`to_line`) for eyeballing and diffing.
+//!   (`to_jsonl`).
 //!
 //! Tag bytes and field order are part of the golden-digest contract:
 //! changing them invalidates the fixtures under `tests/golden/` and must
@@ -18,7 +17,6 @@ use energy::{EnergyLevel, RadioMode};
 use geo::GridCoord;
 use radio::{FrameKind, NodeId, PageSignal};
 use sim_engine::SimTime;
-use std::fmt::Write as _;
 
 /// Which layer of the stack an event belongs to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -577,85 +575,6 @@ impl Event {
         }
     }
 
-    /// ns-2-flavoured single-line rendering: `<op> <time> _<node>_ <details>`.
-    pub fn to_line(&self) -> String {
-        let t = self.t.as_secs_f64();
-        let mut s = String::new();
-        match self.kind {
-            EventKind::MacTx { node, dst, bytes } => {
-                let dst = match dst {
-                    None => "*".to_string(),
-                    Some(d) => d.to_string(),
-                };
-                let _ = write!(s, "s {t:.6} _{node}_ MAC {dst} {bytes} bytes");
-            }
-            EventKind::MacRx { node, from, bytes } => {
-                let _ = write!(s, "r {t:.6} _{node}_ MAC {from} {bytes} bytes");
-            }
-            EventKind::MacCollision { node, from } => {
-                let _ = write!(s, "D {t:.6} _{node}_ COL {from}");
-            }
-            EventKind::MacRetry { node, attempt } => {
-                let _ = write!(s, "R {t:.6} _{node}_ RET attempt {attempt}");
-            }
-            EventKind::MacDrop { node, dst } => {
-                let dst = match dst {
-                    None => "*".to_string(),
-                    Some(d) => d.to_string(),
-                };
-                let _ = write!(s, "D {t:.6} _{node}_ RET {dst}");
-            }
-            EventKind::RadioMode { node, from, to } => {
-                let _ = write!(s, "m {t:.6} _{node}_ PHY {from:?}>{to:?}");
-            }
-            EventKind::BatteryLevel { node, from, to } => {
-                let _ = write!(s, "e {t:.6} _{node}_ LVL {from:?}>{to:?}");
-            }
-            EventKind::GatewayElect { node, cell } => {
-                let _ = write!(s, "g {t:.6} _{node}_ GW elect {cell}");
-            }
-            EventKind::GatewayRetire { node, cell } => {
-                let _ = write!(s, "g {t:.6} _{node}_ GW retire {cell}");
-            }
-            EventKind::RasPage { by, signal } => {
-                let what = match signal {
-                    PageSignal::Host(h) => format!("host {h}"),
-                    PageSignal::Grid(g) => format!("grid {g}"),
-                };
-                let _ = write!(s, "p {t:.6} _{by}_ RAS {what}");
-            }
-            EventKind::PacketSent { src, flow, seq } => {
-                let _ = write!(s, "s {t:.6} _{src}_ AGT {flow}:{seq}");
-            }
-            EventKind::PacketForwarded { node, flow, seq } => {
-                let _ = write!(s, "f {t:.6} _{node}_ RTR {flow}:{seq}");
-            }
-            EventKind::PacketDelivered { node, flow, seq } => {
-                let _ = write!(s, "r {t:.6} _{node}_ AGT {flow}:{seq}");
-            }
-            EventKind::NodeDeath { node } => {
-                let _ = write!(s, "x {t:.6} _{node}_ ENE battery");
-            }
-            EventKind::CellChange { node, from, to } => {
-                let _ = write!(s, "c {t:.6} _{node}_ GRID {from}>{to}");
-            }
-            EventKind::FaultInjected { node, fault } => {
-                let _ = write!(s, "F {t:.6} _{node}_ FLT {}", fault.name());
-            }
-            EventKind::PageRetry {
-                node,
-                target,
-                attempt,
-            } => {
-                let _ = write!(s, "p {t:.6} _{node}_ RAS retry {target} attempt {attempt}");
-            }
-            EventKind::GatewayHandoffTimeout { node, cell } => {
-                let _ = write!(s, "g {t:.6} _{node}_ GW timeout {cell}");
-            }
-        }
-        s
-    }
-
     /// Convenience: MAC tx from the link-layer frame addressing.
     pub fn mac_tx(t: SimTime, node: NodeId, kind: FrameKind, bytes: u32) -> Event {
         Event {
@@ -672,6 +591,7 @@ impl Event {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::fmt::Write as _;
 
     fn at(ms: u64) -> SimTime {
         SimTime::from_millis(ms)
@@ -982,7 +902,6 @@ mod tests {
     #[test]
     fn broadcast_tx_renders_star() {
         let e = Event::mac_tx(at(5), NodeId(0), FrameKind::Broadcast, 72);
-        assert_eq!(e.to_line(), "s 0.005000 _0_ MAC * 72 bytes");
         assert!(e.to_jsonl("ECGRID").contains("\"dst\":\"*\""));
     }
 

@@ -39,13 +39,3 @@ pub use filter::EventFilter;
 pub use profile::SchedProfile;
 pub use recorder::{EventSink, Recorder, TraceMode};
 pub use registry::Registry;
-
-/// Render a whole trace as classic one-line-per-event text (ns-2 style).
-pub fn render_trace(events: &[Event]) -> String {
-    let mut out = String::with_capacity(events.len() * 48);
-    for e in events {
-        out.push_str(&e.to_line());
-        out.push('\n');
-    }
-    out
-}

@@ -60,7 +60,7 @@ fn main() {
             _ => false,
         };
         if keep {
-            println!("  {}", ev.to_line());
+            println!("  {}", ev.to_jsonl("ECGRID"));
             shown += 1;
         }
     }
@@ -70,8 +70,8 @@ fn main() {
     );
     println!("trace digest: {}", w.trace_digest().expect("recorder enabled"));
     println!(
-        "delivered {}/{} — the 'p … RAS host 3' line is the gateway paging \
-         the sleeping destination before flushing its buffer.",
+        "delivered {}/{} — the \"ras_page\" line with \"target_host\":3 is the \
+         gateway paging the sleeping destination before flushing its buffer.",
         w.ledger().delivered_count(),
         w.ledger().sent_count()
     );

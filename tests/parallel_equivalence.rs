@@ -26,7 +26,7 @@
 //! large enough to actually engage the parallel kernels must agree with
 //! its serial twin event-for-event.
 
-use ecgrid_suite::manet::{FaultPlan, NeighborIndex};
+use ecgrid_suite::manet::{FaultPlan, NeighborIndex, WorldConfig};
 use ecgrid_suite::runner::{run_scenario_with, ProtocolKind, RunOptions, Scenario};
 
 mod common;
@@ -134,7 +134,6 @@ fn threaded_engine_reproduces_the_golden_fixtures_at_every_thread_count() {
                 Some(want),
                 "{p:?}: threaded run (K=4, T={t}) drifted from the golden fixture"
             );
-            assert_eq!(r.engine, Some((4, t)), "{p:?}: engine echo wrong at T={t}");
         }
     }
 }
@@ -229,23 +228,21 @@ fn threaded_engine_agrees_on_a_scenario_dense_enough_to_engage_the_kernels() {
 }
 
 #[test]
-fn auto_parallelism_resolves_and_reproduces_the_fixture() {
-    // shards=0 / threads=0 mean "derive from the host"; whatever the
-    // host resolves to, the digest must still match the fixture, and the
-    // resolved values must be echoed in the result.
-    let want = read_fixture("ecgrid");
-    let r = run_scenario_with(
-        &golden(ProtocolKind::Ecgrid),
-        RunOptions::digest().with_parallel_world(0).with_threads(0),
-    );
-    assert_eq!(
-        r.trace_digest,
-        Some(want),
-        "auto-parallel run drifted from the golden fixture"
-    );
-    let (k, t) = r.engine.expect("parallel run must echo its engine");
-    assert!(k >= 1, "auto shards resolved to {k}");
-    assert!(t >= 1 && t <= k, "auto threads resolved to {t} (K={k})");
+fn zero_shards_and_zero_threads_are_refused() {
+    // There is no auto value: an engine runs on the counts it names.
+    let refused = |f: fn()| std::panic::catch_unwind(f).is_err();
+    assert!(refused(|| {
+        let _ = RunOptions::digest().with_parallel_world(0);
+    }));
+    assert!(refused(|| {
+        let _ = RunOptions::digest().with_threads(0);
+    }));
+    assert!(refused(|| {
+        let _ = WorldConfig::paper_default(1).with_parallel_world(0);
+    }));
+    assert!(refused(|| {
+        let _ = WorldConfig::paper_default(1).with_threads(0);
+    }));
 }
 
 #[test]
