@@ -88,11 +88,6 @@ impl Vec2 {
             Vec2::new(self.x / n, self.y / n)
         }
     }
-
-    #[inline]
-    pub fn dot(self, other: Vec2) -> f64 {
-        self.x * other.x + self.y * other.y
-    }
 }
 
 impl Add<Vec2> for Point2 {
@@ -226,7 +221,6 @@ mod tests {
         assert_eq!((v / 2.0), Vec2::new(1.5, 2.0));
         assert_eq!(-v, Vec2::new(-3.0, -4.0));
         assert_eq!(Vec2::ZERO.normalized(), Vec2::ZERO);
-        assert_eq!(v.dot(Vec2::new(1.0, 0.0)), 3.0);
     }
 
     #[test]

@@ -124,12 +124,6 @@ impl RouteTable {
             }
         }
     }
-
-    /// Estimated wire size of the snapshot in a RETIRE message.
-    pub fn snapshot_wire_bytes(&self) -> u32 {
-        // dst 4 + grid 8 + via 4 + seq 4 = 20 per entry
-        20 * self.map.len() as u32
-    }
 }
 
 #[cfg(test)]
@@ -206,7 +200,6 @@ mod tests {
         rt.upsert(NodeId(2), G2, NodeId(6), 2, t(0));
         let snap = rt.snapshot();
         assert_eq!(snap.len(), 2);
-        assert_eq!(rt.snapshot_wire_bytes(), 40);
 
         let mut other = table();
         // other has a fresher route to 1 — must survive the install

@@ -265,7 +265,10 @@ fn main() {
             eprintln!("scenario file: {spec}");
             FleetJob::from_file(spec, cli.sc.protocol)
         }
-        None => FleetJob::classic(cli.sc),
+        None => {
+            cli.sc.check_bounds().unwrap_or_else(|e| USAGE.fail(e));
+            FleetJob::classic(cli.sc)
+        }
     };
     let sc = job.echo;
     let runner = |s: &Scenario, o: RunOptions, p| job.run(s, o, p, None);

@@ -125,6 +125,17 @@ impl Scenario {
         }
     }
 
+    /// Hold the scalar knobs to the scenario parser's own bounds (host
+    /// ceilings, finite positive duration, flow and rate ranges) by parsing
+    /// the lowered text: a classic run — a `run_one` command line or a
+    /// sweepd submit — must not reach a world with what a scenario file
+    /// could not say.
+    pub fn check_bounds(&self) -> Result<(), String> {
+        ::scenario::parse(&self.to_spec().to_text())
+            .map(drop)
+            .map_err(|e| format!("scenario bounds: {}", e.msg))
+    }
+
     /// Short label for tables.
     pub fn label(&self) -> String {
         format!(

@@ -88,11 +88,7 @@ impl EcgridJobHandler {
             seed: spec.seed,
             model1_endpoints: spec.model1_endpoints as usize,
         };
-        // a classic job is a scenario file in scalar clothing: hold it to
-        // the scenario parser's own bounds (host ceilings, finite positive
-        // duration, flow and rate ranges) by parsing its lowered text —
-        // the wire must not reach a worker with what a file could not say
-        scenario::parse(&sc.to_spec().to_text()).map_err(|e| format!("scenario bounds: {}", e.msg))?;
+        sc.check_bounds()?;
         Ok(FleetJob::classic(sc))
     }
 

@@ -3,8 +3,9 @@
 //! (the library-level cases live in `supervisor.rs` and
 //! `tests/supervision.rs`), that the digest-neutral engine axes are not a
 //! command-line option, that an unknown flag is named as one wherever it
-//! stands, and that `sweepc` reports a bad command line before it looks
-//! for a server.
+//! stands, that `run_one`'s scalar knobs are held to the scenario bounds,
+//! and that `sweepc` reports a bad command line before it looks for a
+//! server.
 
 use std::process::Command;
 
@@ -57,8 +58,11 @@ fn unknown_flags_are_usage_errors_before_anything_runs() {
     // engine flags the way their last README / CI invocation spelled
     // them, then an unknown flag as the last argument — where a valueless
     // word used to read as a known flag missing its value — in all four
-    // binaries, then sweepc's command-line mistakes with no server to ask
-    let cases: [(&str, Vec<&str>, String); 20] = [
+    // binaries, then sweepc's command-line mistakes with no server to ask,
+    // then run_one's scalar knobs outside the bounds sweepd holds a
+    // classic submit to
+    let bounds = |msg: &str| format!("run_one: scenario bounds: {msg}");
+    let cases: [(&str, Vec<&str>, String); 27] = [
         (RUN_ONE, vec!["--backend", "calendar"], unknown("--backend")),
         (
             RUN_ONE,
@@ -103,6 +107,41 @@ fn unknown_flags_are_usage_errors_before_anything_runs() {
             ": CONFIG_HEX: invalid digit found in string".into(),
         ),
         (SWEEPC, no_server(&["stream"]), ": stream needs a JOB id".into()),
+        (
+            RUN_ONE,
+            vec!["--hosts", "0", "--duration", "5"],
+            bounds("count must be in [1, 100000], got 0"),
+        ),
+        (
+            RUN_ONE,
+            vec!["--duration", "-5"],
+            bounds("duration_s must be in (0, 10000000], got -5"),
+        ),
+        (
+            RUN_ONE,
+            vec!["--rate", "0", "--duration", "5"],
+            bounds("rate_pps must be in (0, 1000000], got 0"),
+        ),
+        (
+            RUN_ONE,
+            vec!["--flows", "5", "--hosts", "1", "--duration", "5"],
+            bounds("traffic declares flows but the groups offer no (source, sink) pair (need a source-eligible and a distinct sink-eligible host)"),
+        ),
+        (
+            RUN_ONE,
+            vec!["--speed", "-1", "--duration", "5"],
+            bounds("max_speed must be in (0, 1000], got -1"),
+        ),
+        (
+            RUN_ONE,
+            vec!["--pause", "-3", "--duration", "5"],
+            bounds("pause_s must be in [0, 1000000], got -3"),
+        ),
+        (
+            RUN_ONE,
+            vec!["--hosts", "100001", "--duration", "1"],
+            bounds("count must be in [1, 100000], got 100001"),
+        ),
     ];
     for (bin, args, want) in cases {
         let out = Command::new(bin).args(&args).output().expect("binary runs");

@@ -101,11 +101,6 @@ impl ServiceConfig {
         self
     }
 
-    pub fn with_read_timeout_ms(mut self, ms: u64) -> Self {
-        self.read_timeout_ms = ms.max(1);
-        self
-    }
-
     pub fn with_retry_after_ms(mut self, ms: u64) -> Self {
         self.retry_after_ms = ms;
         self

@@ -180,11 +180,6 @@ impl RngFactory {
     pub fn stream(&self, domain: &str, index: u64) -> StdRng {
         StdRng::seed_from_u64(derive_seed(self.master, domain, index))
     }
-
-    /// A lightweight SplitMix stream (for jitter and tests).
-    pub fn splitmix(&self, domain: &str, index: u64) -> SplitMix64 {
-        SplitMix64::new(derive_seed(self.master, domain, index))
-    }
 }
 
 #[cfg(test)]

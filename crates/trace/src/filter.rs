@@ -45,11 +45,6 @@ impl EventFilter {
         EventFilter::default()
     }
 
-    /// True when no axis is constrained.
-    pub fn is_all(&self) -> bool {
-        self.layers.is_empty() && self.node.is_none() && self.cell.is_none() && self.protocol.is_none()
-    }
-
     /// Parse a comma-separated layer list ("mac,route"); empty string
     /// means all layers.  `None` on any unknown layer name.
     pub fn with_layers(mut self, spec: &str) -> Option<Self> {
@@ -121,7 +116,6 @@ mod tests {
     #[test]
     fn empty_filter_matches_everything() {
         let f = EventFilter::all();
-        assert!(f.is_all());
         assert!(f.matches(&gateway_event().labels("ECGRID")));
     }
 

@@ -267,19 +267,6 @@ impl FlowSet {
     pub fn get(&self, id: FlowId) -> Option<&CbrFlow> {
         self.flows.iter().find(|f| f.id == id)
     }
-
-    /// Total offered load in packets per second.
-    pub fn offered_load_pps(&self) -> f64 {
-        self.flows.iter().map(|f| f.rate_pps()).sum()
-    }
-
-    /// Every host that is a source or destination of some flow.
-    pub fn endpoint_hosts(&self) -> Vec<NodeId> {
-        let mut v: Vec<NodeId> = self.flows.iter().flat_map(|f| [f.src, f.dst]).collect();
-        v.sort();
-        v.dedup();
-        v
-    }
 }
 
 #[cfg(test)]
@@ -337,7 +324,6 @@ mod tests {
             assert_ne!(f.src, f.dst);
             assert!(hosts.contains(&f.src) && hosts.contains(&f.dst));
         }
-        assert!((set.offered_load_pps() - 10.0).abs() < 1e-9);
     }
 
     #[test]
@@ -450,14 +436,13 @@ mod tests {
     }
 
     #[test]
-    fn endpoint_hosts_dedups() {
+    fn get_finds_a_flow_by_id() {
         let f1 = flow(1.0, 0, 10);
         let mut f2 = flow(1.0, 0, 10);
         f2.id = FlowId(1);
         f2.src = NodeId(1);
         f2.dst = NodeId(0);
         let set = FlowSet::new(vec![f1, f2]);
-        assert_eq!(set.endpoint_hosts(), vec![NodeId(0), NodeId(1)]);
         assert_eq!(set.get(FlowId(1)).unwrap().src, NodeId(1));
     }
 }

@@ -4,7 +4,6 @@
 //! integration tests can reach the whole stack with a single dependency.
 
 pub use aodv;
-pub use dsdv;
 pub use ecgrid;
 pub use energy;
 pub use fault;
