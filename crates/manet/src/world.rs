@@ -888,10 +888,12 @@ impl<P: Protocol> World<P> {
     }
 
     /// [`World::enable_trace`] with a live event tap: `sink` sees every
-    /// event in recording order, from this thread, as the run proceeds.
-    /// The sweep service streams from here; the sink must never block
-    /// (hand off to a bounded drop-counting buffer instead).  Digest,
-    /// buffer and profile behave exactly as without a sink.
+    /// event in recording order, from this thread, as the run proceeds —
+    /// in chunks of [`trace::SINK_CHUNK`], and the rest of a run when
+    /// [`World::run_until`] returns, however the run ended.  The sweep
+    /// service streams from here; the sink must never block (hand off to
+    /// a bounded drop-counting buffer instead).  Digest, buffer and
+    /// profile behave exactly as without a sink.
     pub fn enable_trace_with_sink(&mut self, mode: TraceMode, sink: trace::EventSink) {
         let mut rec = Recorder::new(mode);
         rec.set_sink(sink);
@@ -1177,6 +1179,11 @@ impl<P: Protocol> World<P> {
         // a pure linear pass over the meter array (chunked when threaded)
         let now = self.sched.now();
         self.advance_all_meters(now);
+        // on both exits (end of run and a budget trip): a sink has seen the
+        // whole run before its caller reports on it
+        if let Some(rec) = &mut self.recorder {
+            rec.flush_sink();
+        }
         RunOutput {
             alive: self.alive_series.clone(),
             aen: self.aen_series.clone(),

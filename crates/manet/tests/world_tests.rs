@@ -8,6 +8,7 @@ use manet::{
 };
 use mobility::{MobilityTrace, Segment};
 use radio::FrameMeta;
+use std::sync::{Arc, Mutex};
 use traffic::{CbrFlow, FlowId};
 
 const HORIZON: SimTime = SimTime(3_000_000_000_000); // 3000 s
@@ -500,4 +501,85 @@ fn transmitting_costs_more_than_idling() {
     // receiver also pays reception energy above idle
     let receiver = w.node_consumed_j(NodeId(1));
     assert!(receiver > idle_baseline + 0.5, "receiver {receiver} J");
+}
+
+/// A two-host world under a 50 pkt/s flow — thousands of trace events —
+/// recording in full and tapping the same stream through a sink.  The
+/// returned vector is everything the sink has been handed so far.
+fn tapped_world(cfg: WorldConfig) -> (World<Probe>, Arc<Mutex<Vec<manet::Event>>>) {
+    let flow = CbrFlow {
+        id: FlowId(0),
+        src: NodeId(0),
+        dst: NodeId(1),
+        packet_bytes: 512,
+        interval: SimDuration::from_millis(20),
+        start: SimTime::from_secs(1),
+        stop: SimTime::from_secs(30),
+        burst: None,
+    };
+    let cfgs = [ProbeCfg::default(), ProbeCfg::default()];
+    let mut w = World::new(
+        cfg,
+        vec![fixed(50.0, 50.0), fixed(150.0, 50.0)],
+        FlowSet::new(vec![flow]),
+        move |id| Probe::new(cfgs[id.index()].clone()),
+    );
+    let seen: Arc<Mutex<Vec<manet::Event>>> = Arc::default();
+    let tap = seen.clone();
+    w.enable_trace_with_sink(
+        TraceMode::Full,
+        Arc::new(move |evs: &[manet::Event]| tap.lock().unwrap().extend_from_slice(evs)),
+    );
+    (w, seen)
+}
+
+/// The sink has been handed every recorded event exactly once, in order.
+fn assert_sink_saw_the_trace(w: &World<Probe>, seen: &Mutex<Vec<manet::Event>>) {
+    let seen = seen.lock().unwrap();
+    let recorded = w.event_trace();
+    assert!(
+        recorded.len() > 2 * manet::trace::SINK_CHUNK,
+        "{} events",
+        recorded.len()
+    );
+    assert_eq!(
+        seen.len(),
+        recorded.len(),
+        "sink saw {} of {}",
+        seen.len(),
+        recorded.len()
+    );
+    assert!(
+        *seen == recorded,
+        "the sink's stream differs from the recorded trace"
+    );
+}
+
+#[test]
+fn a_sink_sees_the_whole_trace_when_the_run_ends() {
+    let (mut w, seen) = tapped_world(WorldConfig::paper_default(42));
+    let out = w.run_until(SimTime::from_secs(40));
+    assert!(out.budget_exceeded.is_none());
+    assert_sink_saw_the_trace(&w, &seen);
+}
+
+#[test]
+fn a_sink_sees_the_whole_trace_when_the_event_budget_trips() {
+    let cfg = WorldConfig::paper_default(42).with_budget(manet::RunBudget::default().with_max_events(5_000));
+    let (mut w, seen) = tapped_world(cfg);
+    let out = w.run_until(SimTime::from_secs(40));
+    assert!(
+        out.budget_exceeded.is_some(),
+        "the budget must cut this run short"
+    );
+    assert_sink_saw_the_trace(&w, &seen);
+}
+
+#[test]
+fn a_sink_sees_the_whole_trace_after_each_of_two_runs() {
+    let (mut w, seen) = tapped_world(WorldConfig::paper_default(42));
+    w.run_until(SimTime::from_secs(12));
+    assert_sink_saw_the_trace(&w, &seen);
+    w.run_until(SimTime::from_secs(40));
+    assert_sink_saw_the_trace(&w, &seen);
 }

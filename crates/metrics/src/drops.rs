@@ -48,16 +48,17 @@ impl DropCounter {
         Self::default()
     }
 
-    /// One frame made it into the consumer's buffer.
+    /// `delivered` frames made it into the consumer's buffer and
+    /// `dropped` were turned away because it was full: one batch of
+    /// offers, counted at once.
     #[inline]
-    pub fn note_delivered(&self) {
-        self.delivered.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// One frame was dropped because the consumer's buffer was full.
-    #[inline]
-    pub fn note_dropped(&self) {
-        self.dropped.fetch_add(1, Ordering::Relaxed);
+    pub fn note(&self, delivered: u64, dropped: u64) {
+        if delivered > 0 {
+            self.delivered.fetch_add(delivered, Ordering::Relaxed);
+        }
+        if dropped > 0 {
+            self.dropped.fetch_add(dropped, Ordering::Relaxed);
+        }
     }
 
     pub fn delivered(&self) -> u64 {
@@ -83,9 +84,8 @@ mod tests {
     #[test]
     fn counts_accumulate_independently() {
         let c = DropCounter::new();
-        c.note_delivered();
-        c.note_delivered();
-        c.note_dropped();
+        c.note(2, 0);
+        c.note(0, 1);
         let s = c.snapshot();
         assert_eq!(
             s,
@@ -113,9 +113,9 @@ mod tests {
             let c = c.clone();
             handles.push(std::thread::spawn(move || {
                 for _ in 0..1000 {
-                    c.note_delivered();
+                    c.note(1, 0);
                 }
-                c.note_dropped();
+                c.note(0, 1);
             }));
         }
         for h in handles {

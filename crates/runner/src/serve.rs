@@ -294,12 +294,14 @@ impl JobHandler for EcgridJobHandler {
                 interrupted = true;
                 break;
             }
-            // a fresh replica streams each recorded event to this job's
-            // subscribers as it happens
+            // a fresh replica streams its recorded events to this job's
+            // subscribers as it runs, a chunk at a time; the world hands
+            // over the last chunk before the run returns, so they precede
+            // the replica's metric and `replica_done` frames
             let runner = |s: &Scenario, o: RunOptions, p: Option<Arc<ProgressProbe>>| {
                 let (hub, job_id) = (ctx.hub.clone(), ctx.job);
                 let sink: manet::trace::EventSink =
-                    Arc::new(move |ev| hub.publish_event(job_id, k, pname, ev));
+                    Arc::new(move |evs| hub.publish_events(job_id, k, pname, evs));
                 job.run(s, o, p, Some(sink))
             };
             // the full result is the step's to drop: what a fresh replica

@@ -389,9 +389,10 @@ pub fn run_spec(spec: &ScenarioSpec, protocol: ProtocolKind, opts: RunOptions) -
 
 /// Build and run one fleet.  `probe` is shared with a supervisor and
 /// updated throughout the run, so a panicking run can still report how
-/// far it got; `sink` is handed every recorded trace event as it is
-/// recorded (the sweep service's streaming path) and is digest-neutral
-/// by construction — it observes recording, it cannot alter it.
+/// far it got; `sink` is handed every recorded trace event, in chunks,
+/// as the run goes and the rest before it returns (the sweep service's
+/// streaming path), and is digest-neutral by construction — it observes
+/// recording, it cannot alter it.
 pub fn run_fleet(
     spec: &ScenarioSpec,
     protocol: ProtocolKind,

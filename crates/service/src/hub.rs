@@ -3,7 +3,7 @@
 //!
 //! The cardinal rule is that a slow or dead consumer must never slow the
 //! producer.  Each subscriber owns one *pending* buffer of wire-ready
-//! lines.  The simulation worker renders a frame straight into it — no
+//! lines.  The simulation worker renders frames straight into it — no
 //! per-frame allocation, no hand-off of owned strings — unless the
 //! subscriber's frame budget (`--sub-buffer`) is spent, in which case the
 //! frame is *dropped* and counted in that subscriber's [`DropCounter`]
@@ -14,22 +14,31 @@
 //! lock and writes it to the socket with the lock released
 //! ([`SubscriberHandle::next_batch`]).  The budget covers the pending
 //! frames plus those of the batch being written, so it bounds the memory
-//! of both buffers together (plus that one last frame).  The connection thread
-//! is woken only when the pending buffer goes from empty to non-empty,
-//! and a woken thread takes whatever is pending at once: there is no fill
-//! threshold and no flush timer, so a trickle of frames is never held
-//! back waiting for a batch to fill.  A flood batches itself: after a
-//! write the thread stays away for `WRITE_PACE` (tens of microseconds)
-//! before it takes the next batch, which by then holds hundreds of
-//! frames.  The subscriber learns its own loss total from the `bye`
-//! frame its connection writes at end of stream, so "I saw every event"
-//! stays a falsifiable claim.
+//! of both buffers together (plus that one last frame).  The subscriber
+//! learns its own loss total from the `bye` frame its connection writes
+//! at end of stream, so "I saw every event" stays a falsifiable claim.
+//!
+//! Events arrive in chunks: the recorder hands its sink up to
+//! [`trace::SINK_CHUNK`] events at a time, and [`Hub::publish_events`]
+//! takes the subscriber list once per chunk and each matching subscriber's
+//! pending lock once, renders the chunk's frames through that
+//! subscriber's [`EventFrames`] (its stream head and per-kind members
+//! rendered once), and updates the counters, the wake and the yield
+//! ration once.  The budget is still checked frame by frame: a chunk that
+//! straddles it delivers the room that is left and counts the rest as
+//! dropped.  The connection thread is woken only when the pending buffer
+//! goes from empty to non-empty, and a woken thread takes whatever is
+//! pending at once: there is no fill threshold, no flush timer and no
+//! pause between writes, so a trickle of frames is never held back.  A
+//! flood batches itself, because it arrives a chunk at a time: a thread
+//! that comes back from a write finds the chunks published meanwhile.
 //!
 //! Filtering happens here, producer-side: an event frame is only
-//! rendered for subscribers whose [`EventFilter`] matches its labels, so
-//! a narrow subscription costs the wire — and the render path — only its
-//! own events.  When a job has no subscribers at all, the per-event
-//! overhead is one relaxed atomic load.
+//! rendered for subscribers whose [`EventFilter`] matches its labels (a
+//! filter that accepts everything skips the labels), so a narrow
+//! subscription costs the wire — and the render path — only its own
+//! events.  When a job has no subscribers at all, a chunk costs one
+//! relaxed atomic load.
 //!
 //! Every lock here is shared between the simulating worker and
 //! connection threads, and a panic on one of them must not take the
@@ -37,7 +46,7 @@
 //! condition its holder could have left broken (see `lock_subs` and
 //! `SubShared::lock`).
 
-use crate::proto;
+use crate::proto::EventFrames;
 use metrics::{DropCounter, DropStats};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -66,18 +75,6 @@ struct Pending {
 /// buffer; a larger one (a backlog built up while it could not run) is
 /// freed once written.
 const KEEP: usize = 16 * 1024;
-
-/// How long a connection thread stays away after a write before it takes
-/// the next batch.  A socket write costs microseconds whatever its size, so
-/// a thread that came straight back would take a flood ten frames at a
-/// time and spend a whole core on system calls (as would its peer); one
-/// that stays away this long takes a few hundred frames per write.  It is
-/// not a flush timer: a frame that finds the thread waiting is taken at
-/// once, and only a frame published within this long of the previous
-/// write waits, for the rest of it.  It is also what makes a small budget
-/// mean what it says: `budget` frames per pause is all a subscriber can
-/// get, however fast its connection thread is.
-const WRITE_PACE: std::time::Duration = std::time::Duration::from_micros(50);
 
 /// The producer yields its core at most once per this many frames offered
 /// to a subscriber: at worst a context switch spread over a thousand
@@ -110,36 +107,43 @@ impl SubShared {
         p
     }
 
-    /// Let `render` append one line to the pending buffer, or count the
-    /// frame as dropped when the budget is spent.  Never blocks beyond
-    /// the buffer swap of the consumer.
-    fn append(&self, totals: &DropCounter, render: impl FnOnce(&mut String)) {
+    /// Offer a run of frames under one lock: each `render` appends one
+    /// line to the pending buffer while the budget has room, and the
+    /// frames past it are counted as dropped.  Never blocks beyond the
+    /// buffer swap of the consumer.
+    fn append<R: FnOnce(&mut String)>(&self, totals: &DropCounter, offered: impl IntoIterator<Item = R>) {
         let mut p = self.lock();
-        p.since_yield += 1;
-        if p.frames + p.writing >= self.budget {
-            self.counter.note_dropped();
-            totals.note_dropped();
+        let was_empty = p.frames == 0;
+        let (mut delivered, mut dropped) = (0, 0);
+        for render in offered {
+            if p.frames + p.writing < self.budget {
+                render(&mut p.lines);
+                p.lines.push('\n');
+                p.frames += 1;
+                delivered += 1;
+            } else {
+                dropped += 1;
+            }
+        }
+        if delivered + dropped == 0 {
             return;
         }
-        render(&mut p.lines);
-        p.lines.push('\n');
-        p.frames += 1;
-        self.counter.note_delivered();
-        totals.note_delivered();
-        let was_empty = p.frames == 1;
-        // The next frame would be dropped.  If the connection thread is
+        p.since_yield += (delivered + dropped) as usize;
+        self.counter.note(delivered, dropped);
+        totals.note(delivered, dropped);
+        // This run filled the budget.  If the connection thread is
         // runnable but queued behind this thread on the same core, it
         // would stay there for a whole time slice — thousands of frames —
         // so offer it the core.  `yield_now` returns at once when nobody
         // is queued, and it is rationed: a small budget fills often, and
         // yielding on every fill would pace the simulation by its
         // subscriber, which is exactly what dropping is there to avoid.
-        let offer_core = p.frames + p.writing == self.budget && p.since_yield >= YIELD_EVERY;
+        let offer_core = delivered > 0 && p.frames + p.writing == self.budget && p.since_yield >= YIELD_EVERY;
         if offer_core {
             p.since_yield = 0;
         }
         drop(p);
-        if was_empty {
+        if was_empty && delivered > 0 {
             self.wake.notify_one();
         }
         if offer_core {
@@ -154,8 +158,8 @@ impl SubShared {
         p.lines.push('\n');
         p.frames += 1;
         p.closed = true;
-        self.counter.note_delivered();
-        totals.note_delivered();
+        self.counter.note(1, 0);
+        totals.note(1, 0);
         drop(p);
         self.wake.notify_one();
     }
@@ -165,6 +169,9 @@ struct SubEntry {
     id: u64,
     job: u64,
     filter: EventFilter,
+    /// The renderer of the replica this subscriber was last sent events
+    /// of, rebuilt when the replica changes.
+    render: Option<EventFrames>,
     shared: Arc<SubShared>,
 }
 
@@ -183,24 +190,17 @@ impl SubscriberHandle {
 
     /// Block until frames are pending or the stream has ended, then move
     /// everything pending into `batch`.  What `batch` held is taken to be
-    /// written: its frames stop counting against the budget, its
-    /// allocation (up to [`KEEP`]) becomes the next pending buffer, and
-    /// the call pauses for [`WRITE_PACE`] before it looks for more.
+    /// written: its frames stop counting against the budget, and its
+    /// allocation (up to [`KEEP`]) becomes the next pending buffer.
     /// Returns `false` once the stream has ended — `batch` then holds its
     /// tail, possibly empty, and [`SubscriberHandle::stats`] is final.
     pub fn next_batch(&self, batch: &mut String) -> bool {
-        let wrote = !batch.is_empty();
         if batch.capacity() > KEEP {
             *batch = String::new();
         }
         batch.clear();
         let mut p = self.shared.lock();
         p.writing = 0;
-        if wrote && !p.closed {
-            drop(p);
-            std::thread::sleep(WRITE_PACE);
-            p = self.shared.lock();
-        }
         while p.frames == 0 && !p.closed {
             p = self
                 .shared
@@ -255,6 +255,7 @@ impl Hub {
             id,
             job,
             filter,
+            render: None,
             shared: shared.clone(),
         });
         self.n_subs.store(subs.len(), Ordering::Relaxed);
@@ -277,21 +278,26 @@ impl Hub {
         self.drops.snapshot()
     }
 
-    /// Publish one simulation event for `job`: rendered once per matching
-    /// subscriber, directly into its pending buffer, and not at all for
-    /// a subscriber that is over budget or filtered out.
-    pub fn publish_event(&self, job: u64, replica: u64, protocol: &str, ev: &Event) {
-        if self.n_subs.load(Ordering::Relaxed) == 0 {
+    /// Publish a chunk of simulation events of `job`, in order: each
+    /// event is rendered once per subscriber whose filter it matches,
+    /// directly into that subscriber's pending buffer, and not at all past
+    /// the subscriber's budget (there it is counted as dropped).
+    pub fn publish_events(&self, job: u64, replica: u64, protocol: &str, events: &[Event]) {
+        if events.is_empty() || self.n_subs.load(Ordering::Relaxed) == 0 {
             return;
         }
-        let labels = ev.labels(protocol);
-        let subs = self.lock_subs();
-        for s in subs.iter() {
-            if s.job == job && s.filter.matches(&labels) {
-                s.shared.append(&self.drops, |out| {
-                    proto::write_event_frame(out, job, replica, protocol, ev)
-                });
-            }
+        let mut subs = self.lock_subs();
+        for s in subs.iter_mut().filter(|s| s.job == job) {
+            let render = match &mut s.render {
+                Some(r) if r.renders(replica, protocol) => r,
+                slot => slot.insert(EventFrames::new(job, replica, protocol)),
+            };
+            let (filter, all) = (&s.filter, s.filter.is_all());
+            let offered = events
+                .iter()
+                .filter(|ev| all || filter.matches(&ev.labels(protocol)))
+                .map(|ev| |out: &mut String| render.write(out, ev));
+            s.shared.append(&self.drops, offered);
         }
     }
 
@@ -306,7 +312,8 @@ impl Hub {
         }
         let subs = self.lock_subs();
         for s in subs.iter().filter(|s| s.job == job) {
-            s.shared.append(&self.drops, |out| out.push_str(frame));
+            s.shared
+                .append(&self.drops, [|out: &mut String| out.push_str(frame)]);
         }
     }
 
@@ -351,6 +358,7 @@ impl Hub {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::proto;
     use sim_engine::SimTime;
     use std::sync::mpsc::channel;
     use trace::EventKind;
@@ -392,7 +400,7 @@ mod tests {
         let mac = hub.subscribe(1, EventFilter::all().with_layers("mac").unwrap(), 8);
         let route = hub.subscribe(1, EventFilter::all().with_layers("route").unwrap(), 8);
         let other_job = hub.subscribe(2, EventFilter::all(), 8);
-        hub.publish_event(1, 0, "ECGRID", &ev());
+        hub.publish_events(1, 0, "ECGRID", &[ev()]);
         assert_eq!(pending_lines(&mac), [proto::frame_event(1, 0, "ECGRID", &ev())]);
         assert!(pending_lines(&route).is_empty());
         assert!(pending_lines(&other_job).is_empty());
@@ -424,13 +432,13 @@ mod tests {
             hub.subscribe(1, EventFilter::all(), 2),
         );
         for _ in 0..2 {
-            hub.publish_event(1, 0, "ECGRID", &ev());
+            hub.publish_events(1, 0, "ECGRID", &[ev()]);
         }
         let mut in_write = String::new();
         assert!(writing.next_batch(&mut in_write));
         assert_eq!(batch_lines(&in_write).len(), 2);
         for _ in 0..2 {
-            hub.publish_event(1, 0, "ECGRID", &ev());
+            hub.publish_events(1, 0, "ECGRID", &[ev()]);
         }
         // a control frame past the budget is dropped like an event ...
         hub.publish_frame(1, "{\"stream\":\"metric\"}");
@@ -461,7 +469,7 @@ mod tests {
                 // three frames more than fit, of both kinds
                 for i in 0..budget + 3 {
                     if i % 2 == 0 {
-                        hub.publish_event(1, round, "ECGRID", &ev());
+                        hub.publish_events(1, round, "ECGRID", &[ev()]);
                     } else {
                         hub.publish_frame(1, "{\"stream\":\"metric\"}");
                     }
@@ -471,7 +479,7 @@ mod tests {
                 assert_eq!(batch_lines(&batch).len(), budget);
                 carried += budget as u64;
                 // a batch being written still counts: no room until it is out
-                hub.publish_event(1, round, "ECGRID", &ev());
+                hub.publish_events(1, round, "ECGRID", &[ev()]);
                 assert!(pending_lines(&sub).is_empty());
                 written(&sub);
             }
@@ -487,9 +495,61 @@ mod tests {
     }
 
     #[test]
+    fn a_chunk_straddling_the_budget_delivers_the_room_left_and_drops_the_rest() {
+        let budget = 10;
+        let hub = Hub::new();
+        let sub = hub.subscribe(1, EventFilter::all(), budget);
+        hub.publish_events(1, 0, "ECGRID", &[ev(), ev()]);
+        let mut in_write = String::new();
+        assert!(sub.next_batch(&mut in_write));
+        hub.publish_events(1, 0, "ECGRID", &[ev(); 3]);
+        let (pending, writing) = (3, 2);
+        hub.publish_events(1, 0, "ECGRID", &[ev(); 10]);
+        let room = budget - pending - writing;
+        assert_eq!(pending_lines(&sub).len(), pending + room);
+        let s = sub.stats();
+        assert_eq!(s.delivered, (writing + pending + room) as u64);
+        assert_eq!(s.dropped, (10 - room) as u64);
+        // a full buffer takes nothing more from the next chunk
+        hub.publish_events(1, 0, "ECGRID", &[ev(); 4]);
+        assert_eq!(pending_lines(&sub).len(), pending + room);
+        assert_eq!(sub.stats().dropped, (10 - room + 4) as u64);
+        assert_eq!(hub.drop_stats(), sub.stats());
+    }
+
+    #[test]
+    fn a_chunk_is_filtered_and_rendered_frame_by_frame_in_order() {
+        let hub = Hub::new();
+        let app = hub.subscribe(1, EventFilter::all().with_layers("app").unwrap(), 64);
+        let all = hub.subscribe(1, EventFilter::all(), 64);
+        let sent = |seq| Event {
+            t: SimTime::from_millis(seq),
+            kind: EventKind::PacketSent {
+                src: radio::NodeId(1),
+                flow: 0,
+                seq,
+            },
+        };
+        let chunk = [ev(), sent(1), ev(), sent(2)];
+        hub.publish_events(1, 3, "GAF", &chunk);
+        let want = |evs: &[Event]| -> Vec<String> {
+            evs.iter().map(|e| proto::frame_event(1, 3, "GAF", e)).collect()
+        };
+        assert_eq!(pending_lines(&all), want(&chunk));
+        assert_eq!(pending_lines(&app), want(&[sent(1), sent(2)]));
+        // filtered-out events are neither delivered nor dropped
+        assert_eq!(app.stats().offered(), 2);
+        // the next replica's frames carry its own number
+        hub.publish_events(1, 4, "GAF", &[sent(3)]);
+        assert_eq!(pending_lines(&app)[2], proto::frame_event(1, 4, "GAF", &sent(3)));
+    }
+
+    #[test]
     fn accounting_identity_holds_against_a_free_running_consumer() {
         const OFFERED: u64 = 20_000;
-        for budget in [1usize, 2, 8] {
+        // whole sink chunks, single events and the odd sizes between
+        let chunks = [trace::SINK_CHUNK, 1, 7, 2 * trace::SINK_CHUNK + 3];
+        for budget in [1usize, 2, 8, 300] {
             let hub = Arc::new(Hub::new());
             let sub = hub.subscribe(1, EventFilter::all(), budget);
             let consumer = std::thread::spawn(move || {
@@ -506,8 +566,15 @@ mod tests {
                     }
                 }
             });
-            for _ in 0..OFFERED {
-                hub.publish_event(1, 0, "ECGRID", &ev());
+            let events = vec![ev(); *chunks.iter().max().unwrap()];
+            let mut published = 0;
+            for &len in chunks.iter().cycle() {
+                let len = len.min((OFFERED - published) as usize);
+                if len == 0 {
+                    break;
+                }
+                hub.publish_events(1, 0, "ECGRID", &events[..len]);
+                published += len as u64;
             }
             hub.finish_job(1, DONE);
             let (carried, stats) = consumer.join().unwrap();
@@ -521,7 +588,7 @@ mod tests {
         let hub = Hub::new();
         let sub = hub.subscribe(1, EventFilter::all(), 64);
         for _ in 0..10 {
-            hub.publish_event(1, 0, "ECGRID", &ev());
+            hub.publish_events(1, 0, "ECGRID", &[ev()]);
         }
         hub.finish_job(1, DONE);
         assert_eq!(hub.subscriber_count(), 0);
@@ -548,7 +615,7 @@ mod tests {
             }
         });
         for _ in 0..3 {
-            hub.publish_event(1, 0, "ECGRID", &ev());
+            hub.publish_events(1, 0, "ECGRID", &[ev()]);
             let got = rx.recv_timeout(std::time::Duration::from_secs(30)).unwrap();
             assert_eq!(
                 batch_lines(&got).len(),
@@ -563,7 +630,7 @@ mod tests {
     #[test]
     fn no_subscribers_is_a_cheap_no_op() {
         let hub = Hub::new();
-        hub.publish_event(1, 0, "ECGRID", &ev());
+        hub.publish_events(1, 0, "ECGRID", &[ev()]);
         hub.publish_frame(1, "x");
         assert_eq!(hub.drop_stats().offered(), 0);
     }
@@ -585,7 +652,7 @@ mod tests {
         hub.publish_frame(1, "{\"stream\":\"job\"}");
         hub.poison_for_test();
         // every entry point still works, and the torn line is gone
-        hub.publish_event(1, 0, "ECGRID", &ev());
+        hub.publish_events(1, 0, "ECGRID", &[ev()]);
         let late = hub.subscribe(1, EventFilter::all(), 8);
         assert_eq!(hub.subscriber_count(), 2);
         hub.finish_job(1, DONE);

@@ -27,7 +27,7 @@
 
 use crate::json::{self, Obj};
 use trace::event::push_u64;
-use trace::{Event, EventFilter};
+use trace::{Event, EventFilter, JsonRenderer};
 
 /// Protocol version, written into every job manifest and the `ping`
 /// reply.  2: `scenario` carries the scenario text itself (version 1
@@ -326,18 +326,51 @@ pub fn reply_ok() -> Obj {
 
 // ----- stream frame builders ---------------------------------------------
 
-/// Append an event frame to `out`: the event's own JSONL members behind
-/// the stream header, in one object.  The hub calls this once per event
-/// on the simulating thread, straight into a subscriber's batch buffer,
-/// so nothing here allocates or goes through `fmt`.
+/// Renders the event frames of one job replica under one protocol label.
+/// The stream head `{"stream":"event","job":J,"replica":K,` and each kind's
+/// shared members are rendered once, when it is built, so a frame costs
+/// only the event's own fields; the hub keeps one per subscriber and
+/// renders every event frame of a streamed job through it.
+pub struct EventFrames {
+    replica: u64,
+    protocol: String,
+    head: String,
+    fields: JsonRenderer,
+}
+
+impl EventFrames {
+    pub fn new(job: u64, replica: u64, protocol: &str) -> Self {
+        let mut head = String::from("{\"stream\":\"event\",\"job\":");
+        push_u64(&mut head, job);
+        head.push_str(",\"replica\":");
+        push_u64(&mut head, replica);
+        head.push(',');
+        EventFrames {
+            replica,
+            protocol: protocol.to_string(),
+            head,
+            fields: JsonRenderer::new(protocol),
+        }
+    }
+
+    /// Does this render the frames of `replica` under `protocol`?
+    pub fn renders(&self, replica: u64, protocol: &str) -> bool {
+        self.replica == replica && self.protocol == protocol
+    }
+
+    /// Append `ev`'s frame to `out`: its JSONL members behind the stream
+    /// head, in one object (no line break).
+    pub fn write(&self, out: &mut String, ev: &Event) {
+        out.push_str(&self.head);
+        self.fields.write_fields(ev, out);
+        out.push('}');
+    }
+}
+
+/// Append one event frame to `out` (see [`EventFrames`], which a caller
+/// rendering many frames builds once instead).
 pub fn write_event_frame(out: &mut String, job: u64, replica: u64, protocol: &str, ev: &Event) {
-    out.push_str("{\"stream\":\"event\",\"job\":");
-    push_u64(out, job);
-    out.push_str(",\"replica\":");
-    push_u64(out, replica);
-    out.push(',');
-    ev.write_json_fields(protocol, out);
-    out.push('}');
+    EventFrames::new(job, replica, protocol).write(out, ev);
 }
 
 /// An event frame as a line of its own (see [`write_event_frame`]).

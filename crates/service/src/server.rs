@@ -1355,7 +1355,7 @@ mod tests {
             let handler = Arc::new(Scripted(move |ctx: &JobCtx<'_>| {
                 wait();
                 for i in 0..EVENTS {
-                    ctx.hub.publish_event(ctx.job, 0, "ECGRID", &mac_event());
+                    ctx.hub.publish_events(ctx.job, 0, "ECGRID", &[mac_event()]);
                     if i % 100 == 0 {
                         ctx.hub
                             .publish_frame(ctx.job, &proto::frame_counter(ctx.job, 0, "n", i));
@@ -1403,14 +1403,14 @@ mod tests {
         let handler = Arc::new(Scripted(move |ctx: &JobCtx<'_>| {
             wait_start();
             for _ in 0..50 {
-                ctx.hub.publish_event(ctx.job, 0, "ECGRID", &mac_event());
+                ctx.hub.publish_events(ctx.job, 0, "ECGRID", &[mac_event()]);
             }
             let sent = event(trace::EventKind::PacketSent {
                 src: radio::NodeId(1),
                 flow: 0,
                 seq: 0,
             });
-            ctx.hub.publish_event(ctx.job, 0, "ECGRID", &sent);
+            ctx.hub.publish_events(ctx.job, 0, "ECGRID", &[sent]);
             // the "simulation" goes on, with nothing more for this filter
             wait_end();
         }));
@@ -1453,10 +1453,10 @@ mod tests {
         let (open, wait) = gate();
         let handler = Arc::new(Scripted(move |ctx: &JobCtx<'_>| {
             wait();
-            ctx.hub.publish_event(ctx.job, 0, "ECGRID", &mac_event());
+            ctx.hub.publish_events(ctx.job, 0, "ECGRID", &[mac_event()]);
             // some thread dies holding every hub lock, mid-line
             ctx.hub.poison_for_test();
-            ctx.hub.publish_event(ctx.job, 1, "ECGRID", &mac_event());
+            ctx.hub.publish_events(ctx.job, 1, "ECGRID", &[mac_event()]);
         }));
         let srv = Server::start(
             ServiceConfig::default().with_state_dir(&dir).with_workers(1),

@@ -225,18 +225,37 @@ fn level_name(l: EnergyLevel) -> &'static str {
     }
 }
 
+/// `"00"`, `"01"`, … `"99"` back to back: the two-digit table of
+/// [`push_u64`].
+const DIGIT_PAIRS: [u8; 200] = {
+    let mut t = [0u8; 200];
+    let mut i = 0;
+    while i < 100 {
+        t[2 * i] = b'0' + (i / 10) as u8;
+        t[2 * i + 1] = b'0' + (i % 10) as u8;
+        i += 1;
+    }
+    t
+};
+
 /// Append `v` in decimal, as `{v}` would render it, without the `fmt`
-/// machinery.
+/// machinery: two digits per division, from a table.
 pub fn push_u64(out: &mut String, mut v: u64) {
     let mut digits = [0u8; 20]; // u64::MAX has 20 digits
     let mut at = digits.len();
-    loop {
+    while v >= 100 {
+        let pair = (v % 100) as usize * 2;
+        v /= 100;
+        at -= 2;
+        digits[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    }
+    if v >= 10 {
+        let pair = v as usize * 2;
+        at -= 2;
+        digits[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    } else {
         at -= 1;
-        digits[at] = b'0' + (v % 10) as u8;
-        v /= 10;
-        if v == 0 {
-            break;
-        }
+        digits[at] = b'0' + v as u8;
     }
     out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
 }
@@ -279,6 +298,28 @@ fn push_from_to(out: &mut String, from: &str, to: &str) {
     out.push('"');
 }
 
+/// Name and layer of every kind, in tag order (`KIND_TABLE[tag - 1]`).
+const KIND_TABLE: [(&str, Layer); 18] = [
+    ("mac_tx", Layer::Mac),
+    ("mac_rx", Layer::Mac),
+    ("mac_collision", Layer::Mac),
+    ("mac_retry", Layer::Mac),
+    ("mac_drop", Layer::Mac),
+    ("radio_mode", Layer::Radio),
+    ("battery_level", Layer::Energy),
+    ("gateway_elect", Layer::Route),
+    ("gateway_retire", Layer::Route),
+    ("ras_page", Layer::Ras),
+    ("packet_sent", Layer::App),
+    ("packet_forwarded", Layer::Route),
+    ("packet_delivered", Layer::App),
+    ("node_death", Layer::Energy),
+    ("cell_change", Layer::Route),
+    ("fault_injected", Layer::Fault),
+    ("page_retry", Layer::Ras),
+    ("gateway_handoff_timeout", Layer::Route),
+];
+
 impl EventKind {
     /// Stable one-byte tag of this kind (part of the digest contract).
     pub fn tag(&self) -> u8 {
@@ -306,47 +347,12 @@ impl EventKind {
 
     /// Short kind name (used in JSONL and for per-kind counting).
     pub fn name(&self) -> &'static str {
-        match self {
-            EventKind::MacTx { .. } => "mac_tx",
-            EventKind::MacRx { .. } => "mac_rx",
-            EventKind::MacCollision { .. } => "mac_collision",
-            EventKind::MacRetry { .. } => "mac_retry",
-            EventKind::MacDrop { .. } => "mac_drop",
-            EventKind::RadioMode { .. } => "radio_mode",
-            EventKind::BatteryLevel { .. } => "battery_level",
-            EventKind::GatewayElect { .. } => "gateway_elect",
-            EventKind::GatewayRetire { .. } => "gateway_retire",
-            EventKind::RasPage { .. } => "ras_page",
-            EventKind::PacketSent { .. } => "packet_sent",
-            EventKind::PacketForwarded { .. } => "packet_forwarded",
-            EventKind::PacketDelivered { .. } => "packet_delivered",
-            EventKind::NodeDeath { .. } => "node_death",
-            EventKind::CellChange { .. } => "cell_change",
-            EventKind::FaultInjected { .. } => "fault_injected",
-            EventKind::PageRetry { .. } => "page_retry",
-            EventKind::GatewayHandoffTimeout { .. } => "gateway_handoff_timeout",
-        }
+        KIND_TABLE[usize::from(self.tag()) - 1].0
     }
 
     /// The stack layer this event belongs to.
     pub fn layer(&self) -> Layer {
-        match self {
-            EventKind::MacTx { .. }
-            | EventKind::MacRx { .. }
-            | EventKind::MacCollision { .. }
-            | EventKind::MacRetry { .. }
-            | EventKind::MacDrop { .. } => Layer::Mac,
-            EventKind::RadioMode { .. } => Layer::Radio,
-            EventKind::BatteryLevel { .. } | EventKind::NodeDeath { .. } => Layer::Energy,
-            EventKind::GatewayElect { .. }
-            | EventKind::GatewayRetire { .. }
-            | EventKind::PacketForwarded { .. }
-            | EventKind::CellChange { .. }
-            | EventKind::GatewayHandoffTimeout { .. } => Layer::Route,
-            EventKind::RasPage { .. } | EventKind::PageRetry { .. } => Layer::Ras,
-            EventKind::PacketSent { .. } | EventKind::PacketDelivered { .. } => Layer::App,
-            EventKind::FaultInjected { .. } => Layer::Fault,
-        }
+        KIND_TABLE[usize::from(self.tag()) - 1].1
     }
 
     /// The node the event is about (its primary label).
@@ -386,6 +392,58 @@ impl EventKind {
             } => Some(cell),
             _ => None,
         }
+    }
+}
+
+/// Renders events as JSONL under one protocol label.  The run of members
+/// every line of a kind shares — `,"kind":…,"layer":…,"protocol":…"` — is
+/// rendered once per kind when the renderer is built, so a line costs only
+/// its own fields: plain `push_str` and [`push_u64`], no `fmt`.  Build one
+/// per export or per stream and reuse it; the sweep service renders every
+/// event frame of a streamed job through one.
+#[derive(Clone, Debug)]
+pub struct JsonRenderer {
+    /// Every kind's shared run, back to back in tag order.
+    heads: String,
+    /// Kind `tag`'s run is `heads[ends[tag - 1]..ends[tag]]`.
+    ends: [usize; KIND_TABLE.len() + 1],
+}
+
+impl JsonRenderer {
+    pub fn new(protocol: &str) -> Self {
+        let mut heads = String::with_capacity(KIND_TABLE.len() * (64 + protocol.len()));
+        let mut ends = [0; KIND_TABLE.len() + 1];
+        for (i, (name, layer)) in KIND_TABLE.iter().enumerate() {
+            for (key, val) in [
+                (",\"kind\":\"", *name),
+                ("\",\"layer\":\"", layer.name()),
+                ("\",\"protocol\":\"", protocol),
+            ] {
+                heads.push_str(key);
+                heads.push_str(val);
+            }
+            heads.push('"');
+            ends[i + 1] = heads.len();
+        }
+        JsonRenderer { heads, ends }
+    }
+
+    /// Append the members of `ev`'s JSONL object without its braces, so a
+    /// caller can put members of its own in front (the sweep service's
+    /// stream head).
+    pub fn write_fields(&self, ev: &Event, out: &mut String) {
+        let tag = usize::from(ev.kind.tag());
+        out.push_str("\"t_ns\":");
+        push_u64(out, ev.t.as_nanos());
+        out.push_str(&self.heads[self.ends[tag - 1]..self.ends[tag]]);
+        ev.write_own_fields(out);
+    }
+
+    /// Append `ev`'s JSONL object (no line break).
+    pub fn write_object(&self, ev: &Event, out: &mut String) {
+        out.push('{');
+        self.write_fields(ev, out);
+        out.push('}');
     }
 }
 
@@ -504,30 +562,16 @@ impl Event {
         s
     }
 
-    /// Append the [`Event::to_jsonl`] object to `out`, allocating only
-    /// when `out` has to grow.
+    /// Append the [`Event::to_jsonl`] object to `out`.  A caller that
+    /// renders many events under one label builds a [`JsonRenderer`] once
+    /// instead.
     pub fn write_jsonl(&self, protocol: &str, out: &mut String) {
-        out.push('{');
-        self.write_json_fields(protocol, out);
-        out.push('}');
+        JsonRenderer::new(protocol).write_object(self, out);
     }
 
-    /// Append the members of the JSONL object without its braces, so a
-    /// caller can put members of its own in front (the sweep service's
-    /// stream header).  This runs once per event on the simulating thread
-    /// of a streamed job: plain `push_str` and [`push_u64`], no `fmt`.
-    pub fn write_json_fields(&self, protocol: &str, out: &mut String) {
-        out.push_str("\"t_ns\":");
-        push_u64(out, self.t.as_nanos());
-        for (key, val) in [
-            (",\"kind\":\"", self.kind.name()),
-            ("\",\"layer\":\"", self.kind.layer().name()),
-            ("\",\"protocol\":\"", protocol),
-        ] {
-            out.push_str(key);
-            out.push_str(val);
-        }
-        out.push('"');
+    /// The members after the shared run of the kind: the node and cell
+    /// labels, then the kind-specific fields.
+    fn write_own_fields(&self, out: &mut String) {
         if let Some(n) = self.kind.node() {
             push_num(out, ",\"node\":", n.0);
         }
@@ -862,6 +906,30 @@ mod tests {
             let mut s = String::new();
             push_i64(&mut s, v);
             assert_eq!(s, v.to_string());
+        }
+    }
+
+    #[test]
+    fn push_u64_matches_format_at_every_digit_boundary_and_at_random() {
+        let mut values = vec![0, 9, 10, 99, 100, u64::MAX];
+        for k in 1..20 {
+            let p = 10u64.pow(k);
+            values.extend([p - 1, p, p + 1]);
+        }
+        // xorshift64*, spread over every digit count by a random shift
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        for _ in 0..100_000 {
+            x ^= x >> 12;
+            x ^= x << 25;
+            x ^= x >> 27;
+            let r = x.wrapping_mul(0x2545_F491_4F6C_DD1D);
+            values.push(r >> (r % 64));
+        }
+        let mut s = String::new();
+        for v in values {
+            s.clear();
+            push_u64(&mut s, v);
+            assert_eq!(s, format!("{v}"));
         }
     }
 

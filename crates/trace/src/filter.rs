@@ -45,6 +45,12 @@ impl EventFilter {
         EventFilter::default()
     }
 
+    /// True when no axis is constrained: every event passes, and a caller
+    /// can skip computing labels.
+    pub fn is_all(&self) -> bool {
+        self.layers.is_empty() && self.node.is_none() && self.cell.is_none() && self.protocol.is_none()
+    }
+
     /// Parse a comma-separated layer list ("mac,route"); empty string
     /// means all layers.  `None` on any unknown layer name.
     pub fn with_layers(mut self, spec: &str) -> Option<Self> {
@@ -116,6 +122,7 @@ mod tests {
     #[test]
     fn empty_filter_matches_everything() {
         let f = EventFilter::all();
+        assert!(f.is_all());
         assert!(f.matches(&gateway_event().labels("ECGRID")));
     }
 
@@ -131,6 +138,7 @@ mod tests {
     fn node_and_cell_axes_constrain() {
         let labels = gateway_event().labels("ECGRID");
         assert!(EventFilter::all().with_node(7).matches(&labels));
+        assert!(!EventFilter::all().with_node(7).is_all());
         assert!(!EventFilter::all().with_node(8).matches(&labels));
         assert!(EventFilter::all().with_cell(2, 3).matches(&labels));
         assert!(!EventFilter::all().with_cell(3, 2).matches(&labels));

@@ -34,8 +34,8 @@ pub mod recorder;
 pub mod registry;
 
 pub use digest::{Fnv64, TraceDigest};
-pub use event::{Event, EventKind, FaultKind, Labels, Layer};
+pub use event::{Event, EventKind, FaultKind, JsonRenderer, Labels, Layer};
 pub use filter::EventFilter;
 pub use profile::SchedProfile;
-pub use recorder::{EventSink, Recorder, TraceMode};
+pub use recorder::{EventSink, Recorder, TraceMode, SINK_CHUNK};
 pub use registry::Registry;

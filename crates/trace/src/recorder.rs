@@ -1,18 +1,26 @@
 //! The event sink: digest always, buffering on request.
 
 use crate::digest::{Fnv64, TraceDigest};
-use crate::event::Event;
+use crate::event::{Event, JsonRenderer};
 use crate::profile::SchedProfile;
 use std::fmt;
 use std::io::{self, Write};
 use std::sync::Arc;
 
-/// A live event tap: called with every recorded event, in recording
-/// order, from the simulation thread.  Implementations must never block
-/// (the sweep service hands events to bounded per-subscriber buffers that
-/// drop-and-count on overflow precisely so a slow consumer cannot stall
-/// the simulation through this hook).
-pub type EventSink = Arc<dyn Fn(&Event) + Send + Sync>;
+/// A live event tap: handed every recorded event, in recording order,
+/// from the simulation thread — in chunks of [`SINK_CHUNK`] events, plus
+/// one shorter chunk whenever the world's run loop returns (see
+/// [`Recorder::flush_sink`]).  A run that panics mid-way therefore loses
+/// at most `SINK_CHUNK - 1` events from its stream; the digest, which
+/// does not go through the sink, is unaffected.  Implementations must
+/// never block (the sweep service hands events to bounded per-subscriber
+/// buffers that drop-and-count on overflow precisely so a slow consumer
+/// cannot stall the simulation through this hook).
+pub type EventSink = Arc<dyn Fn(&[Event]) + Send + Sync>;
+
+/// Events a [`Recorder`] collects before it hands them to its sink: one
+/// call, and one lock in the sweep service's hub, per this many events.
+pub const SINK_CHUNK: usize = 256;
 
 /// How much a [`Recorder`] keeps.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -38,6 +46,9 @@ pub struct Recorder {
     buf: Option<Vec<Event>>,
     profile: SchedProfile,
     sink: Option<EventSink>,
+    /// Events recorded since the sink was last called (empty and
+    /// unallocated without a sink).
+    sink_buf: Vec<Event>,
 }
 
 impl fmt::Debug for Recorder {
@@ -48,6 +59,7 @@ impl fmt::Debug for Recorder {
             .field("buf", &self.buf)
             .field("profile", &self.profile)
             .field("sink", &self.sink.as_ref().map(|_| "EventSink"))
+            .field("sink_buf", &self.sink_buf.len())
             .finish()
     }
 }
@@ -63,14 +75,29 @@ impl Recorder {
             },
             profile: SchedProfile::new(),
             sink: None,
+            sink_buf: Vec::new(),
         }
     }
 
     /// Attach a live event tap (the sweep service's streaming hook).  The
-    /// sink sees every subsequent event in recording order; it does not
-    /// affect the digest, the buffer, or the profile.
+    /// sink sees every subsequent event in recording order, in chunks (see
+    /// [`EventSink`]); it does not affect the digest, the buffer, or the
+    /// profile.
     pub fn set_sink(&mut self, sink: EventSink) {
         self.sink = Some(sink);
+        self.sink_buf = Vec::with_capacity(SINK_CHUNK);
+    }
+
+    /// Hand the sink what it has not seen yet.  The world calls this when
+    /// its run loop returns, so a sink has seen every event of a run by
+    /// the time `run_until` does.
+    pub fn flush_sink(&mut self) {
+        if let Some(sink) = &self.sink {
+            if !self.sink_buf.is_empty() {
+                sink(&self.sink_buf);
+                self.sink_buf.clear();
+            }
+        }
     }
 
     #[inline]
@@ -80,8 +107,11 @@ impl Recorder {
         if let Some(buf) = &mut self.buf {
             buf.push(ev);
         }
-        if let Some(sink) = &self.sink {
-            sink(&ev);
+        if self.sink.is_some() {
+            self.sink_buf.push(ev);
+            if self.sink_buf.len() == SINK_CHUNK {
+                self.flush_sink();
+            }
         }
     }
 
@@ -112,10 +142,11 @@ impl Recorder {
     /// run-wide `protocol` label.  Returns the number of lines written —
     /// zero in digest-only mode, where nothing was buffered.
     pub fn write_jsonl<W: Write>(&self, protocol: &str, w: &mut W) -> io::Result<u64> {
+        let render = JsonRenderer::new(protocol);
         let mut line = String::with_capacity(160);
         for e in self.events() {
             line.clear();
-            e.write_jsonl(protocol, &mut line);
+            render.write_object(e, &mut line);
             line.push('\n');
             w.write_all(line.as_bytes())?;
         }
@@ -168,6 +199,37 @@ mod tests {
         c.record(ev(1, 1));
         c.record(ev(2, 3));
         assert_ne!(a.digest(), c.digest());
+    }
+
+    #[test]
+    fn a_sink_sees_every_event_once_in_order_in_whole_chunks_until_flushed() {
+        use std::sync::Mutex;
+        let seen: Arc<Mutex<Vec<Vec<Event>>>> = Arc::default();
+        let mut r = Recorder::new(TraceMode::DigestOnly);
+        let tap = seen.clone();
+        r.set_sink(Arc::new(move |evs: &[Event]| {
+            tap.lock().unwrap().push(evs.to_vec())
+        }));
+        let n = 2 * SINK_CHUNK as u64 + 17;
+        for i in 0..n {
+            r.record(ev(i, i));
+        }
+        let sizes =
+            |seen: &Mutex<Vec<Vec<Event>>>| seen.lock().unwrap().iter().map(Vec::len).collect::<Vec<_>>();
+        assert_eq!(sizes(&seen), [SINK_CHUNK, SINK_CHUNK]);
+        r.flush_sink();
+        r.flush_sink(); // nothing new: no empty chunk
+        assert_eq!(sizes(&seen), [SINK_CHUNK, SINK_CHUNK, 17]);
+        let all: Vec<Event> = seen.lock().unwrap().concat();
+        assert_eq!(all, (0..n).map(|i| ev(i, i)).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_recorder_without_a_sink_holds_no_sink_buffer() {
+        let mut r = Recorder::new(TraceMode::DigestOnly);
+        r.record(ev(1, 1));
+        r.flush_sink();
+        assert_eq!(r.sink_buf.capacity(), 0);
     }
 
     #[test]

@@ -11,6 +11,9 @@
 //!   uninterrupted averaged results bit for bit;
 //! * a subscriber too slow to keep up loses frames (counted in its
 //!   `bye`) — but never stalls the simulation or perturbs its digest;
+//! * a subscriber with room for the whole run receives every event of
+//!   every replica, byte for byte and in order, ahead of that replica's
+//!   outcome frames;
 //! * a classic `submit` past the scenario parser's bounds, or any asking
 //!   for more replicas than one job may, is refused at the door, and a
 //!   journal that cannot be opened ends the job with an error, and a
@@ -29,6 +32,7 @@ use ecgrid_suite::runner::{
 };
 use ecgrid_suite::service::proto::{FilterSpec, JobSpec, Request};
 use ecgrid_suite::service::{json, Client, ClientConfig, ClientError, DoneInfo, Server, ServiceConfig};
+use ecgrid_suite::trace::TraceMode;
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -106,12 +110,9 @@ fn connect(server: &Server) -> Client {
 
 /// Raw subscription socket: sends the subscribe request and returns the
 /// connected stream (reply and frames unread).
-fn raw_subscribe(server: &Server, job: u64) -> TcpStream {
+fn raw_subscribe(server: &Server, job: u64, filter: FilterSpec) -> TcpStream {
     let mut sock = TcpStream::connect(server.local_addr()).unwrap();
-    let sub = Request::Subscribe {
-        job,
-        filter: FilterSpec::default(),
-    };
+    let sub = Request::Subscribe { job, filter };
     writeln!(sock, "{}", sub.encode()).unwrap();
     sock
 }
@@ -142,7 +143,7 @@ fn killed_client_mid_stream_leaves_the_server_healthy() {
     // a raw subscriber that reads a few frames and then dies without so
     // much as a goodbye — the way a Ctrl-C'd terminal client does
     {
-        let sock = raw_subscribe(&server, job);
+        let sock = raw_subscribe(&server, job, FilterSpec::default());
         sock.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
         let mut reader = BufReader::new(sock);
         let mut line = String::new();
@@ -539,7 +540,7 @@ fn slow_subscriber_drops_frames_without_stalling_or_perturbing_the_sim() {
     // subscribe while the target is queued, then read deliberately slowly
     // — far below the sim's frame rate, but steadily enough that the
     // connection stays alive
-    let sock = raw_subscribe(&server, job);
+    let sock = raw_subscribe(&server, job, FilterSpec::default());
     sock.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
     let slow_reader = std::thread::spawn(move || {
         let mut reader = BufReader::new(sock);
@@ -583,6 +584,158 @@ fn slow_subscriber_drops_frames_without_stalling_or_perturbing_the_sim() {
         digest,
         "digest perturbed by slow subscriber"
     );
+
+    server.request_shutdown();
+    server.wait();
+}
+
+/// The classic scenario a job of `spec` runs as replica `k`.
+fn classic_replica(spec: &JobSpec, k: u64) -> Scenario {
+    Scenario {
+        protocol: ProtocolKind::Ecgrid,
+        n_hosts: spec.n_hosts as usize,
+        max_speed: spec.max_speed,
+        pause_secs: spec.pause_secs,
+        n_flows: spec.n_flows as usize,
+        flow_rate_pps: spec.flow_rate_pps,
+        duration_secs: spec.duration_secs,
+        seed: ecgrid_suite::runner::run::replica_seed(spec.seed, k),
+        model1_endpoints: spec.model1_endpoints as usize,
+    }
+}
+
+#[test]
+fn an_ample_buffer_streams_the_whole_trace_in_order() {
+    let server = start_server(
+        "ample_buffer",
+        ServiceConfig::default()
+            .with_workers(1)
+            .with_subscriber_buffer(1 << 20),
+    );
+    let mut client = connect(&server);
+    client.submit_until_accepted(&filler_spec(), 0).expect("filler");
+    let spec = tiny_spec(13, 2);
+    let (job, _) = client.submit_until_accepted(&spec, 0).expect("submit");
+
+    // an unfiltered and an app-only subscription, each read to its `bye`
+    let read_to_bye = |layers: &str| {
+        let filter = FilterSpec {
+            layers: layers.into(),
+            ..FilterSpec::default()
+        };
+        let sock = raw_subscribe(&server, job, filter);
+        sock.set_read_timeout(Some(Duration::from_secs(120))).unwrap();
+        std::thread::spawn(move || {
+            let mut lines = BufReader::new(sock).lines().map(|l| l.expect("a whole line"));
+            let reply = lines.next().expect("subscribe reply");
+            assert_eq!(json::bool_field(&reply, "ok"), Some(true), "{reply}");
+            let mut frames = Vec::new();
+            for frame in lines {
+                let bye = json::field(&frame, "stream") == Some("bye");
+                frames.push(frame);
+                if bye {
+                    break;
+                }
+            }
+            frames
+        })
+    };
+    let (full, app) = (read_to_bye(""), read_to_bye("app"));
+    // both attached while the job still waited behind the filler
+    let start = Instant::now();
+    while json::u64_field(
+        &client.request_idempotent(&Request::Stats).unwrap(),
+        "subscribers",
+    ) != Some(2)
+    {
+        assert!(
+            start.elapsed() < Duration::from_secs(60),
+            "subscriptions never attached"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let st = client
+        .request_idempotent(&Request::Status { job: Some(job) })
+        .unwrap();
+    assert_eq!(
+        json::field(&st, "state"),
+        Some("queued"),
+        "the job started unobserved"
+    );
+    let (full, app) = (full.join().unwrap(), app.join().unwrap());
+
+    // what each replica records, as a local full trace renders it
+    let local: Vec<Vec<String>> = (0..spec.replicas)
+        .map(|k| {
+            let opts = RunOptions {
+                trace: Some(TraceMode::Full),
+                ..RunOptions::default()
+            };
+            let res = run_scenario_with(&classic_replica(&spec, k), opts);
+            let mut jsonl = Vec::new();
+            res.recorder
+                .expect("full trace")
+                .write_jsonl("ECGRID", &mut jsonl)
+                .unwrap();
+            String::from_utf8(jsonl)
+                .unwrap()
+                .lines()
+                .map(str::to_string)
+                .collect()
+        })
+        .collect();
+    let app_layer = |lines: &[String]| -> Vec<String> {
+        let app = lines.iter().filter(|l| l.contains("\"layer\":\"app\""));
+        app.cloned().collect()
+    };
+
+    for (frames, want) in [
+        (&full, local.clone()),
+        (&app, local.iter().map(|l| app_layer(l)).collect()),
+    ] {
+        let (bye, carried) = frames.split_last().expect("frames");
+        assert_eq!(json::field(bye, "stream"), Some("bye"));
+        assert_eq!(json::u64_field(bye, "dropped"), Some(0), "{bye}");
+        assert_eq!(
+            json::u64_field(bye, "delivered"),
+            Some(carried.len() as u64),
+            "{bye}"
+        );
+        // each replica's event frames, less their stream head, are its
+        // local trace lines
+        for (k, want) in want.iter().enumerate() {
+            let head = format!("{{\"stream\":\"event\",\"job\":{job},\"replica\":{k},");
+            let got: Vec<String> = carried
+                .iter()
+                .filter_map(|f| f.strip_prefix(&head))
+                .map(|rest| format!("{{{rest}"))
+                .collect();
+            assert!(!got.is_empty(), "replica {k}: no events");
+            assert_eq!(got.len(), want.len(), "replica {k}: event count");
+            assert!(
+                got == *want,
+                "replica {k}: the streamed trace differs from the local one"
+            );
+        }
+        // replica 0's events, its `replica_done`, then replica 1's
+        let mut order: Vec<(String, u64)> = carried
+            .iter()
+            .filter_map(|f| {
+                let stream = json::field(f, "stream")?;
+                let kept = ["event", "replica_done"].contains(&stream);
+                kept.then(|| (stream.to_string(), json::u64_field(f, "replica").unwrap()))
+            })
+            .collect();
+        order.dedup();
+        let want_order = [
+            ("event", 0),
+            ("replica_done", 0),
+            ("event", 1),
+            ("replica_done", 1),
+        ];
+        let want_order: Vec<(String, u64)> = want_order.iter().map(|(s, k)| (s.to_string(), *k)).collect();
+        assert_eq!(order, want_order);
+    }
 
     server.request_shutdown();
     server.wait();
