@@ -22,9 +22,9 @@
 //! mobility evaluation, reception verdicts, paging scans) fan out over a
 //! worker pool while dispatch and every state commit stay serial (see
 //! DESIGN.md §14).  The same wall now runs on a threads axis: every
-//! fixture must reproduce at K=4 × T ∈ {1, 2, 4}, and a dense scenario
-//! large enough to actually engage the parallel kernels must agree with
-//! its serial twin event-for-event.
+//! fixture must reproduce at K=4 × T ∈ {1, 2, 4}, and two dense scenarios
+//! that between them engage every parallel kernel must agree with their
+//! serial twins event-for-event.
 
 use ecgrid_suite::manet::{FaultPlan, NeighborIndex, WorldConfig};
 use ecgrid_suite::runner::{run_scenario_with, ProtocolKind, RunOptions, Scenario};
@@ -198,11 +198,19 @@ fn threaded_engine_agrees_while_deaths_and_migrations_cross_strips() {
 fn threaded_engine_agrees_on_a_scenario_dense_enough_to_engage_the_kernels() {
     // The golden scenario's 30 hosts stay under the parallel engagement
     // threshold — its value above is fixture equality, not kernel
-    // coverage.  This scenario's host count is far above the threshold,
-    // so every sample tick and paging scan actually crosses the worker
-    // pool, and the faulted variant routes deaths and battery-level
-    // changes through the barrier mailbox.
-    let sc = Scenario {
+    // coverage.  Each kernel engages only on a loop of at least
+    // `PAR_MIN_ITEMS` (96) hosts, and the two inputs here cover them:
+    // - 300 ECGRID hosts: every sample tick and paging scan crosses the
+    //   worker pool (the probe kernel), and so do the broadcasts' candidate
+    //   lists (the freeze kernel).  ECGRID sleeps most hosts, so no flight
+    //   freezes 96 receivers and the `tx_end` kernel never runs here.
+    // - 500 GRID hosts: GRID keeps every host awake, so a flight from the
+    //   middle of the field freezes about a hundred receivers and its end
+    //   runs the `tx_end` kernel.
+    // The faulted variant routes deaths and battery-level changes through
+    // the barrier mailbox, and frame-loss draws through the kernels'
+    // serial commit.
+    let sleepy = Scenario {
         protocol: ProtocolKind::Ecgrid,
         n_hosts: 300,
         max_speed: 1.0,
@@ -213,16 +221,29 @@ fn threaded_engine_agrees_on_a_scenario_dense_enough_to_engage_the_kernels() {
         seed: 23,
         model1_endpoints: 4,
     };
-    for plan in [FaultPlan::none(), golden_plan()] {
-        let base = RunOptions::digest().with_faults(plan);
-        let serial = run_scenario_with(&sc, base);
-        for t in THREAD_COUNTS {
-            let threaded = run_scenario_with(&sc, base.with_parallel_world(4).with_threads(t));
-            assert_eq!(
-                threaded.trace_digest, serial.trace_digest,
-                "dense threaded run (K=4, T={t}) diverged from serial"
-            );
-            assert_eq!(threaded.stats, serial.stats, "stats drift at T={t}");
+    let awake = Scenario {
+        protocol: ProtocolKind::Grid,
+        n_hosts: 500,
+        duration_secs: 3.0,
+        ..sleepy
+    };
+    for sc in [sleepy, awake] {
+        for plan in [FaultPlan::none(), golden_plan()] {
+            let base = RunOptions::digest().with_faults(plan);
+            let serial = run_scenario_with(&sc, base);
+            for t in THREAD_COUNTS {
+                let threaded = run_scenario_with(&sc, base.with_parallel_world(4).with_threads(t));
+                assert_eq!(
+                    threaded.trace_digest, serial.trace_digest,
+                    "dense threaded {:?} run (K=4, T={t}) diverged from serial",
+                    sc.protocol
+                );
+                assert_eq!(
+                    threaded.stats, serial.stats,
+                    "{:?} stats drift at T={t}",
+                    sc.protocol
+                );
+            }
         }
     }
 }
