@@ -1,26 +1,18 @@
 //! ECGRID protocol parameters.
 //!
-//! The paper specifies the mechanisms but not every constant; defaults
-//! below are conventional values for 2003-era MANET protocols (1 s HELLO
-//! beacons, a few beacon periods of silence before declaring a neighbour
-//! gone) and are exercised by the ablation benches.
+//! ECGRID is GRID plus energy conservation, and runs on the same HELLO,
+//! election and routing constants ([`GridConfig`]); what it adds are the
+//! sleep, paging and handover constants below.  The paper specifies the
+//! mechanisms but not every constant; the defaults are conventional
+//! values, and the `ablations` binary varies some of them.
 
-use grid_common::SearchStrategy;
+use grid_common::GridConfig;
 
 /// Tunable protocol constants (times in seconds).
 #[derive(Clone, Copy, Debug)]
 pub struct EcgridConfig {
-    /// Period of the HELLO beacon for active hosts ("HELLO period", §3.1).
-    pub hello_interval: f64,
-    /// Uniform jitter applied to each HELLO send (fraction of interval),
-    /// decorrelating beacons that would otherwise collide.
-    pub hello_jitter: f64,
-    /// Length of the election window: hosts collect HELLOs this long
-    /// before applying the gateway-election rules.
-    pub election_window: f64,
-    /// A member that has not heard its gateway's HELLO for this long
-    /// declares a no-gateway event (§3.2 condition 1).
-    pub gateway_silence: f64,
+    /// The constants GRID and ECGRID share.
+    pub grid: GridConfig,
     /// Cap on the dwell-timer duration of a sleeping host.
     pub dwell_cap: f64,
     /// An active member with no pending traffic sleeps after this long;
@@ -36,27 +28,9 @@ pub struct EcgridConfig {
     /// A host that sent ACQ and got no gateway HELLO back within this time
     /// declares a no-gateway event (§3.2 condition 2).
     pub acq_timeout: f64,
-    /// Route-discovery retry timeout per attempt.
-    pub discovery_timeout: f64,
-    /// Discovery attempts before the pending packets are dropped; the
-    /// second and later attempts search globally (§3.3: "another round of
-    /// route searching should be initialized to search all areas").
-    pub max_discovery_attempts: u32,
-    /// Routing-table entry lifetime (seconds).
-    pub route_ttl: f64,
-    /// Neighbour-gateway cache entry lifetime (seconds).
-    pub neighbor_ttl: f64,
-    /// How the first, confined search round builds its area from the
-    /// destination's last known grid (§3.3; retries always go global).
-    pub search: SearchStrategy,
-    /// Max packets buffered per destination at a gateway.
-    pub buffer_cap: usize,
     /// A local host counts as certainly-awake this long after its last
     /// frame; otherwise the gateway pages it before forwarding.
     pub host_fresh_secs: f64,
-    /// Minimum spacing of reactive gateway HELLO responses (to arrival
-    /// HELLOs and ACQs), preventing response storms.
-    pub gw_response_min_gap: f64,
     /// How many times a gateway re-pages an unresponsive sleeping
     /// destination (with exponentially backed-off wake waits) before the
     /// buffered packet is dropped and the host forgotten.  Bounds the
@@ -77,23 +51,13 @@ pub struct EcgridConfig {
 impl Default for EcgridConfig {
     fn default() -> Self {
         EcgridConfig {
-            hello_interval: 1.0,
-            hello_jitter: 0.1,
-            election_window: 1.0,
-            gateway_silence: 3.0,
+            grid: GridConfig::default(),
             dwell_cap: 300.0,
             sleep_quiet_delay: 1.5,
             retire_wait: 0.03,
             forward_wake_wait: 0.008,
             acq_timeout: 0.25,
-            discovery_timeout: 0.5,
-            max_discovery_attempts: 3,
-            route_ttl: 60.0,
-            neighbor_ttl: 3.5,
-            search: SearchStrategy::CoveringRect,
-            buffer_cap: 64,
             host_fresh_secs: 1.6,
-            gw_response_min_gap: 0.2,
             max_page_attempts: 5,
             handoff_grace: 1.0,
             orphan_check_secs: 60.0,
@@ -108,25 +72,26 @@ mod tests {
     #[test]
     fn defaults_are_sane() {
         let c = EcgridConfig::default();
-        assert!(c.hello_interval > 0.0);
+        let g = c.grid;
+        assert!(g.hello_interval > 0.0);
         assert!(
-            c.gateway_silence > 2.0 * c.hello_interval,
+            g.gateway_silence > 2.0 * g.hello_interval,
             "watchdog must tolerate one lost HELLO"
         );
         assert!(
-            c.election_window >= c.hello_interval,
+            g.election_window >= g.hello_interval,
             "must collect a full beacon round"
         );
         assert!(c.retire_wait > 0.005, "must exceed the RAS wake latency");
         assert!(c.forward_wake_wait > 0.005, "must exceed the RAS wake latency");
-        assert!(c.max_discovery_attempts >= 2, "need a global retry round");
+        assert!(g.max_discovery_attempts >= 2, "need a global retry round");
         assert!(c.max_page_attempts >= 2, "need at least one page retry");
         assert!(
             c.handoff_grace > c.retire_wait,
             "grace must outlast the RETIRE handover"
         );
         assert!(
-            c.orphan_check_secs > c.gateway_silence,
+            c.orphan_check_secs > g.gateway_silence,
             "orphan check is the slow path behind the watchdog"
         );
     }

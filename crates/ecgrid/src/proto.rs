@@ -2,9 +2,7 @@
 
 use crate::config::EcgridConfig;
 use crate::msg::{EcMsg, EcTimer};
-use grid_common::{
-    elect_gateway, DataMsg, HelloInfo, PlaneConfig, RouteSnapshot, RoutingPlane, RoutingStats,
-};
+use grid_common::{elect_gateway, DataMsg, HelloInfo, RouteSnapshot, RoutingPlane, RoutingStats};
 use manet::sim_engine::IdMap;
 use manet::{
     AppPacket, Ctx, EnergyLevel, EventKind, FrameKind, GridCoord, NodeId, PageSignal, Protocol, SimTime,
@@ -119,14 +117,7 @@ impl Ecgrid {
             my_grid: GridCoord::new(0, 0),
             gateway: None,
             level_at_election: EnergyLevel::Upper,
-            plane: RoutingPlane::new(PlaneConfig {
-                route_ttl: cfg.route_ttl,
-                neighbor_ttl: cfg.neighbor_ttl,
-                search: cfg.search,
-                discovery_timeout: cfg.discovery_timeout,
-                max_discovery_attempts: cfg.max_discovery_attempts,
-                buffer_cap: cfg.buffer_cap,
-            }),
+            plane: RoutingPlane::new(&cfg.grid),
             host_table: IdMap::default(),
             candidates: Vec::new(),
             election_epoch: 0,
@@ -191,9 +182,9 @@ impl Ecgrid {
     /// multiple concurrent beacon timers.
     fn arm_hello(&mut self, ctx: &mut Ctx<'_, Self>) {
         self.hello_epoch += 1;
-        let jitter = 1.0 + self.cfg.hello_jitter * (ctx.rng().gen::<f64>() * 2.0 - 1.0);
+        let jitter = 1.0 + self.cfg.grid.hello_jitter * (ctx.rng().gen::<f64>() * 2.0 - 1.0);
         ctx.set_timer_secs(
-            self.cfg.hello_interval * jitter,
+            self.cfg.grid.hello_interval * jitter,
             EcTimer::Hello {
                 epoch: self.hello_epoch,
             },
@@ -202,8 +193,8 @@ impl Ecgrid {
 
     /// Continue the current HELLO chain.
     fn rearm_hello(&mut self, ctx: &mut Ctx<'_, Self>, epoch: u32) {
-        let jitter = 1.0 + self.cfg.hello_jitter * (ctx.rng().gen::<f64>() * 2.0 - 1.0);
-        ctx.set_timer_secs(self.cfg.hello_interval * jitter, EcTimer::Hello { epoch });
+        let jitter = 1.0 + self.cfg.grid.hello_jitter * (ctx.rng().gen::<f64>() * 2.0 - 1.0);
+        ctx.set_timer_secs(self.cfg.grid.hello_interval * jitter, EcTimer::Hello { epoch });
     }
 
     fn start_election(&mut self, ctx: &mut Ctx<'_, Self>) {
@@ -216,7 +207,7 @@ impl Ecgrid {
         self.send_hello(ctx, false);
         self.arm_hello(ctx);
         ctx.set_timer_secs(
-            self.cfg.election_window,
+            self.cfg.grid.election_window,
             EcTimer::ElectionDecide {
                 epoch: self.election_epoch,
             },
@@ -233,7 +224,7 @@ impl Ecgrid {
     fn arm_gateway_watch(&mut self, ctx: &mut Ctx<'_, Self>) {
         self.watch_epoch += 1;
         ctx.set_timer_secs(
-            self.cfg.gateway_silence,
+            self.cfg.grid.gateway_silence,
             EcTimer::GatewayWatch {
                 epoch: self.watch_epoch,
             },
@@ -373,7 +364,7 @@ impl Ecgrid {
         // if nobody answers within a HELLO period, the grid is empty and we
         // declare ourselves (§3.2 "Hosts move into a new grid")
         ctx.set_timer_secs(
-            self.cfg.election_window,
+            self.cfg.grid.election_window,
             EcTimer::ElectionDecide {
                 epoch: self.election_epoch,
             },
@@ -420,7 +411,7 @@ impl Ecgrid {
             } else {
                 // paper §3.3: wake the sleeping destination, buffer, flush
                 let q = self.pending_wake.entry(d.dst).or_default();
-                if q.len() >= self.cfg.buffer_cap {
+                if q.len() >= self.cfg.grid.buffer_cap {
                     q.pop_front();
                     self.plane.stats.data_dropped += 1;
                 }
@@ -432,7 +423,7 @@ impl Ecgrid {
             return;
         }
         // remote: grid-by-grid forwarding, or buffer and discover
-        self.plane.forward(ctx, self.my_grid, d);
+        self.plane.forward(ctx, &self.cfg.grid, self.my_grid, d);
     }
 
     /// Page a sleeping local destination and arm the flush timer.  The
@@ -511,7 +502,7 @@ impl Ecgrid {
                         self.host_table.clear();
                         self.become_member(ctx, h.id);
                     } else if ctx.now().since(self.last_own_hello).as_secs_f64()
-                        > self.cfg.gw_response_min_gap
+                        > self.cfg.grid.gw_response_min_gap
                     {
                         // re-assert my claim (rate-limited: an un-throttled
                         // re-assert duel would melt the channel)
@@ -522,7 +513,7 @@ impl Ecgrid {
                     self.host_table.insert(src, HostEntry::awake(now));
                     // respond so arrivals learn the gateway (§3.2), rate
                     // limited to avoid storms
-                    if now.since(self.last_own_hello).as_secs_f64() > self.cfg.gw_response_min_gap {
+                    if now.since(self.last_own_hello).as_secs_f64() > self.cfg.grid.gw_response_min_gap {
                         self.send_hello(ctx, true);
                     }
                 }
@@ -605,7 +596,7 @@ impl Protocol for Ecgrid {
             },
         );
         ctx.set_timer_secs(
-            self.cfg.election_window + stagger,
+            self.cfg.grid.election_window + stagger,
             EcTimer::ElectionDecide {
                 epoch: self.election_epoch,
             },
@@ -712,13 +703,13 @@ impl Protocol for Ecgrid {
                     return;
                 }
                 let silent = ctx.now().since(self.last_gw_hello).as_secs_f64();
-                if silent >= self.cfg.gateway_silence {
+                if silent >= self.cfg.grid.gateway_silence {
                     self.no_gateway_event(ctx);
                 } else {
                     // re-arm for the remainder
                     self.watch_epoch += 1;
                     ctx.set_timer_secs(
-                        self.cfg.gateway_silence - silent,
+                        self.cfg.grid.gateway_silence - silent,
                         EcTimer::GatewayWatch {
                             epoch: self.watch_epoch,
                         },
@@ -838,7 +829,8 @@ impl Protocol for Ecgrid {
                     }
                     return;
                 }
-                self.plane.on_discovery_timeout(ctx, self.my_grid, t);
+                self.plane
+                    .on_discovery_timeout(ctx, &self.cfg.grid, self.my_grid, t);
             }
         }
     }

@@ -2,9 +2,9 @@
 //!
 //! The paper confines route discovery to "the smallest rectangle that can
 //! cover the grids of source S and destination D" (§3.3, Fig. 2); gateways
-//! outside the rectangle ignore the RREQ.  An optional margin widens the
-//! rectangle for retries, and [`GridRect::everywhere`] models the global
-//! re-search that runs when the confined search fails.
+//! outside the rectangle ignore the RREQ.  [`GridRect::everywhere`] models
+//! the global search that runs when the source knows no location for the
+//! destination or the confined search failed.
 
 use crate::grid::GridCoord;
 
@@ -29,11 +29,6 @@ impl GridRect {
         }
     }
 
-    /// A single-cell rectangle.
-    pub fn cell(c: GridCoord) -> Self {
-        GridRect::covering(c, c)
-    }
-
     /// The unbounded search area used when a confined search failed or when
     /// the source has no location information for the destination.
     pub fn everywhere() -> Self {
@@ -42,21 +37,6 @@ impl GridRect {
             min_y: i32::MIN,
             max_x: i32::MAX,
             max_y: i32::MAX,
-        }
-    }
-
-    /// True if this is the global search area.
-    pub fn is_everywhere(&self) -> bool {
-        *self == Self::everywhere()
-    }
-
-    /// Widen the rectangle by `m` cells on every side (saturating).
-    pub fn expanded(self, m: i32) -> Self {
-        GridRect {
-            min_x: self.min_x.saturating_sub(m),
-            min_y: self.min_y.saturating_sub(m),
-            max_x: self.max_x.saturating_add(m),
-            max_y: self.max_y.saturating_add(m),
         }
     }
 
@@ -72,14 +52,6 @@ impl GridRect {
         let w = (self.max_x as i64 - self.min_x as i64 + 1).max(0) as u64;
         let h = (self.max_y as i64 - self.min_y as i64 + 1).max(0) as u64;
         w.saturating_mul(h)
-    }
-
-    /// Iterate all cells in the rectangle in row-major order.  Panics if the
-    /// rectangle is the global area (iterating it makes no sense).
-    pub fn cells(&self) -> impl Iterator<Item = GridCoord> + '_ {
-        assert!(!self.is_everywhere(), "cannot enumerate the global search area");
-        let r = *self;
-        (r.min_y..=r.max_y).flat_map(move |y| (r.min_x..=r.max_x).map(move |x| GridCoord::new(x, y)))
     }
 }
 
@@ -109,7 +81,7 @@ mod tests {
 
     #[test]
     fn single_cell_rect() {
-        let r = GridRect::cell(GridCoord::new(2, 2));
+        let r = GridRect::covering(GridCoord::new(2, 2), GridCoord::new(2, 2));
         assert_eq!(r.cell_count(), 1);
         assert!(r.contains(GridCoord::new(2, 2)));
         assert!(!r.contains(GridCoord::new(2, 3)));
@@ -118,43 +90,8 @@ mod tests {
     #[test]
     fn everywhere_contains_anything() {
         let r = GridRect::everywhere();
-        assert!(r.is_everywhere());
+        assert_eq!(r.cell_count(), u64::MAX);
         assert!(r.contains(GridCoord::new(i32::MIN, i32::MAX)));
         assert!(r.contains(GridCoord::new(0, 0)));
-    }
-
-    #[test]
-    fn expanded_grows_every_side() {
-        let r = GridRect::covering(GridCoord::new(2, 2), GridCoord::new(3, 3)).expanded(1);
-        assert!(r.contains(GridCoord::new(1, 1)));
-        assert!(r.contains(GridCoord::new(4, 4)));
-        assert!(!r.contains(GridCoord::new(0, 2)));
-        assert_eq!(r.cell_count(), 16);
-    }
-
-    #[test]
-    fn expanded_everywhere_stays_everywhere() {
-        assert!(GridRect::everywhere().expanded(3).is_everywhere());
-    }
-
-    #[test]
-    fn cells_enumerates_row_major() {
-        let r = GridRect::covering(GridCoord::new(0, 0), GridCoord::new(1, 1));
-        let cells: Vec<_> = r.cells().collect();
-        assert_eq!(
-            cells,
-            vec![
-                GridCoord::new(0, 0),
-                GridCoord::new(1, 0),
-                GridCoord::new(0, 1),
-                GridCoord::new(1, 1),
-            ]
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "global")]
-    fn enumerating_everywhere_panics() {
-        let _ = GridRect::everywhere().cells().count();
     }
 }

@@ -221,9 +221,12 @@ mod tests {
     #[test]
     fn search_range_confinement_example() {
         // the Fig. 2 scenario: search confined to the rectangle over
-        // S=(1,1), D=(5,3); gateway in (0,2) must ignore the RREQ
+        // S=(1,1), D=(5,3) — the paper's 15 cells; gateway in (0,2) must
+        // ignore the RREQ
         let range = GridRect::covering(GridCoord::new(1, 1), GridCoord::new(5, 3));
+        assert_eq!(range.cell_count(), 15);
         assert!(range.contains(GridCoord::new(2, 2)));
+        assert!(range.contains(GridCoord::new(3, 2)));
         assert!(!range.contains(GridCoord::new(0, 2)));
     }
 }

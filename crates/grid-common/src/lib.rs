@@ -1,5 +1,6 @@
 //! Machinery shared by the GRID protocol family (GRID and ECGRID):
 //!
+//! * the HELLO, election and routing constants both read ([`GridConfig`]);
 //! * the HELLO message and the paper's three gateway-election rules (§3);
 //! * grid-by-grid routing tables with freshness and expiry (§3.3);
 //! * route discovery packets (RREQ/RREP) with search-area confinement and
@@ -15,16 +16,16 @@
 //! manner" — entries name a destination *host* but point at a next-hop
 //! *grid*.
 
+pub mod config;
 pub mod discovery;
 pub mod hello;
 pub mod neighbors;
 pub mod plane;
 pub mod routes;
-pub mod search;
 
+pub use config::GridConfig;
 pub use discovery::{DataMsg, Rrep, Rreq, RreqSeen, DATA_TTL};
 pub use hello::{elect_gateway, HelloInfo};
 pub use neighbors::NeighborGateways;
-pub use plane::{DiscoveryTimeout, PlaneConfig, RoutingPlane, RoutingStats};
+pub use plane::{DiscoveryTimeout, RoutingPlane, RoutingStats};
 pub use routes::{RouteEntry, RouteSnapshot, RouteTable};
-pub use search::SearchStrategy;

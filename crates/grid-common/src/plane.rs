@@ -7,9 +7,11 @@
 //! roles, sleeping or elections: a caller hands it what it needs to know
 //! (the host's current grid, the local host table when it is a gateway),
 //! and everything the two protocols do differently — local delivery,
-//! paging, tenure — stays in their own state machines.
+//! paging, tenure — stays in their own state machines.  The plane keeps
+//! no copy of the protocol's constants: the calls that need them take the
+//! caller's [`GridConfig`].
 
-use crate::{DataMsg, HelloInfo, NeighborGateways, RouteTable, Rrep, Rreq, RreqSeen, SearchStrategy};
+use crate::{DataMsg, GridConfig, HelloInfo, NeighborGateways, RouteTable, Rrep, Rreq, RreqSeen};
 use manet::sim_engine::IdMap;
 use manet::{AppPacket, Ctx, EventKind, GridCoord, GridRect, NodeId, Protocol, SimDuration, SimTime};
 use std::collections::VecDeque;
@@ -19,24 +21,6 @@ use std::collections::VecDeque;
 pub struct DiscoveryTimeout {
     pub dst: NodeId,
     pub attempt: u32,
-}
-
-/// The routing plane's share of a protocol's parameters (times in
-/// seconds).
-#[derive(Clone, Copy, Debug)]
-pub struct PlaneConfig {
-    /// Routing-table entry lifetime.
-    pub route_ttl: f64,
-    /// Neighbour-gateway cache entry lifetime.
-    pub neighbor_ttl: f64,
-    /// Search-area construction for the first discovery round.
-    pub search: SearchStrategy,
-    /// Route-discovery retry timeout per attempt.
-    pub discovery_timeout: f64,
-    /// Discovery attempts before the pending packets are dropped.
-    pub max_discovery_attempts: u32,
-    /// Max packets buffered per destination.
-    pub buffer_cap: usize,
 }
 
 /// Per-host routing counters.
@@ -79,7 +63,6 @@ impl Search {
 /// discovery, a relayed RREQ, an RREP, a seeded location), never by a
 /// read, so a host that never routes carries one empty pointer for it.
 pub struct RoutingPlane {
-    cfg: PlaneConfig,
     pub routes: RouteTable,
     pub neighbors: NeighborGateways,
     pub stats: RoutingStats,
@@ -93,9 +76,9 @@ pub struct RoutingPlane {
 }
 
 impl RoutingPlane {
-    pub fn new(cfg: PlaneConfig) -> Self {
+    /// A plane whose tables keep entries for `cfg`'s TTLs.
+    pub fn new(cfg: &GridConfig) -> Self {
         RoutingPlane {
-            cfg,
             routes: RouteTable::new(SimDuration::from_secs_f64(cfg.route_ttl)),
             neighbors: NeighborGateways::new(SimDuration::from_secs_f64(cfg.neighbor_ttl)),
             stats: RoutingStats::default(),
@@ -167,7 +150,7 @@ impl RoutingPlane {
 
     /// Remote step of data routing: forward `d` one grid along a known
     /// route, or buffer it and search for one.
-    pub fn forward<P>(&mut self, ctx: &mut Ctx<'_, P>, grid: GridCoord, d: DataMsg)
+    pub fn forward<P>(&mut self, ctx: &mut Ctx<'_, P>, cfg: &GridConfig, grid: GridCoord, d: DataMsg)
     where
         P: Protocol,
         P::Msg: From<DataMsg> + From<Rreq>,
@@ -182,12 +165,12 @@ impl RoutingPlane {
         }
         let search = Search::of(&mut self.search);
         let q = search.pending_route.entry(d.dst).or_default();
-        if q.len() >= self.cfg.buffer_cap {
+        if q.len() >= cfg.buffer_cap {
             q.pop_front();
             self.stats.data_dropped += 1;
         }
         q.push_back(DataMsg { via_grid: grid, ..d });
-        self.start_discovery(ctx, grid, d.dst, 0);
+        self.start_discovery(ctx, cfg, grid, d.dst, 0);
     }
 
     /// A non-gateway was asked to forward (stale neighbour caches after a
@@ -208,8 +191,14 @@ impl RoutingPlane {
         }
     }
 
-    fn start_discovery<P>(&mut self, ctx: &mut Ctx<'_, P>, grid: GridCoord, dst: NodeId, attempt: u32)
-    where
+    fn start_discovery<P>(
+        &mut self,
+        ctx: &mut Ctx<'_, P>,
+        cfg: &GridConfig,
+        grid: GridCoord,
+        dst: NodeId,
+        attempt: u32,
+    ) where
         P: Protocol,
         P::Msg: From<Rreq>,
         P::Timer: From<DiscoveryTimeout>,
@@ -221,13 +210,12 @@ impl RoutingPlane {
         search.discovering.insert(dst, attempt);
         self.my_seq += 1;
         self.rreq_counter += 1;
-        // first attempt: confined by the configured strategy around the
-        // destination's last known grid (if any); retries: global (§3.3)
-        let hint = search.dst_hints.get(&dst).copied();
-        let range = if attempt == 0 {
-            self.cfg.search.range_for(grid, hint)
-        } else {
-            GridRect::everywhere()
+        // first attempt: the smallest rectangle covering this grid and the
+        // destination's last known one, if any; otherwise and on retries:
+        // everywhere (§3.3)
+        let range = match search.dst_hints.get(&dst) {
+            Some(&hint) if attempt == 0 => GridRect::covering(grid, hint),
+            _ => GridRect::everywhere(),
         };
         let rreq = Rreq {
             src: ctx.id(),
@@ -241,10 +229,7 @@ impl RoutingPlane {
         search.seen.insert(ctx.id(), self.rreq_counter);
         self.stats.rreqs_sent += 1;
         ctx.broadcast(rreq.into());
-        ctx.set_timer_secs(
-            self.cfg.discovery_timeout,
-            DiscoveryTimeout { dst, attempt }.into(),
-        );
+        ctx.set_timer_secs(cfg.discovery_timeout, DiscoveryTimeout { dst, attempt }.into());
     }
 
     /// Whether `t` belongs to the discovery round still in flight (not
@@ -267,8 +252,13 @@ impl RoutingPlane {
 
     /// A discovery round timed out: search again, everywhere, or give up
     /// after the configured number of attempts.
-    pub fn on_discovery_timeout<P>(&mut self, ctx: &mut Ctx<'_, P>, grid: GridCoord, t: DiscoveryTimeout)
-    where
+    pub fn on_discovery_timeout<P>(
+        &mut self,
+        ctx: &mut Ctx<'_, P>,
+        cfg: &GridConfig,
+        grid: GridCoord,
+        t: DiscoveryTimeout,
+    ) where
         P: Protocol,
         P::Msg: From<Rreq>,
         P::Timer: From<DiscoveryTimeout>,
@@ -276,8 +266,8 @@ impl RoutingPlane {
         if !self.awaits(&t) {
             return;
         }
-        if t.attempt + 1 < self.cfg.max_discovery_attempts {
-            self.start_discovery(ctx, grid, t.dst, t.attempt + 1);
+        if t.attempt + 1 < cfg.max_discovery_attempts {
+            self.start_discovery(ctx, cfg, grid, t.dst, t.attempt + 1);
         } else {
             self.abandon_discovery(t.dst);
         }
@@ -421,6 +411,7 @@ mod tests {
     /// A permanent gateway with no local hosts: the plane and nothing
     /// else.
     struct Relay {
+        cfg: GridConfig,
         plane: RoutingPlane,
         grid: GridCoord,
         /// Sequence numbers handed to the application, in arrival order.
@@ -433,7 +424,7 @@ mod tests {
                 self.delivered.push(d.packet.seq);
                 ctx.deliver_app(d.packet);
             } else {
-                self.plane.forward(ctx, self.grid, d);
+                self.plane.forward(ctx, &self.cfg, self.grid, d);
             }
         }
     }
@@ -462,7 +453,7 @@ mod tests {
         }
 
         fn on_timer(&mut self, ctx: &mut Ctx<'_, Self>, t: DiscoveryTimeout) {
-            self.plane.on_discovery_timeout(ctx, self.grid, t);
+            self.plane.on_discovery_timeout(ctx, &self.cfg, self.grid, t);
         }
 
         fn on_app_send(&mut self, ctx: &mut Ctx<'_, Self>, dst: NodeId, packet: AppPacket) {
@@ -477,22 +468,25 @@ mod tests {
     const OFF_PATH: NodeId = NodeId(3);
     const ISOLATED: NodeId = NodeId(4);
 
-    fn config(buffer_cap: usize) -> PlaneConfig {
-        PlaneConfig {
-            route_ttl: 60.0,
-            neighbor_ttl: 3.5,
-            search: SearchStrategy::CoveringRect,
-            discovery_timeout: 0.5,
-            max_discovery_attempts: 3,
+    fn config(buffer_cap: usize) -> GridConfig {
+        GridConfig {
             buffer_cap,
+            ..GridConfig::default()
         }
     }
 
     /// A chain of gateways in grids (0,0) – (2,0) – (4,0), each in range
     /// of the next only; one more in (2,2), in range of the middle one
     /// only; and one out of everybody's reach.  The source believes `to`
-    /// sits in `hint`, and sends it `packets` packets `gap_us` apart.
-    fn chain(hint: GridCoord, to: NodeId, packets: u64, gap_us: u64, buffer_cap: usize) -> World<Relay> {
+    /// sits in `hint`, if given, and sends it `packets` packets `gap_us`
+    /// apart.
+    fn chain(
+        hint: Option<GridCoord>,
+        to: NodeId,
+        packets: u64,
+        gap_us: u64,
+        buffer_cap: usize,
+    ) -> World<Relay> {
         let horizon = SimTime::from_secs(100);
         let hosts = [
             (50.0, 50.0),
@@ -516,11 +510,12 @@ mod tests {
         }]);
         let cfg = config(buffer_cap);
         let mut w = World::new(WorldConfig::paper_default(3), hosts.into(), flows, move |id| {
-            let mut plane = RoutingPlane::new(cfg);
-            if id == SRC {
+            let mut plane = RoutingPlane::new(&cfg);
+            if let (SRC, Some(hint)) = (id, hint) {
                 plane.seed_location(to, hint);
             }
             Relay {
+                cfg,
                 plane,
                 grid: GridCoord::new(0, 0),
                 delivered: Vec::new(),
@@ -535,23 +530,28 @@ mod tests {
     }
 
     #[test]
-    fn confined_round_builds_both_pointers_and_flushes_in_order() {
+    fn first_round_builds_both_pointers_and_flushes_in_order() {
         // five packets inside one millisecond: all of them wait for the
-        // one discovery they share
-        let w = chain(GridCoord::new(4, 0), DST, 5, 200, 64);
+        // one discovery they share.  With a hint the round is confined to
+        // the rectangle over (0,0)-(4,0), which (2,2) lies outside of; it
+        // hears the rebroadcast and ignores it.  Without one the round
+        // searches everywhere, (2,2) included.
+        for (hint, off_path_relays) in [(Some(GridCoord::new(4, 0)), 0), (None, 1)] {
+            first_round(chain(hint, DST, 5, 200, 64), off_path_relays);
+        }
+    }
+
+    fn first_round(w: World<Relay>, off_path_relays: u64) {
         assert_eq!(
             stats(&w, SRC).rreqs_sent,
             1,
             "one search serves every buffered packet"
         );
         assert_eq!(stats(&w, MID).rreqs_forwarded, 1);
+        assert_eq!(stats(&w, OFF_PATH).rreqs_forwarded, off_path_relays);
         assert_eq!(
-            stats(&w, OFF_PATH).rreqs_forwarded,
-            0,
-            "(2,2) hears the rebroadcast but lies outside the rectangle over (0,0)-(4,0)"
-        );
-        assert!(
-            w.protocol(OFF_PATH).plane.search.is_none(),
+            w.protocol(OFF_PATH).plane.search.is_some(),
+            off_path_relays > 0,
             "a search that passed (2,2) by left nothing there"
         );
         assert_eq!(stats(&w, DST).rreps_sent, 1);
@@ -581,7 +581,7 @@ mod tests {
         // the source believes DST is next door, so the first round's
         // rectangle (0,0)-(1,0) excludes every other gateway; six packets
         // arrive before the retry, into a buffer of three
-        let w = chain(GridCoord::new(1, 0), DST, 6, 50_000, 3);
+        let w = chain(Some(GridCoord::new(1, 0)), DST, 6, 50_000, 3);
         assert_eq!(stats(&w, SRC).rreqs_sent, 2, "confined, then global");
         // the global flood reaches (2,0) and through it (2,2), whose
         // rebroadcast (2,0) hears back and suppresses; the source
@@ -601,7 +601,7 @@ mod tests {
 
     #[test]
     fn a_search_nobody_answers_is_abandoned_with_its_buffer() {
-        let w = chain(GridCoord::new(9, 9), ISOLATED, 2, 50_000, 64);
+        let w = chain(Some(GridCoord::new(9, 9)), ISOLATED, 2, 50_000, 64);
         let s = stats(&w, SRC);
         assert_eq!((s.rreqs_sent, s.data_dropped, s.data_forwarded), (3, 2, 0));
         assert_eq!(stats(&w, ISOLATED), RoutingStats::default());
@@ -615,7 +615,7 @@ mod tests {
 
     #[test]
     fn reads_create_no_search_state_and_the_first_write_does() {
-        let mut plane = RoutingPlane::new(config(64));
+        let mut plane = RoutingPlane::new(&config(64));
         // what a retired ECGRID host asks of a stale discovery timer
         let stale = DiscoveryTimeout { dst: DST, attempt: 0 };
         assert!(!plane.awaits(&stale));

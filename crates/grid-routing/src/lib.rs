@@ -14,8 +14,11 @@
 //!
 //! The grid partition, HELLO beaconing, discovery (RREQ/RREP with search
 //! rectangles) and grid-by-grid data forwarding are shared with ECGRID via
-//! `grid-common`; what differs is exactly what the paper varies.
+//! `grid-common`, and so are their constants: GRID's whole config is
+//! `grid_common::GridConfig`, which ECGRID's config embeds.  What differs
+//! is exactly what the paper varies.
 
 pub mod proto;
 
-pub use proto::{GridConfig, GridProto, GridRole, GridStats};
+pub use grid_common::GridConfig;
+pub use proto::{GridProto, GridRole, GridStats};

@@ -2,47 +2,12 @@
 //! grid-by-grid discovery and forwarding.
 
 use grid_common::{
-    elect_gateway, DataMsg, DiscoveryTimeout, HelloInfo, PlaneConfig, RouteSnapshot, RoutingPlane,
-    RoutingStats, Rrep, Rreq, SearchStrategy,
+    elect_gateway, DataMsg, DiscoveryTimeout, GridConfig, HelloInfo, RouteSnapshot, RoutingPlane,
+    RoutingStats, Rrep, Rreq,
 };
 use manet::sim_engine::IdMap;
 use manet::{AppPacket, Ctx, FrameKind, GridCoord, NodeId, Protocol, SimTime, WireSize};
 use rand::Rng;
-
-/// GRID protocol parameters (a strict subset of ECGRID's; no sleep knobs).
-#[derive(Clone, Copy, Debug)]
-pub struct GridConfig {
-    pub hello_interval: f64,
-    pub hello_jitter: f64,
-    pub election_window: f64,
-    pub gateway_silence: f64,
-    pub discovery_timeout: f64,
-    pub max_discovery_attempts: u32,
-    pub route_ttl: f64,
-    pub neighbor_ttl: f64,
-    /// Search-area construction for the first discovery round.
-    pub search: SearchStrategy,
-    pub buffer_cap: usize,
-    pub gw_response_min_gap: f64,
-}
-
-impl Default for GridConfig {
-    fn default() -> Self {
-        GridConfig {
-            hello_interval: 1.0,
-            hello_jitter: 0.1,
-            election_window: 1.0,
-            gateway_silence: 3.0,
-            discovery_timeout: 0.5,
-            max_discovery_attempts: 3,
-            route_ttl: 60.0,
-            neighbor_ttl: 3.5,
-            search: SearchStrategy::CoveringRect,
-            buffer_cap: 64,
-            gw_response_min_gap: 0.2,
-        }
-    }
-}
 
 /// Messages on the air (no ACQ — nobody sleeps).
 #[derive(Clone, Debug, PartialEq)]
@@ -154,14 +119,7 @@ impl GridProto {
             role: GridRole::Electing,
             my_grid: GridCoord::new(0, 0),
             gateway: None,
-            plane: RoutingPlane::new(PlaneConfig {
-                route_ttl: cfg.route_ttl,
-                neighbor_ttl: cfg.neighbor_ttl,
-                search: cfg.search,
-                discovery_timeout: cfg.discovery_timeout,
-                max_discovery_attempts: cfg.max_discovery_attempts,
-                buffer_cap: cfg.buffer_cap,
-            }),
+            plane: RoutingPlane::new(&cfg),
             host_table: IdMap::default(),
             candidates: Vec::new(),
             election_epoch: 0,
@@ -314,7 +272,7 @@ impl GridProto {
             ctx.unicast(d.dst, d.hop(self.my_grid).into());
             return;
         }
-        self.plane.forward(ctx, self.my_grid, d);
+        self.plane.forward(ctx, &self.cfg, self.my_grid, d);
     }
 
     // ----- frame handlers ------------------------------------------------
@@ -491,7 +449,9 @@ impl Protocol for GridProto {
                     );
                 }
             }
-            GridTimer::DiscoveryTimeout(t) => self.plane.on_discovery_timeout(ctx, self.my_grid, t),
+            GridTimer::DiscoveryTimeout(t) => {
+                self.plane.on_discovery_timeout(ctx, &self.cfg, self.my_grid, t)
+            }
         }
     }
 

@@ -13,6 +13,7 @@
 //! ```
 
 use ecgrid::{Ecgrid, EcgridConfig};
+use grid_common::GridConfig;
 use manet::{SimDuration, SimTime, World, WorldConfig};
 use runner::spec_run::{build_flows, build_hosts};
 use runner::{ProtocolKind, Scenario};
@@ -109,10 +110,13 @@ fn main() {
         .iter()
         .map(|&h| {
             let cfg = EcgridConfig {
-                hello_interval: h,
-                election_window: h.max(1.0),
-                gateway_silence: 3.0 * h,
-                neighbor_ttl: 3.5 * h,
+                grid: GridConfig {
+                    hello_interval: h,
+                    election_window: h.max(1.0),
+                    gateway_silence: 3.0 * h,
+                    neighbor_ttl: 3.5 * h,
+                    ..GridConfig::default()
+                },
                 ..EcgridConfig::default()
             };
             run(&format!("HELLO every {h} s"), |_| {}, cfg)
