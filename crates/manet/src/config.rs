@@ -148,10 +148,13 @@ pub struct HostSetup {
     /// Must not exceed the largest range in the fleet's config (the
     /// channel's bucket geometry is sized from the maximum).
     pub range_m: Option<f64>,
-    /// GPS position-error sigma in meters.  `0.0` (the default) performs
-    /// no draws, leaving homogeneous-run digests untouched; a positive
-    /// sigma offsets the position this host *reports* (grid membership,
-    /// protocol beacons) without moving its physical radio.
+    /// Bound of the GPS position error in meters: the reported position
+    /// is offset by a radius uniform in `[0, gps_sigma_m)` at a uniform
+    /// angle, redrawn every second (not a Gaussian σ; the name is the
+    /// `.scn` key's).  `0.0` (the default) performs no draws, leaving
+    /// homogeneous-run digests untouched; a positive bound offsets the
+    /// position this host *reports* (grid membership, protocol beacons)
+    /// without moving its physical radio.
     pub gps_sigma_m: f64,
     /// Scenario group index for per-group metric attribution (0 when the
     /// fleet was not built from a scenario file).

@@ -6,31 +6,8 @@ use super::{Event, World};
 use crate::protocol::Protocol;
 use energy::RadioMode;
 use radio::NodeId;
-use sim_engine::{derive_seed, SimDuration, SimTime, SplitMix64};
+use sim_engine::{SimDuration, SimTime};
 use trace::{EventKind, FaultKind};
-
-/// Scenario per-group GPS error: offset `(dx, dy)` in meters for `node`
-/// at `t_ns`, piecewise constant over 1 s (a consumer-GPS fix rate).
-/// Stateless hash draws keyed on the world seed — `sigma == 0` performs
-/// no draws, so scenario-free runs stay digest-identical; distinct domain
-/// labels keep it independent of the fault plan's own GPS stream.
-fn scenario_gps_offset(seed: u64, node: u32, sigma_m: f64, t_ns: u64) -> (f64, f64) {
-    if sigma_m <= 0.0 {
-        return (0.0, 0.0);
-    }
-    let slot = t_ns / 1_000_000_000;
-    let draw = |domain: &str| {
-        SplitMix64::new(derive_seed(
-            derive_seed(seed, domain, node as u64),
-            "scenario.sub",
-            slot,
-        ))
-        .next_f64()
-    };
-    let r = sigma_m * draw("scenario.gps_r");
-    let theta = std::f64::consts::TAU * draw("scenario.gps_a");
-    (r * theta.cos(), r * theta.sin())
-}
 
 impl<P: Protocol> World<P> {
     /// Kill a host immediately (failure injection: §3.2's "gateway is down
@@ -46,14 +23,17 @@ impl<P: Protocol> World<P> {
     }
 
     /// The GPS error in `node`'s position fix at `now`, in meters.  The
-    /// fault plan's global error and the scenario's per-group sigma
+    /// fault plan's global error and the scenario's per-group error
     /// compose additively; each contributes (0, 0) — and performs no
-    /// draws — when its knob is zero.
+    /// draws — when its bound is zero, so scenario-free runs stay
+    /// digest-identical.  The scenario's draws are keyed on the world
+    /// seed with labels of their own, independent of the plan's.
     pub(super) fn gps_error(&self, node: NodeId, now: SimTime) -> (f64, f64) {
         let t = now.as_nanos();
         let (fx, fy) = self.fault.gps_offset_m(node.0, t);
-        let sigma = self.hosts.gps_sigmas[node.index()];
-        let (sx, sy) = scenario_gps_offset(self.cfg.seed, node.0, sigma, t);
+        let bound = self.hosts.gps_sigmas[node.index()];
+        let domains = ["scenario.gps_r", "scenario.gps_a"];
+        let (sx, sy) = fault::gps_offset(self.cfg.seed, domains, "scenario.sub", node.0, bound, t);
         (fx + sx, fy + sy)
     }
 

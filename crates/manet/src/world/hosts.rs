@@ -54,7 +54,8 @@ pub(super) struct Hosts<P: Protocol> {
     /// scenario overrides it; never exceeds the channel's construction
     /// maximum).
     pub(super) ranges: Vec<f64>,
-    /// Per-host GPS error sigma in meters (0 = exact positions, no draws).
+    /// Per-host bound of the uniform GPS offset radius in meters
+    /// (`HostSetup::gps_sigma_m`; 0 = exact positions, no draws).
     pub(super) gps_sigmas: Vec<f64>,
     /// Scenario group index per host (0 outside scenario runs).
     pub(super) groups: Vec<u16>,

@@ -78,7 +78,10 @@ pub struct GroupSpec {
     pub battery_var: f64,
     /// Radio range in meters.
     pub range_m: f64,
-    /// GPS error sigma in meters (0 = perfect positioning).
+    /// Bound of the GPS error in meters: each host's reported position is
+    /// offset by a radius uniform in `[0, gps_sigma_m)` at a uniform
+    /// angle, redrawn every second — not a Gaussian σ (0 = perfect
+    /// positioning).
     pub gps_sigma_m: f64,
     pub role: Role,
     pub mobility: MobilitySpec,

@@ -40,7 +40,7 @@ pub use calendar::CalendarQueue;
 pub use exec::{chunk_count, LaneWriter, MailSplit, Mailbox, SlicePtr, WorkerPool};
 pub use pool::{EventPool, PoolStats};
 pub use queue::{EventQueue, PendingEvents};
-pub use rng::{derive_seed, Fnv64, IdHasher, IdMap, IdSet, RngFactory, SplitMix64};
+pub use rng::{derive_seed, keyed_draw, Fnv64, IdHasher, IdMap, IdSet, RngFactory, SplitMix64};
 pub use sched::{EventHandle, Scheduler};
 pub use shard::ShardedScheduler;
 pub use time::{SimDuration, SimTime};

@@ -161,6 +161,16 @@ pub fn derive_seed(master: u64, domain: &str, index: u64) -> u64 {
     mix.next_u64()
 }
 
+/// One stateless draw in `[0, 1)` keyed by `(master, domain, a)` and then
+/// `(sub, b)`: the same key always gives the same value and no stream
+/// state is kept, so a subsystem that draws nothing perturbs nothing.
+/// The fault plan and the scenario's per-host draws each key theirs with
+/// a `sub` label of their own.
+#[inline]
+pub fn keyed_draw(master: u64, domain: &str, a: u64, sub: &str, b: u64) -> f64 {
+    SplitMix64::new(derive_seed(derive_seed(master, domain, a), sub, b)).next_f64()
+}
+
 /// Factory handing out independent RNG streams from one master seed.
 #[derive(Clone, Copy, Debug)]
 pub struct RngFactory {
