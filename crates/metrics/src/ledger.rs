@@ -29,7 +29,7 @@ const NEVER: SimTime = SimTime::MAX;
 
 /// One packet: when it left its source, and when it first reached its
 /// destination.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 struct Slot {
     sent: SimTime,
     delivered: SimTime,
@@ -64,7 +64,7 @@ impl Slot {
 /// assert_eq!(ledger.delivery_rate(), Some(0.5));
 /// assert_eq!(ledger.mean_latency_ms(), Some(9.0));
 /// ```
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct PacketLedger {
     /// `flows[flow][seq]`; see the module docs for what a sparse key costs.
     flows: Vec<Vec<Slot>>,
