@@ -188,6 +188,7 @@ impl EnergyMeter {
 
     /// Integrate up to `now`, then switch to `mode`.  Returns the mode
     /// actually in effect (dead nodes stay `Off` regardless of the request).
+    #[inline]
     pub fn set_mode(&mut self, now: SimTime, mode: RadioMode) -> RadioMode {
         self.advance(now);
         if self.mode != RadioMode::Off {
@@ -199,6 +200,7 @@ impl EnergyMeter {
     /// Integrate up to `now`, then draw `joules` directly (used for
     /// sub-frame exchanges like MAC ACKs that are charged analytically
     /// rather than modelled as mode intervals).
+    #[inline]
     pub fn drain_direct(&mut self, now: SimTime, joules: f64) {
         self.advance(now);
         if self.mode == RadioMode::Off {

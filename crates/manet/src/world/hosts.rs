@@ -156,23 +156,38 @@ impl<P: Protocol> World<P> {
 
     /// Advance a node's meter to now, processing death if it occurred.
     /// Returns true if the node is (still) alive.
+    ///
+    /// The fast half: receiver discovery touches each candidate in reach,
+    /// so this runs once per candidate per transmission.  It returns
+    /// straight after the advance when nothing is left to commit — the
+    /// host is alive or its death is already handled, and under tracing
+    /// its level class is unchanged — and leaves everything else to
+    /// [`World::commit_probe`], which stays out of line so that this half
+    /// stays small enough to inline.
+    #[inline]
     pub(super) fn touch(&mut self, node: NodeId) -> bool {
         let now = self.now();
-        let tracing = self.recorder.is_some();
-        let meter = &mut self.hosts.meters[node.index()];
+        let i = node.index();
+        let meter = &mut self.hosts.meters[i];
         meter.advance(now);
-        // battery level-class boundary crossings only need detecting when a
-        // recorder is attached (level() divides; touch is the hottest path)
-        let level = if tracing { Some(meter.level()) } else { None };
         let alive = meter.is_alive();
+        // battery level-class boundary crossings only need detecting when a
+        // recorder is attached (level() divides)
+        let level = self.recorder.is_some().then(|| meter.level());
+        if level.is_none_or(|l| l == self.hosts.last_levels[i]) && (alive || self.hosts.dead_handled[i]) {
+            return alive;
+        }
         self.commit_probe(node, level, alive)
     }
 
-    /// The post-advance half of [`World::touch`]: level-class change
-    /// detection, death bookkeeping, and the associated emissions.  The
-    /// threaded kernels run the advance half in parallel, then replay
-    /// this commit serially in ascending-id order — the exact order the
-    /// serial loops produce — so both paths share one implementation.
+    /// The commit half of [`World::touch`], out of line: level-class
+    /// change detection, death bookkeeping, and the associated emissions.
+    /// `touch` calls it only when one of those may be due; with nothing
+    /// due it commits nothing.  The threaded kernels run the advance in
+    /// parallel, then replay this commit serially in ascending-id order —
+    /// the exact order the serial loops produce — so both paths share one
+    /// implementation.
+    #[inline(never)]
     pub(super) fn commit_probe(&mut self, node: NodeId, level: Option<EnergyLevel>, alive: bool) -> bool {
         let i = node.index();
         let mut level_change = None;
