@@ -106,7 +106,7 @@ struct HostRoute {
 
 /// The AODV state machine for one host.
 pub struct AodvCore {
-    me: NodeId,
+    pub(crate) me: NodeId,
     cfg: AodvConfig,
     /// Whether this host relays foreign traffic (Model-1 endpoints do not).
     pub forwards: bool,

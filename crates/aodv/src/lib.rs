@@ -25,4 +25,4 @@ pub mod core;
 pub mod proto;
 
 pub use crate::core::{Action, AodvConfig, AodvCore, AodvMsg, AodvStats, AodvTimer};
-pub use crate::proto::Aodv;
+pub use crate::proto::{trace_relay, Aodv};

@@ -2,7 +2,20 @@
 //! host always on — AODV itself conserves nothing).
 
 use crate::core::{Action, AodvConfig, AodvCore, AodvMsg, AodvStats, AodvTimer};
-use manet::{AppPacket, Ctx, FrameKind, NodeId, Protocol};
+use manet::{AppPacket, Ctx, EventKind, FrameKind, NodeId, Protocol};
+
+/// Trace `m` as a forward when router `me` sends it on someone else's
+/// behalf: a `Data` unicast whose source is another host.  Every adapter
+/// over an [`AodvCore`] calls this on each unicast it is handed, so a
+/// relay shows in the trace whatever duty cycle sits on top.
+pub fn trace_relay<P: Protocol>(ctx: &mut Ctx<'_, P>, me: NodeId, m: &AodvMsg) {
+    if let AodvMsg::Data { packet, src, .. } = m {
+        if *src != me {
+            let (flow, seq) = (packet.flow, packet.seq);
+            ctx.emit(|| EventKind::PacketForwarded { node: me, flow, seq });
+        }
+    }
+}
 
 /// Plain AODV host.
 pub struct Aodv {
@@ -27,11 +40,14 @@ impl Aodv {
         &self.core.stats
     }
 
-    fn run(ctx: &mut Ctx<'_, Self>, actions: Vec<Action>) {
+    fn run(&self, ctx: &mut Ctx<'_, Self>, actions: Vec<Action>) {
         for a in actions {
             match a {
                 Action::Broadcast(m) => ctx.broadcast(m),
-                Action::Unicast(to, m) => ctx.unicast(to, m),
+                Action::Unicast(to, m) => {
+                    trace_relay(ctx, self.core.me, &m);
+                    ctx.unicast(to, m);
+                }
                 Action::Deliver(p) => ctx.deliver_app(p),
                 Action::Timer(secs, t) => {
                     ctx.set_timer_secs(secs, t);
@@ -49,22 +65,22 @@ impl Protocol for Aodv {
 
     fn on_frame(&mut self, ctx: &mut Ctx<'_, Self>, src: NodeId, _kind: FrameKind, msg: &AodvMsg) {
         let acts = self.core.on_msg(ctx.now(), src, msg);
-        Self::run(ctx, acts);
+        self.run(ctx, acts);
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_, Self>, timer: AodvTimer) {
         let acts = self.core.on_timer(ctx.now(), timer);
-        Self::run(ctx, acts);
+        self.run(ctx, acts);
     }
 
     fn on_app_send(&mut self, ctx: &mut Ctx<'_, Self>, dst: NodeId, packet: AppPacket) {
         let acts = self.core.send_data(ctx.now(), dst, packet);
-        Self::run(ctx, acts);
+        self.run(ctx, acts);
     }
 
     fn on_unicast_failed(&mut self, ctx: &mut Ctx<'_, Self>, dst: NodeId, msg: &AodvMsg) {
         let acts = self.core.on_link_failure(ctx.now(), dst, msg);
-        Self::run(ctx, acts);
+        self.run(ctx, acts);
     }
 }
 

@@ -1,6 +1,6 @@
 //! The GAF duty-cycle state machine over an embedded AODV core.
 
-use aodv::{Action, AodvConfig, AodvCore, AodvMsg, AodvTimer};
+use aodv::{trace_relay, Action, AodvConfig, AodvCore, AodvMsg, AodvTimer};
 use manet::{AppPacket, Ctx, EventKind, FrameKind, GridCoord, NodeId, Protocol, WireSize};
 use rand::Rng;
 
@@ -182,15 +182,7 @@ impl GafProto {
             match a {
                 Action::Broadcast(m) => ctx.broadcast(GafMsg::Aodv(m)),
                 Action::Unicast(to, m) => {
-                    // a Data unicast whose source is someone else is this
-                    // router relaying a foreign packet — a forward
-                    if let AodvMsg::Data { packet, src, .. } = &m {
-                        if *src != self.me {
-                            let me = self.me;
-                            let (flow, seq) = (packet.flow, packet.seq);
-                            ctx.emit(|| EventKind::PacketForwarded { node: me, flow, seq });
-                        }
-                    }
+                    trace_relay(ctx, self.me, &m);
                     ctx.unicast(to, GafMsg::Aodv(m));
                 }
                 Action::Deliver(p) => ctx.deliver_app(p),

@@ -1,7 +1,7 @@
 //! The Span state machine: neighbourhood discovery, coordinator
 //! eligibility/withdrawal, PSM duty cycling, AODV over the backbone.
 
-use aodv::{Action, AodvConfig, AodvCore, AodvMsg, AodvTimer};
+use aodv::{trace_relay, Action, AodvConfig, AodvCore, AodvMsg, AodvTimer};
 use manet::{AppPacket, Ctx, FrameKind, NodeId, Protocol, SimTime, WireSize};
 use rand::Rng;
 use std::collections::HashMap;
@@ -359,7 +359,10 @@ impl SpanProto {
         for a in actions {
             match a {
                 Action::Broadcast(m) => ctx.broadcast(SpanMsg::Aodv(m)),
-                Action::Unicast(to, m) => self.unicast_aware(ctx, to, m),
+                Action::Unicast(to, m) => {
+                    trace_relay(ctx, self.me, &m);
+                    self.unicast_aware(ctx, to, m);
+                }
                 Action::Deliver(p) => ctx.deliver_app(p),
                 Action::Timer(secs, t) => {
                     ctx.set_timer_secs(secs, SpanTimer::Aodv(t));
