@@ -89,6 +89,21 @@ impl EnergyAudit {
     }
 }
 
+/// Field-by-field sum: a fleet's or a group's audit from its hosts'.
+impl std::ops::AddAssign for EnergyAudit {
+    fn add_assign(&mut self, a: EnergyAudit) {
+        self.tx_secs += a.tx_secs;
+        self.rx_secs += a.rx_secs;
+        self.idle_secs += a.idle_secs;
+        self.sleep_secs += a.sleep_secs;
+        self.tx_j += a.tx_j;
+        self.rx_j += a.rx_j;
+        self.idle_j += a.idle_j;
+        self.sleep_j += a.sleep_j;
+        self.direct_j += a.direct_j;
+    }
+}
+
 impl EnergyMeter {
     pub fn new(profile: PowerProfile, battery: Battery) -> Self {
         let draw_w = profile.draw_w(RadioMode::Idle);

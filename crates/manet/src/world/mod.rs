@@ -283,6 +283,11 @@ impl<P: Protocol> World<P> {
         self.budget_exceeded
     }
 
+    /// The world's CBR flows, in id order.
+    pub fn flows(&self) -> &[traffic::CbrFlow] {
+        self.flows.flows()
+    }
+
     /// The buffered event trace (empty unless full tracing is enabled).
     pub fn event_trace(&self) -> &[TraceEvent] {
         self.recorder.as_ref().map(|r| r.events()).unwrap_or(&[])

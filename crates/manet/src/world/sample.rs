@@ -4,6 +4,7 @@
 
 use super::World;
 use crate::protocol::Protocol;
+use energy::EnergyAudit;
 use metrics::TimeSeries;
 use radio::NodeId;
 
@@ -20,6 +21,9 @@ pub struct GroupStats {
     pub consumed_j: f64,
     /// Total initial energy of the group's finite-battery hosts (J).
     pub capacity_j: f64,
+    /// Per-mode breakdown of `consumed_j`: the finite-battery hosts'
+    /// energy audits, summed in id order.
+    pub audit: EnergyAudit,
 }
 
 impl GroupStats {
@@ -110,6 +114,7 @@ impl<P: Protocol> World<P> {
             }
             g.consumed_j += m.consumed_j();
             g.capacity_j += m.battery().capacity_j();
+            g.audit += *m.audit();
         }
         out
     }

@@ -14,9 +14,9 @@
 
 use ecgrid::{Ecgrid, EcgridConfig};
 use grid_common::GridConfig;
-use manet::{SimDuration, SimTime, World, WorldConfig};
-use runner::spec_run::{build_flows, build_hosts};
-use runner::{ProtocolKind, Scenario};
+use manet::{SimDuration, SimTime, WorldConfig};
+use runner::spec_run::{fleet_world, world_config};
+use runner::{ProtocolKind, RunOptions, Scenario};
 
 struct Row {
     label: String,
@@ -28,20 +28,16 @@ struct Row {
 }
 
 fn run(label: &str, mut tweak_world: impl FnMut(&mut WorldConfig), cfg: EcgridConfig) -> Row {
-    let seed = 42;
     // the paper's base fleet (100 hosts, 1 m/s, 10 flows x 1 pkt/s), 400 s
     let spec = Scenario {
         duration_secs: 400.0,
-        ..Scenario::paper_base(ProtocolKind::Ecgrid, 1.0, seed)
+        ..Scenario::paper_base(ProtocolKind::Ecgrid, 1.0, 42)
     }
     .to_spec();
-    let end = SimTime::from_secs_f64(spec.duration_s);
-    let hosts = build_hosts(&spec, ProtocolKind::Ecgrid, end + SimDuration::from_secs(10));
-    let flows = build_flows(&spec, end);
-    let mut wc = WorldConfig::paper_default(seed);
+    let mut wc = world_config(&spec, &RunOptions::default());
     tweak_world(&mut wc);
-    let mut w = World::new(wc, hosts, flows, move |id| Ecgrid::new(cfg, id));
-    let out = w.run_until(end);
+    let mut w = fleet_world(&spec, ProtocolKind::Ecgrid, wc, move |id| Ecgrid::new(cfg, id));
+    let out = w.run_until(SimTime::from_secs_f64(spec.duration_s));
     Row {
         label: label.to_string(),
         pdr: out.ledger.delivery_rate().unwrap_or(0.0),

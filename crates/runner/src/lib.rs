@@ -5,7 +5,7 @@
 //! | module | what it owns |
 //! |--------|--------------|
 //! | [`scenario`] | the §4 configuration and its lowering onto a fleet spec |
-//! | [`run`], [`spec_run`] | one run: the only world builder, options, results |
+//! | [`run`], [`spec_run`] | one run: options, results, and `spec_run::fleet_world`, which builds every world a scenario describes |
 //! | [`supervisor`], [`sweep`] | the replica pipeline: isolation, watchdog, retry, journal, averaging |
 //! | [`figures`] | the paper campaign: three matrices, one sweep, Figs. 4–8 as views over it |
 //! | [`report`] | tables, ASCII charts, atomic CSV writes |

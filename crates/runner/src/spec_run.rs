@@ -4,9 +4,11 @@
 //! fleet, a flow set, and a [`ScenarioResult`].  Scenario files arrive
 //! here parsed ([`run_spec`]); the paper's homogeneous `Scenario` arrives
 //! lowered by `Scenario::to_spec` (the `crate::run` entry points), as the
-//! one- or two-group degenerate case it is.  Nothing else in this
-//! library builds a world (the ablation/probe bins that pass custom
-//! protocol configs assemble their own).
+//! one- or two-group degenerate case it is.  Every world built from a
+//! scenario comes from [`fleet_world`] over [`world_config`]: `run_fleet`
+//! for the product, and the analyses that need the world itself — the
+//! ablations with their own protocol constants, the tests that read
+//! per-host state — call the same two.
 //!
 //! Determinism contract: host `i`'s mobility trace draws from
 //! `RngFactory::new(seed).stream("mobility", i)` whatever group it falls
@@ -26,8 +28,10 @@ use ecgrid::{Ecgrid, EcgridConfig};
 use gaf::{GafConfig, GafProto};
 use grid_routing::{GridConfig, GridProto};
 use manet::progress::ProgressProbe;
+use manet::trace::{EventSink, TraceMode};
 use manet::{
-    Battery, FlowSet, FlowSpec, GroupStats, HostSetup, NodeId, PowerProfile, SimTime, World, WorldConfig,
+    Battery, FlowSet, FlowSpec, GroupStats, HostSetup, NodeId, PowerProfile, Protocol, SimDuration, SimTime,
+    World, WorldConfig,
 };
 use mobility::{
     Convoy, GaussMarkov, HotspotConvergence, ManhattanGrid, MobilityModel, MobilityTrace, RandomWalk,
@@ -207,7 +211,7 @@ fn group_shared(
 /// group order, carrying the group's battery, range, GPS error bound, and
 /// group index.  Span hosts carry no GPS (the protocol is not
 /// location-aware).
-pub fn build_hosts(spec: &ScenarioSpec, protocol: ProtocolKind, horizon: SimTime) -> Vec<HostSetup> {
+fn build_hosts(spec: &ScenarioSpec, protocol: ProtocolKind, horizon: SimTime) -> Vec<HostSetup> {
     let rngs = RngFactory::new(spec.seed);
     let profile = if protocol == ProtocolKind::Span {
         PowerProfile::paper_no_gps()
@@ -242,7 +246,7 @@ pub fn build_hosts(spec: &ScenarioSpec, protocol: ProtocolKind, horizon: SimTime
 /// Sources are hosts in source-eligible groups, sinks in sink-eligible
 /// groups (`peer` and `endpoint` are both); the parser guarantees a
 /// non-degenerate pool whenever `flows > 0`.
-pub fn build_flows(spec: &ScenarioSpec, end: SimTime) -> FlowSet {
+fn build_flows(spec: &ScenarioSpec, end: SimTime) -> FlowSet {
     let rngs = RngFactory::new(spec.seed);
     let mut srcs = Vec::new();
     let mut dsts = Vec::new();
@@ -345,8 +349,12 @@ fn group_reports(
     reports
 }
 
-/// The world configuration `opts` selects for `spec`.
-fn world_config(spec: &ScenarioSpec, opts: &RunOptions) -> WorldConfig {
+/// The world configuration `opts` selects for `spec`: its field and
+/// cells, the fleet's widest radio, the fault plan keyed on the scenario
+/// seed, the watchdog budget and the engine.  A caller that studies the
+/// world's own constants (the ablations) adjusts the returned config
+/// before handing it to [`fleet_world`].
+pub fn world_config(spec: &ScenarioSpec, opts: &RunOptions) -> WorldConfig {
     // the effective fault seed folds the scenario seed in, so replicas of
     // the same plan see different (but each fully deterministic) faults
     let faults = opts
@@ -375,6 +383,27 @@ fn world_config(spec: &ScenarioSpec, opts: &RunOptions) -> WorldConfig {
     cfg
 }
 
+/// Build `spec`'s fleet under `protocol` — its hosts, its flows and the
+/// world over them, `make` constructing each host's protocol instance —
+/// ready to run to `spec.duration_s`; tracing, probes and the run are
+/// the caller's.  Every world built from a scenario comes from here.
+pub fn fleet_world<P: Protocol>(
+    spec: &ScenarioSpec,
+    protocol: ProtocolKind,
+    cfg: WorldConfig,
+    make: impl FnMut(NodeId) -> P + 'static,
+) -> World<P> {
+    let end = SimTime::from_secs_f64(spec.duration_s);
+    // traces must outlive the run comfortably
+    let horizon = end + SimDuration::from_secs(10);
+    World::new(
+        cfg,
+        build_hosts(spec, protocol, horizon),
+        build_flows(spec, end),
+        make,
+    )
+}
+
 /// Run a parsed scenario file under `protocol`.  See module docs for the
 /// determinism contract.
 pub fn run_spec(spec: &ScenarioSpec, protocol: ProtocolKind, opts: RunOptions) -> ScenarioResult {
@@ -392,21 +421,16 @@ pub fn run_fleet(
     protocol: ProtocolKind,
     opts: RunOptions,
     probe: Option<Arc<ProgressProbe>>,
-    sink: Option<manet::trace::EventSink>,
+    sink: Option<EventSink>,
 ) -> ScenarioResult {
-    let end = SimTime::from_secs_f64(spec.duration_s);
-    // traces must outlive the run comfortably
-    let horizon = end + sim_engine::SimDuration::from_secs(10);
     let cfg = world_config(spec, &opts);
-
-    let hosts = build_hosts(spec, protocol, horizon);
-    let flows = build_flows(spec, end);
-    // flow -> source-host group, for per-group delivery attribution
-    let flow_group: HashMap<u32, u16> = flows
-        .flows()
-        .iter()
-        .filter_map(|f| spec.group_of_host(f.src.0 as usize).map(|g| (f.id.0, g as u16)))
-        .collect();
+    let run = Run {
+        spec,
+        protocol,
+        trace: opts.trace,
+        probe,
+        sink,
+    };
     // endpoint-role hosts run the endpoint protocol variant under
     // GAF/Span (Model 1); Grid/ECGRID have no such variant — an endpoint
     // group there is simply an infinite-battery peer
@@ -415,73 +439,82 @@ pub fn run_fleet(
         .iter()
         .flat_map(|g| std::iter::repeat_n(g.role == Role::Endpoint, g.count))
         .collect();
-
-    macro_rules! run_world {
-        ($world:expr) => {{
-            let mut world = $world;
-            match (opts.trace, sink) {
-                (Some(mode), Some(s)) => world.enable_trace_with_sink(mode, s),
-                (Some(mode), None) => world.enable_trace(mode),
-                (None, _) => {}
+    match protocol {
+        ProtocolKind::Grid => run.finish(fleet_world(spec, protocol, cfg, |id| {
+            GridProto::new(GridConfig::default(), id)
+        })),
+        ProtocolKind::Ecgrid => run.finish(fleet_world(spec, protocol, cfg, |id| {
+            Ecgrid::new(EcgridConfig::default(), id)
+        })),
+        ProtocolKind::Gaf => run.finish(fleet_world(spec, protocol, cfg, move |id| {
+            if is_endpoint[id.index()] {
+                GafProto::endpoint(GafConfig::default(), id)
+            } else {
+                GafProto::new(GafConfig::default(), id)
             }
-            if let Some(p) = probe {
-                world.attach_probe(p);
+        })),
+        ProtocolKind::Span => run.finish(fleet_world(spec, protocol, cfg, move |id| {
+            if is_endpoint[id.index()] {
+                SpanProto::endpoint(SpanConfig::default(), id)
+            } else {
+                SpanProto::new(SpanConfig::default(), id)
             }
-            let out = world.run_until(end);
-            let gstats = world.group_stats();
-            let recorder = world.take_recorder();
-            (out, gstats, recorder)
-        }};
+        })),
     }
-    let (out, gstats, recorder) = match protocol {
-        ProtocolKind::Grid => {
-            run_world!(World::new(cfg, hosts, flows, |id| GridProto::new(
-                GridConfig::default(),
-                id
-            )))
+}
+
+/// What [`run_fleet`] hands every built world, whatever its protocol.
+struct Run<'a> {
+    spec: &'a ScenarioSpec,
+    protocol: ProtocolKind,
+    trace: Option<TraceMode>,
+    probe: Option<Arc<ProgressProbe>>,
+    sink: Option<EventSink>,
+}
+
+impl Run<'_> {
+    /// Trace, probe and run `world` to the end of the spec, and read the
+    /// result off it.
+    fn finish<P: Protocol>(self, mut world: World<P>) -> ScenarioResult {
+        let spec = self.spec;
+        // flow -> source-host group, for per-group delivery attribution
+        let flow_group: HashMap<u32, u16> = world
+            .flows()
+            .iter()
+            .filter_map(|f| spec.group_of_host(f.src.0 as usize).map(|g| (f.id.0, g as u16)))
+            .collect();
+        match (self.trace, self.sink) {
+            (Some(mode), Some(s)) => world.enable_trace_with_sink(mode, s),
+            (Some(mode), None) => world.enable_trace(mode),
+            (None, _) => {}
         }
-        ProtocolKind::Ecgrid => {
-            run_world!(World::new(cfg, hosts, flows, |id| Ecgrid::new(
-                EcgridConfig::default(),
-                id
-            )))
+        if let Some(p) = self.probe {
+            world.attach_probe(p);
         }
-        ProtocolKind::Gaf => {
-            run_world!(World::new(cfg, hosts, flows, move |id| {
-                if is_endpoint[id.index()] {
-                    GafProto::endpoint(GafConfig::default(), id)
-                } else {
-                    GafProto::new(GafConfig::default(), id)
-                }
-            }))
+        let out = world.run_until(SimTime::from_secs_f64(spec.duration_s));
+        let gstats = world.group_stats();
+        let recorder = world.take_recorder();
+        // free the world before the ledger's early copy below, so the
+        // copy never stacks on a live world's heap
+        drop(world);
+        let cutoff = SimTime::from_secs(590);
+        let early = out.ledger.before(cutoff);
+        ScenarioResult {
+            scenario: representative(spec, self.protocol),
+            groups: group_reports(spec, &gstats, &out.ledger, &flow_group),
+            pdr: out.ledger.delivery_rate(),
+            latency_ms: out.ledger.mean_latency_ms(),
+            pdr_590: early.delivery_rate(),
+            latency_ms_590: early.mean_latency_ms(),
+            network_death_s: out.alive.first_time_at_or_below(0.0),
+            alive: out.alive,
+            aen: out.aen,
+            ledger: out.ledger,
+            stats: out.stats,
+            trace_digest: recorder.as_ref().map(|r| r.digest()),
+            recorder,
+            budget_exceeded: out.budget_exceeded,
         }
-        ProtocolKind::Span => {
-            run_world!(World::new(cfg, hosts, flows, move |id| {
-                if is_endpoint[id.index()] {
-                    SpanProto::endpoint(SpanConfig::default(), id)
-                } else {
-                    SpanProto::new(SpanConfig::default(), id)
-                }
-            }))
-        }
-    };
-    let cutoff = SimTime::from_secs(590);
-    let early = out.ledger.before(cutoff);
-    ScenarioResult {
-        scenario: representative(spec, protocol),
-        groups: group_reports(spec, &gstats, &out.ledger, &flow_group),
-        pdr: out.ledger.delivery_rate(),
-        latency_ms: out.ledger.mean_latency_ms(),
-        pdr_590: early.delivery_rate(),
-        latency_ms_590: early.mean_latency_ms(),
-        network_death_s: out.alive.first_time_at_or_below(0.0),
-        alive: out.alive,
-        aen: out.aen,
-        ledger: out.ledger,
-        stats: out.stats,
-        trace_digest: recorder.as_ref().map(|r| r.digest()),
-        recorder,
-        budget_exceeded: out.budget_exceeded,
     }
 }
 
@@ -630,7 +663,7 @@ rate_pps = 1.0
     /// Run the golden fleet with protocol instances in reach: the trace
     /// digest (to tie the run to its committed fixture) and the per-host
     /// counters `counters` extracts, summed over hosts.
-    fn golden_counters<P: manet::Protocol>(
+    fn golden_counters<P: Protocol>(
         protocol: ProtocolKind,
         faulted: bool,
         make: impl FnMut(NodeId) -> P + 'static,
@@ -641,16 +674,9 @@ rate_pps = 1.0
         if faulted {
             opts = opts.with_faults(manet::FaultPlan::parse(GOLDEN_PLAN).unwrap());
         }
-        let end = SimTime::from_secs_f64(spec.duration_s);
-        let horizon = end + sim_engine::SimDuration::from_secs(10);
-        let mut world = World::new(
-            world_config(&spec, &opts),
-            build_hosts(&spec, protocol, horizon),
-            build_flows(&spec, end),
-            make,
-        );
-        world.enable_trace(manet::trace::TraceMode::DigestOnly);
-        world.run_until(end);
+        let mut world = fleet_world(&spec, protocol, world_config(&spec, &opts), make);
+        world.enable_trace(TraceMode::DigestOnly);
+        world.run_until(SimTime::from_secs_f64(spec.duration_s));
         let mut sum = [0u64; 8];
         for i in 0..spec.total_hosts() {
             let c = counters(world.protocol(NodeId(i as u32)));

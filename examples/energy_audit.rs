@@ -6,8 +6,8 @@
 //! cargo run --release --example energy_audit
 //! ```
 
-use ecgrid_suite::manet::{EnergyAudit, NodeId};
-use ecgrid_suite::runner::{ProtocolKind, Scenario};
+use ecgrid_suite::manet::EnergyAudit;
+use ecgrid_suite::runner::{run_spec, ProtocolKind, RunOptions, Scenario};
 
 fn main() {
     println!("== energy audit: 60 hosts, 1 m/s, 5 flows, 400 s ==\n");
@@ -28,10 +28,12 @@ fn main() {
             seed: 77,
             model1_endpoints: 5,
         };
-        // run_scenario returns aggregated metrics only; build the world by
-        // hand for per-node audits — the runner's internals are public for
-        // exactly this kind of analysis
-        let audit = audit_run(&sc);
+        // the first group holds the finite-battery hosts (GAF and Span add
+        // an infinite-battery endpoint group after it); its audit is their
+        // per-mode sum
+        let r = run_spec(&sc.to_spec(), p, RunOptions::default());
+        let fleet = &r.groups[0].stats;
+        let audit = per_host(&fleet.audit, f64::from(fleet.finite));
         println!(
             "{:>8} {:>9.1} {:>9.1} {:>9.1} {:>9.1} {:>9.1} | {:>10.0} {:>11.1}",
             p.name(),
@@ -51,118 +53,17 @@ fn main() {
     println!("frame in range, which is why HELLO beacons show up here.");
 }
 
-/// Run one scenario and sum the finite-battery hosts' audits.
-fn audit_run(sc: &Scenario) -> EnergyAudit {
-    use ecgrid_suite::ecgrid::{Ecgrid, EcgridConfig};
-    use ecgrid_suite::gaf::{GafConfig, GafProto};
-    use ecgrid_suite::grid_routing::{GridConfig, GridProto};
-    use ecgrid_suite::manet::{
-        Battery, FlowSet, FlowSpec, HostSetup, PowerProfile, SimTime, World, WorldConfig,
-    };
-    use ecgrid_suite::mobility::{MobilityModel, RandomWaypoint};
-    use ecgrid_suite::sim_engine::{RngFactory, SimDuration};
-    use ecgrid_suite::span::{SpanConfig, SpanProto};
-
-    let end = SimTime::from_secs_f64(sc.duration_secs);
-    let horizon = end + SimDuration::from_secs(10);
-    let rngs = RngFactory::new(sc.seed);
-    let model = RandomWaypoint::paper(sc.max_speed, sc.pause_secs);
-    let model2 = matches!(sc.protocol, ProtocolKind::Grid | ProtocolKind::Ecgrid);
-    let total = if model2 {
-        sc.n_hosts
-    } else {
-        sc.n_hosts + sc.model1_endpoints
-    };
-    let profile = if sc.protocol == ProtocolKind::Span {
-        PowerProfile::paper_no_gps()
-    } else {
-        PowerProfile::paper_default()
-    };
-    let hosts: Vec<HostSetup> = (0..total)
-        .map(|i| HostSetup {
-            profile,
-            battery: if i < sc.n_hosts {
-                Battery::paper_default()
-            } else {
-                Battery::infinite()
-            },
-            ..HostSetup::paper(model.build_trace(&mut rngs.stream("mobility", i as u64), horizon))
-        })
-        .collect();
-    let endpoints: Vec<NodeId> = if model2 {
-        (0..sc.n_hosts as u32).map(NodeId).collect()
-    } else {
-        (sc.n_hosts as u32..total as u32).map(NodeId).collect()
-    };
-    let spec = FlowSpec {
-        n_flows: sc.n_flows,
-        packet_bytes: 512,
-        rate_pps: sc.flow_rate_pps,
-        start: SimTime::from_secs(5),
-        stop: end,
-        stagger: true,
-    };
-    let flows = FlowSet::random(&mut rngs.stream("traffic", 0), &endpoints, &spec);
-    let cfg = WorldConfig::paper_default(sc.seed);
-    let n = sc.n_hosts;
-
-    let audits: Vec<EnergyAudit> = match sc.protocol {
-        ProtocolKind::Grid => {
-            let mut w = World::new(cfg, hosts, flows, |id| GridProto::new(GridConfig::default(), id));
-            w.run_until(end);
-            (0..n as u32).map(|i| w.node_energy_audit(NodeId(i))).collect()
-        }
-        ProtocolKind::Ecgrid => {
-            let mut w = World::new(cfg, hosts, flows, |id| Ecgrid::new(EcgridConfig::default(), id));
-            w.run_until(end);
-            (0..n as u32).map(|i| w.node_energy_audit(NodeId(i))).collect()
-        }
-        ProtocolKind::Gaf => {
-            let mut w = World::new(cfg, hosts, flows, move |id| {
-                if id.index() < n {
-                    GafProto::new(GafConfig::default(), id)
-                } else {
-                    GafProto::endpoint(GafConfig::default(), id)
-                }
-            });
-            w.run_until(end);
-            (0..n as u32).map(|i| w.node_energy_audit(NodeId(i))).collect()
-        }
-        ProtocolKind::Span => {
-            let mut w = World::new(cfg, hosts, flows, move |id| {
-                if id.index() < n {
-                    SpanProto::new(SpanConfig::default(), id)
-                } else {
-                    SpanProto::endpoint(SpanConfig::default(), id)
-                }
-            });
-            w.run_until(end);
-            (0..n as u32).map(|i| w.node_energy_audit(NodeId(i))).collect()
-        }
-    };
-
-    let mut sum = EnergyAudit::default();
-    let count = audits.len() as f64;
-    for a in audits {
-        sum.tx_secs += a.tx_secs;
-        sum.rx_secs += a.rx_secs;
-        sum.idle_secs += a.idle_secs;
-        sum.sleep_secs += a.sleep_secs;
-        sum.tx_j += a.tx_j;
-        sum.rx_j += a.rx_j;
-        sum.idle_j += a.idle_j;
-        sum.sleep_j += a.sleep_j;
-        sum.direct_j += a.direct_j;
+/// The per-host mean of a sum of `hosts` audits.
+fn per_host(sum: &EnergyAudit, hosts: f64) -> EnergyAudit {
+    EnergyAudit {
+        tx_secs: sum.tx_secs / hosts,
+        rx_secs: sum.rx_secs / hosts,
+        idle_secs: sum.idle_secs / hosts,
+        sleep_secs: sum.sleep_secs / hosts,
+        tx_j: sum.tx_j / hosts,
+        rx_j: sum.rx_j / hosts,
+        idle_j: sum.idle_j / hosts,
+        sleep_j: sum.sleep_j / hosts,
+        direct_j: sum.direct_j / hosts,
     }
-    // report the per-host mean
-    sum.tx_secs /= count;
-    sum.rx_secs /= count;
-    sum.idle_secs /= count;
-    sum.sleep_secs /= count;
-    sum.tx_j /= count;
-    sum.rx_j /= count;
-    sum.idle_j /= count;
-    sum.sleep_j /= count;
-    sum.direct_j /= count;
-    sum
 }

@@ -1,6 +1,7 @@
 //! Shared helpers for the integration suites: the golden scenario, its
-//! chaos plan and its fixture reader (`golden_trace` and the equivalence
-//! suites), and the stateful trace-invariant checker, used in
+//! chaos plan, its fixture reader (`golden_trace` and the equivalence
+//! suites) and the fixture checker both golden suites compare with, and
+//! the stateful trace-invariant checker, used in
 //! [`Chaos::Forbidden`] mode by `trace_invariants` (a fault-free run must
 //! not even contain fault events) and in [`Chaos::Expected`] mode by
 //! `chaos_invariants` (faults are part of the scenario, and the checker
@@ -15,7 +16,7 @@ use energy::{EnergyLevel, RadioMode};
 use geo::GridCoord;
 use sim_engine::{SimDuration, SimTime};
 use std::collections::{HashMap, HashSet};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// The canonical golden scenario: small enough to run in seconds in debug
 /// builds, busy enough to exercise MAC contention, gateway churn, paging and
@@ -52,6 +53,27 @@ pub fn read_fixture(name: &str) -> TraceDigest {
     let text =
         std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("missing fixture {}: {e}", path.display()));
     TraceDigest::parse(&text).unwrap_or_else(|| panic!("unparseable fixture {}", path.display()))
+}
+
+/// Compare `got` with the digest fixture at `path` and push a
+/// human-readable line into `mismatches` on drift; under `UPDATE_GOLDEN`,
+/// rewrite the fixture instead.
+pub fn check_fixture(label: &str, path: &Path, got: TraceDigest, mismatches: &mut Vec<String>) {
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        std::fs::write(path, format!("{got}\n")).unwrap();
+        return;
+    }
+    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
+        panic!(
+            "missing fixture {} ({e}); run with UPDATE_GOLDEN=1",
+            path.display()
+        )
+    });
+    let want = TraceDigest::parse(&text).unwrap_or_else(|| panic!("unparseable fixture {}", path.display()));
+    if got != want {
+        mismatches.push(format!("{label}: fixture {want}, run produced {got}"));
+    }
 }
 
 /// How the checker treats events only a fault plan can produce.

@@ -25,10 +25,8 @@
 use ecgrid_suite::manet::trace::TraceMode;
 use ecgrid_suite::manet::{Backend, FaultPlan};
 use ecgrid_suite::runner::{run_replicas, run_scenario_with, ProtocolKind, RunOptions};
-use std::path::PathBuf;
-
 mod common;
-use common::{fixture_path, golden, golden_plan};
+use common::{check_fixture, fixture_path, golden, golden_plan};
 
 const GOLDEN_PROTOCOLS: [ProtocolKind; 4] = [
     ProtocolKind::Ecgrid,
@@ -104,32 +102,6 @@ fn full_trace_mode_digests_like_digest_only() {
     let rec = full.recorder.expect("full trace kept");
     assert_eq!(rec.count() as usize, rec.events().len());
     assert!(rec.count() > 0);
-}
-
-/// Compare (or, under UPDATE_GOLDEN, rewrite) one digest fixture; push a
-/// human-readable line into `mismatches` on drift.
-fn check_fixture(
-    label: &str,
-    path: &PathBuf,
-    got: ecgrid_suite::trace::TraceDigest,
-    mismatches: &mut Vec<String>,
-) {
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(path, format!("{got}\n")).unwrap();
-        return;
-    }
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        panic!(
-            "missing fixture {} ({e}); run with UPDATE_GOLDEN=1",
-            path.display()
-        )
-    });
-    let want = ecgrid_suite::trace::TraceDigest::parse(&text)
-        .unwrap_or_else(|| panic!("unparseable fixture {}", path.display()));
-    if got != want {
-        mismatches.push(format!("{label}: fixture {want}, run produced {got}"));
-    }
 }
 
 #[test]

@@ -16,11 +16,12 @@
 //! the world is measured.  Run with `--nocapture` to see the tables.
 
 use ecgrid_suite::ecgrid::{Ecgrid, EcgridConfig};
-use ecgrid_suite::geo::GridMap;
-use ecgrid_suite::manet::{FlowSet, HostSetup, World, WorldConfig};
-use ecgrid_suite::mobility::{MobilityModel, RandomWaypoint};
+use ecgrid_suite::manet::{NodeId, World};
 use ecgrid_suite::radio::CellIndex;
-use ecgrid_suite::sim_engine::{RngFactory, SimTime};
+use ecgrid_suite::runner::spec_run::{fleet_world, world_config};
+use ecgrid_suite::runner::{ProtocolKind, RunOptions, Scenario};
+use ecgrid_suite::scenario::ScenarioSpec;
+use ecgrid_suite::sim_engine::SimTime;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicIsize, AtomicUsize, Ordering::Relaxed};
 
@@ -143,31 +144,24 @@ impl Heap {
     }
 }
 
-/// `scale_5k`'s fleet at [`HOSTS`] hosts, built from public pieces.
-fn fleet() -> (WorldConfig, Vec<HostSetup>) {
+/// `scale_5k`'s fleet at [`HOSTS`] hosts: the paper's fleet on a square
+/// field grown to keep its density, no flows, built to run for 2 s.
+fn fleet() -> ScenarioSpec {
+    let mut spec = Scenario {
+        n_hosts: HOSTS,
+        n_flows: 0,
+        duration_secs: 2.0,
+        ..Scenario::paper_base(ProtocolKind::Ecgrid, 1.0, SEED)
+    }
+    .to_spec();
     let side = 1000.0 * (HOSTS as f64 / 100.0).sqrt();
-    let waypoint = RandomWaypoint {
-        field_w: side,
-        field_h: side,
-        max_speed: 1.0,
-        min_speed: 0.01,
-        pause_secs: 0.0,
-    };
-    let rngs = RngFactory::new(SEED);
-    let horizon = SimTime::from_secs(12);
-    let hosts: Vec<HostSetup> = (0..HOSTS)
-        .map(|i| HostSetup::paper(waypoint.build_trace(&mut rngs.stream("mobility", i as u64), horizon)))
-        .collect();
-    let cfg = WorldConfig {
-        grid: GridMap::new(side, side, 100.0),
-        ..WorldConfig::paper_default(SEED)
-    };
-    (cfg, hosts)
+    (spec.field_w, spec.field_h) = (side, side);
+    spec
 }
 
-fn build() -> World<Ecgrid> {
-    let (cfg, hosts) = fleet();
-    World::new(cfg, hosts, FlowSet::new(Vec::new()), |id| {
+fn build(spec: &ScenarioSpec) -> World<Ecgrid> {
+    let cfg = world_config(spec, &RunOptions::default());
+    fleet_world(spec, ProtocolKind::Ecgrid, cfg, |id| {
         Ecgrid::new(EcgridConfig::default(), id)
     })
 }
@@ -182,11 +176,12 @@ const RUN_BOUND: f64 = 2277.0;
 
 #[test]
 fn a_fresh_and_a_run_world_hold_only_what_their_hosts_use() {
+    let spec = fleet();
     // lazy one-time allocations (stdio, thread-locals) happen here
-    drop(build());
+    drop(build(&spec));
 
     let base = Heap::now();
-    let mut world = build();
+    let mut world = build(&spec);
     let fresh = Heap::now();
     drop(world.run_until(SimTime::from_secs(2)));
     let run = Heap::now();
@@ -200,18 +195,18 @@ fn a_fresh_and_a_run_world_hold_only_what_their_hosts_use() {
     );
     drop(world);
 
-    let (cfg, hosts) = fleet();
-    let cells: Vec<_> = hosts
-        .iter()
-        .map(|h| cfg.grid.cell_of(h.trace.position_at(SimTime::ZERO)))
-        .collect();
+    let grid = world_config(&spec, &RunOptions::default()).grid;
+    let cells: Vec<_> = {
+        let fresh = build(&spec);
+        (0..HOSTS as u32).map(|i| fresh.node_cell(NodeId(i))).collect()
+    };
     let before = Heap::now();
-    let index = CellIndex::new(cfg.grid.cells_x(), cfg.grid.cells_y(), &cells);
+    let index = CellIndex::new(grid.cells_x(), grid.cells_y(), &cells);
     let after = Heap::now();
     println!(
         "of which the cell index ({}x{} cells): {:.1} B/host\n{}",
-        cfg.grid.cells_x(),
-        cfg.grid.cells_y(),
+        grid.cells_x(),
+        grid.cells_y(),
         after.per_host_over(&before),
         after.delta_table(&before)
     );

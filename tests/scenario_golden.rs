@@ -22,6 +22,9 @@ use ecgrid_suite::scenario::{self, ScenarioSpec};
 use ecgrid_suite::trace::TraceDigest;
 use std::path::PathBuf;
 
+mod common;
+use common::{check_fixture, golden, golden_plan};
+
 /// Every committed scenario example, by file stem.  Keep in sync with
 /// `examples/*.scn` — `every_committed_example_has_a_fixture` fails if a
 /// new example lands without joining this matrix.
@@ -49,24 +52,6 @@ fn fixture_path(stem: &str, p: ProtocolKind) -> PathBuf {
 
 fn digest_of(spec: &ScenarioSpec, p: ProtocolKind, opts: RunOptions) -> TraceDigest {
     run_spec(spec, p, opts).trace_digest.expect("tracing was enabled")
-}
-
-fn check_fixture(label: &str, path: &PathBuf, got: TraceDigest, mismatches: &mut Vec<String>) {
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(path, format!("{got}\n")).unwrap();
-        return;
-    }
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        panic!(
-            "missing fixture {} ({e}); run with UPDATE_GOLDEN=1",
-            path.display()
-        )
-    });
-    let want = TraceDigest::parse(&text).unwrap_or_else(|| panic!("unparseable fixture {}", path.display()));
-    if got != want {
-        mismatches.push(format!("{label}: fixture {want}, run produced {got}"));
-    }
 }
 
 #[test]
@@ -186,5 +171,53 @@ fn distinct_families_produce_distinct_digests() {
             assert_ne!(d, *prev, "{stem} and {other} digested identically");
         }
         seen.push((stem.to_string(), d));
+    }
+}
+
+#[test]
+fn every_group_audit_accounts_for_its_consumption() {
+    // the per-group half of the energy identity: a group's per-mode audit
+    // sums to what its finite-battery hosts consumed, and no mode's time
+    // is negative — over the golden fleets, fault-free and under the
+    // golden plan, and over one scenario file's heterogeneous groups
+    let mut runs = Vec::new();
+    for p in ProtocolKind::ALL_EXT {
+        let spec = golden(p).to_spec();
+        runs.push((
+            format!("golden {}", p.name()),
+            run_spec(&spec, p, RunOptions::default()),
+        ));
+        let faulted = RunOptions::default().with_faults(golden_plan());
+        runs.push((
+            format!("golden {} faulted", p.name()),
+            run_spec(&spec, p, faulted),
+        ));
+    }
+    let spec = load("many_to_one");
+    for p in PROTOCOLS {
+        runs.push((
+            format!("many_to_one {}", p.name()),
+            run_spec(&spec, p, RunOptions::default()),
+        ));
+    }
+    for (label, r) in &runs {
+        for g in &r.groups {
+            let (audit, consumed) = (g.stats.audit, g.stats.consumed_j);
+            assert!(
+                (audit.total_j() - consumed).abs() <= 1e-9 * consumed.abs(),
+                "{label}/{}: audit {} J against {consumed} J consumed",
+                g.name,
+                audit.total_j()
+            );
+            for (mode, secs) in [
+                ("tx", audit.tx_secs),
+                ("rx", audit.rx_secs),
+                ("idle", audit.idle_secs),
+                ("sleep", audit.sleep_secs),
+            ] {
+                assert!(secs >= 0.0, "{label}/{}: {mode} time {secs} s", g.name);
+            }
+        }
+        assert!(r.groups[0].stats.consumed_j > 0.0, "{label}: nothing consumed");
     }
 }

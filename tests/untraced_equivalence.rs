@@ -9,21 +9,22 @@
 //! energy and alive flag — between `trace: None` and
 //! [`TraceMode::DigestOnly`], with every float compared by its bits.
 //!
-//! Two configurations, each under ECGRID and GRID:
+//! Each world is built as the product builds it (`spec_run::fleet_world`
+//! over `world_config`, so the fault plan is keyed on the scenario seed
+//! as in every run).  Two configurations, each under ECGRID and GRID:
 //! * small batteries, so hosts cross every level class and die mid-run
 //!   (a death is the one thing an untraced touch commits);
 //! * the same under a fault plan with loss, churn, sudden drains and GPS
 //!   error, plus a per-host GPS error bound from the scenario.
 
 use ecgrid_suite::ecgrid::{Ecgrid, EcgridConfig};
-use ecgrid_suite::geo::GridMap;
 use ecgrid_suite::grid_routing::{GridConfig, GridProto};
-use ecgrid_suite::manet::{FaultPlan, NodeId, Protocol, TraceMode, World, WorldConfig, WorldStats};
+use ecgrid_suite::manet::{FaultPlan, NodeId, Protocol, TraceMode, WorldStats};
 use ecgrid_suite::metrics::{PacketLedger, TimeSeries};
-use ecgrid_suite::runner::spec_run::{build_flows, build_hosts};
-use ecgrid_suite::runner::{ProtocolKind, Scenario};
+use ecgrid_suite::runner::spec_run::{fleet_world, world_config};
+use ecgrid_suite::runner::{ProtocolKind, RunOptions, Scenario};
 use ecgrid_suite::scenario::ScenarioSpec;
-use ecgrid_suite::sim_engine::{SimDuration, SimTime};
+use ecgrid_suite::sim_engine::SimTime;
 
 mod common;
 use common::golden;
@@ -70,17 +71,12 @@ fn run<P: Protocol>(
     trace: Option<TraceMode>,
     factory: fn(NodeId) -> P,
 ) -> Outcome {
-    let end = SimTime::from_secs_f64(spec.duration_s);
-    let horizon = end + SimDuration::from_secs(10);
-    let mut cfg = WorldConfig::paper_default(spec.seed).with_faults(faults.with_seed(spec.seed));
-    cfg.grid = GridMap::new(spec.field_w, spec.field_h, spec.cell_side);
-    let hosts = build_hosts(spec, protocol, horizon);
-    let flows = build_flows(spec, end);
-    let mut world = World::new(cfg, hosts, flows, factory);
+    let cfg = world_config(spec, &RunOptions::default().with_faults(faults));
+    let mut world = fleet_world(spec, protocol, cfg, factory);
     if let Some(mode) = trace {
         world.enable_trace(mode);
     }
-    let out = world.run_until(end);
+    let out = world.run_until(SimTime::from_secs_f64(spec.duration_s));
     assert_eq!(world.trace_digest().is_some(), trace.is_some());
     let hosts = (0..world.node_count() as u32)
         .map(NodeId)
