@@ -16,9 +16,15 @@
 //! UPDATE_GOLDEN=1 cargo test --test scenario_golden
 //! ```
 
-use ecgrid_suite::manet::Backend;
+use ecgrid_suite::ecgrid::{Ecgrid, EcgridConfig};
+use ecgrid_suite::gaf::{GafConfig, GafProto};
+use ecgrid_suite::grid_routing::{GridConfig, GridProto};
+use ecgrid_suite::manet::{Backend, NodeId, Protocol, World};
+use ecgrid_suite::runner::spec_run::{fleet_world, world_config};
 use ecgrid_suite::runner::{run_spec, ProtocolKind, RunOptions};
-use ecgrid_suite::scenario::{self, ScenarioSpec};
+use ecgrid_suite::scenario::{self, Role, ScenarioSpec};
+use ecgrid_suite::sim_engine::SimTime;
+use ecgrid_suite::span::{SpanConfig, SpanProto};
 use ecgrid_suite::trace::TraceDigest;
 use std::path::PathBuf;
 
@@ -219,5 +225,107 @@ fn every_group_audit_accounts_for_its_consumption() {
             }
         }
         assert!(r.groups[0].stats.consumed_j > 0.0, "{label}: nothing consumed");
+    }
+}
+
+/// Run `spec`'s fleet to its end under `opts` and check the per-host
+/// half of the energy identity on every host: a finite battery's audit
+/// sums to what it consumed and consumption stays within its capacity,
+/// no mode's time is negative, and an infinite-battery host never dies
+/// and reports a full R_brc.  Returns how many hosts ran on an infinite
+/// battery.
+fn check_every_host<P: Protocol>(
+    label: &str,
+    spec: &ScenarioSpec,
+    protocol: ProtocolKind,
+    opts: &RunOptions,
+    make: impl FnMut(NodeId) -> P + 'static,
+) -> usize {
+    let mut w: World<P> = fleet_world(spec, protocol, world_config(spec, opts), make);
+    w.run_until(SimTime::from_secs_f64(spec.duration_s));
+    let capacities = spec.groups.iter().flat_map(|g| {
+        // without variance every host of a group gets its nominal battery
+        assert_eq!(g.battery_var, 0.0, "{label}/{}: capacities are nominal", g.name);
+        std::iter::repeat_n(g.battery_j, g.count)
+    });
+    let mut finite = 0;
+    for (i, capacity) in capacities.enumerate() {
+        let id = NodeId(i as u32);
+        let (audit, consumed) = (w.node_energy_audit(id), w.node_consumed_j(id));
+        for (mode, secs) in [
+            ("tx", audit.tx_secs),
+            ("rx", audit.rx_secs),
+            ("idle", audit.idle_secs),
+            ("sleep", audit.sleep_secs),
+        ] {
+            assert!(secs >= 0.0, "{label}/host {i}: {mode} time {secs} s");
+        }
+        match capacity {
+            Some(cap) => {
+                finite += 1;
+                assert!(
+                    (audit.total_j() - consumed).abs() <= 1e-9 * consumed.abs(),
+                    "{label}/host {i}: audit {} J against {consumed} J consumed",
+                    audit.total_j()
+                );
+                assert!(
+                    consumed <= cap,
+                    "{label}/host {i}: consumed {consumed} J of a {cap} J battery"
+                );
+            }
+            None => {
+                assert!(w.node_alive(id), "{label}/host {i}: an infinite battery died");
+                assert_eq!(w.node_rbrc(id), 1.0, "{label}/host {i}: infinite R_brc");
+            }
+        }
+    }
+    assert!(finite > 0, "{label}: no finite battery checked");
+    w.node_count() - finite
+}
+
+#[test]
+fn every_host_audit_accounts_for_its_consumption() {
+    // the per-host half of the energy identity, over the golden fleets
+    // of all four protocols, fault-free and under the golden plan
+    for p in ProtocolKind::ALL_EXT {
+        let spec = golden(p).to_spec();
+        let endpoint: Vec<bool> = spec
+            .groups
+            .iter()
+            .flat_map(|g| std::iter::repeat_n(g.role == Role::Endpoint, g.count))
+            .collect();
+        let plain = RunOptions::default();
+        let faulted = RunOptions::default().with_faults(golden_plan());
+        assert_eq!(faulted.faults.battery_var, 0.0, "capacities are nominal");
+        for (tag, opts) in [("", &plain), (" faulted", &faulted)] {
+            let label = format!("golden {}{tag}", p.name());
+            let endpoint = endpoint.clone();
+            let infinite = match p {
+                ProtocolKind::Grid => check_every_host(&label, &spec, p, opts, |id| {
+                    GridProto::new(GridConfig::default(), id)
+                }),
+                ProtocolKind::Ecgrid => check_every_host(&label, &spec, p, opts, |id| {
+                    Ecgrid::new(EcgridConfig::default(), id)
+                }),
+                ProtocolKind::Gaf => check_every_host(&label, &spec, p, opts, move |id| {
+                    if endpoint[id.index()] {
+                        GafProto::endpoint(GafConfig::default(), id)
+                    } else {
+                        GafProto::new(GafConfig::default(), id)
+                    }
+                }),
+                ProtocolKind::Span => check_every_host(&label, &spec, p, opts, move |id| {
+                    if endpoint[id.index()] {
+                        SpanProto::endpoint(SpanConfig::default(), id)
+                    } else {
+                        SpanProto::new(SpanConfig::default(), id)
+                    }
+                }),
+            };
+            // Model 1: GAF and Span run their endpoints on infinite
+            // batteries, GRID and ECGRID meter every host
+            let model1 = matches!(p, ProtocolKind::Gaf | ProtocolKind::Span);
+            assert_eq!(infinite > 0, model1, "{label}: {infinite} infinite batteries");
+        }
     }
 }
