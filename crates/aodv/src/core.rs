@@ -1,12 +1,14 @@
 //! The AODV state machine as a pure core emitting actions.
 
+use manet::sim_engine::share;
 use manet::{AppPacket, NodeId, SimDuration, SimTime, WireSize};
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::sync::{Arc, LazyLock};
 
 const DATA_TTL: u8 = 32;
 
 /// AODV parameters.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct AodvConfig {
     /// Route lifetime (seconds).
     pub route_ttl: f64,
@@ -107,7 +109,7 @@ struct HostRoute {
 /// The AODV state machine for one host.
 pub struct AodvCore {
     pub(crate) me: NodeId,
-    cfg: AodvConfig,
+    cfg: Arc<AodvConfig>,
     /// Whether this host relays foreign traffic (Model-1 endpoints do not).
     pub forwards: bool,
     routes: HashMap<NodeId, HostRoute>,
@@ -122,9 +124,10 @@ pub struct AodvCore {
 
 impl AodvCore {
     pub fn new(cfg: AodvConfig, me: NodeId) -> Self {
+        static DEFAULT: LazyLock<Arc<AodvConfig>> = LazyLock::new(Arc::default);
         AodvCore {
             me,
-            cfg,
+            cfg: share(cfg, &DEFAULT),
             forwards: true,
             routes: HashMap::new(),
             seen: HashSet::new(),

@@ -9,7 +9,7 @@
 use grid_common::GridConfig;
 
 /// Tunable protocol constants (times in seconds).
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct EcgridConfig {
     /// The constants GRID and ECGRID share.
     pub grid: GridConfig,

@@ -3,12 +3,13 @@
 use crate::config::EcgridConfig;
 use crate::msg::{EcMsg, EcTimer};
 use grid_common::{elect_gateway, DataMsg, HelloInfo, RouteSnapshot, RoutingPlane, RoutingStats};
-use manet::sim_engine::IdMap;
+use manet::sim_engine::{share, IdMap};
 use manet::{
     AppPacket, Ctx, EnergyLevel, EventKind, FrameKind, GridCoord, NodeId, PageSignal, Protocol, SimTime,
 };
 use rand::Rng;
 use std::collections::VecDeque;
+use std::sync::{Arc, LazyLock};
 
 /// The host's role in its grid.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -65,9 +66,42 @@ impl HostEntry {
     }
 }
 
+/// A gateway's paging state: what it buffers for the sleeping hosts it
+/// paged, and how often each ignored a page.  Only gateways page, so the
+/// state is created by the first write and most hosts never hold it.
+#[derive(Default)]
+struct Paging {
+    /// Packets awaiting a paged local host.
+    pending_wake: IdMap<NodeId, VecDeque<DataMsg>>,
+    /// How many consecutive pages toward each sleeping host went
+    /// unanswered (any frame from the host clears its entry).
+    page_attempts: IdMap<NodeId, u32>,
+}
+
+impl Paging {
+    /// The paging state in `slot`, created on the first write.
+    fn of(slot: &mut Option<Box<Paging>>) -> &mut Paging {
+        slot.get_or_insert_with(Box::default)
+    }
+
+    /// Forget every page streak in `slot`.
+    fn clear_attempts(slot: &mut Option<Box<Paging>>) {
+        if let Some(p) = slot {
+            p.page_attempts.clear();
+        }
+    }
+
+    /// Forget `dst`'s page streak in `slot`.
+    fn forget(slot: &mut Option<Box<Paging>>, dst: NodeId) {
+        if let Some(p) = slot {
+            p.page_attempts.remove(&dst);
+        }
+    }
+}
+
 /// One ECGRID instance (one per host).
 pub struct Ecgrid {
-    cfg: EcgridConfig,
+    cfg: Arc<EcgridConfig>,
     me: NodeId,
     role: Role,
     /// The grid this host believes it is in (sleepers learn changes only
@@ -90,11 +124,8 @@ pub struct Ecgrid {
     quiet_epoch: u32,
     acq_epoch: u32,
     handoff_epoch: u32,
-    /// Gateway: packets awaiting a paged local host.
-    pending_wake: IdMap<NodeId, VecDeque<DataMsg>>,
-    /// Gateway: how many consecutive pages toward each sleeping host went
-    /// unanswered (any frame from the host clears its entry).
-    page_attempts: IdMap<NodeId, u32>,
+    /// Gateway: paged hosts' buffers and page streaks.
+    paging: Option<Box<Paging>>,
     /// When the current uninterrupted sleep began (orphan detection).
     sleep_since: SimTime,
     /// Member: own packets awaiting a confirmed gateway (ACQ handshake).
@@ -110,14 +141,15 @@ pub struct Ecgrid {
 
 impl Ecgrid {
     pub fn new(cfg: EcgridConfig, me: NodeId) -> Self {
+        static DEFAULT: LazyLock<Arc<EcgridConfig>> = LazyLock::new(Arc::default);
         Ecgrid {
-            cfg,
+            plane: RoutingPlane::new(&cfg.grid),
+            cfg: share(cfg, &DEFAULT),
             me,
             role: Role::Electing,
             my_grid: GridCoord::new(0, 0),
             gateway: None,
             level_at_election: EnergyLevel::Upper,
-            plane: RoutingPlane::new(&cfg.grid),
             host_table: IdMap::default(),
             candidates: Vec::new(),
             election_epoch: 0,
@@ -126,8 +158,7 @@ impl Ecgrid {
             quiet_epoch: 0,
             acq_epoch: 0,
             handoff_epoch: 0,
-            pending_wake: IdMap::default(),
-            page_attempts: IdMap::default(),
+            paging: None,
             sleep_since: SimTime::ZERO,
             pending_own: Vec::new(),
             awaiting_acq: false,
@@ -252,7 +283,7 @@ impl Ecgrid {
         self.last_gw_hello = ctx.now();
         self.handoff_epoch += 1;
         self.host_table.clear();
-        self.page_attempts.clear();
+        Paging::clear_attempts(&mut self.paging);
         self.arm_gateway_watch(ctx);
         self.arm_quiet_sleep(ctx);
         self.flush_pending_own(ctx);
@@ -351,7 +382,7 @@ impl Ecgrid {
     fn enter_grid(&mut self, ctx: &mut Ctx<'_, Self>, new: GridCoord) {
         self.my_grid = new;
         self.host_table.clear();
-        self.page_attempts.clear();
+        Paging::clear_attempts(&mut self.paging);
         self.gateway = None;
         self.role = Role::Electing;
         self.plane
@@ -410,7 +441,10 @@ impl Ecgrid {
                 ctx.unicast(d.dst, fwd.into());
             } else {
                 // paper §3.3: wake the sleeping destination, buffer, flush
-                let q = self.pending_wake.entry(d.dst).or_default();
+                let q = Paging::of(&mut self.paging)
+                    .pending_wake
+                    .entry(d.dst)
+                    .or_default();
                 if q.len() >= self.cfg.grid.buffer_cap {
                     q.pop_front();
                     self.plane.stats.data_dropped += 1;
@@ -433,7 +467,7 @@ impl Ecgrid {
     /// attempt 0 is the normal paper behaviour and attempts ≥ 1 are
     /// traced as [`EventKind::PageRetry`].
     fn start_page(&mut self, ctx: &mut Ctx<'_, Self>, dst: NodeId) {
-        let attempt = *self.page_attempts.entry(dst).or_insert(0);
+        let attempt = *Paging::of(&mut self.paging).page_attempts.entry(dst).or_insert(0);
         self.stats.pages_sent += 1;
         ctx.page_host(dst);
         let wait = self.cfg.forward_wake_wait * f64::from(1u32 << attempt.min(6));
@@ -606,8 +640,10 @@ impl Protocol for Ecgrid {
     fn on_frame(&mut self, ctx: &mut Ctx<'_, Self>, src: NodeId, _kind: FrameKind, msg: &EcMsg) {
         // any frame from a host proves it is awake: its page-failure
         // streak (if any) is over — and almost always nobody has one
-        if !self.page_attempts.is_empty() {
-            self.page_attempts.remove(&src);
+        if let Some(p) = &mut self.paging {
+            if !p.page_attempts.is_empty() {
+                p.page_attempts.remove(&src);
+            }
         }
         match msg {
             EcMsg::Hello(h) => self.on_hello(ctx, src, *h),
@@ -789,7 +825,7 @@ impl Protocol for Ecgrid {
                 // protocol for the new grid
             }
             EcTimer::ForwardBuffered { dst } => {
-                let Some(q) = self.pending_wake.remove(&dst) else {
+                let Some(q) = self.paging.as_mut().and_then(|p| p.pending_wake.remove(&dst)) else {
                     return;
                 };
                 if self.role != Role::Gateway {
@@ -945,10 +981,11 @@ impl Protocol for Ecgrid {
                         e.asleep = true;
                         // if a page preceded this failure it went
                         // unanswered — count it against the retry budget
-                        if let Some(attempts) = self.page_attempts.get_mut(&dst) {
+                        let attempts = self.paging.as_mut().and_then(|p| p.page_attempts.get_mut(&dst));
+                        if let Some(attempts) = attempts {
                             *attempts += 1;
                             if *attempts >= self.cfg.max_page_attempts {
-                                self.page_attempts.remove(&dst);
+                                Paging::forget(&mut self.paging, dst);
                                 self.host_table.remove(&dst);
                                 self.stats.page_gave_up += 1;
                                 self.plane.stats.data_dropped += 1;
@@ -965,7 +1002,7 @@ impl Protocol for Ecgrid {
                 self.plane.neighbors.forget_node(dst);
                 self.plane.routes.remove_via(dst);
                 self.host_table.remove(&dst);
-                self.page_attempts.remove(&dst);
+                Paging::forget(&mut self.paging, dst);
                 if Some(dst) == self.gateway && self.role == Role::Member {
                     // my own gateway vanished
                     self.pending_own.push((d.dst, d.packet));

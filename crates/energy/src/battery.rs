@@ -1,20 +1,23 @@
 //! Batteries: finite (500 J in the paper's evaluation) or infinite
 //! (Model 1's source/destination endpoints for GAF).
 
-/// A battery tracking consumed energy against an optional capacity.
+/// A battery tracking consumed energy against a capacity.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Battery {
-    /// `None` = infinite energy (Model 1 endpoints).
-    capacity_j: Option<f64>,
+    /// `f64::INFINITY` = infinite energy (Model 1 endpoints).
+    capacity_j: f64,
     consumed_j: f64,
 }
 
 impl Battery {
     /// Finite battery with the given capacity in joules.
     pub fn with_capacity(capacity_j: f64) -> Self {
-        assert!(capacity_j > 0.0, "capacity must be positive");
+        assert!(
+            capacity_j > 0.0 && capacity_j.is_finite(),
+            "capacity must be positive and finite, got {capacity_j}"
+        );
         Battery {
-            capacity_j: Some(capacity_j),
+            capacity_j,
             consumed_j: 0.0,
         }
     }
@@ -27,23 +30,22 @@ impl Battery {
     /// An infinite battery (never dies, R_brc pinned at 1).
     pub fn infinite() -> Self {
         Battery {
-            capacity_j: None,
+            capacity_j: f64::INFINITY,
             consumed_j: 0.0,
         }
     }
 
     pub fn is_infinite(&self) -> bool {
-        self.capacity_j.is_none()
+        self.capacity_j == f64::INFINITY
     }
 
-    /// Draw `joules` from the battery (clamped at empty).
+    /// Draw `joules` from the battery (clamped at empty, which an
+    /// infinite battery never reaches).
     pub fn drain(&mut self, joules: f64) {
         debug_assert!(joules >= 0.0);
         self.consumed_j += joules;
-        if let Some(cap) = self.capacity_j {
-            if self.consumed_j > cap {
-                self.consumed_j = cap;
-            }
+        if self.consumed_j > self.capacity_j {
+            self.consumed_j = self.capacity_j;
         }
     }
 
@@ -56,44 +58,37 @@ impl Battery {
     /// Remaining energy; `f64::INFINITY` for infinite batteries.
     #[inline]
     pub fn remaining_j(&self) -> f64 {
-        match self.capacity_j {
-            Some(cap) => (cap - self.consumed_j).max(0.0),
-            None => f64::INFINITY,
-        }
+        (self.capacity_j - self.consumed_j).max(0.0)
     }
 
     /// Nominal capacity; `f64::INFINITY` for infinite batteries.
     #[inline]
     pub fn capacity_j(&self) -> f64 {
-        self.capacity_j.unwrap_or(f64::INFINITY)
+        self.capacity_j
     }
 
     /// The paper's R_brc (Eq. 1): remaining / full capacity, in `[0, 1]`.
     /// Infinite batteries report 1.
     #[inline]
     pub fn rbrc(&self) -> f64 {
-        match self.capacity_j {
-            Some(cap) => ((cap - self.consumed_j) / cap).max(0.0),
-            None => 1.0,
+        if self.is_infinite() {
+            return 1.0;
         }
+        ((self.capacity_j - self.consumed_j) / self.capacity_j).max(0.0)
     }
 
     #[inline]
     pub fn is_empty(&self) -> bool {
-        match self.capacity_j {
-            Some(cap) => self.consumed_j >= cap,
-            None => false,
-        }
+        self.consumed_j >= self.capacity_j
     }
 
     /// Seconds until empty at a constant `draw_w` watts; `None` if the
     /// battery never empties (infinite, or zero draw).
     pub fn seconds_until_empty(&self, draw_w: f64) -> Option<f64> {
-        let cap = self.capacity_j?;
-        if draw_w <= 0.0 {
+        if self.is_infinite() || draw_w <= 0.0 {
             return None;
         }
-        Some(((cap - self.consumed_j) / draw_w).max(0.0))
+        Some(((self.capacity_j - self.consumed_j) / draw_w).max(0.0))
     }
 }
 
@@ -152,5 +147,11 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn zero_capacity_panics() {
         Battery::with_capacity(0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "finite")]
+    fn an_infinite_capacity_is_not_a_finite_battery() {
+        Battery::with_capacity(f64::INFINITY);
     }
 }

@@ -3,7 +3,8 @@
 use crate::battery::Battery;
 use crate::level::EnergyLevel;
 use crate::power::{PowerProfile, RadioMode};
-use sim_engine::SimTime;
+use sim_engine::{share, SimTime};
+use std::sync::{Arc, LazyLock};
 
 /// Integrates power draw over time as the radio changes modes.
 ///
@@ -25,7 +26,9 @@ use sim_engine::SimTime;
 /// * `advance` is idempotent for the same timestamp.
 #[derive(Clone, Debug)]
 pub struct EnergyMeter {
-    profile: PowerProfile,
+    /// Shared by every meter on the same profile (a fleet's hosts mostly
+    /// run one of the two paper profiles).
+    profile: Arc<PowerProfile>,
     battery: Battery,
     mode: RadioMode,
     /// Draw of the current mode, cached at every mode transition so the
@@ -106,9 +109,17 @@ impl std::ops::AddAssign for EnergyAudit {
 
 impl EnergyMeter {
     pub fn new(profile: PowerProfile, battery: Battery) -> Self {
+        static PAPER: LazyLock<Arc<PowerProfile>> = LazyLock::new(|| Arc::new(PowerProfile::paper_default()));
+        static PAPER_NO_GPS: LazyLock<Arc<PowerProfile>> =
+            LazyLock::new(|| Arc::new(PowerProfile::paper_no_gps()));
         let draw_w = profile.draw_w(RadioMode::Idle);
+        let paper = if profile.gps_w == 0.0 {
+            &PAPER_NO_GPS
+        } else {
+            &PAPER
+        };
         EnergyMeter {
-            profile,
+            profile: share(profile, paper),
             battery,
             mode: RadioMode::Idle,
             draw_w,
@@ -413,6 +424,20 @@ mod tests {
         m.advance(SimTime::from_secs(10_000));
         assert_eq!(m.mode(), RadioMode::Off);
         assert_eq!(m.draw_w, 0.0);
+    }
+
+    #[test]
+    fn meters_on_a_paper_profile_share_it() {
+        let on = |p: PowerProfile| EnergyMeter::new(p, Battery::paper_default()).profile;
+        for p in [PowerProfile::paper_default(), PowerProfile::paper_no_gps()] {
+            assert!(Arc::ptr_eq(&on(p), &on(p)), "{p:?}");
+        }
+        let custom = PowerProfile {
+            tx_w: 2.0,
+            ..PowerProfile::paper_default()
+        };
+        assert!(!Arc::ptr_eq(&on(custom), &on(custom)));
+        assert_eq!(*on(custom), custom);
     }
 
     #[test]

@@ -1,11 +1,13 @@
 //! The GAF duty-cycle state machine over an embedded AODV core.
 
 use aodv::{trace_relay, Action, AodvConfig, AodvCore, AodvMsg, AodvTimer};
+use manet::sim_engine::share;
 use manet::{AppPacket, Ctx, EventKind, FrameKind, GridCoord, NodeId, Protocol, WireSize};
 use rand::Rng;
+use std::sync::{Arc, LazyLock};
 
 /// GAF parameters (times in seconds).
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct GafConfig {
     /// Discovery dwell for freshly-woken contenders: uniform in
     /// `[0.1, discovery_max]`.
@@ -134,7 +136,7 @@ pub struct GafStats {
 
 /// One GAF host.
 pub struct GafProto {
-    cfg: GafConfig,
+    cfg: Arc<GafConfig>,
     me: NodeId,
     state: GafState,
     my_grid: GridCoord,
@@ -151,8 +153,9 @@ pub struct GafProto {
 
 impl GafProto {
     pub fn new(cfg: GafConfig, me: NodeId) -> Self {
+        static DEFAULT: LazyLock<Arc<GafConfig>> = LazyLock::new(Arc::default);
         GafProto {
-            cfg,
+            cfg: share(cfg, &DEFAULT),
             me,
             state: GafState::Discovery,
             my_grid: GridCoord::new(0, 0),

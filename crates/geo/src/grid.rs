@@ -92,6 +92,10 @@ pub struct GridMap {
 }
 
 impl GridMap {
+    /// Cells a world's grid may have along either axis: per-host tables
+    /// keep a cell's coordinates in 16 bits each.
+    pub const MAX_CELLS_PER_AXIS: i32 = u16::MAX as i32;
+
     /// Build a grid map.  Panics on non-positive dimensions.
     pub fn new(width: f64, height: f64, cell_side: f64) -> Self {
         assert!(width > 0.0 && height > 0.0, "field must have positive area");

@@ -10,7 +10,7 @@
 //! before declaring a neighbour gone).
 
 /// HELLO, election and routing constants of the GRID family.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct GridConfig {
     /// Period of the HELLO beacon for active hosts ("HELLO period", §3.1).
     pub hello_interval: f64,

@@ -16,11 +16,30 @@ use manet::{GridCoord, NodeId, SimDuration, SimTime};
 /// and nothing reads it.
 #[derive(Clone, Debug)]
 pub struct NeighborGateways {
-    entries: Vec<(GridCoord, NodeId, SimTime)>,
+    entries: Vec<Entry>,
     ttl: SimDuration,
 }
 
+/// One cached gateway in 16 bytes: its grid packed into one word (a
+/// world has at most `GridMap::MAX_CELLS_PER_AXIS` cells along either
+/// axis, so each coordinate fits in 16 bits).
+#[derive(Clone, Copy, Debug)]
+struct Entry {
+    grid: u32,
+    gw: NodeId,
+    heard: SimTime,
+}
+
+/// `grid` as an [`Entry`] key: x in the high half, y in the low half.
+fn pack(grid: GridCoord) -> u32 {
+    let half = |c: i32| u16::try_from(c).expect("grid coordinates fit in 16 bits (World::new checks)");
+    u32::from(half(grid.x)) << 16 | u32::from(half(grid.y))
+}
+
 impl NeighborGateways {
+    /// Bytes one cached gateway takes.
+    pub const ENTRY_BYTES: usize = std::mem::size_of::<Entry>();
+
     pub fn new(ttl: SimDuration) -> Self {
         NeighborGateways {
             entries: Vec::new(),
@@ -30,29 +49,36 @@ impl NeighborGateways {
 
     /// Record a gateway HELLO from `grid`.
     pub fn note(&mut self, grid: GridCoord, gw: NodeId, now: SimTime) {
-        match self.entries.iter_mut().find(|e| e.0 == grid) {
-            Some(e) => *e = (grid, gw, now),
-            None => self.entries.push((grid, gw, now)),
+        let entry = Entry {
+            grid: pack(grid),
+            gw,
+            heard: now,
+        };
+        match self.entries.iter_mut().find(|e| e.grid == entry.grid) {
+            Some(e) => *e = entry,
+            None => self.entries.push(entry),
         }
     }
 
     /// Current gateway of `grid`, if fresh.
     pub fn get(&self, grid: GridCoord, now: SimTime) -> Option<NodeId> {
+        let grid = pack(grid);
         self.entries
             .iter()
-            .find(|e| e.0 == grid)
-            .filter(|e| now.since(e.2) < self.ttl)
-            .map(|e| e.1)
+            .find(|e| e.grid == grid)
+            .filter(|e| now.since(e.heard) < self.ttl)
+            .map(|e| e.gw)
     }
 
     /// Forget a node everywhere (it retired or was seen without gflag).
     pub fn forget_node(&mut self, node: NodeId) {
-        self.entries.retain(|e| e.1 != node);
+        self.entries.retain(|e| e.gw != node);
     }
 
     /// Forget a grid's entry.
     pub fn forget_grid(&mut self, grid: GridCoord) {
-        if let Some(i) = self.entries.iter().position(|e| e.0 == grid) {
+        let grid = pack(grid);
+        if let Some(i) = self.entries.iter().position(|e| e.grid == grid) {
             self.entries.swap_remove(i);
         }
     }
@@ -60,7 +86,7 @@ impl NeighborGateways {
     /// Drop stale entries.
     pub fn purge(&mut self, now: SimTime) {
         let ttl = self.ttl;
-        self.entries.retain(|e| now.since(e.2) < ttl);
+        self.entries.retain(|e| now.since(e.heard) < ttl);
     }
 
     pub fn len(&self) -> usize {
@@ -108,6 +134,23 @@ mod tests {
         assert_eq!(n.get(G, t(1)), None);
         assert_eq!(n.get(GridCoord::new(1, 1), t(1)), Some(NodeId(8)));
         assert_eq!(n.len(), 1);
+    }
+
+    #[test]
+    fn an_entry_is_16_bytes_and_grids_differing_in_one_axis_stay_apart() {
+        assert_eq!(NeighborGateways::ENTRY_BYTES, 16);
+        let mut n = NeighborGateways::new(SimDuration::from_secs(30));
+        let far = GridCoord::new(65_534, 0);
+        for (i, g) in [GridCoord::new(0, 1), GridCoord::new(1, 0), far]
+            .into_iter()
+            .enumerate()
+        {
+            n.note(g, NodeId(i as u32), t(0));
+        }
+        assert_eq!(n.get(GridCoord::new(0, 1), t(1)), Some(NodeId(0)));
+        assert_eq!(n.get(GridCoord::new(1, 0), t(1)), Some(NodeId(1)));
+        assert_eq!(n.get(far, t(1)), Some(NodeId(2)));
+        assert_eq!(n.get(GridCoord::new(0, 0), t(1)), None);
     }
 
     #[test]

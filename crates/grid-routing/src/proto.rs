@@ -5,9 +5,10 @@ use grid_common::{
     elect_gateway, DataMsg, DiscoveryTimeout, GridConfig, HelloInfo, RouteSnapshot, RoutingPlane,
     RoutingStats, Rrep, Rreq,
 };
-use manet::sim_engine::IdMap;
+use manet::sim_engine::{share, IdMap};
 use manet::{AppPacket, Ctx, FrameKind, GridCoord, NodeId, Protocol, SimTime, WireSize};
 use rand::Rng;
+use std::sync::{Arc, LazyLock};
 
 /// Messages on the air (no ACQ — nobody sleeps).
 #[derive(Clone, Debug, PartialEq)]
@@ -95,7 +96,7 @@ pub struct GridStats {
 
 /// One GRID instance.
 pub struct GridProto {
-    cfg: GridConfig,
+    cfg: Arc<GridConfig>,
     me: NodeId,
     role: GridRole,
     my_grid: GridCoord,
@@ -113,13 +114,14 @@ pub struct GridProto {
 
 impl GridProto {
     pub fn new(cfg: GridConfig, me: NodeId) -> Self {
+        static DEFAULT: LazyLock<Arc<GridConfig>> = LazyLock::new(Arc::default);
         GridProto {
-            cfg,
+            plane: RoutingPlane::new(&cfg),
+            cfg: share(cfg, &DEFAULT),
             me,
             role: GridRole::Electing,
             my_grid: GridCoord::new(0, 0),
             gateway: None,
-            plane: RoutingPlane::new(&cfg),
             host_table: IdMap::default(),
             candidates: Vec::new(),
             election_epoch: 0,

@@ -26,6 +26,11 @@ pub struct WorldStats {
     pub pages_woken: u64,
     /// Grid-boundary crossings observed.
     pub cell_crossings: u64,
+    /// Cell-crossing events that found their host still in its old cell
+    /// (the crossing instant is rounded to the ns, so the event can land
+    /// just short of the boundary; the entry it heralded then goes
+    /// unrecorded until the host's next crossing).
+    pub cell_crossings_unchanged: u64,
     /// Hosts that ran out of battery.
     pub deaths: u64,
     /// Protocol timers fired.

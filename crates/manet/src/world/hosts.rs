@@ -286,6 +286,7 @@ impl<P: Protocol> World<P> {
         let old = self.hosts.cells[i];
         let new = self.cfg.grid.cell_of(self.hosts.pos_at(i, now));
         if new == old {
+            self.stats.cell_crossings_unchanged += 1;
             return;
         }
         self.hosts.cells[i] = new;

@@ -31,7 +31,7 @@ use crate::stats::WorldStats;
 use energy::Battery;
 use fault::FaultCtl;
 use flight::Flight;
-use geo::{Point2, Vec2};
+use geo::{GridMap, Point2, Vec2};
 use hosts::Hosts;
 use metrics::{PacketLedger, TimeSeries};
 use par::Engine;
@@ -173,6 +173,12 @@ impl<P: Protocol> World<P> {
         mut factory: impl FnMut(NodeId) -> P + 'static,
     ) -> Self {
         assert!(!hosts.is_empty(), "a world needs hosts");
+        let (cells_x, cells_y) = (cfg.grid.cells_x(), cfg.grid.cells_y());
+        assert!(
+            cells_x.max(cells_y) <= GridMap::MAX_CELLS_PER_AXIS,
+            "a {cells_x}x{cells_y}-cell grid is wider than {} cells on an axis",
+            GridMap::MAX_CELLS_PER_AXIS
+        );
         let rngs = RngFactory::new(cfg.seed);
         let n_hosts = hosts.len();
         // Heterogeneous fleets: the channel's geometry (bucket side,

@@ -50,6 +50,16 @@ fn killing_an_infinite_host_panics() {
 }
 
 #[test]
+#[should_panic(expected = "wider than 65535 cells")]
+fn a_grid_wider_than_16_bit_cell_coordinates_is_refused() {
+    let mut cfg = WorldConfig::paper_default(42);
+    cfg.grid = manet::GridMap::new(65_536.0, 10.0, 1.0);
+    World::new(cfg, vec![fixed(0.5, 0.5)], FlowSet::default(), |_| {
+        Probe::new(ProbeCfg::default())
+    });
+}
+
+#[test]
 fn dead_nodes_receive_nothing_and_send_nothing() {
     let cfgs = vec![
         ProbeCfg::default(),

@@ -154,6 +154,16 @@ mod tests {
     use super::*;
 
     #[test]
+    fn the_parser_and_the_world_agree_on_the_widest_grid() {
+        // a scenario the parser (and so `check_bounds`) accepts is one
+        // `World::new` builds
+        assert_eq!(
+            i64::from(::scenario::MAX_CELLS_PER_AXIS),
+            i64::from(geo::GridMap::MAX_CELLS_PER_AXIS)
+        );
+    }
+
+    #[test]
     fn paper_base_matches_section4() {
         let s = Scenario::paper_base(ProtocolKind::Ecgrid, 1.0, 42);
         assert_eq!(s.n_hosts, 100);

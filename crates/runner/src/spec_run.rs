@@ -494,18 +494,16 @@ impl Run<'_> {
         let out = world.run_until(SimTime::from_secs_f64(spec.duration_s));
         let gstats = world.group_stats();
         let recorder = world.take_recorder();
-        // free the world before the ledger's early copy below, so the
-        // copy never stacks on a live world's heap
+        // free the world before the figures below allocate
         drop(world);
         let cutoff = SimTime::from_secs(590);
-        let early = out.ledger.before(cutoff);
         ScenarioResult {
             scenario: representative(spec, self.protocol),
             groups: group_reports(spec, &gstats, &out.ledger, &flow_group),
             pdr: out.ledger.delivery_rate(),
             latency_ms: out.ledger.mean_latency_ms(),
-            pdr_590: early.delivery_rate(),
-            latency_ms_590: early.mean_latency_ms(),
+            pdr_590: out.ledger.delivery_rate_before(cutoff),
+            latency_ms_590: out.ledger.mean_latency_ms_before(cutoff),
             network_death_s: out.alive.first_time_at_or_below(0.0),
             alive: out.alive,
             aen: out.aen,

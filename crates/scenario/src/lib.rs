@@ -42,6 +42,10 @@ use std::fmt;
 /// PAPERS.md, tight enough to reject a typo'd `count = 4e9` up front.
 pub const MAX_GROUP_COUNT: usize = 100_000;
 pub const MAX_TOTAL_HOSTS: usize = 200_000;
+/// Cells a field may span along either axis (`field_w / cell_side` and
+/// `field_h / cell_side`, rounded up): the simulator keeps a cell's
+/// coordinates in 16 bits each, `geo::GridMap::MAX_CELLS_PER_AXIS`.
+pub const MAX_CELLS_PER_AXIS: u32 = 65_535;
 
 /// A parsed, validated scenario file.
 #[derive(Clone, Debug, PartialEq)]

@@ -8,8 +8,8 @@
 //! and column it points at.
 
 use crate::{
-    GroupSpec, MobilitySpec, Role, ScenarioSpec, TrafficPattern, TrafficSpec, MAX_GROUP_COUNT,
-    MAX_TOTAL_HOSTS,
+    GroupSpec, MobilitySpec, Role, ScenarioSpec, TrafficPattern, TrafficSpec, MAX_CELLS_PER_AXIS,
+    MAX_GROUP_COUNT, MAX_TOTAL_HOSTS,
 };
 use std::fmt;
 
@@ -383,6 +383,16 @@ pub fn parse(text: &str) -> Result<ScenarioSpec, ParseError> {
         Some(e) => bounded_f64(&e, "cell_side", 0.0, 10_000.0, true)?,
         None => 100.0,
     };
+    for (axis, side) in [("field_w", field_w), ("field_h", field_h)] {
+        let cells = (side / cell_side).ceil();
+        if cells > f64::from(MAX_CELLS_PER_AXIS) {
+            return Err(ParseError::new(
+                sc.header_line,
+                1,
+                format!("{axis} / cell_side spans {cells} cells; a grid spans at most {MAX_CELLS_PER_AXIS} per axis"),
+            ));
+        }
+    }
     let duration_s = match sc.take("duration_s") {
         Some(e) => bounded_f64(&e, "duration_s", 0.0, 10_000_000.0, true)?,
         None => {
@@ -776,6 +786,26 @@ mod tests {
         let err = parse(text).unwrap_err();
         assert_eq!((err.line, err.col), (6, 9), "{err}");
         assert!(err.msg.contains("count must be in"), "{err}");
+    }
+
+    #[test]
+    fn a_grid_spans_at_most_65_535_cells_per_axis() {
+        let field = |w: u32, h: u32| {
+            let text = minimal("");
+            parse(&text.replacen(
+                "seed = 1\n",
+                &format!("seed = 1\nfield_w = {w}\nfield_h = {h}\ncell_side = 1\n"),
+                1,
+            ))
+        };
+        assert!(field(65_535, 65_535).is_ok());
+        for (w, h, axis) in [(65_536, 10, "field_w"), (10, 100_000, "field_h")] {
+            let err = field(w, h).unwrap_err();
+            assert!(
+                err.msg.starts_with(axis) && err.msg.contains("at most 65535 per axis"),
+                "{err}"
+            );
+        }
     }
 
     #[test]

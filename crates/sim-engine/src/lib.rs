@@ -22,6 +22,8 @@
 //!   per (domain, index), so adding a consumer never perturbs others; and
 //!   [`IdMap`] / [`IdSet`], hash tables over the simulator's own integer
 //!   ids with a cheap state-free hasher.
+//! * [`share`] — one process-wide instance of a fleet-wide constant
+//!   behind the `Arc` every host row holds.
 
 pub mod backend;
 pub mod budget;
@@ -32,6 +34,7 @@ pub mod queue;
 pub mod rng;
 pub mod sched;
 pub mod shard;
+pub mod share;
 pub mod time;
 
 pub use backend::{AnyQueue, Backend};
@@ -43,4 +46,5 @@ pub use queue::{EventQueue, PendingEvents};
 pub use rng::{derive_seed, keyed_draw, Fnv64, IdHasher, IdMap, IdSet, RngFactory, SplitMix64};
 pub use sched::{EventHandle, Scheduler};
 pub use shard::ShardedScheduler;
+pub use share::share;
 pub use time::{SimDuration, SimTime};

@@ -2,12 +2,14 @@
 //! eligibility/withdrawal, PSM duty cycling, AODV over the backbone.
 
 use aodv::{trace_relay, Action, AodvConfig, AodvCore, AodvMsg, AodvTimer};
+use manet::sim_engine::share;
 use manet::{AppPacket, Ctx, FrameKind, NodeId, Protocol, SimTime, WireSize};
 use rand::Rng;
 use std::collections::HashMap;
+use std::sync::{Arc, LazyLock};
 
 /// Span parameters (times in seconds).
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SpanConfig {
     /// HELLO beacon period for awake nodes.
     pub hello_interval: f64,
@@ -128,7 +130,7 @@ struct NeighborInfo {
 
 /// One Span instance.
 pub struct SpanProto {
-    cfg: SpanConfig,
+    cfg: Arc<SpanConfig>,
     me: NodeId,
     state: SpanState,
     neighbors: HashMap<NodeId, NeighborInfo>,
@@ -147,8 +149,9 @@ pub struct SpanProto {
 
 impl SpanProto {
     pub fn new(cfg: SpanConfig, me: NodeId) -> Self {
+        static DEFAULT: LazyLock<Arc<SpanConfig>> = LazyLock::new(Arc::default);
         SpanProto {
-            cfg,
+            cfg: share(cfg, &DEFAULT),
             me,
             state: SpanState::PsmAwake,
             neighbors: HashMap::new(),

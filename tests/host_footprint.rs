@@ -10,19 +10,28 @@
 //! bound.  Each figure comes with its deltas per allocation size class, so
 //! a future growth names the allocation that grew; the world's cell index
 //! is also built alone over the same cells, so its share is printed apart.
+//! The per-host rows themselves are pinned by `size_of`: each holds only
+//! per-host state, and what a fleet shares (protocol constants, the power
+//! profile) sits behind one 8-byte handle.
 //!
 //! This file is its own test binary with one test in it: the counting
 //! allocator below is process-wide, so nothing else may allocate while
 //! the world is measured.  Run with `--nocapture` to see the tables.
 
 use ecgrid_suite::ecgrid::{Ecgrid, EcgridConfig};
+use ecgrid_suite::energy::EnergyMeter;
+use ecgrid_suite::gaf::GafProto;
+use ecgrid_suite::grid_common::NeighborGateways;
+use ecgrid_suite::grid_routing::GridProto;
 use ecgrid_suite::manet::{NodeId, World};
 use ecgrid_suite::radio::CellIndex;
 use ecgrid_suite::runner::spec_run::{fleet_world, world_config};
 use ecgrid_suite::runner::{ProtocolKind, RunOptions, Scenario};
 use ecgrid_suite::scenario::ScenarioSpec;
 use ecgrid_suite::sim_engine::SimTime;
+use ecgrid_suite::span::SpanProto;
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::mem::size_of;
 use std::sync::atomic::{AtomicIsize, AtomicUsize, Ordering::Relaxed};
 
 const HOSTS: usize = 2000;
@@ -167,12 +176,26 @@ fn build(spec: &ScenarioSpec) -> World<Ecgrid> {
 }
 
 /// Bounds: the value measured when each was set, + 10 %.  A fresh world
-/// read 1 328.9 B/host, a world after 2 s 2 069.3 B/host (1 355.4 and
-/// 2 095.8 with one heap bucket per grid cell; 1 667.4 and 2 737.6 before
-/// traces kept exactly their segments, route-search state became lazy and
-/// MAC queues and election candidates followed use).
-const FRESH_BOUND: f64 = 1462.0;
-const RUN_BOUND: f64 = 2277.0;
+/// read 1 037.0 B/host, a world after 2 s 1 654.0 B/host (1 277.0 and
+/// 2 014.7 while every row held its own copy of the protocol constants
+/// and power profile and a neighbour-gateway entry took 24 B; 1 667.4 and
+/// 2 737.6 before traces kept exactly their segments, route-search state
+/// became lazy and MAC queues and election candidates followed use).
+const FRESH_BOUND: f64 = 1141.0;
+const RUN_BOUND: f64 = 1820.0;
+
+/// Each per-host row with its size in bytes when last measured: a row
+/// may shrink, never grow past it.
+fn rows() -> [(&'static str, usize, usize); 6] {
+    [
+        ("Ecgrid", size_of::<Ecgrid>(), 488),
+        ("GridProto", size_of::<GridProto>(), 312),
+        ("GafProto", size_of::<GafProto>(), 384),
+        ("SpanProto", size_of::<SpanProto>(), 448),
+        ("EnergyMeter", size_of::<EnergyMeter>(), 120),
+        ("neighbour-gateway entry", NeighborGateways::ENTRY_BYTES, 16),
+    ]
+}
 
 #[test]
 fn a_fresh_and_a_run_world_hold_only_what_their_hosts_use() {
@@ -211,6 +234,12 @@ fn a_fresh_and_a_run_world_hold_only_what_their_hosts_use() {
         after.delta_table(&before)
     );
     drop(index);
+    for (row, bytes, bound) in rows() {
+        println!("size_of {row}: {bytes} B (bound {bound} B)");
+    }
+    for (row, bytes, bound) in rows() {
+        assert!(bytes <= bound, "a {row} row takes {bytes} B, past its {bound} B");
+    }
     assert!(
         fresh_per_host <= FRESH_BOUND,
         "a fresh world holds {fresh_per_host:.1} B/host, past its {FRESH_BOUND} B bound"
