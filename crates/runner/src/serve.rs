@@ -330,6 +330,10 @@ impl JobHandler for EcgridJobHandler {
             records.extend(report.tally(&sc, k, step));
         }
 
+        // the journal lines reach the disk before the server records the
+        // outcome durably in the job's terminal manifest
+        let appended = report.completed > report.append_errors.len();
+        let unsynced = appended.then(|| journal.sync().err()).flatten();
         let averaged = fold_replicas(&mut records, spec.replicas as usize);
         let quarantined = report.quarantined.len() as u64;
         let state = if interrupted {
@@ -343,6 +347,7 @@ impl JobHandler for EcgridJobHandler {
             .then(|| format!("{quarantined} replica(s) quarantined"))
             .into_iter()
             .chain(report.unjournaled_note())
+            .chain(unsynced.map(|e| format!("replicas checkpointed but not synced: {e}")))
             .collect();
         JobOutcome {
             state,

@@ -33,6 +33,7 @@ use manet::progress::ProgressProbe;
 use manet::trace::{Fnv64, TraceDigest};
 use metrics::TimeSeries;
 use rayon::prelude::*;
+use service::fsutil;
 use service::json::{self, Obj};
 use sim_engine::{derive_seed, BudgetExceeded};
 use std::collections::HashMap;
@@ -41,6 +42,7 @@ use std::fs;
 use std::io::{self, Write as _};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
 /// Supervision knobs, orthogonal to [`RunOptions`] (which holds the
@@ -554,15 +556,19 @@ impl std::error::Error for JournalError {}
 pub(crate) type JournalIndex = HashMap<(u64, u64), JournalEntry>;
 
 /// The checkpoint journal: the only code that reads, indexes, opens,
-/// appends to and flushes the file.  One failure policy for every caller:
+/// appends to and syncs the file.  One failure policy for every caller:
 /// [`Journal::open`] failing stops the sweep or job before anything runs;
-/// [`Journal::append`] failing keeps the computed replica and is reported.
+/// [`Journal::append`] or [`Journal::sync`] failing keeps the computed
+/// replicas and is reported.
 pub(crate) struct Journal {
     path: PathBuf,
     /// What the file held at open.
     index: JournalIndex,
     anomalies: usize,
     file: Mutex<fs::File>,
+    /// `open` created the file, and no `sync` has made its directory
+    /// entry durable yet.
+    new_entry: AtomicBool,
 }
 
 impl Journal {
@@ -572,13 +578,20 @@ impl Journal {
         if let Some(dir) = path.parent() {
             fs::create_dir_all(dir)?;
         }
-        let file = fs::OpenOptions::new().create(true).append(true).open(path)?;
+        let mut append = fs::OpenOptions::new();
+        append.append(true);
+        let (file, created) = match append.clone().create_new(true).open(path) {
+            Ok(file) => (file, true),
+            Err(e) if e.kind() == io::ErrorKind::AlreadyExists => (append.open(path)?, false),
+            Err(e) => return Err(e),
+        };
         let (index, anomalies) = Self::read(path)?;
         Ok(Journal {
             path: path.to_path_buf(),
             index,
             anomalies,
             file: Mutex::new(file),
+            new_entry: AtomicBool::new(created),
         })
     }
 
@@ -631,8 +644,27 @@ impl Journal {
         // a thread that panicked under this lock left at worst a torn
         // line, which the loader skips: the file is still appendable
         let mut file = self.file.lock().unwrap_or_else(PoisonError::into_inner);
-        file.write_all(line.as_bytes())?;
-        file.flush()
+        file.write_all(line.as_bytes())
+    }
+
+    /// Make every line appended so far durable: `sync_data` on the file,
+    /// and the first time after `open` created it, an fsync of its
+    /// directory, without which the file itself may not survive a power
+    /// cut.  A caller that records an outcome elsewhere durably (a job's
+    /// terminal manifest) syncs first, so a restart never trusts an
+    /// outcome whose replicas are lost.
+    pub(crate) fn sync(&self) -> Result<(), JournalError> {
+        let failed = |e: io::Error| JournalError::new(&self.path, &e);
+        let file = self.file.lock().unwrap_or_else(PoisonError::into_inner);
+        file.sync_data().map_err(failed)?;
+        if self.new_entry.swap(false, Ordering::Relaxed) {
+            let dir = self.path.parent().filter(|d| !d.as_os_str().is_empty());
+            if let Err(e) = fsutil::fsync_dir(dir.unwrap_or(Path::new("."))) {
+                self.new_entry.store(true, Ordering::Relaxed);
+                return Err(failed(e));
+            }
+        }
+        Ok(())
     }
 }
 
@@ -899,6 +931,23 @@ mod tests {
     }
 
     #[test]
+    fn a_sync_covers_the_directory_entry_of_a_journal_it_created_once() {
+        let dir = scratch("sync");
+        let path = dir.join("j.jsonl");
+        let j = Journal::open(&path).unwrap();
+        assert!(j.new_entry.load(Ordering::Relaxed), "open created the file");
+        j.append(5, 7, &rec(7)).unwrap();
+        j.sync().unwrap();
+        assert!(!j.new_entry.load(Ordering::Relaxed), "the directory was synced");
+        j.sync().unwrap();
+        // a journal that was already there has no new entry to sync
+        let again = Journal::open(&path).unwrap();
+        assert!(!again.new_entry.load(Ordering::Relaxed));
+        assert!(again.get(5, 7).is_some());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn reading_a_journal_creates_nothing_and_needs_no_write_access() {
         let dir = scratch("read_only");
         // a fresh state dir: nothing to find, and nothing left behind
@@ -951,6 +1000,7 @@ mod tests {
             index: HashMap::new(),
             anomalies: 0,
             file: Mutex::new(fs::File::open(&path).unwrap()),
+            new_entry: AtomicBool::new(false),
         };
         let sc = Scenario {
             n_hosts: 12,

@@ -329,8 +329,9 @@ pub fn reply_ok() -> Obj {
 /// Renders the event frames of one job replica under one protocol label.
 /// The stream head `{"stream":"event","job":J,"replica":K,` and each kind's
 /// shared members are rendered once, when it is built, so a frame costs
-/// only the event's own fields; the hub keeps one per subscriber and
-/// renders every event frame of a streamed job through it.
+/// only the event's own fields.  Each subscriber's connection thread keeps
+/// one and renders every event frame of a streamed job through it.
+#[derive(Clone)]
 pub struct EventFrames {
     replica: u64,
     protocol: String,

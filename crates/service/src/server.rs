@@ -9,8 +9,8 @@
 //! * **worker threads** pull job ids from a bounded admission queue and
 //!   run them through the pluggable [`JobHandler`];
 //! * **connection threads** speak the line protocol; a `subscribe`
-//!   switches them into stream mode, writing their [`crate::hub::Hub`]
-//!   buffer to the socket a batch at a time until the job's stream ends.
+//!   switches them into stream mode, rendering their [`crate::hub::Hub`]
+//!   queue to the socket a batch at a time until the job's stream ends.
 //!
 //! Every overload or failure path is explicit: a full queue answers with
 //! a load-shed reply (never blocks), a slow subscriber loses frames to
@@ -19,10 +19,10 @@
 //! ([`Server::request_shutdown`]) stops admission, lets in-flight
 //! replicas checkpoint to the journal, marks unstarted jobs
 //! `interrupted`, and returns.  Job manifests are written atomically and
-//! durably ([`crate::fsutil`]) at every state transition — the `queued`
-//! one before a worker can see the job, or the submit is refused — so a
-//! restarted server rescans them and requeues unfinished work
-//! ([`JobState::Interrupted`] → [`JobState::Queued`]).
+//! durably ([`crate::fsutil`]) twice per job — `queued` before a worker
+//! can see the job, or the submit is refused, and the end state once the
+//! handler returns — so a restarted server rescans them and requeues
+//! unfinished work ([`JobState::Interrupted`] → [`JobState::Queued`]).
 
 use crate::fsutil;
 use crate::hub::Hub;
@@ -285,10 +285,11 @@ impl Inner {
     }
 
     /// Rescan job manifests after a restart: terminal jobs are
-    /// remembered, unfinished ones (queued / running / interrupted at the
-    /// moment of the crash) are requeued.  A manifest counts only at the
-    /// path this server would have written it to (`job-<id>.json` for its
-    /// own `job`), so no id is read twice.
+    /// remembered, unfinished ones (`queued` or `interrupted` at the
+    /// moment of the crash, or `running` as older builds wrote it) are
+    /// requeued.  A manifest counts only at the path this server would
+    /// have written it to (`job-<id>.json` for its own `job`), so no id is
+    /// read twice.
     fn recover(&self) {
         let dir = self.cfg.state_dir.join("jobs");
         let Ok(entries) = std::fs::read_dir(&dir) else {
@@ -380,7 +381,7 @@ impl Inner {
             job
         };
         // durable before any worker sees the job, so a late `queued` can
-        // never land on a worker's `running` or `done`
+        // never land on a worker's terminal manifest
         let written = self.write_manifest(job, &spec, config, JobState::Queued);
         let mut queue = relock(&self.queue);
         self.admitting.fetch_sub(1, Ordering::Relaxed);
@@ -412,9 +413,8 @@ impl Inner {
             rec.state = JobState::Running;
             (rec.spec.clone(), rec.config)
         };
-        // past admission a manifest write is best-effort: a failed disk
-        // must not take down the server, it only weakens crash recovery
-        let _ = self.write_manifest(job, &spec, config, JobState::Running);
+        // no `running` manifest: a restart requeues a `queued` job just as
+        // it would a `running` one, so the write would buy nothing
         self.hub
             .publish_frame(job, &proto::frame_job_state(job, JobState::Running));
         let ctx = JobCtx {
@@ -430,6 +430,8 @@ impl Inner {
 
     /// Record a job's outcome, persist it, and terminate its streams.
     fn finish_job(&self, job: u64, spec: &JobSpec, config: u64, outcome: JobOutcome) {
+        // past admission a manifest write is best-effort: a failed disk
+        // must not take down the server, it only weakens crash recovery
         let _ = self.write_manifest(job, spec, config, outcome.state);
         if outcome.state == JobState::Interrupted {
             self.stats.interrupted.fetch_add(1, Ordering::Relaxed);
@@ -823,7 +825,7 @@ fn serve_subscription(inner: &Inner, out: &mut TcpStream, job: u64, filter: prot
     };
     // subscribe *before* inspecting the state so a job finishing right
     // now cannot slip between the check and the subscription
-    let handle = inner.hub.subscribe(job, filter, inner.cfg.subscriber_buffer);
+    let mut handle = inner.hub.subscribe(job, filter, inner.cfg.subscriber_buffer);
     let snapshot = {
         let jobs = relock(&inner.jobs);
         match jobs.get(&job) {
@@ -847,24 +849,21 @@ fn serve_subscription(inner: &Inner, out: &mut TcpStream, job: u64, filter: prot
         inner.hub.unsubscribe(handle.id);
         return send_line(out, done + "\n" + &proto::frame_bye(job, 1, 0)).is_ok();
     }
-    // the hub renders lines into this subscriber's pending buffer; each
-    // turn takes all of it and hands back the buffer just written
-    let mut batch = String::new();
+    // the hub queues this subscriber's events; each turn takes all of
+    // them and renders them to the socket a piece at a time
     loop {
-        let more = handle.next_batch(&mut batch);
-        if !more {
-            // end of stream: the tail, then this subscriber's own totals
-            let s = handle.stats();
-            batch.push_str(&proto::frame_bye(job, s.delivered, s.dropped));
-            batch.push('\n');
-        }
-        if out.write_all(batch.as_bytes()).is_err() {
-            // peer died mid-stream: detach, the job keeps running
-            inner.hub.unsubscribe(handle.id);
-            return false;
-        }
-        if !more {
-            return true;
+        match handle.next_batch(out) {
+            Ok(true) => {}
+            // end of stream: the tail is out, then this subscriber's own totals
+            Ok(false) => {
+                let s = handle.stats();
+                return send_line(out, proto::frame_bye(job, s.delivered, s.dropped)).is_ok();
+            }
+            Err(_) => {
+                // peer died mid-stream: detach, the job keeps running
+                inner.hub.unsubscribe(handle.id);
+                return false;
+            }
         }
     }
 }
