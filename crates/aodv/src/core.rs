@@ -86,16 +86,16 @@ pub enum Action {
     Timer(f64, AodvTimer),
 }
 
-/// Per-core counters.
+/// Per-core counters (32 bits: no host counts 2³² of anything in a run).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct AodvStats {
-    pub rreqs_sent: u64,
-    pub rreqs_forwarded: u64,
-    pub rreps_sent: u64,
-    pub data_forwarded: u64,
-    pub data_delivered: u64,
-    pub data_dropped: u64,
-    pub rerrs_sent: u64,
+    pub rreqs_sent: u32,
+    pub rreqs_forwarded: u32,
+    pub rreps_sent: u32,
+    pub data_forwarded: u32,
+    pub data_delivered: u32,
+    pub data_dropped: u32,
+    pub rerrs_sent: u32,
 }
 
 #[derive(Clone, Copy, Debug)]
@@ -295,8 +295,8 @@ impl AodvCore {
     /// called when the host powers its transceiver down (a sleeping node
     /// cannot deliver what it holds, and serving minute-old packets after
     /// waking would only distort latency).
-    pub fn clear_pending(&mut self) -> u64 {
-        let n: u64 = self.pending.values().map(|q| q.len() as u64).sum();
+    pub fn clear_pending(&mut self) -> u32 {
+        let n: u32 = self.pending.values().map(|q| q.len() as u32).sum();
         self.pending.clear();
         self.discovering.clear();
         self.stats.data_dropped += n;
@@ -446,7 +446,7 @@ impl AodvCore {
                 } else {
                     self.discovering.remove(&dst);
                     let pending = self.pending.remove(&dst).unwrap_or_default();
-                    self.stats.data_dropped += pending.len() as u64;
+                    self.stats.data_dropped += pending.len() as u32;
                     // local repair failed: tell the sources whose packets we
                     // were holding so they stop using us and re-discover
                     let mut out = Vec::new();

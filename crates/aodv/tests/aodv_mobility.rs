@@ -131,7 +131,9 @@ fn ttl_prevents_infinite_forwarding_loops() {
         Aodv::new(cfg, id)
     });
     w.run_until(SimTime::from_secs(70));
-    let forwarded: u64 = (0..3).map(|i| w.protocol(NodeId(i)).stats().data_forwarded).sum();
+    let forwarded: u64 = (0..3)
+        .map(|i| u64::from(w.protocol(NodeId(i)).stats().data_forwarded))
+        .sum();
     let sent = w.ledger().sent_count();
     // a healthy 2-hop path forwards each packet at most twice; allow for
     // rediscovery retries but rule out loop amplification

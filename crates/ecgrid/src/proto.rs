@@ -27,26 +27,26 @@ pub enum Role {
 
 /// Per-host election and energy-conservation counters (inspected by tests
 /// and experiment reports; the routing counters are
-/// [`Ecgrid::routing_stats`]).
+/// [`Ecgrid::routing_stats`]).  32 bits each, like the routing counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EcStats {
-    pub elections_started: u64,
-    pub became_gateway: u64,
-    pub retires: u64,
-    pub load_balance_retires: u64,
-    pub no_gateway_events: u64,
-    pub acqs_sent: u64,
-    pub pages_sent: u64,
-    pub sleeps: u64,
-    pub dwell_extensions: u64,
+    pub elections_started: u32,
+    pub became_gateway: u32,
+    pub retires: u32,
+    pub load_balance_retires: u32,
+    pub no_gateway_events: u32,
+    pub acqs_sent: u32,
+    pub pages_sent: u32,
+    pub sleeps: u32,
+    pub dwell_extensions: u32,
     /// Re-pages of an unresponsive sleeping destination (attempt ≥ 1).
-    pub page_retries: u64,
+    pub page_retries: u32,
     /// Buffered packets abandoned after `max_page_attempts` failed pages.
-    pub page_gave_up: u64,
+    pub page_gave_up: u32,
     /// Handoff grace periods that expired without a successor gateway.
-    pub handoff_timeouts: u64,
+    pub handoff_timeouts: u32,
     /// Orphan revalidation wake-ups of long-sleeping hosts.
-    pub orphan_checks: u64,
+    pub orphan_checks: u32,
 }
 
 #[derive(Clone, Copy, Debug)]
@@ -134,8 +134,10 @@ pub struct Ecgrid {
     last_gw_hello: SimTime,
     last_own_hello: SimTime,
     hello_epoch: u32,
-    /// Snapshot carried from gateway duty into a pending RETIRE.
-    retiring: Option<(GridCoord, RouteSnapshot, Vec<NodeId>)>,
+    /// Snapshot carried from gateway duty into a pending RETIRE: the
+    /// grid, its routes and its hosts.  Only a retiring gateway holds
+    /// one, so it lives behind a pointer.
+    retiring: Option<Box<(GridCoord, RouteSnapshot, Vec<NodeId>)>>,
     pub stats: EcStats,
 }
 
@@ -410,11 +412,11 @@ impl Ecgrid {
         }
         self.stats.pages_sent += 1;
         ctx.page_grid(old);
-        self.retiring = Some((
+        self.retiring = Some(Box::new((
             old,
             self.plane.routes.snapshot(),
             self.host_table.keys().copied().collect(),
-        ));
+        )));
         ctx.set_timer_secs(self.cfg.retire_wait, EcTimer::RetireSend { grid: old });
     }
 
@@ -487,10 +489,11 @@ impl Ecgrid {
 
     fn on_hello(&mut self, ctx: &mut Ctx<'_, Self>, src: NodeId, h: HelloInfo) {
         let now = ctx.now();
-        self.plane.overhear_hello(&h, now);
+        self.plane.overhear_hello(&self.cfg.grid, &h, now);
         if h.grid != self.my_grid {
-            // a former local host has moved away
-            if self.role == Role::Gateway {
+            // a former local host has moved away (the table is often
+            // empty: then there is nothing to look up)
+            if self.role == Role::Gateway && !self.host_table.is_empty() {
                 self.host_table.remove(&src);
             }
             return;
@@ -686,11 +689,12 @@ impl Protocol for Ecgrid {
             EcMsg::Rreq(r) => {
                 // only a gateway relays searches or answers for its hosts
                 let hosts = self.is_gateway().then_some(&self.host_table);
-                self.plane.on_rreq(ctx, self.my_grid, src, *r, hosts);
+                self.plane
+                    .on_rreq(ctx, &self.cfg.grid, self.my_grid, src, *r, hosts);
             }
             EcMsg::Rrep(r) => {
                 // a completed search of my own releases its buffer
-                if let Some(buffered) = self.plane.on_rrep(ctx, self.my_grid, src, *r) {
+                if let Some(buffered) = self.plane.on_rrep(ctx, &self.cfg.grid, self.my_grid, src, *r) {
                     for d in buffered {
                         self.route_data(ctx, d);
                     }
@@ -707,7 +711,7 @@ impl Protocol for Ecgrid {
                     return; // superseded chain or asleep
                 }
                 // periodic beacon + housekeeping
-                self.plane.purge(ctx.now());
+                self.plane.purge(&self.cfg.grid, ctx.now());
                 if self.role == Role::Gateway {
                     self.send_hello(ctx, true);
                     // load-balance retirement when the battery level drops a
@@ -805,9 +809,10 @@ impl Protocol for Ecgrid {
                 self.go_to_sleep(ctx);
             }
             EcTimer::RetireSend { grid } => {
-                let Some((g, routes, hosts)) = self.retiring.take() else {
+                let Some(retiring) = self.retiring.take() else {
                     return;
                 };
+                let (g, routes, hosts) = *retiring;
                 debug_assert_eq!(g, grid);
                 ctx.broadcast(EcMsg::Retire {
                     grid: g,
@@ -829,7 +834,7 @@ impl Protocol for Ecgrid {
                     return;
                 };
                 if self.role != Role::Gateway {
-                    self.plane.stats.data_dropped += q.len() as u64;
+                    self.plane.stats.data_dropped += q.len() as u32;
                     return;
                 }
                 self.host_table.insert(dst, HostEntry::awake(ctx.now()));

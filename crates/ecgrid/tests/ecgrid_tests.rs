@@ -153,7 +153,7 @@ fn load_balance_rotates_gateway_duty() {
     let hosts = vec![still(50.0, 50.0), still(40.0, 60.0), still(60.0, 40.0)];
     let mut w = ec_world(hosts, FlowSet::default(), 6);
     w.run_until(SimTime::from_secs(500));
-    let retires: u64 = (0..3)
+    let retires: u32 = (0..3)
         .map(|i| w.protocol(NodeId(i)).stats.load_balance_retires)
         .sum();
     assert!(retires >= 1, "expected load-balance retires, got {retires}");
@@ -202,7 +202,7 @@ fn gateway_handoff_on_mobility_keeps_grid_served() {
         .filter(|i| w.protocol(NodeId(**i)).is_gateway() && w.node_cell(NodeId(**i)) == GridCoord::new(0, 0))
         .count();
     assert_eq!(local_gw, 1, "the abandoned grid must re-elect");
-    let retired: u64 = w.protocol(NodeId(0)).stats.retires;
+    let retired: u32 = w.protocol(NodeId(0)).stats.retires;
     assert!(retired >= 1, "the departing gateway must retire");
 }
 
@@ -253,7 +253,7 @@ fn sleeper_dwell_checks_extend_sleep_in_place() {
     w.run_until(SimTime::from_secs(200));
     // stationary sleepers never leave their grid: every dwell check must
     // re-arm in place rather than wake the host
-    let ext: u64 = [1u32, 2, 4, 6, 7]
+    let ext: u32 = [1u32, 2, 4, 6, 7]
         .iter()
         .map(|i| w.protocol(NodeId(*i)).stats.dwell_extensions)
         .sum();

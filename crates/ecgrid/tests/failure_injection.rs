@@ -62,7 +62,7 @@ fn silent_gateway_death_triggers_reelection() {
         .filter(|i| w.protocol(NodeId(**i)).is_gateway())
         .count();
     assert_eq!(successor, 1, "grid must re-elect after the silent death");
-    let events: u64 = [1u32, 2]
+    let events: u32 = [1u32, 2]
         .iter()
         .map(|i| w.protocol(NodeId(*i)).stats.no_gateway_events)
         .sum();
@@ -122,7 +122,7 @@ fn gateway_retires_before_battery_empties() {
     // a lone permanent gateway dies at 579 s; with rotation, the pair's
     // combined budget (1000 J at ~1.03 W) carries both well past 700 s
     w.run_until(SimTime::from_secs(700));
-    let terms: u64 = (0..2).map(|i| w.protocol(NodeId(i)).stats.became_gateway).sum();
+    let terms: u32 = (0..2).map(|i| w.protocol(NodeId(i)).stats.became_gateway).sum();
     assert!(terms >= 3, "duty must alternate, got {terms} terms");
     for i in 0..2u32 {
         assert!(w.node_alive(NodeId(i)), "host {i} should still be alive at 700 s");

@@ -39,7 +39,7 @@ fn fast_mobility_keeps_the_protocol_stable() {
     let pdr = w.ledger().delivery_rate().unwrap();
     assert!(pdr > 0.7, "pdr under churn {pdr}");
     // gateway churn really happened
-    let retires: u64 = (0..60).map(|i| w.protocol(NodeId(i)).stats.retires).sum();
+    let retires: u32 = (0..60).map(|i| w.protocol(NodeId(i)).stats.retires).sum();
     assert!(retires > 20, "expected heavy retiring at 10 m/s, got {retires}");
     // nobody is stuck mid-election forever
     let electing = (0..60)
@@ -121,7 +121,7 @@ fn gateway_buffer_is_bounded_per_destination() {
     assert_eq!(ledger.sent_count(), 100);
     // some delivered (buffered + flushed after the page), some dropped
     assert!(ledger.delivered_count() > 0, "buffered packets must flush");
-    let dropped: u64 = (0..3)
+    let dropped: u32 = (0..3)
         .map(|i| w.protocol(NodeId(i)).routing_stats().data_dropped)
         .sum();
     assert!(

@@ -125,13 +125,13 @@ pub enum GafTimer {
     Aodv(AodvTimer),
 }
 
-/// Per-host counters.
+/// Per-host counters (32 bits: no host counts 2³² of anything in a run).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct GafStats {
-    pub activations: u64,
-    pub sleeps: u64,
-    pub wakeups: u64,
-    pub beacons: u64,
+    pub activations: u32,
+    pub sleeps: u32,
+    pub wakeups: u32,
+    pub beacons: u32,
 }
 
 /// One GAF host.

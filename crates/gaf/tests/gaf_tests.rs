@@ -74,7 +74,7 @@ fn gaf_sleepers_save_energy_and_duty_rotates() {
     let mut w = model1_world(3, 3);
     w.run_until(SimTime::from_secs(200));
     // with Ta=60 s, each pair should have rotated duty at least once
-    let rotations: u64 = (2..8).map(|i| w.protocol(NodeId(i)).stats.activations).sum();
+    let rotations: u32 = (2..8).map(|i| w.protocol(NodeId(i)).stats.activations).sum();
     assert!(rotations >= 6, "activations {rotations}");
     // and consumption per relay must be well below always-idle
     let idle_baseline = 200.0 * 0.863;

@@ -9,6 +9,8 @@
 //! MANET protocols (1 s HELLO beacons, a few beacon periods of silence
 //! before declaring a neighbour gone).
 
+use manet::SimDuration;
+
 /// HELLO, election and routing constants of the GRID family.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct GridConfig {
@@ -56,5 +58,19 @@ impl Default for GridConfig {
             max_discovery_attempts: 3,
             buffer_cap: 64,
         }
+    }
+}
+
+impl GridConfig {
+    /// [`route_ttl`](Self::route_ttl) as a duration.
+    #[inline]
+    pub fn route_lifetime(&self) -> SimDuration {
+        SimDuration::from_secs_f64(self.route_ttl)
+    }
+
+    /// [`neighbor_ttl`](Self::neighbor_ttl) as a duration.
+    #[inline]
+    pub fn neighbor_lifetime(&self) -> SimDuration {
+        SimDuration::from_secs_f64(self.neighbor_ttl)
     }
 }

@@ -26,6 +26,6 @@ pub mod routes;
 pub use config::GridConfig;
 pub use discovery::{DataMsg, Rrep, Rreq, RreqSeen, DATA_TTL};
 pub use hello::{elect_gateway, HelloInfo};
-pub use neighbors::NeighborGateways;
+pub use neighbors::GatewayCache;
 pub use plane::{DiscoveryTimeout, RoutingPlane, RoutingStats};
-pub use routes::{RouteEntry, RouteSnapshot, RouteTable};
+pub use routes::{RouteEntry, RouteMap, RouteSnapshot, RouteTable};

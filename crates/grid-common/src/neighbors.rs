@@ -7,17 +7,18 @@
 
 use manet::{GridCoord, NodeId, SimDuration, SimTime};
 
-/// Grid → (gateway node, last heard) with TTL.
+/// Grid → (gateway node, last heard).
 ///
 /// A host only ever hears gateways within radio range — a couple of dozen
 /// grids — and [`note`](Self::note) runs once per receiver per HELLO, so
 /// the cache is a small contiguous table scanned linearly: no hashing, one
 /// cache line or two per lookup.  Entry order is an accident of history
-/// and nothing reads it.
-#[derive(Clone, Debug)]
-pub struct NeighborGateways {
+/// and nothing reads it.  The cache keeps no lifetime of its own: the
+/// reads that judge staleness are handed it, so the routing plane of
+/// every host reads the one its protocol's config holds.
+#[derive(Clone, Debug, Default)]
+pub struct GatewayCache {
     entries: Vec<Entry>,
-    ttl: SimDuration,
 }
 
 /// One cached gateway in 16 bytes: its grid packed into one word (a
@@ -36,16 +37,9 @@ fn pack(grid: GridCoord) -> u32 {
     u32::from(half(grid.x)) << 16 | u32::from(half(grid.y))
 }
 
-impl NeighborGateways {
+impl GatewayCache {
     /// Bytes one cached gateway takes.
     pub const ENTRY_BYTES: usize = std::mem::size_of::<Entry>();
-
-    pub fn new(ttl: SimDuration) -> Self {
-        NeighborGateways {
-            entries: Vec::new(),
-            ttl,
-        }
-    }
 
     /// Record a gateway HELLO from `grid`.
     pub fn note(&mut self, grid: GridCoord, gw: NodeId, now: SimTime) {
@@ -60,13 +54,13 @@ impl NeighborGateways {
         }
     }
 
-    /// Current gateway of `grid`, if fresh.
-    pub fn get(&self, grid: GridCoord, now: SimTime) -> Option<NodeId> {
+    /// Current gateway of `grid`, if heard less than `ttl` ago.
+    pub fn get(&self, grid: GridCoord, now: SimTime, ttl: SimDuration) -> Option<NodeId> {
         let grid = pack(grid);
         self.entries
             .iter()
             .find(|e| e.grid == grid)
-            .filter(|e| now.since(e.heard) < self.ttl)
+            .filter(|e| now.since(e.heard) < ttl)
             .map(|e| e.gw)
     }
 
@@ -83,9 +77,8 @@ impl NeighborGateways {
         }
     }
 
-    /// Drop stale entries.
-    pub fn purge(&mut self, now: SimTime) {
-        let ttl = self.ttl;
+    /// Drop the entries not heard within `ttl`.
+    pub fn purge(&mut self, now: SimTime, ttl: SimDuration) {
         self.entries.retain(|e| now.since(e.heard) < ttl);
     }
 
@@ -101,6 +94,52 @@ impl NeighborGateways {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A cache with its lifetime fixed, as the routing plane reads it
+    /// with its config's.
+    struct NeighborGateways {
+        cache: GatewayCache,
+        ttl: SimDuration,
+    }
+
+    impl NeighborGateways {
+        const ENTRY_BYTES: usize = GatewayCache::ENTRY_BYTES;
+
+        fn new(ttl: SimDuration) -> Self {
+            NeighborGateways {
+                cache: GatewayCache::default(),
+                ttl,
+            }
+        }
+
+        fn note(&mut self, grid: GridCoord, gw: NodeId, now: SimTime) {
+            self.cache.note(grid, gw, now);
+        }
+
+        fn get(&self, grid: GridCoord, now: SimTime) -> Option<NodeId> {
+            self.cache.get(grid, now, self.ttl)
+        }
+
+        fn forget_node(&mut self, node: NodeId) {
+            self.cache.forget_node(node);
+        }
+
+        fn forget_grid(&mut self, grid: GridCoord) {
+            self.cache.forget_grid(grid);
+        }
+
+        fn purge(&mut self, now: SimTime) {
+            self.cache.purge(now, self.ttl);
+        }
+
+        fn len(&self) -> usize {
+            self.cache.len()
+        }
+
+        fn is_empty(&self) -> bool {
+            self.cache.is_empty()
+        }
+    }
 
     fn t(s: u64) -> SimTime {
         SimTime::from_secs(s)

@@ -11,9 +11,9 @@
 //! no copy of the protocol's constants: the calls that need them take the
 //! caller's [`GridConfig`].
 
-use crate::{DataMsg, GridConfig, HelloInfo, NeighborGateways, RouteTable, Rrep, Rreq, RreqSeen};
+use crate::{DataMsg, GatewayCache, GridConfig, HelloInfo, RouteMap, Rrep, Rreq, RreqSeen};
 use manet::sim_engine::IdMap;
-use manet::{AppPacket, Ctx, EventKind, GridCoord, GridRect, NodeId, Protocol, SimDuration, SimTime};
+use manet::{AppPacket, Ctx, EventKind, GridCoord, GridRect, NodeId, Protocol, SimTime};
 use std::collections::VecDeque;
 
 /// Timer token: discovery round `attempt` for `dst` went unanswered.
@@ -23,15 +23,16 @@ pub struct DiscoveryTimeout {
     pub attempt: u32,
 }
 
-/// Per-host routing counters.
+/// Per-host routing counters (32 bits: no host counts 2³² of anything
+/// in a run; sums over a fleet widen).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RoutingStats {
-    pub rreqs_sent: u64,
-    pub rreqs_forwarded: u64,
-    pub rreps_sent: u64,
-    pub data_forwarded: u64,
-    pub data_delivered: u64,
-    pub data_dropped: u64,
+    pub rreqs_sent: u32,
+    pub rreqs_forwarded: u32,
+    pub rreps_sent: u32,
+    pub data_forwarded: u32,
+    pub data_delivered: u32,
+    pub data_dropped: u32,
 }
 
 /// What a host learns and holds while it takes part in route searches.
@@ -62,9 +63,11 @@ impl Search {
 /// in a search: it is created by the first write (a buffered packet, a
 /// discovery, a relayed RREQ, an RREP, a seeded location), never by a
 /// read, so a host that never routes carries one empty pointer for it.
+/// The tables keep no lifetime: the calls that write or judge entries
+/// take the caller's [`GridConfig`] and read its TTLs.
 pub struct RoutingPlane {
-    pub routes: RouteTable,
-    pub neighbors: NeighborGateways,
+    pub routes: RouteMap,
+    pub neighbors: GatewayCache,
     pub stats: RoutingStats,
     /// My destination sequence number.
     my_seq: u32,
@@ -76,11 +79,16 @@ pub struct RoutingPlane {
 }
 
 impl RoutingPlane {
-    /// A plane whose tables keep entries for `cfg`'s TTLs.
+    /// An empty plane for a host run with `cfg`, the config every later
+    /// call is handed.
     pub fn new(cfg: &GridConfig) -> Self {
+        // the TTLs are converted per call: an invalid one fails here, at
+        // construction, not at the first route or HELLO
+        cfg.route_lifetime();
+        cfg.neighbor_lifetime();
         RoutingPlane {
-            routes: RouteTable::new(SimDuration::from_secs_f64(cfg.route_ttl)),
-            neighbors: NeighborGateways::new(SimDuration::from_secs_f64(cfg.neighbor_ttl)),
+            routes: RouteMap::default(),
+            neighbors: GatewayCache::default(),
             stats: RoutingStats::default(),
             my_seq: 0,
             rreq_counter: 0,
@@ -126,19 +134,19 @@ impl RoutingPlane {
     }
 
     /// Keep the neighbour-gateway cache current with an overheard HELLO.
-    pub fn overhear_hello(&mut self, h: &HelloInfo, now: SimTime) {
+    pub fn overhear_hello(&mut self, cfg: &GridConfig, h: &HelloInfo, now: SimTime) {
         if h.gflag {
             self.neighbors.note(h.grid, h.id, now);
-        } else if self.neighbors.get(h.grid, now) == Some(h.id) {
+        } else if self.neighbors.get(h.grid, now, cfg.neighbor_lifetime()) == Some(h.id) {
             // it no longer claims the grid
             self.neighbors.forget_grid(h.grid);
         }
     }
 
     /// Periodic housekeeping: drop expired routes and stale neighbours.
-    pub fn purge(&mut self, now: SimTime) {
+    pub fn purge(&mut self, cfg: &GridConfig, now: SimTime) {
         self.routes.purge(now);
-        self.neighbors.purge(now);
+        self.neighbors.purge(now, cfg.neighbor_lifetime());
     }
 
     /// Count a data forward by this host and put it on the trace.
@@ -158,7 +166,10 @@ impl RoutingPlane {
     {
         let now = ctx.now();
         if let Some(route) = self.routes.lookup(d.dst, now) {
-            let next = self.neighbors.get(route.next_grid, now).unwrap_or(route.via_node);
+            let next = self
+                .neighbors
+                .get(route.next_grid, now, cfg.neighbor_lifetime())
+                .unwrap_or(route.via_node);
             self.record_forward(ctx, &d.packet);
             ctx.unicast(next, d.hop(route.next_grid).into());
             return;
@@ -246,7 +257,7 @@ impl RoutingPlane {
         if let Some(search) = self.search.as_mut() {
             search.discovering.remove(&dst);
             let dropped = search.pending_route.remove(&dst).map_or(0, |q| q.len());
-            self.stats.data_dropped += dropped as u64;
+            self.stats.data_dropped += dropped as u32;
         }
     }
 
@@ -296,6 +307,7 @@ impl RoutingPlane {
     pub fn on_rreq<P, H>(
         &mut self,
         ctx: &mut Ctx<'_, P>,
+        cfg: &GridConfig,
         grid: GridCoord,
         from: NodeId,
         r: Rreq,
@@ -309,7 +321,8 @@ impl RoutingPlane {
         // "When D (or its gateway, if D is not a gateway) receives this
         // RREQ, it will unicast a reply")
         if r.dst == ctx.id() {
-            self.routes.upsert(r.src, r.last_grid, from, r.s_seq, now);
+            self.routes
+                .upsert(r.src, r.last_grid, from, r.s_seq, now, cfg.route_lifetime());
             self.send_rrep(ctx, grid, from, &r);
             return;
         }
@@ -323,7 +336,8 @@ impl RoutingPlane {
             return; // duplicate
         }
         // reverse pointer to the previous sending gateway's grid
-        self.routes.upsert(r.src, r.last_grid, from, r.s_seq, now);
+        self.routes
+            .upsert(r.src, r.last_grid, from, r.s_seq, now, cfg.route_lifetime());
         if local_hosts.contains_key(&r.dst) {
             // I am the destination's gateway: reply
             self.send_rrep(ctx, grid, from, &r);
@@ -341,6 +355,7 @@ impl RoutingPlane {
     pub fn on_rrep<P>(
         &mut self,
         ctx: &mut Ctx<'_, P>,
+        cfg: &GridConfig,
         grid: GridCoord,
         from: NodeId,
         r: Rrep,
@@ -351,7 +366,8 @@ impl RoutingPlane {
     {
         let now = ctx.now();
         // forward pointer: dst reachable through the grid the RREP came from
-        self.routes.upsert(r.dst, r.from_grid, from, r.d_seq, now);
+        self.routes
+            .upsert(r.dst, r.from_grid, from, r.d_seq, now, cfg.route_lifetime());
         let search = Search::of(&mut self.search);
         search.dst_hints.insert(r.dst, r.dst_grid);
         if r.src == ctx.id() {
@@ -360,7 +376,10 @@ impl RoutingPlane {
         }
         // relay along the reverse path; without one the RREP dies here
         if let Some(back) = self.routes.lookup(r.src, now) {
-            let next = self.neighbors.get(back.next_grid, now).unwrap_or(back.via_node);
+            let next = self
+                .neighbors
+                .get(back.next_grid, now, cfg.neighbor_lifetime())
+                .unwrap_or(back.via_node);
             ctx.unicast(next, Rrep { from_grid: grid, ..r }.into());
         }
         None
@@ -370,7 +389,9 @@ impl RoutingPlane {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use manet::{CbrFlow, FlowId, FlowSet, FrameKind, HostSetup, Point2, WireSize, World, WorldConfig};
+    use manet::{
+        CbrFlow, FlowId, FlowSet, FrameKind, HostSetup, Point2, SimDuration, WireSize, World, WorldConfig,
+    };
     use mobility::MobilityTrace;
 
     #[derive(Clone, Debug)]
@@ -441,10 +462,16 @@ mod tests {
             match msg {
                 Msg::Rreq(r) => {
                     let nobody = IdMap::<NodeId, ()>::default();
-                    self.plane.on_rreq(ctx, self.grid, src, *r, Some(&nobody));
+                    self.plane
+                        .on_rreq(ctx, &self.cfg, self.grid, src, *r, Some(&nobody));
                 }
                 Msg::Rrep(r) => {
-                    for d in self.plane.on_rrep(ctx, self.grid, src, *r).into_iter().flatten() {
+                    for d in self
+                        .plane
+                        .on_rrep(ctx, &self.cfg, self.grid, src, *r)
+                        .into_iter()
+                        .flatten()
+                    {
                         self.route(ctx, d);
                     }
                 }
@@ -541,7 +568,7 @@ mod tests {
         }
     }
 
-    fn first_round(w: World<Relay>, off_path_relays: u64) {
+    fn first_round(w: World<Relay>, off_path_relays: u32) {
         assert_eq!(
             stats(&w, SRC).rreqs_sent,
             1,

@@ -8,6 +8,7 @@
 
 use manet::sim_engine::IdMap;
 use manet::{GridCoord, NodeId, SimDuration, SimTime};
+use std::ops::{Deref, DerefMut};
 
 /// One routing-table entry.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -26,27 +27,15 @@ pub struct RouteEntry {
 /// handoff messages.
 pub type RouteSnapshot = Vec<(NodeId, RouteEntry)>;
 
-/// The gateway's routing table.
-#[derive(Clone, Debug)]
-pub struct RouteTable {
+/// A host's routes.  The table keeps no lifetime of its own: each write
+/// is handed the lifetime of the entry it installs, so the routing plane
+/// of every host reads the one its protocol's config holds.
+#[derive(Clone, Debug, Default)]
+pub struct RouteMap {
     map: IdMap<NodeId, RouteEntry>,
-    ttl: SimDuration,
 }
 
-impl RouteTable {
-    /// `ttl` is the lifetime of newly-installed entries.
-    pub fn new(ttl: SimDuration) -> Self {
-        RouteTable {
-            map: IdMap::default(),
-            ttl,
-        }
-    }
-
-    #[inline]
-    pub fn ttl(&self) -> SimDuration {
-        self.ttl
-    }
-
+impl RouteMap {
     #[inline]
     pub fn len(&self) -> usize {
         self.map.len()
@@ -57,9 +46,10 @@ impl RouteTable {
         self.map.is_empty()
     }
 
-    /// Install/refresh a route to `dst`.  An existing entry is replaced
-    /// only by a fresher one (higher seq) or an equally-fresh one (which
-    /// refreshes the expiry / moves to a newer neighbour).
+    /// Install/refresh a route to `dst` that lives for `ttl`.  An
+    /// existing entry is replaced only by a fresher one (higher seq) or an
+    /// equally-fresh one (which refreshes the expiry / moves to a newer
+    /// neighbour).
     pub fn upsert(
         &mut self,
         dst: NodeId,
@@ -67,12 +57,13 @@ impl RouteTable {
         via_node: NodeId,
         seq: u32,
         now: SimTime,
+        ttl: SimDuration,
     ) -> bool {
         let entry = RouteEntry {
             next_grid,
             via_node,
             seq,
-            expires: now + self.ttl,
+            expires: now + ttl,
         };
         match self.map.get(&dst) {
             Some(old) if old.seq > seq && old.expires > now => false,
@@ -123,6 +114,50 @@ impl RouteTable {
                 }
             }
         }
+    }
+}
+
+/// A [`RouteMap`] that carries the lifetime of its entries, for a table
+/// used outside a routing plane; every read is the map's.
+#[derive(Clone, Debug)]
+pub struct RouteTable {
+    routes: RouteMap,
+    ttl: SimDuration,
+}
+
+impl RouteTable {
+    /// `ttl` is the lifetime of newly-installed entries.
+    pub fn new(ttl: SimDuration) -> Self {
+        RouteTable {
+            routes: RouteMap::default(),
+            ttl,
+        }
+    }
+
+    /// [`RouteMap::upsert`] with this table's lifetime.
+    pub fn upsert(
+        &mut self,
+        dst: NodeId,
+        next_grid: GridCoord,
+        via_node: NodeId,
+        seq: u32,
+        now: SimTime,
+    ) -> bool {
+        self.routes.upsert(dst, next_grid, via_node, seq, now, self.ttl)
+    }
+}
+
+impl Deref for RouteTable {
+    type Target = RouteMap;
+
+    fn deref(&self) -> &RouteMap {
+        &self.routes
+    }
+}
+
+impl DerefMut for RouteTable {
+    fn deref_mut(&mut self) -> &mut RouteMap {
+        &mut self.routes
     }
 }
 

@@ -86,12 +86,13 @@ pub enum GridRole {
 }
 
 /// Per-host election counters (the routing counters are
-/// [`GridProto::routing_stats`]).
+/// [`GridProto::routing_stats`]).  32 bits each, like the routing
+/// counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct GridStats {
-    pub elections_started: u64,
-    pub became_gateway: u64,
-    pub retires: u64,
+    pub elections_started: u32,
+    pub became_gateway: u32,
+    pub retires: u32,
 }
 
 /// One GRID instance.
@@ -281,9 +282,10 @@ impl GridProto {
 
     fn on_hello(&mut self, ctx: &mut Ctx<'_, Self>, src: NodeId, h: HelloInfo) {
         let now = ctx.now();
-        self.plane.overhear_hello(&h, now);
+        self.plane.overhear_hello(&self.cfg, &h, now);
         if h.grid != self.my_grid {
-            if self.role == GridRole::Gateway {
+            // the table is often empty: then there is nothing to look up
+            if self.role == GridRole::Gateway && !self.host_table.is_empty() {
                 self.host_table.remove(&src);
             }
             return;
@@ -397,11 +399,11 @@ impl Protocol for GridProto {
             GridMsg::Rreq(r) => {
                 // only a gateway relays searches or answers for its hosts
                 let hosts = self.is_gateway().then_some(&self.host_table);
-                self.plane.on_rreq(ctx, self.my_grid, src, *r, hosts);
+                self.plane.on_rreq(ctx, &self.cfg, self.my_grid, src, *r, hosts);
             }
             GridMsg::Rrep(r) => {
                 // a completed search of my own releases its buffer
-                if let Some(buffered) = self.plane.on_rrep(ctx, self.my_grid, src, *r) {
+                if let Some(buffered) = self.plane.on_rrep(ctx, &self.cfg, self.my_grid, src, *r) {
                     for d in buffered {
                         self.route_data(ctx, d);
                     }
@@ -414,7 +416,7 @@ impl Protocol for GridProto {
     fn on_timer(&mut self, ctx: &mut Ctx<'_, Self>, timer: GridTimer) {
         match timer {
             GridTimer::Hello => {
-                self.plane.purge(ctx.now());
+                self.plane.purge(&self.cfg, ctx.now());
                 self.send_hello(ctx, self.role == GridRole::Gateway);
                 let jitter = 1.0 + self.cfg.hello_jitter * (ctx.rng().gen::<f64>() * 2.0 - 1.0);
                 ctx.set_timer_secs(self.cfg.hello_interval * jitter, GridTimer::Hello);

@@ -52,7 +52,9 @@ enum Event {
     /// Protocol timer `id` fires.
     Timer { node: NodeId, id: u64 },
     /// A RAS page transmitted from `origin` arrives at its addressees.
-    Page { signal: PageSignal, origin: Point2 },
+    /// Boxed: pages are rare, and their 28-byte payload inline would widen
+    /// every pending event from 24 to 32 bytes.
+    Page(Box<(PageSignal, Point2)>),
     /// `node`'s trajectory crosses a grid boundary.
     CellCrossing { node: NodeId },
     /// Flow `flow_idx` emits packet `seq`.
@@ -77,7 +79,7 @@ impl Event {
             Event::TxEnd { .. } => "tx_end",
             Event::AckDone { .. } => "ack_done",
             Event::Timer { .. } => "timer",
-            Event::Page { .. } => "page",
+            Event::Page(_) => "page",
             Event::CellCrossing { .. } => "cell_crossing",
             Event::AppSend { .. } => "app_send",
             Event::Sample => "sample",
@@ -452,7 +454,10 @@ impl<P: Protocol> World<P> {
             Event::TxEnd { node, tx_id, flight } => self.tx_end(node, tx_id, flight),
             Event::AckDone { node, ok } => self.ack_done(node, ok),
             Event::Timer { node, id } => self.timer_fired(node, id),
-            Event::Page { signal, origin } => self.page_arrives(signal, origin),
+            Event::Page(page) => {
+                let (signal, origin) = *page;
+                self.page_arrives(signal, origin)
+            }
             Event::CellCrossing { node } => self.cell_crossing(node),
             Event::AppSend { flow_idx, seq } => self.app_send(flow_idx, seq),
             Event::Sample => self.sample(),
@@ -588,5 +593,20 @@ impl<P: Protocol> World<P> {
         });
         let dst = flow.dst;
         self.dispatch(src, move |p, ctx| p.on_app_send(ctx, dst, packet));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::Event;
+    use sim_engine::EventPool;
+    use std::mem::size_of;
+
+    #[test]
+    fn a_pending_event_takes_24_bytes_and_its_pool_slot_32() {
+        // a world reserves a slot per pending event up front (4 per host
+        // plus 64), so these bytes are paid per host whether used or not
+        assert_eq!(size_of::<Event>(), 24);
+        assert_eq!(EventPool::<Event>::SLOT_BYTES, 32);
     }
 }

@@ -19,7 +19,7 @@ impl<P: Protocol> World<P> {
         self.emit(|| EventKind::RasPage { by: node, signal });
         let latency = self.cfg.ras.wake_latency
             + SimDuration::from_nanos(self.fault.page_extra_delay_ns(node.0, now.as_nanos()));
-        self.schedule_in(node, latency, Event::Page { signal, origin });
+        self.schedule_in(node, latency, Event::Page(Box::new((signal, origin))));
     }
 
     pub(super) fn page_arrives(&mut self, signal: PageSignal, origin: Point2) {

@@ -694,7 +694,7 @@ rate_pps = 1.0
             .to_string()
     }
 
-    fn with_routing(r: grid_common::RoutingStats, became_gateway: u64, retires: u64) -> [u64; 8] {
+    fn with_routing(r: grid_common::RoutingStats, became_gateway: u32, retires: u32) -> [u64; 8] {
         [
             r.rreqs_sent,
             r.rreqs_forwarded,
@@ -705,6 +705,7 @@ rate_pps = 1.0
             became_gateway,
             retires,
         ]
+        .map(u64::from)
     }
 
     #[test]

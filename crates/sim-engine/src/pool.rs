@@ -56,6 +56,10 @@ impl<E> Default for EventPool<E> {
 }
 
 impl<E> EventPool<E> {
+    /// Bytes one slot takes: the event and its stamp (an enum event's
+    /// spare tag values encode the empty slot, so that costs nothing).
+    pub const SLOT_BYTES: usize = std::mem::size_of::<Slot<E>>();
+
     pub fn new() -> Self {
         EventPool {
             slots: Vec::new(),
@@ -266,6 +270,19 @@ mod tests {
         p.revoke(b, stamp_a);
         p.revoke(99, 1); // out-of-range slot: no-op
         assert_eq!(p.stats().live, 0);
+    }
+
+    #[test]
+    fn a_slot_is_its_event_and_stamp() {
+        // the shape of a world's pending event: 16 payload bytes and a tag
+        #[allow(dead_code)]
+        enum Event {
+            TxEnd { node: u32, tx_id: u64, flight: u32 },
+            Page(Box<[u64; 4]>),
+            EndOfRun,
+        }
+        assert_eq!(std::mem::size_of::<Event>(), 24);
+        assert_eq!(EventPool::<Event>::SLOT_BYTES, 32);
     }
 
     #[test]

@@ -112,13 +112,13 @@ pub enum SpanTimer {
     Aodv(AodvTimer),
 }
 
-/// Per-host counters.
+/// Per-host counters (32 bits: no host counts 2³² of anything in a run).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SpanStats {
-    pub coordinator_terms: u64,
-    pub withdrawals: u64,
-    pub psm_cycles: u64,
-    pub hellos: u64,
+    pub coordinator_terms: u32,
+    pub withdrawals: u32,
+    pub psm_cycles: u32,
+    pub hellos: u32,
 }
 
 #[derive(Clone, Debug)]

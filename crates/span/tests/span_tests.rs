@@ -102,7 +102,7 @@ fn psm_nodes_duty_cycle_and_save_energy() {
         );
     }
     // and they really cycled
-    let cycles: u64 = psm.iter().map(|i| w.protocol(NodeId(*i)).stats.psm_cycles).sum();
+    let cycles: u32 = psm.iter().map(|i| w.protocol(NodeId(*i)).stats.psm_cycles).sum();
     assert!(cycles > 100, "PSM wakeups expected, got {cycles}");
 }
 
@@ -122,7 +122,7 @@ fn coordinator_withdraws_when_redundant() {
         .iter()
         .map(|i| w.protocol(NodeId(*i)).is_coordinator())
         .collect();
-    let withdrawals: u64 = [1u32, 2]
+    let withdrawals: u32 = [1u32, 2]
         .iter()
         .map(|i| w.protocol(NodeId(*i)).stats.withdrawals)
         .sum();

@@ -60,10 +60,10 @@ fn main() {
     }
 
     let total_rotations: u64 = (0..5u32)
-        .map(|i| world.protocol(NodeId(i)).stats.became_gateway)
+        .map(|i| u64::from(world.protocol(NodeId(i)).stats.became_gateway))
         .sum();
     let lb_retires: u64 = (0..5u32)
-        .map(|i| world.protocol(NodeId(i)).stats.load_balance_retires)
+        .map(|i| u64::from(world.protocol(NodeId(i)).stats.load_balance_retires))
         .sum();
     println!("\n{total_rotations} gateway terms served, {lb_retires} load-balance retirements");
     println!("\nCompare: a single permanent gateway would die after 579 s;");

@@ -101,7 +101,7 @@ fn gateways_match_fig2_and_route_is_discovered() {
         "I is outside the rectangle"
     );
     // while the corridor gateways did the forwarding
-    let corridor: u64 = [2u32, 3, 5, 6]
+    let corridor: u32 = [2u32, 3, 5, 6]
         .iter()
         .map(|i| w.protocol(NodeId(*i)).routing_stats().rreqs_forwarded)
         .sum();

@@ -7,12 +7,14 @@
 //! (100 hosts/km²), random waypoint at up to 1 m/s, no CBR flows.  The
 //! test measures the heap a freshly built world holds and what it holds
 //! after 2 s of beacons and elections, both per host, and fails past its
-//! bound.  Each figure comes with its deltas per allocation size class, so
-//! a future growth names the allocation that grew; the world's cell index
-//! is also built alone over the same cells, so its share is printed apart.
-//! The per-host rows themselves are pinned by `size_of`: each holds only
-//! per-host state, and what a fleet shares (protocol constants, the power
-//! profile) sits behind one 8-byte handle.
+//! bound.  It also measures what `scale_5k`'s setup holds at its peak: the
+//! world after its 2 s warm-up while the fresh world the timed run uses is
+//! built beside it.  Each figure comes with its deltas per allocation size
+//! class, so a future growth names the allocation that grew; the world's
+//! cell index is also built alone over the same cells, so its share is
+//! printed apart.  The per-host rows themselves are pinned by `size_of`:
+//! each holds only per-host state, and what a fleet shares (protocol
+//! constants, the power profile) sits behind one 8-byte handle.
 //!
 //! This file is its own test binary with one test in it: the counting
 //! allocator below is process-wide, so nothing else may allocate while
@@ -21,7 +23,7 @@
 use ecgrid_suite::ecgrid::{Ecgrid, EcgridConfig};
 use ecgrid_suite::energy::EnergyMeter;
 use ecgrid_suite::gaf::GafProto;
-use ecgrid_suite::grid_common::NeighborGateways;
+use ecgrid_suite::grid_common::GatewayCache;
 use ecgrid_suite::grid_routing::GridProto;
 use ecgrid_suite::manet::{NodeId, World};
 use ecgrid_suite::radio::CellIndex;
@@ -176,24 +178,28 @@ fn build(spec: &ScenarioSpec) -> World<Ecgrid> {
 }
 
 /// Bounds: the value measured when each was set, + 10 %.  A fresh world
-/// read 1 037.0 B/host, a world after 2 s 1 654.0 B/host (1 277.0 and
-/// 2 014.7 while every row held its own copy of the protocol constants
-/// and power profile and a neighbour-gateway entry took 24 B; 1 667.4 and
-/// 2 737.6 before traces kept exactly their segments, route-search state
-/// became lazy and MAC queues and election candidates followed use).
-const FRESH_BOUND: f64 = 1141.0;
-const RUN_BOUND: f64 = 1820.0;
+/// read 860.7 B/host, a world after 2 s 1 477.7 B/host, the two side by
+/// side 2 338.5 B/host (1 037.0, 1 654.0 and 2 691.0 while the protocol
+/// rows held 64-bit counters, an inline RETIRE snapshot and copies of the
+/// two TTLs and a pending event took 32 B; 1 277.0 and 2 014.7 while
+/// every row held its own copy of the protocol constants and power
+/// profile and a neighbour-gateway entry took 24 B; 1 667.4 and 2 737.6
+/// before traces kept exactly their segments, route-search state became
+/// lazy and MAC queues and election candidates followed use).
+const FRESH_BOUND: f64 = 947.0;
+const RUN_BOUND: f64 = 1626.0;
+const TWO_WORLDS_BOUND: f64 = 2573.0;
 
 /// Each per-host row with its size in bytes when last measured: a row
 /// may shrink, never grow past it.
 fn rows() -> [(&'static str, usize, usize); 6] {
     [
-        ("Ecgrid", size_of::<Ecgrid>(), 488),
-        ("GridProto", size_of::<GridProto>(), 312),
-        ("GafProto", size_of::<GafProto>(), 384),
-        ("SpanProto", size_of::<SpanProto>(), 448),
+        ("Ecgrid", size_of::<Ecgrid>(), 344),
+        ("GridProto", size_of::<GridProto>(), 264),
+        ("GafProto", size_of::<GafProto>(), 344),
+        ("SpanProto", size_of::<SpanProto>(), 408),
         ("EnergyMeter", size_of::<EnergyMeter>(), 120),
-        ("neighbour-gateway entry", NeighborGateways::ENTRY_BYTES, 16),
+        ("neighbour-gateway entry", GatewayCache::ENTRY_BYTES, 16),
     ]
 }
 
@@ -208,14 +214,21 @@ fn a_fresh_and_a_run_world_hold_only_what_their_hosts_use() {
     let fresh = Heap::now();
     drop(world.run_until(SimTime::from_secs(2)));
     let run = Heap::now();
+    // scale_5k's setup builds the world it times while its warm-up world
+    // still lives: its peak is these two
+    let beside = build(&spec);
+    let two_worlds = Heap::now();
     let (fresh_per_host, run_per_host) = (fresh.per_host_over(&base), run.per_host_over(&base));
+    let two_worlds_per_host = two_worlds.per_host_over(&base);
     println!(
         "host footprint, {HOSTS} ECGRID hosts, seed {SEED}: fresh world {fresh_per_host:.1} B/host\n{}\
-         after 2 s {run_per_host:.1} B/host (run delta {:+.1} B/host)\n{}",
+         after 2 s {run_per_host:.1} B/host (run delta {:+.1} B/host)\n{}\
+         after 2 s with a fresh world built beside it {two_worlds_per_host:.1} B/host",
         fresh.delta_table(&base),
         run_per_host - fresh_per_host,
         run.delta_table(&fresh),
     );
+    drop(beside);
     drop(world);
 
     let grid = world_config(&spec, &RunOptions::default()).grid;
@@ -247,5 +260,10 @@ fn a_fresh_and_a_run_world_hold_only_what_their_hosts_use() {
     assert!(
         run_per_host <= RUN_BOUND,
         "a world after 2 s holds {run_per_host:.1} B/host, past its {RUN_BOUND} B bound"
+    );
+    assert!(
+        two_worlds_per_host <= TWO_WORLDS_BOUND,
+        "a world after 2 s and a fresh one hold {two_worlds_per_host:.1} B/host, \
+         past their {TWO_WORLDS_BOUND} B bound"
     );
 }
