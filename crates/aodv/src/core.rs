@@ -1,35 +1,18 @@
 //! The AODV state machine as a pure core emitting actions.
 
-use manet::sim_engine::share;
 use manet::{AppPacket, NodeId, SimDuration, SimTime, WireSize};
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::sync::{Arc, LazyLock};
 
 const DATA_TTL: u8 = 32;
 
-/// AODV parameters.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct AodvConfig {
-    /// Route lifetime (seconds).
-    pub route_ttl: f64,
-    /// Per-attempt discovery timeout (seconds).
-    pub discovery_timeout: f64,
-    /// Discovery attempts before pending packets are dropped.
-    pub max_discovery_attempts: u32,
-    /// Max packets buffered per destination awaiting a route.
-    pub buffer_cap: usize,
-}
-
-impl Default for AodvConfig {
-    fn default() -> Self {
-        AodvConfig {
-            route_ttl: 60.0,
-            discovery_timeout: 0.25,
-            max_discovery_attempts: 4,
-            buffer_cap: 64,
-        }
-    }
-}
+/// Route lifetime (seconds).
+pub const ROUTE_TTL: f64 = 60.0;
+/// Per-attempt discovery timeout (seconds).
+pub const DISCOVERY_TIMEOUT: f64 = 0.25;
+/// Discovery attempts before pending packets are dropped.
+pub const MAX_DISCOVERY_ATTEMPTS: u32 = 4;
+/// Max packets buffered per destination awaiting a route.
+pub const BUFFER_CAP: usize = 64;
 
 /// AODV wire messages.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -108,8 +91,7 @@ struct HostRoute {
 
 /// The AODV state machine for one host.
 pub struct AodvCore {
-    pub(crate) me: NodeId,
-    cfg: Arc<AodvConfig>,
+    me: NodeId,
     /// Whether this host relays foreign traffic (Model-1 endpoints do not).
     pub forwards: bool,
     routes: HashMap<NodeId, HostRoute>,
@@ -123,11 +105,9 @@ pub struct AodvCore {
 }
 
 impl AodvCore {
-    pub fn new(cfg: AodvConfig, me: NodeId) -> Self {
-        static DEFAULT: LazyLock<Arc<AodvConfig>> = LazyLock::new(Arc::default);
+    pub fn new(me: NodeId) -> Self {
         AodvCore {
             me,
-            cfg: share(cfg, &DEFAULT),
             forwards: true,
             routes: HashMap::new(),
             seen: HashSet::new(),
@@ -156,7 +136,7 @@ impl AodvCore {
     }
 
     fn ttl_from(&self, now: SimTime) -> SimTime {
-        now + SimDuration::from_secs_f64(self.cfg.route_ttl)
+        now + SimDuration::from_secs_f64(ROUTE_TTL)
     }
 
     fn mark_seen(&mut self, src: NodeId, id: u32) -> bool {
@@ -236,7 +216,7 @@ impl AodvCore {
         }
         // buffer + discover
         let q = self.pending.entry(dst).or_default();
-        if q.len() >= self.cfg.buffer_cap {
+        if q.len() >= BUFFER_CAP {
             q.pop_front();
             self.stats.data_dropped += 1;
         }
@@ -265,10 +245,7 @@ impl AodvCore {
                 d_seq,
                 hops: 0,
             }),
-            Action::Timer(
-                self.cfg.discovery_timeout,
-                AodvTimer::DiscoveryTimeout { dst, attempt },
-            ),
+            Action::Timer(DISCOVERY_TIMEOUT, AodvTimer::DiscoveryTimeout { dst, attempt }),
         ]
     }
 
@@ -440,7 +417,7 @@ impl AodvCore {
                     self.discovering.remove(&dst);
                     return self.flush_pending(now, dst);
                 }
-                if attempt + 1 < self.cfg.max_discovery_attempts {
+                if attempt + 1 < MAX_DISCOVERY_ATTEMPTS {
                     self.discovering.remove(&dst);
                     self.start_discovery(now, dst, attempt + 1)
                 } else {
@@ -531,7 +508,7 @@ mod tests {
 
     #[test]
     fn send_without_route_floods_rreq_and_buffers() {
-        let mut a = AodvCore::new(AodvConfig::default(), NodeId(0));
+        let mut a = AodvCore::new(NodeId(0));
         let acts = a.send_data(t(0), NodeId(9), pkt(0));
         assert!(matches!(
             acts[0],
@@ -548,7 +525,7 @@ mod tests {
 
     #[test]
     fn rreq_reply_by_destination_and_reverse_route() {
-        let mut d = AodvCore::new(AodvConfig::default(), NodeId(9));
+        let mut d = AodvCore::new(NodeId(9));
         let rreq = AodvMsg::Rreq {
             src: NodeId(0),
             s_seq: 1,
@@ -576,7 +553,7 @@ mod tests {
 
     #[test]
     fn duplicate_rreq_is_suppressed() {
-        let mut n = AodvCore::new(AodvConfig::default(), NodeId(5));
+        let mut n = AodvCore::new(NodeId(5));
         let rreq = AodvMsg::Rreq {
             src: NodeId(0),
             s_seq: 1,
@@ -596,7 +573,7 @@ mod tests {
 
     #[test]
     fn rrep_relays_along_reverse_path_and_flushes_at_source() {
-        let mut s = AodvCore::new(AodvConfig::default(), NodeId(0));
+        let mut s = AodvCore::new(NodeId(0));
         // source floods for 9
         s.send_data(t(0), NodeId(9), pkt(0));
         // reply comes back from neighbour 1
@@ -620,7 +597,7 @@ mod tests {
 
     #[test]
     fn intermediate_with_fresh_route_replies() {
-        let mut m = AodvCore::new(AodvConfig::default(), NodeId(5));
+        let mut m = AodvCore::new(NodeId(5));
         // m learned a route to 9 (seq 4) earlier
         m.on_msg(
             t(0),
@@ -659,7 +636,7 @@ mod tests {
 
     #[test]
     fn non_forwarding_endpoint_neither_relays_rreq_nor_data() {
-        let mut e = AodvCore::new(AodvConfig::default(), NodeId(3));
+        let mut e = AodvCore::new(NodeId(3));
         e.forwards = false;
         let rreq = AodvMsg::Rreq {
             src: NodeId(0),
@@ -693,36 +670,37 @@ mod tests {
 
     #[test]
     fn discovery_retries_then_drops() {
-        let cfg = AodvConfig {
-            max_discovery_attempts: 2,
-            ..Default::default()
-        };
-        let mut a = AodvCore::new(cfg, NodeId(0));
+        let mut a = AodvCore::new(NodeId(0));
         a.send_data(t(0), NodeId(9), pkt(0));
-        // first timeout: retry
+        let last = MAX_DISCOVERY_ATTEMPTS - 1;
+        // every timeout but the last: retry
+        for attempt in 0..last {
+            let acts = a.on_timer(
+                t(u64::from(attempt) + 1),
+                AodvTimer::DiscoveryTimeout {
+                    dst: NodeId(9),
+                    attempt,
+                },
+            );
+            assert!(matches!(acts[0], Action::Broadcast(AodvMsg::Rreq { .. })));
+            assert_eq!(a.stats.data_dropped, 0);
+        }
+        // the last timeout: give up, buffered packet dropped
         let acts = a.on_timer(
-            t(1),
+            t(u64::from(last) + 1),
             AodvTimer::DiscoveryTimeout {
                 dst: NodeId(9),
-                attempt: 0,
-            },
-        );
-        assert!(matches!(acts[0], Action::Broadcast(AodvMsg::Rreq { .. })));
-        // second timeout: give up, buffered packet dropped
-        let acts = a.on_timer(
-            t(2),
-            AodvTimer::DiscoveryTimeout {
-                dst: NodeId(9),
-                attempt: 1,
+                attempt: last,
             },
         );
         assert!(acts.is_empty());
         assert_eq!(a.stats.data_dropped, 1);
+        assert_eq!(a.stats.rreqs_sent, MAX_DISCOVERY_ATTEMPTS);
     }
 
     #[test]
     fn link_failure_purges_routes_and_rediscovers_own_traffic() {
-        let mut s = AodvCore::new(AodvConfig::default(), NodeId(0));
+        let mut s = AodvCore::new(NodeId(0));
         s.send_data(t(0), NodeId(9), pkt(0));
         s.on_msg(
             t(1),
@@ -751,7 +729,7 @@ mod tests {
 
     #[test]
     fn rerr_removes_route_through_reporting_neighbor() {
-        let mut n = AodvCore::new(AodvConfig::default(), NodeId(2));
+        let mut n = AodvCore::new(NodeId(2));
         n.on_msg(
             t(0),
             NodeId(3),
@@ -776,7 +754,7 @@ mod tests {
 
     #[test]
     fn stale_seq_does_not_downgrade_route() {
-        let mut n = AodvCore::new(AodvConfig::default(), NodeId(2));
+        let mut n = AodvCore::new(NodeId(2));
         n.upsert_route(NodeId(9), NodeId(3), 10, 2, t(0));
         n.upsert_route(NodeId(9), NodeId(4), 5, 1, t(1));
         assert_eq!(n.next_hop(NodeId(9), t(2)), Some(NodeId(3)));

@@ -19,10 +19,11 @@
 //!
 //! [`AodvCore`] is a pure state machine emitting [`Action`]s, so it can be
 //! driven either directly by the [`Aodv`] protocol adapter or embedded
-//! inside another protocol (GAF).
+//! inside another protocol (GAF, Span).  Every host over a core is an
+//! [`AodvHost`], and [`run`] applies the core's actions for all of them.
 
 pub mod core;
 pub mod proto;
 
-pub use crate::core::{Action, AodvConfig, AodvCore, AodvMsg, AodvStats, AodvTimer};
-pub use crate::proto::{trace_relay, Aodv};
+pub use crate::core::{Action, AodvCore, AodvMsg, AodvStats, AodvTimer};
+pub use crate::proto::{run, Aodv, AodvHost};

@@ -1,18 +1,41 @@
-//! The `Protocol` adapter running a bare [`AodvCore`] on a host (every
-//! host always on — AODV itself conserves nothing).
+//! How a host applies its [`AodvCore`]'s actions, and the `Protocol`
+//! adapter running a bare core on a host (every host always on — AODV
+//! itself conserves nothing).
 
-use crate::core::{Action, AodvConfig, AodvCore, AodvMsg, AodvStats, AodvTimer};
+use crate::core::{Action, AodvCore, AodvMsg, AodvStats, AodvTimer};
 use manet::{AppPacket, Ctx, EventKind, FrameKind, NodeId, Protocol};
 
-/// Trace `m` as a forward when router `me` sends it on someone else's
-/// behalf: a `Data` unicast whose source is another host.  Every adapter
-/// over an [`AodvCore`] calls this on each unicast it is handed, so a
-/// relay shows in the trace whatever duty cycle sits on top.
-pub fn trace_relay<P: Protocol>(ctx: &mut Ctx<'_, P>, me: NodeId, m: &AodvMsg) {
-    if let AodvMsg::Data { packet, src, .. } = m {
-        if *src != me {
-            let (flow, seq) = (packet.flow, packet.seq);
-            ctx.emit(|| EventKind::PacketForwarded { node: me, flow, seq });
+/// A protocol routing over an embedded [`AodvCore`]: plain [`Aodv`], GAF
+/// and Span.  Its messages and timers wrap the core's.
+pub trait AodvHost: Protocol<Msg: From<AodvMsg>, Timer: From<AodvTimer>> {
+    /// Send a routed unicast.  Span overrides this to hold a frame for a
+    /// neighbour that sleeps through the PSM schedule.
+    fn unicast(&mut self, ctx: &mut Ctx<'_, Self>, to: NodeId, m: AodvMsg) {
+        ctx.unicast(to, m.into());
+    }
+}
+
+/// Apply `actions` from `host`'s core.  A `Data` unicast on another
+/// host's behalf is traced as a forward before it leaves, so a relay
+/// shows in the trace whatever duty cycle sits on top.
+pub fn run<P: AodvHost>(host: &mut P, ctx: &mut Ctx<'_, P>, actions: Vec<Action>) {
+    let me = ctx.id();
+    for a in actions {
+        match a {
+            Action::Broadcast(m) => ctx.broadcast(m.into()),
+            Action::Unicast(to, m) => {
+                if let AodvMsg::Data { packet, src, .. } = m {
+                    if src != me {
+                        let (flow, seq) = (packet.flow, packet.seq);
+                        ctx.emit(|| EventKind::PacketForwarded { node: me, flow, seq });
+                    }
+                }
+                host.unicast(ctx, to, m);
+            }
+            Action::Deliver(p) => ctx.deliver_app(p),
+            Action::Timer(secs, t) => {
+                ctx.set_timer_secs(secs, t.into());
+            }
         }
     }
 }
@@ -23,39 +46,18 @@ pub struct Aodv {
 }
 
 impl Aodv {
-    pub fn new(cfg: AodvConfig, me: NodeId) -> Self {
+    pub fn new(me: NodeId) -> Self {
         Aodv {
-            core: AodvCore::new(cfg, me),
+            core: AodvCore::new(me),
         }
-    }
-
-    /// A host that never relays foreign traffic (Model-1 endpoint).
-    pub fn endpoint(cfg: AodvConfig, me: NodeId) -> Self {
-        let mut core = AodvCore::new(cfg, me);
-        core.forwards = false;
-        Aodv { core }
     }
 
     pub fn stats(&self) -> &AodvStats {
         &self.core.stats
     }
-
-    fn run(&self, ctx: &mut Ctx<'_, Self>, actions: Vec<Action>) {
-        for a in actions {
-            match a {
-                Action::Broadcast(m) => ctx.broadcast(m),
-                Action::Unicast(to, m) => {
-                    trace_relay(ctx, self.core.me, &m);
-                    ctx.unicast(to, m);
-                }
-                Action::Deliver(p) => ctx.deliver_app(p),
-                Action::Timer(secs, t) => {
-                    ctx.set_timer_secs(secs, t);
-                }
-            }
-        }
-    }
 }
+
+impl AodvHost for Aodv {}
 
 impl Protocol for Aodv {
     type Msg = AodvMsg;
@@ -65,22 +67,22 @@ impl Protocol for Aodv {
 
     fn on_frame(&mut self, ctx: &mut Ctx<'_, Self>, src: NodeId, _kind: FrameKind, msg: &AodvMsg) {
         let acts = self.core.on_msg(ctx.now(), src, msg);
-        self.run(ctx, acts);
+        run(self, ctx, acts);
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_, Self>, timer: AodvTimer) {
         let acts = self.core.on_timer(ctx.now(), timer);
-        self.run(ctx, acts);
+        run(self, ctx, acts);
     }
 
     fn on_app_send(&mut self, ctx: &mut Ctx<'_, Self>, dst: NodeId, packet: AppPacket) {
         let acts = self.core.send_data(ctx.now(), dst, packet);
-        self.run(ctx, acts);
+        run(self, ctx, acts);
     }
 
     fn on_unicast_failed(&mut self, ctx: &mut Ctx<'_, Self>, dst: NodeId, msg: &AodvMsg) {
         let acts = self.core.on_link_failure(ctx.now(), dst, msg);
-        self.run(ctx, acts);
+        run(self, ctx, acts);
     }
 }
 
@@ -112,9 +114,7 @@ mod tests {
             stop: SimTime::from_secs(21),
             burst: None,
         }]);
-        World::new(WorldConfig::paper_default(77), hosts, flows, |id| {
-            Aodv::new(AodvConfig::default(), id)
-        })
+        World::new(WorldConfig::paper_default(77), hosts, flows, Aodv::new)
     }
 
     #[test]
@@ -148,9 +148,7 @@ mod tests {
             stop: SimTime::from_secs(6),
             burst: None,
         }]);
-        let mut w = World::new(WorldConfig::paper_default(3), hosts, flows, |id| {
-            Aodv::new(AodvConfig::default(), id)
-        });
+        let mut w = World::new(WorldConfig::paper_default(3), hosts, flows, Aodv::new);
         w.run_until(SimTime::from_secs(15));
         assert_eq!(w.ledger().delivered_count(), 0);
         assert!(

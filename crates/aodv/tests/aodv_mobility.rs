@@ -1,7 +1,8 @@
 //! AODV under link dynamics: local repair, route freshness, and loop
 //! freedom observed end-to-end on the simulator.
 
-use aodv::{Aodv, AodvConfig};
+use aodv::core::ROUTE_TTL;
+use aodv::Aodv;
 use manet::{FlowSet, HostSetup, NodeId, Point2, SimDuration, SimTime, World, WorldConfig};
 use mobility::{MobilityTrace, Segment};
 use traffic::{CbrFlow, FlowId};
@@ -32,9 +33,7 @@ fn broken_relay_is_repaired_through_an_alternate() {
         stop: SimTime::from_secs(60),
         burst: None,
     }]);
-    let mut w = World::new(WorldConfig::paper_default(11), hosts, flows, |id| {
-        Aodv::new(AodvConfig::default(), id)
-    });
+    let mut w = World::new(WorldConfig::paper_default(11), hosts, flows, Aodv::new);
     w.run_until(SimTime::from_secs(20));
     let early = w.ledger().delivery_rate().unwrap();
     assert!(early > 0.9, "pre-failure pdr {early}");
@@ -91,9 +90,7 @@ fn mobile_relay_breaks_and_heals_routes() {
         stop: SimTime::from_secs(150),
         burst: None,
     }]);
-    let mut w = World::new(WorldConfig::paper_default(13), hosts, flows, |id| {
-        Aodv::new(AodvConfig::default(), id)
-    });
+    let mut w = World::new(WorldConfig::paper_default(13), hosts, flows, Aodv::new);
     w.run_until(SimTime::from_secs(150));
     let ledger = w.ledger();
     // delivered during the two connected phases, lost during the gap
@@ -110,13 +107,10 @@ fn mobile_relay_breaks_and_heals_routes() {
 
 #[test]
 fn ttl_prevents_infinite_forwarding_loops() {
-    // even with aggressively short route ttls forcing constant rediscovery
+    // a flow that outlives the route lifetime forces rediscovery mid-flow;
     // there must be no unbounded forwarding (every Data carries a TTL)
-    let cfg = AodvConfig {
-        route_ttl: 2.0,
-        ..AodvConfig::default()
-    };
     let hosts = vec![still(20.0, 500.0), still(250.0, 500.0), still(480.0, 500.0)];
+    let stop = 1.0 + 2.0 * ROUTE_TTL;
     let flows = FlowSet::new(vec![CbrFlow {
         id: FlowId(0),
         src: NodeId(0),
@@ -124,13 +118,15 @@ fn ttl_prevents_infinite_forwarding_loops() {
         packet_bytes: 512,
         interval: SimDuration::from_millis(500),
         start: SimTime::from_secs(1),
-        stop: SimTime::from_secs(60),
+        stop: SimTime::from_secs_f64(stop),
         burst: None,
     }]);
-    let mut w = World::new(WorldConfig::paper_default(17), hosts, flows, move |id| {
-        Aodv::new(cfg, id)
-    });
-    w.run_until(SimTime::from_secs(70));
+    let mut w = World::new(WorldConfig::paper_default(17), hosts, flows, Aodv::new);
+    w.run_until(SimTime::from_secs_f64(stop + 10.0));
+    assert!(
+        w.protocol(NodeId(0)).stats().rreqs_sent >= 2,
+        "the source's route expired and was rediscovered"
+    );
     let forwarded: u64 = (0..3)
         .map(|i| u64::from(w.protocol(NodeId(i)).stats().data_forwarded))
         .sum();

@@ -215,19 +215,13 @@ impl Ecgrid {
     /// multiple concurrent beacon timers.
     fn arm_hello(&mut self, ctx: &mut Ctx<'_, Self>) {
         self.hello_epoch += 1;
-        let jitter = 1.0 + self.cfg.grid.hello_jitter * (ctx.rng().gen::<f64>() * 2.0 - 1.0);
-        ctx.set_timer_secs(
-            self.cfg.grid.hello_interval * jitter,
-            EcTimer::Hello {
-                epoch: self.hello_epoch,
-            },
-        );
+        self.rearm_hello(ctx, self.hello_epoch);
     }
 
     /// Continue the current HELLO chain.
     fn rearm_hello(&mut self, ctx: &mut Ctx<'_, Self>, epoch: u32) {
-        let jitter = 1.0 + self.cfg.grid.hello_jitter * (ctx.rng().gen::<f64>() * 2.0 - 1.0);
-        ctx.set_timer_secs(self.cfg.grid.hello_interval * jitter, EcTimer::Hello { epoch });
+        let delay = self.cfg.grid.hello_delay(ctx.rng().gen());
+        ctx.set_timer_secs(delay, EcTimer::Hello { epoch });
     }
 
     fn start_election(&mut self, ctx: &mut Ctx<'_, Self>) {
@@ -245,8 +239,7 @@ impl Ecgrid {
                 epoch: self.election_epoch,
             },
         );
-        self.plane
-            .sync_gateway_trace(ctx, self.my_grid, self.is_gateway());
+        self.plane.tenure.sync(ctx, self.my_grid, self.is_gateway());
     }
 
     fn no_gateway_event(&mut self, ctx: &mut Ctx<'_, Self>) {
@@ -279,8 +272,7 @@ impl Ecgrid {
         // the vote is over: give the candidate list's storage back (the
         // next election allocates afresh)
         self.candidates = Vec::new();
-        self.plane
-            .sync_gateway_trace(ctx, self.my_grid, self.is_gateway());
+        self.plane.tenure.sync(ctx, self.my_grid, self.is_gateway());
         self.gateway = Some(gateway);
         self.last_gw_hello = ctx.now();
         self.handoff_epoch += 1;
@@ -294,8 +286,7 @@ impl Ecgrid {
     fn become_gateway(&mut self, ctx: &mut Ctx<'_, Self>) {
         self.stats.became_gateway += 1;
         self.role = Role::Gateway;
-        self.plane
-            .sync_gateway_trace(ctx, self.my_grid, self.is_gateway());
+        self.plane.tenure.sync(ctx, self.my_grid, self.is_gateway());
         self.handoff_epoch += 1;
         self.gateway = Some(self.me);
         self.level_at_election = ctx.level();
@@ -378,7 +369,36 @@ impl Ecgrid {
         self.arm_hello(ctx);
     }
 
+    /// Wake into Member state and revalidate the gateway with the ACQ
+    /// handshake (§3.3): broadcast an ACQ naming `dst` and wait for a
+    /// gateway HELLO until the ACQ timeout.
+    fn wake_with_acq(&mut self, ctx: &mut Ctx<'_, Self>, dst: NodeId) {
+        self.wake_to_member(ctx);
+        self.awaiting_acq = true;
+        self.acq_epoch += 1;
+        self.stats.acqs_sent += 1;
+        ctx.broadcast(EcMsg::Acq {
+            gid: self.my_grid,
+            dst,
+        });
+        ctx.set_timer_secs(
+            self.cfg.acq_timeout,
+            EcTimer::AcqTimeout {
+                epoch: self.acq_epoch,
+            },
+        );
+    }
+
     // ----- entering / leaving grids ------------------------------------
+
+    /// Left grid `left` as a non-gateway (§3.2): tell its gateway, unless
+    /// that is me, then arrive in `new`.
+    fn leave_for(&mut self, ctx: &mut Ctx<'_, Self>, left: GridCoord, new: GridCoord) {
+        if let Some(gw) = self.gateway.filter(|gw| *gw != self.me) {
+            ctx.unicast(gw, EcMsg::Leave { grid: left });
+        }
+        self.enter_grid(ctx, new);
+    }
 
     /// Arrived in a new grid (awake): HELLO and wait for the gateway.
     fn enter_grid(&mut self, ctx: &mut Ctx<'_, Self>, new: GridCoord) {
@@ -387,8 +407,7 @@ impl Ecgrid {
         Paging::clear_attempts(&mut self.paging);
         self.gateway = None;
         self.role = Role::Electing;
-        self.plane
-            .sync_gateway_trace(ctx, self.my_grid, self.is_gateway());
+        self.plane.tenure.sync(ctx, self.my_grid, self.is_gateway());
         self.candidates.clear();
         self.election_epoch += 1;
         self.handoff_epoch += 1;
@@ -769,19 +788,7 @@ impl Protocol for Ecgrid {
                         // gateway can never page its sleepers awake, so
                         // this is the only path out of a dead cell
                         self.stats.orphan_checks += 1;
-                        self.wake_to_member(ctx);
-                        self.awaiting_acq = true;
-                        self.acq_epoch += 1;
-                        self.stats.acqs_sent += 1;
-                        let gid = self.my_grid;
-                        let me = self.me;
-                        ctx.broadcast(EcMsg::Acq { gid, dst: me });
-                        ctx.set_timer_secs(
-                            self.cfg.acq_timeout,
-                            EcTimer::AcqTimeout {
-                                epoch: self.acq_epoch,
-                            },
-                        );
+                        self.wake_with_acq(ctx, self.me);
                         return;
                     }
                     self.stats.dwell_extensions += 1;
@@ -789,13 +796,13 @@ impl Protocol for Ecgrid {
                 } else {
                     // left the grid while asleep (§3.2): wake, tell the old
                     // gateway, join the new grid
-                    let old_gw = self.gateway;
-                    let old_grid = self.my_grid;
                     self.wake_to_member(ctx);
-                    if let Some(gw) = old_gw {
-                        ctx.unicast(gw, EcMsg::Leave { grid: old_grid });
-                    }
-                    self.enter_grid(ctx, here);
+                    debug_assert_ne!(
+                        self.gateway,
+                        Some(self.me),
+                        "a sleeper dozed off as a member, and every path into Member names another host or none"
+                    );
+                    self.leave_for(ctx, self.my_grid, here);
                 }
             }
             EcTimer::SleepAfterQuiet { epoch } => {
@@ -890,14 +897,7 @@ impl Protocol for Ecgrid {
         // (now stale) dwell timer.
         let here = ctx.cell();
         if here != self.my_grid {
-            let old_gw = self.gateway;
-            let old_grid = self.my_grid;
-            if let Some(gw) = old_gw {
-                if gw != self.me {
-                    ctx.unicast(gw, EcMsg::Leave { grid: old_grid });
-                }
-            }
-            self.enter_grid(ctx, here);
+            self.leave_for(ctx, self.my_grid, here);
             return;
         }
         // A broadcast sequence for my own grid is almost always a retiring
@@ -925,15 +925,8 @@ impl Protocol for Ecgrid {
                 self.gateway = None;
                 self.enter_grid(ctx, new);
             }
-            Role::Member | Role::Electing => {
-                // §3.2 non-gateway case: unicast the departure
-                if let Some(gw) = self.gateway {
-                    if gw != self.me {
-                        ctx.unicast(gw, EcMsg::Leave { grid: old });
-                    }
-                }
-                self.enter_grid(ctx, new);
-            }
+            // §3.2 non-gateway case: unicast the departure
+            Role::Member | Role::Electing => self.leave_for(ctx, old, new),
             Role::Sleeping => {
                 // unreachable: the world suppresses GPS callbacks in sleep
             }
@@ -956,21 +949,8 @@ impl Protocol for Ecgrid {
             }
             Role::Sleeping => {
                 // §3.3: wake and handshake — the gateway may have changed
-                self.wake_to_member(ctx);
                 self.pending_own.push((dst, packet));
-                self.awaiting_acq = true;
-                self.acq_epoch += 1;
-                self.stats.acqs_sent += 1;
-                ctx.broadcast(EcMsg::Acq {
-                    gid: self.my_grid,
-                    dst,
-                });
-                ctx.set_timer_secs(
-                    self.cfg.acq_timeout,
-                    EcTimer::AcqTimeout {
-                        epoch: self.acq_epoch,
-                    },
-                );
+                self.wake_with_acq(ctx, dst);
             }
         }
     }

@@ -24,4 +24,4 @@
 
 pub mod proto;
 
-pub use proto::{GafConfig, GafProto, GafState, GafStats};
+pub use proto::{GafProto, GafState, GafStats};

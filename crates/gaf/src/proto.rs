@@ -1,50 +1,30 @@
 //! The GAF duty-cycle state machine over an embedded AODV core.
 
-use aodv::{trace_relay, Action, AodvConfig, AodvCore, AodvMsg, AodvTimer};
-use manet::sim_engine::share;
-use manet::{AppPacket, Ctx, EventKind, FrameKind, GridCoord, NodeId, Protocol, WireSize};
+use aodv::{AodvCore, AodvHost, AodvMsg, AodvTimer};
+use manet::{AppPacket, Ctx, FrameKind, GatewayTenure, GridCoord, NodeId, Protocol, WireSize};
 use rand::Rng;
-use std::sync::{Arc, LazyLock};
 
-/// GAF parameters (times in seconds).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct GafConfig {
-    /// Discovery dwell for freshly-woken contenders: uniform in
-    /// `[0.1, discovery_max]`.
-    pub discovery_max: f64,
-    /// Discovery dwell for a node that just *finished* an active term:
-    /// uniform in `[handoff_grace, handoff_grace + discovery_max]`, so a
-    /// fresher waker claims the duty first and the drained ex-incumbent
-    /// goes to sleep (GAF's load-balancing rotation).
-    pub handoff_grace: f64,
-    /// Active-state duration T_a (the GAF paper's "enat").
-    pub active_time: f64,
-    /// Discovery-message beacon period while active.
-    pub beacon_interval: f64,
-    /// Sleep duration as a fraction range of the active node's *announced
-    /// remaining term*.  Waking slightly early makes the sleeper converge
-    /// geometrically onto the term boundary (each early wake re-sleeps for
-    /// the same fraction of the shrinking remainder), so it is awake and
-    /// holding a fuller battery exactly when the incumbent stands down.
-    pub sleep_frac_lo: f64,
-    pub sleep_frac_hi: f64,
-    /// AODV settings for the embedded router.
-    pub aodv: AodvConfig,
-}
+// GAF constants (times in seconds).
 
-impl Default for GafConfig {
-    fn default() -> Self {
-        GafConfig {
-            discovery_max: 0.4,
-            handoff_grace: 0.8,
-            active_time: 120.0,
-            beacon_interval: 1.0,
-            sleep_frac_lo: 0.9,
-            sleep_frac_hi: 1.0,
-            aodv: AodvConfig::default(),
-        }
-    }
-}
+/// Discovery dwell for freshly-woken contenders: uniform in
+/// `[0.1, 0.1 + DISCOVERY_MAX)`.
+pub const DISCOVERY_MAX: f64 = 0.4;
+/// Discovery dwell for a node that just *finished* an active term:
+/// uniform in `[HANDOFF_GRACE, HANDOFF_GRACE + DISCOVERY_MAX)`, so a
+/// fresher waker claims the duty first and the drained ex-incumbent goes
+/// to sleep (GAF's load-balancing rotation).
+pub const HANDOFF_GRACE: f64 = 0.8;
+/// Active-state duration T_a (the GAF paper's "enat").
+pub const ACTIVE_TIME: f64 = 120.0;
+/// Discovery-message beacon period while active.
+pub const BEACON_INTERVAL: f64 = 1.0;
+/// Sleep duration as a fraction range of the active node's *announced
+/// remaining term*.  Waking slightly early makes the sleeper converge
+/// geometrically onto the term boundary (each early wake re-sleeps for
+/// the same fraction of the shrinking remainder), so it is awake and
+/// holding a fuller battery exactly when the incumbent stands down.
+pub const SLEEP_FRAC_LO: f64 = 0.9;
+pub const SLEEP_FRAC_HI: f64 = 1.0;
 
 /// GAF node state.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -110,6 +90,12 @@ impl WireSize for GafMsg {
     }
 }
 
+impl From<AodvMsg> for GafMsg {
+    fn from(m: AodvMsg) -> Self {
+        GafMsg::Aodv(m)
+    }
+}
+
 /// GAF timers.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum GafTimer {
@@ -125,6 +111,12 @@ pub enum GafTimer {
     Aodv(AodvTimer),
 }
 
+impl From<AodvTimer> for GafTimer {
+    fn from(t: AodvTimer) -> Self {
+        GafTimer::Aodv(t)
+    }
+}
+
 /// Per-host counters (32 bits: no host counts 2³² of anything in a run).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct GafStats {
@@ -136,7 +128,6 @@ pub struct GafStats {
 
 /// One GAF host.
 pub struct GafProto {
-    cfg: Arc<GafConfig>,
     me: NodeId,
     state: GafState,
     my_grid: GridCoord,
@@ -144,33 +135,30 @@ pub struct GafProto {
     active_until: f64,
     epoch: u32,
     core: AodvCore,
-    /// The cell the trace recorder believes this host is the active
-    /// router of (GAF's analogue of a gateway; keeps GatewayElect /
-    /// GatewayRetire strictly alternating per host).
-    gw_traced: Option<GridCoord>,
+    /// The router tenure the trace has seen (GAF's active router is its
+    /// grid's gateway).
+    tenure: GatewayTenure,
     pub stats: GafStats,
 }
 
 impl GafProto {
-    pub fn new(cfg: GafConfig, me: NodeId) -> Self {
-        static DEFAULT: LazyLock<Arc<GafConfig>> = LazyLock::new(Arc::default);
+    pub fn new(me: NodeId) -> Self {
         GafProto {
-            cfg: share(cfg, &DEFAULT),
             me,
             state: GafState::Discovery,
             my_grid: GridCoord::new(0, 0),
             active_until: 0.0,
             epoch: 0,
-            core: AodvCore::new(cfg.aodv, me),
-            gw_traced: None,
+            core: AodvCore::new(me),
+            tenure: GatewayTenure::default(),
             stats: GafStats::default(),
         }
     }
 
     /// A Model-1 endpoint: always on, does not run the GAF duty cycle and
     /// does not relay foreign traffic.
-    pub fn endpoint(cfg: GafConfig, me: NodeId) -> Self {
-        let mut p = Self::new(cfg, me);
+    pub fn endpoint(me: NodeId) -> Self {
+        let mut p = Self::new(me);
         p.state = GafState::Endpoint;
         p.core.forwards = false;
         p
@@ -180,45 +168,11 @@ impl GafProto {
         self.state
     }
 
-    fn run(&self, ctx: &mut Ctx<'_, Self>, actions: Vec<Action>) {
-        for a in actions {
-            match a {
-                Action::Broadcast(m) => ctx.broadcast(GafMsg::Aodv(m)),
-                Action::Unicast(to, m) => {
-                    trace_relay(ctx, self.me, &m);
-                    ctx.unicast(to, GafMsg::Aodv(m));
-                }
-                Action::Deliver(p) => ctx.deliver_app(p),
-                Action::Timer(secs, t) => {
-                    ctx.set_timer_secs(secs, GafTimer::Aodv(t));
-                }
-            }
-        }
-    }
-
-    /// Reconcile the trace's view of this host's router tenure with
-    /// `state` (see the equivalent helper in `ecgrid`).
-    fn sync_gateway_trace(&mut self, ctx: &mut Ctx<'_, Self>) {
-        let me = self.me;
-        let now_gw = self.state == GafState::Active;
-        match (self.gw_traced, now_gw) {
-            (None, true) => {
-                let cell = self.my_grid;
-                self.gw_traced = Some(cell);
-                ctx.emit(|| EventKind::GatewayElect { node: me, cell });
-            }
-            (Some(old), false) => {
-                self.gw_traced = None;
-                ctx.emit(|| EventKind::GatewayRetire { node: me, cell: old });
-            }
-            (Some(old), true) if old != self.my_grid => {
-                let cell = self.my_grid;
-                self.gw_traced = Some(cell);
-                ctx.emit(|| EventKind::GatewayRetire { node: me, cell: old });
-                ctx.emit(|| EventKind::GatewayElect { node: me, cell });
-            }
-            _ => {}
-        }
+    /// Reconcile the trace's view of this host's router tenure with its
+    /// state.
+    fn sync_tenure(&mut self, ctx: &mut Ctx<'_, Self>) {
+        self.tenure
+            .sync(ctx, self.my_grid, self.state == GafState::Active);
     }
 
     fn my_disc(&self, ctx: &mut Ctx<'_, Self>) -> DiscInfo {
@@ -240,39 +194,37 @@ impl GafProto {
 
     fn enter_discovery(&mut self, ctx: &mut Ctx<'_, Self>, after_duty: bool) {
         self.state = GafState::Discovery;
-        self.sync_gateway_trace(ctx);
+        self.sync_tenure(ctx);
         self.my_grid = ctx.cell();
         self.epoch += 1;
         self.send_disc(ctx);
         let td = if after_duty {
             // stand back: let a fresher waker claim the grid first
-            self.cfg.handoff_grace + ctx.rng().gen_range(0.0..self.cfg.discovery_max.max(1e-3))
+            HANDOFF_GRACE + ctx.rng().gen_range(0.0..DISCOVERY_MAX)
         } else {
-            ctx.rng().gen_range(0.1..(0.1 + self.cfg.discovery_max.max(1e-3)))
+            ctx.rng().gen_range(0.1..(0.1 + DISCOVERY_MAX))
         };
         ctx.set_timer_secs(td, GafTimer::DiscoveryDone { epoch: self.epoch });
     }
 
     fn enter_active(&mut self, ctx: &mut Ctx<'_, Self>) {
         self.state = GafState::Active;
-        self.sync_gateway_trace(ctx);
+        self.sync_tenure(ctx);
         self.stats.activations += 1;
         self.epoch += 1;
-        self.active_until = ctx.now().as_secs_f64() + self.cfg.active_time;
+        self.active_until = ctx.now().as_secs_f64() + ACTIVE_TIME;
         self.send_disc(ctx);
-        ctx.set_timer_secs(self.cfg.active_time, GafTimer::ActiveDone { epoch: self.epoch });
-        ctx.set_timer_secs(self.cfg.beacon_interval, GafTimer::Beacon { epoch: self.epoch });
+        ctx.set_timer_secs(ACTIVE_TIME, GafTimer::ActiveDone { epoch: self.epoch });
+        ctx.set_timer_secs(BEACON_INTERVAL, GafTimer::Beacon { epoch: self.epoch });
     }
 
     fn enter_sleep(&mut self, ctx: &mut Ctx<'_, Self>, winner_remaining: f64) {
         self.state = GafState::Sleeping;
-        self.sync_gateway_trace(ctx);
+        self.sync_tenure(ctx);
         self.stats.sleeps += 1;
         self.epoch += 1;
         let base = winner_remaining.max(1.0);
-        let frac = ctx
-            .rng()
-            .gen_range(self.cfg.sleep_frac_lo..=self.cfg.sleep_frac_hi);
+        let frac = ctx.rng().gen_range(SLEEP_FRAC_LO..=SLEEP_FRAC_HI);
         // never sleep past the moment we might leave the grid
         let dwell = ctx.estimated_dwell_secs(base * frac);
         ctx.set_timer_secs(dwell.max(0.1), GafTimer::WakeUp { epoch: self.epoch });
@@ -316,6 +268,8 @@ impl GafProto {
     }
 }
 
+impl AodvHost for GafProto {}
+
 impl Protocol for GafProto {
     type Msg = GafMsg;
     type Timer = GafTimer;
@@ -349,7 +303,7 @@ impl Protocol for GafProto {
                     }
                 }
                 let acts = self.core.on_msg(ctx.now(), src, m);
-                self.run(ctx, acts);
+                aodv::run(self, ctx, acts);
             }
         }
     }
@@ -377,12 +331,12 @@ impl Protocol for GafProto {
             GafTimer::Beacon { epoch } => {
                 if epoch == self.epoch && self.state == GafState::Active {
                     self.send_disc(ctx);
-                    ctx.set_timer_secs(self.cfg.beacon_interval, GafTimer::Beacon { epoch });
+                    ctx.set_timer_secs(BEACON_INTERVAL, GafTimer::Beacon { epoch });
                 }
             }
             GafTimer::Aodv(t) => {
                 let acts = self.core.on_timer(ctx.now(), t);
-                self.run(ctx, acts);
+                aodv::run(self, ctx, acts);
             }
         }
     }
@@ -403,13 +357,13 @@ impl Protocol for GafProto {
             self.enter_discovery(ctx, false);
         }
         let acts = self.core.send_data(ctx.now(), dst, packet);
-        self.run(ctx, acts);
+        aodv::run(self, ctx, acts);
     }
 
     fn on_unicast_failed(&mut self, ctx: &mut Ctx<'_, Self>, dst: NodeId, msg: &GafMsg) {
         if let GafMsg::Aodv(m) = msg {
             let acts = self.core.on_link_failure(ctx.now(), dst, m);
-            self.run(ctx, acts);
+            aodv::run(self, ctx, acts);
         }
     }
 }

@@ -1,6 +1,6 @@
 //! End-to-end tests for GAF over the full simulator (Model 1 setup).
 
-use gaf::{GafConfig, GafProto, GafState};
+use gaf::{GafProto, GafState};
 use manet::{FlowSet, HostSetup, NodeId, Point2, SimDuration, SimTime, World, WorldConfig};
 use mobility::MobilityTrace;
 use traffic::{CbrFlow, FlowId};
@@ -35,9 +35,9 @@ fn model1_world(seed: u64, stop_s: u64) -> World<GafProto> {
     }]);
     World::new(WorldConfig::paper_default(seed), hosts, flows, |id| {
         if id.index() < 2 {
-            GafProto::endpoint(GafConfig::default(), id)
+            GafProto::endpoint(id)
         } else {
-            GafProto::new(GafConfig::default(), id)
+            GafProto::new(id)
         }
     })
 }

@@ -62,6 +62,15 @@ impl Default for GridConfig {
 }
 
 impl GridConfig {
+    /// Delay to the next HELLO: [`hello_interval`](Self::hello_interval)
+    /// jittered uniformly by ±[`hello_jitter`](Self::hello_jitter) of
+    /// itself, from `u`, one uniform draw in `[0, 1)`.  Every beacon of
+    /// both protocols takes it.
+    #[inline]
+    pub fn hello_delay(&self, u: f64) -> f64 {
+        self.hello_interval * (1.0 + self.hello_jitter * (u * 2.0 - 1.0))
+    }
+
     /// [`route_ttl`](Self::route_ttl) as a duration.
     #[inline]
     pub fn route_lifetime(&self) -> SimDuration {

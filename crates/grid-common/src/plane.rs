@@ -13,7 +13,7 @@
 
 use crate::{DataMsg, GatewayCache, GridConfig, HelloInfo, RouteMap, Rrep, Rreq, RreqSeen};
 use manet::sim_engine::IdMap;
-use manet::{AppPacket, Ctx, EventKind, GridCoord, GridRect, NodeId, Protocol, SimTime};
+use manet::{AppPacket, Ctx, EventKind, GatewayTenure, GridCoord, GridRect, NodeId, Protocol, SimTime};
 use std::collections::VecDeque;
 
 /// Timer token: discovery round `attempt` for `dst` went unanswered.
@@ -73,9 +73,9 @@ pub struct RoutingPlane {
     my_seq: u32,
     rreq_counter: u32,
     search: Option<Box<Search>>,
-    /// The cell the trace recorder believes this host is gateway of
-    /// (keeps GatewayElect/GatewayRetire strictly alternating per host).
-    gw_traced: Option<GridCoord>,
+    /// The gateway tenure the trace has seen; the protocol syncs it after
+    /// every role transition.
+    pub tenure: GatewayTenure,
 }
 
 impl RoutingPlane {
@@ -93,7 +93,7 @@ impl RoutingPlane {
             my_seq: 0,
             rreq_counter: 0,
             search: None,
-            gw_traced: None,
+            tenure: GatewayTenure::default(),
         }
     }
 
@@ -102,35 +102,6 @@ impl RoutingPlane {
     /// Fig. 2 "supposes" the source has this information).
     pub fn seed_location(&mut self, dst: NodeId, grid: GridCoord) {
         Search::of(&mut self.search).dst_hints.insert(dst, grid);
-    }
-
-    /// Reconcile the trace's view of this host's gateway tenure with its
-    /// role.  Called after every role transition; emits GatewayElect /
-    /// GatewayRetire so the two strictly alternate per (host, cell) — the
-    /// invariant the trace test-suite checks.
-    pub fn sync_gateway_trace<P: Protocol>(
-        &mut self,
-        ctx: &mut Ctx<'_, P>,
-        grid: GridCoord,
-        is_gateway: bool,
-    ) {
-        let me = ctx.id();
-        match (self.gw_traced, is_gateway) {
-            (None, true) => {
-                self.gw_traced = Some(grid);
-                ctx.emit(|| EventKind::GatewayElect { node: me, cell: grid });
-            }
-            (Some(old), false) => {
-                self.gw_traced = None;
-                ctx.emit(|| EventKind::GatewayRetire { node: me, cell: old });
-            }
-            (Some(old), true) if old != grid => {
-                self.gw_traced = Some(grid);
-                ctx.emit(|| EventKind::GatewayRetire { node: me, cell: old });
-                ctx.emit(|| EventKind::GatewayElect { node: me, cell: grid });
-            }
-            _ => {}
-        }
     }
 
     /// Keep the neighbour-gateway cache current with an overheard HELLO.

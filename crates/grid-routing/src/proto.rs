@@ -182,8 +182,7 @@ impl GridProto {
                 epoch: self.election_epoch,
             },
         );
-        self.plane
-            .sync_gateway_trace(ctx, self.my_grid, self.is_gateway());
+        self.plane.tenure.sync(ctx, self.my_grid, self.is_gateway());
     }
 
     fn arm_gateway_watch(&mut self, ctx: &mut Ctx<'_, Self>) {
@@ -201,8 +200,7 @@ impl GridProto {
         // the vote is over: give the candidate list's storage back (the
         // next election allocates afresh)
         self.candidates = Vec::new();
-        self.plane
-            .sync_gateway_trace(ctx, self.my_grid, self.is_gateway());
+        self.plane.tenure.sync(ctx, self.my_grid, self.is_gateway());
         self.gateway = Some(gateway);
         self.last_gw_hello = ctx.now();
         self.host_table.clear();
@@ -213,8 +211,7 @@ impl GridProto {
     fn become_gateway(&mut self, ctx: &mut Ctx<'_, Self>) {
         self.stats.became_gateway += 1;
         self.role = GridRole::Gateway;
-        self.plane
-            .sync_gateway_trace(ctx, self.my_grid, self.is_gateway());
+        self.plane.tenure.sync(ctx, self.my_grid, self.is_gateway());
         self.gateway = Some(self.me);
         self.send_hello(ctx, true);
         // the candidates are my initial host table; the vote is over, so
@@ -244,8 +241,7 @@ impl GridProto {
         self.host_table.clear();
         self.gateway = None;
         self.role = GridRole::Electing;
-        self.plane
-            .sync_gateway_trace(ctx, self.my_grid, self.is_gateway());
+        self.plane.tenure.sync(ctx, self.my_grid, self.is_gateway());
         self.candidates.clear();
         self.election_epoch += 1;
         self.send_hello(ctx, false);
@@ -418,8 +414,8 @@ impl Protocol for GridProto {
             GridTimer::Hello => {
                 self.plane.purge(&self.cfg, ctx.now());
                 self.send_hello(ctx, self.role == GridRole::Gateway);
-                let jitter = 1.0 + self.cfg.hello_jitter * (ctx.rng().gen::<f64>() * 2.0 - 1.0);
-                ctx.set_timer_secs(self.cfg.hello_interval * jitter, GridTimer::Hello);
+                let delay = self.cfg.hello_delay(ctx.rng().gen());
+                ctx.set_timer_secs(delay, GridTimer::Hello);
             }
             GridTimer::ElectionDecide { epoch } => {
                 if epoch != self.election_epoch || self.role != GridRole::Electing {

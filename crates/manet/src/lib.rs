@@ -37,6 +37,7 @@ pub mod ctx;
 pub mod progress;
 pub mod protocol;
 pub mod stats;
+pub mod tenure;
 pub mod testkit;
 pub mod world;
 
@@ -45,6 +46,7 @@ pub use ctx::{AppPacket, Ctx, NodeView, TimerId};
 pub use progress::ProgressProbe;
 pub use protocol::{Protocol, WireSize};
 pub use stats::WorldStats;
+pub use tenure::GatewayTenure;
 pub use trace::{Event, EventKind, Recorder, TraceDigest, TraceMode};
 pub use world::{GroupStats, RunOutput, ShardStats, World};
 

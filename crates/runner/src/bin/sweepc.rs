@@ -38,7 +38,7 @@ Submit spec flags (defaults = the golden smoke scenario):
                     times before giving up (default 0: report the shed)
 
 Stream filter flags:
-    --layers CSV (radio,grid,route,app,energy)   --node ID
+    --layers CSV (sched,mac,radio,energy,ras,route,app,fault)   --node ID
     --cell X,Y   --proto NAME
 
 Streamed `done` summaries print averaged metrics decoded bit-exactly,

@@ -25,7 +25,7 @@
 use crate::run::{RunOptions, ScenarioResult};
 use crate::scenario::{ProtocolKind, Scenario};
 use ecgrid::{Ecgrid, EcgridConfig};
-use gaf::{GafConfig, GafProto};
+use gaf::GafProto;
 use grid_routing::{GridConfig, GridProto};
 use manet::progress::ProgressProbe;
 use manet::trace::{EventSink, TraceMode};
@@ -39,7 +39,7 @@ use mobility::{
 };
 use scenario::{GroupSpec, MobilitySpec, Role, ScenarioSpec, TrafficPattern};
 use sim_engine::{derive_seed, keyed_draw, RngFactory, RunBudget};
-use span::{SpanConfig, SpanProto};
+use span::SpanProto;
 use std::collections::HashMap;
 use std::sync::Arc;
 use traffic::Burst;
@@ -448,16 +448,16 @@ pub fn run_fleet(
         })),
         ProtocolKind::Gaf => run.finish(fleet_world(spec, protocol, cfg, move |id| {
             if is_endpoint[id.index()] {
-                GafProto::endpoint(GafConfig::default(), id)
+                GafProto::endpoint(id)
             } else {
-                GafProto::new(GafConfig::default(), id)
+                GafProto::new(id)
             }
         })),
         ProtocolKind::Span => run.finish(fleet_world(spec, protocol, cfg, move |id| {
             if is_endpoint[id.index()] {
-                SpanProto::endpoint(SpanConfig::default(), id)
+                SpanProto::endpoint(id)
             } else {
-                SpanProto::new(SpanConfig::default(), id)
+                SpanProto::new(id)
             }
         })),
     }

@@ -4,8 +4,9 @@
 //! `tests/supervision.rs`), that the digest-neutral engine axes are not a
 //! command-line option, that an unknown flag is named as one wherever it
 //! stands, that `run_one`'s scalar knobs are held to the scenario bounds,
-//! and that `sweepc` reports a bad command line before it looks for a
-//! server.
+//! that `sweepc` reports a bad command line before it looks for a
+//! server, and that its help lists exactly the layers a stream filter
+//! accepts.
 
 use std::process::Command;
 
@@ -175,5 +176,40 @@ fn no_help_text_offers_an_engine_flag() {
         ] {
             assert!(!help.contains(flag), "{bin} --help still offers {flag}");
         }
+    }
+}
+
+#[test]
+fn sweepc_help_lists_exactly_the_trace_layers() {
+    use manet::trace::{EventFilter, Layer};
+    let out = Command::new(SWEEPC).arg("--help").output().expect("sweepc runs");
+    assert_eq!(out.status.code(), Some(0));
+    let help = String::from_utf8_lossy(&out.stdout);
+    let list = help
+        .split_once("--layers CSV (")
+        .and_then(|(_, rest)| rest.split_once(')'))
+        .map(|(list, _)| list)
+        .unwrap_or_else(|| panic!("no `--layers CSV (…)` in {help}"));
+    // every listed name is a layer `stream --layers` accepts
+    let filter = EventFilter::default()
+        .with_layers(list)
+        .unwrap_or_else(|| panic!("sweepc --help lists a layer that does not exist: {list}"));
+    // and every layer is listed
+    let all = [
+        Layer::Sched,
+        Layer::Mac,
+        Layer::Radio,
+        Layer::Energy,
+        Layer::Ras,
+        Layer::Route,
+        Layer::App,
+        Layer::Fault,
+    ];
+    for layer in all {
+        assert!(
+            filter.layers.contains(&layer),
+            "sweepc --help omits {}",
+            layer.name()
+        );
     }
 }

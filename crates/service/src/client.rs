@@ -13,6 +13,7 @@
 use crate::backoff::Backoff;
 use crate::json;
 use crate::proto::{FilterSpec, JobSpec, JobState, Request};
+use crate::{READ_TIMEOUT, WRITE_TIMEOUT};
 use std::fmt;
 use std::io::{self, BufRead, BufReader, Write as _};
 use std::net::TcpStream;
@@ -29,8 +30,6 @@ pub struct ClientConfig {
     pub backoff_cap_ms: u64,
     /// Jitter seed; fixed seeds make reconnect schedules reproducible.
     pub backoff_seed: u64,
-    pub read_timeout_ms: u64,
-    pub write_timeout_ms: u64,
 }
 
 impl Default for ClientConfig {
@@ -41,8 +40,6 @@ impl Default for ClientConfig {
             backoff_base_ms: 100,
             backoff_cap_ms: 5_000,
             backoff_seed: 0,
-            read_timeout_ms: 30_000,
-            write_timeout_ms: 5_000,
         }
     }
 }
@@ -182,8 +179,8 @@ impl Client {
     fn dial(&self) -> io::Result<Conn> {
         let stream = TcpStream::connect(&self.cfg.addr)?;
         stream.set_nodelay(true).ok();
-        stream.set_read_timeout(Some(Duration::from_millis(self.cfg.read_timeout_ms.max(1))))?;
-        stream.set_write_timeout(Some(Duration::from_millis(self.cfg.write_timeout_ms.max(1))))?;
+        stream.set_read_timeout(Some(READ_TIMEOUT))?;
+        stream.set_write_timeout(Some(WRITE_TIMEOUT))?;
         let reader = BufReader::new(stream.try_clone()?);
         Ok(Conn {
             reader,

@@ -43,3 +43,10 @@ pub use proto::{FilterSpec, JobSpec, JobState, Request};
 pub use server::{
     JobCtx, JobHandler, JobOutcome, ReplicaLookup, Server, ServerHandle, ServerSummary, ServiceConfig,
 };
+
+use std::time::Duration;
+
+/// Per-connection idle read deadline, on both ends of the wire.
+pub const READ_TIMEOUT: Duration = Duration::from_secs(30);
+/// Per-connection write deadline, on both ends of the wire.
+pub const WRITE_TIMEOUT: Duration = Duration::from_secs(5);

@@ -28,6 +28,7 @@ use crate::fsutil;
 use crate::hub::Hub;
 use crate::json::{self, Obj};
 use crate::proto::{self, JobSpec, JobState, Request, PROTO_VERSION};
+use crate::{READ_TIMEOUT, WRITE_TIMEOUT};
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{self, BufRead, BufReader, ErrorKind, Read as _, Write as _};
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
@@ -52,10 +53,6 @@ pub struct ServiceConfig {
     pub subscriber_buffer: usize,
     /// Retry hint carried by shed replies.
     pub retry_after_ms: u64,
-    /// Per-connection idle read deadline.
-    pub read_timeout_ms: u64,
-    /// Per-connection write deadline.
-    pub write_timeout_ms: u64,
     /// Root for job manifests and the result journal.
     pub state_dir: PathBuf,
 }
@@ -68,8 +65,6 @@ impl Default for ServiceConfig {
             capacity: 16,
             subscriber_buffer: 1024,
             retry_after_ms: 500,
-            read_timeout_ms: 30_000,
-            write_timeout_ms: 5_000,
             state_dir: PathBuf::from("target/sweepd"),
         }
     }
@@ -661,10 +656,9 @@ fn send_line(out: &mut TcpStream, mut line: String) -> io::Result<()> {
 }
 
 fn handle_conn(inner: Arc<Inner>, stream: TcpStream) {
-    let cfg = &inner.cfg;
     let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(cfg.read_timeout_ms.max(1))));
-    let _ = stream.set_write_timeout(Some(Duration::from_millis(cfg.write_timeout_ms.max(1))));
+    let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
+    let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
     let Ok(reader_stream) = stream.try_clone() else {
         return;
     };

@@ -28,4 +28,4 @@
 
 pub mod proto;
 
-pub use proto::{SpanConfig, SpanProto, SpanState, SpanStats};
+pub use proto::{SpanProto, SpanState, SpanStats};

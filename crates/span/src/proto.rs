@@ -1,49 +1,28 @@
 //! The Span state machine: neighbourhood discovery, coordinator
 //! eligibility/withdrawal, PSM duty cycling, AODV over the backbone.
 
-use aodv::{trace_relay, Action, AodvConfig, AodvCore, AodvMsg, AodvTimer};
-use manet::sim_engine::share;
+use aodv::{AodvCore, AodvHost, AodvMsg, AodvTimer};
 use manet::{AppPacket, Ctx, FrameKind, NodeId, Protocol, SimTime, WireSize};
 use rand::Rng;
 use std::collections::HashMap;
-use std::sync::{Arc, LazyLock};
 
-/// Span parameters (times in seconds).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct SpanConfig {
-    /// HELLO beacon period for awake nodes.
-    pub hello_interval: f64,
-    /// Neighbour-table entry lifetime.
-    pub neighbor_ttl: f64,
-    /// PSM beacon period: every non-coordinator wakes at
-    /// `t ≡ 0 (mod psm_period)` (synchronized, as under 802.11 TSF).
-    pub psm_period: f64,
-    /// Length of the awake window at each beacon.
-    pub psm_window: f64,
-    /// Maximum coordinator-announcement contention delay.
-    pub contend_max: f64,
-    /// Minimum coordinator tenure before a withdrawal check may succeed.
-    pub min_tenure: f64,
-    /// Period of the coordinator's withdrawal self-check.
-    pub withdraw_check: f64,
-    /// Embedded AODV settings.
-    pub aodv: AodvConfig,
-}
+// Span constants (times in seconds).
 
-impl Default for SpanConfig {
-    fn default() -> Self {
-        SpanConfig {
-            hello_interval: 1.0,
-            neighbor_ttl: 3.5,
-            psm_period: 0.3,
-            psm_window: 0.03,
-            contend_max: 0.3,
-            min_tenure: 20.0,
-            withdraw_check: 5.0,
-            aodv: AodvConfig::default(),
-        }
-    }
-}
+/// HELLO beacon period for awake nodes.
+pub const HELLO_INTERVAL: f64 = 1.0;
+/// Neighbour-table entry lifetime.
+pub const NEIGHBOR_TTL: f64 = 3.5;
+/// PSM beacon period: every non-coordinator wakes at
+/// `t ≡ 0 (mod PSM_PERIOD)` (synchronized, as under 802.11 TSF).
+pub const PSM_PERIOD: f64 = 0.3;
+/// Length of the awake window at each beacon.
+pub const PSM_WINDOW: f64 = 0.03;
+/// Maximum coordinator-announcement contention delay.
+pub const CONTEND_MAX: f64 = 0.3;
+/// Minimum coordinator tenure before a withdrawal check may succeed.
+pub const MIN_TENURE: f64 = 20.0;
+/// Period of the coordinator's withdrawal self-check.
+pub const WITHDRAW_CHECK: f64 = 5.0;
 
 /// Node duty state.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -87,6 +66,12 @@ impl WireSize for SpanMsg {
     }
 }
 
+impl From<AodvMsg> for SpanMsg {
+    fn from(m: AodvMsg) -> Self {
+        SpanMsg::Aodv(m)
+    }
+}
+
 /// Span timers.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum SpanTimer {
@@ -112,6 +97,12 @@ pub enum SpanTimer {
     Aodv(AodvTimer),
 }
 
+impl From<AodvTimer> for SpanTimer {
+    fn from(t: AodvTimer) -> Self {
+        SpanTimer::Aodv(t)
+    }
+}
+
 /// Per-host counters (32 bits: no host counts 2³² of anything in a run).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SpanStats {
@@ -130,7 +121,6 @@ struct NeighborInfo {
 
 /// One Span instance.
 pub struct SpanProto {
-    cfg: Arc<SpanConfig>,
     me: NodeId,
     state: SpanState,
     neighbors: HashMap<NodeId, NeighborInfo>,
@@ -148,10 +138,8 @@ pub struct SpanProto {
 }
 
 impl SpanProto {
-    pub fn new(cfg: SpanConfig, me: NodeId) -> Self {
-        static DEFAULT: LazyLock<Arc<SpanConfig>> = LazyLock::new(Arc::default);
+    pub fn new(me: NodeId) -> Self {
         SpanProto {
-            cfg: share(cfg, &DEFAULT),
             me,
             state: SpanState::PsmAwake,
             neighbors: HashMap::new(),
@@ -160,15 +148,15 @@ impl SpanProto {
             withdraw_epoch: 0,
             contending: false,
             coordinator_since: 0.0,
-            core: AodvCore::new(cfg.aodv, me),
+            core: AodvCore::new(me),
             psm_backlog: Vec::new(),
             stats: SpanStats::default(),
         }
     }
 
     /// A Model-1 style endpoint: always on, no duty cycle, no forwarding.
-    pub fn endpoint(cfg: SpanConfig, me: NodeId) -> Self {
-        let mut p = Self::new(cfg, me);
+    pub fn endpoint(me: NodeId) -> Self {
+        let mut p = Self::new(me);
         p.state = SpanState::Endpoint;
         p.core.forwards = false;
         p
@@ -184,11 +172,10 @@ impl SpanProto {
 
     fn send_hello(&mut self, ctx: &mut Ctx<'_, Self>) {
         let now = ctx.now();
-        let ttl = self.cfg.neighbor_ttl;
         let mut ids: Vec<NodeId> = self
             .neighbors
             .iter()
-            .filter(|(_, n)| now.since(n.last_heard).as_secs_f64() < ttl)
+            .filter(|(_, n)| now.since(n.last_heard).as_secs_f64() < NEIGHBOR_TTL)
             .map(|(id, _)| *id)
             .collect();
         ids.sort();
@@ -206,11 +193,10 @@ impl SpanProto {
     /// single coordinator.  `exclude_self` runs the check as if I were not
     /// a coordinator (the withdrawal test).
     fn eligibility_gap(&self, now: SimTime, exclude_self: bool) -> bool {
-        let ttl = self.cfg.neighbor_ttl;
         let live: Vec<(&NodeId, &NeighborInfo)> = self
             .neighbors
             .iter()
-            .filter(|(_, n)| now.since(n.last_heard).as_secs_f64() < ttl)
+            .filter(|(_, n)| now.since(n.last_heard).as_secs_f64() < NEIGHBOR_TTL)
             .collect();
         // advertised neighbour lists are sorted (see send_hello), so
         // membership is a binary search — the rule is O(deg² · log deg +
@@ -253,7 +239,7 @@ impl SpanProto {
         self.contending = true;
         self.announce_epoch += 1;
         let frac = (ctx.rbrc()).clamp(0.0, 1.0);
-        let delay = self.cfg.contend_max * (1.0 - frac * 0.8) * ctx.rng().gen_range(0.2..1.0);
+        let delay = CONTEND_MAX * (1.0 - frac * 0.8) * ctx.rng().gen_range(0.2..1.0);
         ctx.set_timer_secs(
             delay.max(0.005),
             SpanTimer::Announce {
@@ -271,30 +257,34 @@ impl SpanProto {
         ctx.wake();
         self.send_hello(ctx);
         ctx.set_timer_secs(
-            self.cfg.withdraw_check,
+            WITHDRAW_CHECK,
             SpanTimer::Withdraw {
                 epoch: self.withdraw_epoch,
             },
         );
         // flush anything held for the PSM schedule — we are always on now
-        let backlog = std::mem::take(&mut self.psm_backlog);
-        for (to, m) in backlog {
+        self.flush_backlog(ctx);
+    }
+
+    /// Send every frame held for the PSM schedule.
+    fn flush_backlog(&mut self, ctx: &mut Ctx<'_, Self>) {
+        for (to, m) in std::mem::take(&mut self.psm_backlog) {
             ctx.unicast(to, SpanMsg::Aodv(m));
         }
     }
 
     /// Seconds until the next synchronized PSM beacon.
-    fn until_next_window(&self, now: SimTime) -> f64 {
+    fn until_next_window(now: SimTime) -> f64 {
         let t = now.as_secs_f64();
-        let p = self.cfg.psm_period;
+        let p = PSM_PERIOD;
         let next = (t / p).floor() * p + p;
         (next - t).max(0.001)
     }
 
-    fn in_window(&self, now: SimTime) -> bool {
+    fn in_window(now: SimTime) -> bool {
         let t = now.as_secs_f64();
-        let p = self.cfg.psm_period;
-        t - (t / p).floor() * p < self.cfg.psm_window
+        let p = PSM_PERIOD;
+        t - (t / p).floor() * p < PSM_WINDOW
     }
 
     fn psm_doze(&mut self, ctx: &mut Ctx<'_, Self>) {
@@ -308,17 +298,14 @@ impl SpanProto {
     /// non-endpoint node regardless of state.
     fn window_tick(&mut self, ctx: &mut Ctx<'_, Self>) {
         // keep the chain alive first
-        let next = self.until_next_window(ctx.now());
+        let next = Self::until_next_window(ctx.now());
         ctx.set_timer_secs(next, SpanTimer::WindowTick);
 
         match self.state {
             SpanState::Coordinator => {
                 // flush traffic held for sleepers (they are awake now) and
                 // beacon inside the window so they hear the backbone
-                let backlog = std::mem::take(&mut self.psm_backlog);
-                for (to, m) in backlog {
-                    ctx.unicast(to, SpanMsg::Aodv(m));
-                }
+                self.flush_backlog(ctx);
                 self.send_hello(ctx);
             }
             SpanState::PsmSleeping | SpanState::PsmAwake => {
@@ -326,10 +313,7 @@ impl SpanProto {
                 self.stats.psm_cycles += 1;
                 self.duty_epoch += 1;
                 ctx.wake();
-                let backlog = std::mem::take(&mut self.psm_backlog);
-                for (to, m) in backlog {
-                    ctx.unicast(to, SpanMsg::Aodv(m));
-                }
+                self.flush_backlog(ctx);
                 // beacon roughly once a second so neighbour tables stay
                 // fresh without paying a full hello every 300 ms window
                 if self.stats.psm_cycles.is_multiple_of(3) {
@@ -337,7 +321,7 @@ impl SpanProto {
                     self.maybe_contend(ctx);
                 }
                 ctx.set_timer_secs(
-                    self.cfg.psm_window,
+                    PSM_WINDOW,
                     SpanTimer::PsmDoze {
                         epoch: self.duty_epoch,
                     },
@@ -346,31 +330,17 @@ impl SpanProto {
             SpanState::Endpoint => {}
         }
     }
+}
 
+impl AodvHost for SpanProto {
     /// Queue or send an AODV unicast respecting the target's PSM schedule.
-    fn unicast_aware(&mut self, ctx: &mut Ctx<'_, Self>, to: NodeId, m: AodvMsg) {
+    fn unicast(&mut self, ctx: &mut Ctx<'_, Self>, to: NodeId, m: AodvMsg) {
         let asleep_target =
-            self.neighbors.get(&to).map(|n| !n.coordinator).unwrap_or(false) && !self.in_window(ctx.now());
+            self.neighbors.get(&to).map(|n| !n.coordinator).unwrap_or(false) && !Self::in_window(ctx.now());
         if asleep_target {
             self.psm_backlog.push((to, m));
         } else {
             ctx.unicast(to, SpanMsg::Aodv(m));
-        }
-    }
-
-    fn run_aware(&mut self, ctx: &mut Ctx<'_, Self>, actions: Vec<Action>) {
-        for a in actions {
-            match a {
-                Action::Broadcast(m) => ctx.broadcast(SpanMsg::Aodv(m)),
-                Action::Unicast(to, m) => {
-                    trace_relay(ctx, self.me, &m);
-                    self.unicast_aware(ctx, to, m);
-                }
-                Action::Deliver(p) => ctx.deliver_app(p),
-                Action::Timer(secs, t) => {
-                    ctx.set_timer_secs(secs, SpanTimer::Aodv(t));
-                }
-            }
         }
     }
 }
@@ -422,7 +392,7 @@ impl Protocol for SpanProto {
                     }
                 }
                 let acts = self.core.on_msg(ctx.now(), src, m);
-                self.run_aware(ctx, acts);
+                aodv::run(self, ctx, acts);
             }
         }
     }
@@ -437,7 +407,7 @@ impl Protocol for SpanProto {
                 // cycled nodes beacon from their window ticks
                 if self.state == SpanState::Endpoint {
                     let jitter = 1.0 + 0.1 * (ctx.rng().gen::<f64>() * 2.0 - 1.0);
-                    ctx.set_timer_secs(self.cfg.hello_interval * jitter, SpanTimer::Hello);
+                    ctx.set_timer_secs(HELLO_INTERVAL * jitter, SpanTimer::Hello);
                 }
             }
             SpanTimer::Announce { epoch } => {
@@ -455,20 +425,20 @@ impl Protocol for SpanProto {
                     return;
                 }
                 let tenure = ctx.now().as_secs_f64() - self.coordinator_since;
-                if tenure >= self.cfg.min_tenure && !self.eligibility_gap(ctx.now(), true) {
+                if tenure >= MIN_TENURE && !self.eligibility_gap(ctx.now(), true) {
                     // the rest of the backbone covers my pairs: withdraw
                     self.stats.withdrawals += 1;
                     self.state = SpanState::PsmAwake;
                     self.send_hello(ctx); // announce with the flag cleared
                     self.duty_epoch += 1;
                     ctx.set_timer_secs(
-                        self.cfg.psm_window,
+                        PSM_WINDOW,
                         SpanTimer::PsmDoze {
                             epoch: self.duty_epoch,
                         },
                     );
                 } else {
-                    ctx.set_timer_secs(self.cfg.withdraw_check, SpanTimer::Withdraw { epoch });
+                    ctx.set_timer_secs(WITHDRAW_CHECK, SpanTimer::Withdraw { epoch });
                 }
             }
             SpanTimer::WindowTick => {
@@ -481,7 +451,7 @@ impl Protocol for SpanProto {
             }
             SpanTimer::Aodv(t) => {
                 let acts = self.core.on_timer(ctx.now(), t);
-                self.run_aware(ctx, acts);
+                aodv::run(self, ctx, acts);
             }
         }
     }
@@ -493,14 +463,14 @@ impl Protocol for SpanProto {
             self.duty_epoch += 1;
             ctx.wake();
             ctx.set_timer_secs(
-                self.cfg.psm_window,
+                PSM_WINDOW,
                 SpanTimer::PsmDoze {
                     epoch: self.duty_epoch,
                 },
             );
         }
         let acts = self.core.send_data(ctx.now(), dst, packet);
-        self.run_aware(ctx, acts);
+        aodv::run(self, ctx, acts);
     }
 
     fn on_unicast_failed(&mut self, ctx: &mut Ctx<'_, Self>, dst: NodeId, msg: &SpanMsg) {
@@ -515,7 +485,7 @@ impl Protocol for SpanProto {
                 }
             }
             let acts = self.core.on_link_failure(ctx.now(), dst, m);
-            self.run_aware(ctx, acts);
+            aodv::run(self, ctx, acts);
         }
     }
 }
@@ -534,7 +504,7 @@ mod tests {
     }
 
     fn proto_with(neigh: Vec<(u32, NeighborInfo)>) -> SpanProto {
-        let mut p = SpanProto::new(SpanConfig::default(), NodeId(0));
+        let mut p = SpanProto::new(NodeId(0));
         for (id, n) in neigh {
             p.neighbors.insert(NodeId(id), n);
         }
@@ -596,13 +566,12 @@ mod tests {
 
     #[test]
     fn psm_window_arithmetic() {
-        let p = SpanProto::new(SpanConfig::default(), NodeId(0));
         // period 0.3, window 0.03
-        assert!(p.in_window(SimTime::from_millis(0)));
-        assert!(p.in_window(SimTime::from_millis(29)));
-        assert!(!p.in_window(SimTime::from_millis(31)));
-        assert!(p.in_window(SimTime::from_millis(300)));
-        let until = p.until_next_window(SimTime::from_millis(250));
+        assert!(SpanProto::in_window(SimTime::from_millis(0)));
+        assert!(SpanProto::in_window(SimTime::from_millis(29)));
+        assert!(!SpanProto::in_window(SimTime::from_millis(31)));
+        assert!(SpanProto::in_window(SimTime::from_millis(300)));
+        let until = SpanProto::until_next_window(SimTime::from_millis(250));
         assert!((until - 0.05).abs() < 1e-9, "{until}");
     }
 

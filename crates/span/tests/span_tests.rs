@@ -2,7 +2,7 @@
 
 use manet::{FlowSet, HostSetup, NodeId, Point2, PowerProfile, SimDuration, SimTime, World, WorldConfig};
 use mobility::MobilityTrace;
-use span::{SpanConfig, SpanProto, SpanState};
+use span::{SpanProto, SpanState};
 use traffic::{CbrFlow, FlowId};
 
 const HORIZON: SimTime = SimTime(3_000_000_000_000);
@@ -16,9 +16,7 @@ fn still(x: f64, y: f64) -> HostSetup {
 }
 
 fn span_world(hosts: Vec<HostSetup>, flows: FlowSet, seed: u64) -> World<SpanProto> {
-    World::new(WorldConfig::paper_default(seed), hosts, flows, |id| {
-        SpanProto::new(SpanConfig::default(), id)
-    })
+    World::new(WorldConfig::paper_default(seed), hosts, flows, SpanProto::new)
 }
 
 /// A chain where middle nodes are necessary bridges: 0-1-2-3-4 at 240 m
@@ -161,9 +159,9 @@ fn endpoints_stay_up_and_never_coordinate() {
     };
     let mut w = World::new(WorldConfig::paper_default(5), hosts, FlowSet::default(), |id| {
         if id == NodeId(0) {
-            SpanProto::endpoint(SpanConfig::default(), id)
+            SpanProto::endpoint(id)
         } else {
-            SpanProto::new(SpanConfig::default(), id)
+            SpanProto::new(id)
         }
     });
     w.run_until(SimTime::from_secs(60));

@@ -100,6 +100,7 @@ const HANDOFF_RESOLVE_WINDOW_SECS: u64 = 5;
 /// * timestamps never go backwards,
 /// * every delivered (and forwarded) packet was sent first,
 /// * no host transmits while its radio is asleep (or off, or dead),
+/// * no unicast is addressed to its own sender (`MacTx` / `MacDrop`),
 /// * gateway elect / retire strictly alternate per (node, cell) tenure,
 /// * battery level classes only move downward and a node dies at most once.
 ///
@@ -138,7 +139,8 @@ pub fn check_invariants(tag: &str, events: &[Event], chaos: Chaos) {
             EventKind::PacketDelivered { flow, seq, .. } => {
                 assert!(sent.contains(&(flow, seq)), "{}: delivered before sent", at());
             }
-            EventKind::MacTx { node, .. } => {
+            EventKind::MacTx { node, dst, .. } => {
+                assert_ne!(dst, Some(node), "{}: unicast to self", at());
                 let m = mode.get(&node).copied().unwrap_or(RadioMode::Idle);
                 assert!(
                     m != RadioMode::Sleep && m != RadioMode::Off,
@@ -146,6 +148,9 @@ pub fn check_invariants(tag: &str, events: &[Event], chaos: Chaos) {
                     at()
                 );
                 assert!(!dead.contains(&node), "{}: transmission after death", at());
+            }
+            EventKind::MacDrop { node, dst } => {
+                assert_ne!(dst, Some(node), "{}: drop of a unicast to self", at());
             }
             EventKind::RadioMode { node, from, to } => {
                 let prev = mode.insert(node, to).unwrap_or(RadioMode::Idle);

@@ -13,8 +13,9 @@
 //! class, so a future growth names the allocation that grew; the world's
 //! cell index is also built alone over the same cells, so its share is
 //! printed apart.  The per-host rows themselves are pinned by `size_of`:
-//! each holds only per-host state, and what a fleet shares (protocol
-//! constants, the power profile) sits behind one 8-byte handle.
+//! each holds only per-host state, and what a fleet shares (GRID and
+//! ECGRID's protocol constants, the power profile) sits behind one 8-byte
+//! handle; GAF, Span and their AODV core run on `const`s and hold none.
 //!
 //! This file is its own test binary with one test in it: the counting
 //! allocator below is process-wide, so nothing else may allocate while
@@ -196,8 +197,8 @@ fn rows() -> [(&'static str, usize, usize); 6] {
     [
         ("Ecgrid", size_of::<Ecgrid>(), 344),
         ("GridProto", size_of::<GridProto>(), 264),
-        ("GafProto", size_of::<GafProto>(), 344),
-        ("SpanProto", size_of::<SpanProto>(), 408),
+        ("GafProto", size_of::<GafProto>(), 328),
+        ("SpanProto", size_of::<SpanProto>(), 392),
         ("EnergyMeter", size_of::<EnergyMeter>(), 120),
         ("neighbour-gateway entry", GatewayCache::ENTRY_BYTES, 16),
     ]

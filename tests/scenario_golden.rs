@@ -17,14 +17,14 @@
 //! ```
 
 use ecgrid_suite::ecgrid::{Ecgrid, EcgridConfig};
-use ecgrid_suite::gaf::{GafConfig, GafProto};
+use ecgrid_suite::gaf::GafProto;
 use ecgrid_suite::grid_routing::{GridConfig, GridProto};
 use ecgrid_suite::manet::{Backend, NodeId, Protocol, World};
 use ecgrid_suite::runner::spec_run::{fleet_world, world_config};
 use ecgrid_suite::runner::{run_spec, ProtocolKind, RunOptions};
 use ecgrid_suite::scenario::{self, Role, ScenarioSpec};
 use ecgrid_suite::sim_engine::SimTime;
-use ecgrid_suite::span::{SpanConfig, SpanProto};
+use ecgrid_suite::span::SpanProto;
 use ecgrid_suite::trace::TraceDigest;
 use std::path::PathBuf;
 
@@ -309,16 +309,16 @@ fn every_host_audit_accounts_for_its_consumption() {
                 }),
                 ProtocolKind::Gaf => check_every_host(&label, &spec, p, opts, move |id| {
                     if endpoint[id.index()] {
-                        GafProto::endpoint(GafConfig::default(), id)
+                        GafProto::endpoint(id)
                     } else {
-                        GafProto::new(GafConfig::default(), id)
+                        GafProto::new(id)
                     }
                 }),
                 ProtocolKind::Span => check_every_host(&label, &spec, p, opts, move |id| {
                     if endpoint[id.index()] {
-                        SpanProto::endpoint(SpanConfig::default(), id)
+                        SpanProto::endpoint(id)
                     } else {
-                        SpanProto::new(SpanConfig::default(), id)
+                        SpanProto::new(id)
                     }
                 }),
             };
