@@ -5,7 +5,7 @@ use crate::TestRng;
 use rand::Rng;
 use std::ops::{Range, RangeInclusive};
 
-/// Admissible element counts for [`vec`].
+/// Admissible element counts for [`vec()`].
 #[derive(Clone, Debug)]
 pub struct SizeRange {
     lo: usize,

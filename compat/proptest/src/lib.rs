@@ -2,7 +2,7 @@
 //!
 //! Re-implements the subset of the proptest 1.x API this workspace's
 //! property tests use: the [`proptest!`] macro, the `prop_assert*` /
-//! [`prop_assume!`] family, range / tuple / [`prop_map`] /
+//! [`prop_assume!`] family, range / tuple / [`prop_map`](Strategy::prop_map) /
 //! [`collection::vec`] strategies, and [`any`].  Failing cases are
 //! reported with their case index and a reproducible seed; there is no
 //! shrinking (a failing input is printed in full via `Debug` where the

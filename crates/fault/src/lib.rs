@@ -2,10 +2,16 @@
 //!
 //! A [`FaultPlan`] describes *what* adversity a run is subjected to —
 //! probabilistic and burst (Gilbert–Elliott) frame loss on the data
-//! channel, RAS page loss and delay, node crash/rejoin churn, battery
-//! capacity variance and sudden drains, GPS position error.  A
-//! [`FaultCtl`] is the runtime that answers the world's point queries
-//! ("is this reception lost?", "when does host 7 crash next?").
+//! channel, RAS page loss and delay, node crash/rejoin churn and sudden
+//! battery drains.  A [`FaultCtl`] is the runtime that answers the
+//! world's point queries ("is this reception lost?", "when does host 7
+//! crash next?").
+//!
+//! What a host *is* — its battery capacity and spread, its GPS error
+//! bound, its radio range — is not adversity and is not set here: the
+//! scenario's group keys set it per host (`manet::HostSetup`).  The
+//! crate still owns the GPS error *draw*, [`gps_offset`], which the
+//! world makes from each host's bound.
 //!
 //! ## Determinism contract
 //!
@@ -31,18 +37,15 @@ pub const GE_SLOT_NS: u64 = 100_000_000;
 /// Two-state Markov (Gilbert–Elliott) burst-loss channel parameters.
 ///
 /// The chain sits in a *good* or *bad* state; each slot it moves
-/// good→bad with `p_gb` and bad→good with `p_bg`.  Receptions are lost
-/// with `loss_good` / `loss_bad` depending on the current state.  The
-/// stationary loss rate is
-/// `p_bg/(p_gb+p_bg) · loss_good + p_gb/(p_gb+p_bg) · loss_bad`.
+/// good→bad with `p_gb` and bad→good with `p_bg`.  The good state is
+/// clean; receptions in the bad state are lost with `loss_bad`.  The
+/// stationary loss rate is `p_gb/(p_gb+p_bg) · loss_bad`.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct GilbertElliott {
     /// P(good → bad) per slot.
     pub p_gb: f64,
     /// P(bad → good) per slot.
     pub p_bg: f64,
-    /// Loss probability while in the good state.
-    pub loss_good: f64,
     /// Loss probability while in the bad state.
     pub loss_bad: f64,
 }
@@ -59,8 +62,7 @@ impl GilbertElliott {
 
     /// Long-run loss rate the chain converges to.
     pub fn stationary_loss(&self) -> f64 {
-        let pb = self.stationary_bad();
-        (1.0 - pb) * self.loss_good + pb * self.loss_bad
+        self.stationary_bad() * self.loss_bad
     }
 }
 
@@ -88,17 +90,10 @@ pub struct FaultPlan {
     pub churn_rate: f64,
     /// Downtime of a crashed host before it reboots and rejoins, seconds.
     pub rejoin_secs: f64,
-    /// Battery capacity variance: each finite battery's capacity is scaled
-    /// by a factor uniform in `[1-var, 1+var]`.
-    pub battery_var: f64,
     /// Sudden-drain rate: expected drain events per node per second.
     pub drain_rate: f64,
     /// Fraction of the *remaining* energy lost per sudden-drain event.
     pub drain_frac: f64,
-    /// GPS position error: each host's advertised position is offset by a
-    /// vector of magnitude uniform in `[0, err]` meters, re-rolled once
-    /// per second.
-    pub gps_error_m: f64,
 }
 
 impl Default for FaultPlan {
@@ -118,10 +113,8 @@ impl FaultPlan {
             page_delay_max_ms: 0.0,
             churn_rate: 0.0,
             rejoin_secs: 10.0,
-            battery_var: 0.0,
             drain_rate: 0.0,
             drain_frac: 0.5,
-            gps_error_m: 0.0,
         }
     }
 
@@ -133,9 +126,7 @@ impl FaultPlan {
             || self.page_fail > 0.0
             || self.page_delay_max_ms > 0.0
             || self.churn_rate > 0.0
-            || self.battery_var > 0.0
             || self.drain_rate > 0.0
-            || self.gps_error_m > 0.0
     }
 
     /// Re-seed the plan (builder style).
@@ -147,19 +138,20 @@ impl FaultPlan {
     /// Parse the `run_one --faults` syntax: comma-separated `key=value`
     /// pairs.
     ///
-    /// | key           | meaning                                   |
-    /// |---------------|-------------------------------------------|
-    /// | `loss`        | per-reception frame-loss probability      |
-    /// | `ge`          | burst loss `p_gb/p_bg/loss_bad` (good state is clean) |
-    /// | `page_fail`   | RAS page loss probability                 |
-    /// | `page_delay`  | max extra page delay, ms                  |
-    /// | `churn`       | crashes per node per second               |
-    /// | `rejoin`      | downtime before rejoin, s                 |
-    /// | `battery_var` | capacity variance fraction                |
-    /// | `drain`       | sudden drains per node per second         |
-    /// | `drain_frac`  | remaining-energy fraction lost per drain  |
-    /// | `gps`         | GPS error radius, m                       |
-    /// | `seed`        | fault-layer seed                          |
+    /// | key          | meaning                                   |
+    /// |--------------|-------------------------------------------|
+    /// | `loss`       | per-reception frame-loss probability      |
+    /// | `ge`         | burst loss `p_gb/p_bg/loss_bad` (good state is clean) |
+    /// | `page_fail`  | RAS page loss probability                 |
+    /// | `page_delay` | max extra page delay, ms                  |
+    /// | `churn`      | crashes per node per second               |
+    /// | `rejoin`     | downtime before rejoin, s                 |
+    /// | `drain`      | sudden drains per node per second         |
+    /// | `drain_frac` | remaining-energy fraction lost per drain  |
+    /// | `seed`       | fault-layer seed                          |
+    ///
+    /// Battery spread and GPS error are per-host properties: a scenario
+    /// file's `battery_var` and `gps_sigma_m` group keys set them.
     pub fn parse(spec: &str) -> Result<FaultPlan, String> {
         let mut plan = FaultPlan::none();
         for part in spec.split(',').filter(|p| !p.trim().is_empty()) {
@@ -179,10 +171,8 @@ impl FaultPlan {
                 "page_delay" => plan.page_delay_max_ms = num(key)?,
                 "churn" => plan.churn_rate = num(key)?,
                 "rejoin" => plan.rejoin_secs = num(key)?,
-                "battery_var" => plan.battery_var = num(key)?,
                 "drain" => plan.drain_rate = num(key)?,
                 "drain_frac" => plan.drain_frac = num(key)?,
-                "gps" => plan.gps_error_m = num(key)?,
                 "seed" => {
                     plan.seed = value
                         .parse::<u64>()
@@ -201,7 +191,6 @@ impl FaultPlan {
                     plan.ge = Some(GilbertElliott {
                         p_gb: f(0)?,
                         p_bg: f(1)?,
-                        loss_good: 0.0,
                         loss_bad: f(2)?,
                     });
                 }
@@ -211,7 +200,6 @@ impl FaultPlan {
         let probs = [
             ("loss", plan.loss),
             ("page_fail", plan.page_fail),
-            ("battery_var", plan.battery_var),
             ("drain_frac", plan.drain_frac),
         ];
         for (name, p) in probs {
@@ -231,18 +219,17 @@ fn draw(seed: u64, domain: &str, a: u64, b: u64) -> f64 {
 
 /// GPS error offset `(dx, dy)` in meters for `node` at `t_ns`: a radius
 /// uniform in `[0, max_m)` at a uniform angle, piecewise constant over
-/// 1 s (a consumer-GPS fix rate).  Two stateless draws keyed on `seed`,
-/// the radius and angle `domains`, the node, `sub` and the 1 s slot, so
-/// streams with distinct labels are independent over the same seed;
-/// `max_m <= 0` performs none and gives `(0, 0)`.
+/// 1 s (a consumer-GPS fix rate).  Two stateless draws keyed on `seed`
+/// (the world seed), the `scenario.gps_r` / `scenario.gps_a` labels, the
+/// node and the 1 s slot; `max_m <= 0` performs none and gives `(0, 0)`.
 #[inline]
-pub fn gps_offset(seed: u64, domains: [&str; 2], sub: &str, node: u32, max_m: f64, t_ns: u64) -> (f64, f64) {
+pub fn gps_offset(seed: u64, node: u32, max_m: f64, t_ns: u64) -> (f64, f64) {
     if max_m <= 0.0 {
         return (0.0, 0.0);
     }
     let slot = t_ns / 1_000_000_000;
-    let r = max_m * keyed_draw(seed, domains[0], node as u64, sub, slot);
-    let theta = std::f64::consts::TAU * keyed_draw(seed, domains[1], node as u64, sub, slot);
+    let r = max_m * keyed_draw(seed, "scenario.gps_r", node as u64, "scenario.sub", slot);
+    let theta = std::f64::consts::TAU * keyed_draw(seed, "scenario.gps_a", node as u64, "scenario.sub", slot);
     (r * theta.cos(), r * theta.sin())
 }
 
@@ -298,7 +285,7 @@ impl FaultCtl {
         if chain.bad {
             ge.loss_bad
         } else {
-            ge.loss_good
+            0.0
         }
     }
 
@@ -333,16 +320,6 @@ impl FaultCtl {
         (u * self.plan.page_delay_max_ms * 1e6) as u64
     }
 
-    /// Capacity scale factor for `node`'s battery (1.0 when the knob is
-    /// off), uniform in `[1-var, 1+var]`, floored away from zero.
-    pub fn battery_scale(&self, node: u32) -> f64 {
-        if self.plan.battery_var <= 0.0 {
-            return 1.0;
-        }
-        let u = draw(self.plan.seed, "battery", node as u64, 0);
-        (1.0 + self.plan.battery_var * (2.0 * u - 1.0)).max(0.05)
-    }
-
     /// Seconds from one crash-schedule reference point to `node`'s `k`-th
     /// crash (exponential gap; `None` when churn is off).
     pub fn crash_gap_secs(&self, node: u32, k: u64) -> Option<f64> {
@@ -362,14 +339,6 @@ impl FaultCtl {
     /// Remaining-energy fraction lost per sudden drain.
     pub fn drain_frac(&self) -> f64 {
         self.plan.drain_frac.clamp(0.0, 1.0)
-    }
-
-    /// The plan's GPS error offset `(dx, dy)` in meters for `node` at
-    /// `t_ns` ([`gps_offset`] with radius bound `gps_error_m`).
-    #[inline]
-    pub fn gps_offset_m(&self, node: u32, t_ns: u64) -> (f64, f64) {
-        let (seed, max_m) = (self.plan.seed, self.plan.gps_error_m);
-        gps_offset(seed, ["gps_r", "gps_a"], "fault.sub", node, max_m, t_ns)
     }
 }
 
@@ -396,9 +365,8 @@ mod tests {
             assert!(!ctl.frame_lost(3, t / 7, t));
             assert!(!ctl.page_lost(3, t));
             assert_eq!(ctl.page_extra_delay_ns(3, t), 0);
-            assert_eq!(ctl.gps_offset_m(3, t), (0.0, 0.0));
+            assert_eq!(gps_offset(7, 3, 0.0, t), (0.0, 0.0));
         }
-        assert_eq!(ctl.battery_scale(0), 1.0);
         assert_eq!(ctl.crash_gap_secs(0, 0), None);
         assert_eq!(ctl.drain_gap_secs(0, 0), None);
         // a nonzero seed alone changes nothing
@@ -413,7 +381,6 @@ mod tests {
             page_fail: 0.2,
             page_delay_max_ms: 10.0,
             churn_rate: 0.01,
-            gps_error_m: 20.0,
             seed: 42,
             ..FaultPlan::none()
         };
@@ -424,7 +391,7 @@ mod tests {
                 let t = k * 123_456_789;
                 assert_eq!(a.page_lost(node, t), b.page_lost(node, t));
                 assert_eq!(a.page_extra_delay_ns(node, t), b.page_extra_delay_ns(node, t));
-                assert_eq!(a.gps_offset_m(node, t), b.gps_offset_m(node, t));
+                assert_eq!(gps_offset(42, node, 20.0, t), gps_offset(42, node, 20.0, t));
                 assert_eq!(a.crash_gap_secs(node, k), b.crash_gap_secs(node, k));
             }
         }
@@ -464,7 +431,6 @@ mod tests {
         let ge = GilbertElliott {
             p_gb: 0.05,
             p_bg: 0.2,
-            loss_good: 0.0,
             loss_bad: 0.5,
         };
         let plan = FaultPlan {
@@ -498,7 +464,6 @@ mod tests {
             ge: Some(GilbertElliott {
                 p_gb: 0.05,
                 p_bg: 0.2,
-                loss_good: 0.0,
                 loss_bad: 0.5,
             }),
             seed: 5,
@@ -534,7 +499,6 @@ mod tests {
             ge: Some(GilbertElliott {
                 p_gb: 0.1,
                 p_bg: 0.3,
-                loss_good: 0.0,
                 loss_bad: 1.0,
             }),
             seed: 3,
@@ -571,67 +535,38 @@ mod tests {
     }
 
     #[test]
-    fn battery_scale_spans_the_variance_band() {
-        let plan = FaultPlan {
-            battery_var: 0.3,
-            seed: 9,
-            ..FaultPlan::none()
-        };
-        let ctl = FaultCtl::new(plan, 256);
-        let scales: Vec<f64> = (0..256).map(|i| ctl.battery_scale(i)).collect();
-        assert!(scales.iter().all(|s| (0.7..=1.3).contains(s)));
-        let lo = scales.iter().cloned().fold(f64::MAX, f64::min);
-        let hi = scales.iter().cloned().fold(f64::MIN, f64::max);
-        assert!(lo < 0.8 && hi > 1.2, "variance band unused: [{lo}, {hi}]");
-    }
-
-    #[test]
     fn gps_offsets_are_bounded_and_refresh_per_second() {
-        let plan = FaultPlan {
-            gps_error_m: 25.0,
-            seed: 2,
-            ..FaultPlan::none()
-        };
-        let ctl = FaultCtl::new(plan, 4);
-        let (dx, dy) = ctl.gps_offset_m(1, 500_000_000);
-        assert!((dx * dx + dy * dy).sqrt() <= 25.0);
+        let at = |t: u64| gps_offset(2, 1, 25.0, t);
+        for s in 0..64u64 {
+            let (dx, dy) = at(s * 1_000_000_000 + 500_000_000);
+            assert!((dx * dx + dy * dy).sqrt() <= 25.0);
+        }
         // constant within a second, re-rolled across seconds
-        assert_eq!(ctl.gps_offset_m(1, 100_000_000), ctl.gps_offset_m(1, 900_000_000));
+        assert_eq!(at(100_000_000), at(900_000_000));
         let mut moved = 0;
         for s in 0..32u64 {
-            if ctl.gps_offset_m(1, s * 1_000_000_000) != ctl.gps_offset_m(1, (s + 1) * 1_000_000_000) {
+            if at(s * 1_000_000_000) != at((s + 1) * 1_000_000_000) {
                 moved += 1;
             }
         }
         assert!(moved > 16);
+        // and each host draws its own
+        assert_ne!(gps_offset(2, 1, 25.0, 0), gps_offset(2, 2, 25.0, 0));
     }
 
     #[test]
     fn keyed_draws_match_their_known_answers() {
         // Known answers: a change to the draw keys, the hash or the way
         // a literal label folds fails here before it moves a fixture.
-        let (dx, dy) = gps_offset(42, ["gps_r", "gps_a"], "fault.sub", 3, 20.0, 5_500_000_000);
+        let (dx, dy) = gps_offset(42, 3, 20.0, 5_500_000_000);
         assert_eq!(
             (dx.to_bits(), dy.to_bits()),
-            (0xc029_3d77_8a8a_a877, 0x401e_6e6f_3982_a0e5)
+            (0xc007_1c5f_42fb_e449, 0x4006_5425_451f_5036)
         );
-        let (dx, dy) = gps_offset(9, ["grp_r", "grp_a"], "scenario.sub", 17, 7.5, 61_000_000_000);
+        let (dx, dy) = gps_offset(9, 17, 7.5, 61_000_000_000);
         assert_eq!(
             (dx.to_bits(), dy.to_bits()),
-            (0xbf9a_08d6_1276_3efe, 0xc014_900f_ba50_f744)
-        );
-        let gps = FaultCtl::new(
-            FaultPlan {
-                gps_error_m: 20.0,
-                seed: 42,
-                ..FaultPlan::none()
-            },
-            4,
-        );
-        let (dx, dy) = gps.gps_offset_m(3, 5_500_000_000);
-        assert_eq!(
-            (dx.to_bits(), dy.to_bits()),
-            (0xc029_3d77_8a8a_a877, 0x401e_6e6f_3982_a0e5)
+            (0xbfb7_c119_dc29_993a, 0xbff0_2f1a_5d80_d69f)
         );
         // one bit per transmission, set when its reception is lost
         let lost_mask = |plan: FaultPlan, node: u32, slot_ns: u64| {
@@ -650,7 +585,6 @@ mod tests {
             ge: Some(GilbertElliott {
                 p_gb: 0.3,
                 p_bg: 0.3,
-                loss_good: 0.0,
                 loss_bad: 0.9,
             }),
             seed: 42,
@@ -661,16 +595,13 @@ mod tests {
 
     #[test]
     fn parse_round_trips_the_cli_syntax() {
-        let plan = FaultPlan::parse(
-            "loss=0.1, churn=0.01, page_fail=0.05, page_delay=20, rejoin=30, gps=25, seed=7",
-        )
-        .unwrap();
+        let plan = FaultPlan::parse("loss=0.1, churn=0.01, page_fail=0.05, page_delay=20, rejoin=30, seed=7")
+            .unwrap();
         assert_eq!(plan.loss, 0.1);
         assert_eq!(plan.churn_rate, 0.01);
         assert_eq!(plan.page_fail, 0.05);
         assert_eq!(plan.page_delay_max_ms, 20.0);
         assert_eq!(plan.rejoin_secs, 30.0);
-        assert_eq!(plan.gps_error_m, 25.0);
         assert_eq!(plan.seed, 7);
         assert!(plan.is_active());
 
@@ -678,12 +609,21 @@ mod tests {
         assert_eq!(ge.p_gb, 0.05);
         assert_eq!(ge.p_bg, 0.2);
         assert_eq!(ge.loss_bad, 0.5);
-        assert_eq!(ge.loss_good, 0.0);
 
         assert_eq!(FaultPlan::parse("").unwrap(), FaultPlan::none());
         assert!(FaultPlan::parse("loss=2.0").is_err());
         assert!(FaultPlan::parse("bogus=1").is_err());
         assert!(FaultPlan::parse("loss").is_err());
         assert!(FaultPlan::parse("ge=0.1/0.2").is_err());
+    }
+
+    #[test]
+    fn parse_refuses_the_host_properties() {
+        // battery spread and GPS error are set per host by the scenario's
+        // group keys; the plan has no knob for either
+        for spec in ["gps=5", "battery_var=0.2", "loss=0.1,gps=5"] {
+            let err = FaultPlan::parse(spec).unwrap_err();
+            assert!(err.starts_with("unknown fault knob"), "{spec}: {err}");
+        }
     }
 }

@@ -11,9 +11,9 @@ use sim_engine::{Backend, RunBudget, SimDuration};
 #[derive(Clone, Debug)]
 pub struct WorldConfig {
     /// Field dimensions and grid partition (1000×1000 m, d = 100 m).
+    /// Radio ranges are per host ([`HostSetup::range_m`]); the channel is
+    /// sized from the fleet's largest.
     pub grid: GridMap,
-    /// Radio range in meters (250 m).
-    pub range_m: f64,
     /// MAC timing and contention parameters.
     pub mac: MacConfig,
     /// RAS paging parameters.
@@ -33,7 +33,7 @@ pub struct WorldConfig {
     /// same FIFO contract, so results are identical; the knob exists for
     /// benchmarking and for the golden-trace cross-backend tests.
     pub backend: Backend,
-    /// Injected adversity (frame/page loss, churn, drains, GPS error).
+    /// Injected adversity (frame/page loss, churn, drains).
     /// The all-zero default performs no draws and leaves every run — and
     /// its trace digest — bit-identical to a fault-free build.
     pub faults: FaultPlan,
@@ -80,7 +80,6 @@ impl WorldConfig {
     pub fn paper_default(seed: u64) -> Self {
         WorldConfig {
             grid: GridMap::paper_default(),
-            range_m: 250.0,
             mac: MacConfig::paper_default(),
             ras: RasConfig::paper_default(),
             sample_every: SimDuration::from_secs(10),
@@ -138,16 +137,18 @@ impl WorldConfig {
     }
 }
 
-/// Per-host construction data.
+/// Per-host construction data: the one place a host's battery, GPS
+/// error bound and radio range are set (a scenario file's group keys
+/// land here, DESIGN.md §15).
 #[derive(Clone, Debug)]
 pub struct HostSetup {
     pub profile: PowerProfile,
+    /// The battery as built, manufacturing spread included.
     pub battery: Battery,
     pub trace: MobilityTrace,
-    /// Radio range override in meters; `None` uses `WorldConfig::range_m`.
-    /// Must not exceed the largest range in the fleet's config (the
-    /// channel's bucket geometry is sized from the maximum).
-    pub range_m: Option<f64>,
+    /// Radio range in meters (250 m in the paper), positive and finite.
+    /// The channel's bucket geometry is sized from the fleet's largest.
+    pub range_m: f64,
     /// Bound of the GPS position error in meters: the reported position
     /// is offset by a radius uniform in `[0, gps_sigma_m)` at a uniform
     /// angle, redrawn every second (not a Gaussian σ; the name is the
@@ -162,13 +163,14 @@ pub struct HostSetup {
 }
 
 impl HostSetup {
-    /// A paper-default host (500 J, GPS profile) following `trace`.
+    /// A paper-default host (500 J, GPS profile, 250 m radio) following
+    /// `trace`.
     pub fn paper(trace: MobilityTrace) -> Self {
         HostSetup {
             profile: PowerProfile::paper_default(),
             battery: Battery::paper_default(),
             trace,
-            range_m: None,
+            range_m: 250.0,
             gps_sigma_m: 0.0,
             group: 0,
         }
@@ -181,7 +183,7 @@ impl HostSetup {
             profile: PowerProfile::paper_default(),
             battery: Battery::infinite(),
             trace,
-            range_m: None,
+            range_m: 250.0,
             gps_sigma_m: 0.0,
             group: 0,
         }

@@ -30,7 +30,7 @@ impl AppPacket {
     }
 }
 
-/// Handle to a pending protocol timer: a [`TimerSlab`] slot in the low
+/// Handle to a pending protocol timer: a `TimerSlab` slot in the low
 /// half, the slot's generation when the timer was set in the high half.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct TimerId(pub(crate) u64);

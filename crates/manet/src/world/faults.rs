@@ -1,5 +1,5 @@
 //! Injected adversity: the fault plan's crashes, rejoins and drains,
-//! killed hosts, and GPS error.
+//! killed hosts, and each host's GPS error.
 
 use super::mac::MacPhase;
 use super::{Event, World};
@@ -22,19 +22,13 @@ impl<P: Protocol> World<P> {
         self.touch(id); // processes the death bookkeeping
     }
 
-    /// The GPS error in `node`'s position fix at `now`, in meters.  The
-    /// fault plan's global error and the scenario's per-group error
-    /// compose additively; each contributes (0, 0) — and performs no
-    /// draws — when its bound is zero, so scenario-free runs stay
-    /// digest-identical.  The scenario's draws are keyed on the world
-    /// seed with labels of their own, independent of the plan's.
+    /// The GPS error in `node`'s position fix at `now`, in meters, within
+    /// the host's own bound (`HostSetup::gps_sigma_m`).  A zero bound
+    /// gives (0, 0) and performs no draws, so exact-position fleets stay
+    /// digest-identical.  The draws are keyed on the world seed.
     pub(super) fn gps_error(&self, node: NodeId, now: SimTime) -> (f64, f64) {
-        let t = now.as_nanos();
-        let (fx, fy) = self.fault.gps_offset_m(node.0, t);
         let bound = self.hosts.gps_sigmas[node.index()];
-        let domains = ["scenario.gps_r", "scenario.gps_a"];
-        let (sx, sy) = fault::gps_offset(self.cfg.seed, domains, "scenario.sub", node.0, bound, t);
-        (fx + sx, fy + sy)
+        fault::gps_offset(self.cfg.seed, node.0, bound, now.as_nanos())
     }
 
     /// Seed the fault plan's schedules: the first crash and drain per

@@ -5,7 +5,7 @@ use super::mac::{Mac, MacPhase};
 use super::{Event, World};
 use crate::config::HostSetup;
 use crate::protocol::Protocol;
-use energy::{Battery, EnergyLevel, EnergyMeter, RadioMode};
+use energy::{EnergyLevel, EnergyMeter, RadioMode};
 use geo::{GridCoord, Point2};
 use mobility::{LegCursor, MobilityTrace};
 use radio::NodeId;
@@ -50,9 +50,8 @@ pub(super) struct Hosts<P: Protocol> {
     /// Crashed by the fault plan: silent (radio down, protocol frozen)
     /// until the scheduled rejoin reboots it with fresh protocol state.
     pub(super) crashed: Vec<bool>,
-    /// Per-host radio range in meters (`WorldConfig::range_m` unless the
-    /// scenario overrides it; never exceeds the channel's construction
-    /// maximum).
+    /// Per-host radio range in meters (`HostSetup::range_m`; the channel
+    /// is sized from the largest).
     pub(super) ranges: Vec<f64>,
     /// Per-host bound of the uniform GPS offset radius in meters
     /// (`HostSetup::gps_sigma_m`; 0 = exact positions, no draws).
@@ -82,18 +81,9 @@ impl<P: Protocol> Hosts<P> {
         }
     }
 
-    /// Add the host `h` describes, running `proto` on `battery` from
-    /// `cell`; a host without a range of its own gets `default_range`.
-    pub(super) fn push(
-        &mut self,
-        h: HostSetup,
-        proto: P,
-        battery: Battery,
-        cell: GridCoord,
-        rng: StdRng,
-        default_range: f64,
-    ) {
-        let meter = EnergyMeter::new(h.profile, battery);
+    /// Add the host `h` describes, running `proto` from `cell`.
+    pub(super) fn push(&mut self, h: HostSetup, proto: P, cell: GridCoord, rng: StdRng) {
+        let meter = EnergyMeter::new(h.profile, h.battery);
         self.last_levels.push(meter.level());
         self.protos.push(proto);
         self.meters.push(meter);
@@ -106,7 +96,7 @@ impl<P: Protocol> Hosts<P> {
         self.sleep_pending.push(false);
         self.dead_handled.push(false);
         self.crashed.push(false);
-        self.ranges.push(h.range_m.unwrap_or(default_range));
+        self.ranges.push(h.range_m);
         self.gps_sigmas.push(h.gps_sigma_m);
         self.groups.push(h.group);
     }

@@ -7,7 +7,7 @@
 //! * `flight` — a frame on the air: receiver discovery, the frozen
 //!   receiver set, reception at its end;
 //! * `paging` — RAS pages;
-//! * `faults` — injected crashes, drains and GPS error;
+//! * `faults` — injected crashes and drains, and each host's GPS error;
 //! * `sample` — metric sampling and the energy rollups;
 //! * `par` — the sharded and threaded engines, the only code that knows
 //!   a shard exists.
@@ -28,7 +28,6 @@ use crate::ctx::{AppPacket, Cmd, Ctx, NodeView, TimerSlab};
 use crate::progress::ProgressProbe;
 use crate::protocol::Protocol;
 use crate::stats::WorldStats;
-use energy::Battery;
 use fault::FaultCtl;
 use flight::Flight;
 use geo::{GridMap, Point2, Vec2};
@@ -186,11 +185,9 @@ impl<P: Protocol> World<P> {
         // Heterogeneous fleets: the channel's geometry (bucket side,
         // mirror slack, reach radius) is sized from the LARGEST radio in
         // the fleet, so every per-transmission disc fits inside the 3x3
-        // bucket query and every boundary mirror predicate.  A homogeneous
-        // fleet reduces to exactly `cfg.range_m`, leaving digests
-        // untouched.
-        let max_range = hosts.iter().fold(cfg.range_m, |acc, h| {
-            let r = h.range_m.unwrap_or(cfg.range_m);
+        // bucket query and every boundary mirror predicate.
+        let max_range = hosts.iter().fold(0.0, |acc: f64, h| {
+            let r = h.range_m;
             assert!(
                 r.is_finite() && r > 0.0,
                 "host radio range must be positive and finite, got {r}"
@@ -204,21 +201,7 @@ impl<P: Protocol> World<P> {
         for (i, h) in hosts.into_iter().enumerate() {
             let id = NodeId(i as u32);
             let cell = cfg.grid.cell_of(h.trace.position_at(SimTime::ZERO));
-            // fault-plan battery variance: manufacturing spread across
-            // the finite batteries (infinite endpoints stay infinite)
-            let battery = if cfg.faults.battery_var > 0.0 && !h.battery.is_infinite() {
-                Battery::with_capacity(h.battery.capacity_j() * fault.battery_scale(id.0))
-            } else {
-                h.battery
-            };
-            soa.push(
-                h,
-                factory(id),
-                battery,
-                cell,
-                rngs.stream("node", i as u64),
-                cfg.range_m,
-            );
+            soa.push(h, factory(id), cell, rngs.stream("node", i as u64));
         }
         // Buckets coincide with the paper's logical grid cells: the
         // per-node cell is already maintained by cell-crossing events, so

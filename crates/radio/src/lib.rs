@@ -5,7 +5,7 @@
 //! radio at 2 Mbps with a 250 m nominal range.  This crate provides the
 //! equivalent building blocks:
 //!
-//! * [`NodeId`] and the [`Frame`] model with realistic wire sizes, so
+//! * [`NodeId`] and the frame model ([`FrameKind`], [`FrameMeta`]) with realistic wire sizes, so
 //!   serialization delays (and therefore energy and latency) are faithful;
 //! * [`ChannelState`] — a unit-disc channel tracking in-flight
 //!   transmissions for carrier sensing and receiver-side collision

@@ -94,7 +94,7 @@ const SCRATCH_IDS: usize = 64 * BITMAP_IDS;
 /// gathers — a gather clears exactly the words it set — so, unlike the
 /// stack bitmap of
 /// [`SpatialIndex::gather_sorted_into`], nothing is zeroed per query and
-/// the universe may be any size up to [`SCRATCH_IDS`].
+/// the universe may be any size up to `SCRATCH_IDS`.
 #[derive(Clone, Debug, Default)]
 pub struct GatherScratch {
     /// One bit per id.

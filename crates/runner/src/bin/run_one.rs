@@ -43,10 +43,12 @@ pause 0, 10 flows x 1 pkt/s, 2000 s, seed 42).
 --trace FILE   record the full event stream and export it as JSONL
 --digest       record in digest-only mode (O(1) memory; prints the digest)
 --faults SPEC  comma-separated fault plan, e.g.
-               loss=0.1,churn=0.01,page_fail=0.2,drain=0.005,gps=15
+               loss=0.1,churn=0.01,page_fail=0.2,drain=0.005
                (keys: loss, ge, page_fail, page_delay, churn, rejoin,
-               battery_var, drain, drain_frac, gps, seed; all faults are
-               deterministic functions of the seeds)
+               drain, drain_frac, seed; all faults are deterministic
+               functions of the seeds).  Battery spread, GPS error and
+               radio range belong to the hosts: a scenario file's
+               battery_var, gps_sigma_m and range_m group keys set them
 
 Supervision (see DESIGN.md §9):
 --event-budget N   watchdog: abort after N dispatched events (exit 2)
@@ -57,7 +59,10 @@ Supervision (see DESIGN.md §9):
                    times on re-derived seeds, then exit 3 with a
                    failure report
 --journal FILE     checkpoint the run in a resumable sweep journal; a
-                   rerun with the same journal skips completed work
+                   rerun with the same journal skips completed work.
+                   Prints the supervision summary instead of the full
+                   result; with --digest also the (journaled) digest.
+                   --trace and --groups-json do not combine with it
 
 EXIT STATUS:  0 success · 1 bad usage · 2 budget exceeded · 3 quarantined";
 
@@ -130,6 +135,18 @@ fn parse_args() -> Cli {
             "--scenario" => cli.scenario_path = Some(flags.value(k).into()),
             "--groups-json" => cli.groups_json = Some(flags.value(k).into()),
             other => flags.unknown(other),
+        }
+    }
+    if cli.journal.is_some() {
+        // a journaled run keeps only the slim replica record: a journal
+        // hit has no event stream and no per-group table to write
+        for (flag, set) in [
+            ("--trace", cli.trace_path.is_some()),
+            ("--groups-json", cli.groups_json.is_some()),
+        ] {
+            if set {
+                USAGE.fail(format!("{flag} cannot be combined with --journal"));
+            }
         }
     }
     cli
@@ -292,6 +309,9 @@ fn main() {
                 opt_or(avg.latency_ms, "-", |x| format!("{x:.2}")),
                 opt_or(avg.network_death_s, "none", |t| format!("{t:.0} s")),
             );
+        }
+        if let Some(d) = report.replicas.first().and_then(|r| r.digest) {
+            println!("trace digest:    {d}");
         }
         if !report.quarantined.is_empty() {
             std::process::exit(3);

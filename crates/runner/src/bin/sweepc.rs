@@ -30,7 +30,8 @@ Submit spec flags (defaults = the golden smoke scenario):
     --pause S    --flows N    --rate PPS    --duration S    --seed N
     --endpoints N    --replicas N    --faults SPEC
     --scenario FILE   submit a scenario file (heterogeneous groups) —
-                    hex-encoded onto the wire; the file's own seed is the
+                    sent as its text in an escaped JSON string, checked
+                    client-side first; the file's own seed is the
                     replica base and the scalar shape flags are ignored
                     (--protocol, --faults, --replicas still apply)
     --stream     also subscribe and stream the submitted job to completion

@@ -6,7 +6,7 @@
 //! |--------|--------------|
 //! | [`scenario`] | the §4 configuration and its lowering onto a fleet spec |
 //! | [`run`], [`spec_run`] | one run: options, results, and `spec_run::fleet_world`, which builds every world a scenario describes |
-//! | [`supervisor`], [`sweep`] | the replica pipeline: isolation, watchdog, retry, journal, averaging |
+//! | [`supervisor`], [`sweep`](mod@sweep) | the replica pipeline: isolation, watchdog, retry, journal, averaging |
 //! | [`figures`] | the paper campaign: three matrices, one sweep, Figs. 4–8 as views over it |
 //! | [`report`] | tables, ASCII charts, atomic CSV writes |
 //! | [`serve`] | the `sweepd` job handler over the same pipeline |

@@ -4,12 +4,12 @@
 //! The service crate knows connections, queues and manifests; this
 //! module knows simulations.  A job is the sequential, drain-aware loop
 //! over the replica step the batch sweep runs on rayon
-//! ([`run_replica`]: journal hit, else a run under the full supervisor
-//! stack, checkpointed), with each replica's trace events streamed to
-//! subscribers through the job's hub and each step outcome mapped to
-//! frames.  Batch and service runs of the same (config-hash, seed) are
+//! (`supervisor::run_replica`: journal hit, else a run under the full
+//! supervisor stack, checkpointed), with each replica's trace events
+//! streamed to subscribers through the job's hub and each step outcome
+//! mapped to frames.  Batch and service runs of the same (config-hash, seed) are
 //! therefore interchangeable, and a drained or crashed service resumes
-//! bit for bit: [`fold_replicas`] averages journal-loaded and fresh
+//! bit for bit: `fold_replicas` averages journal-loaded and fresh
 //! replicas in replica order alike.
 
 use crate::run::{replica_seed, RunOptions, ScenarioResult};
@@ -421,6 +421,16 @@ rate_pps = 1.0
             ..spec_job(SPEC_TEXT)
         };
         assert_ne!(a, h.config_hash(&gaf).unwrap());
+    }
+
+    #[test]
+    fn the_scenario_file_journal_key_is_pinned() {
+        // Folds the fault plan's `Debug` form like the classic key (see
+        // `supervisor`'s pin): a `FaultPlan` field change re-keys every
+        // journal, and a deliberate re-key updates both pins.
+        let spec = scenario::parse(SPEC_TEXT).unwrap();
+        let key = spec_config_hash(&spec, ProtocolKind::Ecgrid, &RunOptions::default());
+        assert_eq!(key, 0x4bd9_2daf_b9af_76b6);
     }
 
     #[test]

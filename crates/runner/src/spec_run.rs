@@ -232,7 +232,7 @@ fn build_hosts(spec: &ScenarioSpec, protocol: ProtocolKind, horizon: SimTime) ->
                 profile,
                 battery,
                 trace,
-                range_m: Some(g.range_m),
+                range_m: g.range_m,
                 gps_sigma_m: g.gps_sigma_m,
                 group: gi as u16,
             });
@@ -373,10 +373,6 @@ pub fn world_config(spec: &ScenarioSpec, opts: &RunOptions) -> WorldConfig {
         .with_budget(budget)
         .with_neighbor_index(opts.neighbor_index);
     cfg.grid = geo::GridMap::new(spec.field_w, spec.field_h, spec.cell_side);
-    // the config's nominal range is the fleet maximum, so the channel's
-    // bucket geometry is sized exactly (every host carries an explicit
-    // per-group range anyway)
-    cfg.range_m = spec.groups.iter().map(|g| g.range_m).fold(0.0_f64, f64::max);
     if opts.parallel_world {
         cfg = cfg.with_parallel_world(opts.shards).with_threads(opts.threads);
     }

@@ -20,9 +20,9 @@
 //!   (config hash, seed) records every completed replica's metrics and
 //!   trace digest with bit-exact float encoding, so a resumed sweep skips
 //!   finished work and reproduces the fresh run's [`AveragedResult`]s
-//!   bit for bit.  [`Journal`] is the file's only owner.
+//!   bit for bit.  `Journal` is the file's only owner.
 //!
-//! One step ([`run_replica`]) and one fold ([`fold_replicas`]) define the
+//! One step (`run_replica`) and one fold (`fold_replicas`) define the
 //! replica protocol; [`sweep_keyed`] loops over them on rayon, the sweep
 //! service's job handler (`crate::serve`) sequentially.
 
@@ -747,7 +747,7 @@ pub fn sweep_supervised(
     sweep_supervised_with(scenarios, replicas, opts, sup, &run_scenario_probed)
 }
 
-/// Run every (scenario × replica) pair under supervision ([`crate::sweep`]
+/// Run every (scenario × replica) pair under supervision ([`crate::sweep()`]
 /// is this with no retries and no journal); with a journal, journaled
 /// replicas are re-read instead of re-run and fresh ones appended at once.
 pub fn sweep_supervised_with(
@@ -761,8 +761,8 @@ pub fn sweep_supervised_with(
     sweep_keyed(&keyed, replicas, opts, sup, runner)
 }
 
-/// The batch loop: [`run_replica`] over every (point × replica) on rayon,
-/// then [`fold_replicas`] per point; a journal that cannot be opened is
+/// The batch loop: `run_replica` over every (point × replica) on rayon,
+/// then `fold_replicas` per point; a journal that cannot be opened is
 /// [`SweepReport::journal_error`] and nothing runs.  Points bring their
 /// own journal config key: a scenario-file fleet's identity is its text,
 /// not the representative `Scenario` the supervisor echoes, so it must not
@@ -1103,6 +1103,17 @@ mod tests {
         assert_eq!(config_hash(&a, &opts), config_hash(&a, &calendar));
         let traced = crate::run::RunOptions::digest();
         assert_ne!(config_hash(&a, &opts), config_hash(&a, &traced));
+    }
+
+    #[test]
+    fn the_paper_base_journal_key_is_pinned() {
+        // The key folds the fault plan's `Debug` form, so adding, removing
+        // or renaming a `FaultPlan` field re-keys every journal: a resumed
+        // sweep then reruns its journaled replicas once.  A deliberate
+        // re-key updates this value (and `serve`'s twin) and says so in
+        // CHANGES.md.
+        let sc = Scenario::paper_base(crate::ProtocolKind::Ecgrid, 1.0, 42);
+        assert_eq!(config_hash(&sc, &RunOptions::default()), 0xcf64_0346_84cb_525d);
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! `run_one` (and the other binaries' flag parsers) at the process
 //! boundary: what a journal that cannot be opened looks like to a shell
 //! (the library-level cases live in `supervisor.rs` and
-//! `tests/supervision.rs`), that the digest-neutral engine axes are not a
+//! `tests/supervision.rs`), which outputs a journaled run refuses and
+//! which it prints, that the digest-neutral engine axes are not a
 //! command-line option, that an unknown flag is named as one wherever it
 //! stands, that `run_one`'s scalar knobs are held to the scenario bounds,
 //! that `sweepc` reports a bad command line before it looks for a
@@ -33,6 +34,85 @@ fn an_unopenable_journal_exits_1_with_a_journal_line_and_no_panic() {
     );
     assert!(!stderr.contains("panicked"), "{stderr}");
     assert!(out.stdout.is_empty(), "nothing ran, nothing to report");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A fresh scratch directory for one test.
+fn scratch_dir(tag: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("ecgrid_run_one_{tag}_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+/// The small run the journal tests share.
+const SMALL_RUN: [&str; 6] = ["--hosts", "12", "--flows", "2", "--duration", "20"];
+
+#[test]
+fn a_journaled_run_refuses_trace_outputs() {
+    let dir = scratch_dir("journal_refuses");
+    let journal = dir.join("j.jsonl");
+    // a journal hit has no event stream or group table to write: refused
+    // before anything runs, and nothing is written
+    for (flag, file) in [("--trace", "t.jsonl"), ("--groups-json", "g.json")] {
+        let out = Command::new(RUN_ONE)
+            .args(SMALL_RUN)
+            .arg("--journal")
+            .arg(&journal)
+            .arg(flag)
+            .arg(dir.join(file))
+            .output()
+            .expect("run_one runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{flag}: {stderr}");
+        assert_eq!(
+            stderr.lines().next(),
+            Some(format!("run_one: {flag} cannot be combined with --journal").as_str()),
+            "{stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{flag}: nothing ran");
+        assert!(
+            !dir.join(file).exists() && !journal.exists(),
+            "{flag}: nothing written"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_journaled_run_prints_its_digest_fresh_and_from_the_journal() {
+    let dir = scratch_dir("journal_digest");
+    let journal = dir.join("j.jsonl");
+    let digest_line = |out: &std::process::Output| {
+        String::from_utf8_lossy(&out.stdout)
+            .lines()
+            .find(|l| l.starts_with("trace digest:"))
+            .map(str::to_owned)
+    };
+    let plain = Command::new(RUN_ONE)
+        .args(SMALL_RUN)
+        .arg("--digest")
+        .output()
+        .expect("run_one runs");
+    assert_eq!(plain.status.code(), Some(0));
+    let want = digest_line(&plain).expect("a --digest run prints its digest");
+    // the unjournaled run's digest, both times
+    for pass in ["1 fresh, 0 from journal", "0 fresh, 1 from journal"] {
+        let out = Command::new(RUN_ONE)
+            .args(SMALL_RUN)
+            .args(["--digest", "--journal"])
+            .arg(&journal)
+            .output()
+            .expect("run_one runs");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert_eq!(out.status.code(), Some(0), "{stdout}");
+        assert!(stdout.contains(pass), "{stdout}");
+        assert_eq!(
+            digest_line(&out).as_deref(),
+            Some(want.as_str()),
+            "{pass}: {stdout}"
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

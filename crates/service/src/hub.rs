@@ -14,7 +14,7 @@
 //! summary reaches every subscriber that is still connected.  The
 //! connection thread swaps the whole queue for an empty one under the
 //! lock, then renders it and writes it to the socket with the lock
-//! released, a piece of at most [`PIECE`] bytes (plus the line that
+//! released, a piece of at most `PIECE` (16 KiB) (plus the line that
 //! crossed the mark) at a time ([`SubscriberHandle::next_batch`]), so it
 //! never holds a whole batch as text.  The budget covers the pending
 //! frames plus those of the batch being written, so it bounds the memory
@@ -265,9 +265,9 @@ impl SubscriberHandle {
 
     /// Block until frames are pending or the stream has ended, take
     /// everything pending, and render it to `out` in pieces (see
-    /// [`PIECE`]).  The batch taken by the call before is taken to be
+    /// `PIECE`, 16 KiB).  The batch taken by the call before is taken to be
     /// written: its frames stop counting against the budget, and its
-    /// queue allocation (up to [`PIECE`] bytes) becomes the next pending
+    /// queue allocation (up to `PIECE` bytes) becomes the next pending
     /// queue.  Returns `false` once the stream has ended — its tail,
     /// possibly empty, is then written, and [`SubscriberHandle::stats`] is
     /// final.  A write error leaves the subscription to be dropped.

@@ -22,7 +22,7 @@
 //!   per (domain, index), so adding a consumer never perturbs others; and
 //!   [`IdMap`] / [`IdSet`], hash tables over the simulator's own integer
 //!   ids with a cheap state-free hasher.
-//! * [`share`] — one process-wide instance of a fleet-wide constant
+//! * [`share`](mod@share) — one process-wide instance of a fleet-wide constant
 //!   behind the `Arc` every host row holds.
 
 pub mod backend;

@@ -296,7 +296,6 @@ fn every_host_audit_accounts_for_its_consumption() {
             .collect();
         let plain = RunOptions::default();
         let faulted = RunOptions::default().with_faults(golden_plan());
-        assert_eq!(faulted.faults.battery_var, 0.0, "capacities are nominal");
         for (tag, opts) in [("", &plain), (" faulted", &faulted)] {
             let label = format!("golden {}{tag}", p.name());
             let endpoint = endpoint.clone();

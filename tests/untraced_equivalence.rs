@@ -14,8 +14,8 @@
 //! as in every run).  Two configurations, each under ECGRID and GRID:
 //! * small batteries, so hosts cross every level class and die mid-run
 //!   (a death is the one thing an untraced touch commits);
-//! * the same under a fault plan with loss, churn, sudden drains and GPS
-//!   error, plus a per-host GPS error bound from the scenario.
+//! * the same under a fault plan with loss, churn and sudden drains,
+//!   plus a per-host GPS error bound from the scenario.
 
 use ecgrid_suite::ecgrid::{Ecgrid, EcgridConfig};
 use ecgrid_suite::grid_routing::{GridConfig, GridProto};
@@ -125,7 +125,7 @@ fn untraced_runs_equal_traced_runs_while_hosts_die() {
 
 #[test]
 fn untraced_runs_equal_traced_runs_under_faults() {
-    let plan = FaultPlan::parse("loss=0.05,churn=0.005,drain=0.005,gps=5").unwrap();
+    let plan = FaultPlan::parse("loss=0.05,churn=0.005,drain=0.005").unwrap();
     for out in untraced_equals_traced(5.0, plan) {
         assert!(
             out.stats.frames_lost_fault > 0 && out.stats.crashes > 0,
