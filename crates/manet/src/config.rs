@@ -4,7 +4,7 @@ use energy::{Battery, PowerProfile};
 use fault::FaultPlan;
 use geo::GridMap;
 use mobility::MobilityTrace;
-use radio::{MacConfig, NeighborIndex, RasConfig};
+use radio::NeighborIndex;
 use sim_engine::{Backend, RunBudget, SimDuration};
 
 /// Global simulation parameters.
@@ -14,12 +14,10 @@ pub struct WorldConfig {
     /// Radio ranges are per host ([`HostSetup::range_m`]); the channel is
     /// sized from the fleet's largest.
     pub grid: GridMap,
-    /// MAC timing and contention parameters.
-    pub mac: MacConfig,
-    /// RAS paging parameters.
-    pub ras: RasConfig,
-    /// Metrics sampling period (alive fraction, aen).
-    pub sample_every: SimDuration,
+    /// Delay between a RAS page being sent and the target's transceiver
+    /// being up (paging decode + radio power-up).  The rest of the radio
+    /// is constants (`radio::mac`, `radio::ras::PAGE_RANGE_M`).
+    pub wake_latency: SimDuration,
     /// Master seed for all per-node randomness (MAC backoff, protocol
     /// jitter).  Mobility and traffic randomness are supplied by the
     /// caller via traces/flows so that every protocol under comparison
@@ -80,9 +78,7 @@ impl WorldConfig {
     pub fn paper_default(seed: u64) -> Self {
         WorldConfig {
             grid: GridMap::paper_default(),
-            mac: MacConfig::paper_default(),
-            ras: RasConfig::paper_default(),
-            sample_every: SimDuration::from_secs(10),
+            wake_latency: SimDuration::from_millis(5),
             seed,
             capture_ratio: Some(radio::channel::CAPTURE_RATIO_10DB),
             backend: Backend::Heap,

@@ -61,9 +61,7 @@ pub use fault::{FaultCtl, FaultPlan, GilbertElliott};
 // depend on `manet` alone.
 pub use energy::{Battery, EnergyAudit, EnergyLevel, EnergyMeter, PowerProfile, RadioMode};
 pub use geo::{GridCoord, GridMap, GridRect, Point2, Vec2};
-pub use radio::{
-    auto_gather_threshold, FrameKind, MacConfig, NeighborIndex, NodeId, PageSignal, RasConfig, SpatialIndex,
-};
+pub use radio::{auto_gather_threshold, FrameKind, NeighborIndex, NodeId, PageSignal, SpatialIndex};
 pub use sim_engine::{Backend, BudgetExceeded, RunBudget, SimDuration, SimTime};
 
 /// Re-export of the whole engine crate (deterministic RNG streams etc.)

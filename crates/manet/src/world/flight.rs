@@ -166,7 +166,7 @@ impl<P: Protocol> World<P> {
                     // The ACK is not modelled on the channel (it is 38 bytes
                     // after a SIFS and at the paper's load never collides);
                     // its energy is charged directly.
-                    let ack_secs = self.cfg.mac.ack_airtime().as_secs_f64();
+                    let ack_secs = radio::mac::ack_airtime().as_secs_f64();
                     let dmeter = &mut self.hosts.meters[dst.index()];
                     let d_extra = (dmeter.profile().tx_w - dmeter.profile().idle_w) * ack_secs;
                     dmeter.drain_direct(now, d_extra);
@@ -180,9 +180,9 @@ impl<P: Protocol> World<P> {
                 if sender_alive {
                     self.hosts.macs[node.index()].phase = MacPhase::AwaitAck(tx_id);
                     let delay = if ok {
-                        self.cfg.mac.sifs + self.cfg.mac.ack_airtime()
+                        radio::mac::SIFS + radio::mac::ack_airtime()
                     } else {
-                        self.cfg.mac.ack_timeout()
+                        radio::mac::ack_timeout()
                     };
                     self.schedule_in(node, delay, Event::AckDone { node, ok });
                 }

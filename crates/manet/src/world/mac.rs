@@ -6,7 +6,7 @@ use super::{Event, World};
 use crate::protocol::{Protocol, WireSize};
 use energy::RadioMode;
 use radio::frame::FrameMeta;
-use radio::{FrameKind, NodeId};
+use radio::{mac, FrameKind, NodeId};
 use rand::Rng;
 use std::collections::VecDeque;
 use trace::EventKind;
@@ -79,16 +79,13 @@ impl<P: Protocol> World<P> {
         self.mac_kick(node);
     }
 
-    /// Contention window for the node's head-of-queue frame.  Broadcasts
-    /// (HELLO beacons, RREQ floods) contend over a much wider window:
-    /// floods are triggered by a shared reception, so dozens of hosts
-    /// would otherwise pick from the same 32 slots and collide — the wide
-    /// window plays the role of ns-2's AODV broadcast jitter.
+    /// Contention window for the node's head-of-queue frame: broadcasts
+    /// contend over the wide [`mac::BROADCAST_CW`].
     fn head_cw(&self, node: NodeId) -> u32 {
-        let mac = &self.hosts.macs[node.index()];
-        match mac.queue.front().map(|f| f.kind) {
-            Some(FrameKind::Broadcast) => (self.cfg.mac.cw_min + 1) * 8 - 1,
-            _ => self.cfg.mac.cw_for_attempt(mac.attempt),
+        let m = &self.hosts.macs[node.index()];
+        match m.queue.front().map(|f| f.kind) {
+            Some(FrameKind::Broadcast) => mac::BROADCAST_CW,
+            _ => mac::cw_for_attempt(m.attempt),
         }
     }
 
@@ -106,7 +103,7 @@ impl<P: Protocol> World<P> {
         {
             self.hosts.macs[i].phase = MacPhase::WaitTry;
             let slots = self.hosts.rngs[i].gen_range(0..=cw);
-            let delay = self.cfg.mac.difs + self.cfg.mac.backoff(slots);
+            let delay = mac::DIFS + mac::backoff(slots);
             self.schedule_in(node, delay, Event::MacTryTx { node });
         }
     }
@@ -134,7 +131,7 @@ impl<P: Protocol> World<P> {
             // deferral: re-sense after the medium frees plus DIFS + backoff
             let cw = self.head_cw(node);
             let slots = self.hosts.rngs[i].gen_range(0..=cw);
-            let at = busy_end + self.cfg.mac.difs + self.cfg.mac.backoff(slots);
+            let at = busy_end + mac::DIFS + mac::backoff(slots);
             self.schedule_at(node, at.max(now), Event::MacTryTx { node });
             return;
         }
@@ -148,7 +145,7 @@ impl<P: Protocol> World<P> {
             kind,
             payload_bytes: bytes,
         };
-        let dur = self.cfg.mac.airtime(&meta);
+        let dur = mac::airtime(&meta);
         let end = now + dur;
         let tx_range = self.hosts.ranges[i];
         let tx_id = self.begin_tx(node, pos, tx_range, now, end);
@@ -197,7 +194,7 @@ impl<P: Protocol> World<P> {
         }
         // ACK missing: retry with exponential backoff, bounded
         self.hosts.macs[i].attempt += 1;
-        if self.hosts.macs[i].attempt > self.cfg.mac.max_retries {
+        if self.hosts.macs[i].attempt > mac::MAX_RETRIES {
             self.stats.mac_drops += 1;
             let frame = self.hosts.macs[i].queue.pop_front().expect("head frame");
             if let FrameKind::Unicast(d) = frame.kind {
@@ -219,9 +216,9 @@ impl<P: Protocol> World<P> {
             self.stats.retransmissions += 1;
             let attempt = self.hosts.macs[i].attempt;
             self.emit(|| EventKind::MacRetry { node, attempt });
-            let cw = self.cfg.mac.cw_for_attempt(attempt);
+            let cw = mac::cw_for_attempt(attempt);
             let slots = self.hosts.rngs[i].gen_range(0..=cw);
-            let delay = self.cfg.mac.difs + self.cfg.mac.backoff(slots);
+            let delay = mac::DIFS + mac::backoff(slots);
             self.hosts.macs[i].phase = MacPhase::WaitTry;
             self.schedule_in(node, delay, Event::MacTryTx { node });
         }

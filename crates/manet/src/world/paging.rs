@@ -17,14 +17,14 @@ impl<P: Protocol> World<P> {
         self.stats.pages_sent += 1;
         let origin = self.hosts.pos_at(node.index(), now);
         self.emit(|| EventKind::RasPage { by: node, signal });
-        let latency = self.cfg.ras.wake_latency
+        let latency = self.cfg.wake_latency
             + SimDuration::from_nanos(self.fault.page_extra_delay_ns(node.0, now.as_nanos()));
         self.schedule_in(node, latency, Event::Page(Box::new((signal, origin))));
     }
 
     pub(super) fn page_arrives(&mut self, signal: PageSignal, origin: Point2) {
         let now = self.now();
-        let range = self.cfg.ras.range_m;
+        let range = radio::ras::PAGE_RANGE_M;
         // The paging scan is the engine's only remaining O(N)-per-event
         // loop: every host's meter advances (the page is a physical
         // instant — energy death timing must not depend on whether anyone

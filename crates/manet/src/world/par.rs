@@ -12,7 +12,7 @@ use crate::protocol::Protocol;
 use energy::{EnergyLevel, EnergyMeter, RadioMode};
 use geo::{GridCoord, Point2};
 use mobility::MobilityTrace;
-use radio::{ChannelState, NodeId, PageSignal, ShardMap, ShardedChannel, Transmission};
+use radio::{mac, ChannelState, NodeId, PageSignal, ShardMap, ShardedChannel, Transmission};
 use sim_engine::{
     chunk_count, BudgetExceeded, EventHandle, Mailbox, Scheduler, ShardedScheduler, SimDuration, SimTime,
     SlicePtr, WorkerPool,
@@ -301,12 +301,7 @@ impl Engine {
         for c in cells {
             members[map.shard_of_col(c.x)] += 1;
         }
-        let lookahead = cfg
-            .mac
-            .sifs
-            .min(cfg.mac.slot)
-            .min(cfg.mac.difs)
-            .min(cfg.ras.wake_latency);
+        let lookahead = mac::SIFS.min(mac::SLOT).min(mac::DIFS).min(cfg.wake_latency);
         let stride = lookahead.max(SHARD_GC_STRIDE);
         let kernels = (cfg.threads > 1).then(|| Kernels {
             pool: WorkerPool::new(cfg.threads),

@@ -7,6 +7,10 @@ use crate::protocol::Protocol;
 use energy::EnergyAudit;
 use metrics::TimeSeries;
 use radio::NodeId;
+use sim_engine::SimDuration;
+
+/// Metrics sampling period (alive fraction, aen).
+pub(super) const SAMPLE_EVERY: SimDuration = SimDuration::from_secs(10);
 
 /// Per-scenario-group liveness/energy rollup (see [`World::group_stats`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -134,6 +138,6 @@ impl<P: Protocol> World<P> {
         self.alive_series.push(t, alive);
         self.aen_series.push(t, aen);
         self.engine
-            .schedule_world_at(now + self.cfg.sample_every, super::Event::Sample);
+            .schedule_world_at(now + SAMPLE_EVERY, super::Event::Sample);
     }
 }

@@ -7,7 +7,7 @@ use manet::{
     RadioMode, SimDuration, SimTime, TraceMode, WireSize, World, WorldConfig,
 };
 use mobility::{MobilityTrace, Segment};
-use radio::FrameMeta;
+use radio::{mac, FrameMeta};
 use std::sync::{Arc, Mutex};
 use traffic::{CbrFlow, FlowId};
 
@@ -18,10 +18,12 @@ fn fixed(x: f64, y: f64) -> HostSetup {
 }
 
 fn world_with(hosts: Vec<HostSetup>, cfgs: Vec<ProbeCfg>, flows: FlowSet) -> World<Probe> {
+    world_on(WorldConfig::paper_default(42), hosts, cfgs, flows)
+}
+
+fn world_on(cfg: WorldConfig, hosts: Vec<HostSetup>, cfgs: Vec<ProbeCfg>, flows: FlowSet) -> World<Probe> {
     assert_eq!(hosts.len(), cfgs.len());
-    World::new(WorldConfig::paper_default(42), hosts, flows, move |id| {
-        Probe::new(cfgs[id.index()].clone())
-    })
+    World::new(cfg, hosts, flows, move |id| Probe::new(cfgs[id.index()].clone()))
 }
 
 #[test]
@@ -97,31 +99,59 @@ fn unicast_to_sleeping_host_retries_then_fails() {
     assert_eq!(w.protocol(NodeId(0)).failed_unicasts, vec![NodeId(1)]);
     assert_eq!(w.stats().mac_drops, 1);
     // max_retries retransmissions were attempted
-    assert_eq!(
-        w.stats().retransmissions as u32,
-        manet::MacConfig::paper_default().max_retries
-    );
+    assert_eq!(w.stats().retransmissions as u32, mac::MAX_RETRIES);
 }
 
 #[test]
 fn ras_page_wakes_a_sleeping_host() {
-    let hosts = vec![fixed(50.0, 50.0), fixed(150.0, 50.0)];
-    let cfgs = vec![
-        ProbeCfg {
-            page_host_at_start: Some(NodeId(1)),
-            ..Default::default()
-        },
-        ProbeCfg {
-            sleep_at_start: true,
-            ..Default::default()
-        },
-    ];
-    let mut w = world_with(hosts, cfgs, FlowSet::default());
-    w.run_until(SimTime::from_secs(1));
-    assert_eq!(w.node_mode(NodeId(1)), RadioMode::Idle);
-    assert_eq!(w.protocol(NodeId(1)).pages, vec![PageSignal::Host(NodeId(1))]);
-    assert_eq!(w.stats().pages_sent, 1);
-    assert_eq!(w.stats().pages_woken, 1);
+    // the paper's 5 ms wake latency, then a slower paging receiver: the
+    // sleeper's transceiver comes up exactly one latency after the page
+    for (set_ms, want_ms) in [(None, 5), (Some(20), 20)] {
+        let mut cfg = WorldConfig::paper_default(42);
+        if let Some(ms) = set_ms {
+            cfg.wake_latency = SimDuration::from_millis(ms);
+        }
+        let want = SimDuration::from_millis(want_ms);
+        let hosts = vec![fixed(50.0, 50.0), fixed(150.0, 50.0)];
+        let cfgs = vec![
+            ProbeCfg {
+                page_host_at_start: Some(NodeId(1)),
+                ..Default::default()
+            },
+            ProbeCfg {
+                sleep_at_start: true,
+                ..Default::default()
+            },
+        ];
+        let mut w = world_on(cfg, hosts, cfgs, FlowSet::default());
+        w.enable_trace(TraceMode::Full);
+        w.run_until(SimTime::from_secs(1));
+        assert_eq!(w.node_mode(NodeId(1)), RadioMode::Idle);
+        assert_eq!(w.protocol(NodeId(1)).pages, vec![PageSignal::Host(NodeId(1))]);
+        assert_eq!(w.stats().pages_sent, 1);
+        assert_eq!(w.stats().pages_woken, 1);
+        let events = w.recorder().expect("tracing on").events();
+        let paged = events
+            .iter()
+            .find(|e| matches!(e.kind, EventKind::RasPage { .. }))
+            .expect("one page")
+            .t;
+        let woken = events
+            .iter()
+            .find(|e| {
+                matches!(
+                    e.kind,
+                    EventKind::RadioMode {
+                        node: NodeId(1),
+                        from: RadioMode::Sleep,
+                        to: RadioMode::Idle,
+                    }
+                )
+            })
+            .expect("the sleeper wakes")
+            .t;
+        assert_eq!(woken.since(paged), want, "wake latency {want:?}");
+    }
 }
 
 #[test]
@@ -193,6 +223,49 @@ fn hidden_terminal_broadcasts_collide_at_common_receiver() {
 }
 
 #[test]
+fn a_near_sender_captures_the_receiver_unless_capture_is_off() {
+    // 1 hears 0 from 50 m and 2 from 240 m; 0 and 2 are 290 m apart, so
+    // neither defers to the other and their 2048 B broadcasts overlap for
+    // every backoff draw (see above).  Under the default 10 dB capture the
+    // near frame survives (240 / 50 > 1.78); with capture off both die.
+    for (capture, heard_at_1) in [(true, vec![1]), (false, vec![])] {
+        let mut cfg = WorldConfig::paper_default(42);
+        if !capture {
+            cfg.capture_ratio = None;
+        }
+        let hosts = vec![fixed(250.0, 50.0), fixed(300.0, 50.0), fixed(540.0, 50.0)];
+        let cfgs = vec![
+            ProbeCfg {
+                broadcast_at_start: Some((1, 2048)),
+                ..Default::default()
+            },
+            ProbeCfg::default(),
+            ProbeCfg {
+                broadcast_at_start: Some((2, 2048)),
+                ..Default::default()
+            },
+        ];
+        let mut w = world_on(cfg, hosts, cfgs, FlowSet::default());
+        w.run_until(SimTime::from_secs(1));
+        let tags: Vec<u32> = w
+            .protocol(NodeId(1))
+            .heard
+            .iter()
+            .map(|(src, m)| match m {
+                ProbeMsg::Tag { tag, .. } => {
+                    assert_eq!(*src, NodeId(0));
+                    *tag
+                }
+                other => panic!("unexpected {other:?}"),
+            })
+            .collect();
+        assert_eq!(tags, heard_at_1, "capture {capture}");
+        let corrupted = if capture { 1 } else { 2 };
+        assert_eq!(w.stats().corrupted, corrupted, "capture {capture}");
+    }
+}
+
+#[test]
 fn idle_host_dies_at_paper_lifetime_and_sleeper_survives() {
     let hosts = vec![fixed(50.0, 50.0), fixed(850.0, 850.0)];
     let cfgs = vec![
@@ -219,7 +292,7 @@ fn idle_host_dies_at_paper_lifetime_and_sleeper_survives() {
 fn one_hop_cbr_flow_has_closed_form_latency_and_energy() {
     // Two stationary hosts 100 m apart, one 1 pkt/s flow, no faults: the
     // channel is never contended, so every number below is arithmetic on
-    // `MacConfig` / `PowerProfile`, not a value observed from a run.
+    // `radio::mac` / `PowerProfile`, not a value observed from a run.
     let (src, dst) = (NodeId(0), NodeId(1));
     let flow = CbrFlow {
         id: FlowId(0),
@@ -239,18 +312,17 @@ fn one_hop_cbr_flow_has_closed_form_latency_and_energy() {
     w.enable_trace(TraceMode::Full);
     w.run_until(end);
 
-    let mac = WorldConfig::paper_default(42).mac;
     let packet = AppPacket {
         flow: 0,
         seq: 0,
         bytes: flow.packet_bytes,
     };
-    let data = mac.airtime(&FrameMeta {
+    let data = mac::airtime(&FrameMeta {
         src,
         kind: FrameKind::Unicast(dst),
         payload_bytes: ProbeMsg::Data { packet, dst }.wire_bytes(),
     });
-    let ack = mac.ack_airtime();
+    let ack = mac::ack_airtime();
 
     // nothing is lost, retried or corrupted
     let st = *w.stats();
@@ -259,9 +331,9 @@ fn one_hop_cbr_flow_has_closed_form_latency_and_energy() {
     assert_eq!((st.retransmissions, st.mac_drops, st.corrupted), (0, 0, 0));
 
     // latency: the packet is delivered when its first attempt ends, one
-    // DIFS, a backoff draw of 0..=cw_min slots and one airtime after the
+    // DIFS, a backoff draw of 0..=CW_MIN slots and one airtime after the
     // application handed it over (the MAC is idle at every send)
-    let (floor, ceiling) = (mac.difs + data, mac.difs + mac.backoff(mac.cw_min) + data);
+    let (floor, ceiling) = (mac::DIFS + data, mac::DIFS + mac::backoff(mac::CW_MIN) + data);
     let events = w.recorder().expect("tracing on").events();
     let times = |pick: fn(&EventKind) -> bool| -> Vec<SimTime> {
         events.iter().filter(|e| pick(&e.kind)).map(|e| e.t).collect()

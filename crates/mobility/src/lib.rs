@@ -17,8 +17,8 @@ pub mod segment;
 pub mod trace;
 
 pub use models::{
-    Convoy, GaussMarkov, HotspotConvergence, ManhattanGrid, MobilityModel, RandomWalk, RandomWaypoint,
-    Stationary,
+    min_speed, Convoy, GaussMarkov, HotspotConvergence, ManhattanGrid, MobilityModel, RandomWalk,
+    RandomWaypoint, Stationary,
 };
 pub use segment::Segment;
 pub use trace::{LegCursor, MobilityTrace};

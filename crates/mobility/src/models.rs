@@ -6,6 +6,12 @@ use geo::Point2;
 use rand::Rng;
 use sim_engine::{SimDuration, SimTime};
 
+/// The leg-speed floor of the models drawing from `[min_speed, max_speed]`:
+/// a zero floor makes the expected leg time infinite (RWP speed decay).
+pub fn min_speed(max_speed: f64) -> f64 {
+    (0.01 * max_speed).max(1e-3)
+}
+
 /// A mobility model builds a full trajectory for one host.
 pub trait MobilityModel {
     /// Generate a trace covering at least `[0, horizon]`, deterministic in
@@ -34,9 +40,7 @@ pub struct RandomWaypoint {
     /// Maximum speed in m/s; actual speeds are U(min_speed, max_speed].
     pub max_speed: f64,
     /// Lower speed bound.  The literal paper text is "uniformly distributed
-    /// between 0 and v"; a strict 0 lower bound makes the expected leg time
-    /// infinite (the classic RWP speed-decay pathology), so the customary
-    /// tiny positive floor is applied.
+    /// between 0 and v"; [`min_speed`] applies the customary tiny floor.
     pub min_speed: f64,
     /// Pause at every waypoint, seconds ("pause time" in Figs. 6–7).
     pub pause_secs: f64,
@@ -49,7 +53,7 @@ impl RandomWaypoint {
             field_w: 1000.0,
             field_h: 1000.0,
             max_speed,
-            min_speed: (0.01 * max_speed).max(1e-3),
+            min_speed: min_speed(max_speed),
             pause_secs,
         }
     }
@@ -263,7 +267,7 @@ impl ManhattanGrid {
             field_h: 1000.0,
             block_m,
             max_speed,
-            min_speed: (0.01 * max_speed).max(1e-3),
+            min_speed: min_speed(max_speed),
             pause_secs,
         }
     }
@@ -403,7 +407,7 @@ impl HotspotConvergence {
             field_h,
             spots,
             max_speed,
-            min_speed: (0.01 * max_speed).max(1e-3),
+            min_speed: min_speed(max_speed),
             dwell_secs,
             crowd_radius_m: 25.0,
         }

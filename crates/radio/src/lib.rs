@@ -10,8 +10,8 @@
 //! * [`ChannelState`] — a unit-disc channel tracking in-flight
 //!   transmissions for carrier sensing and receiver-side collision
 //!   detection;
-//! * [`MacConfig`] — 802.11-style timing (SIFS/DIFS/slot, contention
-//!   window, retry limits) used by the simulator's CSMA/CA loop;
+//! * [`mac`] — 802.11-style timing constants (SIFS/DIFS/slot, contention
+//!   window, retry limit) used by the simulator's CSMA/CA loop;
 //! * [`ras`] — the Remotely Activated Switch: an out-of-band paging
 //!   receiver that wakes sleeping hosts by host-id ("paging sequence") or
 //!   by grid coordinate ("broadcast sequence"), per §2 and Fig. 1;
@@ -28,7 +28,6 @@ pub mod spatial;
 
 pub use channel::{ChannelState, Transmission};
 pub use frame::{FrameKind, FrameMeta, NodeId};
-pub use mac::MacConfig;
-pub use ras::{PageSignal, RasConfig};
+pub use ras::PageSignal;
 pub use shard::{ShardMap, ShardedChannel};
 pub use spatial::{auto_gather_threshold, CellIndex, GatherScratch, NeighborIndex, SpatialIndex};

@@ -1,95 +1,76 @@
-//! 802.11-style MAC timing and contention parameters.
+//! 802.11-style MAC timing and contention constants.
 //!
 //! The simulator's transmit loop implements CSMA/CA with binary
 //! exponential backoff using these constants; this module owns the timing
 //! arithmetic so the protocol-visible behaviour (latency floor per hop,
-//! ACK turnaround, retry budget) is centralized and testable.
+//! ACK turnaround, retry budget) is centralized and testable.  The values
+//! follow 802.11 DSSS at 2 Mbps — the Cabletron Roamabout card the
+//! paper's energy model was measured on.
 
 use crate::frame::{FrameMeta, ACK_BYTES};
 use sim_engine::SimDuration;
 
-/// MAC configuration.  Defaults follow 802.11 DSSS at 2 Mbps — the
-/// Cabletron Roamabout card the paper's energy model was measured on.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct MacConfig {
-    /// Channel bit rate (2 Mbps in the paper).
-    pub bandwidth_bps: u64,
-    /// Short interframe space (ACK turnaround).
-    pub sifs: SimDuration,
-    /// Distributed interframe space (sensed-idle wait before tx).
-    pub difs: SimDuration,
-    /// Backoff slot length.
-    pub slot: SimDuration,
-    /// Minimum contention window (slots), power of two minus one.
-    pub cw_min: u32,
-    /// Maximum contention window (slots).
-    pub cw_max: u32,
-    /// Unicast retransmission budget before the frame is dropped.
-    pub max_retries: u32,
-    /// Extra wait for an ACK beyond the ACK airtime before declaring loss.
-    pub ack_timeout_guard: SimDuration,
+/// Channel bit rate (2 Mbps in the paper).
+pub const BANDWIDTH_BPS: u64 = 2_000_000;
+/// Short interframe space (ACK turnaround).
+pub const SIFS: SimDuration = SimDuration::from_micros(10);
+/// Distributed interframe space (sensed-idle wait before tx).
+pub const DIFS: SimDuration = SimDuration::from_micros(50);
+/// Backoff slot length.
+pub const SLOT: SimDuration = SimDuration::from_micros(20);
+/// Minimum contention window (slots), power of two minus one.
+pub const CW_MIN: u32 = 31;
+/// Maximum contention window (slots).
+pub const CW_MAX: u32 = 1023;
+/// Unicast retransmission budget before the frame is dropped.
+pub const MAX_RETRIES: u32 = 5;
+/// Extra wait for an ACK beyond the ACK airtime before declaring loss.
+pub const ACK_TIMEOUT_GUARD: SimDuration = SimDuration::from_micros(60);
+/// Contention window (slots) of every broadcast, eight times as many
+/// slots as [`CW_MIN`]'s: floods (HELLO beacons, RREQ floods) are
+/// triggered by a shared reception, so dozens of hosts would otherwise
+/// pick from the same 32 slots and collide — the wide window plays the
+/// role of ns-2's AODV broadcast jitter.
+pub const BROADCAST_CW: u32 = (CW_MIN + 1) * 8 - 1;
+
+/// Airtime of a frame at [`BANDWIDTH_BPS`].
+#[inline]
+pub fn airtime(frame: &FrameMeta) -> SimDuration {
+    SimDuration::for_bits(frame.wire_bits(), BANDWIDTH_BPS)
 }
 
-impl MacConfig {
-    /// 802.11 DSSS timing at 2 Mbps.
-    pub fn paper_default() -> Self {
-        MacConfig {
-            bandwidth_bps: 2_000_000,
-            sifs: SimDuration::from_micros(10),
-            difs: SimDuration::from_micros(50),
-            slot: SimDuration::from_micros(20),
-            cw_min: 31,
-            cw_max: 1023,
-            max_retries: 5,
-            ack_timeout_guard: SimDuration::from_micros(60),
-        }
-    }
-
-    /// Airtime of a frame at the configured bit rate.
-    #[inline]
-    pub fn airtime(&self, frame: &FrameMeta) -> SimDuration {
-        SimDuration::for_bits(frame.wire_bits(), self.bandwidth_bps)
-    }
-
-    /// Airtime of an ACK control frame.
-    #[inline]
-    pub fn ack_airtime(&self) -> SimDuration {
-        SimDuration::for_bits(ACK_BYTES as u64 * 8, self.bandwidth_bps)
-    }
-
-    /// How long a unicast sender waits after its frame ends before giving
-    /// up on the ACK: SIFS + ACK airtime + guard.
-    #[inline]
-    pub fn ack_timeout(&self) -> SimDuration {
-        self.sifs + self.ack_airtime() + self.ack_timeout_guard
-    }
-
-    /// Contention window for the given retry attempt (0 = first try):
-    /// binary exponential growth capped at `cw_max`.
-    #[inline]
-    pub fn cw_for_attempt(&self, attempt: u32) -> u32 {
-        let grown = ((self.cw_min as u64 + 1) << attempt.min(16)) - 1;
-        grown.min(self.cw_max as u64) as u32
-    }
-
-    /// Backoff duration for `slots` slots.
-    #[inline]
-    pub fn backoff(&self, slots: u32) -> SimDuration {
-        self.slot * slots as u64
-    }
-
-    /// The minimum per-hop latency of a unicast data frame (idle channel,
-    /// zero backoff draw): DIFS + airtime (+ propagation, which is ns-scale
-    /// and folded into the guard).
-    pub fn min_hop_latency(&self, frame: &FrameMeta) -> SimDuration {
-        self.difs + self.airtime(frame)
-    }
+/// Airtime of an ACK control frame.
+#[inline]
+pub fn ack_airtime() -> SimDuration {
+    SimDuration::for_bits(ACK_BYTES as u64 * 8, BANDWIDTH_BPS)
 }
 
-impl Default for MacConfig {
-    fn default() -> Self {
-        Self::paper_default()
-    }
+/// How long a unicast sender waits after its frame ends before giving
+/// up on the ACK: SIFS + ACK airtime + guard.
+#[inline]
+pub fn ack_timeout() -> SimDuration {
+    SIFS + ack_airtime() + ACK_TIMEOUT_GUARD
+}
+
+/// Contention window for the given retry attempt (0 = first try):
+/// binary exponential growth capped at [`CW_MAX`].
+#[inline]
+pub fn cw_for_attempt(attempt: u32) -> u32 {
+    let grown = ((CW_MIN as u64 + 1) << attempt.min(16)) - 1;
+    grown.min(CW_MAX as u64) as u32
+}
+
+/// Backoff duration for `slots` slots.
+#[inline]
+pub fn backoff(slots: u32) -> SimDuration {
+    SLOT * slots as u64
+}
+
+/// The minimum per-hop latency of a unicast data frame (idle channel,
+/// zero backoff draw): DIFS + airtime (+ propagation, which is ns-scale
+/// and folded into the guard).
+pub fn min_hop_latency(frame: &FrameMeta) -> SimDuration {
+    DIFS + airtime(frame)
 }
 
 #[cfg(test)]
@@ -107,8 +88,7 @@ mod tests {
 
     #[test]
     fn airtime_of_512b_data() {
-        let mac = MacConfig::paper_default();
-        let t = mac.airtime(&data_frame()).as_millis_f64();
+        let t = airtime(&data_frame()).as_millis_f64();
         assert!((2.2..2.3).contains(&t), "{t} ms");
     }
 
@@ -116,8 +96,7 @@ mod tests {
     fn per_hop_latency_floor_matches_paper_scale() {
         // paper reports 7.1–12.5 ms end-to-end over a few grid hops;
         // a single hop must be ~2.3 ms
-        let mac = MacConfig::paper_default();
-        let hop = mac.min_hop_latency(&data_frame()).as_millis_f64();
+        let hop = min_hop_latency(&data_frame()).as_millis_f64();
         assert!((2.2..2.5).contains(&hop), "{hop} ms");
         // 4 hops ≈ 9.3 ms — inside the paper's reported band
         assert!((7.0..13.0).contains(&(4.0 * hop)));
@@ -125,26 +104,24 @@ mod tests {
 
     #[test]
     fn contention_window_grows_exponentially_and_caps() {
-        let mac = MacConfig::paper_default();
-        assert_eq!(mac.cw_for_attempt(0), 31);
-        assert_eq!(mac.cw_for_attempt(1), 63);
-        assert_eq!(mac.cw_for_attempt(2), 127);
-        assert_eq!(mac.cw_for_attempt(5), 1023);
-        assert_eq!(mac.cw_for_attempt(30), 1023);
+        assert_eq!(cw_for_attempt(0), 31);
+        assert_eq!(cw_for_attempt(1), 63);
+        assert_eq!(cw_for_attempt(2), 127);
+        assert_eq!(cw_for_attempt(5), 1023);
+        assert_eq!(cw_for_attempt(30), 1023);
+        assert_eq!(BROADCAST_CW, 255);
     }
 
     #[test]
     fn ack_timing() {
-        let mac = MacConfig::paper_default();
-        let ack = mac.ack_airtime();
+        let ack = ack_airtime();
         assert!(ack.as_nanos() > 0);
-        assert_eq!(mac.ack_timeout(), mac.sifs + ack + mac.ack_timeout_guard);
+        assert_eq!(ack_timeout(), SIFS + ack + ACK_TIMEOUT_GUARD);
     }
 
     #[test]
     fn backoff_scales_with_slots() {
-        let mac = MacConfig::paper_default();
-        assert_eq!(mac.backoff(0), SimDuration::ZERO);
-        assert_eq!(mac.backoff(10), SimDuration::from_micros(200));
+        assert_eq!(backoff(0), SimDuration::ZERO);
+        assert_eq!(backoff(10), SimDuration::from_micros(200));
     }
 }

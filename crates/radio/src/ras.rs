@@ -9,12 +9,17 @@
 //!
 //! The paper ignores RAS energy ("much lower than the transmitting/
 //! receiving power consumption"); we keep that idealization but expose the
-//! wake latency as a parameter so its impact can be measured (see the
-//! `ablation_ras` bench).
+//! wake latency as a world parameter (`manet::WorldConfig::wake_latency`)
+//! so its impact can be measured (see the `ablations` binary).
 
 use crate::frame::NodeId;
 use geo::GridCoord;
-use sim_engine::SimDuration;
+
+/// Paging reach in meters.  The gateway only ever pages hosts in its own
+/// grid, which lie well inside 250 m.  The reach is fixed: it does not
+/// follow a host's radio range (`manet::HostSetup::range_m`), so a 150 m
+/// host still pages 250 m.
+pub const PAGE_RANGE_M: f64 = 250.0;
 
 /// A paging transmission on the RAS out-of-band channel.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -34,33 +39,6 @@ impl PageSignal {
             PageSignal::Host(id) => *id == host,
             PageSignal::Grid(g) => *g == cell,
         }
-    }
-}
-
-/// RAS channel parameters.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct RasConfig {
-    /// Delay between the page being sent and the target's transceiver
-    /// being up (paging decode + radio power-up).
-    pub wake_latency: SimDuration,
-    /// Paging reach in meters.  The gateway only ever pages hosts in its
-    /// own grid, which are certainly within radio range; the RAS reach is
-    /// modelled equal to the radio range.
-    pub range_m: f64,
-}
-
-impl RasConfig {
-    pub fn paper_default() -> Self {
-        RasConfig {
-            wake_latency: SimDuration::from_millis(5),
-            range_m: 250.0,
-        }
-    }
-}
-
-impl Default for RasConfig {
-    fn default() -> Self {
-        Self::paper_default()
     }
 }
 
@@ -84,12 +62,5 @@ mod tests {
         assert!(s.addresses(NodeId(1), GridCoord::new(2, 3)));
         assert!(s.addresses(NodeId(99), GridCoord::new(2, 3)));
         assert!(!s.addresses(NodeId(1), GridCoord::new(2, 4)));
-    }
-
-    #[test]
-    fn default_wake_latency_is_small() {
-        let c = RasConfig::paper_default();
-        assert!(c.wake_latency.as_millis_f64() <= 10.0);
-        assert_eq!(c.range_m, 250.0);
     }
 }

@@ -82,7 +82,7 @@ fn main() {
             run(
                 &format!("wake latency {} ms", lat * 1000.0),
                 |wc| {
-                    wc.ras.wake_latency = SimDuration::from_secs_f64(lat);
+                    wc.wake_latency = SimDuration::from_secs_f64(lat);
                 },
                 cfg,
             )

@@ -439,10 +439,24 @@ rate_pps = 1.0
         // the version-1 wire carried the text hex-encoded: such a job is
         // refused by the scenario parser, never decoded
         let hex = SPEC_TEXT.bytes().map(|b| format!("{b:02x}")).collect::<String>();
-        for bad in [spec_job("[scenario]\nbogus = 1\n"), spec_job(&hex)] {
+        // one-micrometre Manhattan blocks: millions of legs per host, which
+        // the trace generator would panic on inside the worker
+        let runaway = SPEC_TEXT
+            .replace("max_speed = 1.0", "block_m = 1e-6")
+            .replace("waypoint", "manhattan");
+        for bad in [
+            spec_job("[scenario]\nbogus = 1\n"),
+            spec_job(&hex),
+            spec_job(&runaway),
+        ] {
             let err = h.config_hash(&bad).unwrap_err();
             assert!(err.starts_with("scenario:"), "diagnostic names the layer: {err}");
         }
+        let err = h.config_hash(&spec_job(&runaway)).unwrap_err();
+        assert!(
+            err.contains("\"manhattan\" needs up to 20000000 trace segments"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -105,7 +105,7 @@ fn build_trace(
             field_w: w,
             field_h: h,
             max_speed: *max_speed,
-            min_speed: (0.01 * max_speed).max(1e-3),
+            min_speed: mobility::min_speed(*max_speed),
             pause_secs: *pause_s,
         }
         .build_trace(rng, horizon),
@@ -137,7 +137,7 @@ fn build_trace(
             field_h: h,
             block_m: *block_m,
             max_speed: *max_speed,
-            min_speed: (0.01 * max_speed).max(1e-3),
+            min_speed: mobility::min_speed(*max_speed),
             pause_secs: *pause_s,
         }
         .build_trace(rng, horizon),
@@ -185,7 +185,7 @@ fn group_shared(
                 field_w: spec.field_w,
                 field_h: spec.field_h,
                 max_speed: *max_speed,
-                min_speed: (0.01 * max_speed).max(1e-3),
+                min_speed: mobility::min_speed(*max_speed),
                 pause_secs: *pause_s,
             }
             .build_trace(&mut rngs.stream("mobility.ref", group_idx), horizon);

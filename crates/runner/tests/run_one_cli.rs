@@ -4,7 +4,8 @@
 //! `tests/supervision.rs`), which outputs a journaled run refuses and
 //! which it prints, that the digest-neutral engine axes are not a
 //! command-line option, that an unknown flag is named as one wherever it
-//! stands, that `run_one`'s scalar knobs are held to the scenario bounds,
+//! stands, that `run_one`'s scalar knobs (and the trace length they
+//! imply) are held to the scenario bounds,
 //! that `sweepc` reports a bad command line before it looks for a
 //! server, and that its help lists exactly the layers a stream filter
 //! accepts.
@@ -143,7 +144,7 @@ fn unknown_flags_are_usage_errors_before_anything_runs() {
     // then run_one's scalar knobs outside the bounds sweepd holds a
     // classic submit to
     let bounds = |msg: &str| format!("run_one: scenario bounds: {msg}");
-    let cases: [(&str, Vec<&str>, String); 27] = [
+    let cases: [(&str, Vec<&str>, String); 28] = [
         (RUN_ONE, vec!["--backend", "calendar"], unknown("--backend")),
         (
             RUN_ONE,
@@ -222,6 +223,16 @@ fn unknown_flags_are_usage_errors_before_anything_runs() {
             RUN_ONE,
             vec!["--hosts", "100001", "--duration", "1"],
             bounds("count must be in [1, 100000], got 100001"),
+        ),
+        (
+            // each knob in bounds, but ~60 000 000 waypoint legs per host:
+            // the trace generator would panic on them
+            RUN_ONE,
+            vec!["--hosts", "2", "--flows", "1", "--speed", "1000", "--duration", "10000000"],
+            bounds(
+                "mobility = \"waypoint\" needs up to 60000000 trace segments per host over \
+                 duration_s = 10000000; a host holds at most 100000",
+            ),
         ),
     ];
     for (bin, args, want) in cases {

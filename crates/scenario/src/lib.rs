@@ -46,6 +46,10 @@ pub const MAX_TOTAL_HOSTS: usize = 200_000;
 /// `field_h / cell_side`, rounded up): the simulator keeps a cell's
 /// coordinates in 16 bits each, `geo::GridMap::MAX_CELLS_PER_AXIS`.
 pub const MAX_CELLS_PER_AXIS: u32 = 65_535;
+/// Most trace segments (48 B each) a host may need over a run
+/// ([`MobilitySpec::segments_per_host`]), well under the generators'
+/// 4 000 000-segment runaway panic.
+pub const MAX_SEGMENTS_PER_HOST: f64 = 100_000.0;
 
 /// A parsed, validated scenario file.
 #[derive(Clone, Debug, PartialEq)]
@@ -167,6 +171,30 @@ pub enum MobilitySpec {
 }
 
 impl MobilitySpec {
+    /// An upper bound on the trace segments one host needs over
+    /// `duration_s` when the field's shorter side is `field_min` m: one
+    /// per epoch, else two per leg (the leg and its rest).  A Manhattan
+    /// leg is one block; a waypoint leg (a convoy's lead) joins two
+    /// uniform points, on average at least a third of the shorter side
+    /// apart; a convoy member re-aims its offset every 10 s.
+    pub fn segments_per_host(&self, duration_s: f64, field_min: f64) -> f64 {
+        let legs = |leg_s: f64| 2.0 * duration_s / leg_s;
+        match *self {
+            MobilitySpec::Stationary => 1.0,
+            MobilitySpec::Walk { epoch_s, .. } | MobilitySpec::GaussMarkov { epoch_s, .. } => {
+                duration_s / epoch_s
+            }
+            MobilitySpec::Manhattan {
+                max_speed, block_m, ..
+            } => legs(block_m / max_speed),
+            MobilitySpec::Waypoint { max_speed, pause_s } => legs(field_min / 3.0 / max_speed + pause_s),
+            MobilitySpec::Convoy {
+                max_speed, pause_s, ..
+            } => legs(field_min / 3.0 / max_speed + pause_s).max(duration_s / 10.0),
+            MobilitySpec::Hotspot { dwell_s, .. } => legs(dwell_s),
+        }
+    }
+
     pub fn model_name(&self) -> &'static str {
         match self {
             MobilitySpec::Stationary => "stationary",

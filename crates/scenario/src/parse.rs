@@ -9,7 +9,7 @@
 
 use crate::{
     GroupSpec, MobilitySpec, Role, ScenarioSpec, TrafficPattern, TrafficSpec, MAX_CELLS_PER_AXIS,
-    MAX_GROUP_COUNT, MAX_TOTAL_HOSTS,
+    MAX_GROUP_COUNT, MAX_SEGMENTS_PER_HOST, MAX_TOTAL_HOSTS,
 };
 use std::fmt;
 
@@ -435,7 +435,7 @@ pub fn parse(text: &str) -> Result<ScenarioSpec, ParseError> {
     }
     let mut groups = Vec::with_capacity(group_tbls.len());
     for mut g in group_tbls {
-        groups.push(finalize_group(&mut g, field_w.min(field_h))?);
+        groups.push(finalize_group(&mut g, field_w.min(field_h), duration_s)?);
     }
     let total: usize = groups.iter().map(|g: &GroupSpec| g.count).sum();
     if total > MAX_TOTAL_HOSTS {
@@ -506,7 +506,7 @@ const MOBILITY_PARAMS: &[(&str, &[&str])] = &[
     ("dwell_s", &["hotspot"]),
 ];
 
-fn finalize_group(g: &mut Table, field_min: f64) -> Result<GroupSpec, ParseError> {
+fn finalize_group(g: &mut Table, field_min: f64, duration_s: f64) -> Result<GroupSpec, ParseError> {
     let name = match g.take("name") {
         Some(e) => want_str(&e)?,
         None => {
@@ -613,6 +613,19 @@ fn finalize_group(g: &mut Table, field_min: f64) -> Result<GroupSpec, ParseError
         }
     }
 
+    // a refused trace length points at the key pacing the legs, if given
+    let pace_key = match model.as_str() {
+        "walk" | "gauss_markov" => "epoch_s",
+        "manhattan" => "block_m",
+        "hotspot" => "dwell_s",
+        _ => "max_speed",
+    };
+    let (pace_line, pace_col) = g
+        .entries
+        .iter()
+        .find(|(k, _)| k == pace_key)
+        .map_or((g.header_line, 1), |(_, e)| (e.line, e.val_col));
+
     // pulled ahead of the closure below so it doesn't contend for `g`
     let hotspots = match g.take("hotspots") {
         Some(e) => bounded_usize(&e, "hotspots", 1, 64)? as u32,
@@ -640,7 +653,8 @@ fn finalize_group(g: &mut Table, field_min: f64) -> Result<GroupSpec, ParseError
         "manhattan" => MobilitySpec::Manhattan {
             max_speed: f64_param("max_speed", 1.0, 0.0, 1000.0, true)?,
             pause_s: f64_param("pause_s", 0.0, 0.0, 1e6, false)?,
-            block_m: f64_param("block_m", 100.0, 0.0, field_min.max(1.0), true)?,
+            // two intersections per side, or a lone one has no street to take
+            block_m: f64_param("block_m", 100f64.min(field_min), 0.0, field_min, true)?,
         },
         "convoy" => MobilitySpec::Convoy {
             max_speed: f64_param("max_speed", 1.0, 0.0, 1000.0, true)?,
@@ -654,6 +668,17 @@ fn finalize_group(g: &mut Table, field_min: f64) -> Result<GroupSpec, ParseError
         },
         _ => unreachable!(),
     };
+    let segments = mobility.segments_per_host(duration_s, field_min);
+    if segments > MAX_SEGMENTS_PER_HOST {
+        return Err(ParseError::new(
+            pace_line,
+            pace_col,
+            format!(
+                "mobility = {model:?} needs up to {segments:.0} trace segments per host over \
+                 duration_s = {duration_s}; a host holds at most {MAX_SEGMENTS_PER_HOST}"
+            ),
+        ));
+    }
 
     g.reject_leftovers("[[group]]")?;
     Ok(GroupSpec {
@@ -755,6 +780,82 @@ mod tests {
         assert_eq!(spec.groups[0].range_m, 250.0);
         assert_eq!(spec.groups[0].role, Role::Peer);
         assert_eq!(spec.traffic.flows, 0);
+    }
+
+    /// One group of `count = 3` over `duration_s`, its mobility keys
+    /// starting on line 8.
+    fn one_group(duration_s: &str, mobility: &str) -> String {
+        format!("[scenario]\nduration_s = {duration_s}\nseed = 1\n\n[[group]]\nname = \"g\"\ncount = 3\n{mobility}")
+    }
+
+    #[test]
+    fn an_epoch_model_past_the_segment_ceiling_is_refused_at_epoch_s() {
+        for model in ["walk", "gauss_markov"] {
+            // 100 s at 0.1 ms is 1 000 000 legs per host
+            let text = one_group("100", &format!("mobility = \"{model}\"\nepoch_s = 0.0001\n"));
+            let err = parse(&text).unwrap_err();
+            assert_eq!((err.line, err.col), (9, 11), "{model}: {err}");
+            assert!(
+                err.msg.contains("1000000 trace segments per host"),
+                "{model}: {err}"
+            );
+            // 100 000 legs is the most a host may hold
+            parse(&one_group(
+                "100",
+                &format!("mobility = \"{model}\"\nepoch_s = 0.001\n"),
+            ))
+            .unwrap();
+        }
+    }
+
+    #[test]
+    fn a_manhattan_lattice_past_the_segment_ceiling_is_refused_at_block_m() {
+        let err = parse(&one_group("10", "mobility = \"manhattan\"\nblock_m = 1e-6\n")).unwrap_err();
+        assert_eq!((err.line, err.col), (9, 11), "{err}");
+        assert!(err.msg.contains("mobility = \"manhattan\" needs up to"), "{err}");
+        // 2 · 10 s · 1 m/s / 0.2 m = 100 legs
+        parse(&one_group("10", "mobility = \"manhattan\"\nblock_m = 0.2\n")).unwrap();
+    }
+
+    #[test]
+    fn a_manhattan_block_fits_the_shorter_field_side() {
+        let field = |side: &str, block: &str| {
+            format!(
+                "[scenario]\nfield_w = {side}\nfield_h = {side}\ncell_side = {side}\nduration_s = 10\nseed = 1\n\n\
+                 [[group]]\nname = \"g\"\ncount = 2\nmobility = \"manhattan\"\n{block}"
+            )
+        };
+        let err = parse(&field("0.5", "block_m = 1\n")).unwrap_err();
+        assert_eq!((err.line, err.col), (12, 11), "{err}");
+        assert_eq!(err.msg, "block_m must be in (0, 0.5], got 1");
+        // the 100 m default shrinks to a field narrower than one block
+        let spec = parse(&field("50", "")).unwrap();
+        assert!(
+            matches!(spec.groups[0].mobility, MobilitySpec::Manhattan { block_m, .. } if block_m == 50.0)
+        );
+    }
+
+    #[test]
+    fn waypoint_legs_past_the_segment_ceiling_are_refused_at_max_speed() {
+        // the `run_one --speed 1000 --duration 10000000` fleet: 60 000 000
+        // expected segments on the 1000 m field
+        for model in ["waypoint", "convoy"] {
+            let text = one_group("10000000", &format!("mobility = \"{model}\"\nmax_speed = 1000\n"));
+            let err = parse(&text).unwrap_err();
+            assert_eq!((err.line, err.col), (9, 13), "{model}: {err}");
+            assert!(
+                err.msg.contains("60000000 trace segments per host"),
+                "{model}: {err}"
+            );
+        }
+        // a defaulted pace key points at the group header: 1 m/s over
+        // 10 000 000 s is 60 000 legs, a 10-s convoy offset epoch 1 000 000
+        parse(&one_group("10000000", "mobility = \"waypoint\"\n")).unwrap();
+        let err = parse(&one_group("10000000", "mobility = \"convoy\"\n")).unwrap_err();
+        assert_eq!((err.line, err.col), (5, 1), "{err}");
+        // a hotspot host dwells once per leg
+        let err = parse(&one_group("100", "mobility = \"hotspot\"\ndwell_s = 0.001\n")).unwrap_err();
+        assert_eq!((err.line, err.col), (9, 11), "{err}");
     }
 
     #[test]

@@ -78,7 +78,7 @@ impl SimDuration {
     pub const ZERO: SimDuration = SimDuration(0);
 
     #[inline]
-    pub fn from_secs(s: u64) -> Self {
+    pub const fn from_secs(s: u64) -> Self {
         SimDuration(s * NANOS_PER_SEC)
     }
 
@@ -89,12 +89,12 @@ impl SimDuration {
     }
 
     #[inline]
-    pub fn from_millis(ms: u64) -> Self {
+    pub const fn from_millis(ms: u64) -> Self {
         SimDuration(ms * NANOS_PER_MILLI)
     }
 
     #[inline]
-    pub fn from_micros(us: u64) -> Self {
+    pub const fn from_micros(us: u64) -> Self {
         SimDuration(us * NANOS_PER_MICRO)
     }
 
