@@ -22,6 +22,8 @@ pub(super) struct Flight<M> {
     pub(super) start: SimTime,
     pub(super) end: SimTime,
     pub(super) receivers: Vec<NodeId>,
+    /// The channel's id for this transmission.
+    pub(super) tx_id: u64,
 }
 
 impl<P: Protocol> World<P> {
@@ -106,9 +108,10 @@ impl<P: Protocol> World<P> {
         receivers
     }
 
-    pub(super) fn tx_end(&mut self, node: NodeId, tx_id: u64, flight: u32) {
+    pub(super) fn tx_end(&mut self, node: NodeId, flight: u32) {
         let now = self.now();
         let flight = self.flights.free(flight);
+        let tx_id = flight.tx_id;
         // Answer the collision question once for the whole flight: every
         // receiver was inside the sender's disc at tx start and has
         // drifted at most `max_speed * airtime` since, so the transmissions

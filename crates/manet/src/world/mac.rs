@@ -176,8 +176,9 @@ impl<P: Protocol> World<P> {
             start: now,
             end,
             receivers,
+            tx_id,
         });
-        self.schedule_at(node, end, Event::TxEnd { node, tx_id, flight });
+        self.schedule_at(node, end, Event::TxEnd { node, flight });
     }
 
     pub(super) fn ack_done(&mut self, node: NodeId, ok: bool) {

@@ -43,21 +43,21 @@ use trace::{Event as TraceEvent, EventKind, Recorder, TraceDigest, TraceMode};
 enum Event {
     /// The node's MAC attempts to put its head-of-queue frame on the air.
     MacTryTx { node: NodeId },
-    /// Transmission `tx_id` by `node` leaves the air; deliver receptions.
-    /// `flight` is its slot in the world's flight slab.
-    TxEnd { node: NodeId, tx_id: u64, flight: u32 },
+    /// `node`'s transmission leaves the air; deliver receptions.  `flight`
+    /// is its slot in the world's flight slab, which also holds its id.
+    TxEnd { node: NodeId, flight: u32 },
     /// The implicit ACK exchange for the node's last unicast concluded.
     AckDone { node: NodeId, ok: bool },
     /// Protocol timer `id` fires.
     Timer { node: NodeId, id: u64 },
     /// A RAS page transmitted from `origin` arrives at its addressees.
     /// Boxed: pages are rare, and their 28-byte payload inline would widen
-    /// every pending event from 24 to 32 bytes.
+    /// every pending event from 16 to 32 bytes.
     Page(Box<(PageSignal, Point2)>),
     /// `node`'s trajectory crosses a grid boundary.
     CellCrossing { node: NodeId },
     /// Flow `flow_idx` emits packet `seq`.
-    AppSend { flow_idx: usize, seq: u64 },
+    AppSend { flow_idx: u32, seq: u64 },
     /// Metrics sampling tick.
     Sample,
     /// The fault plan crashes `node` (its `k`-th crash).
@@ -416,7 +416,7 @@ impl<P: Protocol> World<P> {
                     f.src,
                     t,
                     Event::AppSend {
-                        flow_idx: idx,
+                        flow_idx: u32::try_from(idx).expect("flow index exceeds u32"),
                         seq: 0,
                     },
                 );
@@ -434,7 +434,7 @@ impl<P: Protocol> World<P> {
     fn handle(&mut self, ev: Event) {
         match ev {
             Event::MacTryTx { node } => self.mac_try_tx(node),
-            Event::TxEnd { node, tx_id, flight } => self.tx_end(node, tx_id, flight),
+            Event::TxEnd { node, flight } => self.tx_end(node, flight),
             Event::AckDone { node, ok } => self.ack_done(node, ok),
             Event::Timer { node, id } => self.timer_fired(node, id),
             Event::Page(page) => {
@@ -545,8 +545,8 @@ impl<P: Protocol> World<P> {
         self.dispatch(node, move |p, ctx| p.on_timer(ctx, timer));
     }
 
-    fn app_send(&mut self, flow_idx: usize, seq: u64) {
-        let flow = self.flows.flows()[flow_idx];
+    fn app_send(&mut self, flow_idx: u32, seq: u64) {
+        let flow = self.flows.flows()[flow_idx as usize];
         // schedule the next packet of this flow
         if let Some(t) = flow.packet_time(seq + 1) {
             let next = Event::AppSend {
@@ -586,10 +586,10 @@ mod tests {
     use std::mem::size_of;
 
     #[test]
-    fn a_pending_event_takes_24_bytes_and_its_pool_slot_32() {
+    fn a_pending_event_takes_16_bytes_and_its_pool_slot_24() {
         // a world reserves a slot per pending event up front (4 per host
         // plus 64), so these bytes are paid per host whether used or not
-        assert_eq!(size_of::<Event>(), 24);
-        assert_eq!(EventPool::<Event>::SLOT_BYTES, 32);
+        assert_eq!(size_of::<Event>(), 16);
+        assert_eq!(EventPool::<Event>::SLOT_BYTES, 24);
     }
 }

@@ -14,7 +14,7 @@ use crate::time::SimTime;
 /// Which pending-event set a [`Scheduler`](crate::Scheduler) uses.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum Backend {
-    /// Binary heap: O(log n), the robust default.
+    /// Four-ary heap: O(log n), the robust default.
     #[default]
     Heap,
     /// Brown calendar queue: O(1) amortized hold under stationary event
@@ -44,7 +44,7 @@ impl<E> AnyQueue<E> {
     }
 }
 
-impl<E> PendingEvents<E> for AnyQueue<E> {
+impl<E: Copy> PendingEvents<E> for AnyQueue<E> {
     #[inline]
     fn insert(&mut self, at: SimTime, event: E) -> u64 {
         match self {

@@ -246,7 +246,7 @@ mod tests {
     }
 
     #[test]
-    fn agrees_with_binary_heap_on_random_workload() {
+    fn agrees_with_the_heap_on_random_workload() {
         // deterministic pseudo-random workload (LCG), hold-model style
         let mut cal = CalendarQueue::new();
         let mut heap = EventQueue::new();

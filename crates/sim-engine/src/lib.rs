@@ -4,7 +4,7 @@
 //! virtual clock, a pending-event set, and reproducible randomness.
 //!
 //! * [`SimTime`] / [`SimDuration`] — nanosecond-resolution virtual time.
-//! * [`EventQueue`] — binary-heap pending-event set with strict FIFO
+//! * [`EventQueue`] — four-ary-heap pending-event set with strict FIFO
 //!   tie-breaking, so runs are bit-reproducible.
 //! * [`CalendarQueue`] — a Brown calendar queue with the same interface;
 //!   O(1) amortized hold operations under stationary event populations

@@ -7,7 +7,9 @@
 //! Freed slots go on a free list (LIFO, so the hottest slot is reused
 //! first while its cache lines are still warm) and the slab only grows
 //! when the live population exceeds everything seen before — which, per
-//! `SchedProfile`, plateaus at the run's queue high-water mark.
+//! `SchedProfile`, plateaus at the run's queue high-water mark.  The list
+//! is intrusive: a free slot's stamp field holds the index of the next
+//! free slot, so it costs no bytes beyond the slots themselves.
 //!
 //! Slot numbers carry **no ordering information**; FIFO tie-breaking
 //! remains entirely the queue's sequence numbers, so pooling is invisible
@@ -28,14 +30,19 @@ pub struct PoolStats {
     pub capacity: usize,
 }
 
-/// Stamp of a slot whose event was cancelled (and of one never yet
-/// occupied): no allocation ever draws it, so no handle matches it.
+/// Stamp of a slot whose event was cancelled: no allocation ever draws
+/// it, so no handle matches it.
 const REVOKED: u64 = u64::MAX;
 
+/// End of the free list.  Slot indices stop one below it, so it never
+/// names a real slot.
+const NIL: u32 = u32::MAX;
+
 struct Slot<E> {
-    /// Ordinal of the allocation occupying the slot — what tells a handle
-    /// to this event from a stale handle to an earlier tenant — or
-    /// [`REVOKED`] once that event has been cancelled.
+    /// While occupied: ordinal of the allocation occupying the slot —
+    /// what tells a handle to this event from a stale handle to an
+    /// earlier tenant — or [`REVOKED`] once that event has been
+    /// cancelled.  While free: index of the next free slot, or [`NIL`].
     stamp: u64,
     event: Option<E>,
 }
@@ -43,7 +50,8 @@ struct Slot<E> {
 /// Free-list slab of event slots.  See the module docs.
 pub struct EventPool<E> {
     slots: Vec<Slot<E>>,
-    free: Vec<u32>,
+    /// First slot of the intrusive free list, or [`NIL`].
+    free_head: u32,
     allocated: u64,
     freed: u64,
     high_water: usize,
@@ -57,13 +65,14 @@ impl<E> Default for EventPool<E> {
 
 impl<E> EventPool<E> {
     /// Bytes one slot takes: the event and its stamp (an enum event's
-    /// spare tag values encode the empty slot, so that costs nothing).
+    /// spare tag values encode the empty slot, and the stamp doubles as
+    /// the free-list link, so neither costs anything).
     pub const SLOT_BYTES: usize = std::mem::size_of::<Slot<E>>();
 
     pub fn new() -> Self {
         EventPool {
             slots: Vec::new(),
-            free: Vec::new(),
+            free_head: NIL,
             allocated: 0,
             freed: 0,
             high_water: 0,
@@ -74,17 +83,22 @@ impl<E> EventPool<E> {
     /// high-water mark is known (e.g. from a previous `SchedProfile`)
     /// never grows the slab mid-run.
     pub fn reserve(&mut self, additional: usize) {
+        if additional == 0 {
+            return;
+        }
         let start = self.slots.len();
         let end = start
             .checked_add(additional)
-            .filter(|&e| e <= u32::MAX as usize)
+            .filter(|&e| e <= NIL as usize)
             .expect("event pool exceeds u32 slot space");
-        self.slots.resize_with(end, || Slot {
-            stamp: REVOKED,
+        // Chain the new slots in ascending order ahead of the old list, so
+        // the lowest new slot is handed out first.
+        let old_head = self.free_head as u64;
+        self.slots.extend((start + 1..=end).map(|next| Slot {
+            stamp: if next == end { old_head } else { next as u64 },
             event: None,
-        });
-        // Push in reverse so the lowest new slot is handed out first.
-        self.free.extend((start as u32..end as u32).rev());
+        }));
+        self.free_head = start as u32;
     }
 
     /// Store `event`, returning its slot index.
@@ -95,18 +109,18 @@ impl<E> EventPool<E> {
             stamp: self.allocated,
             event: Some(event),
         };
-        let slot = match self.free.pop() {
-            Some(s) => {
-                debug_assert!(self.slots[s as usize].event.is_none());
-                self.slots[s as usize] = tenant;
-                s
-            }
-            None => {
-                let s = self.slots.len();
-                assert!(s <= u32::MAX as usize, "event pool exceeds u32 slot space");
-                self.slots.push(tenant);
-                s as u32
-            }
+        let slot = if self.free_head != NIL {
+            let s = self.free_head;
+            let free = &mut self.slots[s as usize];
+            debug_assert!(free.event.is_none());
+            self.free_head = free.stamp as u32;
+            *free = tenant;
+            s
+        } else {
+            let s = self.slots.len();
+            assert!(s < NIL as usize, "event pool exceeds u32 slot space");
+            self.slots.push(tenant);
+            s as u32
         };
         let live = (self.allocated - self.freed) as usize;
         if live > self.high_water {
@@ -119,12 +133,11 @@ impl<E> EventPool<E> {
     /// Panics on a double free — that is always a scheduler bug.
     #[inline]
     pub fn free(&mut self, slot: u32) -> E {
-        let ev = self.slots[slot as usize]
-            .event
-            .take()
-            .expect("event pool double free");
+        let s = &mut self.slots[slot as usize];
+        let ev = s.event.take().expect("event pool double free");
+        s.stamp = self.free_head as u64;
+        self.free_head = slot;
         self.freed += 1;
-        self.free.push(slot);
         ev
     }
 
@@ -139,7 +152,8 @@ impl<E> EventPool<E> {
     /// Mark the event in `slot` cancelled, provided it is still the one
     /// `stamp` was issued for.  A stale pair — the event already freed,
     /// the slot since reused, or a second cancel — is a no-op.  The slot
-    /// stays occupied until [`free`](Self::free).
+    /// stays occupied until [`free`](Self::free).  An empty slot's stamp
+    /// is a free-list link, which the emptiness check keeps from matching.
     #[inline]
     pub fn revoke(&mut self, slot: u32, stamp: u64) {
         if let Some(s) = self.slots.get_mut(slot as usize) {
@@ -273,16 +287,31 @@ mod tests {
     }
 
     #[test]
+    fn reserve_chains_new_slots_ahead_of_the_free_list() {
+        let mut p = EventPool::new();
+        let a = p.alloc('a');
+        p.alloc('b');
+        p.free(a);
+        p.reserve(2);
+        p.reserve(0);
+        assert_eq!(p.stats().capacity, 4);
+        // the new slots first, lowest first, then the slot freed before
+        assert_eq!([p.alloc('c'), p.alloc('d'), p.alloc('e')], [2, 3, a]);
+        assert_eq!(p.alloc('f'), 4, "an exhausted list grows the slab");
+    }
+
+    #[test]
     fn a_slot_is_its_event_and_stamp() {
-        // the shape of a world's pending event: 16 payload bytes and a tag
+        // the shape of a world's pending event: 12 payload bytes and a tag
         #[allow(dead_code)]
         enum Event {
-            TxEnd { node: u32, tx_id: u64, flight: u32 },
+            TxEnd { node: u32, flight: u32 },
+            Timer { node: u32, id: u64 },
             Page(Box<[u64; 4]>),
             EndOfRun,
         }
-        assert_eq!(std::mem::size_of::<Event>(), 24);
-        assert_eq!(EventPool::<Event>::SLOT_BYTES, 32);
+        assert_eq!(std::mem::size_of::<Event>(), 16);
+        assert_eq!(EventPool::<Event>::SLOT_BYTES, 24);
     }
 
     #[test]

@@ -2,47 +2,88 @@
 
 use proptest::prelude::*;
 use sim_engine::{CalendarQueue, EventQueue, PendingEvents, Scheduler, SimDuration, SimTime};
+use std::collections::BTreeSet;
+
+/// One step of a workload: `(kind, d)` pops when `kind` is 0 and otherwise
+/// inserts at the last popped time plus [`delay`]`(d)`, never earlier, as
+/// a discrete-event simulation would.  [`steps`] appends enough pops to
+/// drain whatever is left.
+type Op = (u8, u64);
+
+fn ops() -> impl Strategy<Value = Vec<Op>> {
+    proptest::collection::vec((0u8..3, 0u64..12), 1..400)
+}
+
+/// Mostly ties and near-ties, now and then a far-future event.
+fn delay(d: u64) -> u64 {
+    if d < 8 {
+        d / 2
+    } else {
+        (d - 7) * 1_000_000
+    }
+}
+
+/// The ops, then one pop per op.
+fn steps(ops: &[Op]) -> impl Iterator<Item = (usize, Op)> + '_ {
+    ops.iter()
+        .copied()
+        .chain(std::iter::repeat_n((0, 0), ops.len()))
+        .enumerate()
+}
 
 proptest! {
-    /// The calendar queue and the binary heap dequeue identical sequences
-    /// for any insertion schedule (including duplicates and bursts).
+    /// The calendar queue and the four-ary heap dequeue identical sequences
+    /// for any schedule of interleaved inserts and pops (including ties,
+    /// bursts and far-future events), down to the final drain.
     #[test]
-    fn calendar_equals_heap(times in proptest::collection::vec(0u64..5_000_000u64, 1..300)) {
+    fn calendar_equals_heap(ops in ops()) {
         let mut heap = EventQueue::new();
         let mut cal = CalendarQueue::new();
-        for (i, &t) in times.iter().enumerate() {
-            heap.insert(SimTime(t), i);
-            cal.insert(SimTime(t), i);
-        }
-        loop {
-            match (heap.pop_next(), cal.pop_next()) {
-                (None, None) => break,
-                (Some((ta, _, va)), Some((tb, _, vb))) => {
-                    prop_assert_eq!(ta, tb);
-                    prop_assert_eq!(va, vb);
-                }
-                _ => prop_assert!(false, "queues disagree on length"),
+        let mut now = 0u64;
+        for (i, (kind, d)) in steps(&ops) {
+            if kind > 0 {
+                heap.insert(SimTime(now + delay(d)), i);
+                cal.insert(SimTime(now + delay(d)), i);
+                continue;
+            }
+            let (a, b) = (heap.pop_next(), cal.pop_next());
+            prop_assert_eq!(a.map(|(t, _, v)| (t, v)), b.map(|(t, _, v)| (t, v)));
+            if let Some((t, _, _)) = a {
+                now = t.0;
             }
         }
+        prop_assert!(heap.is_empty() && cal.is_empty());
     }
 
-    /// Dequeue order is non-decreasing in time and FIFO within a timestamp,
-    /// no matter the insertion order.
+    /// Every pop is the `(time, insertion)` minimum of what is pending,
+    /// with the sequence number its insert returned, and the pop stream is
+    /// non-decreasing in time and FIFO within a timestamp.
     #[test]
-    fn heap_order_invariant(times in proptest::collection::vec(0u64..1000u64, 1..200)) {
+    fn heap_order_invariant(ops in ops()) {
         let mut q = EventQueue::new();
-        for (i, &t) in times.iter().enumerate() {
-            q.insert(SimTime(t), i);
-        }
-        let mut last: Option<(SimTime, usize)> = None;
-        while let Some((t, _, v)) = q.pop_next() {
-            if let Some((lt, lv)) = last {
-                prop_assert!(t >= lt);
-                if t == lt {
-                    prop_assert!(v > lv, "FIFO violated at {t:?}");
-                }
+        let mut model = BTreeSet::new();
+        let mut popped: Vec<(SimTime, usize)> = Vec::new();
+        let mut now = 0u64;
+        for (i, (kind, d)) in steps(&ops) {
+            if kind > 0 {
+                let at = SimTime(now + delay(d));
+                let seq = q.insert(at, i);
+                model.insert((at, seq, i));
+                continue;
             }
-            last = Some((t, v));
+            let got = q.pop_next();
+            prop_assert_eq!(got, model.pop_first());
+            if let Some((t, _, v)) = got {
+                now = t.0;
+                popped.push((t, v));
+            }
+        }
+        prop_assert!(q.is_empty());
+        for w in popped.windows(2) {
+            prop_assert!(w[0].0 <= w[1].0);
+            if w[0].0 == w[1].0 {
+                prop_assert!(w[0].1 < w[1].1, "FIFO violated at {:?}", w[0].0);
+            }
         }
     }
 

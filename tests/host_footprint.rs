@@ -179,17 +179,19 @@ fn build(spec: &ScenarioSpec) -> World<Ecgrid> {
 }
 
 /// Bounds: the value measured when each was set, + 10 %.  A fresh world
-/// read 860.7 B/host, a world after 2 s 1 477.7 B/host, the two side by
-/// side 2 338.5 B/host (1 037.0, 1 654.0 and 2 691.0 while the protocol
+/// read 812.4 B/host, a world after 2 s 1 396.6 B/host, the two side by
+/// side 2 209.0 B/host (860.7, 1 477.7 and 2 338.5 while a pending event
+/// took 24 B, its pool slot 32 B and its heap entry 24 B, and the pool
+/// kept a separate free list; 1 037.0, 1 654.0 and 2 691.0 while the protocol
 /// rows held 64-bit counters, an inline RETIRE snapshot and copies of the
 /// two TTLs and a pending event took 32 B; 1 277.0 and 2 014.7 while
 /// every row held its own copy of the protocol constants and power
 /// profile and a neighbour-gateway entry took 24 B; 1 667.4 and 2 737.6
 /// before traces kept exactly their segments, route-search state became
 /// lazy and MAC queues and election candidates followed use).
-const FRESH_BOUND: f64 = 947.0;
-const RUN_BOUND: f64 = 1626.0;
-const TWO_WORLDS_BOUND: f64 = 2573.0;
+const FRESH_BOUND: f64 = 894.0;
+const RUN_BOUND: f64 = 1537.0;
+const TWO_WORLDS_BOUND: f64 = 2430.0;
 
 /// Each per-host row with its size in bytes when last measured: a row
 /// may shrink, never grow past it.
