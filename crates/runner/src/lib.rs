@@ -25,7 +25,7 @@ pub mod spec_run;
 pub mod supervisor;
 pub mod sweep;
 
-pub use report::{render_ascii_chart, render_series_table, write_atomic, write_csv};
+pub use report::{render_ascii_chart, render_series_table, write_csv};
 pub use run::{
     replica_seed, run_replicas, run_scenario, run_scenario_probed, run_scenario_with, RunOptions,
     ScenarioResult,

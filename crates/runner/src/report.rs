@@ -1,6 +1,7 @@
 //! Rendering experiment output: paper-style ASCII tables and CSV files.
 
 use metrics::TimeSeries;
+use service::fsutil::write_atomic_durable;
 use std::fmt::Write as _;
 use std::path::Path;
 
@@ -49,21 +50,14 @@ pub fn render_series_table(title: &str, labelled: &[Labelled<'_>], every: usize)
     out
 }
 
-/// Crash-safe file write, durable against power loss and not just
-/// process death — the service's manifest writer under the name the
-/// sweep tooling has always used: temp sibling, fsync, rename, fsync of
-/// the parent directory, so readers see either the old complete file or
-/// the new complete file.
-pub use service::fsutil::write_atomic_durable as write_atomic;
-
 /// Write rows as CSV under `results/`.  The first row should be a header.
-/// Atomic: see [`write_atomic`].
+/// Crash-safe and durable: see [`write_atomic_durable`].
 pub fn write_csv(path: &Path, rows: &[Vec<String>]) -> std::io::Result<()> {
     let mut body = String::new();
     for row in rows {
         let _ = writeln!(body, "{}", row.join(","));
     }
-    write_atomic(path, body.as_bytes())
+    write_atomic_durable(path, body.as_bytes())
 }
 
 /// CSV rows for labelled series sharing sample times.
@@ -210,18 +204,6 @@ mod tests {
         write_csv(&path, &rows).unwrap();
         let body = std::fs::read_to_string(&path).unwrap();
         assert!(body.starts_with("t_secs,alive"));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn atomic_write_replaces_whole_file_and_cleans_up() {
-        let dir = std::env::temp_dir().join("ecgrid_report_atomic_test");
-        let path = dir.join("out.csv");
-        write_atomic(&path, b"old contents, quite long\n").unwrap();
-        write_atomic(&path, b"new\n").unwrap();
-        assert_eq!(std::fs::read_to_string(&path).unwrap(), "new\n");
-        // no .tmp litter once the write completed
-        assert!(!dir.join("out.csv.tmp").exists());
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

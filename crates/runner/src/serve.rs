@@ -28,7 +28,7 @@ use service::proto::{
 };
 use service::{JobCtx, JobHandler, JobOutcome, JobSpec, JobState, ReplicaLookup};
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Parse a protocol by its lowercase CLI name.
 pub fn parse_protocol(s: &str) -> Option<ProtocolKind> {
@@ -52,16 +52,33 @@ const MAX_JOB_REPLICAS: u64 = 256;
 pub struct EcgridJobHandler {
     opts: RunOptions,
     sup: SupervisorConfig,
+    /// The state dir's journal once an open succeeded, shared by every job and lookup.
+    journal: Mutex<Option<Arc<Journal>>>,
 }
 
 impl EcgridJobHandler {
     pub fn new(opts: RunOptions, sup: SupervisorConfig) -> Self {
-        EcgridJobHandler { opts, sup }
+        EcgridJobHandler {
+            opts,
+            sup,
+            journal: Mutex::default(),
+        }
     }
 
     /// The shared checkpoint journal under the service state dir.
     pub fn journal_path(state_dir: &Path) -> PathBuf {
         state_dir.join("journal.jsonl")
+    }
+
+    /// The journal under `state_dir`, opened by the first call that finds (or, with
+    /// `create`, makes) it.  A failed open keeps nothing: the next call tries again.
+    fn journal(&self, state_dir: &Path, create: bool) -> Result<Arc<Journal>, JournalError> {
+        let path = Self::journal_path(state_dir);
+        let mut kept = self.journal.lock().unwrap_or_else(PoisonError::into_inner);
+        match kept.as_ref().filter(|j| j.path == path) {
+            Some(j) => Ok(j.clone()),
+            None => Ok(kept.insert(Arc::new(Journal::open(&path, create)?)).clone()),
+        }
     }
 
     fn job_of(spec: &JobSpec) -> Result<FleetJob, String> {
@@ -257,10 +274,9 @@ impl JobHandler for EcgridJobHandler {
             Ok(k) => k,
             Err(e) => return refused(e),
         };
-        let path = Self::journal_path(ctx.state_dir);
-        let journal = match Journal::open(&path) {
+        let journal = match self.journal(ctx.state_dir, true) {
             Ok(j) => j,
-            Err(e) => return refused(JournalError::new(&path, &e).to_string()),
+            Err(e) => return refused(e.to_string()),
         };
         // the supervisor and the replica loop speak classic `Scenario`
         // points: the job's echo shape, reseeded per replica
@@ -308,7 +324,7 @@ impl JobHandler for EcgridJobHandler {
             // leaves here is its frames
             let mut metrics = Vec::new();
             let inspect = |res: &ScenarioResult| metrics = metric_frames(ctx.job, k, res);
-            let step = run_replica(&runner, Some(&journal), &point, k, opts, &self.sup, inspect);
+            let step = run_replica(&runner, Some(&*journal), &point, k, opts, &self.sup, inspect);
             match &step {
                 Replica::Journaled(rec) => publish(replica_done(rec, true)),
                 Replica::Fresh { record, failures, .. } => {
@@ -363,9 +379,8 @@ impl JobHandler for EcgridJobHandler {
     }
 
     fn lookup(&self, state_dir: &Path, config: u64, seed: u64) -> Option<ReplicaLookup> {
-        // a read must not create the journal, nor need write access to it
-        let (mut index, _) = Journal::read(&Self::journal_path(state_dir)).ok()?;
-        let e = index.remove(&(config, seed))?;
+        // a read must not create the journal
+        let e = self.journal(state_dir, false).ok()?.get(config, seed)?;
         Some(ReplicaLookup {
             digest: e.digest.map(|d| d.to_string()),
             pdr: e.pdr,
@@ -454,7 +469,7 @@ rate_pps = 1.0
         }
         let err = h.config_hash(&spec_job(&runaway)).unwrap_err();
         assert!(
-            err.contains("\"manhattan\" needs up to 20000000 trace segments"),
+            err.contains("\"manhattan\" needs up to 40000002 trace segments"),
             "{err}"
         );
     }

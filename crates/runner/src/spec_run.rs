@@ -391,7 +391,7 @@ pub fn fleet_world<P: Protocol>(
 ) -> World<P> {
     let end = SimTime::from_secs_f64(spec.duration_s);
     // traces must outlive the run comfortably
-    let horizon = end + SimDuration::from_secs(10);
+    let horizon = end + SimDuration::from_secs_f64(scenario::TRACE_SLACK_S);
     World::new(
         cfg,
         build_hosts(spec, protocol, horizon),
@@ -812,5 +812,65 @@ rate_pps = 1.0
             assert_eq!(got_digest, digest, "{name}: trace digest moved");
             assert_eq!(sums, counters, "{name}: protocol counters moved");
         }
+    }
+
+    #[test]
+    fn built_traces_stay_within_the_parser_s_segment_estimate() {
+        // the parser bounds a fleet by `segments_per_host`: every model,
+        // a roomy and a cramped field, a long and a one-second run
+        let models = [
+            ("stationary", ""),
+            ("waypoint", "max_speed = 10.0\n"),
+            ("waypoint", "max_speed = 1000.0\npause_s = 1\n"),
+            ("walk", "max_speed = 10.0\nepoch_s = 1\n"),
+            ("walk", "max_speed = 1000.0\nepoch_s = 10\n"),
+            ("gauss_markov", "mean_speed = 10.0\nepoch_s = 1\n"),
+            ("gauss_markov", "mean_speed = 300.0\nepoch_s = 5\nalpha = 0\n"),
+            ("gauss_markov", "mean_speed = 1.0\nepoch_s = 1\nalpha = 1\n"),
+            ("manhattan", "max_speed = 10.0\nblock_m = 50\npause_s = 2\n"),
+            ("convoy", "max_speed = 10.0\n"),
+            ("hotspot", "max_speed = 1000.0\ndwell_s = 1\n"),
+        ];
+        for (field, duration_s) in [(1000.0, 600.0), (1000.0, 1.0), (100.0, 600.0)] {
+            for (model, keys) in models {
+                for seed in 1..=3 {
+                    let spec = parse(&format!(
+                        "[scenario]\nfield_w = {field}\nfield_h = {field}\nduration_s = {duration_s}\n\
+                         seed = {seed}\n\n[[group]]\nname = \"g\"\ncount = 30\nmobility = \"{model}\"\n{keys}"
+                    ));
+                    let estimate = spec.groups[0].mobility.segments_per_host(duration_s, field);
+                    let horizon = SimTime::from_secs_f64(duration_s)
+                        + SimDuration::from_secs_f64(::scenario::TRACE_SLACK_S);
+                    let built: Vec<f64> = build_hosts(&spec, ProtocolKind::Ecgrid, horizon)
+                        .iter()
+                        .map(|h| h.trace.segments().len() as f64)
+                        .collect();
+                    let case = format!("{model} {keys:?} field {field} m, {duration_s} s, seed {seed}");
+                    // what the fleet bound needs: a group's mean is covered
+                    let mean = built.iter().sum::<f64>() / built.len() as f64;
+                    assert!(mean <= estimate, "{case}: mean {mean} > {estimate}");
+                    // one host may pass the mean's bound (a short waypoint
+                    // leg, a walk that keeps meeting a wall) by a little;
+                    // a Gauss–Markov host that never turns (`alpha = 1`)
+                    // slides along the wall it meets in ever shorter legs,
+                    // which no per-host bound covers
+                    if !keys.contains("alpha = 1") {
+                        let most = built.iter().copied().fold(0.0, f64::max);
+                        assert!(
+                            most <= 1.25 * estimate,
+                            "{case}: a host built {most} > 1.25 × {estimate}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_parser_s_segment_size_is_the_trace_s() {
+        assert_eq!(
+            std::mem::size_of::<mobility::Segment>() as f64,
+            ::scenario::SEGMENT_BYTES
+        );
     }
 }

@@ -39,11 +39,11 @@ use sim_engine::{derive_seed, BudgetExceeded};
 use std::collections::HashMap;
 use std::fmt;
 use std::fs;
-use std::io::{self, Write as _};
+use std::io::{self, Read as _, Write as _};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Supervision knobs, orthogonal to [`RunOptions`] (which holds the
 /// watchdog budgets: they bound a run, supervised or not).
@@ -461,12 +461,12 @@ pub(crate) struct JournalEntry {
 impl JournalEntry {
     /// The entry as replica `replica` of `scenario` — the caller's own
     /// indexing, not the file's.
-    fn to_record(&self, replica: u64, scenario: Scenario) -> ReplicaRecord {
+    fn into_record(self, replica: u64, scenario: Scenario) -> ReplicaRecord {
         ReplicaRecord {
             scenario,
             replica,
-            alive: self.alive.clone(),
-            aen: self.aen.clone(),
+            alive: self.alive,
+            aen: self.aen,
             pdr: self.pdr,
             latency_ms: self.latency_ms,
             pdr_590: self.pdr_590,
@@ -552,99 +552,108 @@ impl fmt::Display for JournalError {
 
 impl std::error::Error for JournalError {}
 
-/// A journal file's entries by resume key (config hash, seed).
-pub(crate) type JournalIndex = HashMap<(u64, u64), JournalEntry>;
+/// A journal's entries by resume key (config hash, seed).
+#[derive(Default)]
+struct JournalIndex {
+    entries: HashMap<(u64, u64), JournalEntry>,
+    anomalies: usize,
+}
+
+impl JournalIndex {
+    /// Index one line.  One that fails to parse is skipped; a duplicate
+    /// key — two sweeps appending the same replica — is last-write-wins
+    /// (the later run of an identical, deterministic job).  Both count
+    /// as anomalies; a blank line counts as nothing.
+    fn add(&mut self, line: &str) {
+        if line.trim().is_empty() {
+            return;
+        }
+        match parse_entry(line) {
+            Some(e) => self.anomalies += usize::from(self.entries.insert((e.config, e.seed), e).is_some()),
+            None => self.anomalies += 1,
+        }
+    }
+}
 
 /// The checkpoint journal: the only code that reads, indexes, opens,
 /// appends to and syncs the file.  One failure policy for every caller:
 /// [`Journal::open`] failing stops the sweep or job before anything runs;
 /// [`Journal::append`] or [`Journal::sync`] failing keeps the computed
-/// replicas and is reported.
+/// replicas and is reported.  The file is read once, at open; the index
+/// then follows this handle's appends, so it is what a reopen would
+/// build unless another process appends (its lines wait for a reopen).
 pub(crate) struct Journal {
-    path: PathBuf,
-    /// What the file held at open.
-    index: JournalIndex,
-    anomalies: usize,
-    file: Mutex<fs::File>,
-    /// `open` created the file, and no `sync` has made its directory
-    /// entry durable yet.
+    pub(crate) path: PathBuf,
+    /// Opened for read and append: `O_APPEND` puts every write at the
+    /// end, whatever the read left the offset at.
+    file: fs::File,
+    /// Every line the file held at open, and every line appended since.
+    /// Its lock also orders the writes.
+    index: Mutex<JournalIndex>,
+    /// The file was empty at open — `open` may have created it — and no
+    /// `sync` has made its directory entry durable yet.
     new_entry: AtomicBool,
 }
 
 impl Journal {
-    /// Open `path` for append — creating it and its directory as needed —
-    /// and index what it already holds.
-    pub(crate) fn open(path: &Path) -> io::Result<Journal> {
-        if let Some(dir) = path.parent() {
-            fs::create_dir_all(dir)?;
+    /// The one loader: open `path` for read and append and index every
+    /// line in it.  With `create` a missing file and directory are made;
+    /// without, nothing is (a missing file is `NotFound`).  The file is
+    /// decoded lossily, so garbage bytes mid-file (a torn write, disk
+    /// corruption) poison only the lines they touch.
+    pub(crate) fn open(path: &Path, create: bool) -> Result<Journal, JournalError> {
+        let failed = |e: io::Error| JournalError::new(path, &e);
+        if let Some(dir) = path.parent().filter(|_| create) {
+            fs::create_dir_all(dir).map_err(failed)?;
         }
-        let mut append = fs::OpenOptions::new();
-        append.append(true);
-        let (file, created) = match append.clone().create_new(true).open(path) {
-            Ok(file) => (file, true),
-            Err(e) if e.kind() == io::ErrorKind::AlreadyExists => (append.open(path)?, false),
-            Err(e) => return Err(e),
-        };
-        let (index, anomalies) = Self::read(path)?;
+        let mut file = fs::OpenOptions::new()
+            .read(true)
+            .append(true)
+            .create(create)
+            .open(path)
+            .map_err(failed)?;
+        let mut bytes = Vec::new();
+        file.read_to_end(&mut bytes).map_err(failed)?;
+        let mut index = JournalIndex::default();
+        String::from_utf8_lossy(&bytes)
+            .lines()
+            .for_each(|line| index.add(line));
         Ok(Journal {
             path: path.to_path_buf(),
-            index,
-            anomalies,
-            file: Mutex::new(file),
-            new_entry: AtomicBool::new(created),
+            file,
+            index: Mutex::new(index),
+            new_entry: AtomicBool::new(bytes.is_empty()),
         })
     }
 
-    /// The read-only way in: what `path` holds by resume key, and its
-    /// anomaly count, creating nothing and opening nothing for write — a
-    /// missing file holds nothing.
-    ///
-    /// The file is decoded lossily, so garbage bytes mid-file (a torn
-    /// write, disk corruption) poison only the lines they touch.  Lines
-    /// that fail to parse are skipped; duplicate keys — two interrupted
-    /// sweeps appending the same replica — deduplicate last-write-wins
-    /// (the later run of an identical, deterministic job).  Both are
-    /// counted in [`Journal::anomalies`].
-    pub(crate) fn read(path: &Path) -> io::Result<(JournalIndex, usize)> {
-        let bytes = match fs::read(path) {
-            Err(e) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
-            read => read?,
-        };
-        let mut index = HashMap::new();
-        let mut anomalies = 0;
-        for line in String::from_utf8_lossy(&bytes).lines() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            match parse_entry(line) {
-                Some(e) => anomalies += usize::from(index.insert((e.config, e.seed), e).is_some()),
-                None => anomalies += 1,
-            }
-        }
-        Ok((index, anomalies))
+    fn index(&self) -> MutexGuard<'_, JournalIndex> {
+        // a thread that panicked under this lock left at worst a torn
+        // line, which the loader skips: the file is still appendable
+        self.index.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// The replica the file held for this resume key when it was opened.
-    pub(crate) fn get(&self, config: u64, seed: u64) -> Option<&JournalEntry> {
-        self.index.get(&(config, seed))
+    /// The replica the journal holds for this resume key.
+    pub(crate) fn get(&self, config: u64, seed: u64) -> Option<JournalEntry> {
+        self.index().entries.get(&(config, seed)).cloned()
     }
 
-    /// Malformed lines plus duplicate keys met while indexing.
+    /// Malformed lines plus duplicate keys met so far.
     pub(crate) fn anomalies(&self) -> usize {
-        self.anomalies
+        self.index().anomalies
     }
 
-    /// Append one completed replica: line and newline in a single write
-    /// under the lock, so concurrent appenders — rayon workers here, other
-    /// processes on the same `O_APPEND` file — never interleave inside a
-    /// line, and a killed sweep loses at most the replicas in flight.
+    /// Append one completed replica and index it: line and newline in a
+    /// single write under the lock, so concurrent appenders — rayon
+    /// workers here, other processes on the same `O_APPEND` file — never
+    /// interleave inside a line, and a killed sweep loses at most the
+    /// replicas in flight.
     fn append(&self, config: u64, seed: u64, rec: &ReplicaRecord) -> io::Result<()> {
         let mut line = encode_line(config, seed, rec);
         line.push('\n');
-        // a thread that panicked under this lock left at worst a torn
-        // line, which the loader skips: the file is still appendable
-        let mut file = self.file.lock().unwrap_or_else(PoisonError::into_inner);
-        file.write_all(line.as_bytes())
+        let mut index = self.index();
+        (&self.file).write_all(line.as_bytes())?;
+        index.add(line.trim_end_matches('\n'));
+        Ok(())
     }
 
     /// Make every line appended so far durable: `sync_data` on the file,
@@ -655,8 +664,7 @@ impl Journal {
     /// outcome whose replicas are lost.
     pub(crate) fn sync(&self) -> Result<(), JournalError> {
         let failed = |e: io::Error| JournalError::new(&self.path, &e);
-        let file = self.file.lock().unwrap_or_else(PoisonError::into_inner);
-        file.sync_data().map_err(failed)?;
+        self.file.sync_data().map_err(failed)?;
         if self.new_entry.swap(false, Ordering::Relaxed) {
             let dir = self.path.parent().filter(|d| !d.as_os_str().is_empty());
             if let Err(e) = fsutil::fsync_dir(dir.unwrap_or(Path::new("."))) {
@@ -708,7 +716,7 @@ pub(crate) fn run_replica(
     let seed = replica_seed(base.seed, k);
     let point = Scenario { seed, ..base };
     if let Some(entry) = journal.and_then(|j| j.get(config, seed)) {
-        return Replica::Journaled(entry.to_record(k, point));
+        return Replica::Journaled(entry.into_record(k, point));
     }
     let out = run_point(runner, &point, opts, sup);
     let Some(res) = out.result else {
@@ -776,11 +784,7 @@ pub fn sweep_keyed(
     runner: &ScenarioRunner<'_>,
 ) -> SweepReport {
     assert!(replicas >= 1);
-    let opened = sup
-        .journal
-        .as_deref()
-        .map(|p| Journal::open(p).map_err(|e| JournalError::new(p, &e)));
-    let journal = match opened.transpose() {
+    let journal = match sup.journal.as_deref().map(|p| Journal::open(p, true)).transpose() {
         Ok(journal) => journal,
         Err(e) => {
             return SweepReport {
@@ -878,7 +882,10 @@ mod tests {
         let e = parse_entry(LINE).expect("parse");
         let (config, seed) = (e.config, e.seed);
         assert_eq!((config, seed), (0xdead_beef, 99));
-        assert_eq!(encode_line(config, seed, &e.to_record(3, rec(99).scenario)), LINE);
+        assert_eq!(
+            encode_line(config, seed, &e.into_record(3, rec(99).scenario)),
+            LINE
+        );
         assert_eq!(encode_line(config, seed, &rec(99)), LINE);
         // and without a digest or any sample
         let bare = ReplicaRecord {
@@ -908,7 +915,7 @@ mod tests {
         let dir = scratch("parse");
         let path = dir.join("j.jsonl");
         fs::write(&path, format!("{good}\n{truncated}\nnot json at all\n")).unwrap();
-        let j = Journal::open(&path).unwrap();
+        let j = Journal::open(&path, true).unwrap();
         assert!(j.get(1, 7).is_some());
         assert_eq!(j.anomalies(), 2);
         let _ = fs::remove_dir_all(&dir);
@@ -918,15 +925,52 @@ mod tests {
     fn a_missing_journal_opens_empty_and_appends_resume() {
         let dir = scratch("fresh");
         let path = dir.join("nested").join("j.jsonl");
-        let j = Journal::open(&path).expect("a missing file and directory are created");
+        let j = Journal::open(&path, true).expect("a missing file and directory are created");
         assert!(j.get(5, 7).is_none());
         assert_eq!(j.anomalies(), 0);
         j.append(5, 7, &rec(7)).unwrap();
-        // the index is what the file held at open; a reopen sees the append
-        assert!(j.get(5, 7).is_none());
-        let back = Journal::open(&path).unwrap();
+        // the live index sees its own append, and so does a reopen
+        assert!(j.get(5, 7).is_some());
+        let back = Journal::open(&path, true).unwrap();
         let e = back.get(5, 7).expect("appended line resumes");
-        assert_eq!(e.to_record(0, rec(7).scenario).digest, rec(7).digest);
+        assert_eq!(e.into_record(0, rec(7).scenario).digest, rec(7).digest);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Every entry of a journal as the line it would write for replica 0:
+    /// the codec is bit-exact, so equal lines are equal entries.
+    fn lines_of(j: &Journal) -> Vec<String> {
+        let index = j.index();
+        let mut lines: Vec<String> = index
+            .entries
+            .values()
+            .map(|e| encode_line(e.config, e.seed, &e.clone().into_record(0, rec(0).scenario)))
+            .collect();
+        lines.sort();
+        lines
+    }
+
+    #[test]
+    fn the_live_index_is_what_a_reload_of_the_file_builds() {
+        let dir = scratch("live");
+        let path = dir.join("j.jsonl");
+        fs::write(&path, "garbage from an earlier crash\n").unwrap();
+        let j = Journal::open(&path, true).unwrap();
+        for seed in 0..6 {
+            let r = ReplicaRecord {
+                pdr: Some(0.1 * seed as f64),
+                ..rec(seed)
+            };
+            j.append(u64::from(seed % 2 == 0), seed, &r).unwrap();
+        }
+        // the same key again, with a different result: last write wins
+        j.append(1, 4, &ReplicaRecord { pdr: None, ..rec(4) }).unwrap();
+        assert_eq!(j.get(1, 4).unwrap().pdr, None);
+        assert_eq!(j.anomalies(), 2, "the garbage line and the duplicate key");
+        let reloaded = Journal::open(&path, true).unwrap();
+        assert_eq!(reloaded.anomalies(), j.anomalies());
+        assert_eq!(reloaded.index().entries.len(), 6);
+        assert_eq!(lines_of(&reloaded), lines_of(&j));
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -934,46 +978,34 @@ mod tests {
     fn a_sync_covers_the_directory_entry_of_a_journal_it_created_once() {
         let dir = scratch("sync");
         let path = dir.join("j.jsonl");
-        let j = Journal::open(&path).unwrap();
+        let j = Journal::open(&path, true).unwrap();
         assert!(j.new_entry.load(Ordering::Relaxed), "open created the file");
         j.append(5, 7, &rec(7)).unwrap();
         j.sync().unwrap();
         assert!(!j.new_entry.load(Ordering::Relaxed), "the directory was synced");
         j.sync().unwrap();
         // a journal that was already there has no new entry to sync
-        let again = Journal::open(&path).unwrap();
+        let again = Journal::open(&path, true).unwrap();
         assert!(!again.new_entry.load(Ordering::Relaxed));
         assert!(again.get(5, 7).is_some());
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn reading_a_journal_creates_nothing_and_needs_no_write_access() {
-        let dir = scratch("read_only");
-        // a fresh state dir: nothing to find, and nothing left behind
+    fn loading_a_journal_that_is_not_there_creates_nothing() {
+        let dir = scratch("missing");
         let missing = dir.join("nested").join("j.jsonl");
-        let (index, anomalies) = Journal::read(&missing).expect("a missing file holds nothing");
-        assert!(index.is_empty() && anomalies == 0);
+        let err = Journal::open(&missing, false).err().expect("nothing to load");
+        assert_eq!(err.kind, io::ErrorKind::NotFound);
         assert!(!missing.parent().unwrap().exists(), "not even the directory");
-        // a journal the reader may not write to, in a directory it may not
-        // create files in, still answers
-        let path = dir.join("ro").join("j.jsonl");
-        Journal::open(&path).unwrap().append(5, 7, &rec(7)).unwrap();
+        // one that is there loads as it is, and stays as it was
+        let path = dir.join("j.jsonl");
+        Journal::open(&path, true).unwrap().append(5, 7, &rec(7)).unwrap();
         let body = fs::read(&path).unwrap();
-        #[cfg(unix)]
-        {
-            use std::os::unix::fs::PermissionsExt as _;
-            fs::set_permissions(&path, fs::Permissions::from_mode(0o444)).unwrap();
-            fs::set_permissions(path.parent().unwrap(), fs::Permissions::from_mode(0o555)).unwrap();
-        }
-        let (index, _) = Journal::read(&path).expect("readable is enough");
-        assert_eq!(index[&(5, 7)].digest, rec(7).digest);
-        assert_eq!(fs::read(&path).unwrap(), body, "a read leaves the file as it was");
-        #[cfg(unix)]
-        {
-            use std::os::unix::fs::PermissionsExt as _;
-            fs::set_permissions(path.parent().unwrap(), fs::Permissions::from_mode(0o755)).unwrap();
-        }
+        let j = Journal::open(&path, false).unwrap();
+        assert_eq!(j.get(5, 7).unwrap().digest, rec(7).digest);
+        assert!(!j.new_entry.load(Ordering::Relaxed));
+        assert_eq!(fs::read(&path).unwrap(), body, "a load leaves the file as it was");
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -984,8 +1016,8 @@ mod tests {
         let file = dir.join("plain_file");
         fs::write(&file, b"x").unwrap();
         // parent is a regular file (ENOTDIR), and the path is a directory
-        assert!(Journal::open(&file.join("x.jsonl")).is_err());
-        assert!(Journal::open(&dir).is_err());
+        assert!(Journal::open(&file.join("x.jsonl"), true).is_err());
+        assert!(Journal::open(&dir, true).is_err());
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -997,9 +1029,8 @@ mod tests {
         // a handle that cannot be written: every append fails (EBADF)
         let journal = Journal {
             path: path.clone(),
-            index: HashMap::new(),
-            anomalies: 0,
-            file: Mutex::new(fs::File::open(&path).unwrap()),
+            file: fs::File::open(&path).unwrap(),
+            index: Mutex::default(),
             new_entry: AtomicBool::new(false),
         };
         let sc = Scenario {
@@ -1034,6 +1065,7 @@ mod tests {
         assert_eq!(err.path, path);
         assert!(err.to_string().starts_with("journal: "), "{err}");
         assert_eq!(fs::read(&path).unwrap(), b"", "nothing reached the file");
+        assert!(journal.get(1, sc.seed).is_none(), "nor the index");
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1081,7 +1113,7 @@ mod tests {
             let dir = scratch("arbitrary");
             let path = dir.join("j.jsonl");
             fs::write(&path, &body).unwrap();
-            let journal = Journal::open(&path).expect("damage inside the file is not an open failure");
+            let journal = Journal::open(&path, true).expect("damage inside the file is not an open failure");
             proptest::prop_assert_eq!(journal.anomalies(), bad);
             proptest::prop_assert!(journal.get(u64::MAX, 9).is_some(), "the valid tail resumes");
             for (i, (kind, ..)) in draws.iter().enumerate() {

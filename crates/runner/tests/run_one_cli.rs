@@ -225,12 +225,12 @@ fn unknown_flags_are_usage_errors_before_anything_runs() {
             bounds("count must be in [1, 100000], got 100001"),
         ),
         (
-            // each knob in bounds, but ~60 000 000 waypoint legs per host:
+            // each knob in bounds, but ~60 000 062 waypoint segments per host:
             // the trace generator would panic on them
             RUN_ONE,
             vec!["--hosts", "2", "--flows", "1", "--speed", "1000", "--duration", "10000000"],
             bounds(
-                "mobility = \"waypoint\" needs up to 60000000 trace segments per host over \
+                "mobility = \"waypoint\" needs up to 60000062 trace segments per host over \
                  duration_s = 10000000; a host holds at most 100000",
             ),
         ),

@@ -46,10 +46,20 @@ pub const MAX_TOTAL_HOSTS: usize = 200_000;
 /// `field_h / cell_side`, rounded up): the simulator keeps a cell's
 /// coordinates in 16 bits each, `geo::GridMap::MAX_CELLS_PER_AXIS`.
 pub const MAX_CELLS_PER_AXIS: u32 = 65_535;
-/// Most trace segments (48 B each) a host may need over a run
+/// Most trace segments a host may need over a run
 /// ([`MobilitySpec::segments_per_host`]), well under the generators'
 /// 4 000 000-segment runaway panic.
 pub const MAX_SEGMENTS_PER_HOST: f64 = 100_000.0;
+/// Bytes of one trace segment (`mobility::Segment`).
+pub const SEGMENT_BYTES: f64 = 48.0;
+/// Most bytes a whole fleet's mobility traces may need: Σ over groups of
+/// `count × segments_per_host × SEGMENT_BYTES`, 1 GiB.  The world builds
+/// every trace before the run's watchdogs start, so this bound is what
+/// keeps an accepted scenario from exhausting memory in setup.
+pub const MAX_FLEET_TRACE_BYTES: f64 = (1u64 << 30) as f64;
+/// Seconds a host's trace runs past the scenario's end: the world builds
+/// every trace to `duration_s` plus this, so the run never outlives one.
+pub const TRACE_SLACK_S: f64 = 10.0;
 
 /// A parsed, validated scenario file.
 #[derive(Clone, Debug, PartialEq)]
@@ -171,26 +181,40 @@ pub enum MobilitySpec {
 }
 
 impl MobilitySpec {
-    /// An upper bound on the trace segments one host needs over
-    /// `duration_s` when the field's shorter side is `field_min` m: one
-    /// per epoch, else two per leg (the leg and its rest).  A Manhattan
-    /// leg is one block; a waypoint leg (a convoy's lead) joins two
-    /// uniform points, on average at least a third of the shorter side
-    /// apart; a convoy member re-aims its offset every 10 s.
+    /// The trace segments one host needs over `duration_s` (and the
+    /// [`TRACE_SLACK_S`] its trace runs past the end) when the field's
+    /// shorter side is `field_min` m: a bound on a group's mean, which
+    /// one host may pass (DESIGN.md §15 says by how much).
+    ///
+    /// Leg models count two segments per leg (the leg and its rest) and
+    /// the partial leg at each end.  A Manhattan leg is one block; a
+    /// waypoint leg (a convoy's lead) joins two uniform points, on average
+    /// at least a third of the shorter side apart; a convoy member
+    /// re-aims its offset every 10 s.  A walk (random or Gauss–Markov)
+    /// leg lasts an epoch unless the field's edge cuts it short: often
+    /// near a wall, and on every leg once a step spans the field, when a
+    /// leg takes about a crossing of it at top speed.  So a walk's legs
+    /// are counted three times over, the factor `runner`'s
+    /// `built_traces_stay_within_the_parser_s_segment_estimate` was sized
+    /// with.
     pub fn segments_per_host(&self, duration_s: f64, field_min: f64) -> f64 {
-        let legs = |leg_s: f64| 2.0 * duration_s / leg_s;
+        let span = duration_s + TRACE_SLACK_S;
+        let legs = |leg_s: f64| 2.0 + 2.0 * span / leg_s;
+        let walk = |epoch_s: f64, top_speed: f64| 1.0 + 3.0 * span / epoch_s.min(field_min / top_speed);
         match *self {
             MobilitySpec::Stationary => 1.0,
-            MobilitySpec::Walk { epoch_s, .. } | MobilitySpec::GaussMarkov { epoch_s, .. } => {
-                duration_s / epoch_s
-            }
+            MobilitySpec::Walk { max_speed, epoch_s } => walk(epoch_s, max_speed),
+            // the AR(1) speed is clamped to three times the mean
+            MobilitySpec::GaussMarkov {
+                mean_speed, epoch_s, ..
+            } => walk(epoch_s, 3.0 * mean_speed),
             MobilitySpec::Manhattan {
                 max_speed, block_m, ..
             } => legs(block_m / max_speed),
             MobilitySpec::Waypoint { max_speed, pause_s } => legs(field_min / 3.0 / max_speed + pause_s),
             MobilitySpec::Convoy {
                 max_speed, pause_s, ..
-            } => legs(field_min / 3.0 / max_speed + pause_s).max(duration_s / 10.0),
+            } => legs(field_min / 3.0 / max_speed + pause_s).max(1.0 + span / 10.0),
             MobilitySpec::Hotspot { dwell_s, .. } => legs(dwell_s),
         }
     }

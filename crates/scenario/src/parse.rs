@@ -9,7 +9,7 @@
 
 use crate::{
     GroupSpec, MobilitySpec, Role, ScenarioSpec, TrafficPattern, TrafficSpec, MAX_CELLS_PER_AXIS,
-    MAX_GROUP_COUNT, MAX_SEGMENTS_PER_HOST, MAX_TOTAL_HOSTS,
+    MAX_FLEET_TRACE_BYTES, MAX_GROUP_COUNT, MAX_SEGMENTS_PER_HOST, MAX_TOTAL_HOSTS, SEGMENT_BYTES,
 };
 use std::fmt;
 
@@ -433,9 +433,27 @@ pub fn parse(text: &str) -> Result<ScenarioSpec, ParseError> {
             "scenario has no [[group]] sections",
         ));
     }
+    let field_min = field_w.min(field_h);
     let mut groups = Vec::with_capacity(group_tbls.len());
+    // the world builds every host's trace before its run starts, so the
+    // fleet's traces are bounded here, where a refusal names the group
+    let mut trace_bytes = 0.0;
     for mut g in group_tbls {
-        groups.push(finalize_group(&mut g, field_w.min(field_h), duration_s)?);
+        let group = finalize_group(&mut g, field_min, duration_s)?;
+        trace_bytes +=
+            group.count as f64 * group.mobility.segments_per_host(duration_s, field_min) * SEGMENT_BYTES;
+        if trace_bytes > MAX_FLEET_TRACE_BYTES {
+            return Err(ParseError::new(
+                g.header_line,
+                1,
+                format!(
+                    "group {:?} brings the fleet's mobility traces to {:.0} bytes; a fleet holds at most \
+                     {MAX_FLEET_TRACE_BYTES:.0}",
+                    group.name, trace_bytes
+                ),
+            ));
+        }
+        groups.push(group);
     }
     let total: usize = groups.iter().map(|g: &GroupSpec| g.count).sum();
     if total > MAX_TOTAL_HOSTS {
@@ -791,18 +809,19 @@ mod tests {
     #[test]
     fn an_epoch_model_past_the_segment_ceiling_is_refused_at_epoch_s() {
         for model in ["walk", "gauss_markov"] {
-            // 100 s at 0.1 ms is 1 000 000 legs per host
+            // 100 s (and 10 s of slack) at 0.1 ms is 1 100 000 epochs per
+            // host, counted three times for legs a wall cuts short
             let text = one_group("100", &format!("mobility = \"{model}\"\nepoch_s = 0.0001\n"));
             let err = parse(&text).unwrap_err();
             assert_eq!((err.line, err.col), (9, 11), "{model}: {err}");
             assert!(
-                err.msg.contains("1000000 trace segments per host"),
+                err.msg.contains("3300001 trace segments per host"),
                 "{model}: {err}"
             );
-            // 100 000 legs is the most a host may hold
+            // 82 501 segments: under the 100 000 a host may hold
             parse(&one_group(
                 "100",
-                &format!("mobility = \"{model}\"\nepoch_s = 0.001\n"),
+                &format!("mobility = \"{model}\"\nepoch_s = 0.004\n"),
             ))
             .unwrap();
         }
@@ -815,6 +834,38 @@ mod tests {
         assert!(err.msg.contains("mobility = \"manhattan\" needs up to"), "{err}");
         // 2 · 10 s · 1 m/s / 0.2 m = 100 legs
         parse(&one_group("10", "mobility = \"manhattan\"\nblock_m = 0.2\n")).unwrap();
+    }
+
+    #[test]
+    fn the_fleet_s_traces_are_bounded_and_the_group_that_crosses_is_named() {
+        // a 3 001-segment walk host (990 s and 10 s of slack, a 1 s epoch
+        // counted three times) holds 144 048 B: 7 454 of them fit in 1 GiB
+        let fleet = |count: usize| {
+            format!(
+                "[scenario]\nduration_s = 990\nseed = 1\n\n\
+                 [[group]]\nname = \"still\"\ncount = 10\nmobility = \"stationary\"\n\n\
+                 [[group]]\nname = \"walkers\"\ncount = {count}\nmobility = \"walk\"\nepoch_s = 1\n"
+            )
+        };
+        let walker = MobilitySpec::Walk {
+            max_speed: 1.0,
+            epoch_s: 1.0,
+        };
+        let per_walker = walker.segments_per_host(990.0, 1000.0) * SEGMENT_BYTES;
+        assert_eq!(per_walker, 3001.0 * 48.0);
+        let room = MAX_FLEET_TRACE_BYTES - 10.0 * SEGMENT_BYTES;
+        let most = (room / per_walker).floor() as usize;
+        assert_eq!(most, 7454);
+        let at = parse(&fleet(most)).unwrap();
+        assert_eq!(at.total_hosts(), 10 + most);
+        let err = parse(&fleet(most + 1)).unwrap_err();
+        assert_eq!((err.line, err.col), (10, 1), "the walkers' header: {err}");
+        assert!(
+            err.msg
+                .starts_with("group \"walkers\" brings the fleet's mobility traces to")
+                && err.msg.ends_with("a fleet holds at most 1073741824"),
+            "{err}"
+        );
     }
 
     #[test]
@@ -837,14 +888,14 @@ mod tests {
 
     #[test]
     fn waypoint_legs_past_the_segment_ceiling_are_refused_at_max_speed() {
-        // the `run_one --speed 1000 --duration 10000000` fleet: 60 000 000
+        // the `run_one --speed 1000 --duration 10000000` fleet: 60 000 062
         // expected segments on the 1000 m field
         for model in ["waypoint", "convoy"] {
             let text = one_group("10000000", &format!("mobility = \"{model}\"\nmax_speed = 1000\n"));
             let err = parse(&text).unwrap_err();
             assert_eq!((err.line, err.col), (9, 13), "{model}: {err}");
             assert!(
-                err.msg.contains("60000000 trace segments per host"),
+                err.msg.contains("60000062 trace segments per host"),
                 "{model}: {err}"
             );
         }

@@ -18,7 +18,9 @@
 //!   for more replicas than one job may, is refused at the door, and a
 //!   journal that cannot be opened ends the job with an error, and a
 //!   manifest that cannot be written refuses the submit — the server
-//!   answers `ping` and `status` through all three.
+//!   answers `ping` and `status` through all three;
+//! * a server reads its journal once: a later job resumes from the lines
+//!   earlier jobs appended, and `result` answers from memory.
 //!
 //! Timing discipline: the tiny scenarios here complete in milliseconds,
 //! faster than a TCP subscription can attach.  Tests that must observe a
@@ -834,6 +836,53 @@ fn an_unopenable_journal_ends_the_job_with_an_error_and_the_server_keeps_answeri
         .request_idempotent(&Request::Result { config, seed: 5 })
         .expect("result");
     assert_eq!(json::bool_field(&missing, "ok"), Some(false));
+    server.request_shutdown();
+    server.wait();
+}
+
+#[test]
+fn a_server_reads_its_journal_once_and_answers_from_memory() {
+    let server = start_server("journal_once", ServiceConfig::default().with_workers(1));
+    let journal = EcgridJobHandler::journal_path(&state_path("journal_once"));
+    let mut client = connect(&server);
+    let spec = tiny_spec(31, 2);
+    let malformed = |frame: &str, seen: &mut Option<u64>| {
+        if json::field(frame, "stream") == Some("done") {
+            *seen = json::u64_field(frame, "malformed_journal_lines");
+        }
+    };
+    let (a, config) = client.submit_until_accepted(&spec, 0).expect("submit A");
+    let mut a_malformed = None;
+    let done_a = client
+        .stream_job(a, &FilterSpec::default(), |f| malformed(f, &mut a_malformed))
+        .expect("A's done");
+    assert_eq!((done_a.completed, done_a.from_journal), (2, 0), "A ran fresh");
+    // another writer leaves a line the server's index never saw
+    let mut file = std::fs::OpenOptions::new().append(true).open(&journal).unwrap();
+    writeln!(file, "not a journal line").unwrap();
+    let (b, _) = client.submit_until_accepted(&spec, 0).expect("submit B");
+    let mut b_malformed = None;
+    let done_b = client
+        .stream_job(b, &FilterSpec::default(), |f| malformed(f, &mut b_malformed))
+        .expect("B's done");
+    assert_eq!(
+        (done_b.completed, done_b.from_journal),
+        (2, 2),
+        "every replica of B comes from A's appends, none ran"
+    );
+    assert_eq!(done_b.digests, done_a.digests);
+    assert_eq!(
+        b_malformed, a_malformed,
+        "B counts what the index saw, not the file"
+    );
+    assert_eq!(a_malformed, Some(0));
+    // with the file gone, a `result` for A's key still answers
+    std::fs::remove_file(&journal).unwrap();
+    let hit = client
+        .request_idempotent(&Request::Result { config, seed: 31 })
+        .expect("result");
+    assert_eq!(json::bool_field(&hit, "ok"), Some(true), "{hit}");
+    assert_eq!(json::str_field(&hit, "digest").as_ref(), done_a.digests.first());
     server.request_shutdown();
     server.wait();
 }

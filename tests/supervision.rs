@@ -15,9 +15,10 @@ use ecgrid_suite::runner::supervisor::{
     run_point, sweep_supervised, sweep_supervised_with, FailureKind, SupervisorConfig,
 };
 use ecgrid_suite::runner::{
-    average_results, average_results_degraded, replica_seed, run_replicas, run_scenario_probed, write_atomic,
+    average_results, average_results_degraded, replica_seed, run_replicas, run_scenario_probed,
     AveragedResult, ProtocolKind, RunOptions, Scenario,
 };
+use ecgrid_suite::service::fsutil::write_atomic_durable;
 use ecgrid_suite::sim_engine::derive_seed;
 use std::collections::HashSet;
 use std::path::PathBuf;
@@ -309,7 +310,7 @@ fn ci_supervised_sweep_with_chaos_faults_and_injected_panic() {
     let report = sweep_supervised_with(&[healthy, bomb], 2, opts, &sup, &runner);
 
     let rendered = report.render();
-    write_atomic(&dir.join("quarantine_report.txt"), rendered.as_bytes()).unwrap();
+    write_atomic_durable(&dir.join("quarantine_report.txt"), rendered.as_bytes()).unwrap();
 
     assert_eq!(report.quarantined.len(), 2, "{rendered}");
     assert_eq!(report.averaged.len(), 1, "healthy chaos scenario averaged");
